@@ -5,16 +5,21 @@
 #include <cstdio>
 
 #include "coral/fault/storm.hpp"
-#include "coral/filter/pipeline.hpp"
+#include "coral/stream/coanalysis.hpp"
 #include "coral/synth/intrepid.hpp"
 
 int main() {
   using namespace coral;
   const synth::SynthResult data = synth::generate(synth::intrepid_scenario(42));
+  const auto run_filters = [&data](const filter::FilterPipelineConfig& filters) {
+    stream::FrontEndConfig config;
+    config.filters = filters;
+    return stream::run_streaming_frontend(data.ras, data.jobs, config).filtered;
+  };
 
   filter::FilterPipelineConfig off;
   off.enable_causality = false;
-  const auto base = filter::run_filter_pipeline(data.ras, off);
+  const auto base = run_filters(off);
   std::printf("temporal+spatial only: %zu groups (truth: %zu instances)\n\n",
               base.groups.size(), data.truth.faults.size());
 
@@ -22,7 +27,7 @@ int main() {
   for (int support : {2, 3, 5, 10, 20, 50}) {
     filter::FilterPipelineConfig config;
     config.causality.min_support = support;
-    const auto result = filter::run_filter_pipeline(data.ras, config);
+    const auto result = run_filters(config);
     std::printf("%12d %10zu %12zu\n", support, result.groups.size(),
                 result.causal_pairs.size());
   }

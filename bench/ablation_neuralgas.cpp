@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "coral/filter/neuralgas.hpp"
-#include "coral/filter/pipeline.hpp"
+#include "coral/stream/coanalysis.hpp"
 #include "coral/synth/intrepid.hpp"
 
 int main() {
@@ -17,7 +17,7 @@ int main() {
   std::printf("%zu raw FATAL records; %zu ground-truth faults (%zu independent)\n\n",
               events.size(), data.truth.faults.size(), truth_independent);
 
-  const auto pipeline = filter::run_filter_pipeline(data.ras, {});
+  const auto pipeline = stream::run_streaming_frontend(data.ras, data.jobs, {}).filtered;
   std::printf("%-38s %8s\n", "filter", "groups");
   std::printf("%-38s %8zu\n", "temporal-spatial + causality (paper)",
               pipeline.groups.size());

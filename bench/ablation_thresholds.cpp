@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <set>
 
-#include "coral/core/pipeline.hpp"
+#include "coral/stream/coanalysis.hpp"
 #include "coral/synth/intrepid.hpp"
 
 namespace {
@@ -20,13 +20,13 @@ struct Score {
 };
 
 Score score(const synth::SynthResult& data, Usec temporal, Usec spatial, Usec window) {
-  core::CoAnalysisConfig config;
+  stream::FrontEndConfig config;
   config.filters.temporal.threshold = temporal;
   config.filters.spatial.threshold = spatial;
-  config.matching.window = window;
-
-  const auto filtered = filter::run_filter_pipeline(data.ras, config.filters);
-  const auto matches = core::match_interruptions(filtered, data.jobs, config.matching);
+  config.match_window = window;
+  const stream::FrontEndResult front =
+      stream::run_streaming_frontend(data.ras, data.jobs, config);
+  const core::MatchResult& matches = front.matches;
 
   std::set<std::int64_t> truth_jobs;
   for (const auto& i : data.truth.interruptions) truth_jobs.insert(i.job_id);
@@ -35,7 +35,7 @@ Score score(const synth::SynthResult& data, Usec temporal, Usec spatial, Usec wi
     if (truth_jobs.count(data.jobs[i.job].job_id)) ++hit;
   }
   Score s;
-  s.groups = filtered.groups.size();
+  s.groups = front.filtered.groups.size();
   s.precision = matches.interruptions.empty()
                     ? 0.0
                     : static_cast<double>(hit) /

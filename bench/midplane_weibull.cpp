@@ -6,12 +6,13 @@
 #include <vector>
 
 #include "coral/core/midplane.hpp"
+#include "coral/stream/coanalysis.hpp"
 #include "coral/synth/intrepid.hpp"
 
 int main() {
   using namespace coral;
   const synth::SynthResult data = synth::generate(synth::intrepid_scenario(42));
-  const auto filtered = filter::run_filter_pipeline(data.ras, {});
+  const auto filtered = stream::run_streaming_frontend(data.ras, data.jobs, {}).filtered;
   const core::MidplaneFits fits = core::fit_midplane_interarrivals(filtered);
 
   std::printf("Midplane-level fatal-event interarrival fits (>= 12 events needed)\n\n");

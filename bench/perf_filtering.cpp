@@ -1,5 +1,7 @@
-// Microbenchmarks for the filtering hot paths on the full-scale log
-// (throughput of each stage and of the whole pipeline).
+// Microbenchmarks for the RAS-log side of the front end on the full-scale
+// log: the FATAL-record gather and the binary v2/v3 readers and writers.
+// The filter stages themselves are timed inside the streaming front end
+// (perf_streaming, BM_FullCoAnalysis).
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -7,8 +9,6 @@
 #include <sstream>
 
 #include "coral/common/parallel.hpp"
-#include "coral/filter/columns.hpp"
-#include "coral/filter/pipeline.hpp"
 #include "coral/ras/binary_io.hpp"
 #include "coral/synth/intrepid.hpp"
 
@@ -30,100 +30,6 @@ void BM_ExtractFatal(benchmark::State& state) {
                           static_cast<std::int64_t>(data().ras.size()));
 }
 BENCHMARK(BM_ExtractFatal);
-
-// The columnar kernels the pipeline actually runs: spans over the SoA fatal
-// view with CSR group sets, no per-iteration event gather.
-void BM_TemporalFilterColumnar(benchmark::State& state) {
-  const filter::EventColumns cols = filter::columns_of(data().ras.fatal_columns());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        filter::temporal_filter(cols, filter::GroupSet::singletons(cols.size()), {}));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(cols.size()));
-}
-BENCHMARK(BM_TemporalFilterColumnar);
-
-void BM_SpatialFilterColumnar(benchmark::State& state) {
-  const filter::EventColumns cols = filter::columns_of(data().ras.fatal_columns());
-  const filter::GroupSet pre =
-      filter::temporal_filter(cols, filter::GroupSet::singletons(cols.size()), {});
-  for (auto _ : state) {
-    auto groups = pre;
-    benchmark::DoNotOptimize(filter::spatial_filter(cols, std::move(groups), {}));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(pre.size()));
-}
-BENCHMARK(BM_SpatialFilterColumnar);
-
-void BM_TemporalFilter(benchmark::State& state) {
-  const auto events = data().ras.fatal_events();
-  for (auto _ : state) {
-    auto groups = filter::singleton_groups(events.size());
-    benchmark::DoNotOptimize(
-        filter::temporal_filter(events, std::move(groups), {}));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events.size()));
-}
-BENCHMARK(BM_TemporalFilter);
-
-void BM_SpatialFilter(benchmark::State& state) {
-  const auto events = data().ras.fatal_events();
-  const auto pre = filter::temporal_filter(events, filter::singleton_groups(events.size()), {});
-  for (auto _ : state) {
-    auto groups = pre;
-    benchmark::DoNotOptimize(filter::spatial_filter(events, std::move(groups), {}));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(pre.size()));
-}
-BENCHMARK(BM_SpatialFilter);
-
-// Times the columnar causality kernel the pipeline actually runs: spans +
-// CSR groups prepared once outside the loop. The previous incarnation of
-// this bench called the AoS convenience wrapper, which re-gathers an
-// OwnedColumns copy and rebuilds the CSR group set on every iteration —
-// that gather dominated the measurement (~0.28 ms vs ~0.005 ms for the
-// kernel itself) and is covered separately by BM_CausalityMiningGather.
-void BM_CausalityMining(benchmark::State& state) {
-  const filter::EventColumns cols = filter::columns_of(data().ras.fatal_columns());
-  const filter::GroupSet groups = filter::spatial_filter(
-      cols, filter::temporal_filter(cols, filter::GroupSet::singletons(cols.size()), {}),
-      {});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(filter::mine_causal_pairs(cols, groups, {}));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(groups.size()));
-}
-BENCHMARK(BM_CausalityMining);
-
-// The AoS compatibility wrapper: pays the per-call OwnedColumns gather and
-// GroupSet rebuild. Kept as its own series so the wrapper overhead stays
-// tracked without polluting the kernel measurement above.
-void BM_CausalityMiningGather(benchmark::State& state) {
-  const auto events = data().ras.fatal_events();
-  auto groups = filter::temporal_filter(events, filter::singleton_groups(events.size()), {});
-  groups = filter::spatial_filter(events, std::move(groups), {});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(filter::mine_causal_pairs(events, groups, {}));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(groups.size()));
-}
-BENCHMARK(BM_CausalityMiningGather);
-
-void BM_FullFilterPipeline(benchmark::State& state) {
-  (void)data();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(filter::run_filter_pipeline(data().ras, {}));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data().ras.size()));
-}
-BENCHMARK(BM_FullFilterPipeline);
 
 void BM_RasBinaryWrite(benchmark::State& state) {
   (void)data();

@@ -14,12 +14,6 @@ const synth::SynthResult& data() {
   return result;
 }
 
-const filter::FilterPipelineResult& filtered() {
-  static const filter::FilterPipelineResult result =
-      filter::run_filter_pipeline(data().ras, {});
-  return result;
-}
-
 void BM_GenerateSmallScenario(benchmark::State& state) {
   // Fixed seed: generation cost varies noticeably across seeds (different
   // workload/fault draws), so a seed-per-iteration loop made the reported
@@ -32,16 +26,6 @@ void BM_GenerateSmallScenario(benchmark::State& state) {
 // iteration that flag yields a single cold iteration (allocator + page
 // faults included), which reads ~60% high and trips the regression gate.
 BENCHMARK(BM_GenerateSmallScenario)->Unit(benchmark::kMillisecond)->MinTime(0.5);
-
-void BM_MatchInterruptions(benchmark::State& state) {
-  (void)filtered();  // build log + filter outside the timed region
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::match_interruptions(filtered(), data().jobs, {}));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(filtered().groups.size()));
-}
-BENCHMARK(BM_MatchInterruptions);
 
 void BM_JobRunningAtQuery(benchmark::State& state) {
   // A single fixed query sits below the 4-decimal-ms resolution of the

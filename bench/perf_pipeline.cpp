@@ -11,6 +11,7 @@
 #include "coral/core/pipeline.hpp"
 #include "coral/joblog/binary_io.hpp"
 #include "coral/ras/binary_io.hpp"
+#include "coral/stream/coanalysis.hpp"
 #include "coral/synth/intrepid.hpp"
 
 namespace {
@@ -46,17 +47,15 @@ const std::string& job_bytes() {
 // complete_coanalysis does), plus the column build itself. All run
 // single-threaded so the numbers track the kernels, not the pool.
 
-const filter::FilterPipelineResult& filtered() {
-  static const filter::FilterPipelineResult result =
-      filter::run_filter_pipeline(data().ras, {});
+const stream::FrontEndResult& front_end() {
+  static const stream::FrontEndResult result =
+      stream::run_streaming_frontend(data().ras, data().jobs, {});
   return result;
 }
 
-const core::MatchResult& matches() {
-  static const core::MatchResult result =
-      core::match_interruptions(filtered(), data().jobs, {});
-  return result;
-}
+const filter::FilterPipelineResult& filtered() { return front_end().filtered; }
+
+const core::MatchResult& matches() { return front_end().matches; }
 
 const core::IdentificationResult& identification() {
   static const core::IdentificationResult result =
@@ -158,25 +157,5 @@ void BM_EndToEndCoAnalysis(benchmark::State& state) {
   state.counters["interruptions"] = static_cast<double>(interruptions);
 }
 BENCHMARK(BM_EndToEndCoAnalysis)->Unit(benchmark::kMillisecond);
-
-void BM_EndToEndBatchEngine(benchmark::State& state) {
-  (void)ras_bytes();
-  (void)job_bytes();
-  par::ThreadPool pool;
-  const Context ctx = Context{}.with_pool(&pool);
-  core::CoAnalysisConfig config;
-  config.execution.engine = core::Engine::Batch;
-  for (auto _ : state) {
-    std::istringstream ras_in(ras_bytes());
-    const ras::RasLog ras = ras::read_binary(ras_in, ras::default_catalog(),
-                                             ParseMode::Strict, nullptr, nullptr, &pool);
-    std::istringstream job_in(job_bytes());
-    const joblog::JobLog jobs = joblog::read_binary(job_in);
-    benchmark::DoNotOptimize(core::run_coanalysis(ras, jobs, config, ctx));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data().ras.size()));
-}
-BENCHMARK(BM_EndToEndBatchEngine)->Unit(benchmark::kMillisecond);
 
 }  // namespace

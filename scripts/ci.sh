@@ -5,13 +5,13 @@
 # predict + bench + coverage).
 # Stages are preset names plus:
 #   smoke    — scenario-matrix smoke: every registered machine model runs
-#              every calibrated scenario pack through both co-analysis
-#              engines at a short horizon (perf_scenarios --smoke; whole
-#              matrix is well under a second, tier-1 budget).
+#              every calibrated scenario pack through the co-analysis at a
+#              short horizon (perf_scenarios --smoke; whole matrix is well
+#              under a second, tier-1 budget).
 #   daemon   — fleet-daemon smoke: start coral_daemon, feed two tenants
 #              (bgp + bgq) concurrently over the wire protocol, scrape
 #              /metrics mid-run (live, non-final per-tenant counters), and
-#              assert end-state parity against the offline batch engine.
+#              assert end-state parity against an offline read + analysis.
 #   predict  — prediction-eval gate: mine correlation rules on the seeded
 #              injector scenario, score the online predictor against ground
 #              truth, and fail unless precision/recall/lead-time/saved
@@ -22,8 +22,9 @@
 #              on a >10% cpu_time regression versus the committed numbers.
 #   coverage — rebuilds with gcc --coverage, runs the full suite, and gates
 #              line coverage on src/coral at 80% plus branch coverage on the
-#              filter/matching kernels at 92% via scripts/coverage.py
-#              (plain gcov + python3; no gcovr dependency).
+#              streaming front-end kernels (filter stages, matcher, shard
+#              planner and merge) at 92% via scripts/coverage.py (plain
+#              gcov + python3; no gcovr dependency).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -101,7 +102,7 @@ case " ${PRESETS[*]} " in
 esac
 
 if [ "$RUN_SMOKE" -eq 1 ]; then
-  echo "==== [smoke] scenario matrix (machines x packs x engines) ===="
+  echo "==== [smoke] scenario matrix (machines x packs) ===="
   cmake --preset release
   cmake --build --preset release -j "$JOBS" --target perf_scenarios coral_logtool
   build/release/bench/perf_scenarios --smoke
@@ -256,10 +257,12 @@ if [ "$RUN_COVERAGE" -eq 1 ]; then
   # Stale counters from a previous run would double-count; start clean.
   find build/coverage -name '*.gcda' -delete
   (cd build/coverage && ctest -j "$JOBS" --output-on-failure)
-  echo "==== [coverage] aggregate + gate (>=80% line on src/coral, >=92% branch on filter/matching kernels) ===="
+  echo "==== [coverage] aggregate + gate (>=80% line on src/coral, >=92% branch on stream kernels) ===="
   python3 scripts/coverage.py --build-dir build/coverage \
     --source-prefix src/coral --min-percent 80 \
-    --branch-prefix src/coral/filter --branch-prefix src/coral/core/matching \
+    --branch-prefix src/coral/stream/filter_stages --branch-prefix src/coral/stream/matcher \
+    --branch-prefix src/coral/stream/coanalysis --branch-prefix src/coral/stream/shard \
+    --branch-prefix src/coral/stream/stage \
     --min-branch-percent 92
 fi
 

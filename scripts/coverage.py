@@ -7,17 +7,18 @@ per-translation-unit line data (a line counts as covered if any TU executed
 it), and reports line coverage restricted to files under --source-prefix.
 
 Branch coverage is gated separately and only on the decision-heavy kernels
-(--branch-prefix, repeatable; default the filter and matching layers):
-line coverage on glue code is a fine proxy, but the coalescing windows,
-CSR group walks and match rules are condition soup where a hit line says
-little about which way the condition went. Exception-only edges ("throw"
-branches in the gcov JSON) are excluded, as conventional.
+(--branch-prefix, repeatable; default the streaming front end's filter
+stages, matcher, driver, shard planner and stage plumbing): line coverage
+on glue code is a fine proxy, but the coalescing windows, watermarks and
+match rules are condition soup where a hit line says little about which
+way the condition went. Exception-only edges ("throw" branches in the gcov
+JSON) are excluded, as conventional.
 
 Usage:
   python3 scripts/coverage.py --build-dir build/coverage \
       --source-prefix src/coral --min-percent 80 \
-      --branch-prefix src/coral/filter --branch-prefix src/coral/core/matching \
-      --min-branch-percent 70
+      --branch-prefix src/coral/stream/matcher --branch-prefix src/coral/stream/shard \
+      --min-branch-percent 92
 """
 
 from __future__ import annotations
@@ -76,11 +77,14 @@ def main() -> int:
         action="append",
         default=None,
         help="gate branch coverage on files whose path contains one of these "
-        "prefixes (repeatable; default: src/coral/filter, src/coral/core/matching)",
+        "prefixes (repeatable; default: the src/coral/stream front-end kernels)",
     )
     parser.add_argument("--min-branch-percent", type=float, default=70.0)
     args = parser.parse_args()
-    branch_prefixes = args.branch_prefix or ["src/coral/filter", "src/coral/core/matching"]
+    branch_prefixes = args.branch_prefix or [
+        f"src/coral/stream/{name}"
+        for name in ("filter_stages", "matcher", "coanalysis", "shard", "stage")
+    ]
 
     gcda_files = find_gcda(args.build_dir)
     if not gcda_files:

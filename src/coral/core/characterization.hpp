@@ -4,6 +4,8 @@
 
 #include "coral/common/parallel.hpp"
 #include "coral/core/matching.hpp"
+#include "coral/filter/pipeline.hpp"
+#include "coral/joblog/log.hpp"
 
 namespace coral::core {
 
@@ -19,8 +21,9 @@ namespace coral::core {
 /// std::map/std::set accumulations per stage.
 ///
 /// Invariants, all inherited from the producing layers:
-///  - groups are ordered by representative event time (GroupSet invariant),
-///    so any stable bucketing of groups stays time-ordered per bucket;
+///  - groups are ordered by representative event time (the front end emits
+///    them in that order), so any stable bucketing of groups stays
+///    time-ordered per bucket;
 ///  - jobs are ordered by start time (JobLog::finalize), so survivors and
 ///    chain buckets are start-ordered for free;
 ///  - matches.interruptions are ordered by job end time.

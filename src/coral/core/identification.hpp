@@ -3,6 +3,8 @@
 #include <map>
 
 #include "coral/core/matching.hpp"
+#include "coral/filter/pipeline.hpp"
+#include "coral/joblog/log.hpp"
 
 namespace coral::core {
 

@@ -1,24 +1,17 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
-#include "coral/common/parallel.hpp"
-#include "coral/filter/pipeline.hpp"
-#include "coral/joblog/log.hpp"
+#include "coral/common/time.hpp"
 
 namespace coral::core {
 
 /// RAS↔job matching knobs (§IV): a job is interrupted by an event when its
-/// End Time lies within `window` of one of the event's member records and
-/// its partition covers that record's location.
+/// End Time lies within `window` of the event's representative record and
+/// its partition covers one of the event's member records.
 struct MatchConfig {
   Usec window = 120 * kUsecPerSec;
-  /// Optional worker pool: groups are matched in parallel chunks and merged
-  /// deterministically (results are identical with or without the pool).
-  par::ThreadPool* pool = nullptr;
-  /// Optional observability: phase spans plus interval-index scan counters
-  /// (match.candidates_scanned / match.jobs_matched). Never changes results.
-  obs::Collector* obs = nullptr;
 };
 
 /// One matched (event group, job) pair.
@@ -39,10 +32,5 @@ struct MatchResult {
 
   std::size_t interrupted_job_count() const { return interruptions.size(); }
 };
-
-/// Match filtered fatal-event groups against the job log.
-MatchResult match_interruptions(const filter::FilterPipelineResult& filtered,
-                                const joblog::JobLog& jobs,
-                                const MatchConfig& config = {});
 
 }  // namespace coral::core

@@ -79,7 +79,7 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
   }
 
   // Interarrival fits (§V-A, Table IV; Fig. 3), via the incremental
-  // accumulators. Feeding in group order reproduces the batch series.
+  // accumulators, fed in group order.
   stream::InterarrivalAccumulator before_filter, after_filter;
   for (const filter::EventGroup& g : r.filtered.groups) {
     before_filter.add(r.filtered.fatal_events[g.rep].event_time);
@@ -134,47 +134,15 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
 
 CoAnalysisResult run_coanalysis(const ras::RasLog& ras, const joblog::JobLog& jobs,
                                 const CoAnalysisConfig& config, const Context& ctx) {
-  filter::FilterPipelineResult filtered;
-  MatchResult matches;
-  std::size_t shards_used = 1;
-  std::size_t peak_state = 0;
-  par::ThreadPool* pool = ctx.pool();
-
-  if (config.execution.engine == Engine::Streaming) {
-    stream::FrontEndConfig fe;
-    fe.filters = config.filters;
-    fe.match_window = config.matching.window;
-    fe.shards = config.execution.shards;
-    stream::FrontEndResult front =
-        stream::run_streaming_frontend(ras, jobs, fe, Context(ctx).with_pool(pool));
-    filtered = std::move(front.filtered);
-    matches = std::move(front.matches);
-    shards_used = front.shards_used;
-    peak_state = front.peak_stage_state;
-  } else {
-    // Step 0: temporal-spatial + causality filtering of FATAL records.
-    StageTimer filter_timer(ctx.sink(), "filter.batch");
-    filter::FilterPipelineConfig filter_config = config.filters;
-    if (filter_config.causality.pool == nullptr) filter_config.causality.pool = pool;
-    if (filter_config.obs == nullptr) filter_config.obs = ctx.obs();
-    filtered = filter::run_filter_pipeline(ras, filter_config);
-    filter_timer.counts(ras.size(), filtered.groups.size());
-    filter_timer.report();
-
-    // Step 1: match fatal events against job terminations.
-    StageTimer match_timer(ctx.sink(), "matching");
-    MatchConfig match_config = config.matching;
-    if (match_config.pool == nullptr) match_config.pool = pool;
-    if (match_config.obs == nullptr) match_config.obs = ctx.obs();
-    matches = match_interruptions(filtered, jobs, match_config);
-    match_timer.counts(filtered.groups.size(), matches.interruptions.size());
-  }
-
-  CoAnalysisResult r =
-      complete_coanalysis(std::move(filtered), std::move(matches), jobs, config, ctx);
-  r.engine_used = config.execution.engine;
-  r.shards_used = shards_used;
-  r.peak_stage_state = peak_state;
+  stream::FrontEndConfig fe;
+  fe.filters = config.filters;
+  fe.match_window = config.matching.window;
+  fe.shards = config.execution.shards;
+  stream::FrontEndResult front = stream::run_streaming_frontend(ras, jobs, fe, ctx);
+  CoAnalysisResult r = complete_coanalysis(std::move(front.filtered), std::move(front.matches),
+                                           jobs, config, ctx);
+  r.shards_used = front.shards_used;
+  r.peak_stage_state = front.peak_stage_state;
   return r;
 }
 

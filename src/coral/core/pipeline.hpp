@@ -7,6 +7,7 @@
 #include "coral/core/interarrival.hpp"
 #include "coral/core/propagation.hpp"
 #include "coral/core/vulnerability.hpp"
+#include "coral/ras/log.hpp"
 
 namespace coral::core {
 
@@ -30,22 +31,9 @@ IngestedLogs ingest_csv_logs(std::istream& ras_in, std::istream& jobs_in,
                              ParseMode mode = ParseMode::Strict,
                              const Context& ctx = {});
 
-/// Which front-end (filtering + matching) implementation drives the
-/// methodology. Both produce byte-identical results; they differ in how
-/// they traverse the logs.
-enum class Engine {
-  /// Single-pass streaming stages with window-bounded state, optionally
-  /// sharded over the time axis (see stream/coanalysis.hpp). The default.
-  Streaming,
-  /// The original whole-log batch passes (filter::run_filter_pipeline +
-  /// match_interruptions).
-  Batch,
-};
-
 struct ExecutionConfig {
-  Engine engine = Engine::Streaming;
-  /// Target time-axis shard count for the streaming engine (cut only at
-  /// quiesce gaps, so any value is exact). Ignored by the batch engine.
+  /// Target time-axis shard count for the streaming front end (cut only at
+  /// quiesce gaps, so any value is exact).
   int shards = 1;
 };
 
@@ -100,18 +88,17 @@ struct CoAnalysisResult {
   std::size_t application_interruptions = 0;
   std::size_t distinct_interrupted_jobs = 0;  ///< distinct executables
 
-  // Execution trace of the front-end that produced `filtered`/`matches`.
-  Engine engine_used = Engine::Batch;
+  // Execution trace of the front end that produced `filtered`/`matches`.
   std::size_t shards_used = 1;
-  /// Streaming engine only: largest simultaneously buffered stage state —
-  /// bounded by the coalescing/matching windows, not the log length.
+  /// Largest simultaneously buffered stage state — bounded by the
+  /// coalescing/matching windows, not the log length.
   std::size_t peak_stage_state = 0;
 };
 
 /// Run the identification / classification / job-filter steps and the §V/§VI
 /// characterization analyses on an already filtered + matched log pair. This
-/// is the engine-independent back half of run_coanalysis, exposed so
-/// streaming callers can complete a front-end they drove themselves.
+/// is the back half of run_coanalysis, exposed so callers can complete a
+/// front end they drove themselves.
 CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
                                      MatchResult matches, const joblog::JobLog& jobs,
                                      const CoAnalysisConfig& config = {},
@@ -119,8 +106,9 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
 
 /// Run the full co-analysis (all three methodology steps plus the §V/§VI
 /// characterization analyses) on a RAS log + job log pair. A thin
-/// composition: the configured engine produces the filtered groups and the
-/// RAS↔job matches, then complete_coanalysis derives everything else.
+/// composition: stream::run_streaming_frontend produces the filtered groups
+/// and the RAS↔job matches, then complete_coanalysis derives everything
+/// else.
 /// The context supplies the worker pool for the data-parallel stages and
 /// the instrumentation sink for per-stage timings; results are identical
 /// with or without either.

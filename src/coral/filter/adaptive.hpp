@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "coral/filter/groups.hpp"
 #include "coral/filter/temporal.hpp"
 
 namespace coral::filter {

@@ -2,9 +2,8 @@
 
 #include <utility>
 
-#include "coral/common/parallel.hpp"
-#include "coral/filter/columns.hpp"
-#include "coral/filter/groups.hpp"
+#include "coral/common/time.hpp"
+#include "coral/ras/catalog.hpp"
 
 namespace coral::filter {
 
@@ -16,37 +15,9 @@ namespace coral::filter {
 struct CausalityFilterConfig {
   Usec window = 120 * kUsecPerSec;  ///< co-occurrence window
   int min_support = 5;              ///< occurrences needed to accept a pair
-  /// Optional worker pool for the mining pass (the only O(n·w) step in the
-  /// filter chain). Results are identical with or without it.
-  par::ThreadPool* pool = nullptr;
 };
 
-/// An accepted causally-coupled pair (leader first by convention of first
-/// observation order).
+/// An accepted causally-coupled pair, smaller errcode first.
 using CausalPair = std::pair<ras::ErrcodeId, ras::ErrcodeId>;
-
-/// Mine frequently co-occurring errcode pairs from grouped events. Counting
-/// is done on group representatives (post temporal/spatial), so storms do
-/// not inflate support. Columnar hot path: rep times/codes are gathered into
-/// contiguous arrays and counted in a dense code-pair matrix.
-std::vector<CausalPair> mine_causal_pairs(const EventColumns& events, const GroupSet& groups,
-                                          const CausalityFilterConfig& config);
-
-/// Compatibility wrapper over the columnar kernel.
-std::vector<CausalPair> mine_causal_pairs(std::span<const ras::RasEvent> events,
-                                          std::span<const EventGroup> groups,
-                                          const CausalityFilterConfig& config);
-
-/// Merge each group whose code is causally paired with a group seen within
-/// the window into that earlier group (columnar hot path).
-GroupSet causality_filter(const EventColumns& events, GroupSet groups,
-                          std::span<const CausalPair> pairs,
-                          const CausalityFilterConfig& config);
-
-/// Compatibility wrapper over the columnar kernel.
-std::vector<EventGroup> causality_filter(std::span<const ras::RasEvent> events,
-                                         std::vector<EventGroup> groups,
-                                         std::span<const CausalPair> pairs,
-                                         const CausalityFilterConfig& config);
 
 }  // namespace coral::filter

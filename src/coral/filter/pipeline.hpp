@@ -3,10 +3,9 @@
 #include <string>
 
 #include "coral/filter/causality.hpp"
+#include "coral/filter/groups.hpp"
 #include "coral/filter/spatial.hpp"
 #include "coral/filter/temporal.hpp"
-#include "coral/obs/obs.hpp"
-#include "coral/ras/log.hpp"
 
 namespace coral::filter {
 
@@ -34,19 +33,13 @@ struct FilterPipelineResult {
   }
 };
 
+/// Knobs of the temporal-spatial + causality filtering; the streaming front
+/// end (stream/coanalysis.hpp) runs the stages.
 struct FilterPipelineConfig {
   TemporalFilterConfig temporal;
   SpatialFilterConfig spatial;
   CausalityFilterConfig causality;
   bool enable_causality = true;
-  /// Optional observability: one trace span per filter stage plus
-  /// group-compression counters. Never changes results.
-  obs::Collector* obs = nullptr;
 };
-
-/// Run temporal-spatial + causality filtering on the FATAL records of
-/// `log`.
-FilterPipelineResult run_filter_pipeline(const ras::RasLog& log,
-                                         const FilterPipelineConfig& config = {});
 
 }  // namespace coral::filter

@@ -1,7 +1,6 @@
 #pragma once
 
-#include "coral/filter/columns.hpp"
-#include "coral/filter/groups.hpp"
+#include "coral/common/time.hpp"
 
 namespace coral::filter {
 
@@ -11,16 +10,5 @@ namespace coral::filter {
 struct SpatialFilterConfig {
   Usec threshold = 300 * kUsecPerSec;
 };
-
-/// Columnar hot path: merge groups per the spatial rule (same errcode, any
-/// location, within the renewing window). Input ordering as for
-/// temporal_filter.
-GroupSet spatial_filter(const EventColumns& events, GroupSet groups,
-                        const SpatialFilterConfig& config);
-
-/// Compatibility wrapper over the columnar kernel.
-std::vector<EventGroup> spatial_filter(std::span<const ras::RasEvent> events,
-                                       std::vector<EventGroup> groups,
-                                       const SpatialFilterConfig& config);
 
 }  // namespace coral::filter

@@ -1,7 +1,6 @@
 #pragma once
 
-#include "coral/filter/columns.hpp"
-#include "coral/filter/groups.hpp"
+#include "coral/common/time.hpp"
 
 namespace coral::filter {
 
@@ -12,18 +11,5 @@ namespace coral::filter {
 struct TemporalFilterConfig {
   Usec threshold = 300 * kUsecPerSec;
 };
-
-/// Columnar hot path: merge groups per the temporal rule, scanning the SoA
-/// columns and re-scattering the CSR member column once. `events` must be
-/// time-sorted and `groups` ordered by representative time (as produced by
-/// GroupSet::singletons or an earlier filter stage).
-GroupSet temporal_filter(const EventColumns& events, GroupSet groups,
-                         const TemporalFilterConfig& config);
-
-/// Compatibility wrapper over the columnar kernel (gathers columns from the
-/// AoS span, converts the group vectors); same semantics as ever.
-std::vector<EventGroup> temporal_filter(std::span<const ras::RasEvent> events,
-                                        std::vector<EventGroup> groups,
-                                        const TemporalFilterConfig& config);
 
 }  // namespace coral::filter

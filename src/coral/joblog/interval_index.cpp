@@ -7,10 +7,8 @@
 
 namespace coral::joblog {
 
-IntervalIndex::IntervalIndex(std::span<const JobRecord> jobs,
-                             std::span<const std::size_t> by_end, int midplane_count) {
+IntervalIndex::IntervalIndex(std::span<const JobRecord> jobs, int midplane_count) {
   CORAL_EXPECTS(jobs.size() <= std::numeric_limits<std::uint32_t>::max());
-  CORAL_EXPECTS(jobs.size() == by_end.size());
   CORAL_EXPECTS(midplane_count >= 0);
   offset_.assign(static_cast<std::size_t>(midplane_count) + 1, 0);
   for (const JobRecord& j : jobs) {
@@ -22,36 +20,23 @@ IntervalIndex::IntervalIndex(std::span<const JobRecord> jobs,
     offset_[m + 1] += offset_[m];
   }
   const std::size_t total = offset_.back();
-  end_job_.resize(total);
-  end_time_.resize(total);
-  end_start_.resize(total);
-  start_job_.resize(total);
+  job_.resize(total);
   start_time_.resize(total);
-  start_end_.resize(total);
-  start_max_end_.resize(total);
+  end_time_.resize(total);
+  max_end_.resize(total);
 
   std::vector<std::uint32_t> cursor(offset_.begin(), offset_.end() - 1);
   for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
     const JobRecord& j = jobs[idx];
     for (auto m = j.partition.first_midplane(); m < j.partition.end_midplane(); ++m) {
       const std::size_t pos = cursor[static_cast<std::size_t>(m)]++;
-      start_job_[pos] = static_cast<std::uint32_t>(idx);
+      job_[pos] = static_cast<std::uint32_t>(idx);
       start_time_[pos] = j.start_time;
-      start_end_[pos] = j.end_time;
-      start_max_end_[pos] =
-          pos > offset_[static_cast<std::size_t>(m)] && start_max_end_[pos - 1] > j.end_time
-              ? start_max_end_[pos - 1]
-              : j.end_time;
-    }
-  }
-  cursor.assign(offset_.begin(), offset_.end() - 1);
-  for (const std::size_t idx : by_end) {
-    const JobRecord& j = jobs[idx];
-    for (auto m = j.partition.first_midplane(); m < j.partition.end_midplane(); ++m) {
-      const std::size_t pos = cursor[static_cast<std::size_t>(m)]++;
-      end_job_[pos] = static_cast<std::uint32_t>(idx);
       end_time_[pos] = j.end_time;
-      end_start_[pos] = j.start_time;
+      max_end_[pos] =
+          pos > offset_[static_cast<std::size_t>(m)] && max_end_[pos - 1] > j.end_time
+              ? max_end_[pos - 1]
+              : j.end_time;
     }
   }
 }

@@ -62,7 +62,7 @@ void JobLog::finalize() {
     }
     return a < b;
   });
-  interval_ = IntervalIndex(jobs_, by_end_, machine_->midplane_count());
+  interval_ = IntervalIndex(jobs_, machine_->midplane_count());
   finalized_ = true;
 }
 

@@ -83,11 +83,6 @@ void RasLog::finalize_impl(bool trust_recids) {
   finalized_ = true;
 }
 
-const std::vector<std::size_t>& RasLog::fatal_indices() const {
-  CORAL_EXPECTS(finalized_);
-  return fatal_.log_index;
-}
-
 const FatalColumns& RasLog::fatal_columns() const {
   CORAL_EXPECTS(finalized_);
   return fatal_;

@@ -24,13 +24,11 @@ struct RasLogSummary {
 };
 
 /// Structure-of-arrays view of the FATAL-severity records, materialized once
-/// by RasLog::finalize(). The filter/match hot loops touch exactly three
-/// fields per record — time, errcode and location — so scanning three
-/// contiguous columns (8+4+4 bytes) instead of chasing whole RasEvents keeps
-/// the working set a fraction of the AoS walk and lets the filters carry
-/// plain index spans instead of copied event groups. `log_index[i]` maps
-/// column row i back to the owning RasLog's events() (and doubles as
-/// fatal_indices()); locations are stored as Location::packed() keys
+/// by RasLog::finalize(). The filter stages touch exactly three fields per
+/// record — time, errcode and location — so the streaming front end feeds
+/// them from three contiguous columns (8+4+4 bytes) instead of chasing
+/// whole RasEvents. `log_index[i]` maps column row i back to the owning
+/// RasLog's events(); locations are stored as Location::packed() keys
 /// (recover with bgp::Location::from_packed).
 struct FatalColumns {
   std::vector<TimePoint> event_time;
@@ -100,15 +98,10 @@ class RasLog {
   /// appends and before analysis.
   void finalize();
 
-  /// Copy of all FATAL-severity records, time-ordered. Deprecated
-  /// compatibility shim: prefer fatal_columns() (no copy) or gather through
-  /// fatal_indices(); this materializes a full AoS copy per call.
+  /// Copy of all FATAL-severity records, time-ordered. A finalized log
+  /// gathers them through fatal_columns().log_index instead of re-scanning;
+  /// prefer fatal_columns() where no AoS copy is needed.
   std::vector<RasEvent> fatal_events() const;
-
-  /// Indices of all FATAL-severity records, time-ordered. Maintained by
-  /// finalize() so streaming consumers can gather fatal records without
-  /// re-scanning the full log per run.
-  const std::vector<std::size_t>& fatal_indices() const;
 
   /// Columnar (SoA) view of the FATAL records, maintained by finalize().
   /// Row i describes events()[fatal_columns().log_index[i]].

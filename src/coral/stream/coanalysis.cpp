@@ -33,20 +33,15 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
                                       const FrontEndConfig& config, const Context& ctx) {
   InstrumentationSink* sink = ctx.sink();
   FrontEndResult r;
-  // Gather FATAL records through the severity index maintained at ingest
-  // (RasLog::finalize) instead of re-scanning the full log: the streaming
-  // engine amortises discovery work into ingest, the batch pipeline re-scans
-  // per its original materialise-everything design.
+  // The SoA view drives the hot loops; fatal_events is only the materialised
+  // copy downstream reports expect, gathered through the severity index
+  // maintained at ingest (RasLog::finalize) instead of re-scanning the log.
+  const ras::FatalColumns& cols = ras.fatal_columns();
   {
     StageTimer timer(sink, "ingest");
-    const auto& idx = ras.fatal_indices();
-    r.filtered.fatal_events.reserve(idx.size());
-    for (const std::size_t i : idx) r.filtered.fatal_events.push_back(ras[i]);
+    r.filtered.fatal_events = ras.fatal_events();
     timer.counts(ras.size(), r.filtered.fatal_events.size());
   }
-  // The SoA view drives the hot loops; fatal_events above is only the
-  // materialised copy downstream reports expect.
-  const ras::FatalColumns& cols = ras.fatal_columns();
   const std::size_t fatal_count = cols.size();
   const auto& all_jobs = jobs.jobs();
   const bool causality = config.filters.enable_causality;
@@ -195,7 +190,7 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
   });
 
   // ---- Deterministic merge: shard order equals time order, so plain
-  // concatenation reproduces the batch group order. ----
+  // concatenation reproduces the unsharded group order. ----
   std::size_t temporal_total = 0, spatial_total = 0, groups_total = 0;
   for (const ShardOutput& s : shard) {
     temporal_total += s.temporal_out;
@@ -225,8 +220,8 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
   }
 
   // Global job assignment: a job belongs to its *first* matching group in
-  // global group order — the exact batch phase 2, run at merge time so a job
-  // near a shard boundary cannot be claimed twice.
+  // global group order, decided at merge time so a job near a shard boundary
+  // cannot be claimed twice.
   r.matches.group_by_job.assign(all_jobs.size(), std::nullopt);
   for (std::size_t g = 0; g < r.matches.jobs_by_group.size(); ++g) {
     for (std::size_t job_idx : r.matches.jobs_by_group[g]) {

@@ -21,8 +21,8 @@ struct FrontEndConfig {
   int shards = 1;
 };
 
-/// The streaming front-end's output, assembled into the batch
-/// representations so the downstream (batch) analyses run unchanged.
+/// The streaming front-end's output, assembled into the whole-log
+/// representations the characterization stages (complete_coanalysis) read.
 struct FrontEndResult {
   filter::FilterPipelineResult filtered;
   core::MatchResult matches;
@@ -34,9 +34,10 @@ struct FrontEndResult {
 
 /// Run the filtering + matching methodology as streaming stages with
 /// bounded windowed state, optionally sharded over the time axis on `pool`,
-/// and merge deterministically. Produces byte-identical FilterPipelineResult
-/// and MatchResult to the batch run_filter_pipeline + match_interruptions
-/// pair (see DESIGN.md "Streaming architecture" for the argument).
+/// and merge deterministically: the result is the same for any shard count
+/// and pool (see DESIGN.md "Streaming architecture" for the argument). The
+/// tests pin it byte-identical to a frozen whole-log reference of the
+/// paper's filter passes and matcher.
 ///
 /// Two phases when causality filtering is enabled, because causal-pair
 /// support is a *global* min-support threshold: phase 1 streams FATAL

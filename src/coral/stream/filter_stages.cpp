@@ -8,9 +8,11 @@ void CausalityCoalescer::on_group(StreamGroup&& g) {
   emit_ready(now);
 
   if (const auto pit = partner_.find(g.errcode); pit != partner_.end()) {
-    // Merge into the most recent partner leader within the window. Iterating
-    // the partner set ascending with a strict `>` comparison reproduces the
-    // batch filter's tie-break (first partner code wins equal times).
+    // Merge into the most recent partner leader within the window. Every
+    // leader still buffered is inside it: emit_ready(now) has emitted the
+    // front ones that are not, and later leaders are no earlier. Iterating
+    // the partner set ascending with a strict `>` comparison makes the first
+    // partner code win equal times.
     std::size_t best_seq = 0;
     TimePoint best_time;
     bool found = false;
@@ -18,7 +20,6 @@ void CausalityCoalescer::on_group(StreamGroup&& g) {
       const auto oit = open_.find(p);
       if (oit == open_.end() || oit->second < first_seq_) continue;
       const StreamGroup& leader = chains_[oit->second - first_seq_];
-      if (now - leader.rep_time > window_span_) continue;
       if (!found || leader.rep_time > best_time) {
         found = true;
         best_time = leader.rep_time;
@@ -31,8 +32,7 @@ void CausalityCoalescer::on_group(StreamGroup&& g) {
       return;
     }
   }
-  // Leaders do not renew: `open_` tracks the latest unmerged group per code,
-  // exactly the batch filter's `open` map.
+  // Leaders do not renew: `open_` tracks the latest unmerged group per code.
   auto [it, inserted] = open_.try_emplace(g.errcode, next_seq_);
   if (!inserted) it->second = next_seq_;
   chains_.push_back(std::move(g));

@@ -21,8 +21,8 @@ namespace coral::stream {
 /// live in a deque in creation order; a chain is final once the input clock
 /// outruns its renewing window (inputs arrive in representative-time order,
 /// so nothing later can merge into it). Finalized chains are emitted from
-/// the *front* only, which keeps emission in creation order — byte-identical
-/// to the batch filters' output vectors — while later closed chains wait
+/// the *front* only, which keeps emission in creation order — the group
+/// order of FilterPipelineResult — while later closed chains wait
 /// behind an open front. Buffered state is therefore bounded by how many
 /// chains fit in one coalescing window, not by the log length.
 template <typename Key, typename KeyOf>
@@ -129,7 +129,7 @@ using SpatialCoalescer = WindowedCoalescer<ras::ErrcodeId, SpatialKey>;
 /// Streaming causal-pair miner: counts co-occurrences of distinct codes
 /// among group reps within the window, over a sliding deque of recent reps.
 /// Counts are mergeable across shards (no co-occurrence spans a shard cut,
-/// see shard.hpp), and accept() reproduces mine_causal_pairs exactly.
+/// see shard.hpp), so accept() on the merged counts is exact.
 class PairMiner : public GroupSink {
  public:
   using Counts = std::map<std::pair<ras::ErrcodeId, ras::ErrcodeId>, int>;
@@ -169,8 +169,7 @@ class PairMiner : public GroupSink {
     for (const auto& [key, n] : from) into[key] += n;
   }
 
-  /// Pairs meeting min_support, in code order — identical to the tail of
-  /// filter::mine_causal_pairs.
+  /// Pairs meeting min_support, in code order.
   static std::vector<filter::CausalPair> accept(const Counts& counts, int min_support) {
     std::vector<filter::CausalPair> pairs;
     for (const auto& [key, n] : counts) {
@@ -198,10 +197,9 @@ class PairMiner : public GroupSink {
 
 /// Streaming causality merge: a group whose code is causally paired with an
 /// open leader group within the window is absorbed into the most recent such
-/// leader (ties broken by ascending partner code, exactly as the batch
-/// filter iterates its partner set). Leader windows do *not* renew — a
-/// chain is final once the input clock passes rep_time + window, so the
-/// deque holds at most one window's worth of leaders.
+/// leader (ties broken by ascending partner code). Leader windows do *not*
+/// renew — a chain is final once the input clock passes rep_time + window,
+/// so the deque holds at most one window's worth of leaders.
 class CausalityCoalescer : public GroupSink {
  public:
   CausalityCoalescer(Usec window, std::span<const filter::CausalPair> pairs, GroupSink* out)

@@ -14,7 +14,7 @@ void StreamingMatcher::on_ras(TimePoint t, const ras::RasEvent&, std::size_t) {
 
 void StreamingMatcher::on_job_end(TimePoint t, const joblog::JobRecord& job,
                                   std::size_t job_index) {
-  ends_.push_back(JobEnd{job.end_time, job.start_time, job_index, job.partition});
+  ends_.push_back(JobEnd{job.end_time, job_index, job.partition});
   note_peak();
   advance(t);
 }
@@ -49,7 +49,10 @@ void StreamingMatcher::advance(TimePoint t) {
 void StreamingMatcher::resolve() {
   // Strict >: at watermark == rep + window a job ending exactly on the edge
   // may not have been delivered yet (several events can share a timestamp).
-  while (!pending_.empty() && watermark_ - pending_.front().rep_time > window_) emit_front();
+  // Compared as watermark > rep + window, not watermark - rep > window: the
+  // watermark starts at the minimum time point, and that difference
+  // overflows before the first job end arrives.
+  while (!pending_.empty() && watermark_ > pending_.front().rep_time + window_) emit_front();
 }
 
 void StreamingMatcher::emit_front() {
@@ -64,8 +67,10 @@ void StreamingMatcher::emit_front() {
   match.group = std::move(group);
   auto it = std::lower_bound(ends_.begin(), ends_.end(), lo,
                              [](const JobEnd& e, TimePoint t) { return e.end < t; });
+  // Every buffered end in [lo, hi] is a candidate: JobLog::append rejects
+  // inverted intervals, so start <= end <= hi and no started-after-window
+  // check is needed.
   for (; it != ends_.end() && it->end <= hi; ++it) {
-    if (it->start > hi) continue;  // not yet running at the event
     bool covered = it->partition.covers_key(match.group.rep_key, codec_);
     if (!covered) {
       for (const GroupMember& m : match.group.extra) {
@@ -77,9 +82,8 @@ void StreamingMatcher::emit_front() {
     }
     if (covered) match.jobs.push_back(it->job);
   }
-  // End-time order can differ from job-index order; the batch matcher
-  // collects into a std::set, so emit ascending indices (duplicates are
-  // impossible: one end record per job).
+  // End-time order can differ from job-index order; emit ascending indices
+  // (duplicates are impossible: one end record per job).
   std::sort(match.jobs.begin(), match.jobs.end());
 
   ++groups_out_;

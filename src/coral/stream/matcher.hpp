@@ -22,8 +22,8 @@ namespace coral::stream {
 ///    earliest representative time any future group can carry, propagated
 ///    by the upstream stages via on_watermark) passes end_time + window.
 ///
-/// Matches are emitted in group order with ascending job indices — exactly
-/// the per-group vectors of the batch match_interruptions phase 1.
+/// Matches are emitted in group order with ascending job indices: the
+/// per-group vectors of MatchResult::jobs_by_group.
 class StreamingMatcher : public Stage, public GroupSink {
  public:
   struct GroupMatch {
@@ -57,7 +57,6 @@ class StreamingMatcher : public Stage, public GroupSink {
  private:
   struct JobEnd {
     TimePoint end;
-    TimePoint start;
     std::size_t job;
     bgp::Partition partition;
   };

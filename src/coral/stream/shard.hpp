@@ -21,7 +21,7 @@ struct ShardPlan {
 /// of a fatal-record gap strictly larger than this can be crossed by no
 /// temporal/spatial/causality chain, no mined co-occurrence, and no RAS<->
 /// job match window — so per-shard streaming results concatenate to the
-/// batch result bit-for-bit. The `2*match + 1` term ensures the *floored*
+/// unsharded result bit-for-bit. The `2*match + 1` term ensures the *floored*
 /// half-gap on either side of a cut still exceeds the match window.
 Usec quiesce_gap(Usec temporal_threshold, Usec spatial_threshold, Usec causality_window,
                  Usec match_window);

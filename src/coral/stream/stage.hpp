@@ -59,7 +59,7 @@ struct StreamGroup {
 /// dst, in arrival order — exactly filter::merge_groups on the index lists.
 void absorb(StreamGroup& dst, StreamGroup&& src);
 
-/// Convert to the batch representation (member indices, rep first).
+/// Convert to the whole-log representation (member indices, rep first).
 filter::EventGroup to_event_group(const StreamGroup& g);
 
 /// Consumer of a stream of finalized groups, emitted in representative-time

@@ -5,6 +5,7 @@
 #include "coral/filter/adaptive.hpp"
 #include "coral/stats/bootstrap.hpp"
 #include "coral/stats/descriptive.hpp"
+#include "coral/stream/filter_stages.hpp"
 #include "coral/synth/intrepid.hpp"
 
 namespace coral {
@@ -78,11 +79,16 @@ TEST(AdaptiveFilter, EndToEndOnSyntheticLog) {
   EXPECT_GT(thresholds.by_code.size(), 3u);  // storms produce clear knees
   const auto adaptive = filter::adaptive_temporal_filter(
       events, filter::singleton_groups(events.size()), thresholds);
-  const auto constant =
-      filter::temporal_filter(events, filter::singleton_groups(events.size()), {});
+  stream::GroupBuffer constant;
+  stream::TemporalCoalescer temporal(filter::TemporalFilterConfig{}.threshold, &constant);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    temporal.on_group(
+        {i, events[i].event_time, events[i].errcode, events[i].location.packed(), {}});
+  }
+  temporal.flush();
   // The two temporal filters should land in the same ballpark.
-  const double ratio =
-      static_cast<double>(adaptive.size()) / static_cast<double>(constant.size());
+  const double ratio = static_cast<double>(adaptive.size()) /
+                       static_cast<double>(constant.groups.size());
   EXPECT_GT(ratio, 0.5);
   EXPECT_LT(ratio, 2.0);
 }

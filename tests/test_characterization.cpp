@@ -5,11 +5,13 @@
 // inputs (CharColumns). This file freezes the original map/set reference
 // implementations verbatim and pins the rewrite against them: every
 // statistic in the result structs must match EXPECT_DOUBLE_EQ /
-// EXPECT_EQ-exactly — not approximately — across seeds, both engines, and
-// the threaded path. (The paper-number goldens in test_paper_golden.cpp
-// and test_core_analysis.cpp run through the same public entry points, so
-// they exercise the columnar path too; this suite is the byte-identity
-// proof that makes those goldens transferable.)
+// EXPECT_EQ-exactly — not approximately — across seeds, on the output of
+// the streaming front end and of the frozen front-end oracle
+// (frontend_oracle.hpp), and on the threaded path. (The paper-number
+// goldens in test_paper_golden.cpp and test_core_analysis.cpp run through
+// the same public entry points, so they exercise the columnar path too;
+// this suite is the byte-identity proof that makes those goldens
+// transferable.)
 //
 // Also holds the BG/Q size_row regression: a 96-midplane job is legal on
 // BG/Q but off the BG/P Table VI ladder, and used to throw InvalidArgument
@@ -29,6 +31,7 @@
 #include "coral/stats/correlation.hpp"
 #include "coral/synth/intrepid.hpp"
 #include "coral/synth/packs.hpp"
+#include "frontend_oracle.hpp"
 
 namespace {
 
@@ -617,18 +620,21 @@ const synth::SynthResult& scenario(std::uint64_t seed) {
   return it->second;
 }
 
-core::CoAnalysisResult run_engine(std::uint64_t seed, core::Engine engine,
-                                  par::ThreadPool* pool = nullptr) {
+core::CoAnalysisResult run_streaming(std::uint64_t seed, par::ThreadPool* pool = nullptr) {
   const synth::SynthResult& data = scenario(seed);
-  core::CoAnalysisConfig config;
-  config.execution.engine = engine;
   Context ctx;
   if (pool != nullptr) ctx.with_pool(pool);
-  return core::run_coanalysis(data.ras, data.jobs, config, ctx);
+  return core::run_coanalysis(data.ras, data.jobs, {}, ctx);
 }
 
-// Run every frozen reference stage on the engine's own filter/match output
-// and require exact agreement with the columnar results it shipped.
+/// The characterization stages on the frozen oracle's filter/match output.
+core::CoAnalysisResult run_batch(std::uint64_t seed) {
+  const synth::SynthResult& data = scenario(seed);
+  return oracle::run_coanalysis(data.ras, data.jobs);
+}
+
+// Run every frozen reference stage on the front end's own filter/match
+// output and require exact agreement with the columnar results it shipped.
 void expect_matches_reference(std::uint64_t seed, const core::CoAnalysisResult& r) {
   const joblog::JobLog& jobs = scenario(seed).jobs;
 
@@ -647,24 +653,24 @@ void expect_matches_reference(std::uint64_t seed, const core::CoAnalysisResult& 
 TEST(CharacterizationDifferential, StreamingEngineAcrossSeeds) {
   for (const std::uint64_t seed : {3ull, 17ull, 29ull}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
-    expect_matches_reference(seed, run_engine(seed, core::Engine::Streaming));
+    expect_matches_reference(seed, run_streaming(seed));
   }
 }
 
 TEST(CharacterizationDifferential, BatchEngine) {
-  expect_matches_reference(17, run_engine(17, core::Engine::Batch));
+  expect_matches_reference(17, run_batch(17));
 }
 
 TEST(CharacterizationDifferential, ThreadedPathIsDeterministic) {
   // The columnar stages fan loops over the pool; the frozen references are
   // serial, so agreement here pins the parallel path to the serial answer.
   par::ThreadPool pool(4);
-  expect_matches_reference(17, run_engine(17, core::Engine::Streaming, &pool));
+  expect_matches_reference(17, run_streaming(17, &pool));
 }
 
 TEST(CharacterizationDifferential, EnginesAgreeOnEveryStatistic) {
-  const core::CoAnalysisResult streaming = run_engine(17, core::Engine::Streaming);
-  const core::CoAnalysisResult batch = run_engine(17, core::Engine::Batch);
+  const core::CoAnalysisResult streaming = run_streaming(17);
+  const core::CoAnalysisResult batch = run_batch(17);
   expect_classification_eq(batch.classification, streaming.classification);
   expect_jobfilter_eq(batch.job_filter, streaming.job_filter);
   expect_propagation_eq(batch.propagation, streaming.propagation);

@@ -1,12 +1,11 @@
 // Equality pins for the columnar hot path: the SoA fatal view against the
 // AoS records, the per-midplane interval index against brute-force job
-// scans, the flat-vector group matcher against the historical std::set
-// collection, and the sliced CRC32 / parallel binary reader against their
-// sequential references.
+// scans, the streaming matcher against the historical std::set collection,
+// and the sliced CRC32 / parallel binary reader against their sequential
+// references.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,12 +14,12 @@
 #include "coral/common/error.hpp"
 #include "coral/common/parallel.hpp"
 #include "coral/common/rng.hpp"
-#include "coral/core/matching.hpp"
-#include "coral/filter/pipeline.hpp"
 #include "coral/joblog/log.hpp"
 #include "coral/ras/binary_io.hpp"
 #include "coral/ras/log.hpp"
+#include "coral/stream/coanalysis.hpp"
 #include "coral/synth/intrepid.hpp"
+#include "frontend_oracle.hpp"
 
 namespace coral {
 namespace {
@@ -299,54 +298,17 @@ TEST(OverlappingBoundary, RandomizedEdgeAlignedWindows) {
 }
 
 // ---------------------------------------------------------------------------
-// match_interruptions against the std::set-collecting reference matcher.
-
-core::MatchResult match_reference(const filter::FilterPipelineResult& filtered,
-                                  const joblog::JobLog& jobs, Usec window) {
-  core::MatchResult result;
-  result.jobs_by_group.resize(filtered.groups.size());
-  result.group_by_job.assign(jobs.size(), std::nullopt);
-  for (std::size_t g = 0; g < filtered.groups.size(); ++g) {
-    const filter::EventGroup& group = filtered.groups[g];
-    const TimePoint rep_time = filtered.fatal_events[group.rep].event_time;
-    const TimePoint lo = rep_time - window;
-    const TimePoint hi = rep_time + window;
-    std::set<std::size_t> matched;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (jobs[j].end_time < lo || jobs[j].end_time > hi) continue;
-      if (jobs[j].start_time > hi) continue;
-      for (const std::size_t member : group.members) {
-        if (jobs[j].partition.covers(filtered.fatal_events[member].location)) {
-          matched.insert(j);
-          break;
-        }
-      }
-    }
-    result.jobs_by_group[g].assign(matched.begin(), matched.end());
-  }
-  for (std::size_t g = 0; g < filtered.groups.size(); ++g) {
-    for (std::size_t job_idx : result.jobs_by_group[g]) {
-      if (!result.group_by_job[job_idx]) {
-        result.group_by_job[job_idx] = g;
-        result.interruptions.push_back({g, job_idx, jobs[job_idx].end_time});
-      }
-    }
-  }
-  std::sort(result.interruptions.begin(), result.interruptions.end(),
-            [](const core::Interruption& a, const core::Interruption& b) {
-              return a.time < b.time;
-            });
-  return result;
-}
+// The streaming matcher against the std::set-collecting reference matcher,
+// over the streaming filter's own groups.
 
 TEST(MatchInterruptions, EqualsSetBasedReferenceOnScenario) {
-  const filter::FilterPipelineResult filtered =
-      filter::run_filter_pipeline(scenario().ras, {});
-  ASSERT_FALSE(filtered.groups.empty());
-  const core::MatchConfig config;
-  const core::MatchResult fast =
-      core::match_interruptions(filtered, scenario().jobs, config);
-  const core::MatchResult ref = match_reference(filtered, scenario().jobs, config.window);
+  const stream::FrontEndConfig config;
+  const stream::FrontEndResult front =
+      stream::run_streaming_frontend(scenario().ras, scenario().jobs, config);
+  ASSERT_FALSE(front.filtered.groups.empty());
+  const core::MatchResult& fast = front.matches;
+  const core::MatchResult ref =
+      oracle::match_interruptions(front.filtered, scenario().jobs, config.match_window);
 
   ASSERT_EQ(fast.jobs_by_group.size(), ref.jobs_by_group.size());
   for (std::size_t g = 0; g < fast.jobs_by_group.size(); ++g) {

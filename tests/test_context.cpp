@@ -246,23 +246,6 @@ TEST(ContextInstrumentation, SinkRecordsStagesWithoutChangingResults) {
   EXPECT_GE(sink.total_ms("ingest"), 0.0);
 }
 
-TEST(ContextInstrumentation, BatchEngineReportsItsOwnStages) {
-  const synth::SynthResult& data = intrepid_data();
-  core::CoAnalysisConfig config;
-  config.execution.engine = core::Engine::Batch;
-  RecordingSink sink;
-  const auto r = core::run_coanalysis(data.ras, data.jobs, config, Context().with_sink(&sink));
-  EXPECT_EQ(r.engine_used, core::Engine::Batch);
-  const auto samples = sink.samples();
-  const auto has = [&samples](std::string_view name) {
-    return std::any_of(samples.begin(), samples.end(),
-                       [name](const StageSample& s) { return s.stage == name; });
-  };
-  EXPECT_TRUE(has("filter.batch"));
-  EXPECT_TRUE(has("matching"));
-  EXPECT_FALSE(has("ingest"));  // streaming-only stage
-}
-
 // ---- seed policy --------------------------------------------------------
 
 TEST(ContextSeed, DefaultSeedReproducesPlainGeneration) {

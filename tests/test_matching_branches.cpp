@@ -1,10 +1,10 @@
-// Explicit coverage of the rare branch arms in the matching kernel
-// (core/matching.cpp) and the filter pipeline driver (filter/pipeline.cpp):
-// rack-location footprint expansion, whole-machine footprint saturation,
-// inverted-interval job records, first-group-wins tie-breaking, the
-// causality-disabled path, and the obs-attached spans/counters. These arms
-// are easy to miss from scenario-level suites because calibrated logs rarely
-// produce rack-level fatal locations or corrupt job intervals.
+// Explicit coverage of the rare branch arms of the streaming front end
+// (stream/matcher.cpp, stream/coanalysis.cpp) on hand-placed records:
+// rack-location coverage, members spanning the whole machine, repeated
+// member locations, zero-duration jobs, first-group-wins tie-breaking and
+// the causality-disabled stage list. These arms are easy to miss from
+// scenario-level suites because calibrated logs rarely produce rack-level
+// fatal locations.
 
 #include <gtest/gtest.h>
 
@@ -13,34 +13,22 @@
 
 #include "coral/bgp/topology.hpp"
 #include "coral/common/error.hpp"
-#include "coral/core/matching.hpp"
-#include "coral/filter/pipeline.hpp"
-#include "coral/obs/obs.hpp"
 #include "coral/ras/catalog.hpp"
+#include "coral/stream/coanalysis.hpp"
 
 namespace coral::core {
 namespace {
 
 const TimePoint kBase = TimePoint::from_calendar(2009, 3, 1);
 
-ras::RasEvent fatal_at(double t_sec, bgp::Location loc) {
+ras::RasEvent fatal_at(double t_sec, bgp::Location loc,
+                       const char* code = ras::codes::kRasStormFatal) {
   ras::RasEvent ev;
-  ev.errcode = *ras::Catalog::instance().find(ras::codes::kRasStormFatal);
+  ev.errcode = *ras::Catalog::instance().find(code);
   ev.severity = ras::Severity::Fatal;
   ev.event_time = kBase + static_cast<Usec>(t_sec * kUsecPerSec);
   ev.location = loc;
   return ev;
-}
-
-/// A hand-built pipeline result: every event is a member of one group, so a
-/// test controls the exact member sequence the footprint loop walks.
-filter::FilterPipelineResult one_group(std::vector<ras::RasEvent> events) {
-  filter::FilterPipelineResult r;
-  filter::EventGroup g;
-  for (std::size_t i = 0; i < events.size(); ++i) g.members.push_back(i);
-  r.fatal_events = std::move(events);
-  r.groups.push_back(std::move(g));
-  return r;
 }
 
 joblog::JobRecord job_on(std::int64_t id, double start_sec, double end_sec,
@@ -68,6 +56,15 @@ joblog::JobLog make_jobs(std::vector<joblog::JobRecord> records) {
   return jobs;
 }
 
+/// The streaming front end over hand-placed FATAL records.
+stream::FrontEndResult front_end(std::vector<ras::RasEvent> events,
+                                 const joblog::JobLog& jobs, bool causality = true) {
+  const ras::RasLog log(std::move(events));
+  stream::FrontEndConfig config;
+  config.filters.enable_causality = causality;
+  return stream::run_streaming_frontend(log, jobs, config);
+}
+
 std::vector<std::int64_t> matched_ids(const MatchResult& result,
                                       const joblog::JobLog& jobs) {
   std::vector<std::int64_t> ids;
@@ -79,69 +76,71 @@ std::vector<std::int64_t> matched_ids(const MatchResult& result,
 TEST(MatchBranches, RackLocationExpandsToEveryMidplaneOfTheRack) {
   // A rack-level fatal location (R03, midplanes 6 and 7) must match jobs on
   // either midplane of that rack and nothing in the neighbouring rack.
-  const auto filtered = one_group({fatal_at(1000, bgp::Location::rack(3))});
   const auto jobs = make_jobs({
       job_on(1, 0, 1010, bgp::MidplaneId(6)),
       job_on(2, 0, 1020, bgp::MidplaneId(7)),
       job_on(3, 0, 1030, bgp::MidplaneId(8)),  // rack 4: outside the footprint
   });
-  const MatchResult result = match_interruptions(filtered, jobs);
-  EXPECT_EQ(matched_ids(result, jobs), (std::vector<std::int64_t>{1, 2}));
+  const auto front = front_end({fatal_at(1000, bgp::Location::rack(3))}, jobs);
+  EXPECT_EQ(matched_ids(front.matches, jobs), (std::vector<std::int64_t>{1, 2}));
 }
 
 TEST(MatchBranches, FootprintSaturatesAtWholeMachineAndStopsTheMemberScan) {
-  // Rack-level records over every rack reach the whole machine; the member
-  // after saturation must be skipped by the early break, not re-touched.
+  // Rack-level records over every rack, merged by the spatial stage into one
+  // group, cover the whole machine: every job ending in the window matches,
+  // each found by the first member whose location its partition covers.
   std::vector<ras::RasEvent> events;
   for (int r = 0; r < bgp::Topology::kRacks; ++r)
     events.push_back(fatal_at(1000, bgp::Location::rack(r)));
-  events.push_back(fatal_at(1000, bgp::Location::midplane(0)));  // post-saturation
-  const auto filtered = one_group(std::move(events));
+  events.push_back(fatal_at(1000, bgp::Location::midplane(0)));
   const auto jobs = make_jobs({
       job_on(1, 0, 1010, bgp::MidplaneId(0)),
       job_on(2, 0, 1020, bgp::MidplaneId(39)),
       job_on(3, 0, 1030, bgp::MidplaneId(bgp::Topology::kMidplanes - 1)),
   });
-  const MatchResult result = match_interruptions(filtered, jobs);
-  EXPECT_EQ(matched_ids(result, jobs), (std::vector<std::int64_t>{1, 2, 3}));
+  const auto front = front_end(std::move(events), jobs);
+  ASSERT_EQ(front.filtered.groups.size(), 1u);
+  EXPECT_EQ(front.filtered.groups[0].members.size(),
+            static_cast<std::size_t>(bgp::Topology::kRacks) + 1);
+  EXPECT_EQ(matched_ids(front.matches, jobs), (std::vector<std::int64_t>{1, 2, 3}));
 }
 
 TEST(MatchBranches, DuplicateMemberLocationsTouchEachMidplaneOnce) {
-  // Three members on the same midplane: the touched[] early return keeps the
-  // footprint at one bucket and the job is matched exactly once.
-  const auto filtered = one_group({fatal_at(1000, bgp::Location::midplane(5)),
-                                   fatal_at(1001, bgp::Location::midplane(5)),
-                                   fatal_at(1002, bgp::Location::midplane(5))});
+  // Three members on the same midplane (one temporal chain): the job is
+  // matched exactly once.
   const auto jobs = make_jobs({job_on(1, 0, 1010, bgp::MidplaneId(5))});
-  const MatchResult result = match_interruptions(filtered, jobs);
-  ASSERT_EQ(result.interruptions.size(), 1u);
-  EXPECT_EQ(result.jobs_by_group[0], std::vector<std::size_t>{0});
+  const auto front = front_end({fatal_at(1000, bgp::Location::midplane(5)),
+                                fatal_at(1001, bgp::Location::midplane(5)),
+                                fatal_at(1002, bgp::Location::midplane(5))},
+                               jobs);
+  ASSERT_EQ(front.filtered.groups.size(), 1u);
+  ASSERT_EQ(front.matches.interruptions.size(), 1u);
+  EXPECT_EQ(front.matches.jobs_by_group[0], std::vector<std::size_t>{0});
 }
 
 TEST(MatchBranches, InvertedIntervalsAreRejectedAtAppendTime) {
-  // The matcher's end-slice walk takes every job ending inside [lo, hi]
-  // without re-checking start times. That is sound only because the JobLog
-  // refuses inverted intervals at the door — pin the invariant the hot loop
-  // leans on.
+  // The matcher takes every buffered job end inside [lo, hi] without
+  // re-checking start times. That is sound only because the JobLog refuses
+  // inverted intervals at the door — pin the invariant the matcher leans on.
   EXPECT_THROW(make_jobs({job_on(2, 5000, 1020, bgp::MidplaneId(2))}),
                coral::InvalidArgument);
   // Zero-duration jobs are legal and match like any other in-window end.
-  const auto filtered = one_group({fatal_at(1000, bgp::Location::midplane(2))});
   const auto jobs = make_jobs({job_on(1, 1010, 1010, bgp::MidplaneId(2))});
-  const MatchResult result = match_interruptions(filtered, jobs);
-  EXPECT_EQ(matched_ids(result, jobs), std::vector<std::int64_t>{1});
+  const auto front = front_end({fatal_at(1000, bgp::Location::midplane(2))}, jobs);
+  EXPECT_EQ(matched_ids(front.matches, jobs), std::vector<std::int64_t>{1});
 }
 
 TEST(MatchBranches, FirstGroupClaimsAJobMatchedByTwoGroups) {
-  // Two singleton groups both cover the job's partition within the window;
-  // phase 2 assigns the job to the earlier group only, and the candidate
-  // lists still record both.
-  filter::FilterPipelineResult filtered;
-  filtered.fatal_events = {fatal_at(1000, bgp::Location::midplane(0)),
-                           fatal_at(1005, bgp::Location::midplane(0))};
-  filtered.groups = {{0, {0}}, {1, {1}}};
+  // Two groups (different errcodes, so no filter merges them) both cover the
+  // job's partition within the window; the job goes to the earlier group
+  // only, and the candidate lists still record both.
   const auto jobs = make_jobs({job_on(7, 0, 1010, bgp::MidplaneId(0))});
-  const MatchResult result = match_interruptions(filtered, jobs);
+  const auto front = front_end(
+      {fatal_at(1000, bgp::Location::midplane(0)),
+       fatal_at(1005, bgp::Location::midplane(0), ras::codes::kDdrController)},
+      jobs);
+  const MatchResult& result = front.matches;
+  ASSERT_EQ(front.filtered.groups.size(), 2u);
   EXPECT_EQ(result.jobs_by_group[0], std::vector<std::size_t>{0});
   EXPECT_EQ(result.jobs_by_group[1], std::vector<std::size_t>{0});
   ASSERT_EQ(result.interruptions.size(), 1u);
@@ -150,60 +149,16 @@ TEST(MatchBranches, FirstGroupClaimsAJobMatchedByTwoGroups) {
   EXPECT_EQ(*result.group_by_job[0], 0u);
 }
 
-TEST(MatchBranches, ObsAttachedEmitsPhaseSpansAndScanCounters) {
-  const auto filtered = one_group({fatal_at(1000, bgp::Location::midplane(1))});
-  const auto jobs = make_jobs({job_on(1, 0, 1010, bgp::MidplaneId(1)),
-                               job_on(2, 0, 1500, bgp::MidplaneId(1))});
-  obs::Collector collector;
-  MatchConfig config;
-  config.obs = &collector;
-  const MatchResult result = match_interruptions(filtered, jobs, config);
-  ASSERT_EQ(result.interruptions.size(), 1u);
-
-  const obs::Snapshot snap = collector.snapshot();
-  auto has_span = [&](const char* name) {
-    return std::any_of(snap.spans.begin(), snap.spans.end(),
-                       [&](const obs::SpanRecord& s) { return s.name == name; });
-  };
-  EXPECT_TRUE(has_span("match.phase1"));
-  EXPECT_TRUE(has_span("match.phase2"));
-  // One in-window candidate scanned per job ending inside [lo, hi]; job 2
-  // ends outside, so exactly one scan and one match.
-  EXPECT_EQ(snap.counter_value("match.candidates_scanned"), 1u);
-  EXPECT_EQ(snap.counter_value("match.jobs_matched"), 1u);
-}
-
 TEST(FilterPipelineBranches, CausalityDisabledSkipsTheStage) {
-  ras::RasLog log({fatal_at(0, bgp::Location::midplane(0)),
-                   fatal_at(4000, bgp::Location::midplane(1))});
-  filter::FilterPipelineConfig config;
-  config.enable_causality = false;
-  const filter::FilterPipelineResult result = filter::run_filter_pipeline(log, config);
+  const auto jobs = make_jobs({job_on(1, 0, 10, bgp::MidplaneId(3))});
+  const auto front = front_end({fatal_at(0, bgp::Location::midplane(0)),
+                                fatal_at(4000, bgp::Location::midplane(1))},
+                               jobs, /*causality=*/false);
+  const filter::FilterPipelineResult& result = front.filtered;
   ASSERT_EQ(result.stages.size(), 3u);  // raw, temporal, spatial — no causality
   EXPECT_EQ(result.stages[0].name, "raw FATAL records");
   EXPECT_EQ(result.stages[2].name, "spatial");
   EXPECT_TRUE(result.causal_pairs.empty());
-}
-
-TEST(FilterPipelineBranches, ObsAttachedEmitsStageSpansAndCompressionCounters) {
-  ras::RasLog log({fatal_at(0, bgp::Location::midplane(0)),
-                   fatal_at(10, bgp::Location::midplane(0)),
-                   fatal_at(4000, bgp::Location::midplane(1))});
-  obs::Collector collector;
-  filter::FilterPipelineConfig config;
-  config.obs = &collector;
-  const filter::FilterPipelineResult result = filter::run_filter_pipeline(log, config);
-  ASSERT_EQ(result.stages.size(), 4u);
-
-  const obs::Snapshot snap = collector.snapshot();
-  std::vector<std::string> names;
-  for (const obs::SpanRecord& s : snap.spans) names.push_back(s.name);
-  EXPECT_NE(std::find(names.begin(), names.end(), "filter.temporal"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "filter.spatial"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "filter.causality"), names.end());
-  EXPECT_EQ(snap.counter_value("filter.groups_out"), result.groups.size());
-  // The causal-pairs counter exists even when no pair clears min-support.
-  EXPECT_EQ(snap.counter_value("filter.causal_pairs"), result.causal_pairs.size());
 }
 
 }  // namespace

@@ -415,7 +415,6 @@ TEST(ObsEndToEnd, CoanalysisProducesATraceAcrossLayers) {
   ctx.with_pool(&pool).with_obs(&c);
 
   core::CoAnalysisConfig config;
-  config.execution.engine = core::Engine::Streaming;
   config.execution.shards = 4;
   const core::CoAnalysisResult r = core::run_coanalysis(data.ras, data.jobs, config, ctx);
   pool.set_obs(nullptr);
@@ -434,19 +433,6 @@ TEST(ObsEndToEnd, CoanalysisProducesATraceAcrossLayers) {
 
   const std::string trace = obs::chrome_trace_json(snap);
   EXPECT_TRUE(valid_json(trace));
-
-  // Batch engine: the filter/match layers report through their configs.
-  obs::Collector batch;
-  Context bctx;
-  bctx.with_obs(&batch);
-  config.execution.engine = core::Engine::Batch;
-  const auto rb = core::run_coanalysis(data.ras, data.jobs, config, bctx);
-  EXPECT_EQ(rb.matches.interruptions.size(), r.matches.interruptions.size());
-  const obs::Snapshot bs = batch.snapshot();
-  EXPECT_GT(bs.total_ms("filter.temporal"), 0.0);
-  EXPECT_GT(bs.total_ms("match.phase1"), 0.0);
-  EXPECT_GT(bs.counter_value("match.candidates_scanned"), 0u);
-  EXPECT_TRUE(valid_json(obs::chrome_trace_json(bs)));
 }
 
 

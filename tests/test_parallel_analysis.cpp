@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "coral/core/pipeline.hpp"
+#include "coral/stream/coanalysis.hpp"
 #include "coral/synth/intrepid.hpp"
 
 namespace coral {
@@ -15,14 +16,22 @@ const synth::SynthResult& data() {
 
 class ParallelAnalysisP : public ::testing::TestWithParam<std::size_t> {};
 
+/// The streaming front end cut into up to four time shards, run on a pool of
+/// the parameter's width.
+stream::FrontEndResult sharded_front_end(par::ThreadPool& pool) {
+  stream::FrontEndConfig config;
+  config.shards = 4;
+  return stream::run_streaming_frontend(data().ras, data().jobs, config,
+                                        Context().with_pool(&pool));
+}
+
 TEST_P(ParallelAnalysisP, MatchingIdenticalToSerial) {
-  const auto filtered = filter::run_filter_pipeline(data().ras, {});
-  const auto serial = core::match_interruptions(filtered, data().jobs, {});
+  const auto serial = stream::run_streaming_frontend(data().ras, data().jobs, {}).matches;
 
   par::ThreadPool pool(GetParam());
-  core::MatchConfig config;
-  config.pool = &pool;
-  const auto parallel = core::match_interruptions(filtered, data().jobs, config);
+  const auto front = sharded_front_end(pool);
+  EXPECT_GE(front.shards_used, 2u);
+  const core::MatchResult& parallel = front.matches;
 
   ASSERT_EQ(serial.interruptions.size(), parallel.interruptions.size());
   for (std::size_t i = 0; i < serial.interruptions.size(); ++i) {
@@ -34,19 +43,13 @@ TEST_P(ParallelAnalysisP, MatchingIdenticalToSerial) {
 }
 
 TEST_P(ParallelAnalysisP, CausalityMiningIdenticalToSerial) {
-  const auto events = data().ras.fatal_events();
-  auto groups =
-      filter::temporal_filter(events, filter::singleton_groups(events.size()), {});
-  groups = filter::spatial_filter(events, std::move(groups), {});
-
-  const auto serial = filter::mine_causal_pairs(events, groups, {});
+  // Pair counts are mined per shard and merged before min-support applies.
+  const auto serial =
+      stream::run_streaming_frontend(data().ras, data().jobs, {}).filtered.causal_pairs;
+  ASSERT_FALSE(serial.empty());
 
   par::ThreadPool pool(GetParam());
-  filter::CausalityFilterConfig config;
-  config.pool = &pool;
-  const auto parallel = filter::mine_causal_pairs(events, groups, config);
-
-  EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(serial, sharded_front_end(pool).filtered.causal_pairs);
 }
 
 TEST_P(ParallelAnalysisP, FullPipelineIdenticalToSerial) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "corrupt.hpp"
+#include "frontend_oracle.hpp"
 #include "predict_fixture.hpp"
 
 #include "coral/common/binary_frame.hpp"
@@ -408,14 +409,13 @@ TEST(PredictDeterminism, MinerExactAcrossEnginesAndPools) {
       synth::pack_scenario(machine::bgp_model(), "correlated_cascade", 11, 3);
   const synth::SynthResult synth = synth::generate(scenario);
 
-  core::CoAnalysisConfig batch_cfg;
-  batch_cfg.execution.engine = core::Engine::Batch;
-  const predict::RuleTable batch = predict::mine_rules(
-      core::run_coanalysis(synth.ras, synth.jobs, batch_cfg), synth.jobs);
+  // The frozen batch front end (frontend_oracle.hpp) against the sharded
+  // streaming one on a pool.
+  const predict::RuleTable batch =
+      predict::mine_rules(oracle::run_coanalysis(synth.ras, synth.jobs), synth.jobs);
   ASSERT_FALSE(batch.empty());
 
   core::CoAnalysisConfig stream_cfg;
-  stream_cfg.execution.engine = core::Engine::Streaming;
   stream_cfg.execution.shards = 3;
   par::ThreadPool pool(4);
   Context ctx;

@@ -133,6 +133,7 @@ TEST(RasLog, SummaryCountsSeverities) {
 }
 
 TEST(RasLog, FatalIndicesMatchFatalEvents) {
+  // fatal_columns().log_index indexes the FATAL records in the full log.
   RasLog log;
   log.append(make_event(codes::kRasStormFatal, "2009-01-05-01.00.00", "R01-M0-N00-J04"));
   log.append(make_event("ecc_correctable", "2009-01-05-02.00.00", "R02-M1-N01-J06"));
@@ -140,7 +141,7 @@ TEST(RasLog, FatalIndicesMatchFatalEvents) {
   log.append(make_event("ecc_correctable", "2009-01-05-04.00.00", "R02-M1-N01-J06"));
   log.finalize();
 
-  const std::vector<std::size_t>& idx = log.fatal_indices();
+  const std::vector<std::size_t>& idx = log.fatal_columns().log_index;
   ASSERT_EQ(idx.size(), 2u);
   EXPECT_EQ(idx[0], 0u);
   EXPECT_EQ(idx[1], 2u);
@@ -156,8 +157,8 @@ TEST(RasLog, FatalIndicesMatchFatalEvents) {
   // The index tracks re-finalization after further appends.
   log.append(make_event(codes::kRasStormFatal, "2009-01-05-00.30.00", "R01-M0-N00-J04"));
   log.finalize();
-  EXPECT_EQ(log.fatal_indices().size(), 3u);
-  EXPECT_EQ(log.fatal_indices()[0], 0u);  // new earliest fatal sorted to front
+  EXPECT_EQ(log.fatal_columns().log_index.size(), 3u);
+  EXPECT_EQ(log.fatal_columns().log_index[0], 0u);  // new earliest fatal sorted to front
 }
 
 TEST(RasLog, RangeQueries) {

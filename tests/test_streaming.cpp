@@ -1,15 +1,20 @@
-// The streaming engine must be *indistinguishable* from the batch engine:
-// identical groups, stage stats, causal pairs, interruption lists,
-// classification counts and fitted distributions — single-shard and sharded.
+// The streaming front end must be *indistinguishable* from the frozen batch
+// passes in frontend_oracle.hpp: identical groups, stage stats, causal
+// pairs, interruption lists, classification counts and fitted distributions
+// — single-shard and sharded, and when driven stage by stage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "coral/core/pipeline.hpp"
+#include "coral/ras/catalog.hpp"
 #include "coral/stream/coanalysis.hpp"
 #include "coral/stream/filter_stages.hpp"
+#include "coral/stream/matcher.hpp"
 #include "coral/stream/shard.hpp"
 #include "coral/synth/intrepid.hpp"
+#include "frontend_oracle.hpp"
 
 namespace coral {
 namespace {
@@ -19,11 +24,15 @@ const synth::SynthResult& data() {
   return result;
 }
 
-core::CoAnalysisConfig engine_config(core::Engine engine, int shards = 1) {
+core::CoAnalysisConfig sharded(int shards) {
   core::CoAnalysisConfig config;
-  config.execution.engine = engine;
   config.execution.shards = shards;
   return config;
+}
+
+const core::CoAnalysisResult& oracle_result() {
+  static const core::CoAnalysisResult result = oracle::run_coanalysis(data().ras, data().jobs);
+  return result;
 }
 
 void expect_identical(const core::CoAnalysisResult& a, const core::CoAnalysisResult& b) {
@@ -86,51 +95,46 @@ void expect_identical(const core::CoAnalysisResult& a, const core::CoAnalysisRes
 }
 
 TEST(StreamingEngine, SingleShardIdenticalToBatch) {
-  const auto batch =
-      core::run_coanalysis(data().ras, data().jobs, engine_config(core::Engine::Batch));
-  const auto streaming =
-      core::run_coanalysis(data().ras, data().jobs, engine_config(core::Engine::Streaming));
-  EXPECT_EQ(streaming.engine_used, core::Engine::Streaming);
+  const auto streaming = core::run_coanalysis(data().ras, data().jobs, sharded(1));
   EXPECT_EQ(streaming.shards_used, 1u);
-  expect_identical(batch, streaming);
+  expect_identical(oracle_result(), streaming);
 }
 
 TEST(StreamingEngine, FourShardsIdenticalToBatch) {
-  const auto batch =
-      core::run_coanalysis(data().ras, data().jobs, engine_config(core::Engine::Batch));
   par::ThreadPool pool(4);
-  const auto sharded =
-      core::run_coanalysis(data().ras, data().jobs, engine_config(core::Engine::Streaming, 4),
-                           Context().with_pool(&pool));
-  EXPECT_GE(sharded.shards_used, 2u);  // a month of gaps: cuts must exist
-  EXPECT_LE(sharded.shards_used, 4u);
-  expect_identical(batch, sharded);
+  const auto result = core::run_coanalysis(data().ras, data().jobs, sharded(4),
+                                           Context().with_pool(&pool));
+  EXPECT_GE(result.shards_used, 2u);  // a month of gaps: cuts must exist
+  EXPECT_LE(result.shards_used, 4u);
+  expect_identical(oracle_result(), result);
 }
 
 TEST(StreamingEngine, ShardedWithoutPoolStillIdentical) {
-  const auto batch =
-      core::run_coanalysis(data().ras, data().jobs, engine_config(core::Engine::Batch));
-  const auto sharded = core::run_coanalysis(data().ras, data().jobs,
-                                            engine_config(core::Engine::Streaming, 3));
-  expect_identical(batch, sharded);
+  expect_identical(oracle_result(), core::run_coanalysis(data().ras, data().jobs, sharded(3)));
 }
 
 TEST(StreamingEngine, DefaultConfigUsesStreaming) {
+  // run_coanalysis is the streaming front end followed by complete_coanalysis.
   const auto r = core::run_coanalysis(data().ras, data().jobs);
-  EXPECT_EQ(r.engine_used, core::Engine::Streaming);
+  auto front = stream::run_streaming_frontend(data().ras, data().jobs, {});
+  EXPECT_EQ(r.shards_used, front.shards_used);
+  EXPECT_EQ(r.peak_stage_state, front.peak_stage_state);
+  expect_identical(core::complete_coanalysis(std::move(front.filtered),
+                                             std::move(front.matches), data().jobs),
+                   r);
 }
 
 TEST(StreamingEngine, PeakStateBoundedByWindowsNotLogLength) {
   const auto r = core::run_coanalysis(data().ras, data().jobs);
   EXPECT_GT(r.peak_stage_state, 0u);
   // The windowed working set must be far below the record count: the whole
-  // point of the streaming stages. (Batch holds all n groups at once.)
+  // point of the streaming stages. (A whole-log pass holds all n groups.)
   EXPECT_LT(r.peak_stage_state, r.filtered.fatal_events.size() / 2);
 }
 
 TEST(StreamingFrontEnd, MatchesBatchFilterAndMatcherDirectly) {
-  const auto filtered = filter::run_filter_pipeline(data().ras, {});
-  const auto matches = core::match_interruptions(filtered, data().jobs, {});
+  const auto filtered = oracle::run_filter_pipeline(data().ras);
+  const auto matches = oracle::match_interruptions(filtered, data().jobs, 120 * kUsecPerSec);
 
   stream::FrontEndConfig config;
   const auto front = stream::run_streaming_frontend(data().ras, data().jobs, config);
@@ -150,14 +154,17 @@ TEST(StreamingFrontEnd, MatchesBatchFilterAndMatcherDirectly) {
   }
 }
 
-// Randomized differential: ~20 seeded scenario/workload/storm/sharding
+// Randomized differential: 20 seeded scenario/workload/storm/sharding
 // combinations, each requiring the streaming engine to be byte-identical to
-// batch. The combinations sweep the axes that have historically produced
-// engine divergence: storm burst shape (group sizes near window edges),
-// causality on/off (three- vs four-stage pipeline), shard count (boundary
-// handling) and pool width (merge determinism under real concurrency).
+// the oracle. The combinations sweep the axes that have historically
+// produced divergence: storm burst shape (group sizes near window edges),
+// causality on/off (three- vs four-stage pipeline), match window (30 s to
+// 15 min, including windows wider than the causality window), shard count
+// (boundary handling) and pool width (merge determinism under real
+// concurrency). Every window meets causality off and every shard count.
 TEST(StreamingEngine, RandomizedDifferentialAgainstBatch) {
   constexpr int kCombos = 20;
+  constexpr Usec kWindowsSec[] = {30, 120, 300, 900};
   for (int i = 0; i < kCombos; ++i) {
     SCOPED_TRACE("combo " + std::to_string(i));
 
@@ -175,20 +182,162 @@ TEST(StreamingEngine, RandomizedDifferentialAgainstBatch) {
     const synth::SynthResult run = synth::generate(scenario);
     if (run.ras.summary().fatal_records == 0) continue;  // nothing to diverge on
 
-    core::CoAnalysisConfig config = engine_config(core::Engine::Batch);
+    core::CoAnalysisConfig config;
     config.filters.enable_causality = i % 3 != 2;
-    const auto batch = core::run_coanalysis(run.ras, run.jobs, config);
+    config.matching.window = kWindowsSec[(i / 5) % 4] * kUsecPerSec;
+    const auto reference = oracle::run_coanalysis(run.ras, run.jobs, config);
 
-    config.execution.engine = core::Engine::Streaming;
     config.execution.shards = 1 + (i % 5);
     par::ThreadPool pool(1 + static_cast<std::size_t>(i % 4));
     const auto streaming =
         core::run_coanalysis(run.ras, run.jobs, config, Context().with_pool(&pool));
 
-    EXPECT_EQ(streaming.engine_used, core::Engine::Streaming);
-    expect_identical(batch, streaming);
+    expect_identical(reference, streaming);
     if (HasFatalFailure()) break;  // one combo's dump is enough
   }
+}
+
+// The two-pass front end driven stage by stage through StageDriver, the way
+// a live consumer tails the merged event stream: a mining replay, then the
+// filter (with the mined pairs) feeding the matcher in day-sized windows.
+// Groups and per-group matches must equal the oracle's.
+TEST(StreamingFrontEnd, StageDriverReplayMatchesOracle) {
+  const synth::SynthResult& d = data();
+  const filter::FilterPipelineConfig filters;
+
+  stream::GroupBuffer mined;
+  stream::StreamingFilter::Options mine_options;
+  mine_options.mine_pairs = true;
+  stream::StreamingFilter miner(mine_options, mined);
+  stream::StageDriver warmup(d.ras, d.jobs);
+  warmup.attach(miner);
+  warmup.replay();
+  const auto pairs =
+      stream::PairMiner::accept(miner.miner()->counts(), filters.causality.min_support);
+
+  std::vector<filter::EventGroup> groups;
+  std::vector<std::vector<std::size_t>> jobs_by_group;
+  stream::StreamingMatcher matcher(120 * kUsecPerSec,
+                                   [&](stream::StreamingMatcher::GroupMatch&& m) {
+                                     groups.push_back(stream::to_event_group(m.group));
+                                     jobs_by_group.push_back(std::move(m.jobs));
+                                   });
+  stream::StreamingFilter::Options live_options;
+  live_options.pairs = pairs;
+  stream::StreamingFilter live(live_options, matcher);
+  stream::StageDriver driver(d.ras, d.jobs);
+  driver.attach(live);
+  driver.attach(matcher);
+  const TimePoint start = std::min(d.ras.summary().first_time, d.jobs[0].start_time);
+  std::size_t delivered = 0;
+  for (int day = 0; day < 31; ++day) {
+    delivered += driver.replay(start + day * kUsecPerDay, start + (day + 1) * kUsecPerDay);
+  }
+  delivered +=
+      driver.replay(start + 31 * kUsecPerDay, TimePoint(std::numeric_limits<Usec>::max()));
+  driver.flush();
+
+  const auto filtered = oracle::run_filter_pipeline(d.ras, filters);
+  const auto matches = oracle::match_interruptions(filtered, d.jobs, 120 * kUsecPerSec);
+  EXPECT_EQ(delivered, filtered.fatal_events.size() + 2 * d.jobs.size());
+  EXPECT_EQ(mined.groups.size(), filtered.stages[2].output);  // spatial output
+  EXPECT_EQ(pairs, filtered.causal_pairs);
+  EXPECT_EQ(live.raw_count(), filtered.fatal_events.size());
+  ASSERT_EQ(groups.size(), filtered.groups.size());
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    EXPECT_EQ(groups[i].rep, filtered.groups[i].rep) << "group " << i;
+    EXPECT_EQ(groups[i].members, filtered.groups[i].members) << "group " << i;
+  }
+  EXPECT_EQ(jobs_by_group, matches.jobs_by_group);
+  EXPECT_EQ(matcher.groups_out(), groups.size());
+  EXPECT_LT(live.peak_buffered() + matcher.peak_buffered(), filtered.fatal_events.size() / 2);
+}
+
+// ---- hand-built logs: one FATAL record on R00-M0 and one job there ---------
+
+const TimePoint kBase = TimePoint::from_calendar(2009, 3, 1);
+
+ras::RasLog one_fatal(double t_sec) {
+  ras::RasEvent ev;
+  ev.errcode = *ras::Catalog::instance().find(ras::codes::kRasStormFatal);
+  ev.severity = ras::Severity::Fatal;
+  ev.event_time = kBase + static_cast<Usec>(t_sec * kUsecPerSec);
+  ev.location = bgp::Location::midplane(0);
+  return ras::RasLog({ev});
+}
+
+joblog::JobLog one_job(double start_sec, double end_sec) {
+  joblog::JobLog jobs;
+  joblog::JobRecord j;
+  j.job_id = 1;
+  j.exec_id = jobs.intern_exec("/bin/app");
+  j.user_id = jobs.intern_user("u0");
+  j.project_id = jobs.intern_project("p0");
+  j.queue_time = kBase + static_cast<Usec>(start_sec * kUsecPerSec);
+  j.start_time = j.queue_time;
+  j.end_time = kBase + static_cast<Usec>(end_sec * kUsecPerSec);
+  j.partition = bgp::Partition(0, 1);
+  jobs.append(j);
+  jobs.finalize();
+  return jobs;
+}
+
+void expect_one_interruption(const ras::RasLog& ras, const joblog::JobLog& jobs,
+                             const core::CoAnalysisConfig& config) {
+  const auto reference = oracle::run_coanalysis(ras, jobs, config);
+  ASSERT_EQ(reference.interruption_count(), 1u);
+  expect_identical(reference, core::run_coanalysis(ras, jobs, config));
+}
+
+// A group that reaches the matcher before the shard's first job end must
+// wait for it: the matcher's clock starts at the minimum time point, and
+// resolving against that clock once dropped the match.
+TEST(StreamingMatcher, GroupBeforeFirstJobEndStillMatches) {
+  core::CoAnalysisConfig config;
+  config.filters.enable_causality = false;  // groups go straight to the matcher
+  expect_one_interruption(one_fatal(100), one_job(0, 150), config);
+}
+
+TEST(StreamingMatcher, GroupReleasedByJobEndWatermarkStillMatches) {
+  // The causality stage releases the group on the job end's watermark (400 s
+  // is past the 120 s causality window) before the matcher sees that end;
+  // with a 900 s match window the end still matches.
+  core::CoAnalysisConfig config;
+  config.matching.window = 900 * kUsecPerSec;
+  expect_one_interruption(one_fatal(100), one_job(0, 400), config);
+}
+
+TEST(StreamingEngine, ShardingASingleFatalRecordRunsOneShard) {
+  // Nothing to cut between fewer than two records: one shard, same answer.
+  const auto ras = one_fatal(100);
+  const auto jobs = one_job(0, 150);
+  const auto r = core::run_coanalysis(ras, jobs, sharded(4));
+  EXPECT_EQ(r.shards_used, 1u);
+  expect_identical(oracle::run_coanalysis(ras, jobs), r);
+}
+
+TEST(StreamingMatcher, StandaloneKeepsJobEndsUntilAWatermarkArrives) {
+  // Driven directly, with no filter upstream: job ends buffered before any
+  // group watermark must survive eviction, and a weaker (earlier) watermark
+  // never undoes a stronger one.
+  const joblog::JobLog jobs = one_job(0, 150);
+  std::vector<std::vector<std::size_t>> matched;
+  stream::StreamingMatcher matcher(120 * kUsecPerSec,
+                                   [&](stream::StreamingMatcher::GroupMatch&& m) {
+                                     matched.push_back(std::move(m.jobs));
+                                   });
+  matcher.on_job_end(jobs[0].end_time, jobs[0], 0);
+  stream::StreamGroup g;
+  g.rep_time = kBase + 200 * kUsecPerSec;
+  g.rep_key = bgp::Location::midplane(0).packed();
+  matcher.on_watermark(g.rep_time);
+  matcher.on_watermark(kBase);  // weaker promise: ignored
+  matcher.on_group(std::move(g));
+  matcher.flush();
+  ASSERT_EQ(matched.size(), 1u);
+  EXPECT_EQ(matched[0], std::vector<std::size_t>{0});
+  EXPECT_EQ(matcher.groups_out(), 1u);
+  EXPECT_EQ(matcher.peak_buffered(), 2u);  // the job end and the pending group
 }
 
 TEST(ShardPlan, CutsOnlyInsideQuiesceGaps) {
@@ -212,12 +361,28 @@ TEST(ShardPlan, CutsOnlyInsideQuiesceGaps) {
   EXPECT_EQ(plan.shard_of(times.back()), 2u);
 }
 
+TEST(ShardPlan, MoreShardsThanGapsUsesEachGapOnce) {
+  // Two qualifying gaps, eight shards asked for: each gap is cut once, in
+  // order, and the planner stops when the candidates run out.
+  const std::vector<TimePoint> times = {TimePoint(0), TimePoint(100),
+                                        TimePoint(10'000'000), TimePoint(10'000'100),
+                                        TimePoint(11'000'000)};
+  const auto plan = stream::plan_shards(times, 8, /*quiesce=*/500'000);
+  ASSERT_EQ(plan.cuts.size(), 2u);
+  EXPECT_EQ(plan.cuts[0], TimePoint(100 + (10'000'000 - 100) / 2));
+  EXPECT_EQ(plan.cuts[1], TimePoint(10'000'100 + (11'000'000 - 10'000'100) / 2));
+  EXPECT_EQ(plan.shard_count(), 3u);
+}
+
 TEST(ShardPlan, NoQualifyingGapMeansOneShard) {
   std::vector<TimePoint> times;
   for (int i = 0; i < 100; ++i) times.push_back(TimePoint(i * 1000));
   const auto plan = stream::plan_shards(times, 8, /*quiesce=*/1'000'000);
   EXPECT_TRUE(plan.cuts.empty());
   EXPECT_EQ(plan.shard_count(), 1u);
+  // One shard asked for, or a single record: nothing to cut either.
+  EXPECT_TRUE(stream::plan_shards(times, 1, /*quiesce=*/10).cuts.empty());
+  EXPECT_TRUE(stream::plan_shards({&times[0], 1}, 8, /*quiesce=*/10).cuts.empty());
 }
 
 TEST(ShardPlan, QuiesceGapCoversEveryWindow) {
