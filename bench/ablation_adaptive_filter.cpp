@@ -13,35 +13,39 @@ namespace {
 
 using namespace coral;
 
-/// A temporal stage's output as stream groups (rep first, members after).
+/// A temporal stage's output as stream groups (rep first, members after),
+/// their members linked in `members`.
 std::vector<stream::StreamGroup> to_stream(const std::vector<filter::EventGroup>& groups,
-                                           std::span<const ras::RasEvent> events) {
+                                           std::span<const ras::RasEvent> events,
+                                           stream::MemberChain& members) {
+  const auto single = [&events](std::size_t i) {
+    return stream::StreamGroup::single(i, events[i].event_time, events[i].errcode,
+                                       events[i].location.packed());
+  };
   std::vector<stream::StreamGroup> out;
   for (const filter::EventGroup& g : groups) {
-    const ras::RasEvent& rep = events[g.rep];
-    stream::StreamGroup sg{g.rep, rep.event_time, rep.errcode, rep.location.packed(), {}};
-    for (std::size_t k = 1; k < g.members.size(); ++k) {
-      sg.extra.push_back({g.members[k], events[g.members[k]].location.packed()});
-    }
-    out.push_back(std::move(sg));
+    stream::StreamGroup sg = single(g.rep);
+    for (std::size_t k = 1; k < g.members.size(); ++k) members.absorb(sg, single(g.members[k]));
+    out.push_back(sg);
   }
   return out;
 }
 
-std::size_t pipeline_after(std::vector<stream::StreamGroup> groups) {
+std::size_t pipeline_after(std::vector<stream::StreamGroup> groups,
+                           stream::MemberChain& members) {
   // Finish with the standard spatial + causality stages so the comparison
   // isolates the temporal stage: spatial coalescing with the pair miner
   // tapping its output, then causality coalescing on the mined pairs.
   const filter::FilterPipelineConfig config;
   stream::GroupBuffer spatial_out;
   stream::PairMiner miner(config.causality.window, &spatial_out);
-  stream::SpatialCoalescer spatial(config.spatial.threshold, &miner);
+  stream::SpatialCoalescer spatial(config.spatial.threshold, members, &miner);
   for (stream::StreamGroup& g : groups) spatial.on_group(std::move(g));
   spatial.flush();
   const auto pairs = stream::PairMiner::accept(miner.counts(), config.causality.min_support);
 
   stream::GroupBuffer out;
-  stream::CausalityCoalescer causality(config.causality.window, pairs, &out);
+  stream::CausalityCoalescer causality(config.causality.window, pairs, members, &out);
   for (stream::StreamGroup& g : spatial_out.groups) causality.on_group(std::move(g));
   causality.flush();
   return out.groups.size();
@@ -59,14 +63,16 @@ int main() {
 
   std::printf("%-28s %10s %14s\n", "temporal stage", "after-temp", "after-pipeline");
   for (const Usec t : {60L * kUsecPerSec, 300L * kUsecPerSec, 1800L * kUsecPerSec}) {
+    stream::MemberChain members(events.size());
     stream::GroupBuffer groups;
-    stream::TemporalCoalescer temporal(t, &groups);
-    for (stream::StreamGroup& g : to_stream(filter::singleton_groups(events.size()), events)) {
+    stream::TemporalCoalescer temporal(t, members, &groups);
+    for (stream::StreamGroup& g :
+         to_stream(filter::singleton_groups(events.size()), events, members)) {
       temporal.on_group(std::move(g));
     }
     temporal.flush();
     const std::size_t after_temporal = groups.groups.size();
-    const std::size_t final_count = pipeline_after(std::move(groups.groups));
+    const std::size_t final_count = pipeline_after(std::move(groups.groups), members);
     std::printf("constant %-19lld %10zu %14zu\n",
                 static_cast<long long>(t / kUsecPerSec), after_temporal, final_count);
   }
@@ -75,7 +81,8 @@ int main() {
   auto groups = filter::adaptive_temporal_filter(
       events, filter::singleton_groups(events.size()), thresholds);
   const std::size_t after_temporal = groups.size();
-  const std::size_t final_count = pipeline_after(to_stream(groups, events));
+  stream::MemberChain members(events.size());
+  const std::size_t final_count = pipeline_after(to_stream(groups, events, members), members);
   std::printf("%-28s %10zu %14zu\n", "adaptive (per-errcode knee)", after_temporal,
               final_count);
 

@@ -25,11 +25,16 @@ int main(int argc, char** argv) {
   std::printf("Generated %d days: %zu RAS records, %zu jobs\n", days, data.ras.size(),
               data.jobs.size());
 
+  // Group members are linked through the FATAL-record indices StageDriver
+  // numbers records with; one chain per pass over the records.
+  const ras::FatalColumns& fatal = data.ras.fatal_columns();
+
   // --- Warm-up: mine causal errcode pairs over the first warmup_days. ---
+  stream::MemberChain warmup_members(fatal.size());
   stream::GroupBuffer warmup_groups;
   stream::StreamingFilter::Options mine_options;
   mine_options.mine_pairs = true;
-  stream::StreamingFilter mining_filter(mine_options, warmup_groups);
+  stream::StreamingFilter mining_filter(mine_options, warmup_members, warmup_groups);
   stream::StageDriver warmup(data.ras, data.jobs);
   warmup.attach(mining_filter);
   warmup.replay(scenario.start, scenario.start + warmup_days * kUsecPerDay);
@@ -44,6 +49,7 @@ int main(int argc, char** argv) {
   // --- Live pipeline: filter (using the mined pairs) into the matcher;
   // every resolved group with matched jobs becomes an alert. ---
   std::size_t alerts = 0, quiet_groups = 0;
+  stream::MemberChain members(fatal.size());
   stream::StreamingMatcher matcher(
       120 * kUsecPerSec, [&](stream::StreamingMatcher::GroupMatch&& m) {
         if (m.jobs.empty()) {
@@ -62,11 +68,12 @@ int main(int argc, char** argv) {
           }
           std::printf("\n");
         }
-      });
+      },
+      members, fatal.loc_key);
 
   stream::StreamingFilter::Options live_options;
   live_options.pairs = pairs;
-  stream::StreamingFilter live_filter(live_options, matcher);
+  stream::StreamingFilter live_filter(live_options, members, matcher);
   stream::StageDriver live(data.ras, data.jobs);
   live.attach(live_filter);
   live.attach(matcher);

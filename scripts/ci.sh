@@ -88,16 +88,18 @@ case " ${PRESETS[*]} " in
     ;;
 esac
 
-# The concurrent multi-catalog tests must always run under ThreadSanitizer,
-# even when the caller asked for a subset of presets: they are the only
-# coverage of two Contexts racing through the full pipeline.
+# The concurrent multi-catalog tests and the sharded streaming differential
+# must always run under ThreadSanitizer, even when the caller asked for a
+# subset of presets: they are the only coverage of two Contexts racing
+# through the full pipeline, and of shards splicing group members into
+# disjoint index ranges of one shared member chain.
 case " ${PRESETS[*]} " in
   *" tsan "*) ;;  # full tsan suite already ran above
   *)
-    echo "==== [tsan] focused Context race check ===="
+    echo "==== [tsan] focused Context + sharded streaming race check ===="
     cmake --preset tsan
-    cmake --build --preset tsan -j "$JOBS" --target test_context
-    ctest --preset tsan -R 'Context' -j "$JOBS"
+    cmake --build --preset tsan -j "$JOBS" --target test_context test_streaming
+    ctest --preset tsan -R 'Context|StreamingEngine' -j "$JOBS"
     ;;
 esac
 

@@ -33,11 +33,11 @@ WorkloadStats workload_stats(const JobLog& jobs, int wide_threshold) {
   for (const JobRecord& job : jobs) {
     const double sec =
         static_cast<double>(job.runtime()) / static_cast<double>(kUsecPerSec);
-    for (bgp::MidplaneId m : job.partition.midplanes()) {
+    const bool wide = job.size_midplanes() >= wide_threshold;
+    for (bgp::MidplaneId m = job.partition.first_midplane(); m < job.partition.end_midplane();
+         ++m) {
       s.midplane_busy_sec[static_cast<std::size_t>(m)] += sec;
-      if (job.size_midplanes() >= wide_threshold) {
-        s.midplane_wide_sec[static_cast<std::size_t>(m)] += sec;
-      }
+      if (wide) s.midplane_wide_sec[static_cast<std::size_t>(m)] += sec;
     }
     s.jobs_per_size[size_class(sizes, job.size_midplanes())] += 1;
     wait_sum += static_cast<double>(job.start_time - job.queue_time) /

@@ -47,7 +47,8 @@ void MidplaneTallies::add_job(const joblog::JobRecord& job) {
   const double seconds =
       static_cast<double>(job.runtime()) / static_cast<double>(kUsecPerSec);
   const bool wide = job.size_midplanes() >= wide_threshold_;
-  for (bgp::MidplaneId m : job.partition.midplanes()) {
+  for (bgp::MidplaneId m = job.partition.first_midplane(); m < job.partition.end_midplane();
+       ++m) {
     workload_sec[static_cast<std::size_t>(m)] += seconds;
     if (wide) wide_workload_sec[static_cast<std::size_t>(m)] += seconds;
   }

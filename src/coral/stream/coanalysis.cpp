@@ -44,6 +44,10 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
   }
   const std::size_t fatal_count = cols.size();
   const auto& all_jobs = jobs.jobs();
+  // Members of every group in flight, over the fatal-record indices. Each
+  // shard's groups link only that shard's index range, so the shards share
+  // one chain without synchronisation; the merge reads it after they join.
+  MemberChain chain(fatal_count);
   const bool causality = config.filters.enable_causality;
 
   // Job terminations in end-time order (ties by index; per-group match sets
@@ -109,7 +113,7 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
       opt.spatial = config.filters.spatial;
       opt.causality = config.filters.causality;
       opt.mine_pairs = causality;
-      StreamingFilter filter(std::move(opt), buffer);
+      StreamingFilter filter(std::move(opt), chain, buffer);
       for (std::size_t i = fatal_begin[s]; i < fatal_begin[s + 1]; ++i) {
         filter.on_fatal(cols.event_time[i], cols.errcode[i], cols.loc_key[i], i);
       }
@@ -147,43 +151,71 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
   }
 
   // ---- Phase 2: [causality ->] windowed matcher, merge-walking buffered
-  // groups against job terminations in end-time order. ----
+  // groups against job terminations in end-time order. A termination is
+  // delivered only when some spatial group's rep lies within +/-window of
+  // it: every final group's rep is a spatial rep, so no other termination
+  // can match, and withholding one only delays watermarks — when a group
+  // is emitted, never which jobs it matches. ----
+  const Usec window = config.match_window;
   StageTimer phase2_timer(sink, "filter.match");
   run_sharded([&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
       obs::Span span(obs, "stream.shard.phase2");
       ShardOutput& out = shard[s];
-      StreamingMatcher matcher(config.match_window,
+      StreamingMatcher matcher(window,
                                [&out](StreamingMatcher::GroupMatch&& m) {
-                                 out.final_groups.push_back(std::move(m.group));
+                                 out.final_groups.push_back(m.group);
                                  out.matched_jobs.push_back(std::move(m.jobs));
                                },
-                               jobs.machine().codec());
+                               chain, cols.loc_key, jobs.machine().codec());
       std::optional<CausalityCoalescer> caus;
       GroupSink* stage_sink = &matcher;
       if (causality) {
-        caus.emplace(config.filters.causality.window, r.filtered.causal_pairs, &matcher);
+        caus.emplace(config.filters.causality.window, r.filtered.causal_pairs, chain,
+                     &matcher);
         stage_sink = &*caus;
       }
-      std::span<StreamGroup> groups(out.spatial_groups);
-      std::size_t gi = 0;
-      for (std::size_t k = ends_begin[s]; k < ends_begin[s + 1]; ++k) {
-        const joblog::JobRecord& job = all_jobs[by_end[k]];
-        while (gi < groups.size() && groups[gi].rep_time <= job.end_time) {
-          stage_sink->on_group(std::move(groups[gi]));
+      const std::span<const StreamGroup> groups(out.spatial_groups);
+      std::size_t gi = 0;  // next group to deliver
+      std::size_t wi = 0;  // first group whose window does not end before the walk
+      std::size_t delivered = 0;
+      std::size_t k = ends_begin[s];
+      while (k < ends_begin[s + 1]) {
+        const std::size_t job_index = by_end[k];
+        const TimePoint t = all_jobs[job_index].end_time;
+        while (wi < groups.size() && groups[wi].rep_time + window < t) ++wi;
+        if (wi == groups.size()) break;  // every later termination is out of reach
+        const TimePoint lo = groups[wi].rep_time - window;
+        if (t < lo) {
+          // Jump to the first termination inside that group's window.
+          const auto first = by_end.begin() + static_cast<std::ptrdiff_t>(k);
+          const auto last = by_end.begin() + static_cast<std::ptrdiff_t>(ends_begin[s + 1]);
+          k += static_cast<std::size_t>(
+              std::partition_point(first, last,
+                                   [&](std::size_t j) { return all_jobs[j].end_time < lo; }) -
+              first);
+          continue;
+        }
+        while (gi < groups.size() && groups[gi].rep_time <= t) {
+          stage_sink->on_group(StreamGroup(groups[gi]));
           ++gi;
         }
         // Every group at or before this termination has been delivered, so
         // the matcher may evict job ends that fell out of all match windows.
-        stage_sink->on_watermark(job.end_time);
-        matcher.on_job_end(job.end_time, job, by_end[k]);
+        stage_sink->on_watermark(t);
+        matcher.on_job_end(t, all_jobs[job_index], job_index);
+        ++delivered;
+        ++k;
       }
-      for (; gi < groups.size(); ++gi) stage_sink->on_group(std::move(groups[gi]));
+      for (; gi < groups.size(); ++gi) stage_sink->on_group(StreamGroup(groups[gi]));
       stage_sink->flush();  // cascades into the matcher
       out.peak_phase2 = matcher.peak_buffered() + (caus ? caus->peak_chains() : 0);
       span.counts(out.spatial_groups.size(), out.final_groups.size());
       CORAL_OBS_VALUE(obs, "stream.shard.peak_state",
                       static_cast<double>(out.peak_phase2));
+      CORAL_OBS_COUNT(obs, "stream.shard.terminations_walked",
+                      ends_begin[s + 1] - ends_begin[s]);
+      CORAL_OBS_COUNT(obs, "stream.shard.terminations_delivered", delivered);
       out.spatial_groups.clear();
       out.spatial_groups.shrink_to_fit();
     }
@@ -212,7 +244,7 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
   r.matches.jobs_by_group.reserve(groups_total);
   for (ShardOutput& s : shard) {
     for (std::size_t i = 0; i < s.final_groups.size(); ++i) {
-      r.filtered.groups.push_back(to_event_group(s.final_groups[i]));
+      r.filtered.groups.push_back(chain.to_event_group(s.final_groups[i]));
       r.matches.jobs_by_group.push_back(std::move(s.matched_jobs[i]));
     }
     s.final_groups.clear();

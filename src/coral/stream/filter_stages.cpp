@@ -1,5 +1,7 @@
 #include "coral/stream/filter_stages.hpp"
 
+#include "coral/common/error.hpp"
+
 namespace coral::stream {
 
 void CausalityCoalescer::on_group(StreamGroup&& g) {
@@ -27,7 +29,7 @@ void CausalityCoalescer::on_group(StreamGroup&& g) {
       }
     }
     if (found) {
-      absorb(chains_[best_seq - first_seq_], std::move(g));
+      members_->absorb(chains_[best_seq - first_seq_], g);
       forward_watermark(now);
       return;
     }
@@ -35,7 +37,7 @@ void CausalityCoalescer::on_group(StreamGroup&& g) {
   // Leaders do not renew: `open_` tracks the latest unmerged group per code.
   auto [it, inserted] = open_.try_emplace(g.errcode, next_seq_);
   if (!inserted) it->second = next_seq_;
-  chains_.push_back(std::move(g));
+  chains_.push_back(g);
   ++next_seq_;
   if (chains_.size() > peak_chains_) peak_chains_ = chains_.size();
   forward_watermark(now);
@@ -52,7 +54,7 @@ void CausalityCoalescer::flush() {
 }
 
 void CausalityCoalescer::emit_front() {
-  out_->on_group(std::move(chains_.front()));
+  out_->on_group(StreamGroup(chains_.front()));
   chains_.pop_front();
   ++first_seq_;
   ++out_count_;
@@ -68,22 +70,23 @@ void CausalityCoalescer::forward_watermark(TimePoint now) {
   out_->on_watermark(chains_.empty() ? now : chains_.front().rep_time);
 }
 
-StreamingFilter::StreamingFilter(Options options, GroupSink& out)
-    : options_(std::move(options)) {
+StreamingFilter::StreamingFilter(Options options, MemberChain& members, GroupSink& out)
+    : options_(std::move(options)), members_(&members) {
   // Wire the chain tail-first so each stage holds a stable pointer to the
   // next.
   GroupSink* next = &out;
   if (!options_.pairs.empty()) {
     causality_ = std::make_unique<CausalityCoalescer>(options_.causality.window,
-                                                      options_.pairs, next);
+                                                      options_.pairs, members, next);
     next = causality_.get();
   }
   if (options_.mine_pairs) {
     miner_ = std::make_unique<PairMiner>(options_.causality.window, next);
     next = miner_.get();
   }
-  spatial_ = std::make_unique<SpatialCoalescer>(options_.spatial.threshold, next);
-  temporal_ = std::make_unique<TemporalCoalescer>(options_.temporal.threshold, spatial_.get());
+  spatial_ = std::make_unique<SpatialCoalescer>(options_.spatial.threshold, members, next);
+  temporal_ = std::make_unique<TemporalCoalescer>(options_.temporal.threshold, members,
+                                                  spatial_.get());
 }
 
 void StreamingFilter::on_ras(TimePoint t, const ras::RasEvent& event,
@@ -94,13 +97,9 @@ void StreamingFilter::on_ras(TimePoint t, const ras::RasEvent& event,
 
 void StreamingFilter::on_fatal(TimePoint t, ras::ErrcodeId errcode, std::uint32_t loc_key,
                                std::size_t event_index) {
+  CORAL_EXPECTS(event_index < members_->records());
   ++raw_count_;
-  StreamGroup g;
-  g.rep = event_index;
-  g.rep_time = t;
-  g.errcode = errcode;
-  g.rep_key = loc_key;
-  temporal_->on_group(std::move(g));
+  temporal_->on_group(StreamGroup::single(event_index, t, errcode, loc_key));
 }
 
 void StreamingFilter::on_job_start(TimePoint t, const joblog::JobRecord&, std::size_t) {

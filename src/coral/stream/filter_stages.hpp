@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -24,11 +25,13 @@ namespace coral::stream {
 /// the *front* only, which keeps emission in creation order — the group
 /// order of FilterPipelineResult — while later closed chains wait
 /// behind an open front. Buffered state is therefore bounded by how many
-/// chains fit in one coalescing window, not by the log length.
+/// chains fit in one coalescing window, not by the log length. Absorbed
+/// members are spliced onto the chain's group in `members`.
 template <typename Key, typename KeyOf>
 class WindowedCoalescer : public GroupSink {
  public:
-  WindowedCoalescer(Usec threshold, GroupSink* out) : threshold_(threshold), out_(out) {}
+  WindowedCoalescer(Usec threshold, MemberChain& members, GroupSink* out)
+      : threshold_(threshold), members_(&members), out_(out) {}
 
   void on_group(StreamGroup&& g) override {
     ++in_count_;
@@ -40,7 +43,7 @@ class WindowedCoalescer : public GroupSink {
       Chain& c = chains_[it->second - first_seq_];
       if (now - c.last <= threshold_) {
         c.last = now;  // the chain renews its window
-        absorb(c.group, std::move(g));
+        members_->absorb(c.group, g);
         forward_watermark(now);
         return;
       }
@@ -50,7 +53,7 @@ class WindowedCoalescer : public GroupSink {
     } else {
       open_.emplace(key, next_seq_);
     }
-    chains_.push_back(Chain{std::move(g), now});
+    chains_.push_back(Chain{g, now});
     ++next_seq_;
     if (chains_.size() > peak_chains_) peak_chains_ = chains_.size();
     forward_watermark(now);
@@ -78,7 +81,7 @@ class WindowedCoalescer : public GroupSink {
   };
 
   void emit_front() {
-    out_->on_group(std::move(chains_.front().group));
+    out_->on_group(StreamGroup(chains_.front().group));
     chains_.pop_front();
     ++first_seq_;
     ++out_count_;
@@ -95,14 +98,18 @@ class WindowedCoalescer : public GroupSink {
   }
 
   Usec threshold_;
+  MemberChain* members_;
   GroupSink* out_;
   KeyOf key_of_{};
   std::deque<Chain> chains_;
   /// key -> chain seq; entries referencing emitted chains (seq < first_seq_)
   /// are stale and treated as absent, so the table never needs scrubbing.
   /// Its size is bounded by the key alphabet (codes x locations), not the
-  /// log length.
-  std::unordered_map<Key, std::size_t> open_;
+  /// log length. Entries are never erased, so their nodes come from an
+  /// arena released with the stage: a key's first sighting (over a quarter
+  /// of the FATAL records on Intrepid) costs no heap allocation.
+  std::pmr::monotonic_buffer_resource arena_;
+  std::pmr::unordered_map<Key, std::size_t> open_{&arena_};
   std::size_t first_seq_ = 0;
   std::size_t next_seq_ = 0;
   std::size_t in_count_ = 0;
@@ -199,11 +206,13 @@ class PairMiner : public GroupSink {
 /// open leader group within the window is absorbed into the most recent such
 /// leader (ties broken by ascending partner code). Leader windows do *not*
 /// renew — a chain is final once the input clock passes rep_time + window,
-/// so the deque holds at most one window's worth of leaders.
+/// so the deque holds at most one window's worth of leaders. Followers are
+/// spliced onto their leader in `members`.
 class CausalityCoalescer : public GroupSink {
  public:
-  CausalityCoalescer(Usec window, std::span<const filter::CausalPair> pairs, GroupSink* out)
-      : window_span_(window), out_(out) {
+  CausalityCoalescer(Usec window, std::span<const filter::CausalPair> pairs,
+                     MemberChain& members, GroupSink* out)
+      : window_span_(window), members_(&members), out_(out) {
     for (const auto& [a, b] : pairs) {
       partner_[a].insert(b);
       partner_[b].insert(a);
@@ -224,6 +233,7 @@ class CausalityCoalescer : public GroupSink {
   void forward_watermark(TimePoint now);
 
   Usec window_span_;
+  MemberChain* members_;
   GroupSink* out_;
   std::unordered_map<ras::ErrcodeId, std::set<ras::ErrcodeId>> partner_;
   std::deque<StreamGroup> chains_;  ///< open leaders, creation order
@@ -244,7 +254,9 @@ class CausalityCoalescer : public GroupSink {
 /// With `mine_pairs` set, a PairMiner taps the spatial output (counts
 /// readable after flush — the warm-up pass of a two-phase run). With
 /// `pairs` non-empty, the causality coalescer merges follower groups using
-/// those previously mined pairs (the live pass).
+/// those previously mined pairs (the live pass). Every stage splices
+/// members onto `members`, which must cover every delivered record index
+/// and outlive the filter and the groups it emits.
 class StreamingFilter : public Stage {
  public:
   struct Options {
@@ -255,7 +267,7 @@ class StreamingFilter : public Stage {
     std::vector<filter::CausalPair> pairs;
   };
 
-  StreamingFilter(Options options, GroupSink& out);
+  StreamingFilter(Options options, MemberChain& members, GroupSink& out);
 
   void on_ras(TimePoint t, const ras::RasEvent& event, std::size_t event_index) override;
   /// Columnar entry point: feed a fatal record without materializing a
@@ -283,6 +295,7 @@ class StreamingFilter : public Stage {
   std::unique_ptr<PairMiner> miner_;
   std::unique_ptr<SpatialCoalescer> spatial_;
   std::unique_ptr<TemporalCoalescer> temporal_;
+  MemberChain* members_;
   std::size_t raw_count_ = 0;
 };
 

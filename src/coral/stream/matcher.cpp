@@ -56,25 +56,32 @@ void StreamingMatcher::resolve() {
 }
 
 void StreamingMatcher::emit_front() {
-  StreamGroup group = std::move(pending_.front());
-  pending_.pop_front();
-
-  const TimePoint rep_time = group.rep_time;
-  const TimePoint lo = rep_time - window_;
-  const TimePoint hi = rep_time + window_;
-
   GroupMatch match;
-  match.group = std::move(group);
+  match.group = pending_.front();
+  pending_.pop_front();
+  const StreamGroup& group = match.group;
+
+  const TimePoint lo = group.rep_time - window_;
+  const TimePoint hi = group.rep_time + window_;
   auto it = std::lower_bound(ends_.begin(), ends_.end(), lo,
                              [](const JobEnd& e, TimePoint t) { return e.end < t; });
   // Every buffered end in [lo, hi] is a candidate: JobLog::append rejects
   // inverted intervals, so start <= end <= hi and no started-after-window
   // check is needed.
+  bool gathered = false;
   for (; it != ends_.end() && it->end <= hi; ++it) {
-    bool covered = it->partition.covers_key(match.group.rep_key, codec_);
-    if (!covered) {
-      for (const GroupMember& m : match.group.extra) {
-        if (it->partition.covers_key(m.loc_key, codec_)) {
+    bool covered = it->partition.covers_key(group.rep_key, codec_);
+    if (!covered && group.tail != group.rep) {
+      // A storm group can have thousands of members and many candidate
+      // ends: walk its chain once, then scan the gathered keys per end.
+      if (!gathered) {
+        member_keys_.clear();
+        members_->for_each_after_rep(
+            group, [this](std::size_t i) { member_keys_.push_back(loc_keys_[i]); });
+        gathered = true;
+      }
+      for (const std::uint32_t key : member_keys_) {
+        if (it->partition.covers_key(key, codec_)) {
           covered = true;
           break;
         }

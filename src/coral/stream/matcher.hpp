@@ -1,8 +1,10 @@
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "coral/machine/codec.hpp"
@@ -23,7 +25,10 @@ namespace coral::stream {
 ///    by the upstream stages via on_watermark) passes end_time + window.
 ///
 /// Matches are emitted in group order with ascending job indices: the
-/// per-group vectors of MatchResult::jobs_by_group.
+/// per-group vectors of MatchResult::jobs_by_group. A group's members are
+/// read from `members` (the filter chain's MemberChain) and their packed
+/// locations from `loc_keys`, the fatal-record loc_key column the record
+/// indices point into; both must outlive the matcher.
 class StreamingMatcher : public Stage, public GroupSink {
  public:
   struct GroupMatch {
@@ -35,8 +40,13 @@ class StreamingMatcher : public Stage, public GroupSink {
   /// `codec` decodes the groups' packed loc_keys; the default is the Blue
   /// Gene family codec. Pass `machine.codec()` when matching another model's
   /// logs.
-  StreamingMatcher(Usec window, Handler on_match, machine::LocCodec codec = {})
-      : window_(window), on_match_(std::move(on_match)), codec_(codec) {}
+  StreamingMatcher(Usec window, Handler on_match, const MemberChain& members,
+                   std::span<const std::uint32_t> loc_keys, machine::LocCodec codec = {})
+      : window_(window),
+        on_match_(std::move(on_match)),
+        members_(&members),
+        loc_keys_(loc_keys),
+        codec_(codec) {}
 
   // Stage side: the merged event stream.
   void on_job_start(TimePoint t, const joblog::JobRecord& job, std::size_t job_index) override;
@@ -72,7 +82,12 @@ class StreamingMatcher : public Stage, public GroupSink {
 
   Usec window_;
   Handler on_match_;
+  const MemberChain* members_;
+  std::span<const std::uint32_t> loc_keys_;
   machine::LocCodec codec_;
+  /// Location keys of the resolving group's members after the rep,
+  /// gathered once per group on first need (reused across groups).
+  std::vector<std::uint32_t> member_keys_;
   std::deque<JobEnd> ends_;         ///< sorted by end time (arrival order)
   std::deque<StreamGroup> pending_; ///< groups awaiting resolution, in order
   TimePoint watermark_{std::numeric_limits<Usec>::min()};

@@ -1,27 +1,12 @@
 #include "coral/stream/stage.hpp"
 
-#include <algorithm>
-
 namespace coral::stream {
 
-void absorb(StreamGroup& dst, StreamGroup&& src) {
-  // Grow geometrically: storm chains absorb thousands of singletons one at a
-  // time, and an exact reserve() per absorb would degrade to O(n^2) copies.
-  const std::size_t needed = dst.extra.size() + src.size();
-  if (dst.extra.capacity() < needed) {
-    dst.extra.reserve(std::max(needed, dst.extra.capacity() * 2));
-  }
-  dst.extra.push_back({src.rep, src.rep_key});
-  for (GroupMember& m : src.extra) dst.extra.push_back(m);
-  src.extra.clear();
-}
-
-filter::EventGroup to_event_group(const StreamGroup& g) {
+filter::EventGroup MemberChain::to_event_group(const StreamGroup& g) const {
   filter::EventGroup out;
   out.rep = g.rep;
-  out.members.reserve(g.size());
   out.members.push_back(g.rep);
-  for (const GroupMember& m : g.extra) out.members.push_back(m.index);
+  for_each_after_rep(g, [&out](std::size_t i) { out.members.push_back(i); });
   return out;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "coral/core/feed.hpp"
@@ -31,36 +32,62 @@ class Stage {
   virtual void flush() {}
 };
 
-/// A non-representative member record of an in-flight event group. The
-/// location is carried inline — as a Location::packed() key, which is what
-/// every consumer (filter keys, partition-coverage tests) actually wants —
-/// so the matcher needs no random access into the full log. Recover a full
-/// Location with bgp::Location::from_packed.
-struct GroupMember {
-  std::size_t index = 0;  ///< index into the delivered fatal-record sequence
-  std::uint32_t loc_key = 0;
-};
-
 /// An event group flowing between filter stages: the representative record
-/// plus any absorbed re-reports. Equivalent to filter::EventGroup but
-/// self-contained (it carries the rep's time/code/location key), so a stage
-/// needs no side table of events. Singletons carry no heap allocation.
+/// plus any absorbed re-reports. Equivalent to filter::EventGroup and
+/// self-contained for the filter keys (it carries the rep's time, code and
+/// packed location), but the members are not stored in the group: they
+/// form a chain `rep -> ... -> tail` through a MemberChain. A group is
+/// therefore a fixed-size value that never owns heap memory.
 struct StreamGroup {
   std::size_t rep = 0;  ///< fatal-record index of the representative
   TimePoint rep_time;   ///< the independent event's time
   ras::ErrcodeId errcode = 0;
-  std::uint32_t rep_key = 0;       ///< Location::packed() of the rep record
-  std::vector<GroupMember> extra;  ///< members after the rep (often empty)
+  std::uint32_t rep_key = 0;  ///< Location::packed() of the rep record
+  std::size_t tail = 0;       ///< index of the last member (rep for a singleton)
 
-  std::size_t size() const { return 1 + extra.size(); }
+  /// The group of one record, before any filtering.
+  static StreamGroup single(std::size_t index, TimePoint time, ras::ErrcodeId errcode,
+                            std::uint32_t loc_key) {
+    return {index, time, errcode, loc_key, index};
+  }
 };
 
-/// Merge `src` into `dst`: src's rep and members become trailing members of
-/// dst, in arrival order — exactly filter::merge_groups on the index lists.
-void absorb(StreamGroup& dst, StreamGroup&& src);
+/// The members of every in-flight group as one singly-linked list over
+/// the fatal-record indices: `next[i]` is the record after record i in its
+/// group. A group holds only the chain's ends (rep, tail), so absorbing one
+/// group into another is an O(1) splice, in arrival order. One chain serves
+/// a whole run: the groups of a time shard touch only that shard's index
+/// range, so shards may absorb into one chain concurrently.
+class MemberChain {
+ public:
+  /// A chain over the record indices [0, records).
+  explicit MemberChain(std::size_t records) : next_(records) {}
 
-/// Convert to the whole-log representation (member indices, rep first).
-filter::EventGroup to_event_group(const StreamGroup& g);
+  std::size_t records() const { return next_.size(); }
+
+  /// Merge `src` into `dst`: src's rep and members become trailing members
+  /// of dst, in arrival order — exactly filter::merge_groups on the index
+  /// lists.
+  void absorb(StreamGroup& dst, const StreamGroup& src) {
+    next_[dst.tail] = src.rep;
+    dst.tail = src.tail;
+  }
+
+  /// Call `fn(index)` for every member of `g` after the rep, in order.
+  template <typename Fn>
+  void for_each_after_rep(const StreamGroup& g, Fn&& fn) const {
+    for (std::size_t i = g.rep; i != g.tail;) {
+      i = next_[i];
+      fn(i);
+    }
+  }
+
+  /// The whole-log representation (member indices, rep first).
+  filter::EventGroup to_event_group(const StreamGroup& g) const;
+
+ private:
+  std::vector<std::size_t> next_;
+};
 
 /// Consumer of a stream of finalized groups, emitted in representative-time
 /// order. `on_watermark(low)` promises that every future on_group() carries

@@ -79,11 +79,13 @@ TEST(AdaptiveFilter, EndToEndOnSyntheticLog) {
   EXPECT_GT(thresholds.by_code.size(), 3u);  // storms produce clear knees
   const auto adaptive = filter::adaptive_temporal_filter(
       events, filter::singleton_groups(events.size()), thresholds);
+  stream::MemberChain members(events.size());
   stream::GroupBuffer constant;
-  stream::TemporalCoalescer temporal(filter::TemporalFilterConfig{}.threshold, &constant);
+  stream::TemporalCoalescer temporal(filter::TemporalFilterConfig{}.threshold, members,
+                                     &constant);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    temporal.on_group(
-        {i, events[i].event_time, events[i].errcode, events[i].location.packed(), {}});
+    temporal.on_group(stream::StreamGroup::single(i, events[i].event_time, events[i].errcode,
+                                                  events[i].location.packed()));
   }
   temporal.flush();
   // The two temporal filters should land in the same ballpark.

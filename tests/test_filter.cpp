@@ -36,29 +36,32 @@ std::vector<RasEvent> sorted(std::vector<RasEvent> events) {
 std::vector<StreamGroup> singletons(const std::vector<RasEvent>& events) {
   std::vector<StreamGroup> out;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    out.push_back({i, events[i].event_time, events[i].errcode, events[i].location.packed(), {}});
+    out.push_back(StreamGroup::single(i, events[i].event_time, events[i].errcode,
+                                      events[i].location.packed()));
   }
   return out;
 }
 
-/// Run `groups` through one streaming stage built as Stage(args..., sink).
+/// Run the records of `events` through one streaming stage built as
+/// Stage(args..., members, sink); the output groups in whole-log form.
 template <typename Stage, typename... Args>
-std::vector<StreamGroup> run_stage(std::vector<StreamGroup> groups, Args&&... args) {
+std::vector<EventGroup> run_stage(const std::vector<RasEvent>& events, Args&&... args) {
+  stream::MemberChain members(events.size());
   stream::GroupBuffer out;
-  Stage stage(std::forward<Args>(args)..., &out);
-  for (StreamGroup& g : groups) stage.on_group(std::move(g));
+  Stage stage(std::forward<Args>(args)..., members, &out);
+  for (StreamGroup& g : singletons(events)) stage.on_group(std::move(g));
   stage.flush();
-  return std::move(out.groups);
+  std::vector<EventGroup> groups;
+  for (const StreamGroup& g : out.groups) groups.push_back(members.to_event_group(g));
+  return groups;
 }
 
-std::vector<StreamGroup> temporal(const std::vector<RasEvent>& events) {
-  return run_stage<stream::TemporalCoalescer>(singletons(events),
-                                              TemporalFilterConfig{}.threshold);
+std::vector<EventGroup> temporal(const std::vector<RasEvent>& events) {
+  return run_stage<stream::TemporalCoalescer>(events, TemporalFilterConfig{}.threshold);
 }
 
-std::vector<StreamGroup> spatial(const std::vector<RasEvent>& events) {
-  return run_stage<stream::SpatialCoalescer>(singletons(events),
-                                             SpatialFilterConfig{}.threshold);
+std::vector<EventGroup> spatial(const std::vector<RasEvent>& events) {
+  return run_stage<stream::SpatialCoalescer>(events, SpatialFilterConfig{}.threshold);
 }
 
 std::vector<CausalPair> mine(const std::vector<RasEvent>& events,
@@ -99,7 +102,7 @@ TEST(Temporal, MergesSameCodeSameLocationWithinThreshold) {
   });
   const auto groups = temporal(events);
   ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0].size(), 3u);
+  EXPECT_EQ(groups[0].members, (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_EQ(groups[0].rep, 0u);
 }
 
@@ -140,7 +143,7 @@ TEST(Spatial, MergesSameCodeAcrossLocations) {
   });
   const auto groups = spatial(events);
   ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0].size(), 3u);
+  EXPECT_EQ(groups[0].members, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(Spatial, DifferentCodesNotMerged) {
@@ -166,7 +169,7 @@ TEST(Causality, MinesFrequentPairs) {
   const auto pairs = mine(events, config);
   ASSERT_EQ(pairs.size(), 1u);
   const auto filtered = run_stage<stream::CausalityCoalescer>(
-      singletons(events), config.window, std::span<const CausalPair>(pairs));
+      events, config.window, std::span<const CausalPair>(pairs));
   EXPECT_EQ(filtered.size(), 6u);  // each pair merged into one event
 }
 
@@ -208,10 +211,10 @@ TEST(Causality, MergesIntoMostRecentPartnerFirstCodeOnTies) {
                                 make_event(ras::codes::kDdrController, ddr_t, "R01-M0"),
                                 make_event("_bgp_err_kernel_panic", 60, "R02-M0")});
     const auto groups = run_stage<stream::CausalityCoalescer>(
-        singletons(events), CausalityFilterConfig{}.window, std::span<const CausalPair>(pairs));
+        events, CausalityFilterConfig{}.window, std::span<const CausalPair>(pairs));
     EXPECT_EQ(groups.size(), 2u);
-    for (const StreamGroup& g : groups) {
-      if (!g.extra.empty()) return events[g.rep].errcode;
+    for (const EventGroup& g : groups) {
+      if (g.members.size() > 1) return events[g.rep].errcode;
     }
     return ras::ErrcodeId{-1};
   };

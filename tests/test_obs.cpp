@@ -430,9 +430,17 @@ TEST(ObsEndToEnd, CoanalysisProducesATraceAcrossLayers) {
     if (s.name == "stream.shard.phase1") ++phase1_spans;
   }
   EXPECT_EQ(phase1_spans, r.shards_used);
+  // Phase 2 walks every job termination once across the shards and
+  // delivers only those inside some group's match window.
+  const std::uint64_t walked = snap.counter_value("stream.shard.terminations_walked");
+  const std::uint64_t delivered = snap.counter_value("stream.shard.terminations_delivered");
+  EXPECT_EQ(walked, data.jobs.size());
+  EXPECT_GT(delivered, 0u);
+  EXPECT_LT(delivered, walked);
 
   const std::string trace = obs::chrome_trace_json(snap);
   EXPECT_TRUE(valid_json(trace));
+  EXPECT_NE(trace.find("\"stream.shard.terminations_delivered\""), std::string::npos);
 }
 
 

@@ -7,13 +7,17 @@
 #include <algorithm>
 #include <limits>
 
+#include "coral/common/error.hpp"
 #include "coral/core/pipeline.hpp"
+#include "coral/machine/model.hpp"
+#include "coral/obs/obs.hpp"
 #include "coral/ras/catalog.hpp"
 #include "coral/stream/coanalysis.hpp"
 #include "coral/stream/filter_stages.hpp"
 #include "coral/stream/matcher.hpp"
 #include "coral/stream/shard.hpp"
 #include "coral/synth/intrepid.hpp"
+#include "coral/synth/packs.hpp"
 #include "frontend_oracle.hpp"
 
 namespace coral {
@@ -162,6 +166,9 @@ TEST(StreamingFrontEnd, MatchesBatchFilterAndMatcherDirectly) {
 // 15 min, including windows wider than the causality window), shard count
 // (boundary handling) and pool width (merge determinism under real
 // concurrency). Every window meets causality off and every shard count.
+// Two scenario packs follow, each at 1-5 shards and pool widths 1-4: a
+// BG/P failure_storm, whose storm groups chain over a thousand members,
+// and a short BG/Q multi_year_drift, which decodes with the BG/Q codec.
 TEST(StreamingEngine, RandomizedDifferentialAgainstBatch) {
   constexpr int kCombos = 20;
   constexpr Usec kWindowsSec[] = {30, 120, 300, 900};
@@ -193,7 +200,37 @@ TEST(StreamingEngine, RandomizedDifferentialAgainstBatch) {
         core::run_coanalysis(run.ras, run.jobs, config, Context().with_pool(&pool));
 
     expect_identical(reference, streaming);
-    if (HasFatalFailure()) break;  // one combo's dump is enough
+    if (HasFatalFailure()) return;  // one combo's dump is enough
+  }
+
+  struct PackInput {
+    const machine::MachineModel* machine;
+    const char* pack;
+    int days;
+  };
+  for (const PackInput& in : {PackInput{&machine::bgp_model(), "failure_storm", 14},
+                              PackInput{&machine::bgq_model(), "multi_year_drift", 10}}) {
+    SCOPED_TRACE(in.pack);
+    synth::ScenarioConfig scenario = synth::pack_scenario(*in.machine, in.pack, 17, in.days);
+    scenario.days = in.days;  // multi_year_drift declares a two-year horizon
+    const synth::SynthResult run = synth::generate(scenario);
+    const auto reference = oracle::run_coanalysis(run.ras, run.jobs);
+    if (in.machine == &machine::bgp_model()) {
+      std::size_t longest = 0;
+      for (const filter::EventGroup& g : reference.filtered.groups) {
+        longest = std::max(longest, g.members.size());
+      }
+      EXPECT_GE(longest, 1000u);
+    }
+    for (int shards = 1; shards <= 5; ++shards) {
+      SCOPED_TRACE("shards " + std::to_string(shards));
+      core::CoAnalysisConfig config;
+      config.execution.shards = shards;
+      par::ThreadPool pool(1 + static_cast<std::size_t>(shards % 4));
+      expect_identical(reference, core::run_coanalysis(run.ras, run.jobs, config,
+                                                       Context().with_pool(&pool)));
+      if (HasFatalFailure()) return;
+    }
   }
 }
 
@@ -204,27 +241,32 @@ TEST(StreamingEngine, RandomizedDifferentialAgainstBatch) {
 TEST(StreamingFrontEnd, StageDriverReplayMatchesOracle) {
   const synth::SynthResult& d = data();
   const filter::FilterPipelineConfig filters;
+  const ras::FatalColumns& fatal = d.ras.fatal_columns();
 
+  stream::MemberChain mined_members(fatal.size());
   stream::GroupBuffer mined;
   stream::StreamingFilter::Options mine_options;
   mine_options.mine_pairs = true;
-  stream::StreamingFilter miner(mine_options, mined);
+  stream::StreamingFilter miner(mine_options, mined_members, mined);
   stream::StageDriver warmup(d.ras, d.jobs);
   warmup.attach(miner);
   warmup.replay();
   const auto pairs =
       stream::PairMiner::accept(miner.miner()->counts(), filters.causality.min_support);
 
+  stream::MemberChain members(fatal.size());
   std::vector<filter::EventGroup> groups;
   std::vector<std::vector<std::size_t>> jobs_by_group;
-  stream::StreamingMatcher matcher(120 * kUsecPerSec,
-                                   [&](stream::StreamingMatcher::GroupMatch&& m) {
-                                     groups.push_back(stream::to_event_group(m.group));
-                                     jobs_by_group.push_back(std::move(m.jobs));
-                                   });
+  stream::StreamingMatcher matcher(
+      120 * kUsecPerSec,
+      [&](stream::StreamingMatcher::GroupMatch&& m) {
+        groups.push_back(members.to_event_group(m.group));
+        jobs_by_group.push_back(std::move(m.jobs));
+      },
+      members, fatal.loc_key);
   stream::StreamingFilter::Options live_options;
   live_options.pairs = pairs;
-  stream::StreamingFilter live(live_options, matcher);
+  stream::StreamingFilter live(live_options, members, matcher);
   stream::StageDriver driver(d.ras, d.jobs);
   driver.attach(live);
   driver.attach(matcher);
@@ -253,17 +295,31 @@ TEST(StreamingFrontEnd, StageDriverReplayMatchesOracle) {
   EXPECT_LT(live.peak_buffered() + matcher.peak_buffered(), filtered.fatal_events.size() / 2);
 }
 
-// ---- hand-built logs: one FATAL record on R00-M0 and one job there ---------
+// ---- hand-built logs: FATAL records on whole midplanes, hand-placed jobs ---
 
 const TimePoint kBase = TimePoint::from_calendar(2009, 3, 1);
 
+struct Fatal {
+  const char* code;
+  double sec;
+  bgp::MidplaneId midplane;
+};
+
+ras::RasLog fatal_log(const std::vector<Fatal>& records) {
+  std::vector<ras::RasEvent> events;
+  for (const Fatal& f : records) {
+    ras::RasEvent ev;
+    ev.errcode = *ras::Catalog::instance().find(f.code);
+    ev.severity = ras::Severity::Fatal;
+    ev.event_time = kBase + static_cast<Usec>(f.sec * kUsecPerSec);
+    ev.location = bgp::Location::midplane(f.midplane);
+    events.push_back(ev);
+  }
+  return ras::RasLog(std::move(events));
+}
+
 ras::RasLog one_fatal(double t_sec) {
-  ras::RasEvent ev;
-  ev.errcode = *ras::Catalog::instance().find(ras::codes::kRasStormFatal);
-  ev.severity = ras::Severity::Fatal;
-  ev.event_time = kBase + static_cast<Usec>(t_sec * kUsecPerSec);
-  ev.location = bgp::Location::midplane(0);
-  return ras::RasLog({ev});
+  return fatal_log({{ras::codes::kRasStormFatal, t_sec, 0}});
 }
 
 joblog::JobLog one_job(double start_sec, double end_sec) {
@@ -307,6 +363,97 @@ TEST(StreamingMatcher, GroupReleasedByJobEndWatermarkStillMatches) {
   expect_one_interruption(one_fatal(100), one_job(0, 400), config);
 }
 
+// ---- window-gated terminations --------------------------------------------
+//
+// Phase 2 delivers a job termination only when a spatial group's rep lies
+// within +/-window of it. These logs pin the edges of that gate.
+
+/// One job per end time on `midplane`, each started an hour before its end
+/// (so job indices follow the end times).
+joblog::JobLog jobs_ending_at(const std::vector<TimePoint>& ends, bgp::MidplaneId midplane = 0) {
+  joblog::JobLog jobs;
+  for (std::size_t i = 0; i < ends.size(); ++i) {
+    joblog::JobRecord j;
+    j.job_id = static_cast<std::int64_t>(i + 1);
+    j.exec_id = jobs.intern_exec("/bin/app" + std::to_string(i));
+    j.user_id = jobs.intern_user("u0");
+    j.project_id = jobs.intern_project("p0");
+    j.start_time = ends[i] - 3600 * kUsecPerSec;
+    j.queue_time = j.start_time;
+    j.end_time = ends[i];
+    j.partition = bgp::Partition(midplane, 1);
+    jobs.append(j);
+  }
+  jobs.finalize();
+  return jobs;
+}
+
+constexpr double kDay = 86400;
+
+TEST(StreamingMatcher, GatedTerminationsMatchOnBothWindowEdges) {
+  // Two groups a day apart. The termination in the quiet stretch between
+  // them lies in no window and is jumped; at the second rep R the window
+  // [R - w, R + w] keeps both edges, and R + w + 1 us falls outside.
+  const Usec w = 120 * kUsecPerSec;
+  const TimePoint r = kBase + static_cast<Usec>(kDay * kUsecPerSec);
+  const ras::RasLog ras =
+      fatal_log({{ras::codes::kRasStormFatal, 0, 0}, {ras::codes::kRasStormFatal, kDay, 0}});
+  const joblog::JobLog jobs = jobs_ending_at(
+      {kBase + 60 * kUsecPerSec, kBase + static_cast<Usec>(kDay / 2 * kUsecPerSec), r - w,
+       r + w, r + w + 1});
+  core::CoAnalysisConfig config;
+  config.matching.window = w;
+  obs::Collector c;
+  const auto result = core::run_coanalysis(ras, jobs, config, Context().with_obs(&c));
+  expect_identical(oracle::run_coanalysis(ras, jobs, config), result);
+  ASSERT_EQ(result.matches.jobs_by_group.size(), 2u);
+  EXPECT_EQ(result.matches.jobs_by_group[0], std::vector<std::size_t>{0});
+  EXPECT_EQ(result.matches.jobs_by_group[1], (std::vector<std::size_t>{2, 3}));
+  const obs::Snapshot snap = c.snapshot();
+  EXPECT_EQ(snap.counter_value("stream.shard.terminations_walked"), 5u);
+  EXPECT_EQ(snap.counter_value("stream.shard.terminations_delivered"), 3u);
+}
+
+TEST(StreamingMatcher, TerminationInTwoWindowsGoesToTheFirstGroup) {
+  // Two codes 100 s apart (one co-occurrence: no causal pair), and one job
+  // ending between them, inside both 120 s windows.
+  const ras::RasLog ras =
+      fatal_log({{ras::codes::kRasStormFatal, 0, 0}, {ras::codes::kDdrController, 100, 0}});
+  const joblog::JobLog jobs = jobs_ending_at({kBase + 50 * kUsecPerSec});
+  const auto result = core::run_coanalysis(ras, jobs);
+  expect_identical(oracle::run_coanalysis(ras, jobs), result);
+  ASSERT_EQ(result.matches.jobs_by_group.size(), 2u);
+  EXPECT_EQ(result.matches.jobs_by_group[0], std::vector<std::size_t>{0});
+  EXPECT_EQ(result.matches.jobs_by_group[1], std::vector<std::size_t>{0});
+  ASSERT_EQ(result.matches.interruptions.size(), 1u);
+  EXPECT_EQ(result.matches.interruptions[0].group, 0u);
+}
+
+TEST(StreamingMatcher, CausalityFollowerMatchesThroughItsLeader) {
+  // Five storm -> DDR co-occurrences a day apart mine the pair (support 5),
+  // so each DDR follower, 100 s after its storm leader and on another
+  // midplane, is merged into the leader. The only job runs on the
+  // follower's midplane and ends 20 s before the last leader: inside the
+  // leader's 30 s window, 120 s away from the follower's own rep.
+  std::vector<Fatal> records;
+  for (int d = 0; d < 5; ++d) {
+    records.push_back({ras::codes::kRasStormFatal, d * kDay, 0});
+    records.push_back({ras::codes::kDdrController, d * kDay + 100, 2});
+  }
+  const ras::RasLog ras = fatal_log(records);
+  const TimePoint leader = kBase + static_cast<Usec>(4 * kDay * kUsecPerSec);
+  const joblog::JobLog jobs = jobs_ending_at({leader - 20 * kUsecPerSec}, /*midplane=*/2);
+  core::CoAnalysisConfig config;
+  config.matching.window = 30 * kUsecPerSec;
+  const auto result = core::run_coanalysis(ras, jobs, config);
+  expect_identical(oracle::run_coanalysis(ras, jobs, config), result);
+  ASSERT_EQ(result.filtered.causal_pairs.size(), 1u);
+  ASSERT_EQ(result.filtered.groups.size(), 5u);
+  EXPECT_EQ(result.filtered.groups[4].members, (std::vector<std::size_t>{8, 9}));
+  EXPECT_EQ(result.matches.jobs_by_group[4], std::vector<std::size_t>{0});
+  EXPECT_EQ(result.matches.group_by_job[0], 4u);
+}
+
 TEST(StreamingEngine, ShardingASingleFatalRecordRunsOneShard) {
   // Nothing to cut between fewer than two records: one shard, same answer.
   const auto ras = one_fatal(100);
@@ -321,15 +468,15 @@ TEST(StreamingMatcher, StandaloneKeepsJobEndsUntilAWatermarkArrives) {
   // group watermark must survive eviction, and a weaker (earlier) watermark
   // never undoes a stronger one.
   const joblog::JobLog jobs = one_job(0, 150);
+  const stream::MemberChain members(1);
   std::vector<std::vector<std::size_t>> matched;
-  stream::StreamingMatcher matcher(120 * kUsecPerSec,
-                                   [&](stream::StreamingMatcher::GroupMatch&& m) {
-                                     matched.push_back(std::move(m.jobs));
-                                   });
+  stream::StreamingMatcher matcher(
+      120 * kUsecPerSec,
+      [&](stream::StreamingMatcher::GroupMatch&& m) { matched.push_back(std::move(m.jobs)); },
+      members, {});
   matcher.on_job_end(jobs[0].end_time, jobs[0], 0);
-  stream::StreamGroup g;
-  g.rep_time = kBase + 200 * kUsecPerSec;
-  g.rep_key = bgp::Location::midplane(0).packed();
+  stream::StreamGroup g = stream::StreamGroup::single(0, kBase + 200 * kUsecPerSec, 0,
+                                                      bgp::Location::midplane(0).packed());
   matcher.on_watermark(g.rep_time);
   matcher.on_watermark(kBase);  // weaker promise: ignored
   matcher.on_group(std::move(g));
@@ -338,6 +485,17 @@ TEST(StreamingMatcher, StandaloneKeepsJobEndsUntilAWatermarkArrives) {
   EXPECT_EQ(matched[0], std::vector<std::size_t>{0});
   EXPECT_EQ(matcher.groups_out(), 1u);
   EXPECT_EQ(matcher.peak_buffered(), 2u);  // the job end and the pending group
+}
+
+TEST(StreamingFilter, RejectsARecordBeyondItsMemberChain) {
+  // The chain must cover every record index the filter is fed: an index
+  // past its end is refused before any stage could splice it.
+  stream::MemberChain members(2);
+  stream::GroupBuffer out;
+  stream::StreamingFilter filter({}, members, out);
+  filter.on_fatal(kBase, 0, 0, 1);
+  EXPECT_THROW(filter.on_fatal(kBase, 0, 0, 2), InvalidArgument);
+  EXPECT_EQ(filter.raw_count(), 1u);
 }
 
 TEST(ShardPlan, CutsOnlyInsideQuiesceGaps) {
