@@ -2,7 +2,7 @@
 # CI entry point: build every preset (release, asan-ubsan, tsan) and run the
 # test suite under each, then run the perf benches and gate regressions.
 # Usage: scripts/ci.sh [stage...] (default: all presets + smoke + daemon +
-# predict + bench + coverage).
+# predict + e2e + bench + coverage).
 # Stages are preset names plus:
 #   smoke    — scenario-matrix smoke: every registered machine model runs
 #              every calibrated scenario pack through the co-analysis at a
@@ -17,6 +17,10 @@
 #              truth, and fail unless precision/recall/lead-time/saved
 #              node-hours clear the floors (example_predict_eval), plus a
 #              logtool mine -> predict round trip on generated logs.
+#   e2e      — builds the end-to-end benchmark package (e2e_bench/, which
+#              compiles src/ itself and calls the characterization stage
+#              APIs directly) and runs its self-test: every workload at tiny
+#              scale with its output checks (coral_e2e --selftest).
 #   bench    — runs the perf_* suites on the release build and merges the
 #              results into BENCH_coanalysis.json at the repo root, failing
 #              on a >10% cpu_time regression versus the committed numbers.
@@ -34,6 +38,7 @@ RUN_COVERAGE=0
 RUN_SMOKE=0
 RUN_DAEMON=0
 RUN_PREDICT=0
+RUN_E2E=0
 PRESETS=()
 for stage in "$@"; do
   if [ "$stage" = bench ]; then
@@ -46,6 +51,8 @@ for stage in "$@"; do
     RUN_DAEMON=1
   elif [ "$stage" = predict ]; then
     RUN_PREDICT=1
+  elif [ "$stage" = e2e ]; then
+    RUN_E2E=1
   else
     PRESETS+=("$stage")
   fi
@@ -57,6 +64,7 @@ if [ $# -eq 0 ]; then
   RUN_SMOKE=1
   RUN_DAEMON=1
   RUN_PREDICT=1
+  RUN_E2E=1
 fi
 
 JOBS=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)
@@ -216,6 +224,14 @@ if [ "$RUN_PREDICT" -eq 1 ]; then
   "$LOGTOOL" predict "$PREDICT_OUT/rules.crul" "$PREDICT_OUT/ras.v2"
   rm -rf "$PREDICT_OUT"
   trap - EXIT
+fi
+
+if [ "$RUN_E2E" -eq 1 ]; then
+  echo "==== [e2e] build the end-to-end benchmark ===="
+  cmake -S e2e_bench -B build-e2e
+  cmake --build build-e2e -j "$JOBS"
+  echo "==== [e2e] self-test (every workload at tiny scale, outputs checked) ===="
+  ctest --test-dir build-e2e --output-on-failure
 fi
 
 if [ "$RUN_BENCH" -eq 1 ]; then

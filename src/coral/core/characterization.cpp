@@ -1,7 +1,5 @@
 #include "coral/core/characterization.hpp"
 
-#include <algorithm>
-
 namespace coral::core {
 
 CharColumns build_char_columns(const filter::FilterPipelineResult& filtered,
@@ -24,56 +22,12 @@ CharColumns build_char_columns(const filter::FilterPipelineResult& filtered,
   }, pool);
 
   c.job_group.resize(n_jobs);
-  c.job_part_first.resize(n_jobs);
-  c.job_part_end.resize(n_jobs);
-  c.job_queue.resize(n_jobs);
-  c.job_start.resize(n_jobs);
-  c.job_end.resize(n_jobs);
-  c.job_user.resize(n_jobs);
-  c.job_project.resize(n_jobs);
   par::parallel_for_chunks(n_jobs, 8192, [&](std::size_t begin, std::size_t end) {
     for (std::size_t j = begin; j < end; ++j) {
       const auto& g = matches.group_by_job[j];
       c.job_group[j] = g ? static_cast<std::int32_t>(*g) : -1;
-      const joblog::JobRecord& job = jobs[j];
-      c.job_part_first[j] = job.partition.first_midplane();
-      c.job_part_end[j] = job.partition.end_midplane();
-      c.job_queue[j] = job.queue_time;
-      c.job_start[j] = job.start_time;
-      c.job_end[j] = job.end_time;
-      c.job_user[j] = job.user_id;
-      c.job_project[j] = job.project_id;
     }
   }, pool);
-
-  // Survivors, in start order (= ascending job index).
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    if (c.job_group[j] >= 0) continue;
-    c.survivor_job.push_back(static_cast<std::uint32_t>(j));
-    c.survivor_start.push_back(c.job_start[j]);
-    c.survivor_end.push_back(c.job_end[j]);
-    c.survivor_first.push_back(c.job_part_first[j]);
-    c.survivor_last.push_back(c.job_part_end[j]);
-  }
-
-  // Chains: stable counting scatter by exec id. Exec ids are interned table
-  // indices, hence dense; tolerate a log built with sparse ids anyway.
-  std::int64_t max_exec = static_cast<std::int64_t>(jobs.exec_files().size()) - 1;
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    max_exec = std::max<std::int64_t>(max_exec, jobs[j].exec_id);
-  }
-  const auto n_exec = static_cast<std::size_t>(max_exec + 1);
-  c.chain_offset.assign(n_exec + 1, 0);
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    c.chain_offset[static_cast<std::size_t>(jobs[j].exec_id) + 1] += 1;
-  }
-  for (std::size_t e = 0; e < n_exec; ++e) c.chain_offset[e + 1] += c.chain_offset[e];
-  c.chain_job.resize(n_jobs);
-  std::vector<std::uint32_t> cursor(c.chain_offset.begin(), c.chain_offset.end() - 1);
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    c.chain_job[cursor[static_cast<std::size_t>(jobs[j].exec_id)]++] =
-        static_cast<std::uint32_t>(j);
-  }
   return c;
 }
 

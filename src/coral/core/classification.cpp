@@ -84,6 +84,7 @@ ObsBuckets bucket_interruptions(const MatchResult& matches, const joblog::JobLog
   b.part_first.resize(n);
   b.part_end.resize(n);
   b.loc.resize(n);
+  const joblog::JobColumns& jc = jobs.columns();
   std::vector<std::uint32_t> cursor(b.offset.begin(), b.offset.end() - 1);
   for (std::size_t i = 0; i < n; ++i) {
     const Interruption& in = matches.interruptions[i];
@@ -91,8 +92,8 @@ ObsBuckets bucket_interruptions(const MatchResult& matches, const joblog::JobLog
         bucket_of[static_cast<std::size_t>(code_of[i])])]++;
     b.time[at] = in.time;
     b.exec[at] = jobs[in.job].exec_id;
-    b.part_first[at] = cols.job_part_first[in.job];
-    b.part_end[at] = cols.job_part_end[in.job];
+    b.part_first[at] = jc.part_first[in.job];
+    b.part_end[at] = jc.part_end[in.job];
     b.loc[at] = cols.group_loc[in.group];
   }
   return b;
@@ -154,6 +155,7 @@ ClassificationResult classify_causes(const filter::FilterPipelineResult& filtere
   ClassificationResult result;
 
   const ObsBuckets obs = bucket_interruptions(matches, jobs, cols);
+  const joblog::JobColumns& jc = jobs.columns();
 
   // --- Rules 1–3, one independent verdict per errcode --------------------
   // The codes are independent of each other, so they fan over the pool; the
@@ -213,16 +215,14 @@ ClassificationResult classify_causes(const filter::FilterPipelineResult& filtere
           // (b) an untroubled job ran on the original partition in between
           // (it must start inside the gap; it may still be running at the
           // second interruption — Fig. 2's "job 2 has no interruption").
-          // Survivors are start-ordered, so the window is one binary search
-          // plus a contiguous scan.
+          // Jobs are start-ordered, so the window is one binary search plus
+          // a contiguous scan that skips the interrupted jobs.
           const std::size_t sb = static_cast<std::size_t>(
-              std::upper_bound(cols.survivor_start.begin(), cols.survivor_start.end(),
-                               obs.time[i]) -
-              cols.survivor_start.begin());
-          for (std::size_t s = sb;
-               s < cols.survivor_start.size() && cols.survivor_start[s] < obs.time[k]; ++s) {
-            if (cols.survivor_first[s] < obs.part_end[i] &&
-                obs.part_first[i] < cols.survivor_last[s]) {
+              std::upper_bound(jc.start.begin(), jc.start.end(), obs.time[i]) -
+              jc.start.begin());
+          for (std::size_t s = sb; s < jc.size() && jc.start[s] < obs.time[k]; ++s) {
+            if (jc.part_first[s] < obs.part_end[i] && obs.part_first[i] < jc.part_end[s] &&
+                cols.job_group[s] < 0) {
               found_for_i = true;
               break;
             }

@@ -57,8 +57,9 @@ struct ClassificationResult {
 };
 
 /// Distinguish system failures from application errors. The columnar
-/// overload runs the rules over CharColumns (per-code CSR interruption
-/// buckets, survivor binary search) with independent codes fanned over
+/// overload runs the rules over CharColumns and JobLog::columns() (per-code
+/// CSR interruption buckets, a binary search into the start-ordered jobs
+/// for rule 3(b)) with independent codes fanned over
 /// `pool`; the convenience overload gathers the columns itself. Results are
 /// identical.
 ClassificationResult classify_causes(const filter::FilterPipelineResult& filtered,

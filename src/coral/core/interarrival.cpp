@@ -25,7 +25,7 @@ InterarrivalFit fit_interarrivals(std::vector<double> samples_sec) {
   fit.samples_sec = std::move(samples_sec);
   fit.weibull = stats::Weibull::fit_mle(fit.samples_sec);
   fit.exponential = stats::Exponential::fit_mle(fit.samples_sec);
-  fit.lrt = stats::likelihood_ratio_test(fit.samples_sec);
+  fit.lrt = stats::likelihood_ratio_test(fit.samples_sec, fit.exponential, fit.weibull);
   std::vector<double> sorted = fit.samples_sec;
   std::sort(sorted.begin(), sorted.end());
   // Clamp zeros like the MLE does so KS sees the same data.

@@ -24,7 +24,8 @@ struct InterarrivalFit {
 /// times. Throws InvalidArgument when fewer than 3 points are given.
 std::vector<double> interarrival_seconds(std::span<const TimePoint> times);
 
-/// Fit both models to interarrival samples.
+/// Fit both models to interarrival samples, each once; the likelihood-ratio
+/// test scores those fits.
 InterarrivalFit fit_interarrivals(std::vector<double> samples_sec);
 
 /// Representative event times of the given groups, time-ordered.

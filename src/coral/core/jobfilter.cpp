@@ -78,7 +78,7 @@ JobFilterResult job_related_filter(const filter::FilterPipelineResult& filtered,
   // contiguous scan.
   const joblog::IntervalIndex& index = jobs.interval_index();
   const machine::LocCodec codec = jobs.machine().codec();
-  const auto survivor_between = [&](std::uint32_t loc_key, TimePoint a, TimePoint b) {
+  const auto untroubled_job_between = [&](std::uint32_t loc_key, TimePoint a, TimePoint b) {
     bgp::MidplaneId first = 0;
     int span = 1;
     if (codec.is_rack(loc_key)) {
@@ -135,7 +135,7 @@ JobFilterResult job_related_filter(const filter::FilterPipelineResult& filtered,
             // Same failed hardware, and no untroubled job ran on it in
             // between.
             if (cols.group_loc[v[i]] == cols.group_loc[v[k]] &&
-                !survivor_between(cols.group_loc[v[k]], cols.group_time[v[k]],
+                !untroubled_job_between(cols.group_loc[v[k]], cols.group_time[v[k]],
                                   cols.group_time[v[i]])) {
               is_redundant = true;
             }

@@ -38,13 +38,14 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
     timer.counts(r.filtered.groups.size(), r.identification.verdicts.size());
   }
 
-  // Shared columnar inputs of the characterization stages: gathered once,
-  // scanned by classification, job filter, propagation and vulnerability.
+  // Per-analysis columnar inputs of the characterization stages: gathered
+  // once, scanned by classification, job filter, propagation and
+  // vulnerability next to the job log's own columns.
   CharColumns cols;
   {
     StageTimer timer(sink, "char.columns");
     cols = build_char_columns(r.filtered, r.matches, jobs, pool);
-    timer.counts(jobs.size(), cols.survivor_job.size());
+    timer.counts(cols.group_count() + cols.job_count(), r.matches.interruptions.size());
   }
 
   // Step 2: separate system failures from application errors (§IV-B).

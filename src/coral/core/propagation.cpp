@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
+#include <span>
 
 namespace coral::core {
 
@@ -12,9 +12,10 @@ PropagationResult analyze_propagation(const filter::FilterPipelineResult& filter
                                       const PropagationConfig& config,
                                       par::ThreadPool* pool) {
   (void)filtered;
-  (void)jobs;
+  (void)pool;  // both passes are O(groups + interruptions); they run serially
   PropagationResult result;
   const std::size_t n_groups = cols.group_count();
+  const joblog::JobColumns& jc = jobs.columns();
 
   // --- Spatial propagation: one event, several victim jobs elsewhere ----
   // A pair of victims with non-overlapping partitions exists iff the
@@ -28,8 +29,8 @@ PropagationResult analyze_propagation(const filter::FilterPipelineResult& filter
     std::int32_t max_first = std::numeric_limits<std::int32_t>::min();
     std::int32_t min_end = std::numeric_limits<std::int32_t>::max();
     for (const std::size_t j : victims) {
-      max_first = std::max(max_first, cols.job_part_first[j]);
-      min_end = std::min(min_end, cols.job_part_end[j]);
+      max_first = std::max(max_first, jc.part_first[j]);
+      min_end = std::min(min_end, jc.part_end[j]);
     }
     if (max_first >= min_end) {
       result.propagating_groups.push_back(g);
@@ -43,33 +44,24 @@ PropagationResult analyze_propagation(const filter::FilterPipelineResult& filter
   }
 
   // --- Temporal propagation: resubmission placement ----------------------
-  // Each executable's runs are a contiguous start-ordered chain slice; a run
-  // that follows an interrupted run within the gap is its resubmission. The
-  // chains are independent and the tallies are integer sums, so the loop
-  // fans over the pool and merges per-chunk partials deterministically.
-  const std::size_t n_exec = cols.exec_count();
-  std::mutex merge;
-  par::parallel_for_chunks(n_exec, 256, [&](std::size_t lo, std::size_t hi) {
-    std::size_t after = 0, same = 0;
-    for (std::size_t e = lo; e < hi; ++e) {
-      const std::uint32_t* chain = cols.chain_job.data() + cols.chain_offset[e];
-      const std::size_t len = cols.chain_offset[e + 1] - cols.chain_offset[e];
-      for (std::size_t i = 0; i + 1 < len; ++i) {
-        const std::uint32_t prev = chain[i];
-        if (cols.job_group[prev] < 0) continue;  // prior run not interrupted
-        const std::uint32_t next = chain[i + 1];
-        if (cols.job_queue[next] - cols.job_end[prev] > config.resubmit_gap) continue;
-        after += 1;
-        if (cols.job_part_first[next] == cols.job_part_first[prev] &&
-            cols.job_part_end[next] == cols.job_part_end[prev]) {
-          same += 1;
-        }
-      }
+  // A run that follows an interrupted run of the same executable within
+  // the gap is its resubmission. Each executable's runs are a start-ordered
+  // chain of ascending job indices, so an interrupted run finds its
+  // successor by binary search in its own chain; the tallies are integer
+  // sums, independent of the order the interruptions are visited in.
+  for (const Interruption& in : matches.interruptions) {
+    const std::uint32_t prev = static_cast<std::uint32_t>(in.job);
+    const std::span<const std::uint32_t> chain =
+        jc.chain(static_cast<std::size_t>(jobs[prev].exec_id));
+    const auto it = std::lower_bound(chain.begin(), chain.end(), prev);
+    if (it + 1 >= chain.end()) continue;  // the executable's last run
+    const std::uint32_t next = *(it + 1);
+    if (jc.queue[next] - jc.end[prev] > config.resubmit_gap) continue;
+    result.resubmissions_after_interruption += 1;
+    if (jc.part_first[next] == jc.part_first[prev] && jc.part_end[next] == jc.part_end[prev]) {
+      result.resubmissions_same_partition += 1;
     }
-    const std::lock_guard<std::mutex> lock(merge);
-    result.resubmissions_after_interruption += after;
-    result.resubmissions_same_partition += same;
-  }, pool);
+  }
   return result;
 }
 

@@ -36,10 +36,12 @@ struct PropagationConfig {
   Usec resubmit_gap = 3 * kUsecPerDay;
 };
 
-/// The columnar overload drives the spatial pass from the per-job partition
+/// The columnar overload drives the spatial pass from the job-log partition
 /// ranges (a disjoint victim pair exists iff max(first) >= min(end)) and the
-/// temporal pass from the exec-chain CSR, fanned over `pool`; the
-/// convenience overload gathers the columns itself. Results are identical.
+/// temporal pass from each interrupted run's place in its exec chain
+/// (JobLog::columns()), so it costs O(groups + interruptions); `pool` is
+/// accepted for signature compatibility and unused. The convenience
+/// overload gathers the columns itself. Results are identical.
 PropagationResult analyze_propagation(const filter::FilterPipelineResult& filtered,
                                       const MatchResult& matches,
                                       const joblog::JobLog& jobs,

@@ -70,6 +70,51 @@ void fold_fit(Fnv& h, const core::InterarrivalFit& fit) {
   h.f64(fit.ks_exponential);
 }
 
+void fold_cell(Fnv& h, const core::GridCell& cell) {
+  h.pod(static_cast<std::uint64_t>(cell.interrupted));
+  h.pod(static_cast<std::uint64_t>(cell.total));
+}
+
+void fold_ints(Fnv& h, const std::vector<int>& values) {
+  h.pod(static_cast<std::uint64_t>(values.size()));
+  for (const int v : values) h.pod(v);
+}
+
+/// Every §VI-D statistic: Table VI with its margins, the Fig. 7 tallies
+/// and both key-feature rankings.
+void fold_vulnerability(Fnv& h, const core::VulnerabilityResult& v) {
+  for (const auto& row : v.grid.cells) {
+    for (const core::GridCell& cell : row) fold_cell(h, cell);
+  }
+  for (const core::GridCell& cell : v.grid.row_sums) fold_cell(h, cell);
+  for (const core::GridCell& cell : v.grid.col_sums) fold_cell(h, cell);
+  fold_cell(h, v.grid.total);
+  for (const core::ResubmissionStats& rs : v.resubmission) {
+    for (const auto& point : rs.by_k) {
+      h.pod(static_cast<std::uint64_t>(point.resubmissions));
+      h.pod(static_cast<std::uint64_t>(point.interrupted));
+    }
+    h.f64(rs.uncovered_at_k2);
+  }
+  for (const core::FeatureRanking& f : v.features) {
+    h.pod(static_cast<std::uint64_t>(f.ranked.size()));
+    for (const stats::GainScore& g : f.ranked) {
+      h.str(g.name);
+      h.f64(g.info_gain);
+      h.f64(g.split_info);
+      h.f64(g.gain_ratio);
+    }
+    fold_ints(h, f.suspicious_users);
+    fold_ints(h, f.suspicious_projects);
+    h.f64(f.suspicious_user_coverage);
+    h.f64(f.suspicious_project_coverage);
+    h.pod(static_cast<std::uint64_t>(f.unreliable_midplanes.size()));
+    for (const bgp::MidplaneId m : f.unreliable_midplanes) h.pod(m);
+  }
+  h.f64(v.app_interruptions_within_hour);
+  h.pod(static_cast<std::uint64_t>(v.app_interruptions_wide_long));
+}
+
 }  // namespace
 
 std::uint64_t result_fingerprint(const core::CoAnalysisResult& r) {
@@ -119,7 +164,7 @@ std::uint64_t result_fingerprint(const core::CoAnalysisResult& r) {
     h.pod(static_cast<std::uint64_t>(from));
     h.pod(static_cast<std::uint64_t>(to));
   }
-  // Propagation + vulnerability scalars.
+  // Propagation + vulnerability.
   for (const std::size_t g : r.propagation.propagating_groups) {
     h.pod(static_cast<std::uint64_t>(g));
   }
@@ -129,8 +174,7 @@ std::uint64_t result_fingerprint(const core::CoAnalysisResult& r) {
   h.f64(r.propagation.propagating_event_fraction);
   h.pod(static_cast<std::uint64_t>(r.propagation.resubmissions_after_interruption));
   h.pod(static_cast<std::uint64_t>(r.propagation.resubmissions_same_partition));
-  h.f64(r.vulnerability.app_interruptions_within_hour);
-  h.pod(static_cast<std::uint64_t>(r.vulnerability.app_interruptions_wide_long));
+  fold_vulnerability(h, r.vulnerability);
   // Fits and the census vectors.
   fold_fit(h, r.fatal_before_jobfilter);
   fold_fit(h, r.fatal_after_jobfilter);

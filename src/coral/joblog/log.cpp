@@ -63,7 +63,54 @@ void JobLog::finalize() {
     return a < b;
   });
   interval_ = IntervalIndex(jobs_, machine_->midplane_count());
+  build_columns();
   finalized_ = true;
+}
+
+void JobLog::build_columns() {
+  const std::size_t n = jobs_.size();
+  JobColumns& c = columns_;
+  c.part_first.resize(n);
+  c.part_end.resize(n);
+  c.queue.resize(n);
+  c.start.resize(n);
+  c.end.resize(n);
+  c.user.resize(n);
+  c.project.resize(n);
+  // Chains: a stable counting scatter by exec id over the start-ordered
+  // jobs, so every chain is a contiguous start-ordered slice. append()
+  // guarantees every exec id indexes exec_files_.
+  const std::size_t n_exec = exec_files_.size();
+  c.chain_offset.assign(n_exec + 1, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const JobRecord& job = jobs_[j];
+    c.part_first[j] = job.partition.first_midplane();
+    c.part_end[j] = job.partition.end_midplane();
+    c.queue[j] = job.queue_time;
+    c.start[j] = job.start_time;
+    c.end[j] = job.end_time;
+    c.user[j] = job.user_id;
+    c.project[j] = job.project_id;
+    c.chain_offset[static_cast<std::size_t>(job.exec_id) + 1] += 1;
+  }
+  summary_ = {};
+  summary_.total_jobs = n;
+  for (std::size_t e = 0; e < n_exec; ++e) {
+    const std::uint32_t submits = c.chain_offset[e + 1];  // count, not yet a prefix
+    if (submits > 0) summary_.distinct_jobs += 1;
+    if (submits > 1) summary_.resubmitted_jobs += 1;
+    c.chain_offset[e + 1] += c.chain_offset[e];
+  }
+  c.chain_job.resize(n);
+  std::vector<std::uint32_t> cursor(c.chain_offset.begin(), c.chain_offset.end() - 1);
+  for (std::size_t j = 0; j < n; ++j) {
+    c.chain_job[cursor[static_cast<std::size_t>(jobs_[j].exec_id)]++] =
+        static_cast<std::uint32_t>(j);
+  }
+  if (n != 0) {
+    summary_.first_submit = *std::min_element(c.queue.begin(), c.queue.end());
+    summary_.last_end = *std::max_element(c.end.begin(), c.end.end());
+  }
 }
 
 const std::vector<std::size_t>& JobLog::by_end_time() const {
@@ -74,6 +121,11 @@ const std::vector<std::size_t>& JobLog::by_end_time() const {
 const IntervalIndex& JobLog::interval_index() const {
   CORAL_EXPECTS(finalized_ || jobs_.empty());
   return interval_;
+}
+
+const JobColumns& JobLog::columns() const {
+  CORAL_EXPECTS(finalized_ || jobs_.empty());
+  return columns_;
 }
 
 template <typename Pred>
@@ -158,24 +210,10 @@ std::vector<std::size_t> JobLog::overlapping(TimePoint begin, TimePoint end) con
 }
 
 JobLogSummary JobLog::summary() const {
-  JobLogSummary s;
-  s.total_jobs = jobs_.size();
+  CORAL_EXPECTS(finalized_ || jobs_.empty());
+  JobLogSummary s = summary_;
   s.users = users_.size();
   s.projects = projects_.size();
-  std::vector<int> submits(exec_files_.size(), 0);
-  for (const auto& j : jobs_) submits[static_cast<std::size_t>(j.exec_id)] += 1;
-  for (int n : submits) {
-    if (n > 0) s.distinct_jobs += 1;
-    if (n > 1) s.resubmitted_jobs += 1;
-  }
-  if (!jobs_.empty()) {
-    s.first_submit = jobs_.front().queue_time;
-    s.last_end = jobs_.front().end_time;
-    for (const auto& j : jobs_) {
-      if (j.queue_time < s.first_submit) s.first_submit = j.queue_time;
-      if (j.end_time > s.last_end) s.last_end = j.end_time;
-    }
-  }
   return s;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,6 +22,34 @@ struct JobLogSummary {
   std::size_t projects = 0;
   TimePoint first_submit;
   TimePoint last_end;
+};
+
+/// Structure-of-arrays view of the jobs, built once by JobLog::finalize()
+/// (as ras::FatalColumns is by RasLog::finalize()). Row j describes job j
+/// of the finalized log, so every column is in start order. The
+/// characterization stages read the fields they need from these columns
+/// instead of striding through whole JobRecords.
+struct JobColumns {
+  /// Partition footprint as a half-open midplane range [first, end).
+  std::vector<std::int32_t> part_first;
+  std::vector<std::int32_t> part_end;
+  std::vector<TimePoint> queue;  ///< queue_time
+  std::vector<TimePoint> start;  ///< start_time (ascending)
+  std::vector<TimePoint> end;    ///< end_time
+  std::vector<UserId> user;
+  std::vector<ProjectId> project;
+
+  /// Resubmission chains: the jobs of each execution file, as a CSR over
+  /// ExecIds. Exec e owns chain_job[chain_offset[e] .. chain_offset[e+1]),
+  /// in ascending job index (= start) order.
+  std::vector<std::uint32_t> chain_offset;
+  std::vector<std::uint32_t> chain_job;
+
+  std::size_t size() const { return start.size(); }
+  /// The jobs of exec `e`, in start order.
+  std::span<const std::uint32_t> chain(std::size_t e) const {
+    return {chain_job.data() + chain_offset[e], chain_offset[e + 1] - chain_offset[e]};
+  }
 };
 
 /// An in-memory job log: records sorted by start time, plus the string
@@ -76,6 +105,12 @@ class JobLog {
   /// The matching hot loop slices it instead of scanning every in-window job.
   const IntervalIndex& interval_index() const;
 
+  /// Columnar view of the jobs and their resubmission chains, maintained by
+  /// finalize().
+  const JobColumns& columns() const;
+
+  /// Table I counts. Computed by finalize(); the user and project counts
+  /// are the current string-table sizes.
   JobLogSummary summary() const;
 
   /// CSV with the Table III column set:
@@ -97,6 +132,8 @@ class JobLog {
  private:
   template <typename Pred>
   std::vector<std::size_t> running_matching(TimePoint t, Pred pred) const;
+  /// Fill columns_ and summary_ from the sorted jobs_ (part of finalize()).
+  void build_columns();
 
   const machine::MachineModel* machine_ = &machine::bgp_model();
   std::vector<JobRecord> jobs_;
@@ -109,6 +146,8 @@ class JobLog {
   std::vector<TimePoint> max_end_prefix_;  ///< running max of end_time by start order
   std::vector<std::size_t> by_end_;        ///< indices sorted by (end_time, index)
   IntervalIndex interval_;                 ///< per-midplane buckets over jobs_
+  JobColumns columns_;                     ///< SoA view of jobs_
+  JobLogSummary summary_;                  ///< job-derived summary fields
   bool finalized_ = false;
 };
 

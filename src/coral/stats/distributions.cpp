@@ -110,8 +110,14 @@ double Weibull::hazard(double x) const {
 Weibull Weibull::fit_mle(std::span<const double> samples) {
   const auto xs = positive_copy(samples);
   const auto n = static_cast<double>(xs.size());
+  // log(x) does not depend on the shape, so it is taken once per sample
+  // here rather than once per sample in every evaluation of g below.
+  std::vector<double> log_xs(xs.size());
   double sum_log = 0;
-  for (double x : xs) sum_log += std::log(x);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    log_xs[i] = std::log(xs[i]);
+    sum_log += log_xs[i];
+  }
   const double mean_log = sum_log / n;
 
   // Profile-likelihood equation in the shape k:
@@ -119,10 +125,10 @@ Weibull Weibull::fit_mle(std::span<const double> samples) {
   // g is increasing in k; bracket then refine with safeguarded Newton.
   const auto g = [&](double k) {
     double swx = 0, sw = 0;
-    for (double x : xs) {
-      const double w = std::pow(x, k);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const double w = std::pow(xs[i], k);
       sw += w;
-      swx += w * std::log(x);
+      swx += w * log_xs[i];
     }
     return swx / sw - 1.0 / k - mean_log;
   };
@@ -165,12 +171,12 @@ double Weibull::log_likelihood(std::span<const double> samples) const {
   return ll;
 }
 
-LrtResult likelihood_ratio_test(std::span<const double> samples, double alpha) {
+LrtResult likelihood_ratio_test(std::span<const double> samples,
+                                const Exponential& exponential, const Weibull& weibull,
+                                double alpha) {
   LrtResult r;
-  const Exponential e = Exponential::fit_mle(samples);
-  const Weibull w = Weibull::fit_mle(samples);
-  r.ll_exponential = e.log_likelihood(samples);
-  r.ll_weibull = w.log_likelihood(samples);
+  r.ll_exponential = exponential.log_likelihood(samples);
+  r.ll_weibull = weibull.log_likelihood(samples);
   r.statistic = std::max(0.0, 2.0 * (r.ll_weibull - r.ll_exponential));
   r.p_value = chi2_sf(r.statistic, 1.0);
   r.weibull_preferred = r.p_value < alpha;

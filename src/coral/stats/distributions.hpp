@@ -77,7 +77,12 @@ struct LrtResult {
   bool weibull_preferred = false;
 };
 
-LrtResult likelihood_ratio_test(std::span<const double> samples, double alpha = 0.05);
+/// Test the maximum-likelihood fits of both models to `samples` (as
+/// returned by Exponential::fit_mle and Weibull::fit_mle on the same
+/// samples; the test does not refit them).
+LrtResult likelihood_ratio_test(std::span<const double> samples,
+                                const Exponential& exponential, const Weibull& weibull,
+                                double alpha = 0.05);
 
 /// Kolmogorov–Smirnov distance between the sample ECDF and a fitted CDF.
 template <typename Dist>

@@ -1,9 +1,7 @@
 #include "coral/stats/infogain.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <map>
 
 #include "coral/common/error.hpp"
 
@@ -22,63 +20,31 @@ double entropy(std::span<const std::size_t> counts) {
   return h;
 }
 
-GainScore gain_ratio(const FeatureColumn& feature, std::span<const std::uint8_t> labels) {
-  CORAL_EXPECTS(feature.values.size() == labels.size());
-  CORAL_EXPECTS(!labels.empty());
+GainScore gain_ratio(const FeatureTable& feature) {
   GainScore score;
   score.name = feature.name;
 
-  const auto n = labels.size();
-  std::size_t pos = 0;
-  for (std::uint8_t l : labels) pos += l ? 1 : 0;
+  std::size_t n = 0, pos = 0;
+  for (const ClassCounts& c : feature.counts) {
+    n += c[0] + c[1];
+    pos += c[1];
+  }
+  CORAL_EXPECTS(n != 0);
   const std::size_t class_counts[2] = {n - pos, pos};
   const double h_class = entropy(class_counts);
 
-  // Per-feature-value class counts. Feature values are tiny enumerations
-  // (bucket/row/flag indices), so a flat array indexed by value replaces the
-  // per-instance ordered-map lookup; iterating it ascending accumulates
-  // h_cond in exactly the map's key order, keeping the doubles bit-identical.
-  // Values outside [0, 256) (or negative) fall back to the map.
+  // H(class|feature) accumulates over the non-empty values in ascending
+  // value order, the order a scan of per-instance values into an ordered
+  // map would visit them.
   double h_cond = 0;
   std::vector<std::size_t> value_counts;
-  constexpr int kFlatLimit = 256;
-  bool flat = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    const int v = feature.values[i];
-    if (v < 0 || v >= kFlatLimit) {
-      flat = false;
-      break;
-    }
-  }
-  if (flat) {
-    std::array<std::array<std::size_t, 2>, kFlatLimit> counts{};
-    int max_v = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const int v = feature.values[i];
-      counts[static_cast<std::size_t>(v)][labels[i] ? 1 : 0] += 1;
-      max_v = std::max(max_v, v);
-    }
-    for (int v = 0; v <= max_v; ++v) {
-      const auto& c = counts[static_cast<std::size_t>(v)];
-      const std::size_t group_n = c[0] + c[1];
-      if (group_n == 0) continue;
-      value_counts.push_back(group_n);
-      const double w = static_cast<double>(group_n) / static_cast<double>(n);
-      h_cond += w * entropy(c);
-    }
-  } else {
-    std::map<int, std::array<std::size_t, 2>> groups;
-    for (std::size_t i = 0; i < n; ++i) {
-      groups[feature.values[i]][labels[i] ? 1 : 0] += 1;
-    }
-    value_counts.reserve(groups.size());
-    for (const auto& [value, counts] : groups) {
-      (void)value;
-      const std::size_t group_n = counts[0] + counts[1];
-      value_counts.push_back(group_n);
-      const double w = static_cast<double>(group_n) / static_cast<double>(n);
-      h_cond += w * entropy(counts);
-    }
+  value_counts.reserve(feature.counts.size());
+  for (const ClassCounts& c : feature.counts) {
+    const std::size_t group_n = c[0] + c[1];
+    if (group_n == 0) continue;
+    value_counts.push_back(group_n);
+    const double w = static_cast<double>(group_n) / static_cast<double>(n);
+    h_cond += w * entropy(c);
   }
 
   score.info_gain = h_class - h_cond;
@@ -87,11 +53,10 @@ GainScore gain_ratio(const FeatureColumn& feature, std::span<const std::uint8_t>
   return score;
 }
 
-std::vector<GainScore> rank_features(std::span<const FeatureColumn> features,
-                                     std::span<const std::uint8_t> labels) {
+std::vector<GainScore> rank_features(std::span<const FeatureTable> features) {
   std::vector<GainScore> out;
   out.reserve(features.size());
-  for (const auto& f : features) out.push_back(gain_ratio(f, labels));
+  for (const auto& f : features) out.push_back(gain_ratio(f));
   std::stable_sort(out.begin(), out.end(),
                    [](const GainScore& a, const GainScore& b) {
                      return a.gain_ratio > b.gain_ratio;

@@ -2,12 +2,16 @@
 //
 // The four stages downstream of matching (classification, job-related
 // filtering, propagation, vulnerability) were rewritten on flat columnar
-// inputs (CharColumns). This file freezes the original map/set reference
-// implementations verbatim and pins the rewrite against them: every
-// statistic in the result structs must match EXPECT_DOUBLE_EQ /
-// EXPECT_EQ-exactly — not approximately — across seeds, on the output of
-// the streaming front end and of the frozen front-end oracle
-// (frontend_oracle.hpp), and on the threaded path. (The paper-number
+// inputs (CharColumns, JobLog::columns()), and the vulnerability stage
+// again on contingency counts. This file freezes the original map/set
+// reference implementations verbatim — including the column-scan
+// information-gain kernel the vulnerability reference ranks features
+// with, so the reference shares no kernel with the library — and pins the
+// rewrite against them: every statistic in the result structs must match
+// exactly (the vulnerability doubles bit for bit), across seeds, machines
+// and scenario packs, on the output of the streaming front end and of the
+// frozen front-end oracle (frontend_oracle.hpp), and on the threaded
+// path. (The paper-number
 // goldens in test_paper_golden.cpp and test_core_analysis.cpp run through
 // the same public entry points, so they exercise the columnar path too;
 // this suite is the byte-identity proof that makes those goldens
@@ -19,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <optional>
 #include <set>
@@ -32,6 +37,7 @@
 #include "coral/synth/intrepid.hpp"
 #include "coral/synth/packs.hpp"
 #include "frontend_oracle.hpp"
+#include "frozen_infogain.hpp"
 
 namespace {
 
@@ -53,9 +59,8 @@ int ref_runtime_bucket(double seconds) {
 }
 
 // The historical BG/P-only ladder. Throws off-ladder, which is the bug the
-// production size_row no longer has; the differential scenarios are all
-// BG/P, so the reference never hits the throw.
-int ref_size_row(int midplanes) {
+// production size_row no longer has; the BG/P scenarios never hit the throw.
+int ref_bgp_size_row(int midplanes) {
   switch (midplanes) {
     case 1: return 0;
     case 2: return 1;
@@ -68,6 +73,19 @@ int ref_size_row(int midplanes) {
     case 80: return 8;
     default: throw InvalidArgument("not a Table VI job size: " + std::to_string(midplanes));
   }
+}
+
+// Other machines use the ladder rule that replaced the BG/P switch (the
+// index of the first legal size >= midplanes, capped at the grid's last
+// row), frozen here as written at that change.
+int ref_size_row(int midplanes, const machine::MachineModel& machine) {
+  if (&machine == &machine::bgp_model()) return ref_bgp_size_row(midplanes);
+  const std::vector<int>& ladder = machine.legal_partition_sizes();
+  if (ladder.empty()) return 0;
+  const std::size_t row = static_cast<std::size_t>(
+      std::lower_bound(ladder.begin(), ladder.end(), midplanes) - ladder.begin());
+  const std::size_t rows = std::min<std::size_t>(ladder.size(), 9);
+  return static_cast<int>(std::min(row, rows - 1));
 }
 
 struct Obs {
@@ -402,7 +420,7 @@ VulnerabilityResult ref_vulnerability(const filter::FilterPipelineResult& filter
 
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (category[j] == Category::ApplicationError) continue;
-    const int row = ref_size_row(jobs[j].size_midplanes());
+    const int row = ref_size_row(jobs[j].size_midplanes(), jobs.machine());
     const int col = ref_runtime_bucket(static_cast<double>(jobs[j].runtime()) /
                                        static_cast<double>(kUsecPerSec));
     const bool interrupted = category[j] == Category::SystemFailure;
@@ -483,14 +501,14 @@ VulnerabilityResult ref_vulnerability(const filter::FilterPipelineResult& filter
     std::set<int> susp_projects(ranking.suspicious_projects.begin(),
                                 ranking.suspicious_projects.end());
 
-    stats::FeatureColumn f_user{"user", {}}, f_project{"project", {}},
+    frozen::FeatureColumn f_user{"user", {}}, f_project{"project", {}},
         f_size{"size", {}}, f_runtime{"execution time", {}}, f_location{"location", {}};
     std::vector<std::uint8_t> labels;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       const joblog::JobRecord& job = jobs[j];
       f_user.values.push_back(susp_users.count(job.user_id) ? 1 : 0);
       f_project.values.push_back(susp_projects.count(job.project_id) ? 1 : 0);
-      f_size.values.push_back(ref_size_row(job.size_midplanes()));
+      f_size.values.push_back(ref_size_row(job.size_midplanes(), jobs.machine()));
       f_runtime.values.push_back(ref_runtime_bucket(
           static_cast<double>(job.runtime()) / static_cast<double>(kUsecPerSec)));
       bool on_unreliable = false;
@@ -503,9 +521,9 @@ VulnerabilityResult ref_vulnerability(const filter::FilterPipelineResult& filter
       f_location.values.push_back(on_unreliable ? 1 : 0);
       labels.push_back(category[j] == cat ? 1 : 0);
     }
-    const std::vector<stats::FeatureColumn> features = {f_user, f_project, f_size,
-                                                        f_runtime, f_location};
-    ranking.ranked = stats::rank_features(features, labels);
+    const std::vector<frozen::FeatureColumn> features = {f_user, f_project, f_size,
+                                                         f_runtime, f_location};
+    ranking.ranked = frozen::rank_features(features, labels);
   }
   return result;
 }
@@ -544,6 +562,8 @@ void expect_propagation_eq(const core::PropagationResult& want,
   EXPECT_DOUBLE_EQ(want.same_partition_fraction(), got.same_partition_fraction());
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 void expect_vulnerability_eq(const core::VulnerabilityResult& want,
                              const core::VulnerabilityResult& got) {
   for (std::size_t cat = 0; cat < 2; ++cat) {
@@ -554,12 +574,12 @@ void expect_vulnerability_eq(const core::VulnerabilityResult& want,
       EXPECT_EQ(want.resubmission[cat].by_k[k].interrupted,
                 got.resubmission[cat].by_k[k].interrupted)
           << "cat " << cat << " k " << k;
-      EXPECT_DOUBLE_EQ(want.resubmission[cat].by_k[k].probability(),
-                       got.resubmission[cat].by_k[k].probability())
+      EXPECT_EQ(bits(want.resubmission[cat].by_k[k].probability()),
+                bits(got.resubmission[cat].by_k[k].probability()))
           << "cat " << cat << " k " << k;
     }
-    EXPECT_DOUBLE_EQ(want.resubmission[cat].uncovered_at_k2,
-                     got.resubmission[cat].uncovered_at_k2);
+    EXPECT_EQ(bits(want.resubmission[cat].uncovered_at_k2),
+              bits(got.resubmission[cat].uncovered_at_k2));
   }
 
   for (std::size_t r = 0; r < 9; ++r) {
@@ -568,8 +588,8 @@ void expect_vulnerability_eq(const core::VulnerabilityResult& want,
           << "cell " << r << "," << c;
       EXPECT_EQ(want.grid.cells[r][c].total, got.grid.cells[r][c].total)
           << "cell " << r << "," << c;
-      EXPECT_DOUBLE_EQ(want.grid.cells[r][c].proportion(),
-                       got.grid.cells[r][c].proportion())
+      EXPECT_EQ(bits(want.grid.cells[r][c].proportion()),
+                bits(got.grid.cells[r][c].proportion()))
           << "cell " << r << "," << c;
     }
     EXPECT_EQ(want.grid.row_sums[r].interrupted, got.grid.row_sums[r].interrupted);
@@ -581,9 +601,10 @@ void expect_vulnerability_eq(const core::VulnerabilityResult& want,
   }
   EXPECT_EQ(want.grid.total.interrupted, got.grid.total.interrupted);
   EXPECT_EQ(want.grid.total.total, got.grid.total.total);
-  EXPECT_DOUBLE_EQ(want.grid.total.proportion(), got.grid.total.proportion());
+  EXPECT_EQ(bits(want.grid.total.proportion()), bits(got.grid.total.proportion()));
 
-  EXPECT_DOUBLE_EQ(want.app_interruptions_within_hour, got.app_interruptions_within_hour);
+  EXPECT_EQ(bits(want.app_interruptions_within_hour),
+            bits(got.app_interruptions_within_hour));
   EXPECT_EQ(want.app_interruptions_wide_long, got.app_interruptions_wide_long);
 
   for (std::size_t cat = 0; cat < 2; ++cat) {
@@ -592,16 +613,16 @@ void expect_vulnerability_eq(const core::VulnerabilityResult& want,
     EXPECT_EQ(w.unreliable_midplanes, g.unreliable_midplanes) << "cat " << cat;
     EXPECT_EQ(w.suspicious_users, g.suspicious_users) << "cat " << cat;
     EXPECT_EQ(w.suspicious_projects, g.suspicious_projects) << "cat " << cat;
-    EXPECT_DOUBLE_EQ(w.suspicious_user_coverage, g.suspicious_user_coverage);
-    EXPECT_DOUBLE_EQ(w.suspicious_project_coverage, g.suspicious_project_coverage);
+    EXPECT_EQ(bits(w.suspicious_user_coverage), bits(g.suspicious_user_coverage));
+    EXPECT_EQ(bits(w.suspicious_project_coverage), bits(g.suspicious_project_coverage));
     ASSERT_EQ(w.ranked.size(), g.ranked.size());
     for (std::size_t i = 0; i < w.ranked.size(); ++i) {
       EXPECT_EQ(w.ranked[i].name, g.ranked[i].name) << "cat " << cat << " rank " << i;
-      EXPECT_DOUBLE_EQ(w.ranked[i].info_gain, g.ranked[i].info_gain)
+      EXPECT_EQ(bits(w.ranked[i].info_gain), bits(g.ranked[i].info_gain))
           << "cat " << cat << " feature " << w.ranked[i].name;
-      EXPECT_DOUBLE_EQ(w.ranked[i].split_info, g.ranked[i].split_info)
+      EXPECT_EQ(bits(w.ranked[i].split_info), bits(g.ranked[i].split_info))
           << "cat " << cat << " feature " << w.ranked[i].name;
-      EXPECT_DOUBLE_EQ(w.ranked[i].gain_ratio, g.ranked[i].gain_ratio)
+      EXPECT_EQ(bits(w.ranked[i].gain_ratio), bits(g.ranked[i].gain_ratio))
           << "cat " << cat << " feature " << w.ranked[i].name;
     }
   }
@@ -635,9 +656,7 @@ core::CoAnalysisResult run_batch(std::uint64_t seed) {
 
 // Run every frozen reference stage on the front end's own filter/match
 // output and require exact agreement with the columnar results it shipped.
-void expect_matches_reference(std::uint64_t seed, const core::CoAnalysisResult& r) {
-  const joblog::JobLog& jobs = scenario(seed).jobs;
-
+void expect_matches_reference(const joblog::JobLog& jobs, const core::CoAnalysisResult& r) {
   const core::ClassificationResult cls =
       refimpl::ref_classify(r.filtered, r.matches, r.identification, jobs);
   expect_classification_eq(cls, r.classification);
@@ -650,10 +669,88 @@ void expect_matches_reference(std::uint64_t seed, const core::CoAnalysisResult& 
                           r.vulnerability);
 }
 
+void expect_matches_reference(std::uint64_t seed, const core::CoAnalysisResult& r) {
+  expect_matches_reference(scenario(seed).jobs, r);
+}
+
 TEST(CharacterizationDifferential, StreamingEngineAcrossSeeds) {
   for (const std::uint64_t seed : {3ull, 17ull, 29ull}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     expect_matches_reference(seed, run_streaming(seed));
+  }
+
+  // A short BG/Q pack: a different size ladder (64- and 96-midplane jobs
+  // land on other Table VI rows than on BG/P) and rack-level groups.
+  {
+    SCOPED_TRACE("bgq failure_storm");
+    const synth::SynthResult data =
+        synth::generate(synth::pack_scenario(machine::bgq_model(), "failure_storm", 5, 10));
+    const core::CoAnalysisResult r = core::run_coanalysis(data.ras, data.jobs);
+    bool off_bgp_row = false;
+    for (const joblog::JobRecord& job : data.jobs) {
+      const int size = job.size_midplanes();
+      if (core::size_row(size, machine::bgq_model()) != core::size_row(size)) {
+        off_bgp_row = true;
+      }
+    }
+    EXPECT_TRUE(off_bgp_row);
+    bool rack_group = false;
+    for (const filter::EventGroup& g : r.filtered.groups) {
+      if (r.filtered.fatal_events[g.rep].location.kind() == bgp::LocationKind::Rack) {
+        rack_group = true;
+      }
+    }
+    EXPECT_TRUE(rack_group);
+    expect_matches_reference(data.jobs, r);
+  }
+
+  // A BG/P failure storm: long resubmission chains with consecutive
+  // interruptions, the Fig. 7 k = 2 and k = 3 tallies.
+  {
+    SCOPED_TRACE("bgp failure_storm");
+    const synth::SynthResult data =
+        synth::generate(synth::pack_scenario(machine::bgp_model(), "failure_storm", 9, 14));
+    const core::CoAnalysisResult r = core::run_coanalysis(data.ras, data.jobs);
+    const core::ResubmissionStats& sys = r.vulnerability.resubmission[0];
+    EXPECT_GT(sys.by_k[1].resubmissions + sys.by_k[2].resubmissions, 0u);
+    expect_matches_reference(data.jobs, r);
+  }
+
+  // A log with no interruptions: the hardware never failed fatally, so
+  // every category is empty (cat_total = 0) and every label is negative.
+  {
+    SCOPED_TRACE("no interruptions");
+    const synth::SynthResult& data = scenario(17);
+    std::vector<ras::RasEvent> nonfatal;
+    for (const ras::RasEvent& ev : data.ras) {
+      if (!ev.is_fatal()) nonfatal.push_back(ev);
+    }
+    const ras::RasLog quiet(std::move(nonfatal), data.ras.catalog(), data.ras.machine());
+    const core::CoAnalysisResult r = core::run_coanalysis(quiet, data.jobs);
+    EXPECT_EQ(r.interruption_count(), 0u);
+    expect_matches_reference(data.jobs, r);
+  }
+
+  // Every interrupting code classified as an application error: Table VI
+  // loses every interrupted job, and the category-2 ranking carries all
+  // the positives.
+  {
+    SCOPED_TRACE("all interruptions application errors");
+    const synth::SynthResult& data = scenario(17);
+    const core::CoAnalysisResult r = run_streaming(17);
+    ASSERT_GT(r.interruption_count(), 0u);
+    core::ClassificationResult all_app = r.classification;
+    for (const core::Interruption& in : r.matches.interruptions) {
+      const ras::ErrcodeId code =
+          r.filtered.fatal_events[r.filtered.groups[in.group].rep].errcode;
+      all_app.by_code[code] = {core::Cause::ApplicationError,
+                               core::CauseRule::FollowsResubmission, 0};
+    }
+    const core::VulnerabilityResult got =
+        core::analyze_vulnerability(r.filtered, r.matches, all_app, data.jobs);
+    EXPECT_EQ(got.grid.total.interrupted, 0u);
+    expect_vulnerability_eq(
+        refimpl::ref_vulnerability(r.filtered, r.matches, all_app, data.jobs), got);
   }
 }
 
@@ -712,6 +809,42 @@ TEST(BgqVulnerability, OffBgpLadderJobSizeCompletesEndToEnd) {
                 result.vulnerability.grid.row_sums[6].total +
                 result.vulnerability.grid.row_sums[7].total +
                 result.vulnerability.grid.row_sums[8].total);
+}
+
+// ---------------------------------------------------------------------------
+// unreliable_midplane_count out of range. A count past the machine used to
+// pad the list with midplane 0 (100 on BG/P listed it 21 times), and a
+// negative count converted to a huge size.
+
+TEST(VulnerabilityConfig, UnreliableMidplaneCountCapsAtMachineSize) {
+  const core::CoAnalysisResult r = run_streaming(17);
+  const joblog::JobLog& jobs = scenario(17).jobs;
+  const auto n_midplanes = static_cast<std::size_t>(jobs.machine().midplane_count());
+  core::VulnerabilityConfig all, beyond;
+  all.unreliable_midplane_count = static_cast<int>(n_midplanes);
+  beyond.unreliable_midplane_count = 100;
+  const core::VulnerabilityResult want =
+      core::analyze_vulnerability(r.filtered, r.matches, r.classification, jobs, all);
+  const core::VulnerabilityResult got =
+      core::analyze_vulnerability(r.filtered, r.matches, r.classification, jobs, beyond);
+  for (const core::FeatureRanking& f : got.features) {
+    ASSERT_EQ(f.unreliable_midplanes.size(), n_midplanes);
+    std::vector<bgp::MidplaneId> sorted = f.unreliable_midplanes;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t m = 0; m < n_midplanes; ++m) {
+      EXPECT_EQ(sorted[m], static_cast<bgp::MidplaneId>(m));  // each midplane once
+    }
+  }
+  expect_vulnerability_eq(want, got);
+}
+
+TEST(VulnerabilityConfig, NegativeUnreliableMidplaneCountThrows) {
+  const core::CoAnalysisResult r = run_streaming(17);
+  core::VulnerabilityConfig config;
+  config.unreliable_midplane_count = -1;
+  EXPECT_THROW(core::analyze_vulnerability(r.filtered, r.matches, r.classification,
+                                           scenario(17).jobs, config),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "corrupt.hpp"
@@ -159,6 +161,62 @@ TEST(FleetWire, RejectsBadTenantNames) {
 
 // ---------------------------------------------------------------------------
 // Daemon end-to-end: tenants, parity, liveness.
+
+// Every §VI-D statistic reaches the result fingerprint, so the session and
+// fleet parity suites and the e2e output checks see a wrong Table VI cell,
+// Fig. 7 tally or feature ranking.
+TEST(FleetFingerprint, FoldsEveryVulnerabilityStatistic) {
+  core::CoAnalysisResult base;
+  for (core::FeatureRanking& f : base.vulnerability.features) {
+    f.ranked = {{"size", 0.25, 0.5, 0.5}};
+    f.suspicious_users = {3};
+    f.suspicious_projects = {1};
+    f.unreliable_midplanes = {7};
+  }
+  const std::uint64_t fp = fleet::result_fingerprint(base);
+  using Mutator = void (*)(core::VulnerabilityResult&);
+  const std::vector<std::pair<const char*, Mutator>> mutators = {
+      {"cell total", [](core::VulnerabilityResult& v) { v.grid.cells[8][3].total += 1; }},
+      {"cell interrupted",
+       [](core::VulnerabilityResult& v) { v.grid.cells[0][0].interrupted += 1; }},
+      {"row sum", [](core::VulnerabilityResult& v) { v.grid.row_sums[4].total += 1; }},
+      {"column sum", [](core::VulnerabilityResult& v) { v.grid.col_sums[2].interrupted += 1; }},
+      {"grid total", [](core::VulnerabilityResult& v) { v.grid.total.total += 1; }},
+      {"resubmissions",
+       [](core::VulnerabilityResult& v) { v.resubmission[1].by_k[2].resubmissions += 1; }},
+      {"reinterrupted",
+       [](core::VulnerabilityResult& v) { v.resubmission[0].by_k[0].interrupted += 1; }},
+      {"uncovered", [](core::VulnerabilityResult& v) { v.resubmission[1].uncovered_at_k2 = 0.5; }},
+      {"ranked name", [](core::VulnerabilityResult& v) { v.features[1].ranked[0].name = "user"; }},
+      {"info gain",
+       [](core::VulnerabilityResult& v) {
+         v.features[0].ranked[0].info_gain = std::nextafter(0.25, 1.0);
+       }},
+      {"split info",
+       [](core::VulnerabilityResult& v) {
+         v.features[1].ranked[0].split_info = std::nextafter(0.5, 1.0);
+       }},
+      {"gain ratio",
+       [](core::VulnerabilityResult& v) {
+         v.features[0].ranked[0].gain_ratio = std::nextafter(0.5, 0.0);
+       }},
+      {"suspicious user",
+       [](core::VulnerabilityResult& v) { v.features[0].suspicious_users[0] = 4; }},
+      {"suspicious project",
+       [](core::VulnerabilityResult& v) { v.features[1].suspicious_projects.push_back(2); }},
+      {"user coverage",
+       [](core::VulnerabilityResult& v) { v.features[1].suspicious_user_coverage = 0.1; }},
+      {"project coverage",
+       [](core::VulnerabilityResult& v) { v.features[0].suspicious_project_coverage = 0.1; }},
+      {"unreliable midplane",
+       [](core::VulnerabilityResult& v) { v.features[0].unreliable_midplanes[0] = 8; }},
+  };
+  for (const auto& [name, mutate] : mutators) {
+    core::CoAnalysisResult r = base;
+    mutate(r.vulnerability);
+    EXPECT_NE(fleet::result_fingerprint(r), fp) << name;
+  }
+}
 
 TEST(FleetDaemon, TwoConcurrentTenantsOnDifferentMachinesReachParity) {
   DaemonFixture fx;

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <span>
+#include <vector>
 
 #include "coral/common/error.hpp"
 #include "coral/common/rng.hpp"
@@ -11,9 +16,92 @@
 #include "coral/stats/histogram.hpp"
 #include "coral/stats/infogain.hpp"
 #include "coral/stats/special.hpp"
+#include "frozen_infogain.hpp"
 
 namespace coral::stats {
 namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// ---------------------------------------------------------------------------
+// Frozen kernels: the refitting likelihood-ratio test and the Weibull Newton
+// loop as they were before the fit-once interarrival path (the column-scan
+// gain ratio is in frozen_infogain.hpp). Copied verbatim (only renamed); the
+// tests below pin the library to them bit for bit. Do not "improve" these.
+namespace frozen_fits {
+
+constexpr double kTinySample = 1e-9;
+
+std::vector<double> positive_copy(std::span<const double> samples) {
+  CORAL_EXPECTS(!samples.empty());
+  std::vector<double> xs(samples.begin(), samples.end());
+  for (double& x : xs) {
+    CORAL_EXPECTS(x >= 0);
+    if (x < kTinySample) x = kTinySample;
+  }
+  return xs;
+}
+
+Weibull weibull_fit_mle(std::span<const double> samples) {
+  const auto xs = positive_copy(samples);
+  const auto n = static_cast<double>(xs.size());
+  double sum_log = 0;
+  for (double x : xs) sum_log += std::log(x);
+  const double mean_log = sum_log / n;
+
+  const auto g = [&](double k) {
+    double swx = 0, sw = 0;
+    for (double x : xs) {
+      const double w = std::pow(x, k);
+      sw += w;
+      swx += w * std::log(x);
+    }
+    return swx / sw - 1.0 / k - mean_log;
+  };
+
+  double lo = 1e-3, hi = 1.0;
+  while (g(hi) < 0 && hi < 1e3) hi *= 2;
+  while (g(lo) > 0 && lo > 1e-6) lo /= 2;
+
+  double k = std::clamp(1.0, lo, hi);
+  for (int iter = 0; iter < 200; ++iter) {
+    const double gk = g(k);
+    if (std::fabs(gk) < 1e-12) break;
+    if (gk > 0) {
+      hi = k;
+    } else {
+      lo = k;
+    }
+    const double h = std::max(1e-8, 1e-6 * k);
+    const double dg = (g(k + h) - gk) / h;
+    double next = dg > 0 ? k - gk / dg : 0;
+    if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);
+    if (std::fabs(next - k) < 1e-12 * k) {
+      k = next;
+      break;
+    }
+    k = next;
+  }
+
+  double swk = 0;
+  for (double x : xs) swk += std::pow(x, k);
+  const double scale = std::pow(swk / n, 1.0 / k);
+  return Weibull(k, scale);
+}
+
+LrtResult likelihood_ratio_test(std::span<const double> samples, double alpha = 0.05) {
+  LrtResult r;
+  const Exponential e = Exponential::fit_mle(samples);
+  const Weibull w = weibull_fit_mle(samples);
+  r.ll_exponential = e.log_likelihood(samples);
+  r.ll_weibull = w.log_likelihood(samples);
+  r.statistic = std::max(0.0, 2.0 * (r.ll_weibull - r.ll_exponential));
+  r.p_value = chi2_sf(r.statistic, 1.0);
+  r.weibull_preferred = r.p_value < alpha;
+  return r;
+}
+
+}  // namespace frozen_fits
 
 TEST(Special, GammaPQComplement) {
   for (double a : {0.5, 1.0, 2.5, 10.0}) {
@@ -127,7 +215,8 @@ TEST(Lrt, PrefersWeibullForWeibullData) {
   Rng rng(11);
   std::vector<double> xs(5000);
   for (double& x : xs) x = rng.weibull(0.4, 8000.0);
-  const LrtResult r = likelihood_ratio_test(xs);
+  const LrtResult r =
+      likelihood_ratio_test(xs, Exponential::fit_mle(xs), Weibull::fit_mle(xs));
   EXPECT_TRUE(r.weibull_preferred);
   EXPECT_GT(r.ll_weibull, r.ll_exponential);
   EXPECT_LT(r.p_value, 1e-6);
@@ -137,9 +226,46 @@ TEST(Lrt, DoesNotPreferWeibullForExponentialData) {
   Rng rng(12);
   std::vector<double> xs(5000);
   for (double& x : xs) x = rng.exponential(500.0);
-  const LrtResult r = likelihood_ratio_test(xs);
+  const LrtResult r =
+      likelihood_ratio_test(xs, Exponential::fit_mle(xs), Weibull::fit_mle(xs));
   // Under the null the statistic is chi2(1); p should not be tiny.
   EXPECT_GT(r.p_value, 1e-4);
+}
+
+// Three sample sets for the bit-exact fit pins: Weibull interarrivals at a
+// Table V shape, exponential ones, and a set with exact zeros (two records
+// on one timestamp) that exercises the 1e-9 clamp.
+std::vector<std::vector<double>> pinned_sample_sets() {
+  Rng rng(31);
+  std::vector<double> weibull(4000), exponential(2500), with_zeros(1500);
+  for (double& x : weibull) x = rng.weibull(0.35, 23075.0);
+  for (double& x : exponential) x = rng.exponential(600.0);
+  for (std::size_t i = 0; i < with_zeros.size(); ++i) {
+    with_zeros[i] = i % 7 == 0 ? 0.0 : rng.weibull(0.57, 68465.9);
+  }
+  return {weibull, exponential, with_zeros};
+}
+
+TEST(Lrt, ModelTakingTestMatchesFrozenRefittingTestBitForBit) {
+  for (const std::vector<double>& xs : pinned_sample_sets()) {
+    const LrtResult want = frozen_fits::likelihood_ratio_test(xs);
+    const LrtResult got =
+        likelihood_ratio_test(xs, Exponential::fit_mle(xs), Weibull::fit_mle(xs));
+    EXPECT_EQ(bits(want.ll_exponential), bits(got.ll_exponential));
+    EXPECT_EQ(bits(want.ll_weibull), bits(got.ll_weibull));
+    EXPECT_EQ(bits(want.statistic), bits(got.statistic));
+    EXPECT_EQ(bits(want.p_value), bits(got.p_value));
+    EXPECT_EQ(want.weibull_preferred, got.weibull_preferred);
+  }
+}
+
+TEST(WeibullMle, MatchesFrozenNewtonLoopBitForBit) {
+  for (const std::vector<double>& xs : pinned_sample_sets()) {
+    const Weibull want = frozen_fits::weibull_fit_mle(xs);
+    const Weibull got = Weibull::fit_mle(xs);
+    EXPECT_EQ(bits(want.shape()), bits(got.shape()));
+    EXPECT_EQ(bits(want.scale()), bits(got.scale()));
+  }
 }
 
 TEST(Ks, SmallerForTrueModel) {
@@ -203,30 +329,73 @@ TEST(Pearson, EventTimeCorrelation) {
 }
 
 TEST(InfoGain, PerfectPredictorGetsFullGain) {
-  FeatureColumn f{"perfect", {0, 0, 1, 1}};
-  const std::vector<std::uint8_t> labels = {0, 0, 1, 1};
-  const GainScore s = gain_ratio(f, labels);
+  // Values {0, 0, 1, 1} against labels {0, 0, 1, 1}.
+  const FeatureTable f{"perfect", {{2, 0}, {0, 2}}};
+  const GainScore s = gain_ratio(f);
   EXPECT_NEAR(s.info_gain, 1.0, 1e-12);  // H(class)=1 bit, fully explained
   EXPECT_NEAR(s.gain_ratio, 1.0, 1e-12);
 }
 
 TEST(InfoGain, UselessPredictorGetsZero) {
-  FeatureColumn f{"useless", {0, 1, 0, 1}};
-  const std::vector<std::uint8_t> labels = {0, 0, 1, 1};
-  const GainScore s = gain_ratio(f, labels);
+  // Values {0, 1, 0, 1} against labels {0, 0, 1, 1}.
+  const FeatureTable f{"useless", {{1, 1}, {1, 1}}};
+  const GainScore s = gain_ratio(f);
   EXPECT_NEAR(s.info_gain, 0.0, 1e-12);
 }
 
 TEST(InfoGain, RankOrdersByGainRatio) {
-  const std::vector<FeatureColumn> features = {
-      {"useless", {0, 1, 0, 1}},
-      {"perfect", {0, 0, 1, 1}},
-      {"partial", {0, 0, 0, 1}},
+  // Labels {0, 0, 1, 1}; the partial feature's values are {0, 0, 0, 1}.
+  const std::vector<FeatureTable> features = {
+      {"useless", {{1, 1}, {1, 1}}},
+      {"perfect", {{2, 0}, {0, 2}}},
+      {"partial", {{2, 1}, {0, 1}}},
   };
-  const std::vector<std::uint8_t> labels = {0, 0, 1, 1};
-  const auto ranked = rank_features(features, labels);
+  const auto ranked = rank_features(features);
   EXPECT_EQ(ranked[0].name, "perfect");
   EXPECT_EQ(ranked.back().name, "useless");
+}
+
+TEST(InfoGain, RejectsAnEmptyTable) {
+  EXPECT_THROW(gain_ratio(FeatureTable{"empty", {}}), InvalidArgument);
+  EXPECT_THROW(gain_ratio(FeatureTable{"zeros", {{0, 0}, {0, 0}}}), InvalidArgument);
+}
+
+// The table kernel against the frozen column scan, bit for bit: the
+// table is built the way a caller counts a column (one row per distinct
+// value, ascending), and every score must carry the same bits. Value
+// ranges cover the old flat-array path ([0, 256)) and its std::map
+// fallback (negative values, values >= 256).
+TEST(InfoGain, TableKernelMatchesFrozenColumnScanBitForBit) {
+  Rng rng(2011);
+  struct Range {
+    int lo, hi;
+  };
+  for (const Range range : {Range{0, 1}, Range{0, 8}, Range{0, 255}, Range{-40, 40},
+                            Range{200, 700}, Range{-1000, 1000}}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::size_t n = 1 + rng.uniform_index(3000);
+      const double pos_rate = rng.uniform();
+      frozen::FeatureColumn column{"f", {}};
+      std::vector<std::uint8_t> labels;
+      std::map<int, ClassCounts> by_value;
+      for (std::size_t i = 0; i < n; ++i) {
+        const int v = static_cast<int>(rng.uniform_int(range.lo, range.hi));
+        const std::uint8_t label = rng.bernoulli(pos_rate) ? 1 : 0;
+        column.values.push_back(v);
+        labels.push_back(label);
+        by_value[v][label] += 1;
+      }
+      FeatureTable table{"f", {}};
+      for (const auto& [value, counts] : by_value) table.counts.push_back(counts);
+      const GainScore want = frozen::gain_ratio(column, labels);
+      const GainScore got = gain_ratio(table);
+      SCOPED_TRACE(testing::Message() << "values [" << range.lo << ", " << range.hi
+                                      << "], trial " << trial << ", n " << n);
+      EXPECT_EQ(bits(want.info_gain), bits(got.info_gain));
+      EXPECT_EQ(bits(want.split_info), bits(got.split_info));
+      EXPECT_EQ(bits(want.gain_ratio), bits(got.gain_ratio));
+    }
+  }
 }
 
 TEST(Entropy, KnownValues) {
