@@ -96,8 +96,10 @@ class Location {
   friend bool operator==(const Location& a, const Location& b) = default;
 
  private:
-  LocationKind kind_ = LocationKind::Rack;
+  // rack_ leads so the five fields pack into 6 bytes with no padding,
+  // which keeps ras::RasEvent at 32 bytes.
   std::int16_t rack_ = 0;      ///< [0, 40)
+  LocationKind kind_ = LocationKind::Rack;
   std::int8_t midplane_ = -1;  ///< within rack, [0, 2); -1 when rack-level
   std::int8_t card_ = -1;      ///< node-card or link-card slot
   std::int8_t sub_ = -1;       ///< compute-card J-slot or I/O-node slot

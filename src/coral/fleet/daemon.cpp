@@ -105,25 +105,24 @@ class Daemon::Impl {
   void start() {
     if (running_.exchange(true)) return;
     if (config_.pool_threads > 0) pool_.emplace(config_.pool_threads);
+    // Each accept loop gets its listen fd when its thread is created and
+    // never reads the fields, which stop() resets only after joining it.
     wire_fd_ = listen_on(config_.bind, config_.wire_port);
     wire_port_ = bound_port(wire_fd_);
     if (config_.metrics_port >= 0) {
       metrics_fd_ = listen_on(config_.bind, config_.metrics_port);
       metrics_port_ = bound_port(metrics_fd_);
-      metrics_thread_ = std::thread([this] { serve_metrics(); });
+      metrics_thread_ = std::thread([this, fd = metrics_fd_] { serve_metrics(fd); });
     }
-    wire_thread_ = std::thread([this] { serve_wire(); });
+    wire_thread_ = std::thread([this, fd = wire_fd_] { serve_wire(fd); });
   }
 
   void stop() {
     if (!running_.exchange(false)) return;
-    // Wake the accept loops, then every in-flight connection's recv.
-    for (int* fd : {&wire_fd_, &metrics_fd_}) {
-      if (*fd >= 0) {
-        ::shutdown(*fd, SHUT_RDWR);
-        ::close(*fd);
-        *fd = -1;
-      }
+    // Wake the accept loops (shutdown, not close: the fds stay valid until
+    // the loops have exited), then every in-flight connection's recv.
+    for (const int fd : {wire_fd_, metrics_fd_}) {
+      if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
     }
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
@@ -131,6 +130,10 @@ class Daemon::Impl {
     }
     if (wire_thread_.joinable()) wire_thread_.join();
     if (metrics_thread_.joinable()) metrics_thread_.join();
+    for (int* fd : {&wire_fd_, &metrics_fd_}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
+    }
     for (std::thread& t : conn_threads_) {
       if (t.joinable()) t.join();
     }
@@ -370,8 +373,7 @@ class Daemon::Impl {
     conn_fds_.erase(fd);
   }
 
-  void serve_wire() {
-    const int listen_fd = wire_fd_;
+  void serve_wire(int listen_fd) {
     while (running_.load(std::memory_order_relaxed)) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) {
@@ -387,8 +389,7 @@ class Daemon::Impl {
   /// Minimal scrape endpoint: every request gets the full exposition (the
   /// path is not inspected — a daemon serves exactly one document). Serial
   /// accept loop; scrapes are rare and the document is small.
-  void serve_metrics() {
-    const int listen_fd = metrics_fd_;
+  void serve_metrics(int listen_fd) {
     while (running_.load(std::memory_order_relaxed)) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) {

@@ -181,14 +181,14 @@ JobLog read_binary(std::istream& in, const ReadOptions& opts) {
       opts.machine != nullptr ? *opts.machine : machine::bgp_model();
   StageTimer timer(opts.sink, "ingest.job_binary");
 
-  char header[8];
+  char header[8] = {};
   in.read(header, sizeof header);
+  std::uint32_t version = 0;
+  std::memcpy(&version, header + sizeof kJobMagic, sizeof version);
   if (opts.mode == ParseMode::Strict) {
     if (!in || std::memcmp(header, kJobMagic, sizeof kJobMagic) != 0) {
       throw ParseError("not a binary job log (bad magic)");
     }
-    std::uint32_t version = 0;
-    std::memcpy(&version, header + sizeof kJobMagic, sizeof version);
     if (version != kJobVersion && version != kJobVersion3) {
       throw ParseError("unsupported binary job log version " + std::to_string(version));
     }
@@ -206,6 +206,19 @@ JobLog read_binary(std::istream& in, const ReadOptions& opts) {
   bin::BlockReader blocks(in, opts.mode, &frames, "binary job log");
   JobStreamDecoder decoder(opts.mode, machine);
   if (filter_store) decoder.set_filter(&*filter_store);
+  // Pre-size from the declared total, capped by what the rest of a seekable
+  // stream could physically hold, so a corrupt count cannot force a huge
+  // allocation: v2 records are a fixed 56 bytes, v3 column blocks spend at
+  // least one byte on each of a record's ten fields before compression.
+  if (const auto pos = in.tellg(); pos != std::istream::pos_type(-1)) {
+    in.seekg(0, std::ios::end);
+    const auto end = in.tellg();
+    in.seekg(pos);
+    if (end != std::istream::pos_type(-1) && end > pos) {
+      const std::size_t floor = version == kJobVersion ? sizeof(PackedJob) : 10;
+      decoder.set_reserve_cap(static_cast<std::uint64_t>(end - pos) / floor);
+    }
+  }
   std::string payload;
   while (blocks.next(payload)) {
     decoder.on_payload(payload, blocks.block_offset() + bin::kBlockHeaderBytes);

@@ -1,5 +1,6 @@
 #include "coral/joblog/binary_stream.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "coral/common/error.hpp"
@@ -301,7 +302,10 @@ void JobStreamDecoder::on_payload(std::string_view payload,
     const char tag = cur.get<char>();
     if (tag == kJobHeaderTag) {
       const auto n = cur.get<std::uint64_t>();
-      if (!total_) total_ = n;
+      if (!total_) {
+        total_ = n;
+        log_.reserve(static_cast<std::size_t>(std::min(n, reserve_cap_)));
+      }
       return;
     }
     if (tag == kJobExecTag || tag == kJobUserTag || tag == kJobProjectTag) {

@@ -84,6 +84,12 @@ class JobStreamDecoder {
   /// payloads; strict mode throws.
   void on_payload(std::string_view payload, std::uint64_t payload_offset);
 
+  /// Bound the job pre-reservation taken from the header's declared total,
+  /// as ras::RasStreamDecoder::set_reserve_cap bounds its own: file readers
+  /// set what the input could physically hold, streaming callers keep the
+  /// conservative default and let the log grow.
+  void set_reserve_cap(std::uint64_t cap) { reserve_cap_ = cap; }
+
   /// Records successfully decoded so far (live gauge for mid-run snapshots).
   std::uint64_t records_decoded() const { return log_.size(); }
   /// Records attempted (decoded or individually rejected) so far.
@@ -123,6 +129,7 @@ class JobStreamDecoder {
   bool interned_ = false;
   IngestReport record_rep_;  ///< per-record rejections, folded into finish()'s rep
   std::uint64_t attempted_ = 0;
+  std::uint64_t reserve_cap_ = std::uint64_t{1} << 16;
   bin::BlockCounters blocks_;
   std::string scratch_;  ///< decompression buffer, reused across blocks
 };

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <istream>
-#include <numeric>
 #include <ostream>
+#include <utility>
 
 #include "coral/common/csv.hpp"
 #include "coral/common/error.hpp"
@@ -45,23 +45,28 @@ void JobLog::append(JobRecord job) {
 }
 
 void JobLog::finalize() {
-  std::stable_sort(jobs_.begin(), jobs_.end(), [](const JobRecord& a, const JobRecord& b) {
+  const auto by_start = [](const JobRecord& a, const JobRecord& b) {
     return a.start_time < b.start_time;
-  });
+  };
+  // A decoded log arrives in start order (the writers write the finalized
+  // order), and a stable sort of a sorted range is the identity, so only
+  // out-of-order appends pay for it — the rule RasLog::finalize() follows.
+  if (!std::is_sorted(jobs_.begin(), jobs_.end(), by_start)) {
+    std::stable_sort(jobs_.begin(), jobs_.end(), by_start);
+  }
   max_end_prefix_.resize(jobs_.size());
   TimePoint running_max;
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     if (i == 0 || jobs_[i].end_time > running_max) running_max = jobs_[i].end_time;
     max_end_prefix_[i] = running_max;
   }
+  // Sort contiguous (end, index) keys: comparing them reads 16 bytes, where
+  // an index sort would chase two whole JobRecords per comparison.
+  std::vector<std::pair<std::int64_t, std::size_t>> keys(jobs_.size());
+  for (std::size_t i = 0; i < jobs_.size(); ++i) keys[i] = {jobs_[i].end_time.usec(), i};
+  std::sort(keys.begin(), keys.end());
   by_end_.resize(jobs_.size());
-  std::iota(by_end_.begin(), by_end_.end(), std::size_t{0});
-  std::sort(by_end_.begin(), by_end_.end(), [this](std::size_t a, std::size_t b) {
-    if (jobs_[a].end_time != jobs_[b].end_time) {
-      return jobs_[a].end_time < jobs_[b].end_time;
-    }
-    return a < b;
-  });
+  for (std::size_t i = 0; i < keys.size(); ++i) by_end_[i] = keys[i].second;
   interval_ = IntervalIndex(jobs_, machine_->midplane_count());
   build_columns();
   finalized_ = true;

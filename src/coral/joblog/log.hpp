@@ -71,6 +71,8 @@ class JobLog {
   ProjectId intern_project(const std::string& name);
 
   void append(JobRecord job);
+  /// Pre-size for `n` appends (a decoder that knows the declared total).
+  void reserve(std::size_t n) { jobs_.reserve(n); }
 
   /// Sort by start time; must be called before queries.
   void finalize();

@@ -32,6 +32,13 @@ Predictor::Predictor(const RuleTable& table, const machine::MachineModel& machin
     build_csr(table.rules, /*by_target=*/false, by_precursor_offset_, by_precursor_rule_);
     build_csr(table.rules, /*by_target=*/true, by_target_offset_, by_target_rule_);
   }
+  for (const Rule& r : table.rules) {
+    for (const ras::ErrcodeId code : {r.precursor, r.target}) {
+      const auto c = static_cast<std::size_t>(code);
+      if (c >= named_.size()) named_.resize(c + 1, 0);
+      named_[c] = 1;
+    }
+  }
 }
 
 bool Predictor::zone_covers(std::int32_t zone, std::uint32_t loc_key) const {
@@ -65,8 +72,7 @@ void Predictor::fire(std::uint32_t rule_index, std::int32_t zone, TimePoint t) {
   CORAL_OBS_COUNT(obs_, "predict.issued", 1);
 }
 
-void Predictor::on_record(const ras::RasEvent& event) {
-  if (table_->rules.empty()) return;
+void Predictor::on_named_record(const ras::RasEvent& event) {
   const auto code = static_cast<std::size_t>(event.errcode);
   const TimePoint t = event.event_time;
   const std::uint32_t key = event.location.packed();

@@ -49,7 +49,11 @@ class Predictor {
   Predictor(const RuleTable& table, const machine::MachineModel& machine,
             obs::Collector* collector = nullptr);
 
-  void on_record(const ras::RasEvent& event);
+  /// Inline so a replay pays no call for the records no rule names.
+  void on_record(const ras::RasEvent& event) {
+    const auto code = static_cast<std::size_t>(event.errcode);
+    if (code < named_.size() && named_[code] != 0) on_named_record(event);
+  }
 
   /// Every prediction issued so far, in issue order.
   const std::vector<Prediction>& predictions() const { return predictions_; }
@@ -68,6 +72,7 @@ class Predictor {
     bool hit = false;
   };
 
+  void on_named_record(const ras::RasEvent& event);
   bool zone_covers(std::int32_t zone, std::uint32_t loc_key) const;
   void fire(std::uint32_t rule_index, std::int32_t zone, TimePoint t);
 
@@ -75,6 +80,10 @@ class Predictor {
   const machine::MachineModel* machine_;
   obs::Collector* obs_;
 
+  /// Per code, 1 when some rule names it as precursor or target. Most
+  /// records carry neither, and such a record can neither fire nor score a
+  /// prediction, so on_record skips it on this one load.
+  std::vector<std::uint8_t> named_;
   /// CSR: rules bucketed by precursor / target code.
   std::vector<std::uint32_t> by_precursor_offset_, by_precursor_rule_;
   std::vector<std::uint32_t> by_target_offset_, by_target_rule_;

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <limits>
 #include <istream>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -78,63 +77,176 @@ RasLog read_region_sequential(std::string_view region, const Catalog& catalog,
   return log;
 }
 
+/// A block the pooled reader decodes, and its slot of the output array:
+/// records [begin, begin + room) of the pre-sized event vector. The room is
+/// the block's declared count, read before its CRC is checked and capped at
+/// kRasRecordsPerBlock, so a damaged count cannot inflate the allocation; a
+/// CRC-valid block that declares more is a non-canonical shape. The worker
+/// records how many records landed; the rest of the slot is a hole.
+struct BlockSlot {
+  const bin::FrameRef* frame = nullptr;
+  std::size_t begin = 0;
+  std::uint32_t room = 0;
+  std::uint32_t written = 0;
+};
+
+/// The record count a payload with record tag `tag` ('R' or 'C') declares
+/// right after the tag byte; 0 for any other payload.
+std::uint32_t declared_count(const char* payload, std::uint32_t size, char tag) {
+  std::uint32_t n = 0;
+  if (size >= 1 + sizeof n && payload[0] == tag) std::memcpy(&n, payload + 1, sizeof n);
+  return n;
+}
+
+/// Give each block its slot, in block order; returns the summed rooms.
+std::size_t assign_slots(std::vector<BlockSlot>& slots, const char* base, char tag) {
+  std::size_t total = 0;
+  for (BlockSlot& s : slots) {
+    const char* payload = base + s.frame->offset + bin::kBlockHeaderBytes;
+    s.begin = total;
+    s.room = static_cast<std::uint32_t>(std::min<std::size_t>(
+        declared_count(payload, s.frame->size, tag), kRasRecordsPerBlock));
+    total += s.room;
+  }
+  return total;
+}
+
 struct ChunkOut {
-  std::vector<RasEvent> events;
   IngestReport rep;
   std::uint64_t attempted = 0;
+  std::size_t written = 0;  ///< records the chunk's blocks left in their slots
   bin::BlockCounters blocks;
-  FatalColumns fatal;      ///< v3: fatal gather from emit; log_index is chunk-local
+  FatalColumns fatal;      ///< v3: fatal gather from emit, log_index in slot positions
   bool sorted = true;      ///< v3: chunk-local time order held at emit
   bool damaged = false;    ///< lenient CRC failure: whole read falls back
+  bool reshaped = false;   ///< a block declared more records than its slot
   std::string error;       ///< strict: first error in block order
   bool has_error = false;
 };
 
-/// Merge per-chunk results in chunk (== input) order into the caller's
-/// report and the output event vector.
-std::uint64_t merge_chunks(std::vector<ChunkOut>& outs, std::vector<RasEvent>& events,
-                           IngestReport& rep, bin::BlockCounters& blocks) {
-  std::uint64_t attempted = 0;
-  if (outs.size() == 1) {
-    events = std::move(outs[0].events);
-    rep.merge(outs[0].rep);
-    blocks.merge(outs[0].blocks);
-    return outs[0].attempted;
-  }
-  std::size_t total = 0;
-  for (const ChunkOut& out : outs) total += out.events.size();
-  events.reserve(total);
-  for (ChunkOut& out : outs) {
-    // Chunks assign RECIDs from their local emit position; rebase onto the
-    // global sequence so the TrustedRecids finalize sees 1..N.
-    const auto base = static_cast<std::int64_t>(events.size());
-    events.insert(events.end(), std::make_move_iterator(out.events.begin()),
-                  std::make_move_iterator(out.events.end()));
-    if (base != 0) {
-      for (std::size_t i = events.size() - out.events.size(); i < events.size(); ++i) {
-        events[i].recid += base;
-      }
-    }
-    rep.merge(out.rep);  // chunk order == offset order: samples stay sorted
-    blocks.merge(out.blocks);
-    attempted += out.attempted;
-  }
-  return attempted;
-}
-
 std::size_t chunk_count(std::size_t nblocks, par::ThreadPool& pool) {
-  // 4 chunks per thread for load balance; a single-thread pool gets one
-  // chunk so the merge is a plain move.
+  // 4 chunks per thread for load balance; a single-thread pool gets one.
   return pool.thread_count() <= 1
              ? 1
              : std::max<std::size_t>(1, std::min(nblocks, pool.thread_count() * 4));
 }
 
+/// Decode the slotted blocks across the pool: `decode_block(slot, out,
+/// scratch)` decodes one block into its slot and returns false to stop the
+/// chunk (after recording why in `out`). Chunks cover contiguous, ascending
+/// block ranges.
+template <typename DecodeBlock>
+std::vector<ChunkOut> decode_chunks(std::vector<BlockSlot>& slots, par::ThreadPool& pool,
+                                    const DecodeBlock& decode_block) {
+  const std::size_t nblocks = slots.size();
+  const std::size_t chunks = chunk_count(nblocks, pool);
+  std::vector<ChunkOut> outs(chunks);
+  par::parallel_for_chunks(
+      chunks, 1,
+      [&](std::size_t cb, std::size_t ce) {
+        RasV3Scratch scratch;
+        for (std::size_t c = cb; c < ce; ++c) {
+          ChunkOut& out = outs[c];
+          for (std::size_t b = c * nblocks / chunks; b < (c + 1) * nblocks / chunks; ++b) {
+            if (!decode_block(slots[b], out, scratch)) break;
+            out.written += slots[b].written;
+          }
+          // The scratch is shared across this worker's chunks; snapshot its
+          // emit bookkeeping into the chunk and reset for the next one.
+          out.fatal = std::move(scratch.fatal);
+          scratch.fatal = FatalColumns{};
+          out.sorted = scratch.sorted;
+          scratch.sorted = true;
+          scratch.last_time = std::numeric_limits<std::int64_t>::min();
+        }
+      },
+      &pool);
+  return outs;
+}
+
+/// Whether the pooled result stands. The earliest chunk that stopped
+/// decides, since each stopped at its first event in block order: a strict
+/// error there is the sequential reader's first error, and an oversized
+/// block or (lenient) CRC damage defers the whole read to the sequential
+/// reader, the authority on both.
+bool chunks_committed(const std::vector<ChunkOut>& outs) {
+  for (const ChunkOut& out : outs) {
+    if (out.reshaped || out.damaged) return false;
+    if (out.has_error) throw ParseError(out.error);
+  }
+  return true;
+}
+
+/// Verify one block's CRC before its payload is parsed. On a mismatch the
+/// chunk stops: strict mode records the sequential reader's error, lenient
+/// mode marks the read for the fallback.
+bool crc_ok(const bin::FrameRef& fr, const char* payload, ParseMode mode, ChunkOut& out) {
+  if (bin::crc32(payload, fr.size) == fr.crc) return true;
+  if (mode == ParseMode::Strict) {
+    out.has_error = true;
+    out.error =
+        "binary RAS log: block CRC mismatch at byte offset " + std::to_string(fr.offset);
+  } else {
+    out.damaged = true;
+  }
+  return false;
+}
+
+/// Fold the committed chunks' reports in block order and apply the
+/// declared-total check (strict) or the lost-record top-up (lenient).
+void merge_accounting(const std::vector<ChunkOut>& outs, std::uint64_t attempted,
+                      std::uint64_t total_records, ParseMode mode, IngestReport& rep,
+                      bin::BlockCounters& blocks) {
+  for (const ChunkOut& out : outs) {
+    rep.merge(out.rep);  // chunk order == offset order: samples stay sorted
+    blocks.merge(out.blocks);
+    attempted += out.attempted;
+  }
+  if (mode == ParseMode::Strict) {
+    if (attempted != total_records) {
+      throw ParseError("binary RAS log record count mismatch: expected " +
+                       std::to_string(total_records) + ", got " + std::to_string(attempted));
+    }
+  } else if (total_records > attempted) {
+    rep.add_malformed_bulk(IngestReason::BinaryFrame, total_records - attempted);
+  }
+}
+
+/// Close the holes that rejected and exact-filtered records left in their
+/// slots: every record behind a hole moves down, and gets the RECID of its
+/// new position and (through `fatal`, whose log_index values are slot
+/// positions in ascending order) its new fatal log_index. An intact,
+/// unfiltered read fills every slot and moves nothing.
+void close_holes(std::vector<RasEvent>& events, const std::vector<BlockSlot>& slots,
+                 std::size_t written, FatalColumns* fatal) {
+  if (written == events.size()) return;
+  std::size_t dst = 0;
+  std::size_t fi = 0;
+  for (const BlockSlot& s : slots) {
+    const std::size_t shift = s.begin - dst;
+    if (shift != 0) {
+      for (std::size_t k = 0; k < s.written; ++k) {
+        RasEvent& ev = events[dst + k];
+        ev = events[s.begin + k];
+        ev.recid = static_cast<std::int64_t>(dst + k + 1);
+      }
+    }
+    if (fatal != nullptr) {
+      for (; fi < fatal->size() && fatal->log_index[fi] < s.begin + s.written; ++fi) {
+        fatal->log_index[fi] -= shift;
+      }
+    }
+    dst += s.written;
+  }
+  events.resize(dst);
+}
+
 // The v2 fast path: the dictionary lives in block 0, every other block is
-// decoded independently across contiguous block ranges. Any framing anomaly
-// defers to the sequential reader, which is the authority on recovery; the
-// caller's report is only touched on a committed parallel result, so the
-// fallback starts clean.
+// decoded independently across contiguous block ranges, straight into its
+// slot of the log's event array. Any framing anomaly defers to the
+// sequential reader, which is the authority on recovery; the caller's
+// report is only touched on a committed parallel result, so the fallback
+// starts clean.
 template <typename FallBack>
 RasLog read_region_parallel_v2(std::string_view region,
                                const std::vector<bin::FrameRef>& frames,
@@ -169,100 +281,68 @@ RasLog read_region_parallel_v2(std::string_view region,
     }
   }
 
-  const std::size_t nblocks = frames.size() - 1;
-  const std::size_t chunks = chunk_count(nblocks, pool);
-  std::vector<ChunkOut> outs(chunks);
+  // Only 'R' blocks hold records; every other block gets an empty slot.
+  std::vector<BlockSlot> slots(frames.size() - 1);
+  for (std::size_t f = 1; f < frames.size(); ++f) slots[f - 1].frame = &frames[f];
+  std::vector<RasEvent> events(assign_slots(slots, base, kRasRecordTag));
 
-  par::parallel_for_chunks(
-      chunks, 1,
-      [&](std::size_t cb, std::size_t ce) {
-        for (std::size_t c = cb; c < ce; ++c) {
-          ChunkOut& out = outs[c];
-          const std::size_t fb = 1 + c * nblocks / chunks;
-          const std::size_t fe = 1 + (c + 1) * nblocks / chunks;
-          out.events.reserve((fe - fb) * kRasRecordsPerBlock);
-          for (std::size_t f = fb; f < fe; ++f) {
-            const bin::FrameRef& fr = frames[f];
-            const char* payload = base + fr.offset + bin::kBlockHeaderBytes;
-            if (bin::crc32(payload, fr.size) != fr.crc) {
-              if (mode == ParseMode::Strict) {
-                out.has_error = true;
-                out.error = "binary RAS log: block CRC mismatch at byte offset " +
-                            std::to_string(fr.offset);
-              } else {
-                out.damaged = true;
-              }
-              break;
-            }
-            bin::PayloadCursor cur(std::string_view(payload, fr.size),
-                                   fr.offset + bin::kBlockHeaderBytes, "binary RAS log");
-            try {
-              const char tag = cur.get<char>();
-              if (tag == kRasDictTag) {
-                parse_ras_dictionary(cur, catalog, mode);  // redundant copy
-                continue;
-              }
-              if (tag != kRasRecordTag) {
-                if (mode == ParseMode::Strict) {
-                  throw ParseError("unknown block tag in binary RAS log at byte offset " +
-                                   std::to_string(fr.offset));
-                }
-                continue;
-              }
-              ++out.blocks.total;
-              decode_ras_records(cur, &dict, mode, machine, out.rep, out.events,
-                                 out.attempted, filter);
-              ++out.blocks.decoded;
-            } catch (const Error& e) {
-              if (mode == ParseMode::Strict) {
-                out.has_error = true;
-                out.error = e.what();
-                break;
-              }
-              // Lenient: CRC-valid block that still fails to parse — skip
-              // it, the lost-record top-up accounts for its records.
-            }
+  std::vector<ChunkOut> outs = decode_chunks(
+      slots, pool, [&](BlockSlot& s, ChunkOut& out, RasV3Scratch&) {
+        const bin::FrameRef& fr = *s.frame;
+        const char* payload = base + fr.offset + bin::kBlockHeaderBytes;
+        if (!crc_ok(fr, payload, mode, out)) return false;
+        bin::PayloadCursor cur(std::string_view(payload, fr.size),
+                               fr.offset + bin::kBlockHeaderBytes, "binary RAS log");
+        try {
+          const char tag = cur.get<char>();
+          if (tag == kRasDictTag) {
+            parse_ras_dictionary(cur, catalog, mode);  // redundant copy
+            return true;
           }
+          if (tag != kRasRecordTag) {
+            if (mode == ParseMode::Strict) {
+              throw ParseError("unknown block tag in binary RAS log at byte offset " +
+                               std::to_string(fr.offset));
+            }
+            return true;
+          }
+          if (declared_count(payload, fr.size, kRasRecordTag) > s.room) {
+            out.reshaped = true;
+            return false;
+          }
+          s.written = static_cast<std::uint32_t>(
+              decode_ras_records(cur, &dict, mode, machine, out.rep,
+                                 RasBlockOut{.slot = events.data() + s.begin, .first = s.begin},
+                                 out.attempted, out.blocks, filter));
+        } catch (const Error& e) {
+          if (mode == ParseMode::Strict) {
+            out.has_error = true;
+            out.error = e.what();
+            return false;
+          }
+          // Lenient: CRC-valid block that still fails to parse — skip it,
+          // the lost-record top-up accounts for its records.
         }
-      },
-      &pool);
+        return true;
+      });
+  if (!chunks_committed(outs)) return fall_back();
 
-  if (mode == ParseMode::Strict) {
-    // Chunks cover contiguous, ascending block ranges and each stopped at
-    // its first error, so the earliest chunk's capture is the input-order
-    // first error — exactly what the sequential reader would have thrown.
-    for (const ChunkOut& out : outs) {
-      if (out.has_error) throw ParseError(out.error);
-    }
-  } else {
-    for (const ChunkOut& out : outs) {
-      if (out.damaged) return fall_back();
-    }
-  }
-
-  std::vector<RasEvent> events;
-  const std::uint64_t attempted = merge_chunks(outs, events, rep, blocks);
-
-  if (mode == ParseMode::Strict) {
-    if (attempted != dict.total_records) {
-      throw ParseError("binary RAS log record count mismatch: expected " +
-                       std::to_string(dict.total_records) + ", got " +
-                       std::to_string(attempted));
-    }
-  } else if (dict.total_records > attempted) {
-    rep.add_malformed_bulk(IngestReason::BinaryFrame, dict.total_records - attempted);
-  }
-
+  std::size_t written = 0;
+  for (const ChunkOut& out : outs) written += out.written;
+  close_holes(events, slots, written, nullptr);
+  merge_accounting(outs, 0, dict.total_records, mode, rep, blocks);
   return RasLog(std::move(events), catalog, machine, RasLog::TrustedRecids{});
 }
 
 // The v3 fast path: parse the writer-canonical metadata prefix
 // ('M' 'M' 'D' 'D' 'L' 'L') in order, rebuild the block directory from the
-// 'S' segment footers, then fan the 'C' blocks out. Under a predicate,
-// blocks whose footer entry zone-rejects are skipped without touching their
-// payload bytes at all (the mmap zero-copy win); blocks without a footer
-// entry (an appender's unsealed tail) fall back to the in-block zone map.
-// Any deviation from the canonical shape defers to the sequential reader.
+// 'S' segment footers, then fan the 'C' blocks out, each decoded straight
+// into its slot of the log's event array. Under a predicate, blocks whose
+// footer entry zone-rejects get no slot and are skipped without touching
+// their payload bytes at all (the mmap zero-copy win) — so their CRCs are
+// never checked either; blocks without a footer entry (an appender's
+// unsealed tail) fall back to the in-block zone map. Any deviation from the
+// canonical shape defers to the sequential reader.
 template <typename FallBack>
 RasLog read_region_parallel_v3(std::string_view region,
                                const std::vector<bin::FrameRef>& frames,
@@ -342,150 +422,101 @@ RasLog read_region_parallel_v3(std::string_view region,
       return fall_back();
     }
   }
-  // The offset directory only pays for itself under a predicate (zero-touch
-  // skips); an unfiltered read never probes it, so skip the build.
+
+  // Plan: a footer-covered block that the zone map rejects is accounted for
+  // here, from its footer entry (its declared records count as attempted,
+  // so the strict total check and the lenient top-up stay exact), and gets
+  // no slot. The offset directory only pays for itself under a predicate;
+  // an unfiltered read never probes it, so skip the build.
   std::unordered_map<std::uint64_t, const bin::SegmentEntry*> dir_at;
   if (filter != nullptr) {
     dir_at.reserve(dir.size());
     for (const bin::SegmentEntry& e : dir) dir_at.emplace(e.offset, &e);
   }
+  std::uint64_t skipped_records = 0;
+  std::vector<BlockSlot> slots;
+  slots.reserve(cframes.size());
+  for (const bin::FrameRef* fr : cframes) {
+    if (filter != nullptr) {
+      const auto it = dir_at.find(fr->offset);
+      if (it != dir_at.end() && !filter->may_match(it->second->zone)) {
+        skipped_records += it->second->count;
+        ++blocks.total;
+        ++blocks.skipped;
+        continue;
+      }
+    }
+    slots.push_back(BlockSlot{fr});
+  }
+  std::vector<RasEvent> events(assign_slots(slots, base, kRasColumnTag));
 
-  const std::size_t nblocks = cframes.size();
-  const std::size_t chunks = std::max<std::size_t>(1, chunk_count(nblocks, pool));
-  std::vector<ChunkOut> outs(chunks);
-
-  par::parallel_for_chunks(
-      chunks, 1,
-      [&](std::size_t cb, std::size_t ce) {
-        RasV3Scratch scratch;
-        for (std::size_t c = cb; c < ce; ++c) {
-          ChunkOut& out = outs[c];
-          const std::size_t fb = c * nblocks / chunks;
-          const std::size_t fe = (c + 1) * nblocks / chunks;
-          out.events.reserve((fe - fb) * kRasRecordsPerBlock);
-          for (std::size_t f = fb; f < fe; ++f) {
-            const bin::FrameRef& fr = *cframes[f];
-            if (filter != nullptr) {
-              const auto it = dir_at.find(fr.offset);
-              if (it != dir_at.end() && !filter->may_match(it->second->zone)) {
-                // Footer-covered and zone-rejected: zero-touch skip — the
-                // payload bytes (and their mmap pages) are never read.
-                out.attempted += it->second->count;
-                ++out.blocks.total;
-                ++out.blocks.skipped;
-                continue;
-              }
-            }
-            const char* payload = base + fr.offset + bin::kBlockHeaderBytes;
-            if (bin::crc32(payload, fr.size) != fr.crc) {
-              if (mode == ParseMode::Strict) {
-                out.has_error = true;
-                out.error = "binary RAS log: block CRC mismatch at byte offset " +
-                            std::to_string(fr.offset);
-              } else {
-                out.damaged = true;
-              }
-              break;
-            }
-            bin::PayloadCursor cur(std::string_view(payload, fr.size),
-                                   fr.offset + bin::kBlockHeaderBytes, "binary RAS log");
-            try {
-              cur.get<char>();  // tag, known to be 'C'
-              decode_ras_column_payload(cur, &*dict, &*locs, mode, filter, out.rep,
-                                        out.events, out.attempted, out.blocks, scratch);
-            } catch (const Error& e) {
-              if (mode == ParseMode::Strict) {
-                out.has_error = true;
-                out.error = e.what();
-                break;
-              }
-            }
-          }
-          // The scratch is shared across this worker's chunks; snapshot its
-          // emit bookkeeping into the chunk and reset for the next one.
-          out.fatal = std::move(scratch.fatal);
-          scratch.fatal = FatalColumns{};
-          out.sorted = scratch.sorted;
-          scratch.sorted = true;
-          scratch.last_time = std::numeric_limits<std::int64_t>::min();
+  std::vector<ChunkOut> outs = decode_chunks(
+      slots, pool, [&](BlockSlot& s, ChunkOut& out, RasV3Scratch& scratch) {
+        const bin::FrameRef& fr = *s.frame;
+        const char* payload = base + fr.offset + bin::kBlockHeaderBytes;
+        if (!crc_ok(fr, payload, mode, out)) return false;
+        if (declared_count(payload, fr.size, kRasColumnTag) > s.room) {
+          out.reshaped = true;
+          return false;
         }
-      },
-      &pool);
+        bin::PayloadCursor cur(std::string_view(payload, fr.size),
+                               fr.offset + bin::kBlockHeaderBytes, "binary RAS log");
+        try {
+          cur.get<char>();  // tag, known to be 'C'
+          s.written = static_cast<std::uint32_t>(decode_ras_column_payload(
+              cur, &*dict, &*locs, mode, filter, out.rep,
+              RasBlockOut{.slot = events.data() + s.begin, .first = s.begin}, out.attempted,
+              out.blocks, scratch));
+        } catch (const Error& e) {
+          if (mode == ParseMode::Strict) {
+            out.has_error = true;
+            out.error = e.what();
+            return false;
+          }
+        }
+        return true;
+      });
+  if (!chunks_committed(outs)) return fall_back();
 
-  if (mode == ParseMode::Strict) {
-    for (const ChunkOut& out : outs) {
-      if (out.has_error) throw ParseError(out.error);
-    }
-  } else {
-    for (const ChunkOut& out : outs) {
-      if (out.damaged) return fall_back();
-    }
-  }
-
-  // Chunk sizes before the merge moves the event vectors: they place the
-  // chunk-local fatal log_index values (and the boundary order checks) on
-  // the global event array.
-  std::vector<std::size_t> sizes;
-  sizes.reserve(outs.size());
-  bool sorted = true;
+  // Each chunk verified its own order; the seams between chunks are the
+  // only unchecked pairs. The fatal gathers concatenate in block order.
+  RasLog::TrustedParts parts;
+  std::size_t written = 0;
   for (const ChunkOut& out : outs) {
-    sizes.push_back(out.events.size());
-    sorted = sorted && out.sorted;
+    parts.sorted = parts.sorted && out.sorted;
+    written += out.written;
   }
-
-  std::vector<RasEvent> events;
-  const std::uint64_t attempted = merge_chunks(outs, events, rep, blocks);
-
-  if (mode == ParseMode::Strict) {
-    if (attempted != dict->total_records) {
-      throw ParseError("binary RAS log record count mismatch: expected " +
-                       std::to_string(dict->total_records) + ", got " +
-                       std::to_string(attempted));
+  if (parts.sorted) {
+    std::size_t nfatal = 0;
+    for (const ChunkOut& out : outs) nfatal += out.fatal.size();
+    parts.fatal.event_time.reserve(nfatal);
+    parts.fatal.errcode.reserve(nfatal);
+    parts.fatal.loc_key.reserve(nfatal);
+    parts.fatal.log_index.reserve(nfatal);
+    for (const ChunkOut& out : outs) {
+      const FatalColumns& f = out.fatal;
+      parts.fatal.event_time.insert(parts.fatal.event_time.end(), f.event_time.begin(),
+                                    f.event_time.end());
+      parts.fatal.errcode.insert(parts.fatal.errcode.end(), f.errcode.begin(),
+                                 f.errcode.end());
+      parts.fatal.loc_key.insert(parts.fatal.loc_key.end(), f.loc_key.begin(),
+                                 f.loc_key.end());
+      parts.fatal.log_index.insert(parts.fatal.log_index.end(), f.log_index.begin(),
+                                   f.log_index.end());
     }
-  } else if (dict->total_records > attempted) {
-    rep.add_malformed_bulk(IngestReason::BinaryFrame, dict->total_records - attempted);
   }
-
-  // Each chunk verified its own order; the seams between chunks are the only
-  // unchecked pairs.
-  if (sorted) {
+  close_holes(events, slots, written, parts.sorted ? &parts.fatal : nullptr);
+  if (parts.sorted) {
     std::size_t at = 0;
-    for (std::size_t c = 0; c + 1 < sizes.size() && sorted; ++c) {
-      at += sizes[c];
+    for (std::size_t c = 0; c + 1 < outs.size() && parts.sorted; ++c) {
+      at += outs[c].written;
       if (at > 0 && at < events.size() &&
           events[at].event_time < events[at - 1].event_time) {
-        sorted = false;
+        parts.sorted = false;
       }
     }
   }
-  RasLog::TrustedParts parts;
-  parts.sorted = sorted;
-  if (sorted) {
-    if (outs.size() == 1) {
-      parts.fatal = std::move(outs[0].fatal);
-    } else {
-      std::size_t nfatal = 0;
-      for (const ChunkOut& out : outs) nfatal += out.fatal.size();
-      parts.fatal.event_time.reserve(nfatal);
-      parts.fatal.errcode.reserve(nfatal);
-      parts.fatal.loc_key.reserve(nfatal);
-      parts.fatal.log_index.reserve(nfatal);
-      std::size_t ebase = 0;
-      for (std::size_t c = 0; c < outs.size(); ++c) {
-        const FatalColumns& f = outs[c].fatal;
-        parts.fatal.event_time.insert(parts.fatal.event_time.end(),
-                                      f.event_time.begin(), f.event_time.end());
-        parts.fatal.errcode.insert(parts.fatal.errcode.end(), f.errcode.begin(),
-                                   f.errcode.end());
-        parts.fatal.loc_key.insert(parts.fatal.loc_key.end(), f.loc_key.begin(),
-                                   f.loc_key.end());
-        for (const std::size_t idx : f.log_index) {
-          parts.fatal.log_index.push_back(idx + ebase);
-        }
-        ebase += sizes[c];
-      }
-    }
-  }
+  merge_accounting(outs, skipped_records, dict->total_records, mode, rep, blocks);
   return RasLog(std::move(events), catalog, machine, std::move(parts));
 }
 

@@ -35,22 +35,52 @@ RasDictionary parse_ras_dictionary(bin::PayloadCursor& cur, const Catalog& catal
 
 namespace {
 
-// Validate and append one fixed-size record. Shared by the contiguous fast
-// path and the bounds-checked slow path so their accounting cannot drift.
-void decode_one(const PackedRecord& rec, std::uint64_t rec_offset,
+/// One block's claim on its RasBlockOut: room for `n` records at `at`, the
+/// first of which is log record `first`. In append mode the destructor
+/// trims the vector to the `count` records written, so a decode that throws
+/// mid-block leaves exactly the records it emitted before the throw.
+class BlockSpace {
+ public:
+  BlockSpace(const RasBlockOut& out, std::size_t n) : tail_(out.tail) {
+    if (tail_ != nullptr) {
+      first = tail_->size();
+      tail_->resize(first + n);
+      at = tail_->data() + first;
+    } else {
+      first = out.first;
+      at = out.slot;
+    }
+  }
+  ~BlockSpace() {
+    if (tail_ != nullptr) tail_->resize(first + count);
+  }
+  BlockSpace(const BlockSpace&) = delete;
+  BlockSpace& operator=(const BlockSpace&) = delete;
+
+  RasEvent* at = nullptr;
+  std::size_t first = 0;
+  std::size_t count = 0;
+
+ private:
+  std::vector<RasEvent>* tail_;
+};
+
+// Validate one fixed-size record into `ev`; false when it is rejected or
+// exact-filtered.
+bool decode_one(const PackedRecord& rec, std::uint64_t rec_offset,
                 const RasDictionary& dict, ParseMode mode,
-                const machine::MachineModel& machine, IngestReport& rep,
-                std::vector<RasEvent>& events, const bin::ZoneFilter* filter) {
+                const machine::MachineModel& machine, IngestReport& rep, RasEvent& ev,
+                const bin::ZoneFilter* filter) {
   if (rec.dict_index >= dict.remap.size()) {
     if (mode == ParseMode::Strict) throw ParseError("bad dictionary index");
     rep.add_malformed(IngestReason::BadRecord, rec_offset, "",
                       "dictionary index out of range");
-    return;
+    return false;
   }
   if (!dict.remap[rec.dict_index]) {
     rep.add_malformed(IngestReason::UnknownErrcode, rec_offset, "",
                       "errcode name not in target catalog");
-    return;
+    return false;
   }
   if (rec.severity > static_cast<std::uint8_t>(Severity::Fatal)) {
     if (mode == ParseMode::Strict) {
@@ -59,62 +89,48 @@ void decode_one(const PackedRecord& rec, std::uint64_t rec_offset,
     }
     rep.add_malformed(IngestReason::BadSeverity, rec_offset, "",
                       "severity byte out of range");
-    return;
+    return false;
   }
-  RasEvent ev;
-  ev.event_time = TimePoint(rec.time_usec);
   try {
     ev.location = machine.location_from_packed(rec.packed_location);
   } catch (const Error& e) {
     if (mode == ParseMode::Strict) throw;
     rep.add_malformed(IngestReason::BadLocation, rec_offset, "", e.what());
-    return;
+    return false;
   }
+  ev.event_time = TimePoint(rec.time_usec);
   ev.errcode = *dict.remap[rec.dict_index];
   ev.serial = rec.serial;
   ev.severity = static_cast<Severity>(rec.severity);
+  rep.add_ok();
   // A fully-valid record that fails the exact predicate still counts as
   // attempted and ok — accounting must not depend on the query.
-  if (filter != nullptr && !(filter->match_time(rec.time_usec) &&
-                             filter->match_location(rec.packed_location))) {
-    rep.add_ok();
-    return;
-  }
-  // RECID = emit position (chunked readers rebase at merge): lets the log
-  // constructor take the read-only TrustedRecids finalize.
-  ev.recid = static_cast<std::int64_t>(events.size() + 1);
-  events.push_back(ev);
-  rep.add_ok();
+  return filter == nullptr || (filter->match_time(rec.time_usec) &&
+                               filter->match_location(rec.packed_location));
 }
 
 }  // namespace
 
-void decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dict,
-                        ParseMode mode, const machine::MachineModel& machine,
-                        IngestReport& rep, std::vector<RasEvent>& events,
-                        std::uint64_t& attempted, const bin::ZoneFilter* filter) {
+std::size_t decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dict,
+                               ParseMode mode, const machine::MachineModel& machine,
+                               IngestReport& rep, const RasBlockOut& out,
+                               std::uint64_t& attempted, bin::BlockCounters& blocks,
+                               const bin::ZoneFilter* filter) {
+  ++blocks.total;
   const auto n = cur.get<std::uint32_t>();
-  // Writer-canonical blocks hold exactly n contiguous records; decode them
-  // straight from the payload view, skipping per-record cursor bookkeeping.
-  // Any other shape (an adversarial CRC-valid payload) takes the
-  // bounds-checked loop below with identical accounting.
-  if (dict != nullptr &&
-      cur.remaining() == std::size_t{n} * sizeof(PackedRecord)) {
-    const std::uint64_t base = cur.offset();
-    const std::string_view raw = cur.take(cur.remaining());
-    for (std::uint32_t i = 0; i < n; ++i) {
-      PackedRecord rec;
-      std::memcpy(&rec, raw.data() + std::size_t{i} * sizeof rec, sizeof rec);
-      ++attempted;
-      decode_one(rec, base + std::uint64_t{i} * sizeof rec, *dict, mode, machine, rep,
-                 events, filter);
-    }
-    return;
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t rec_offset = cur.offset();
+  // The payload holds whole records for at most `avail` of the n declared
+  // (all n in a writer-canonical block). That bound, not n, sizes the claim,
+  // so a corrupt count costs no allocation; the records decode straight
+  // from the payload view, with no per-record cursor bookkeeping.
+  const std::size_t avail =
+      std::min<std::size_t>(n, cur.remaining() / sizeof(PackedRecord));
+  BlockSpace space(out, dict != nullptr ? avail : 0);
+  const std::uint64_t base = cur.offset();
+  const std::string_view raw = cur.take(avail * sizeof(PackedRecord));
+  for (std::size_t i = 0; i < avail; ++i) {
     PackedRecord rec;
-    cur.read(&rec, sizeof rec);
+    std::memcpy(&rec, raw.data() + i * sizeof rec, sizeof rec);
+    const std::uint64_t rec_offset = base + i * sizeof rec;
     ++attempted;
     if (dict == nullptr) {
       // Every dictionary copy was damaged; nothing to resolve against.
@@ -125,8 +141,24 @@ void decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dict,
                         "record with no surviving dictionary");
       continue;
     }
-    decode_one(rec, rec_offset, *dict, mode, machine, rep, events, filter);
+    RasEvent& ev = space.at[space.count];
+    if (decode_one(rec, rec_offset, *dict, mode, machine, rep, ev, filter)) {
+      ev.recid = static_cast<std::int64_t>(space.first + space.count + 1);
+      ++space.count;
+    }
   }
+  if (avail < n) {
+    // The payload ends inside record `avail`: strict mode throws the
+    // cursor's own truncation error, lenient mode keeps what came before
+    // and leaves the block undecoded for the lost-record top-up.
+    if (mode == ParseMode::Strict) {
+      PackedRecord rec;
+      cur.read(&rec, sizeof rec);
+    }
+    return space.count;
+  }
+  ++blocks.decoded;
+  return space.count;
 }
 
 RasLocDict parse_ras_loc_dict(bin::PayloadCursor& cur,
@@ -291,12 +323,11 @@ bool decode_ras_columns(std::string_view body, std::uint32_t n, RasColumns& cols
   return true;
 }
 
-void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dict,
-                               const RasLocDict* locs, ParseMode mode,
-                               const bin::ZoneFilter* filter, IngestReport& rep,
-                               std::vector<RasEvent>& events,
-                               std::uint64_t& attempted, bin::BlockCounters& blocks,
-                               RasV3Scratch& scratch) {
+std::size_t decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dict,
+                                      const RasLocDict* locs, ParseMode mode,
+                                      const bin::ZoneFilter* filter, IngestReport& rep,
+                                      const RasBlockOut& out, std::uint64_t& attempted,
+                                      bin::BlockCounters& blocks, RasV3Scratch& scratch) {
   const std::uint64_t block_at = cur.offset();
   const auto n = cur.get<std::uint32_t>();
   bin::ZoneMap zm;
@@ -312,7 +343,7 @@ void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dic
     // check and the lenient top-up stay exact under pushdown.
     attempted += n;
     ++blocks.skipped;
-    return;
+    return 0;
   }
   const auto codec = cur.get<std::uint8_t>();
   const auto raw_size = cur.get<std::uint32_t>();
@@ -361,7 +392,7 @@ void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dic
       rep.add_malformed(IngestReason::UnknownErrcode, block_at, "",
                         "record with no surviving dictionary");
     }
-    return;
+    return 0;
   }
   const std::optional<ErrcodeId>* remap = dict->remap.data();
   const auto remap_n = static_cast<std::uint32_t>(dict->remap.size());
@@ -379,30 +410,41 @@ void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dic
   // Emit-side finalize bookkeeping, kept in registers across the loop.
   std::int64_t last_time = scratch.last_time;
   bool sorted = scratch.sorted;
+  BlockSpace space(out, n);
+  // Store one record straight into its slot, with its RECID (log position
+  // + 1), and gather it into the fatal columns when it is FATAL.
+  const auto emit = [&](std::size_t k, std::int64_t t, const machine::Location& loc,
+                        std::uint8_t sev, ErrcodeId err, std::uint32_t serial) {
+    RasEvent& ev = space.at[k];
+    ev.recid = static_cast<std::int64_t>(space.first + k + 1);
+    ev.event_time = TimePoint(t);
+    ev.location = loc;
+    ev.severity = static_cast<Severity>(sev);
+    ev.errcode = err;
+    ev.serial = serial;
+    sorted &= t >= last_time;
+    last_time = t;
+    if (sev == kMaxSev) {
+      scratch.fatal.event_time.push_back(TimePoint(t));
+      scratch.fatal.errcode.push_back(err);
+      scratch.fatal.loc_key.push_back(loc.packed());
+      scratch.fatal.log_index.push_back(space.first + k);
+    }
+  };
   // Three compares against the column maxima prove every record in the
   // block valid at once — the overwhelmingly common case for an intact
   // file — so the emit loop runs with no per-record validation at all.
   if (filter == nullptr && all_mapped && all_valid && cols.max_err < remap_n &&
       cols.max_loc < locs_n && cols.max_sev <= kMaxSev) [[likely]] {
     for (std::uint32_t i = 0; i < n; ++i) {
-      const std::int64_t t = cols.times[i];
-      const std::uint8_t sev = cols.sevs[i];
-      events.emplace_back(static_cast<std::int64_t>(events.size() + 1), TimePoint(t),
-                          loc_arr[cols.locs[i]], *remap[cols.errs[i]],
-                          static_cast<Severity>(sev), cols.serials[i]);
-      sorted &= t >= last_time;
-      last_time = t;
-      if (sev == kMaxSev) {
-        scratch.fatal.event_time.push_back(TimePoint(t));
-        scratch.fatal.errcode.push_back(*remap[cols.errs[i]]);
-        scratch.fatal.loc_key.push_back(loc_arr[cols.locs[i]].packed());
-        scratch.fatal.log_index.push_back(events.size() - 1);
-      }
+      emit(i, cols.times[i], loc_arr[cols.locs[i]], cols.sevs[i], *remap[cols.errs[i]],
+           cols.serials[i]);
     }
+    space.count = n;
     scratch.last_time = last_time;
     scratch.sorted = sorted;
     rep.add_ok(n);
-    return;
+    return n;
   }
   std::uint64_t ok = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -421,23 +463,10 @@ void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dic
         ++ok;
         continue;
       }
-      // Parenthesized aggregate init constructs the event in place — no
-      // zero-initialized temporary, one 40-byte store per record. The RECID
-      // is the emit position (chunked readers rebase at merge), which lets
-      // the log constructor take the read-only TrustedRecids finalize.
-      const std::int64_t t = cols.times[i];
-      events.emplace_back(static_cast<std::int64_t>(events.size() + 1), TimePoint(t),
-                          loc_arr[li], *remap[err_idx], static_cast<Severity>(sev),
-                          cols.serials[i]);
+      emit(space.count, cols.times[i], loc_arr[li], sev, *remap[err_idx],
+           cols.serials[i]);
+      ++space.count;
       ++ok;
-      sorted &= t >= last_time;
-      last_time = t;
-      if (sev == kMaxSev) {
-        scratch.fatal.event_time.push_back(TimePoint(t));
-        scratch.fatal.errcode.push_back(*remap[err_idx]);
-        scratch.fatal.loc_key.push_back(loc_arr[li].packed());
-        scratch.fatal.log_index.push_back(events.size() - 1);
-      }
       continue;
     }
     if (err_idx >= dict->remap.size()) {
@@ -488,27 +517,15 @@ void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dic
       ++ok;
       continue;
     }
-    RasEvent ev;
-    ev.recid = static_cast<std::int64_t>(events.size() + 1);
-    ev.event_time = TimePoint(cols.times[i]);
-    ev.location = locs->locs[li];
-    ev.errcode = *dict->remap[err_idx];
-    ev.serial = cols.serials[i];
-    ev.severity = static_cast<Severity>(sev);
-    events.push_back(ev);
+    emit(space.count, cols.times[i], locs->locs[li], sev, *dict->remap[err_idx],
+         cols.serials[i]);
+    ++space.count;
     ++ok;
-    sorted &= cols.times[i] >= last_time;
-    last_time = cols.times[i];
-    if (sev == kMaxSev) {
-      scratch.fatal.event_time.push_back(ev.event_time);
-      scratch.fatal.errcode.push_back(ev.errcode);
-      scratch.fatal.loc_key.push_back(ev.location.packed());
-      scratch.fatal.log_index.push_back(events.size() - 1);
-    }
   }
   scratch.last_time = last_time;
   scratch.sorted = sorted;
   if (ok != 0) rep.add_ok(ok);
+  return space.count;
 }
 
 void RasStreamDecoder::on_payload(std::string_view payload,
@@ -550,7 +567,8 @@ void RasStreamDecoder::on_payload(std::string_view payload,
     if (tag == kRasColumnTag) {
       decode_ras_column_payload(cur, dict_ ? &*dict_ : nullptr,
                                 loc_dict_ ? &*loc_dict_ : nullptr, mode_, filter_,
-                                record_rep_, events_, attempted_, blocks_, scratch_);
+                                record_rep_, RasBlockOut{.tail = &events_}, attempted_,
+                                blocks_, scratch_);
       return;
     }
     if (tag != kRasRecordTag) {
@@ -560,11 +578,9 @@ void RasStreamDecoder::on_payload(std::string_view payload,
       }
       return;  // records inside are covered by the lost-record top-up
     }
-    ++blocks_.total;
     saw_v2_records_ = true;
     decode_ras_records(cur, dict_ ? &*dict_ : nullptr, mode_, *machine_, record_rep_,
-                       events_, attempted_, filter_);
-    ++blocks_.decoded;
+                       RasBlockOut{.tail = &events_}, attempted_, blocks_, filter_);
   } catch (const Error&) {
     if (mode_ == ParseMode::Strict) throw;
     // A CRC-valid block whose payload still does not parse (writer bug or an

@@ -89,17 +89,35 @@ struct RasLocDict {
 RasLocDict parse_ras_loc_dict(bin::PayloadCursor& cur,
                               const machine::MachineModel& machine, ParseMode mode);
 
-/// Decode one 'R' payload's records (cursor past the tag byte). `dict` may be
-/// null only when every dictionary copy was lost earlier in the input.
-/// `attempted` counts records decoded or individually rejected — the unit the
-/// lost-record top-up is computed in. A non-null `filter` drops records that
-/// fail the exact predicate *after* full validation (they still count as
-/// attempted and ok, so accounting is layout-independent).
-void decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dict,
-                        ParseMode mode, const machine::MachineModel& machine,
-                        IngestReport& rep, std::vector<RasEvent>& events,
-                        std::uint64_t& attempted,
-                        const bin::ZoneFilter* filter = nullptr);
+/// Where a block decoder writes the records it emits. Slot mode (the pooled
+/// file reader): `slot` has room for the block's declared record count and
+/// holds log records `first`, `first + 1`, ... Append mode (`tail` set; the
+/// stream decoder): the vector grows by the block's validated count and is
+/// trimmed back to the records written, also when the decode throws. Either
+/// way the k-th emitted record gets RECID `first + k + 1`, its log position
+/// plus one, which lets the log constructor take the read-only
+/// TrustedRecids finalize.
+struct RasBlockOut {
+  RasEvent* slot = nullptr;
+  std::size_t first = 0;
+  std::vector<RasEvent>* tail = nullptr;
+};
+
+/// Decode one 'R' payload's records (cursor past the tag byte) into `out`
+/// and return how many were written. `dict` may be null only when every
+/// dictionary copy was lost earlier in the input. `attempted` counts records
+/// decoded or individually rejected — the unit the lost-record top-up is
+/// computed in. A non-null `filter` drops records that fail the exact
+/// predicate *after* full validation (they still count as attempted and ok,
+/// so accounting is layout-independent). `blocks` counts the block as total,
+/// and as decoded unless its payload ends before its declared count; that
+/// truncation throws in strict mode and keeps the records before it in
+/// lenient mode.
+std::size_t decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dict,
+                               ParseMode mode, const machine::MachineModel& machine,
+                               IngestReport& rep, const RasBlockOut& out,
+                               std::uint64_t& attempted, bin::BlockCounters& blocks,
+                               const bin::ZoneFilter* filter = nullptr);
 
 /// Decoded column arrays of one v3 'C' block body. Severities alias the
 /// body buffer (they are stored as raw bytes); serials memcpy from the
@@ -135,11 +153,11 @@ void encode_ras_column_block(std::string& payload, const RasEvent* events,
 
 /// Reusable scratch for decoding 'C' payloads (one per thread), plus the
 /// emit-side bookkeeping the adopting RasLog constructor wants: fatal
-/// columns gathered as records are emitted (log_index is the emit position
-/// in the caller's event vector) and a running time-order check. Both cost
-/// a couple of register ops per record here versus a second full pass over
-/// the event array in finalize(). Callers that interleave chunks through
-/// one scratch move `fatal`/`sorted` out and reset between chunks.
+/// columns gathered as records are emitted (log_index is the record's log
+/// position, as RasBlockOut assigns it) and a running time-order check.
+/// Both cost a couple of register ops per record here versus a second full
+/// pass over the event array in finalize(). Callers that interleave chunks
+/// through one scratch move `fatal`/`sorted` out and reset between chunks.
 struct RasV3Scratch {
   std::string raw;
   RasColumns cols;
@@ -148,18 +166,19 @@ struct RasV3Scratch {
   bool sorted = true;
 };
 
-/// Decode one 'C' payload (cursor past the tag byte) — the single v3 record
-/// decode implementation, shared by the stream decoder and the parallel
-/// file reader. Zone-rejected blocks (non-null `filter`) contribute their
-/// declared count to `attempted` without touching the body. Throws
-/// ParseError on any malformed shape in either mode; lenient callers catch
-/// and let the lost-record top-up cover the block.
-void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dict,
-                               const RasLocDict* locs, ParseMode mode,
-                               const bin::ZoneFilter* filter, IngestReport& rep,
-                               std::vector<RasEvent>& events,
-                               std::uint64_t& attempted, bin::BlockCounters& blocks,
-                               RasV3Scratch& scratch);
+/// Decode one 'C' payload (cursor past the tag byte) into `out` and return
+/// how many records were written — the single v3 record decode
+/// implementation, shared by the stream decoder and the pooled file reader.
+/// Zone-rejected blocks (non-null `filter`) contribute their declared count
+/// to `attempted` without touching the body. Throws ParseError on any
+/// malformed shape in either mode, and in lenient mode only before the
+/// first record is written; lenient callers catch and let the lost-record
+/// top-up cover the block.
+std::size_t decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dict,
+                                      const RasLocDict* locs, ParseMode mode,
+                                      const bin::ZoneFilter* filter, IngestReport& rep,
+                                      const RasBlockOut& out, std::uint64_t& attempted,
+                                      bin::BlockCounters& blocks, RasV3Scratch& scratch);
 
 /// Incremental binary v2/v3 RAS decoder: feed block payloads as they become
 /// available (from a BlockReader, a FrameAssembler over a socket, a tailed

@@ -12,12 +12,14 @@ namespace coral::ras {
 /// One RAS record (Table II of the paper), stored compactly: identity fields
 /// that are functions of the errcode (MSG_ID, COMPONENT, SUBCOMPONENT,
 /// MESSAGE) live in the Catalog and are materialized only on serialization.
+/// The 1-byte severity sits in the tail padding of the 6-byte location, so
+/// a record is 32 bytes: two per cache line on a multi-million-record log.
 struct RasEvent {
   std::int64_t recid = 0;       ///< RECID: sequence number in the log
   TimePoint event_time;         ///< EVENT_TIME
   bgp::Location location;       ///< LOCATION
-  ErrcodeId errcode = 0;        ///< index into Catalog
   Severity severity = Severity::Info;  ///< SEVERITY as recorded
+  ErrcodeId errcode = 0;        ///< index into Catalog
   std::uint32_t serial = 0;     ///< hardware serial-number surrogate
 
   /// Materialize the catalog-resident identity fields. Which catalog an
@@ -26,5 +28,6 @@ struct RasEvent {
   const ErrcodeInfo& info(const Catalog& catalog) const { return catalog.info(errcode); }
   bool is_fatal() const { return severity == Severity::Fatal; }
 };
+static_assert(sizeof(RasEvent) == 32);
 
 }  // namespace coral::ras

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,10 +18,13 @@
 #include "coral/common/rng.hpp"
 #include "coral/joblog/log.hpp"
 #include "coral/ras/binary_io.hpp"
+#include "coral/ras/binary_stream.hpp"
 #include "coral/ras/log.hpp"
 #include "coral/stream/coanalysis.hpp"
 #include "coral/synth/intrepid.hpp"
+#include "corrupt.hpp"
 #include "frontend_oracle.hpp"
+#include "read_equal.hpp"
 
 namespace coral {
 namespace {
@@ -324,7 +329,7 @@ TEST(MatchInterruptions, EqualsSetBasedReferenceOnScenario) {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32: slicing-by-8 against known vectors and a bytewise reference.
+// CRC32: slicing-by-16 against known vectors and a bytewise reference.
 
 std::uint32_t crc32_bytewise(const void* data, std::size_t size) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -348,11 +353,12 @@ TEST(Crc32, MatchesBytewiseReferenceAcrossLengthsAndAlignments) {
   Rng rng(11);
   std::string data(4096, '\0');
   for (char& c : data) c = static_cast<char>(rng.uniform_index(256));
-  // Lengths around the 8-byte slicing boundary and odd start offsets
+  // Lengths around the slicing boundaries and odd start offsets
   // exercise both the sliced body and the bytewise tail.
   for (std::size_t offset : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
     for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
-                            std::size_t{9}, std::size_t{63}, std::size_t{64},
+                            std::size_t{9}, std::size_t{15}, std::size_t{16},
+                            std::size_t{17}, std::size_t{63}, std::size_t{64},
                             std::size_t{1000}, std::size_t{4000}}) {
       ASSERT_LE(offset + len, data.size());
       EXPECT_EQ(bin::crc32(data.data() + offset, len),
@@ -363,68 +369,116 @@ TEST(Crc32, MatchesBytewiseReferenceAcrossLengthsAndAlignments) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel binary read: identical events, accounting and errors.
+// Parallel binary read: identical events, accounting and errors, for both
+// formats — v2 and the v3 store each have their own pooled reader.
 
-void expect_logs_equal(const ras::RasLog& a, const ras::RasLog& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].event_time, b[i].event_time) << "record " << i;
-    EXPECT_EQ(a[i].errcode, b[i].errcode) << "record " << i;
-    EXPECT_EQ(a[i].location, b[i].location) << "record " << i;
-    EXPECT_EQ(a[i].serial, b[i].serial) << "record " << i;
-    EXPECT_EQ(a[i].severity, b[i].severity) << "record " << i;
-  }
+using testing::expect_logs_equal;
+using testing::expect_reports_equal;
+
+struct Encoded {
+  const char* name;
+  std::string bytes;
+};
+
+/// The scenario log as v2 bytes and as v3 bytes (default write options).
+std::vector<Encoded> scenario_ras_bytes() {
+  std::stringstream v2, v3;
+  ras::write_binary(v2, scenario().ras);
+  ras::write_binary(v3, scenario().ras, {});
+  return {{"v2", v2.str()}, {"v3", v3.str()}};
 }
 
-void expect_reports_equal(const IngestReport& a, const IngestReport& b) {
-  EXPECT_EQ(a.records_ok(), b.records_ok());
-  EXPECT_EQ(a.total_malformed(), b.total_malformed());
-  for (std::size_t r = 0; r < kIngestReasonCount; ++r) {
-    EXPECT_EQ(a.malformed(static_cast<IngestReason>(r)),
-              b.malformed(static_cast<IngestReason>(r)))
-        << to_string(static_cast<IngestReason>(r));
-  }
-  ASSERT_EQ(a.samples().size(), b.samples().size());
-  for (std::size_t i = 0; i < a.samples().size(); ++i) {
-    EXPECT_EQ(a.samples()[i].reason, b.samples()[i].reason);
-    EXPECT_EQ(a.samples()[i].byte_offset, b.samples()[i].byte_offset);
-    EXPECT_EQ(a.samples()[i].detail, b.samples()[i].detail);
-  }
-}
-
-std::string scenario_ras_bytes() {
-  std::stringstream buf;
-  ras::write_binary(buf, scenario().ras);
-  return buf.str();
+ras::RasLog read_with(const std::string& bytes, const ras::ReadOptions& opts) {
+  std::istringstream in(bytes);
+  return ras::read_binary(in, ras::default_catalog(), opts);
 }
 
 TEST(ParallelBinaryRead, CleanFileMatchesSequential) {
-  const std::string bytes = scenario_ras_bytes();
   par::ThreadPool pool(4);
-
-  std::istringstream seq_in(bytes);
-  IngestReport seq_rep;
-  const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
-                                           ParseMode::Strict, &seq_rep);
-  std::istringstream par_in(bytes);
-  IngestReport par_rep;
-  const ras::RasLog par = ras::read_binary(par_in, ras::default_catalog(),
-                                           ParseMode::Strict, &par_rep, nullptr, &pool);
-  expect_logs_equal(seq, par);
-  expect_reports_equal(seq_rep, par_rep);
-  EXPECT_EQ(par.size(), scenario().ras.size());
+  for (const Encoded& e : scenario_ras_bytes()) {
+    SCOPED_TRACE(e.name);
+    std::istringstream seq_in(e.bytes);
+    IngestReport seq_rep;
+    const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
+                                             ParseMode::Strict, &seq_rep);
+    std::istringstream par_in(e.bytes);
+    IngestReport par_rep;
+    const ras::RasLog par = ras::read_binary(par_in, ras::default_catalog(),
+                                             ParseMode::Strict, &par_rep, nullptr, &pool);
+    expect_logs_equal(seq, par);
+    expect_reports_equal(seq_rep, par_rep);
+    EXPECT_EQ(par.size(), scenario().ras.size());
+  }
 }
 
 TEST(ParallelBinaryRead, DamagedFileMatchesSequentialInLenientMode) {
   par::ThreadPool pool(4);
-  Rng rng(23);
-  for (int round = 0; round < 8; ++round) {
-    std::string bytes = scenario_ras_bytes();
-    // Flip a few bits anywhere — headers, payloads, the dictionary.
-    for (int f = 0; f < 3; ++f) {
-      const std::size_t at = rng.uniform_index(bytes.size());
-      bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform_index(8)));
+  for (const Encoded& e : scenario_ras_bytes()) {
+    SCOPED_TRACE(e.name);
+    Rng rng(23);
+    for (int round = 0; round < 8; ++round) {
+      std::string bytes = e.bytes;
+      // Flip a few bits anywhere — headers, payloads, the dictionary.
+      for (int f = 0; f < 3; ++f) {
+        const std::size_t at = rng.uniform_index(bytes.size());
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform_index(8)));
+      }
+      std::istringstream seq_in(bytes);
+      IngestReport seq_rep;
+      const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
+                                               ParseMode::Lenient, &seq_rep);
+      std::istringstream par_in(bytes);
+      IngestReport par_rep;
+      const ras::RasLog par = ras::read_binary(par_in, ras::default_catalog(),
+                                               ParseMode::Lenient, &par_rep, nullptr, &pool);
+      expect_logs_equal(seq, par);
+      expect_reports_equal(seq_rep, par_rep);
     }
+  }
+}
+
+TEST(ParallelBinaryRead, StrictErrorsMatchSequentialByteForByte) {
+  par::ThreadPool pool(4);
+  for (const Encoded& e : scenario_ras_bytes()) {
+    SCOPED_TRACE(e.name);
+    std::string bytes = e.bytes;
+    // Corrupt one payload byte deep in the record stream (in v3, the count
+    // field the pooled reader sizes the block's slot from): the strict
+    // error must be the same CRC message, same offset, from both readers.
+    std::size_t p = bytes.find("CBLK");
+    for (int skip = 0; skip < 10; ++skip) p = bytes.find("CBLK", p + 1);
+    ASSERT_NE(p, std::string::npos);
+    bytes[p + 16] = static_cast<char>(bytes[p + 16] ^ 0x55);
+
+    std::string seq_what;
+    std::string par_what;
+    try {
+      std::istringstream in(bytes);
+      ras::read_binary(in);
+      FAIL() << "expected ParseError";
+    } catch (const ParseError& ex) {
+      seq_what = ex.what();
+    }
+    try {
+      std::istringstream in(bytes);
+      ras::read_binary(in, ras::default_catalog(), ParseMode::Strict, nullptr, nullptr,
+                       &pool);
+      FAIL() << "expected ParseError";
+    } catch (const ParseError& ex) {
+      par_what = ex.what();
+    }
+    EXPECT_EQ(seq_what, par_what);
+    EXPECT_NE(seq_what.find("CRC mismatch"), std::string::npos) << seq_what;
+  }
+}
+
+TEST(ParallelBinaryRead, TruncatedFileMatchesSequential) {
+  par::ThreadPool pool(4);
+  for (const Encoded& e : scenario_ras_bytes()) {
+    SCOPED_TRACE(e.name);
+    std::string bytes = e.bytes;
+    bytes.resize(bytes.size() * 2 / 3);  // cut mid-block
+
     std::istringstream seq_in(bytes);
     IngestReport seq_rep;
     const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
@@ -435,56 +489,167 @@ TEST(ParallelBinaryRead, DamagedFileMatchesSequentialInLenientMode) {
                                              ParseMode::Lenient, &par_rep, nullptr, &pool);
     expect_logs_equal(seq, par);
     expect_reports_equal(seq_rep, par_rep);
+    EXPECT_GT(seq_rep.malformed(IngestReason::BinaryFrame), 0u);
   }
 }
 
-TEST(ParallelBinaryRead, StrictErrorsMatchSequentialByteForByte) {
+TEST(ParallelBinaryRead, RejectedRecordsLeaveHolesThatCloseLikeSequential) {
+  // A catalog without every third errcode: a lenient read drops those
+  // records inside their blocks, and (under a predicate) the exact filter
+  // drops more, so the pooled readers' slots fill only in part. Closing
+  // the holes must renumber RECIDs and fatal log indices exactly as the
+  // sequential reader's push-as-you-go numbering does.
+  std::vector<ras::ErrcodeInfo> kept;
+  const auto all = ras::default_catalog().all();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (i % 3 != 0) kept.push_back(all[i]);
+  }
+  const ras::Catalog partial(std::move(kept));
+  const synth::ScenarioConfig cfg = synth::small_scenario(42);
+  bin::ReadPredicate window;
+  window.time_begin = cfg.start + 2 * kUsecPerDay;
+  window.time_end = cfg.start + 6 * kUsecPerDay;
   par::ThreadPool pool(4);
-  std::string bytes = scenario_ras_bytes();
-  // Corrupt one payload byte deep in the record stream: the strict error
-  // must be the same CRC message, same offset, from both readers.
-  std::size_t p = bytes.find("CBLK");
-  for (int skip = 0; skip < 10; ++skip) p = bytes.find("CBLK", p + 1);
-  ASSERT_NE(p, std::string::npos);
-  bytes[p + 16] = static_cast<char>(bytes[p + 16] ^ 0x55);
-
-  std::string seq_what;
-  std::string par_what;
-  try {
-    std::istringstream in(bytes);
-    ras::read_binary(in);
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    seq_what = e.what();
+  for (const Encoded& e : scenario_ras_bytes()) {
+    for (const bool filtered : {false, true}) {
+      SCOPED_TRACE(std::string(e.name) + (filtered ? " filtered" : " unfiltered"));
+      ras::ReadOptions opts;
+      opts.mode = ParseMode::Lenient;
+      if (filtered) opts.predicate = window;
+      IngestReport seq_rep, par_rep;
+      opts.report = &seq_rep;
+      std::istringstream seq_in(e.bytes);
+      const ras::RasLog seq = ras::read_binary(seq_in, partial, opts);
+      opts.report = &par_rep;
+      opts.pool = &pool;
+      std::istringstream par_in(e.bytes);
+      const ras::RasLog par = ras::read_binary(par_in, partial, opts);
+      expect_logs_equal(seq, par);
+      expect_reports_equal(seq_rep, par_rep);
+      EXPECT_GT(seq_rep.malformed(IngestReason::UnknownErrcode), 0u);
+      EXPECT_LT(seq.size(), scenario().ras.size());
+      EXPECT_FALSE(seq.fatal_columns().empty());
+    }
   }
-  try {
-    std::istringstream in(bytes);
-    ras::read_binary(in, ras::default_catalog(), ParseMode::Strict, nullptr, nullptr,
-                     &pool);
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    par_what = e.what();
-  }
-  EXPECT_EQ(seq_what, par_what);
-  EXPECT_NE(seq_what.find("CRC mismatch"), std::string::npos) << seq_what;
 }
 
-TEST(ParallelBinaryRead, TruncatedFileMatchesSequential) {
-  par::ThreadPool pool(4);
-  std::string bytes = scenario_ras_bytes();
-  bytes.resize(bytes.size() * 2 / 3);  // cut mid-block
+TEST(ParallelBinaryRead, OversizedBlocksFallBackToSequential) {
+  // v3 'C' blocks of 100 records, framed by hand after a writer-made
+  // prefix: each declares more records than the pooled reader's 64-record
+  // slot, a non-canonical shape the sequential reader decodes as is.
+  const ras::RasLog& log = scenario().ras;
+  std::stringstream v3;
+  ras::write_binary(v3, log, {});
+  const std::string written = v3.str();
+  const std::vector<std::size_t> frames = testing::frame_offsets(written);
+  ASSERT_GT(frames.size(), 6u);
+  std::string bytes = written.substr(0, frames[6]);  // header + M M D D L L
 
-  std::istringstream seq_in(bytes);
-  IngestReport seq_rep;
-  const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
-                                           ParseMode::Lenient, &seq_rep);
-  std::istringstream par_in(bytes);
-  IngestReport par_rep;
-  const ras::RasLog par = ras::read_binary(par_in, ras::default_catalog(),
-                                           ParseMode::Lenient, &par_rep, nullptr, &pool);
-  expect_logs_equal(seq, par);
-  expect_reports_equal(seq_rep, par_rep);
-  EXPECT_GT(seq_rep.malformed(IngestReason::BinaryFrame), 0u);
+  std::vector<std::uint32_t> loc_idx(log.size());
+  std::vector<std::uint32_t> keys;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const std::uint32_t key = log[i].location.packed();
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    loc_idx[i] = static_cast<std::uint32_t>(it - keys.begin());
+    if (it == keys.end()) keys.push_back(key);
+  }
+  constexpr std::size_t kBlock = 100;
+  std::string payload, raw;
+  for (std::size_t base = 0; base < log.size(); base += kBlock) {
+    payload.clear();
+    ras::encode_ras_column_block(payload, &log[base], std::min(kBlock, log.size() - base),
+                                 loc_idx.data() + base, true, machine::bgp_model().codec(),
+                                 raw);
+    bin::append_frame(bytes, payload);
+  }
+
+  par::ThreadPool pool(4);
+  for (const ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
+    ras::ReadOptions opts;
+    opts.mode = mode;
+    IngestReport seq_rep, par_rep;
+    opts.report = &seq_rep;
+    const ras::RasLog seq = read_with(bytes, opts);
+    opts.report = &par_rep;
+    opts.pool = &pool;
+    const ras::RasLog par = read_with(bytes, opts);
+    expect_logs_equal(seq, par);
+    expect_reports_equal(seq_rep, par_rep);
+    EXPECT_EQ(seq.size(), log.size());
+  }
+}
+
+TEST(ParallelBinaryRead, PushdownNeverReadsZoneRejectedBlocks) {
+  // The documented contract: under a predicate the pooled v3 reader takes
+  // a footer-covered block that the footer zone map rejects on the
+  // footer's word — the block's bytes are never read, so its CRC is never
+  // checked. Damage there changes the sequential read only.
+  const synth::ScenarioConfig cfg = synth::small_scenario(42);
+  std::stringstream v3;
+  ras::write_binary(v3, scenario().ras, {});
+  const std::string intact = v3.str();
+  const std::size_t first = testing::frames_with_tag(intact, 'C').front();
+  std::uint32_t size = 0;
+  std::memcpy(&size, intact.data() + first + 4, sizeof size);
+  ASSERT_LT(scenario().ras[63].event_time, cfg.start + 3 * kUsecPerDay);
+
+  ras::ReadOptions opts;
+  opts.predicate.time_begin = cfg.start + 3 * kUsecPerDay;
+  par::ThreadPool pool(4);
+  const auto read_both = [&](const std::string& bytes, ParseMode mode, IngestReport& seq_rep,
+                             IngestReport& par_rep) {
+    ras::ReadOptions o = opts;
+    o.mode = mode;
+    o.report = &seq_rep;
+    ras::RasLog seq = read_with(bytes, o);
+    o.report = &par_rep;
+    o.pool = &pool;
+    ras::RasLog par = read_with(bytes, o);
+    return std::pair{std::move(seq), std::move(par)};
+  };
+
+  // A stale CRC in the first 'C' block, which lies wholly before the window.
+  std::string stale = intact;
+  stale[first + bin::kBlockHeaderBytes + 40] ^= 0x10;
+  {
+    IngestReport seq_rep, par_rep;
+    const auto [seq, par] = read_both(stale, ParseMode::Lenient, seq_rep, par_rep);
+    expect_logs_equal(seq, par);
+    EXPECT_EQ(seq_rep.records_ok(), par_rep.records_ok());
+    EXPECT_EQ(seq_rep.malformed(IngestReason::BinaryFrame), 64u);
+    EXPECT_EQ(par_rep.malformed(IngestReason::BinaryFrame), 0u);
+    ASSERT_FALSE(seq_rep.samples().empty());
+    EXPECT_EQ(seq_rep.samples().back().reason, IngestReason::BinaryFrame);
+    EXPECT_TRUE(par_rep.samples().empty());
+    testing::expect_reports_equal_but_unread_blocks(seq_rep, par_rep, 64);
+
+    // Strict: only the sequential reader sees the CRC; the pooled read
+    // returns the window's records.
+    ras::ReadOptions o = opts;
+    std::istringstream in(stale);
+    EXPECT_THROW(ras::read_binary(in, ras::default_catalog(), o), ParseError);
+    o.pool = &pool;
+    expect_logs_equal(read_with(stale, o), par);
+  }
+
+  // An in-block zone map that lies and admits the block (CRC repaired): the
+  // sequential reader decodes it and exact-filters every record, charging
+  // 64 records to ok; the pooled reader follows the footer.
+  std::string lie = intact;
+  const std::size_t zone = first + bin::kBlockHeaderBytes + 1 + sizeof(std::uint32_t);
+  const std::int64_t forever = INT64_MAX;
+  std::memcpy(lie.data() + zone + 8, &forever, sizeof forever);
+  const std::uint32_t crc = bin::crc32(lie.data() + first + bin::kBlockHeaderBytes, size);
+  std::memcpy(lie.data() + first + 8, &crc, sizeof crc);
+  {
+    IngestReport seq_rep, par_rep;
+    const auto [seq, par] = read_both(lie, ParseMode::Lenient, seq_rep, par_rep);
+    expect_logs_equal(seq, par);
+    EXPECT_EQ(seq_rep.records_ok(), par_rep.records_ok() + 64);
+    EXPECT_EQ(seq_rep.total_malformed(), 0u);
+    EXPECT_EQ(par_rep.total_malformed(), 0u);
+    testing::expect_reports_equal_but_unread_blocks(seq_rep, par_rep, 64);
+  }
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "corrupt.hpp"
+#include "read_equal.hpp"
 
 #include "coral/common/error.hpp"
 #include "coral/common/ingest.hpp"
 #include "coral/common/instrument.hpp"
+#include "coral/common/parallel.hpp"
 #include "coral/context.hpp"
 #include "coral/core/pipeline.hpp"
 #include "coral/joblog/binary_io.hpp"
@@ -540,6 +543,10 @@ TEST(FuzzSmokeBinary, RecoversAtLeast99PercentAfterBitFlips) {
 // -- exact filter rejects still count as ok.
 
 TEST(FuzzSmokeV3, RasCorpus) {
+  // Every damaged input is also read through a 4-thread pool, which must
+  // reproduce the sequential log and report — up to the documented
+  // pushdown difference: under the predicate the pooled reader never reads
+  // the blocks the footer zone maps reject (here the records before it).
   const std::size_t n = 600;
   const ras::RasLog log = make_ras_log(n);
   std::stringstream buf;
@@ -547,6 +554,13 @@ TEST(FuzzSmokeV3, RasCorpus) {
   const std::string bytes = buf.str();
   bin::ReadPredicate pred;
   pred.time_begin = TimePoint::from_calendar(2009, 1, 5) + 2 * kUsecPerHour;
+  std::uint64_t unread = 0;
+  for (std::size_t b = 0; b < n; b += 64) {
+    const std::size_t end = std::min(n, b + 64);
+    if (log[end - 1].event_time < pred.time_begin) unread += end - b;
+  }
+  ASSERT_GT(unread, 0u);
+  par::ThreadPool pool(4);
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
     for (const std::string& bad :
@@ -570,6 +584,21 @@ TEST(FuzzSmokeV3, RasCorpus) {
           EXPECT_EQ(rep.records_ok(), parsed.size()) << "seed " << seed;
         }
         EXPECT_LE(parsed.size(), n) << "seed " << seed;
+
+        SCOPED_TRACE("pooled, seed " + std::to_string(seed) +
+                     (filtered ? ", filtered" : ""));
+        std::istringstream pooled_in(bad);
+        IngestReport pooled_rep;
+        opts.report = &pooled_rep;
+        opts.pool = &pool;
+        ras::RasLog pooled;
+        ASSERT_NO_THROW(pooled = ras::read_binary(pooled_in, ras::default_catalog(), opts));
+        testing::expect_logs_equal(parsed, pooled);
+        if (filtered) {
+          testing::expect_reports_equal_but_unread_blocks(rep, pooled_rep, unread);
+        } else {
+          testing::expect_reports_equal(rep, pooled_rep);
+        }
       }
     }
   }

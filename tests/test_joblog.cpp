@@ -65,6 +65,46 @@ TEST(JobLog, ByEndTimeOrdersTerminationsWithIndexTieBreak) {
   }
 }
 
+TEST(JobLog, OutOfOrderAppendsSortStablyByStart) {
+  // Appends out of start order take the stable sort: equal start times keep
+  // their append order.
+  JobLog log;
+  log.append(make_job(log, 1, "appA", "u1", "p1", 3000, 4000, "R00-M0"));
+  log.append(make_job(log, 2, "appB", "u1", "p1", 1000, 6000, "R00-M1"));
+  log.append(make_job(log, 3, "appC", "u1", "p1", 3000, 3500, "R01"));
+  log.append(make_job(log, 4, "appD", "u1", "p1", 1000, 2000, "R02"));
+  log.append(make_job(log, 5, "appE", "u1", "p1", 2000, 4000, "R03"));
+  log.finalize();
+  std::vector<std::int64_t> ids;
+  for (const JobRecord& j : log) ids.push_back(j.job_id);
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{2, 4, 5, 1, 3}));
+  const std::vector<std::size_t>& by_end = log.by_end_time();
+  std::vector<std::int64_t> ends;
+  for (const std::size_t i : by_end) ends.push_back(log[i].job_id);
+  EXPECT_EQ(ends, (std::vector<std::int64_t>{4, 3, 5, 1, 2}));
+  EXPECT_EQ(log.columns().start[0], log[0].start_time);
+}
+
+TEST(JobLog, StartOrderedLogKeepsItsOrder) {
+  // A log appended in start order (as every decoded log is) skips the
+  // sort; ties keep append order and the end index is the same.
+  JobLog log;
+  log.append(make_job(log, 9, "appA", "u1", "p1", 1000, 5000, "R00-M0"));
+  log.append(make_job(log, 3, "appB", "u1", "p1", 1000, 3000, "R00-M1"));
+  log.append(make_job(log, 7, "appC", "u1", "p1", 2000, 3000, "R01"));
+  log.append(make_job(log, 1, "appD", "u1", "p1", 2500, 2600, "R02"));
+  log.finalize();
+  std::vector<std::int64_t> ids;
+  for (const JobRecord& j : log) ids.push_back(j.job_id);
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{9, 3, 7, 1}));
+  EXPECT_EQ(log.by_end_time(), (std::vector<std::size_t>{3, 1, 2, 0}));
+  log.finalize();  // idempotent on a finalized log
+  ids.clear();
+  for (const JobRecord& j : log) ids.push_back(j.job_id);
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{9, 3, 7, 1}));
+  EXPECT_EQ(log.by_end_time(), (std::vector<std::size_t>{3, 1, 2, 0}));
+}
+
 TEST(JobLog, RunningAtLocationMatching) {
   JobLog log;
   log.append(make_job(log, 1, "appA", "u1", "p1", 1000, 2000, "R00-M0"));
