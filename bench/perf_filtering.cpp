@@ -1,7 +1,9 @@
 // Microbenchmarks for the RAS-log side of the front end on the full-scale
 // log: the FATAL-record gather and the binary v2/v3 readers and writers.
 // The filter stages themselves are timed inside the streaming front end
-// (perf_streaming, BM_FullCoAnalysis).
+// (perf_streaming, BM_FullCoAnalysis). The benches that run on a pool
+// measure process CPU time: gbench's default counts only the calling
+// thread, which would leave the pool workers' decode and encode out.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -69,7 +71,7 @@ void BM_RasBinaryReadParallel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data().ras.size()));
 }
-BENCHMARK(BM_RasBinaryReadParallel);
+BENCHMARK(BM_RasBinaryReadParallel)->MeasureProcessCPUTime();
 
 void BM_RasBinaryWriteV3(benchmark::State& state) {
   (void)data();
@@ -96,7 +98,7 @@ void BM_RasBinaryWriteV3Parallel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data().ras.size()));
 }
-BENCHMARK(BM_RasBinaryWriteV3Parallel);
+BENCHMARK(BM_RasBinaryWriteV3Parallel)->MeasureProcessCPUTime();
 
 // Writes the v3 store to a temp file once; the read benches then measure
 // the real full-file path (mmap zero-copy + parallel block decode), the
@@ -124,7 +126,7 @@ void BM_RasBinaryReadV3(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data().ras.size()));
 }
-BENCHMARK(BM_RasBinaryReadV3);
+BENCHMARK(BM_RasBinaryReadV3)->MeasureProcessCPUTime();
 
 void BM_RasBinaryReadV3Pushdown(benchmark::State& state) {
   // The paper's canonical slice: a 60-day window of the 237-day log. Zone
@@ -143,6 +145,6 @@ void BM_RasBinaryReadV3Pushdown(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data().ras.size()));
 }
-BENCHMARK(BM_RasBinaryReadV3Pushdown);
+BENCHMARK(BM_RasBinaryReadV3Pushdown)->MeasureProcessCPUTime();
 
 }  // namespace

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "coral/common/instrument.hpp"
 #include "coral/common/parallel.hpp"
 #include "coral/context.hpp"
 #include "coral/obs/obs.hpp"

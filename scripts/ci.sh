@@ -96,19 +96,22 @@ case " ${PRESETS[*]} " in
     ;;
 esac
 
-# The concurrent multi-catalog tests, the sharded streaming differential
-# and the fleet daemon tests must always run under ThreadSanitizer, even
-# when the caller asked for a subset of presets: they are the only coverage
-# of two Contexts racing through the full pipeline, of shards splicing group
-# members into disjoint index ranges of one shared member chain, and of the
-# daemon's accept, connection and metrics threads starting and stopping.
+# The concurrent multi-catalog tests, the sharded streaming differential,
+# the fleet daemon tests and the obs tests must always run under
+# ThreadSanitizer, even when the caller asked for a subset of presets: they
+# are the only coverage of two Contexts racing through the full pipeline, of
+# shards splicing group members into disjoint index ranges of one shared
+# member chain, of the daemon's accept, connection and metrics threads
+# starting and stopping, and of per-shard spans recording into one
+# collector (and its span histograms) from pool workers.
 case " ${PRESETS[*]} " in
   *" tsan "*) ;;  # full tsan suite already ran above
   *)
-    echo "==== [tsan] focused Context + sharded streaming + fleet race check ===="
+    echo "==== [tsan] focused Context + sharded streaming + fleet + obs race check ===="
     cmake --preset tsan
-    cmake --build --preset tsan -j "$JOBS" --target test_context test_streaming test_fleet
-    ctest --preset tsan -R 'Context|StreamingEngine|Fleet' -j "$JOBS"
+    cmake --build --preset tsan -j "$JOBS" \
+      --target test_context test_streaming test_fleet test_obs
+    ctest --preset tsan -R 'Context|StreamingEngine|Fleet|Obs' -j "$JOBS"
     ;;
 esac
 

@@ -7,7 +7,7 @@ real time, and merges the result into the committed trajectory file:
 
     {
       "schema": 1,
-      "units": "ms (gbench: cpu_time; perf_streaming: wall)",
+      "units": "ms (gbench: cpu_time, process-wide for the pooled series; perf_streaming: wall)",
       "baseline": { "<bench>": ms, ... },   # pre-columnar-hot-path numbers
       "current":  { "<bench>": ms, ... }    # latest run, updated here
     }
@@ -54,10 +54,15 @@ def load_gbench(path):
 
     CPU time, not real time: CI runs on small shared VMs where wall clock
     measures the noisy neighbors (observed 2x swings on identical binaries
-    run minutes apart, while CPU time held a ~5% cv). Every gbench suite
-    here is CPU-bound single-threaded, so on a quiet box the two agree and
-    the committed trajectory stays comparable. perf_streaming keeps wall
-    time — its fork-based modes are measured as wall by design.
+    run minutes apart, while CPU time held a ~5% cv). Most gbench series
+    here are CPU-bound single-threaded, so gbench's default cpu_time (the
+    calling thread only) covers all their work. The series that run on a
+    thread pool (the parallel and v3 RAS readers, the parallel v3 writer,
+    BM_EndToEndCoAnalysis) are registered with MeasureProcessCPUTime(), so
+    their cpu_time is the whole process's — pool workers included — and
+    the gate tracks all of their work, not only the serial share.
+    perf_streaming keeps wall time — its fork-based modes are measured as
+    wall by design.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -183,7 +188,7 @@ def main():
     merged.update(fresh)
     out_doc = {
         "schema": 1,
-        "units": "ms (gbench: cpu_time; perf_streaming: wall)",
+        "units": "ms (gbench: cpu_time, process-wide for the pooled series; perf_streaming: wall)",
         "baseline": doc.get("baseline", {}),
         "current": {k: round(v, 4) for k, v in sorted(merged.items())},
     }

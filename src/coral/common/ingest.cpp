@@ -1,6 +1,6 @@
 #include "coral/common/ingest.hpp"
 
-#include "coral/common/instrument.hpp"
+#include "coral/obs/obs.hpp"
 
 namespace coral {
 
@@ -89,13 +89,13 @@ std::string IngestReport::summary() const {
   return out;
 }
 
-void IngestReport::report_malformed(InstrumentationSink* sink,
-                                    const std::string& stage) const {
-  if (sink == nullptr) return;
+void IngestReport::report_malformed(obs::Collector* obs, const std::string& stage) const {
+  if (obs == nullptr) return;
   for (std::size_t i = 0; i < kIngestReasonCount; ++i) {
     if (counts_[i] == 0) continue;
-    sink->record({stage + ".malformed." + std::string(to_string(static_cast<IngestReason>(i))),
-                  0, counts_[i], 0});
+    obs->add_counter(
+        stage + ".malformed." + std::string(to_string(static_cast<IngestReason>(i))),
+        counts_[i]);
   }
 }
 

@@ -6,9 +6,11 @@
 #include <string_view>
 #include <vector>
 
-namespace coral {
+namespace coral::obs {
+class Collector;
+}
 
-class InstrumentationSink;
+namespace coral {
 
 /// How a log reader reacts to malformed input.
 ///
@@ -87,12 +89,12 @@ class IngestReport {
   /// "1234 ok, 3 malformed (row_width: 2, bad_timestamp: 1)".
   std::string summary() const;
 
-  /// Publish the malformed-record counters to an instrumentation sink
-  /// (no-op on nullptr): one "<stage>.malformed.<reason>" sample per nonzero
-  /// reason counter, with `in` = the count. The reader itself emits the
-  /// "<stage>" sample (wall time, records seen -> records kept) via
-  /// StageTimer, so ingest health lands alongside the engine stage timings.
-  void report_malformed(InstrumentationSink* sink, const std::string& stage) const;
+  /// Publish the malformed-record counters to a collector (no-op on
+  /// nullptr): one "<stage>.malformed.<reason>" counter per nonzero reason,
+  /// advanced by its count. The reader itself records the "<stage>" span
+  /// (records seen -> records kept), so ingest health lands alongside the
+  /// engine stage spans.
+  void report_malformed(obs::Collector* obs, const std::string& stage) const;
 
  private:
   std::uint64_t counts_[kIngestReasonCount] = {};

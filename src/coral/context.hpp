@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "coral/common/instrument.hpp"
 #include "coral/common/parallel.hpp"
 #include "coral/common/rng.hpp"
 #include "coral/machine/model.hpp"
@@ -16,7 +15,7 @@ namespace coral {
 /// policy, and where stage instrumentation goes.
 ///
 /// A Context is a cheap-to-copy bundle of non-owning handles; the caller
-/// keeps the catalog, pool and sink alive for as long as any analysis using
+/// keeps the catalog, pool and collector alive for as long as any analysis using
 /// the context runs (for the default catalog that is the whole process).
 /// Every layer that used to consult process-global state — fault injection,
 /// the synthetic workload, RAS ingest/serialization, filtering, the core
@@ -35,7 +34,6 @@ class Context {
   const ras::Catalog& catalog() const { return *catalog_; }
   const machine::MachineModel& machine() const { return *machine_; }
   par::ThreadPool* pool() const { return pool_; }
-  InstrumentationSink* sink() const { return sink_; }
   obs::Collector* obs() const { return obs_; }
   std::uint64_t seed() const { return seed_; }
 
@@ -56,20 +54,14 @@ class Context {
     pool_ = pool;
     return *this;
   }
-  /// Instrumentation sink for stage timings and ingest health: the hardened
-  /// log readers report "ingest.*" stage samples and per-reason
-  /// "ingest.*.malformed.*" counters here, alongside the engine stages.
-  Context& with_sink(InstrumentationSink* sink) {
-    sink_ = sink;
-    return *this;
-  }
-  /// Full observability: trace spans, typed counters and histograms land in
-  /// `collector`, and — because a Collector is an InstrumentationSink — so
-  /// do all legacy StageTimer stage samples and ingest-health counters. One
-  /// object, one snapshot, every layer.
+  /// Observability: every layer records its stage spans (one per stage,
+  /// or per shard of a sharded stage, each also feeding a same-named
+  /// duration histogram), typed counters — the log readers' per-reason
+  /// "ingest.*.malformed.*" ledgers among them — and value histograms into
+  /// `collector`. One object, one snapshot, every layer; nullptr (the
+  /// default) records nothing.
   Context& with_obs(obs::Collector* collector) {
     obs_ = collector;
-    sink_ = collector;
     return *this;
   }
   /// Seed policy: this offset is folded into every generator seed derived
@@ -93,7 +85,6 @@ class Context {
   const ras::Catalog* catalog_;
   const machine::MachineModel* machine_ = &machine::bgp_model();
   par::ThreadPool* pool_ = nullptr;
-  InstrumentationSink* sink_ = nullptr;
   obs::Collector* obs_ = nullptr;
   std::uint64_t seed_ = 0;
 };

@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "coral/obs/obs.hpp"
 #include "coral/stream/accumulators.hpp"
 #include "coral/stream/coanalysis.hpp"
 
@@ -13,8 +14,8 @@ IngestedLogs ingest_csv_logs(std::istream& ras_in, std::istream& jobs_in, ParseM
                              const Context& ctx) {
   IngestedLogs logs;
   logs.ras = ras::RasLog::read_csv(ras_in, ctx.catalog(), mode, &logs.ras_report,
-                                   ctx.sink(), ctx.machine());
-  logs.jobs = joblog::JobLog::read_csv(jobs_in, mode, &logs.jobs_report, ctx.sink(),
+                                   ctx.obs(), ctx.machine());
+  logs.jobs = joblog::JobLog::read_csv(jobs_in, mode, &logs.jobs_report, ctx.obs(),
                                        ctx.machine());
   return logs;
 }
@@ -27,15 +28,15 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
   r.filtered = std::move(filtered);
   r.matches = std::move(matches);
 
-  InstrumentationSink* sink = ctx.sink();
+  obs::Collector* obs = ctx.obs();
   par::ThreadPool* pool = ctx.pool();
 
   // Step 1 (continued): identify the interruption-related errcodes (§IV-A).
   {
-    StageTimer timer(sink, "identification");
+    obs::Span span(obs, "identification");
     r.identification =
         identify_interruption_related(r.filtered, r.matches, jobs, config.identification);
-    timer.counts(r.filtered.groups.size(), r.identification.verdicts.size());
+    span.counts(r.filtered.groups.size(), r.identification.verdicts.size());
   }
 
   // Per-analysis columnar inputs of the characterization stages: gathered
@@ -43,40 +44,40 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
   // vulnerability next to the job log's own columns.
   CharColumns cols;
   {
-    StageTimer timer(sink, "char.columns");
+    obs::Span span(obs, "char.columns");
     cols = build_char_columns(r.filtered, r.matches, jobs, pool);
-    timer.counts(cols.group_count() + cols.job_count(), r.matches.interruptions.size());
+    span.counts(cols.group_count() + cols.job_count(), r.matches.interruptions.size());
   }
 
   // Step 2: separate system failures from application errors (§IV-B).
   {
-    StageTimer timer(sink, "classification");
+    obs::Span span(obs, "classification");
     r.classification = classify_causes(r.filtered, r.matches, r.identification, jobs,
                                        cols, config.classification, pool);
-    timer.counts(r.identification.verdicts.size(), r.classification.by_code.size());
+    span.counts(r.identification.verdicts.size(), r.classification.by_code.size());
   }
 
   // Step 3: job-related filtering (§IV-C).
   {
-    StageTimer timer(sink, "job_filter");
+    obs::Span span(obs, "job_filter");
     r.job_filter = job_related_filter(r.filtered, r.matches, r.classification, jobs,
                                       cols, config.job_filter, pool);
-    timer.counts(r.filtered.groups.size(), r.job_filter.kept.size());
+    span.counts(r.filtered.groups.size(), r.job_filter.kept.size());
   }
 
   // Characterization: propagation and vulnerability (§VI-C, §VI-D).
   {
-    StageTimer timer(sink, "propagation");
+    obs::Span span(obs, "propagation");
     r.propagation =
         analyze_propagation(r.filtered, r.matches, jobs, cols, config.propagation, pool);
-    timer.counts(r.matches.interruptions.size(), r.propagation.propagating_codes.size());
+    span.counts(r.matches.interruptions.size(), r.propagation.propagating_codes.size());
   }
   {
-    StageTimer timer(sink, "vulnerability");
+    obs::Span span(obs, "vulnerability");
     r.vulnerability =
         analyze_vulnerability(r.filtered, r.matches, r.classification, jobs, cols,
                               config.vulnerability, pool);
-    timer.counts(r.matches.interruptions.size(), jobs.size());
+    span.counts(r.matches.interruptions.size(), jobs.size());
   }
 
   // Interarrival fits (§V-A, Table IV; Fig. 3), via the incremental

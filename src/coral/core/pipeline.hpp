@@ -25,8 +25,8 @@ struct IngestedLogs {
 };
 
 /// Load a RAS CSV + job CSV pair under one parse mode, resolving errcodes
-/// against the context's catalog and reporting ingest stage timings plus
-/// malformed-record counters to the context's instrumentation sink.
+/// against the context's catalog and recording ingest spans plus
+/// malformed-record counters in the context's collector.
 IngestedLogs ingest_csv_logs(std::istream& ras_in, std::istream& jobs_in,
                              ParseMode mode = ParseMode::Strict,
                              const Context& ctx = {});
@@ -110,8 +110,8 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
 /// and the RAS↔job matches, then complete_coanalysis derives everything
 /// else.
 /// The context supplies the worker pool for the data-parallel stages and
-/// the instrumentation sink for per-stage timings; results are identical
-/// with or without either.
+/// the collector for per-stage spans; results are identical with or
+/// without either.
 CoAnalysisResult run_coanalysis(const ras::RasLog& ras, const joblog::JobLog& jobs,
                                 const CoAnalysisConfig& config = {},
                                 const Context& ctx = {});

@@ -262,13 +262,18 @@ class Daemon::Impl {
   /// Run one tenant's finalize and build the Complete reply. Serialized
   /// across tenants: they share one analysis pool, and ThreadPool::wait_idle
   /// is a whole-pool barrier, so interleaved finalizes would observe each
-  /// other's tasks.
+  /// other's tasks. The tenant's collector gets a "fleet.finalize" span
+  /// (its stage spans nest under it) and a "fleet.finalize_wait" child that
+  /// closes once the serializing lock is held.
   std::string finalize_tenant(Tenant& t) {
     {
       std::lock_guard<std::mutex> lock(t.mu);
       if (!t.complete_body.empty()) return t.complete_body;
     }
+    obs::Span span(&t.collector, "fleet.finalize");
+    obs::Span wait(&t.collector, "fleet.finalize_wait");
     std::lock_guard<std::mutex> flock(finalize_mu_);
+    wait.end();
     {
       std::lock_guard<std::mutex> lock(t.mu);
       if (!t.complete_body.empty()) return t.complete_body;

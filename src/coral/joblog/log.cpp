@@ -7,8 +7,8 @@
 
 #include "coral/common/csv.hpp"
 #include "coral/common/error.hpp"
-#include "coral/common/instrument.hpp"
 #include "coral/common/strings.hpp"
+#include "coral/obs/obs.hpp"
 
 namespace coral::joblog {
 
@@ -262,10 +262,10 @@ TimePoint parse_job_time(const std::string& field) {
 }  // namespace
 
 JobLog JobLog::read_csv(std::istream& in, ParseMode mode, IngestReport* report,
-                        InstrumentationSink* sink, const machine::MachineModel& machine) {
+                        obs::Collector* obs, const machine::MachineModel& machine) {
   IngestReport local;
   IngestReport& rep = report != nullptr ? *report : local;
-  StageTimer timer(sink, "ingest.job_csv");
+  obs::Span span(obs, "ingest.job_csv");
 
   CsvReader r(in, ',', mode, &rep);
   std::vector<std::string> row;
@@ -313,8 +313,8 @@ JobLog JobLog::read_csv(std::istream& in, ParseMode mode, IngestReport* report,
     rep.add_ok();
   }
   log.finalize();
-  timer.counts(rep.records_seen(), rep.records_ok());
-  rep.report_malformed(sink, "ingest.job_csv");
+  span.counts(rep.records_seen(), rep.records_ok());
+  rep.report_malformed(obs, "ingest.job_csv");
   return log;
 }
 

@@ -15,7 +15,6 @@
 
 #include "coral/common/binary_frame.hpp"
 #include "coral/common/error.hpp"
-#include "coral/common/instrument.hpp"
 #include "coral/common/parallel.hpp"
 #include "coral/common/storev3.hpp"
 #include "coral/obs/obs.hpp"
@@ -780,8 +779,8 @@ RasLog read_view(std::string_view buffer, const Catalog& catalog,
   IngestReport& rep = opts.report != nullptr ? *opts.report : local;
   const machine::MachineModel& machine =
       opts.machine != nullptr ? *opts.machine : machine::bgp_model();
-  StageTimer timer(opts.sink, "ingest.ras_binary");
-  CORAL_OBS_COUNT(obs::as_collector(opts.sink), "ingest.ras_binary.bytes", buffer.size());
+  obs::Span span(opts.obs, "ingest.ras_binary");
+  CORAL_OBS_COUNT(opts.obs, "ingest.ras_binary.bytes", buffer.size());
 
   std::uint32_t version = kRasVersion;
   const bool header_ok = buffer.size() >= sizeof kRasMagic + sizeof version &&
@@ -823,13 +822,12 @@ RasLog read_view(std::string_view buffer, const Catalog& catalog,
                    : read_region_sequential(region, catalog, opts.mode, machine, rep,
                                             filter, blocks, reserve_div);
 
-  obs::Collector* col = obs::as_collector(opts.sink);
-  CORAL_OBS_COUNT(col, "ingest.ras_binary.blocks_total", blocks.total);
-  CORAL_OBS_COUNT(col, "ingest.ras_binary.blocks_decoded", blocks.decoded);
-  CORAL_OBS_COUNT(col, "ingest.ras_binary.blocks_skipped", blocks.skipped);
+  CORAL_OBS_COUNT(opts.obs, "ingest.ras_binary.blocks_total", blocks.total);
+  CORAL_OBS_COUNT(opts.obs, "ingest.ras_binary.blocks_decoded", blocks.decoded);
+  CORAL_OBS_COUNT(opts.obs, "ingest.ras_binary.blocks_skipped", blocks.skipped);
 
-  timer.counts(rep.records_seen(), rep.records_ok());
-  rep.report_malformed(opts.sink, "ingest.ras_binary");
+  span.counts(rep.records_seen(), rep.records_ok());
+  rep.report_malformed(opts.obs, "ingest.ras_binary");
   return log;
 }
 
@@ -888,12 +886,12 @@ RasLog read_binary(std::istream& in, const Catalog& catalog, const ReadOptions& 
 }
 
 RasLog read_binary(std::istream& in, const Catalog& catalog, ParseMode mode,
-                   IngestReport* report, InstrumentationSink* sink, par::ThreadPool* pool,
+                   IngestReport* report, obs::Collector* obs, par::ThreadPool* pool,
                    const machine::MachineModel& machine) {
   ReadOptions opts;
   opts.mode = mode;
   opts.report = report;
-  opts.sink = sink;
+  opts.obs = obs;
   opts.pool = pool;
   opts.machine = &machine;
   return read_binary(in, catalog, opts);

@@ -81,7 +81,7 @@ void write_binary(std::ostream& out, const RasLog& log, const WriteOptions& opts
 struct ReadOptions {
   ParseMode mode = ParseMode::Strict;
   IngestReport* report = nullptr;
-  InstrumentationSink* sink = nullptr;
+  obs::Collector* obs = nullptr;
   par::ThreadPool* pool = nullptr;
   const machine::MachineModel* machine = nullptr;  ///< null = bgp_model()
   /// Predicate pushdown: v3 blocks whose zone map cannot match are skipped
@@ -103,10 +103,10 @@ struct ReadOptions {
 /// BinaryFrame counter ends up holding exactly the number of records lost
 /// to frame damage (the dictionary's total record count makes the loss
 /// computable even when the records themselves are unreadable) — at most
-/// one block of records per damaged frame, in either version. With a
-/// `sink`, an "ingest.ras_binary" stage sample, per-reason malformed
-/// counters, and blocks_total/blocks_decoded/blocks_skipped pushdown
-/// counters are recorded.
+/// one block of records per damaged frame, in either version. With an
+/// `obs` collector, an "ingest.ras_binary" span, per-reason malformed
+/// counters, and bytes/blocks_total/blocks_decoded/blocks_skipped counters
+/// are recorded.
 ///
 /// The input is buffered whole and frames are decoded in place. With a
 /// `pool`, CRC verification and record decoding fan out across contiguous
@@ -118,7 +118,7 @@ struct ReadOptions {
 RasLog read_binary(std::istream& in, const Catalog& catalog, const ReadOptions& opts);
 RasLog read_binary(std::istream& in, const Catalog& catalog = default_catalog(),
                    ParseMode mode = ParseMode::Strict, IngestReport* report = nullptr,
-                   InstrumentationSink* sink = nullptr, par::ThreadPool* pool = nullptr,
+                   obs::Collector* obs = nullptr, par::ThreadPool* pool = nullptr,
                    const machine::MachineModel& machine = machine::bgp_model());
 
 /// read_binary over a memory-mapped file: the region is decoded in place

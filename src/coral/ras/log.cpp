@@ -7,8 +7,8 @@
 
 #include "coral/common/csv.hpp"
 #include "coral/common/error.hpp"
-#include "coral/common/instrument.hpp"
 #include "coral/common/strings.hpp"
+#include "coral/obs/obs.hpp"
 
 namespace coral::ras {
 
@@ -170,11 +170,11 @@ std::string row_snippet(const std::vector<std::string>& row) {
 }  // namespace
 
 RasLog RasLog::read_csv(std::istream& in, const Catalog& catalog, ParseMode mode,
-                        IngestReport* report, InstrumentationSink* sink,
+                        IngestReport* report, obs::Collector* obs,
                         const machine::MachineModel& machine) {
   IngestReport local;
   IngestReport& rep = report != nullptr ? *report : local;
-  StageTimer timer(sink, "ingest.ras_csv");
+  obs::Span span(obs, "ingest.ras_csv");
 
   CsvReader r(in, ',', mode, &rep);
   std::vector<std::string> row;
@@ -233,8 +233,8 @@ RasLog RasLog::read_csv(std::istream& in, const Catalog& catalog, ParseMode mode
     events.push_back(ev);
     rep.add_ok();
   }
-  timer.counts(rep.records_seen(), rep.records_ok());
-  rep.report_malformed(sink, "ingest.ras_csv");
+  span.counts(rep.records_seen(), rep.records_ok());
+  rep.report_malformed(obs, "ingest.ras_csv");
   return RasLog(std::move(events), catalog, machine);
 }
 

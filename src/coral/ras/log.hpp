@@ -123,16 +123,16 @@ class RasLog {
   /// first malformed byte. Lenient mode skips-and-counts malformed rows
   /// (per-reason tallies, byte offsets and samples in `report` if given)
   /// and resynchronizes at the next row boundary, so a truncated or
-  /// bit-flipped log still yields every intact record. When `sink` is given
-  /// an "ingest.ras_csv" stage sample (wall time, rows seen -> rows kept)
+  /// bit-flipped log still yields every intact record. When an `obs`
+  /// collector is given an "ingest.ras_csv" span (rows seen -> rows kept)
   /// plus per-reason malformed counters are recorded, alongside whatever
-  /// stage timings the analysis engines emit into the same sink.
+  /// stage spans the analysis engines record into the same collector.
   /// Location strings are validated against `machine`'s grammar; the
   /// returned log is stamped with that model.
   static RasLog read_csv(std::istream& in, const Catalog& catalog = default_catalog(),
                          ParseMode mode = ParseMode::Strict,
                          IngestReport* report = nullptr,
-                         InstrumentationSink* sink = nullptr,
+                         obs::Collector* obs = nullptr,
                          const machine::MachineModel& machine = machine::bgp_model());
 
  private:

@@ -31,16 +31,16 @@ struct ShardOutput {
 
 FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobLog& jobs,
                                       const FrontEndConfig& config, const Context& ctx) {
-  InstrumentationSink* sink = ctx.sink();
+  obs::Collector* obs = ctx.obs();
   FrontEndResult r;
   // The SoA view drives the hot loops; fatal_events is only the materialised
   // copy downstream reports expect, gathered through the severity index
   // maintained at ingest (RasLog::finalize) instead of re-scanning the log.
   const ras::FatalColumns& cols = ras.fatal_columns();
   {
-    StageTimer timer(sink, "ingest");
+    obs::Span span(obs, "fatal_view");
     r.filtered.fatal_events = ras.fatal_events();
-    timer.counts(ras.size(), r.filtered.fatal_events.size());
+    span.counts(ras.size(), r.filtered.fatal_events.size());
   }
   const std::size_t fatal_count = cols.size();
   const auto& all_jobs = jobs.jobs();
@@ -99,14 +99,11 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
 
   // ---- Phase 1: temporal -> spatial coalescing, pair mining tapped off the
   // spatial output, groups buffered for phase 2 (one pass over the log). ----
-  obs::Collector* obs = ctx.obs();
-
-  StageTimer phase1_timer(sink, "filter.coalesce");
   run_sharded([&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
       // One span per shard, reported from the worker that ran it, so a
       // Chrome trace shows the shard schedule across pool threads.
-      obs::Span span(obs, "stream.shard.phase1");
+      obs::Span span(obs, "filter.coalesce");
       GroupBuffer buffer;
       StreamingFilter::Options opt;
       opt.temporal = config.filters.temporal;
@@ -130,24 +127,17 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
     }
   });
 
-  {
-    std::size_t spatial_out = 0;
-    for (const ShardOutput& s : shard) spatial_out += s.spatial_out;
-    phase1_timer.counts(fatal_count, spatial_out);
-    phase1_timer.report();
-  }
-
   // ---- Merge mined counts; min-support is global, so acceptance must run
   // on the merged table (no co-occurrence spans a quiesce cut). ----
   if (causality) {
-    StageTimer timer(sink, "mine.merge");
+    obs::Span span(obs, "mine.merge");
     PairMiner::Counts total;
     for (ShardOutput& s : shard) {
       PairMiner::merge_counts(total, s.counts);
       s.counts.clear();
     }
     r.filtered.causal_pairs = PairMiner::accept(total, config.filters.causality.min_support);
-    timer.counts(total.size(), r.filtered.causal_pairs.size());
+    span.counts(total.size(), r.filtered.causal_pairs.size());
   }
 
   // ---- Phase 2: [causality ->] windowed matcher, merge-walking buffered
@@ -157,10 +147,9 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
   // can match, and withholding one only delays watermarks — when a group
   // is emitted, never which jobs it matches. ----
   const Usec window = config.match_window;
-  StageTimer phase2_timer(sink, "filter.match");
   run_sharded([&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
-      obs::Span span(obs, "stream.shard.phase2");
+      obs::Span span(obs, "filter.match");
       ShardOutput& out = shard[s];
       StreamingMatcher matcher(window,
                                [&out](StreamingMatcher::GroupMatch&& m) {
@@ -229,10 +218,7 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
     spatial_total += s.spatial_out;
     groups_total += s.final_groups.size();
   }
-  phase2_timer.counts(spatial_total, groups_total);
-  phase2_timer.report();
-  StageTimer merge_timer(sink, "merge");
-  obs::Span merge_span(obs, "stream.merge");
+  obs::Span merge_span(obs, "merge");
   r.filtered.stages.push_back({"raw FATAL records", fatal_count, fatal_count});
   r.filtered.stages.push_back({"temporal", fatal_count, temporal_total});
   r.filtered.stages.push_back({"spatial", temporal_total, spatial_total});
@@ -274,7 +260,6 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
   merge_span.counts(groups_total, r.matches.interruptions.size());
   CORAL_OBS_VALUE(obs, "stream.peak_state", static_cast<double>(r.peak_stage_state));
   CORAL_OBS_COUNT(obs, "stream.shards_used", static_cast<std::int64_t>(nshards));
-  merge_timer.counts(groups_total, r.matches.interruptions.size());
   return r;
 }
 

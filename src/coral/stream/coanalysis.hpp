@@ -47,8 +47,9 @@ struct FrontEndResult {
 /// spatial groups through causality coalescing into the windowed matcher,
 /// merge-walked against job terminations in end-time order.
 ///
-/// The context's pool (if any) runs shards concurrently; its sink receives
-/// the per-stage wall-time and record counts. Neither changes results.
+/// The context's pool (if any) runs shards concurrently; its collector
+/// receives one span per stage, or per shard of a sharded stage, with the
+/// stage's record counts. Neither changes results.
 FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobLog& jobs,
                                       const FrontEndConfig& config,
                                       const Context& ctx = {});

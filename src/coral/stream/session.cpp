@@ -230,8 +230,8 @@ SessionResult Session::finalize() {
   job_records_.store(out.jobs.size(), std::memory_order_relaxed);
   // Same ingest-health reporting the offline readers emit, so a daemon
   // tenant's malformed ledgers land on /metrics like any batch run's.
-  out.ras_report.report_malformed(ctx_.sink(), "ingest.ras_binary");
-  out.jobs_report.report_malformed(ctx_.sink(), "ingest.job_binary");
+  out.ras_report.report_malformed(ctx_.obs(), "ingest.ras_binary");
+  out.jobs_report.report_malformed(ctx_.obs(), "ingest.job_binary");
   out.analysis = core::run_coanalysis(out.ras, out.jobs, config_.analysis, ctx_);
   return out;
 }

@@ -1,4 +1,4 @@
-// coral::Context: explicit catalog / pool / sink / seed handles replacing
+// coral::Context: explicit catalog / pool / collector / seed handles replacing
 // the old process-global state. Covers heterogeneous catalog lookup, a
 // three-errcode toy catalog driving the generator + analysis end to end,
 // two concurrent analyses over distinct catalogs, stage instrumentation,
@@ -13,6 +13,7 @@
 
 #include "coral/context.hpp"
 #include "coral/core/pipeline.hpp"
+#include "coral/obs/obs.hpp"
 #include "coral/synth/intrepid.hpp"
 
 namespace coral {
@@ -215,35 +216,34 @@ TEST(ContextInstrumentation, SinkRecordsStagesWithoutChangingResults) {
   const synth::SynthResult& data = intrepid_data();
   const auto plain = core::run_coanalysis(data.ras, data.jobs, {});
 
-  RecordingSink sink;
+  obs::Collector c;
   const auto instrumented =
-      core::run_coanalysis(data.ras, data.jobs, {}, Context().with_sink(&sink));
+      core::run_coanalysis(data.ras, data.jobs, {}, Context().with_obs(&c));
   expect_same(plain, instrumented);
 
-  const std::vector<StageSample> samples = sink.samples();
-  const auto stage = [&samples](std::string_view name) -> const StageSample* {
-    const auto it = std::find_if(samples.begin(), samples.end(),
-                                 [name](const StageSample& s) { return s.stage == name; });
-    return it == samples.end() ? nullptr : &*it;
+  const obs::Snapshot snap = c.snapshot();
+  const auto stage = [&snap](std::string_view name) -> const obs::SpanRecord* {
+    const auto it = std::find_if(snap.spans.begin(), snap.spans.end(),
+                                 [name](const obs::SpanRecord& s) { return s.name == name; });
+    return it == snap.spans.end() ? nullptr : &*it;
   };
   // Streaming front-end stages plus the engine-independent back half.
-  for (const char* name : {"ingest", "filter.coalesce", "filter.match", "merge",
+  for (const char* name : {"fatal_view", "filter.coalesce", "filter.match", "merge",
                            "identification", "classification", "job_filter",
                            "propagation", "vulnerability"}) {
     EXPECT_NE(stage(name), nullptr) << name;
   }
-  const StageSample* ingest = stage("ingest");
-  ASSERT_NE(ingest, nullptr);
-  EXPECT_EQ(ingest->in, data.ras.size());
-  EXPECT_EQ(ingest->out, data.ras.summary().fatal_records);
-  const StageSample* merge = stage("merge");
+  const obs::SpanRecord* fatal_view = stage("fatal_view");
+  ASSERT_NE(fatal_view, nullptr);
+  EXPECT_EQ(fatal_view->in, data.ras.size());
+  EXPECT_EQ(fatal_view->out, data.ras.summary().fatal_records);
+  const obs::SpanRecord* merge = stage("merge");
   ASSERT_NE(merge, nullptr);
   EXPECT_EQ(merge->out, instrumented.matches.interruptions.size());
 
-  const std::string json = sink.to_json();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"stage\": \"ingest\""), std::string::npos);
-  EXPECT_GE(sink.total_ms("ingest"), 0.0);
+  const std::string json = obs::snapshot_json(snap);
+  EXPECT_NE(json.find("\"name\": \"fatal_view\""), std::string::npos);
+  EXPECT_GE(snap.total_ms("fatal_view"), 0.0);
 }
 
 // ---- seed policy --------------------------------------------------------

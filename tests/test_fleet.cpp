@@ -285,6 +285,15 @@ TEST(FleetDaemon, MidRunMetricsAreLiveAndLabeled) {
   const std::string done = fx.daemon.metrics_text();
   EXPECT_NE(done.find("coral_session_finalized{tenant=\"livetenant\"} 1"),
             std::string::npos);
+  // Every span feeds a same-named duration histogram: the finalize row and
+  // each analysis stage serve per-tenant latency families.
+  EXPECT_NE(done.find("coral_fleet_finalize_count{tenant=\"livetenant\"} 1"),
+            std::string::npos)
+      << done;
+  EXPECT_NE(done.find("coral_fleet_finalize_wait_count{tenant=\"livetenant\"} 1"),
+            std::string::npos);
+  EXPECT_NE(done.find("coral_filter_coalesce_count{tenant=\"livetenant\"} 1"),
+            std::string::npos);
 }
 
 TEST(FleetDaemon, MetricsEndpointServesHttp) {

@@ -10,13 +10,13 @@
 
 #include "coral/common/error.hpp"
 #include "coral/common/ingest.hpp"
-#include "coral/common/instrument.hpp"
 #include "coral/common/parallel.hpp"
 #include "coral/context.hpp"
 #include "coral/core/pipeline.hpp"
 #include "coral/joblog/binary_io.hpp"
 #include "coral/joblog/log.hpp"
 #include "coral/ras/binary_io.hpp"
+#include "coral/obs/obs.hpp"
 #include "coral/ras/log.hpp"
 #include "coral/synth/scenario.hpp"
 #include "coral/synth/intrepid.hpp"
@@ -132,12 +132,15 @@ TEST(IngestReport, ReportsMalformedCountersToSink) {
   IngestReport rep;
   rep.add_ok(5);
   rep.add_malformed(IngestReason::BadSeverity, 0, "", "d");
-  RecordingSink sink;
-  rep.report_malformed(&sink, "ingest.test");
-  const auto samples = sink.samples();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].stage, "ingest.test.malformed.bad_severity");
-  EXPECT_EQ(samples[0].in, 1u);
+  rep.add_malformed(IngestReason::BadSeverity, 1, "", "d");
+  obs::Collector c;
+  rep.report_malformed(&c, "ingest.test");
+  rep.report_malformed(nullptr, "ingest.test");  // no collector: a no-op
+  const obs::Snapshot snap = c.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].name, "ingest.test.malformed.bad_severity");
+  EXPECT_EQ(snap.counters[0].value, 2u);
+  EXPECT_TRUE(snap.spans.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -249,8 +252,8 @@ TEST(LenientIngest, SurvivorsReproduceCleanAnalysis) {
   jcsv += "1,/b,a,p,1.0,500.0,3.0,R00-M0,0\n";
   jcsv += "garbage line that is not a record\n";
 
-  RecordingSink sink;
-  const Context ctx = Context().with_sink(&sink);
+  obs::Collector c;
+  const Context ctx = Context().with_obs(&c);
   std::istringstream rin(rcsv), jin(jcsv);
   const core::IngestedLogs logs =
       core::ingest_csv_logs(rin, jin, ParseMode::Lenient, ctx);
@@ -278,18 +281,18 @@ TEST(LenientIngest, SurvivorsReproduceCleanAnalysis) {
   EXPECT_EQ(survived.system_interruptions, clean.system_interruptions);
   EXPECT_EQ(survived.application_interruptions, clean.application_interruptions);
 
-  // Ingest health reached the instrumentation sink.
-  bool saw_stage = false, saw_counter = false;
-  for (const StageSample& s : sink.samples()) {
-    if (s.stage == "ingest.ras_csv") {
-      saw_stage = true;
-      EXPECT_EQ(s.in, data.ras.size() + 2);
-      EXPECT_EQ(s.out, data.ras.size());
-    }
-    if (s.stage == "ingest.ras_csv.malformed.bad_timestamp") saw_counter = true;
+  // Ingest health reached the collector: one reader span, one counter per
+  // rejection reason.
+  const obs::Snapshot snap = c.snapshot();
+  std::size_t ras_spans = 0;
+  for (const obs::SpanRecord& s : snap.spans) {
+    if (s.name != "ingest.ras_csv") continue;
+    ++ras_spans;
+    EXPECT_EQ(s.in, data.ras.size() + 2);
+    EXPECT_EQ(s.out, data.ras.size());
   }
-  EXPECT_TRUE(saw_stage);
-  EXPECT_TRUE(saw_counter);
+  EXPECT_EQ(ras_spans, 1u);
+  EXPECT_EQ(snap.counter_value("ingest.ras_csv.malformed.bad_timestamp"), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "coral/common/parallel.hpp"
@@ -270,6 +272,55 @@ TEST(ObsSpan, OpenSpansAreExcludedFromSnapshots) {
   EXPECT_EQ(c.snapshot().spans.size(), 2u);
 }
 
+const obs::HistogramRecord* find_histogram(const obs::Snapshot& snap, std::string_view name) {
+  for (const obs::HistogramRecord& h : snap.histograms) {
+    if (h.name == name) return &h;
+  }
+  return nullptr;
+}
+
+std::size_t span_count(const obs::Snapshot& snap, std::string_view name) {
+  std::size_t n = 0;
+  for (const obs::SpanRecord& s : snap.spans) n += s.name == name ? 1 : 0;
+  return n;
+}
+
+const obs::SpanRecord& only_span(const obs::Snapshot& snap, std::string_view name) {
+  for (const obs::SpanRecord& s : snap.spans) {
+    if (s.name == name) return s;
+  }
+  static const obs::SpanRecord none;
+  ADD_FAILURE() << "no span named " << name;
+  return none;
+}
+
+TEST(ObsSpan, ClosedSpanFeedsTheHistogramOfItsName) {
+  obs::Collector c;
+  {
+    obs::Span span(&c, "stage.a");
+    span.counts(100, 42);
+  }
+  { obs::Span span(&c, "stage.a"); }
+  obs::Span open(&c, "stage.b");  // still open: its histogram stays empty
+  const obs::Snapshot snap = c.snapshot();
+  ASSERT_EQ(snap.spans.size(), 2u);
+  EXPECT_EQ(snap.spans[0].in, 100u);
+  EXPECT_EQ(snap.spans[0].out, 42u);
+  const obs::HistogramRecord* a = find_histogram(snap, "stage.a");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->count, 2u);
+  // The histogram holds the spans' own durations, in ms.
+  EXPECT_DOUBLE_EQ(a->sum, snap.total_ms("stage.a"));
+  const obs::HistogramRecord* b = find_histogram(snap, "stage.b");
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->count, 0u);
+
+  open.end();
+  const obs::Snapshot after = c.snapshot();
+  ASSERT_NE(find_histogram(after, "stage.b"), nullptr);
+  EXPECT_EQ(find_histogram(after, "stage.b")->count, 1u);
+}
+
 TEST(ObsSpan, DistinctThreadsGetDistinctTids) {
   obs::Collector c;
   { obs::Span main_span(&c, "main"); }
@@ -278,44 +329,6 @@ TEST(ObsSpan, DistinctThreadsGetDistinctTids) {
   const obs::Snapshot snap = c.snapshot();
   ASSERT_EQ(snap.spans.size(), 2u);
   EXPECT_NE(snap.spans[0].tid, snap.spans[1].tid);
-}
-
-// ---- the legacy InstrumentationSink bridge ---------------------------------
-
-TEST(ObsBridge, StageTimerSamplesBecomeSpansAndHistograms) {
-  obs::Collector c;
-  InstrumentationSink* sink = &c;  // what Context::with_obs hands to layers
-  {
-    StageTimer timer(sink, "bridged.stage");
-    timer.counts(100, 42);
-  }
-  const obs::Snapshot snap = c.snapshot();
-  ASSERT_EQ(snap.spans.size(), 1u);
-  EXPECT_EQ(snap.spans[0].name, "bridged.stage");
-  EXPECT_EQ(snap.spans[0].in, 100u);
-  EXPECT_EQ(snap.spans[0].out, 42u);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 1u);
-}
-
-TEST(ObsBridge, DurationFreeSamplesBecomeCounters) {
-  obs::Collector c;
-  // The shape IngestReport::report_malformed emits: zero wall time, the
-  // tally in `in`, nothing in `out`.
-  c.record({"ingest.malformed", 0.0, 7, 0});
-  c.record({"ingest.malformed", 0.0, 3, 0});
-  const obs::Snapshot snap = c.snapshot();
-  EXPECT_TRUE(snap.spans.empty());
-  EXPECT_EQ(snap.counter_value("ingest.malformed"), 10u);
-}
-
-TEST(ObsBridge, ContextWithObsSetsBothRoutes) {
-  obs::Collector c;
-  Context ctx;
-  ctx.with_obs(&c);
-  EXPECT_EQ(ctx.obs(), &c);
-  EXPECT_EQ(ctx.sink(), static_cast<InstrumentationSink*>(&c));
-  EXPECT_EQ(obs::as_collector(ctx.sink()), &c);
 }
 
 // ---- thread-pool telemetry -------------------------------------------------
@@ -421,15 +434,10 @@ TEST(ObsEndToEnd, CoanalysisProducesATraceAcrossLayers) {
   EXPECT_GT(r.filtered.groups.size(), 0u);
 
   const obs::Snapshot snap = c.snapshot();
-  // Legacy StageTimer stages arrive via the bridge...
+  // A sharded stage records one span per shard, from the worker that ran it.
+  EXPECT_EQ(span_count(snap, "filter.coalesce"), r.shards_used);
   EXPECT_GT(snap.total_ms("filter.coalesce"), 0.0);
   EXPECT_GT(snap.total_ms("filter.match"), 0.0);
-  // ...and the new per-shard spans via obs proper.
-  std::size_t phase1_spans = 0;
-  for (const obs::SpanRecord& s : snap.spans) {
-    if (s.name == "stream.shard.phase1") ++phase1_spans;
-  }
-  EXPECT_EQ(phase1_spans, r.shards_used);
   // Phase 2 walks every job termination once across the shards and
   // delivers only those inside some group's match window.
   const std::uint64_t walked = snap.counter_value("stream.shard.terminations_walked");
@@ -443,6 +451,93 @@ TEST(ObsEndToEnd, CoanalysisProducesATraceAcrossLayers) {
   EXPECT_NE(trace.find("\"stream.shard.terminations_delivered\""), std::string::npos);
 }
 
+
+// ---- one span per stage, under one name -----------------------------------
+
+TEST(ObsStages, OneSpanPerStageAtOneShard) {
+  const synth::SynthResult data = synth::generate(synth::small_scenario(11, 10));
+  obs::Collector c;
+  Context ctx;
+  ctx.with_obs(&c);
+  EXPECT_EQ(ctx.obs(), &c);
+  const core::CoAnalysisResult r = core::run_coanalysis(data.ras, data.jobs, {}, ctx);
+  ASSERT_EQ(r.shards_used, 1u);
+
+  const obs::Snapshot snap = c.snapshot();
+  const char* const stages[] = {"fatal_view",     "filter.coalesce", "mine.merge",
+                                "filter.match",   "merge",           "identification",
+                                "char.columns",   "classification",  "job_filter",
+                                "propagation",    "vulnerability"};
+  EXPECT_EQ(snap.spans.size(), std::size(stages));
+  for (const char* name : stages) {
+    EXPECT_EQ(span_count(snap, name), 1u) << name;
+    const obs::HistogramRecord* h = find_histogram(snap, name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count, 1u) << name;
+  }
+  for (const char* twin : {"stream.shard.phase1", "stream.shard.phase2", "stream.merge"}) {
+    EXPECT_EQ(span_count(snap, twin), 0u) << twin;
+  }
+
+  // Each span carries its stage's flow counts.
+  const auto expect_counts = [&snap](const char* name, std::uint64_t in, std::uint64_t out) {
+    const obs::SpanRecord& s = only_span(snap, name);
+    EXPECT_EQ(s.in, in) << name;
+    EXPECT_EQ(s.out, out) << name;
+  };
+  const std::size_t fatal = r.filtered.fatal_events.size();
+  const std::size_t spatial = r.filtered.stages[2].output;
+  const std::size_t groups = r.filtered.groups.size();
+  const std::size_t interruptions = r.matches.interruptions.size();
+  expect_counts("fatal_view", data.ras.size(), fatal);
+  expect_counts("filter.coalesce", fatal, spatial);
+  EXPECT_EQ(only_span(snap, "mine.merge").out, r.filtered.causal_pairs.size());
+  expect_counts("filter.match", spatial, groups);
+  expect_counts("merge", groups, interruptions);
+  expect_counts("identification", groups, r.identification.verdicts.size());
+  EXPECT_EQ(only_span(snap, "char.columns").out, interruptions);
+  expect_counts("classification", r.identification.verdicts.size(),
+                r.classification.by_code.size());
+  expect_counts("job_filter", groups, r.job_filter.kept.size());
+  expect_counts("propagation", interruptions, r.propagation.propagating_codes.size());
+  expect_counts("vulnerability", interruptions, data.jobs.size());
+}
+
+TEST(ObsStages, OneSpanPerShardOnAPool) {
+  const synth::SynthResult data = synth::generate(synth::small_scenario(11, 10));
+  obs::Collector c;
+  par::ThreadPool pool(4);
+  Context ctx;
+  ctx.with_pool(&pool).with_obs(&c);
+  EXPECT_EQ(ctx.obs(), &c);
+  core::CoAnalysisConfig config;
+  config.execution.shards = 4;
+  const core::CoAnalysisResult r = core::run_coanalysis(data.ras, data.jobs, config, ctx);
+  ASSERT_GT(r.shards_used, 1u);
+
+  const obs::Snapshot snap = c.snapshot();
+  // The sharded stages record one span per shard; their counts add up to
+  // the stage's whole.
+  std::uint64_t coalesce_in = 0, coalesce_out = 0, match_in = 0, match_out = 0;
+  for (const obs::SpanRecord& s : snap.spans) {
+    if (s.name == "filter.coalesce") {
+      coalesce_in += s.in;
+      coalesce_out += s.out;
+    } else if (s.name == "filter.match") {
+      match_in += s.in;
+      match_out += s.out;
+    }
+  }
+  EXPECT_EQ(span_count(snap, "filter.coalesce"), r.shards_used);
+  EXPECT_EQ(span_count(snap, "filter.match"), r.shards_used);
+  EXPECT_EQ(coalesce_in, r.filtered.fatal_events.size());
+  EXPECT_EQ(coalesce_out, r.filtered.stages[2].output);
+  EXPECT_EQ(match_in, r.filtered.stages[2].output);
+  EXPECT_EQ(match_out, r.filtered.groups.size());
+  for (const char* name : {"fatal_view", "mine.merge", "merge", "identification"}) {
+    EXPECT_EQ(span_count(snap, name), 1u) << name;
+  }
+}
 
 // ---- bounded span ring + labeled multi-tenant export -----------------------
 

@@ -161,7 +161,7 @@ TEST(StoreV3, RasPushdownEqualsFullReadPlusFilter) {
   obs::Collector col;
   ras::ReadOptions po;
   po.predicate = pred;
-  po.sink = &col;
+  po.obs = &col;
   std::istringstream in(f.ras_v3);
   const ras::RasLog got = ras::read_binary(in, f.data.ras.catalog(), po);
 
@@ -201,7 +201,7 @@ TEST(StoreV3, JobPushdownEqualsFullReadPlusFilter) {
   obs::Collector col;
   joblog::ReadOptions po;
   po.predicate = pred;
-  po.sink = &col;
+  po.obs = &col;
   std::istringstream in(f.job_v3);
   const joblog::JobLog got = joblog::read_binary(in, po);
 
