@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <optional>
+#include <vector>
 
 #include "coral/common/rng.hpp"
 #include "coral/common/time.hpp"
@@ -34,20 +36,8 @@ struct SchedulerConfig {
   Usec avoid_failed_window = 0;
 };
 
-/// Choose a free partition for a job of `midplane_count` midplanes.
-///
-/// `previous` is the partition of the job's previous run, if this is a
-/// resubmission; `runtime_hint` is the requested runtime. Returns nullopt
-/// when no partition of that size is free. Placement zones are resolved
-/// from the pool's machine model.
-std::optional<bgp::Partition> choose_partition(const SchedulerConfig& config,
-                                               const PartitionPool& pool,
-                                               int midplane_count, Usec runtime_hint,
-                                               const std::optional<bgp::Partition>& previous,
-                                               Rng& rng);
-
-/// The placement preference score used by choose_partition: lower is more
-/// preferred. Exposed for tests and ablation benches.
+/// The placement preference score: lower is more preferred. Exposed for
+/// tests and ablation benches.
 int placement_rank(const SchedulerConfig& config, const machine::PlacementZones& zones,
                    const bgp::Partition& part, Usec runtime_hint);
 
@@ -55,6 +45,55 @@ int placement_rank(const SchedulerConfig& config, const machine::PlacementZones&
 /// (midplanes 0–1 / 64–79 / 2–31 / 32–63).
 int placement_rank(const SchedulerConfig& config, const bgp::Partition& part,
                    Usec runtime_hint);
+
+/// The placement order of one machine under one SchedulerConfig, built
+/// once and walked by every placement.
+///
+/// placement_rank depends on the runtime hint only through
+/// `hint < short_job_threshold`, so (size, short-job bit) keys the whole
+/// order: every legal partition of the size, sorted by rank and by address
+/// within a rank (a stable sort of the address order), plus where each
+/// rank group ends.
+class PlacementTable {
+ public:
+  PlacementTable(const machine::MachineModel& machine, const SchedulerConfig& config);
+
+  /// Choose a free partition of `pool` for a job of `midplane_count`
+  /// midplanes, or nullopt when none of that size is free.
+  ///
+  /// `previous` is the partition of the job's previous run, if this is a
+  /// resubmission: when it has the requested size and is free, one
+  /// bernoulli(resubmit_same_partition_prob) draw decides whether to reuse
+  /// it. Otherwise the first rank group with a free partition wins, and one
+  /// uniform_index draw picks among its free partitions in address order.
+  /// No draw is made when nothing is free. `pool` must manage this table's
+  /// machine.
+  std::optional<bgp::Partition> choose(const PartitionPool& pool, int midplane_count,
+                                       Usec runtime_hint,
+                                       const std::optional<bgp::Partition>& previous,
+                                       Rng& rng) const;
+
+  /// The most preferred partition of a size, free or not: the target of a
+  /// blocked queue head's reservation. Throws InvalidArgument for a size
+  /// the machine cannot place.
+  const bgp::Partition& preferred(int midplane_count, Usec runtime_hint) const;
+
+ private:
+  /// One (size, short-job bit) key's partitions in placement order.
+  struct Order {
+    std::vector<bgp::Partition> parts;
+    std::vector<std::size_t> group_ends;  ///< one past each rank group's last entry
+  };
+
+  /// nullptr for a size that is not legal on the machine.
+  const Order* order(int midplane_count, Usec runtime_hint) const;
+
+  const machine::MachineModel* machine_;
+  Usec short_job_threshold_;
+  double resubmit_same_partition_prob_;
+  /// Indexed by size: [0] long jobs, [1] short jobs; empty for illegal sizes.
+  std::vector<std::array<Order, 2>> by_size_;
+};
 
 /// Live placement advice from an external failure model (the prediction
 /// layer). The scheduler feeds it every RAS record as it is emitted and
@@ -68,11 +107,5 @@ class PlacementAdvisor {
   virtual void on_record(const ras::RasEvent& event) = 0;
   virtual bool avoid(machine::MidplaneId midplane, TimePoint now) const = 0;
 };
-
-/// Overlay copy of `pool` with every advised-against idle midplane marked
-/// busy, so choose_partition simply never sees them. Busy midplanes are left
-/// alone (running jobs are not migrated; they drain naturally).
-PartitionPool advised_view(const PartitionPool& pool, const PlacementAdvisor& advisor,
-                           TimePoint now);
 
 }  // namespace coral::sched

@@ -36,12 +36,4 @@ void PartitionPool::force_acquire(const bgp::Partition& part) {
   }
 }
 
-std::vector<bgp::Partition> PartitionPool::free_partitions(int midplane_count) const {
-  std::vector<bgp::Partition> out;
-  for (const bgp::Partition& p : machine_->partitions_of_size(midplane_count)) {
-    if (is_free(p)) out.push_back(p);
-  }
-  return out;
-}
-
 }  // namespace coral::sched

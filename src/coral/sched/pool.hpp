@@ -40,9 +40,6 @@ class PartitionPool {
   /// Midplanes currently busy.
   std::size_t busy_count() const { return busy_count_; }
 
-  /// All free partitions of the given size, in address order.
-  std::vector<bgp::Partition> free_partitions(int midplane_count) const;
-
  private:
   const machine::MachineModel* machine_;
   std::vector<unsigned char> busy_;

@@ -2,10 +2,12 @@
 #include <cmath>
 #include <deque>
 #include <queue>
+#include <utility>
 
 #include "coral/common/error.hpp"
 #include "coral/common/strings.hpp"
 #include "coral/obs/obs.hpp"
+#include "coral/sched/policy.hpp"
 #include "coral/sched/pool.hpp"
 #include "coral/synth/scenario.hpp"
 
@@ -109,12 +111,23 @@ class Simulation {
         noise_rng_(master_rng_.split()),
         process_(config.faults, master_rng_.split(), *catalog_, *machine_),
         storm_(config.storm, *catalog_, *machine_),
+        placement_(*machine_, config.sched),
         pool_(*machine_),
+        view_(*machine_),
+        avoid_view_(*machine_),
+        no_fit_pass_(static_cast<std::size_t>(n_midplanes_) + 1, 0),
         job_at_(static_cast<std::size_t>(n_midplanes_), kNoJob),
         wear_hours_(static_cast<std::size_t>(n_midplanes_), 0.0),
         wear_updated_(static_cast<std::size_t>(n_midplanes_)),
         last_fatal_at_(static_cast<std::size_t>(n_midplanes_)),
-        job_log_(*machine_) {}
+        job_log_(*machine_) {
+    // A job size with no legal partition would block the queue head forever
+    // with nothing to reserve.
+    const std::vector<int>& legal = machine_->legal_partition_sizes();
+    for (const int size : config.workload.job_sizes) {
+      CORAL_EXPECTS(std::find(legal.begin(), legal.end(), size) != legal.end());
+    }
+  }
 
   SynthResult run() {
     {
@@ -161,7 +174,16 @@ class Simulation {
     }
 
     finalize_running_jobs();
-    if (config_.noise.enabled) emit_noise();
+    if (config_.noise.enabled) {
+      obs::Span span(obs_, "synth.noise");
+      const std::size_t before = records_.size();
+      emit_noise();
+      span.counts(job_log_.size(), records_.size() - before);
+    }
+    CORAL_OBS_COUNT(obs_, "synth.schedule.passes", passes_);
+    CORAL_OBS_COUNT(obs_, "synth.schedule.examined", examined_);
+    CORAL_OBS_COUNT(obs_, "synth.schedule.walks", walks_);
+    CORAL_OBS_COUNT(obs_, "synth.schedule.no_fit_skips", no_fit_skips_);
     sim_span.counts(workload_.schedule.size(), records_.size());
     sim_span.end();
 
@@ -202,40 +224,61 @@ class Simulation {
   void try_schedule(TimePoint now) {
     if (now >= config_.end()) return;
     if (in_maintenance(now)) return;  // drain: nothing new starts
-    sched::PartitionPool view = pool_;  // overlay with head-of-queue reservation
+    ++passes_;
+    view_ = pool_;  // overlay with head-of-queue reservation
+    const bool avoiding =
+        config_.sched.avoid_failed_window > 0 || config_.advisor != nullptr;
     bool reserved = false;
     // Cobalt-like bounded backfill: look at most this deep into the queue.
     int depth = 0;
     for (auto it = queue_.begin(); it != queue_.end() && depth < 256 &&
-                                   view.busy_count() < static_cast<std::size_t>(n_midplanes_);
+                                   view_.busy_count() < static_cast<std::size_t>(n_midplanes_);
          ++depth) {
+      ++examined_;
       const App& app = workload_.apps[static_cast<std::size_t>(it->app)];
+      const int size = app.size_midplanes;
       const Usec runtime_hint = app.base_runtime;
+      // The fault-aware overlay of view_, built at most once per job.
+      const sched::PartitionPool* avoid_view = avoiding ? nullptr : &view_;
+      const auto avoid = [&]() -> const sched::PartitionPool& {
+        if (avoid_view == nullptr) avoid_view = &fault_aware_view(now);
+        return *avoid_view;
+      };
       // A fresh resubmission waits briefly for its previous partition
       // (held for post-failure cleanup) instead of scattering elsewhere.
       if (it->prev_partition &&
           now - it->queue_time < config_.sched.resubmit_affinity_window &&
-          !fault_aware_view(view, now).is_free(*it->prev_partition)) {
+          !avoid().is_free(*it->prev_partition)) {
         ++it;
         continue;
       }
-      auto part = sched::choose_partition(config_.sched, fault_aware_view(view, now),
-                                          app.size_midplanes, runtime_hint,
-                                          it->prev_partition, sim_rng_);
-      if (!part) {
-        // Fall back to ignoring the blacklist rather than idling the queue —
-        // but never via the resubmission-affinity shortcut: a fault-aware
-        // scheduler deliberately refuses to re-place a job on failed nodes.
-        part = sched::choose_partition(config_.sched, view, app.size_midplanes,
-                                       runtime_hint,
-                                       config_.sched.avoid_failed_window > 0 ||
-                                               config_.advisor != nullptr
-                                           ? std::nullopt
-                                           : it->prev_partition,
-                                       sim_rng_);
+      std::optional<Partition> part;
+      if (no_fit_pass_[static_cast<std::size_t>(size)] == passes_) {
+        // No-fit rule: an earlier job of this size found nothing free on
+        // view_ in this pass. Within a pass view_ only gains busy midplanes
+        // (acquire, force_acquire) and the fault-aware overlay only adds to
+        // it, so this job cannot be placed either. Skipping its walks skips
+        // no draw: the affinity bernoulli needs prev_partition free, and it
+        // is a legal partition of this size; uniform_index is drawn only
+        // when something is free.
+        ++no_fit_skips_;
+      } else {
+        if (avoiding) {
+          ++walks_;
+          part = placement_.choose(avoid(), size, runtime_hint, it->prev_partition, sim_rng_);
+        }
+        if (!part) {
+          // Fall back to ignoring the blacklist rather than idling the queue —
+          // but never via the resubmission-affinity shortcut: a fault-aware
+          // scheduler deliberately refuses to re-place a job on failed nodes.
+          ++walks_;
+          part = placement_.choose(view_, size, runtime_hint,
+                                   avoiding ? std::nullopt : it->prev_partition, sim_rng_);
+          if (!part) no_fit_pass_[static_cast<std::size_t>(size)] = passes_;
+        }
       }
       if (part) {
-        view.acquire(*part);
+        view_.acquire(*part);
         start_job(*it, *part, now);
         it = queue_.erase(it);
       } else {
@@ -243,13 +286,7 @@ class Simulation {
           // Reserve the policy-preferred partition for the blocked head so
           // later (smaller) jobs cannot starve it forever.
           reserved = true;
-          auto cands = machine_->partitions_of_size(app.size_midplanes);
-          std::stable_sort(cands.begin(), cands.end(),
-                           [&](const Partition& a, const Partition& b) {
-                             return sched::placement_rank(config_.sched, zones_, a, runtime_hint) <
-                                    sched::placement_rank(config_.sched, zones_, b, runtime_hint);
-                           });
-          view.force_acquire(cands.front());
+          view_.force_acquire(placement_.preferred(size, runtime_hint));
         }
         ++it;
       }
@@ -685,20 +722,22 @@ class Simulation {
   // ---- assembly ----------------------------------------------------------
 
   SynthResult assemble() {
-    // Sort records and tags together so record_tags aligns with recids.
-    std::vector<std::size_t> order(records_.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-      return records_[a].event.event_time < records_[b].event.event_time;
-    });
+    // Sort records and tags together so record_tags aligns with recids. One
+    // sort of contiguous (time, index) keys: the index tie-break keeps
+    // equal-time records in emission order, as a stable sort would.
+    std::vector<std::pair<std::int64_t, std::size_t>> order(records_.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      order[i] = {records_[i].event.event_time.usec(), i};
+    }
+    std::sort(order.begin(), order.end());
 
     std::vector<ras::RasEvent> events;
     events.reserve(records_.size());
     std::vector<std::int32_t> tags;
     tags.reserve(records_.size());
-    for (std::size_t i : order) {
-      events.push_back(records_[i].event);
-      tags.push_back(records_[i].truth_tag);
+    for (const auto& key : order) {
+      events.push_back(records_[key.second].event);
+      tags.push_back(records_[key.second].truth_tag);
     }
 
     SynthResult result;
@@ -730,25 +769,24 @@ class Simulation {
   Workload workload_;
   std::vector<bool> bug_alive_;
 
-  /// Overlay marking recently-failed and advised-against midplanes busy
-  /// (fault-aware placement, §VII; predictive avoidance via the advisor).
-  /// Returns `view` unchanged when both policies are disabled.
-  sched::PartitionPool fault_aware_view(const sched::PartitionPool& view,
-                                        TimePoint now) const {
+  /// `view_` with every idle recently-failed or advised-against midplane
+  /// marked busy (fault-aware placement, §VII; predictive avoidance via the
+  /// advisor), built into `avoid_view_`. Only called when one of the two
+  /// policies is on.
+  const sched::PartitionPool& fault_aware_view(TimePoint now) {
     const bool reactive = config_.sched.avoid_failed_window > 0;
-    if (!reactive && config_.advisor == nullptr) return view;
-    sched::PartitionPool out = view;
+    avoid_view_ = view_;
     for (MidplaneId m = 0; m < n_midplanes_; ++m) {
-      if (out.midplane_busy(m)) continue;
+      if (avoid_view_.midplane_busy(m)) continue;
       bool bad = false;
       if (reactive) {
         const TimePoint last = last_fatal_at_[static_cast<std::size_t>(m)];
         bad = last.usec() != 0 && now - last <= config_.sched.avoid_failed_window;
       }
       if (!bad && config_.advisor != nullptr) bad = config_.advisor->avoid(m, now);
-      if (bad) out.force_acquire(Partition::unchecked(m, 1));
+      if (bad) avoid_view_.force_acquire(Partition::unchecked(m, 1));
     }
-    return out;
+    return avoid_view_;
   }
 
   /// Decayed wide-job exposure (hours) per midplane; see FaultConfig.
@@ -760,7 +798,18 @@ class Simulation {
     return wear_hours_[i] * std::exp(-dt_h / config_.faults.wide_wear_tau_hours);
   }
 
+  sched::PlacementTable placement_;
   sched::PartitionPool pool_;
+  /// Per-pass overlays of pool_, reassigned (not reallocated) each pass.
+  sched::PartitionPool view_;
+  sched::PartitionPool avoid_view_;
+  /// The pass in which each job size last found nothing free on view_.
+  std::vector<std::uint64_t> no_fit_pass_;
+  // Scheduler work, published once as synth.schedule.* counters.
+  std::uint64_t passes_ = 0;
+  std::uint64_t examined_ = 0;
+  std::uint64_t walks_ = 0;
+  std::uint64_t no_fit_skips_ = 0;
   std::vector<std::int32_t> job_at_;
   std::vector<double> wear_hours_;
   std::vector<TimePoint> wear_updated_;

@@ -8,6 +8,7 @@
 
 #include "coral/common/error.hpp"
 #include "coral/core/pipeline.hpp"
+#include "coral/fleet/fingerprint.hpp"
 #include "coral/machine/model.hpp"
 #include "coral/synth/intrepid.hpp"
 #include "coral/synth/packs.hpp"
@@ -69,6 +70,27 @@ TEST(MachineDifferential, BgpSynthFingerprint) {
   data.jobs.write_csv(job_csv);
   EXPECT_EQ(fnv1a(ras_csv.str()), 0xb3cbd154e8d7ababull);
   EXPECT_EQ(fnv1a(job_csv.str()), 0xa24abca3c60bf504ull);
+}
+
+// The fault-aware and BG/Q placement paths, pinned by log fingerprint (every
+// record field of both logs, in order) so a changed RNG draw order shows up
+// even where the end-to-end goldens only carry tolerances.
+TEST(MachineDifferential, BgpFaultAwareSynthFingerprint) {
+  synth::ScenarioConfig config = synth::small_scenario(7, 21);
+  config.sched.avoid_failed_window = 6 * kUsecPerHour;
+  const auto data = synth::generate(config);
+  EXPECT_EQ(data.ras.size(), 30051u);
+  EXPECT_EQ(data.jobs.size(), 3823u);
+  EXPECT_EQ(fleet::log_fingerprint(data.ras, data.jobs), 0x253606e9210a7e48ull);
+}
+
+TEST(MachineDifferential, BgqSynthFingerprint) {
+  const auto data = synth::generate(
+      synth::pack_scenario(machine::bgq_model(), "failure_storm", 11, 14));
+  EXPECT_EQ(&data.ras.machine(), &machine::bgq_model());
+  EXPECT_EQ(data.ras.size(), 39119u);
+  EXPECT_EQ(data.jobs.size(), 2150u);
+  EXPECT_EQ(fleet::log_fingerprint(data.ras, data.jobs), 0xf8e559d99a858e6cull);
 }
 
 TEST(MachineDifferential, BgpCoanalysisFingerprint) {

@@ -456,6 +456,17 @@ TEST(PredictEvaluation, SeededScenarioClearsFloors) {
   EXPECT_GT(cmp.eval.events_total, 100u);  // the scenario is dense enough to mean something
 }
 
+// The advised run exercises the advisor placement path end to end; exact
+// values (not floors) so a changed scheduler draw order cannot hide.
+TEST(PredictEvaluation, AdvisedRunPinned) {
+  const predict::PolicyComparison cmp =
+      predict::compare_policies(predict::eval_scenario(3, 7));
+  EXPECT_EQ(cmp.baseline_interruptions, 34u);
+  EXPECT_EQ(cmp.advised_interruptions, 53u);
+  EXPECT_EQ(cmp.baseline_lost_node_hours, 15229.62802062222);
+  EXPECT_EQ(cmp.advised_lost_node_hours, 33683.458557013328);
+}
+
 TEST(PredictEvaluation, FaultAwarePlacementSavesNodeHours) {
   const predict::PolicyComparison cmp =
       predict::compare_policies(predict::eval_scenario(42, 21));

@@ -2,7 +2,13 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "coral/common/error.hpp"
+#include "coral/context.hpp"
+#include "coral/fleet/fingerprint.hpp"
+#include "coral/obs/obs.hpp"
 #include "coral/synth/intrepid.hpp"
 
 namespace coral::synth {
@@ -237,6 +243,49 @@ TEST(Simulation, WideJobsLandInReservedRegion) {
   if (wide >= 5) {
     EXPECT_GT(static_cast<double>(in_region) / static_cast<double>(wide), 0.5);
   }
+}
+
+TEST(Simulation, RejectsJobSizeTheMachineCannotPlace) {
+  // The BG/P size ladder on BG/Q: 48 and 80 midplanes are not legal BG/Q
+  // partitions, so such a job could never be placed or reserved for.
+  ScenarioConfig config = small_scenario(7, 30);
+  config.machine = &machine::bgq_model();
+  config.workload.job_sizes = {1, 2, 4, 8, 16, 32, 48, 64, 80};
+  EXPECT_THROW(generate(config), InvalidArgument);
+}
+
+TEST(Simulation, CollectorSeesEachPhaseWithoutChangingTheLog) {
+  const ScenarioConfig config = small_scenario(7, 7);
+  obs::Collector collector;
+  Context ctx;
+  ctx.with_obs(&collector);
+  const SynthResult traced = generate(config, ctx);
+  const SynthResult plain = generate(config);
+  EXPECT_EQ(fleet::log_fingerprint(traced.ras, traced.jobs),
+            fleet::log_fingerprint(plain.ras, plain.jobs));
+
+  const obs::Snapshot snap = collector.snapshot();
+  std::map<std::string, std::vector<std::size_t>> by_name;
+  for (std::size_t i = 0; i < snap.spans.size(); ++i) by_name[snap.spans[i].name].push_back(i);
+  for (const char* name : {"synth.workload", "synth.simulate", "synth.noise", "synth.assemble"}) {
+    ASSERT_EQ(by_name[name].size(), 1u) << name;
+  }
+  const obs::SpanRecord& noise = snap.spans[by_name["synth.noise"].front()];
+  EXPECT_EQ(noise.parent, static_cast<std::int32_t>(by_name["synth.simulate"].front()));
+  EXPECT_EQ(noise.in, plain.jobs.size());
+  EXPECT_GT(noise.out, 0u);
+  EXPECT_EQ(snap.spans[by_name["synth.assemble"].front()].out, plain.ras.size());
+
+  const std::uint64_t passes = snap.counter_value("synth.schedule.passes");
+  const std::uint64_t examined = snap.counter_value("synth.schedule.examined");
+  const std::uint64_t walks = snap.counter_value("synth.schedule.walks");
+  const std::uint64_t skips = snap.counter_value("synth.schedule.no_fit_skips");
+  EXPECT_GT(passes, 0u);
+  EXPECT_GT(walks, 0u);
+  EXPECT_GT(skips, 0u);
+  // Without fault-aware placement each examined job is walked once, skipped
+  // by the no-fit rule, or left waiting for its previous partition.
+  EXPECT_LE(walks + skips, examined);
 }
 
 TEST(Scenario, IntrepidPresetMatchesPaperConstants) {
