@@ -58,21 +58,6 @@ void BM_RasBinaryRead(benchmark::State& state) {
 }
 BENCHMARK(BM_RasBinaryRead);
 
-void BM_RasBinaryReadParallel(benchmark::State& state) {
-  std::ostringstream out;
-  ras::write_binary(out, data().ras);
-  const std::string bytes = out.str();
-  par::ThreadPool pool;
-  for (auto _ : state) {
-    std::istringstream in(bytes);
-    benchmark::DoNotOptimize(ras::read_binary(in, ras::default_catalog(),
-                                              ParseMode::Strict, nullptr, nullptr, &pool));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data().ras.size()));
-}
-BENCHMARK(BM_RasBinaryReadParallel)->MeasureProcessCPUTime();
-
 void BM_RasBinaryWriteV3(benchmark::State& state) {
   (void)data();
   for (auto _ : state) {

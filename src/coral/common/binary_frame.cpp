@@ -1,8 +1,8 @@
 #include "coral/common/binary_frame.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
-#include <ostream>
 
 #include "coral/common/error.hpp"
 
@@ -98,125 +98,30 @@ void append_frame(std::string& out, std::string_view payload) {
   out.append(payload.data(), payload.size());
 }
 
-void BlockWriter::append(const void* data, std::size_t size) {
-  buf_.append(static_cast<const char*>(data), size);
-}
-
-void BlockWriter::put_string(const std::string& s) {
-  put(static_cast<std::uint16_t>(s.size()));
-  append(s.data(), s.size());
-}
-
-void BlockWriter::flush() {
-  if (buf_.empty()) return;
-  out_.write(kBlockMagic, sizeof kBlockMagic);
-  const auto size = static_cast<std::uint32_t>(buf_.size());
-  const std::uint32_t crc = crc32(buf_.data(), buf_.size());
-  out_.write(reinterpret_cast<const char*>(&size), sizeof size);
-  out_.write(reinterpret_cast<const char*>(&crc), sizeof crc);
-  out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-  buf_.clear();
-}
-
-void BlockReader::fill(std::size_t want) {
-  constexpr std::size_t kChunk = 64 * 1024;
-  while (pending_.size() < want && in_.good()) {
-    const std::size_t old = pending_.size();
-    const std::size_t grow = std::max(want - old, kChunk);
-    pending_.resize(old + grow);
-    in_.read(pending_.data() + old, static_cast<std::streamsize>(grow));
-    pending_.resize(old + static_cast<std::size_t>(in_.gcount()));
+std::uint32_t check_file_header(std::string_view header, const char (&magic)[4],
+                                const char* what, ParseMode mode) {
+  std::uint32_t version = 0;
+  const bool magic_ok = header.size() >= kFileHeaderBytes &&
+                        std::memcmp(header.data(), magic, sizeof magic) == 0;
+  if (magic_ok) std::memcpy(&version, header.data() + sizeof magic, sizeof version);
+  if (mode == ParseMode::Strict) {
+    if (!magic_ok) throw ParseError(std::string("not a ") + what + " (bad magic)");
+    if (version != 2 && version != 3) {
+      throw ParseError(std::string("unsupported ") + what + " version " +
+                       std::to_string(version));
+    }
   }
-}
-
-void BlockReader::drop(std::size_t n) {
-  pending_.erase(0, n);
-  pending_base_ += n;
-}
-
-void BlockReader::note_damage(std::uint64_t offset, const char* detail) {
-  if (mode_ == ParseMode::Strict) {
-    throw ParseError(std::string(what_) + ": " + detail + " at byte offset " +
-                     std::to_string(offset));
-  }
-  if (report_ != nullptr) {
-    report_->add_malformed(IngestReason::BinaryFrame, offset, "", detail);
-  }
-}
-
-bool BlockReader::next(std::string& payload) {
-  // One damaged stretch — however many scan steps it takes to resynchronize —
-  // is reported as a single dropped frame.
-  bool damage_noted = false;
-  const auto damaged = [&](std::uint64_t offset, const char* detail) {
-    if (!damage_noted) note_damage(offset, detail);
-    damage_noted = true;
-  };
-  // Skip ahead to the next "CBLK" marker at index >= 1, or (almost) all of
-  // the buffer when none is present, keeping a partial-marker tail.
-  const auto resync = [&] {
-    const std::size_t at = pending_.find(kBlockMagic, 1, sizeof kBlockMagic);
-    if (at != std::string::npos) {
-      drop(at);
-    } else {
-      const std::size_t keep =
-          pending_.size() < sizeof kBlockMagic - 1 ? pending_.size() : sizeof kBlockMagic - 1;
-      drop(pending_.size() - keep);
-      fill(kHeaderBytes);
-      if (pending_.size() < kHeaderBytes) drop(pending_.size());  // trailing garbage
-    }
-  };
-
-  for (;;) {
-    fill(kHeaderBytes);
-    if (pending_.empty()) return false;  // clean end of input
-    const std::uint64_t start = pending_base_;
-    if (pending_.size() < kHeaderBytes) {
-      damaged(start, "truncated block header");
-      drop(pending_.size());
-      return false;
-    }
-    if (std::memcmp(pending_.data(), kBlockMagic, sizeof kBlockMagic) != 0) {
-      damaged(start, "bad block magic");
-      resync();
-      continue;
-    }
-    std::uint32_t size = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&size, pending_.data() + sizeof kBlockMagic, sizeof size);
-    std::memcpy(&crc, pending_.data() + sizeof kBlockMagic + sizeof size, sizeof crc);
-    if (size == 0 || size > kMaxBlockPayload) {
-      damaged(start, "implausible block size");
-      resync();
-      continue;
-    }
-    fill(kHeaderBytes + size);
-    if (pending_.size() < kHeaderBytes + size) {
-      damaged(start, "truncated block payload");
-      // The truncated tail cannot hold a complete block (it is shorter than
-      // this one), but may still contain a marker for a shorter final block.
-      resync();
-      if (pending_.empty()) return false;
-      continue;
-    }
-    if (crc32(pending_.data() + kHeaderBytes, size) != crc) {
-      damaged(start, "block CRC mismatch");
-      resync();
-      continue;
-    }
-    payload.assign(pending_, kHeaderBytes, size);
-    block_offset_ = start;
-    drop(kHeaderBytes + size);
-    return true;
-  }
+  return version;
 }
 
 void FrameAssembler::push(std::string_view bytes) {
+  pending_.erase(0, consumed_);
+  consumed_ = 0;
   pending_.append(bytes.data(), bytes.size());
 }
 
 void FrameAssembler::drop(std::size_t n) {
-  pending_.erase(0, n);
+  consumed_ += n;
   pending_base_ += n;
 }
 
@@ -233,61 +138,124 @@ void FrameAssembler::note_damage(std::uint64_t offset, const char* detail) {
 }
 
 bool FrameAssembler::resync() {
-  const std::size_t at = pending_.find(kBlockMagic, 1, sizeof kBlockMagic);
-  if (at != std::string::npos) {
+  const std::string_view rest = unconsumed();
+  const std::size_t at = rest.find(std::string_view(kBlockMagic, sizeof kBlockMagic), 1);
+  if (at != std::string_view::npos) {
     drop(at);
     return true;
   }
   // No marker in the buffer: keep a partial-marker tail in case the "CBLK"
   // straddles the next push; at end-of-stream the tail is trailing garbage
   // (already covered by the open damage stretch).
-  const std::size_t keep =
-      pending_.size() < sizeof kBlockMagic - 1 ? pending_.size() : sizeof kBlockMagic - 1;
-  drop(pending_.size() - keep);
-  if (eos_) drop(pending_.size());
+  const std::size_t keep = std::min(rest.size(), sizeof kBlockMagic - 1);
+  drop(rest.size() - keep);
+  if (eos_) drop(keep);
   return false;
 }
 
 bool FrameAssembler::next(std::string& payload) {
   for (;;) {
-    if (pending_.empty()) return false;  // clean: everything consumed
+    const std::string_view rest = unconsumed();
+    if (rest.empty()) return false;  // clean: everything consumed
     const std::uint64_t start = pending_base_;
-    if (pending_.size() < kHeaderBytes) {
+    if (rest.size() < kHeaderBytes) {
       if (!eos_) return false;  // header may complete on the next push
       note_damage(start, "truncated block header");
-      drop(pending_.size());
+      drop(rest.size());
       return false;
     }
-    if (std::memcmp(pending_.data(), kBlockMagic, sizeof kBlockMagic) != 0) {
+    if (std::memcmp(rest.data(), kBlockMagic, sizeof kBlockMagic) != 0) {
       note_damage(start, "bad block magic");
       if (!resync()) return false;
       continue;
     }
     std::uint32_t size = 0;
     std::uint32_t crc = 0;
-    std::memcpy(&size, pending_.data() + sizeof kBlockMagic, sizeof size);
-    std::memcpy(&crc, pending_.data() + sizeof kBlockMagic + sizeof size, sizeof crc);
+    std::memcpy(&size, rest.data() + sizeof kBlockMagic, sizeof size);
+    std::memcpy(&crc, rest.data() + sizeof kBlockMagic + sizeof size, sizeof crc);
     if (size == 0 || size > kMaxBlockPayload) {
       note_damage(start, "implausible block size");
       if (!resync()) return false;
       continue;
     }
-    if (pending_.size() < kHeaderBytes + size) {
+    if (rest.size() < kHeaderBytes + size) {
       if (!eos_) return false;  // payload still in flight
       note_damage(start, "truncated block payload");
       if (!resync()) return false;
       continue;
     }
-    if (crc32(pending_.data() + kHeaderBytes, size) != crc) {
+    if (crc32(rest.data() + kHeaderBytes, size) != crc) {
       note_damage(start, "block CRC mismatch");
       if (!resync()) return false;
       continue;
     }
-    payload.assign(pending_, kHeaderBytes, size);
+    payload.assign(rest.data() + kHeaderBytes, size);
     block_offset_ = start;
     drop(kHeaderBytes + size);
     in_damage_ = false;
     return true;
+  }
+}
+
+namespace {
+
+/// Bytes an offline frame walk pushes at a time.
+constexpr std::size_t kWalkChunkBytes = std::size_t{64} << 10;
+
+/// Push every chunk `next_chunk` yields (an empty view ends the input),
+/// draining the assembler after each, then finish and drain the tail.
+template <typename NextChunk>
+void walk(FrameAssembler& frames, const NextChunk& next_chunk, const PayloadSink& on_payload) {
+  std::string payload;
+  const auto drain = [&] {
+    while (frames.next(payload)) {
+      on_payload(payload, frames.block_offset() + kHeaderBytes);
+    }
+  };
+  for (std::string_view chunk = next_chunk(); !chunk.empty(); chunk = next_chunk()) {
+    frames.push(chunk);
+    drain();
+  }
+  frames.finish();
+  drain();
+}
+
+}  // namespace
+
+void walk_frames(FrameAssembler& frames, std::string_view input,
+                 const PayloadSink& on_payload) {
+  walk(
+      frames,
+      [&input] {
+        const std::string_view chunk = input.substr(0, kWalkChunkBytes);
+        input.remove_prefix(chunk.size());
+        return chunk;
+      },
+      on_payload);
+}
+
+void walk_frames(FrameAssembler& frames, std::istream& input, const PayloadSink& on_payload) {
+  std::string buf(kWalkChunkBytes, '\0');
+  walk(
+      frames,
+      [&] {
+        input.read(buf.data(), static_cast<std::streamsize>(buf.size()));
+        return std::string_view(buf.data(), static_cast<std::size_t>(input.gcount()));
+      },
+      on_payload);
+}
+
+void check_declared_total(std::optional<std::uint64_t> declared, std::uint64_t attempted,
+                          ParseMode mode, const char* what, const char* missing,
+                          IngestReport& rep) {
+  if (mode == ParseMode::Strict) {
+    if (!declared) throw ParseError(std::string("missing ") + missing + " in " + what);
+    if (attempted != *declared) {
+      throw ParseError(std::string(what) + " record count mismatch: expected " +
+                       std::to_string(*declared) + ", got " + std::to_string(attempted));
+    }
+  } else if (declared && *declared > attempted) {
+    rep.add_malformed_bulk(IngestReason::BinaryFrame, *declared - attempted);
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,10 +14,11 @@
 namespace coral::bin {
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the zlib/gzip checksum.
-/// Slicing-by-8: eight bytes per table round instead of one.
+/// Slicing-by-16: sixteen bytes per table round instead of one.
 std::uint32_t crc32(const void* data, std::size_t size);
 
-/// Per-block framing for the v2 binary log formats.
+/// Per-block framing shared by every binary log format (v2 row blocks and
+/// the v3 columnar store, RAS and job logs alike) and the fleet wire.
 ///
 /// Each block is `magic "CBLK" | u32 payload_size | u32 crc32(payload) |
 /// payload` (all little-endian, written on little-endian hosts only — same
@@ -33,37 +36,25 @@ inline constexpr std::uint32_t kMaxBlockPayload = 1u << 24;
 inline constexpr std::size_t kBlockHeaderBytes =
     sizeof kBlockMagic + 2 * sizeof(std::uint32_t);
 
-/// Append one framed block (header + crc + payload) to a byte buffer —
-/// the in-memory counterpart of BlockWriter::flush(), so parallel writers
-/// can frame blocks on worker threads and concatenate the results into the
-/// exact byte sequence the serial writer produces.
+/// The raw header in front of a log file's frames: magic[4] | u32 version.
+/// Offsets in reports and errors count from its end.
+inline constexpr std::size_t kFileHeaderBytes = 8;
+
+/// The file-header gate of every reader of a framed log, offline or live:
+/// `header` is the first kFileHeaderBytes of the input (fewer when the input
+/// is shorter). Strict mode throws ParseError "not a <what> (bad magic)" for
+/// a short header or a magic other than `magic`, and "unsupported <what>
+/// version N" for a version other than 2 and 3 (both logs share the two
+/// format versions). Lenient mode tolerates either: the frames behind the
+/// header are self-locating. Returns the version, or 0 for a short header
+/// or a wrong magic.
+std::uint32_t check_file_header(std::string_view header, const char (&magic)[4],
+                                const char* what, ParseMode mode);
+
+/// Append one framed block (header + crc + payload) to a byte buffer. The
+/// framing is deterministic, so writers can frame blocks on worker threads
+/// and concatenate the results into the exact bytes a serial writer makes.
 void append_frame(std::string& out, std::string_view payload);
-
-/// Accumulates payload bytes and writes them as framed blocks. Callers
-/// decide block granularity by calling flush(); destruction flushes any
-/// remaining bytes.
-class BlockWriter {
- public:
-  explicit BlockWriter(std::ostream& out) : out_(out) {}
-  BlockWriter(const BlockWriter&) = delete;
-  BlockWriter& operator=(const BlockWriter&) = delete;
-  ~BlockWriter() { flush(); }
-
-  void append(const void* data, std::size_t size);
-  template <typename T>
-  void put(T value) {
-    append(&value, sizeof value);
-  }
-  void put_string(const std::string& s);
-
-  std::size_t pending() const { return buf_.size(); }
-  /// Write the buffered payload as one framed block (no-op when empty).
-  void flush();
-
- private:
-  std::ostream& out_;
-  std::string buf_;
-};
 
 /// One block located by index_frames(): header at `offset` into the scanned
 /// region, payload of `size` bytes at `offset + kBlockHeaderBytes`. The
@@ -81,52 +72,24 @@ struct FrameRef {
 /// block; returns false at the first framing anomaly (bad magic, implausible
 /// size, truncation), leaving `out` holding the frames located so far.
 /// Callers that need damage recovery or exact damage messages fall back to
-/// BlockReader, which is the authority on both.
+/// a FrameAssembler walk (walk_frames), which is the authority on both.
 bool index_frames(std::string_view region, std::vector<FrameRef>& out);
 
-/// Reads framed blocks back. Strict mode throws ParseError (with the byte
-/// offset) on any damaged frame; lenient mode records the damage in `report`
-/// and resynchronizes at the next block marker.
-class BlockReader {
- public:
-  BlockReader(std::istream& in, ParseMode mode, IngestReport* report,
-              const char* what)
-      : in_(in), mode_(mode), report_(report), what_(what) {}
-
-  /// Fetch the next intact block payload. Returns false at end of input
-  /// (clean EOF in strict mode; in lenient mode also after trailing
-  /// garbage, which is counted as one dropped frame).
-  bool next(std::string& payload);
-
-  /// Byte offset of the start of the block most recently returned.
-  std::uint64_t block_offset() const { return block_offset_; }
-
- private:
-  void fill(std::size_t want);
-  void drop(std::size_t n);
-  void note_damage(std::uint64_t offset, const char* detail);
-
-  std::istream& in_;
-  ParseMode mode_;
-  IngestReport* report_;
-  const char* what_;  ///< "binary RAS log" / "binary job log" for messages
-  std::string pending_;           ///< bytes consumed from `in_`, not yet parsed
-  std::uint64_t pending_base_ = 0;  ///< absolute offset of pending_[0]
-  std::uint64_t block_offset_ = 0;
-};
-
-/// Incremental counterpart of BlockReader for byte streams that arrive in
-/// pieces (a socket, a tailed file): push() appends raw bytes, next() yields
-/// each complete intact payload as soon as its last byte is in, and finish()
-/// signals end-of-stream so the final truncation accounting can run.
+/// The one frame-recovery state machine, for byte streams that arrive in
+/// pieces (a socket, a tailed file, an offline input pushed in chunks):
+/// push() appends raw bytes, next() yields each complete intact payload as
+/// soon as its last byte is in, and finish() signals end-of-stream so the
+/// final truncation accounting can run.
 ///
-/// Damage semantics are BlockReader's, by construction: a damaged stretch —
-/// however many resync steps it takes to find the next "CBLK" marker — is one
-/// sample in `report` (strict mode throws instead), and byte offsets count
-/// from the first byte ever pushed. A reader that push()es a whole file and
-/// then finish()es produces the exact payload sequence and IngestReport of a
-/// BlockReader over the same bytes; the session/wire ingest path leans on
-/// that equivalence for its accounting parity with the offline readers.
+/// Strict mode throws ParseError (with the byte offset) on the first
+/// damaged frame; lenient mode records the damage in `report` and
+/// resynchronizes at the next "CBLK" marker. A damaged stretch — however
+/// many resync steps it takes to find the next marker — is one sample in
+/// `report`, and byte offsets count from the first byte ever pushed. The
+/// payloads, offsets and damage a stream yields do not depend on how its
+/// bytes are chunked into push()es; the session/wire ingest path leans on
+/// that for its accounting parity with the offline readers, which walk
+/// their inputs through walk_frames().
 class FrameAssembler {
  public:
   FrameAssembler(ParseMode mode, IngestReport* report, const char* what)
@@ -144,15 +107,18 @@ class FrameAssembler {
   std::uint64_t block_offset() const { return block_offset_; }
 
   /// Declare end-of-stream: leftover bytes that can no longer become a
-  /// complete frame are accounted as damage (exactly as BlockReader does
-  /// when its istream runs dry). next() may still yield payloads buffered
-  /// before the call.
+  /// complete frame are accounted as damage. next() may still yield
+  /// payloads buffered before the call.
   void finish() { eos_ = true; }
 
   /// Bytes buffered but not yet consumed as frames (live backlog gauge).
-  std::size_t buffered() const { return pending_.size(); }
+  std::size_t buffered() const { return pending_.size() - consumed_; }
 
  private:
+  /// The unconsumed bytes.
+  std::string_view unconsumed() const {
+    return std::string_view(pending_).substr(consumed_);
+  }
   void drop(std::size_t n);
   void note_damage(std::uint64_t offset, const char* detail);
   /// Skip to the next possible "CBLK" marker. Returns false when the buffer
@@ -163,16 +129,44 @@ class FrameAssembler {
   IngestReport* report_;
   const char* what_;
   std::string pending_;
-  std::uint64_t pending_base_ = 0;
+  /// Prefix of pending_ already consumed as frames or damage. next() only
+  /// advances it; push() compacts it away once, so a drain of many frames
+  /// costs linear time in the bytes drained.
+  std::size_t consumed_ = 0;
+  std::uint64_t pending_base_ = 0;  ///< absolute offset of the first unconsumed byte
   std::uint64_t block_offset_ = 0;
   bool eos_ = false;
   /// True while inside a damaged stretch: follow-on damage is not re-counted
-  /// until a good frame closes the stretch (BlockReader's per-call flag).
+  /// until a good frame closes the stretch.
   bool in_damage_ = false;
 };
 
+/// Receives each intact payload of a frame walk and the absolute offset of
+/// its first byte.
+using PayloadSink = std::function<void(std::string_view payload, std::uint64_t offset)>;
+
+/// Every offline frame walk: push a whole input through `frames` in 64 KiB
+/// chunks, handing each intact payload to `on_payload` as soon as its chunk
+/// is in, then declare end-of-stream and drain the tail. The input is a
+/// buffer in memory, or a stream read to its end. Damage handling is the
+/// assembler's: strict mode throws from here.
+void walk_frames(FrameAssembler& frames, std::string_view input,
+                 const PayloadSink& on_payload);
+void walk_frames(FrameAssembler& frames, std::istream& input, const PayloadSink& on_payload);
+
+/// The declared-total check that closes every read of a framed log. Strict
+/// mode throws ParseError unless a declaration survived ("missing <missing>
+/// in <what>") and equals the records attempted ("<what> record count
+/// mismatch: expected D, got A"). Lenient mode charges the records the
+/// declaration says were lost with dropped or undecodable frames to
+/// IngestReason::BinaryFrame in `rep`; with no surviving declaration,
+/// nothing is known lost.
+void check_declared_total(std::optional<std::uint64_t> declared, std::uint64_t attempted,
+                          ParseMode mode, const char* what, const char* missing,
+                          IngestReport& rep);
+
 /// A bounds-checked little-endian cursor over one block payload — a view,
-/// so it reads equally from a BlockReader's copied payload or from a mapped
+/// so it reads equally from an assembler's copied payload or from a mapped
 /// file region in place. get<T> failures surface the absolute byte offset of
 /// the failing field.
 class PayloadCursor {
@@ -197,6 +191,8 @@ class PayloadCursor {
   bool at_end() const { return pos_ == data_.size(); }
   /// Absolute input offset of the next unread byte.
   std::uint64_t offset() const { return base_ + pos_; }
+  /// The input's name for error messages ("binary RAS log", ...).
+  const char* what() const { return what_; }
 
  private:
   std::string_view data_;

@@ -20,7 +20,7 @@ namespace coral {
 /// bit-flipped, cut mid-rotation: malformed records are skipped and counted
 /// (per reason, with byte offsets and samples in an IngestReport) and the
 /// reader resynchronizes at the next row boundary (CSV) or the next framed
-/// block (binary v2).
+/// block (binary).
 enum class ParseMode {
   Strict,   ///< throw ParseError on the first malformed record
   Lenient,  ///< skip-and-count malformed records, resynchronize, keep going

@@ -1,6 +1,8 @@
 #include "coral/common/storev3.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <ostream>
 
 #include "coral/common/error.hpp"
 #include "coral/common/lz.hpp"
@@ -39,6 +41,15 @@ StoreMeta parse_store_meta(PayloadCursor& cur) {
   return meta;
 }
 
+StoreMeta parse_store_meta(PayloadCursor& cur, std::string_view machine, ParseMode mode) {
+  StoreMeta meta = parse_store_meta(cur);
+  if (meta.machine != machine && mode == ParseMode::Strict) {
+    throw ParseError(std::string(cur.what()) + " written for machine '" + meta.machine +
+                     "' but read with model '" + std::string(machine) + "'");
+  }
+  return meta;
+}
+
 void append_segment_footer(std::string& out, const std::vector<SegmentEntry>& entries) {
   append_raw(out, static_cast<std::uint32_t>(entries.size()));
   for (const SegmentEntry& e : entries) {
@@ -73,6 +84,39 @@ void parse_segment_footer(PayloadCursor& cur, std::vector<SegmentEntry>& out) {
   }
 }
 
+SegmentWriter::SegmentWriter(std::ostream& out, char footer_tag, std::uint64_t offset,
+                             std::size_t blocks_per_segment)
+    : out_(out),
+      footer_tag_(footer_tag),
+      offset_(offset),
+      blocks_per_segment_(std::max<std::size_t>(1, blocks_per_segment)) {
+  segment_.reserve(blocks_per_segment_);
+}
+
+void SegmentWriter::write_block(std::string_view framed) {
+  out_.write(framed.data(), static_cast<std::streamsize>(framed.size()));
+  SegmentEntry entry;
+  entry.offset = offset_;
+  std::memcpy(&entry.count, framed.data() + kBlockHeaderBytes + 1, sizeof entry.count);
+  std::size_t pos = 0;
+  read_zone_map(framed.substr(kBlockHeaderBytes + 1 + sizeof entry.count), pos, entry.zone);
+  segment_.push_back(entry);
+  offset_ += framed.size();
+  if (segment_.size() >= blocks_per_segment_) finish();
+}
+
+void SegmentWriter::finish() {
+  if (segment_.empty()) return;
+  std::string footer;
+  footer.push_back(footer_tag_);
+  append_segment_footer(footer, segment_);
+  std::string framed;
+  append_frame(framed, footer);
+  out_.write(framed.data(), static_cast<std::streamsize>(framed.size()));
+  offset_ += framed.size();
+  segment_.clear();
+}
+
 void append_column_body(std::string& out, const std::string& raw, bool compress) {
   const auto raw_size = static_cast<std::uint32_t>(raw.size());
   if (compress) {
@@ -91,6 +135,44 @@ void append_column_body(std::string& out, const std::string& raw, bool compress)
   out.push_back(static_cast<char>(kCodecRaw));
   append_raw(out, raw_size);
   out.append(raw);
+}
+
+bool read_column_block(PayloadCursor& cur, const ZoneFilter* filter, std::string& scratch,
+                       std::uint64_t& attempted, BlockCounters& blocks, ColumnBlock& out) {
+  out.offset = cur.offset();
+  out.count = cur.get<std::uint32_t>();
+  ZoneMap zm;
+  {
+    const std::string_view zb = cur.take(kZoneMapBytes);
+    std::size_t pos = 0;
+    read_zone_map(zb, pos, zm);
+  }
+  ++blocks.total;
+  if (filter != nullptr && !filter->may_match(zm)) {
+    attempted += out.count;
+    ++blocks.skipped;
+    return false;
+  }
+  const auto at = [&] {
+    return std::string(" in ") + cur.what() + " at byte offset " + std::to_string(out.offset);
+  };
+  const auto codec = cur.get<std::uint8_t>();
+  const auto raw_size = cur.get<std::uint32_t>();
+  if (raw_size > kMaxBlockPayload) throw ParseError("implausible column block size" + at());
+  if (codec == kCodecRaw) {
+    if (cur.remaining() != raw_size) throw ParseError("column block size mismatch" + at());
+    out.body = cur.take(raw_size);
+  } else if (codec == kCodecLz) {
+    scratch.resize(raw_size);
+    const std::string_view comp = cur.take(cur.remaining());
+    if (!lz::decompress(comp, scratch.data(), raw_size)) {
+      throw ParseError("corrupt compressed block" + at());
+    }
+    out.body = scratch;
+  } else {
+    throw ParseError("unknown codec" + at());
+  }
+  return true;
 }
 
 }  // namespace coral::bin

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "coral/common/binary_frame.hpp"
@@ -11,7 +13,7 @@ namespace coral::bin {
 
 /// Format machinery shared by the v3 RAS and job log stores (see
 /// ras/binary_io.hpp for the full layout contract). Both formats reuse the
-/// v2 CBLK framing and add three version-neutral payload shapes on top:
+/// CBLK framing and add three log-neutral payload shapes on top:
 ///
 ///   'M' meta: u16 len + machine name | u16 len + schema name |
 ///       u32 records per block | u8 flags. Written twice; makes a file
@@ -46,6 +48,10 @@ void append_store_meta(std::string& out, const StoreMeta& meta);
 /// Parse a meta body (cursor past the tag byte); throws ParseError via the
 /// cursor on truncation.
 StoreMeta parse_store_meta(PayloadCursor& cur);
+/// parse_store_meta for a reader given the machine model named `machine`:
+/// strict mode also throws ParseError ("<what> written for machine 'X' but
+/// read with model 'Y'") when the store names another machine.
+StoreMeta parse_store_meta(PayloadCursor& cur, std::string_view machine, ParseMode mode);
 
 /// One column block as recorded in a segment footer.
 struct SegmentEntry {
@@ -60,6 +66,30 @@ void append_segment_footer(std::string& out, const std::vector<SegmentEntry>& en
 /// Parse a footer body (cursor past the tag byte), appending to `out`.
 /// Throws ParseError on truncation or an implausible entry count.
 void parse_segment_footer(PayloadCursor& cur, std::vector<SegmentEntry>& out);
+
+/// The body of a v3 store as both logs write it: framed column blocks, each
+/// run of `blocks_per_segment` of them (and the rest, at finish()) closed
+/// by one `footer_tag` segment footer. `offset` is where the first block
+/// lands, counted from the end of the file header like every other offset
+/// the readers report.
+class SegmentWriter {
+ public:
+  SegmentWriter(std::ostream& out, char footer_tag, std::uint64_t offset,
+                std::size_t blocks_per_segment);
+
+  /// Write one framed column block and record its footer entry; the count
+  /// and zone map sit at fixed offsets in the frame.
+  void write_block(std::string_view framed);
+  /// Close the open segment, if it holds any block.
+  void finish();
+
+ private:
+  std::ostream& out_;
+  char footer_tag_;
+  std::uint64_t offset_;
+  std::size_t blocks_per_segment_;
+  std::vector<SegmentEntry> segment_;
+};
 
 /// Append `codec | raw_size | body` for an already-built raw column body,
 /// compressing when asked and the result actually shrinks.
@@ -79,5 +109,26 @@ struct BlockCounters {
     skipped += o.skipped;
   }
 };
+
+/// The read side of one column block: what append_column_body and the
+/// count and zone map ahead of it wrote.
+struct ColumnBlock {
+  std::uint64_t offset = 0;  ///< absolute offset of the count field, for errors
+  std::uint32_t count = 0;   ///< declared records
+  std::string_view body;     ///< raw column body (aliases the payload or scratch)
+};
+
+/// Read one column block (cursor past the tag byte) and count it in
+/// `blocks.total`. When `filter` rejects its zone map, the block counts as
+/// skipped, its declared records are added to `attempted` without touching
+/// the body (the CRC vouched for the count, so strict totals and the
+/// lenient top-up stay exact under pushdown), and false is returned.
+/// Otherwise the codec, raw size and body are read — an LZ body is
+/// decompressed into `scratch` — and true is returned; the caller counts
+/// the block decoded once its columns parse. Throws ParseError at the count
+/// field's offset on an implausible raw size, a raw body of the wrong size,
+/// an LZ body that does not decompress, or an unknown codec.
+bool read_column_block(PayloadCursor& cur, const ZoneFilter* filter, std::string& scratch,
+                       std::uint64_t& attempted, BlockCounters& blocks, ColumnBlock& out);
 
 }  // namespace coral::bin

@@ -23,15 +23,13 @@ void append_raw(std::string& out, T v) {
   out.append(buf, sizeof buf);
 }
 
-void write_table(bin::BlockWriter& w, char tag, const std::vector<std::string>& table) {
-  w.put(tag);
-  w.put(static_cast<std::uint32_t>(table.size()));
-  for (const std::string& s : table) w.put_string(s);
-  w.flush();
+std::string header_payload(const JobLog& log) {
+  std::string payload;
+  payload.push_back(kJobHeaderTag);
+  append_raw(payload, static_cast<std::uint64_t>(log.size()));
+  return payload;
 }
 
-/// The same bytes write_table frames, as a payload string — the v3 head is
-/// assembled in memory so segment-footer offsets can be tracked.
 std::string table_payload(char tag, const std::vector<std::string>& table) {
   std::string payload;
   payload.push_back(tag);
@@ -47,22 +45,23 @@ void write_v2(std::ostream& out, const JobLog& log) {
   out.write(kJobMagic, sizeof kJobMagic);
   out.write(reinterpret_cast<const char*>(&kJobVersion), sizeof kJobVersion);
 
-  bin::BlockWriter w(out);
   // Metadata blocks are all written twice: losing any single frame must not
   // orphan the record blocks that follow.
+  std::string framed;
   for (int copy = 0; copy < 2; ++copy) {
-    w.put(kJobHeaderTag);
-    w.put(static_cast<std::uint64_t>(log.size()));
-    w.flush();
-    write_table(w, kJobExecTag, log.exec_files());
-    write_table(w, kJobUserTag, log.users());
-    write_table(w, kJobProjectTag, log.projects());
+    bin::append_frame(framed, header_payload(log));
+    bin::append_frame(framed, table_payload(kJobExecTag, log.exec_files()));
+    bin::append_frame(framed, table_payload(kJobUserTag, log.users()));
+    bin::append_frame(framed, table_payload(kJobProjectTag, log.projects()));
   }
+  out.write(framed.data(), static_cast<std::streamsize>(framed.size()));
 
+  std::string payload;
   for (std::size_t base = 0; base < log.size(); base += kJobRecordsPerBlock) {
     const std::size_t n = std::min(kJobRecordsPerBlock, log.size() - base);
-    w.put(kJobRecordTag);
-    w.put(static_cast<std::uint32_t>(n));
+    payload.clear();
+    payload.push_back(kJobRecordTag);
+    append_raw(payload, static_cast<std::uint32_t>(n));
     for (std::size_t i = base; i < base + n; ++i) {
       const JobRecord& j = log[i];
       PackedJob rec;
@@ -76,9 +75,11 @@ void write_v2(std::ostream& out, const JobLog& log) {
       rec.first_midplane = j.partition.first_midplane();
       rec.midplane_count = j.partition.midplane_count();
       rec.exit_code = j.exit_code;
-      w.append(&rec, sizeof rec);
+      append_raw(payload, rec);
     }
-    w.flush();
+    framed.clear();
+    bin::append_frame(framed, payload);
+    out.write(framed.data(), static_cast<std::streamsize>(framed.size()));
   }
 }
 
@@ -94,44 +95,20 @@ void write_v3(std::ostream& out, const JobLog& log, const WriteOptions& opts) {
       bin::StoreMeta{std::string(machine.name()), std::string(kJobSchemaV3),
                      static_cast<std::uint32_t>(kJobRecordsPerBlock),
                      opts.compress ? bin::kStoreFlagCompressed : std::uint8_t{0}});
-  std::string header_payload;
-  header_payload.push_back(kJobHeaderTag);
-  append_raw(header_payload, static_cast<std::uint64_t>(log.size()));
 
   // Metadata blocks are all written twice, exactly as in v2: losing any
   // single frame must not orphan the record blocks that follow.
   std::string head;
-  bin::append_frame(head, meta_payload);
-  bin::append_frame(head, meta_payload);
-  bin::append_frame(head, header_payload);
-  bin::append_frame(head, header_payload);
-  for (const auto& [tag, table] :
-       {std::pair<char, const std::vector<std::string>&>{kJobExecTag, log.exec_files()},
-        {kJobUserTag, log.users()},
-        {kJobProjectTag, log.projects()}}) {
-    const std::string payload = table_payload(tag, table);
+  for (const std::string& payload :
+       {meta_payload, header_payload(log), table_payload(kJobExecTag, log.exec_files()),
+        table_payload(kJobUserTag, log.users()),
+        table_payload(kJobProjectTag, log.projects())}) {
     bin::append_frame(head, payload);
     bin::append_frame(head, payload);
   }
   out.write(head.data(), static_cast<std::streamsize>(head.size()));
 
-  // Offsets in segment footers count from the end of the 8-byte file
-  // header, like every other offset the readers report.
-  std::uint64_t offset = head.size();
-  const std::size_t bps = std::max<std::size_t>(1, opts.blocks_per_segment);
-  std::vector<bin::SegmentEntry> seg;
-  seg.reserve(bps);
-  const auto flush_segment = [&] {
-    std::string footer;
-    footer.push_back(kJobSegmentTag);
-    bin::append_segment_footer(footer, seg);
-    std::string framed_footer;
-    bin::append_frame(framed_footer, footer);
-    out.write(framed_footer.data(), static_cast<std::streamsize>(framed_footer.size()));
-    offset += framed_footer.size();
-    seg.clear();
-  };
-
+  bin::SegmentWriter segments(out, kJobSegmentTag, head.size(), opts.blocks_per_segment);
   std::string payload, raw, framed;
   for (std::size_t base = 0; base < log.size(); base += kJobRecordsPerBlock) {
     const std::size_t n = std::min(kJobRecordsPerBlock, log.size() - base);
@@ -139,23 +116,9 @@ void write_v3(std::ostream& out, const JobLog& log, const WriteOptions& opts) {
     encode_job_column_block(payload, log, base, n, opts.compress, raw);
     framed.clear();
     bin::append_frame(framed, payload);
-    out.write(framed.data(), static_cast<std::streamsize>(framed.size()));
-    // The footer repeats the block's count and zone map; both sit at fixed
-    // offsets in the payload just framed.
-    bin::SegmentEntry entry;
-    entry.offset = offset;
-    std::uint32_t count = 0;
-    std::memcpy(&count, framed.data() + bin::kBlockHeaderBytes + 1, sizeof count);
-    entry.count = count;
-    std::size_t pos = 0;
-    bin::read_zone_map(
-        std::string_view(framed).substr(bin::kBlockHeaderBytes + 1 + sizeof count), pos,
-        entry.zone);
-    seg.push_back(entry);
-    offset += framed.size();
-    if (seg.size() >= bps) flush_segment();
+    segments.write_block(framed);
   }
-  if (!seg.empty()) flush_segment();
+  segments.finish();
 }
 
 }  // namespace
@@ -180,29 +143,22 @@ JobLog read_binary(std::istream& in, const ReadOptions& opts) {
       opts.machine != nullptr ? *opts.machine : machine::bgp_model();
   obs::Span span(opts.obs, "ingest.job_binary");
 
-  char header[8] = {};
+  char header[bin::kFileHeaderBytes] = {};
   in.read(header, sizeof header);
-  std::uint32_t version = 0;
-  std::memcpy(&version, header + sizeof kJobMagic, sizeof version);
-  if (opts.mode == ParseMode::Strict) {
-    if (!in || std::memcmp(header, kJobMagic, sizeof kJobMagic) != 0) {
-      throw ParseError("not a binary job log (bad magic)");
-    }
-    if (version != kJobVersion && version != kJobVersion3) {
-      throw ParseError("unsupported binary job log version " + std::to_string(version));
-    }
-  }
+  const std::uint32_t version =
+      bin::check_file_header(std::string_view(header, static_cast<std::size_t>(in.gcount())),
+                             kJobMagic, "binary job log", opts.mode);
 
   std::optional<bin::ZoneFilter> filter_store;
   if (!opts.predicate.unconstrained()) {
     filter_store.emplace(opts.predicate, machine.codec(), machine.midplane_count());
   }
 
-  // The recovering BlockReader feeds the shared incremental decoder — the
-  // same class the fleet session/wire path runs, so network ingest is
-  // byte-identical to this offline read by construction.
+  // The frame walk feeds the shared incremental decoder — the same
+  // assembler and decoder the fleet session/wire path runs, so network
+  // ingest is byte-identical to this offline read by construction.
   IngestReport frames;
-  bin::BlockReader blocks(in, opts.mode, &frames, "binary job log");
+  bin::FrameAssembler assembler(opts.mode, &frames, "binary job log");
   JobStreamDecoder decoder(opts.mode, machine);
   if (filter_store) decoder.set_filter(&*filter_store);
   // Pre-size from the declared total, capped by what the rest of a seekable
@@ -218,10 +174,9 @@ JobLog read_binary(std::istream& in, const ReadOptions& opts) {
       decoder.set_reserve_cap(static_cast<std::uint64_t>(end - pos) / floor);
     }
   }
-  std::string payload;
-  while (blocks.next(payload)) {
-    decoder.on_payload(payload, blocks.block_offset() + bin::kBlockHeaderBytes);
-  }
+  bin::walk_frames(assembler, in, [&](std::string_view payload, std::uint64_t offset) {
+    decoder.on_payload(payload, offset);
+  });
   const bin::BlockCounters counters = decoder.block_counters();
   JobLog log = decoder.finish(rep, frames);
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "coral/common/error.hpp"
-#include "coral/common/lz.hpp"
 #include "coral/common/varint.hpp"
 
 namespace coral::joblog {
@@ -188,59 +187,19 @@ void JobStreamDecoder::decode_records(bin::PayloadCursor& cur) {
 }
 
 void JobStreamDecoder::decode_columns(bin::PayloadCursor& cur) {
-  const std::uint64_t block_at = cur.offset();
-  const auto n = cur.get<std::uint32_t>();
-  bin::ZoneMap zm;
-  {
-    const std::string_view zb = cur.take(bin::kZoneMapBytes);
-    std::size_t pos = 0;
-    bin::read_zone_map(zb, pos, zm);
-  }
-  ++blocks_.total;
-  if (filter_ != nullptr && !filter_->may_match(zm)) {
-    // Zone-rejected: the CRC already vouched for the count field, so the
-    // declared records feed `attempted` without decoding — the strict total
-    // check and the lenient top-up stay exact under pushdown.
-    attempted_ += n;
-    ++blocks_.skipped;
-    return;
-  }
-  const auto codec = cur.get<std::uint8_t>();
-  const auto raw_size = cur.get<std::uint32_t>();
-  if (raw_size > bin::kMaxBlockPayload) {
-    throw ParseError("implausible column block size in binary job log at byte offset " +
-                     std::to_string(block_at));
-  }
-  std::string_view body;
-  if (codec == bin::kCodecRaw) {
-    if (cur.remaining() != raw_size) {
-      throw ParseError("column block size mismatch in binary job log at byte offset " +
-                       std::to_string(block_at));
-    }
-    body = cur.take(raw_size);
-  } else if (codec == bin::kCodecLz) {
-    scratch_.resize(raw_size);
-    const std::string_view comp = cur.take(cur.remaining());
-    if (!bin::lz::decompress(comp, scratch_.data(), raw_size)) {
-      throw ParseError("corrupt compressed block in binary job log at byte offset " +
-                       std::to_string(block_at));
-    }
-    body = scratch_;
-  } else {
-    throw ParseError("unknown codec in binary job log at byte offset " +
-                     std::to_string(block_at));
-  }
-  // All-or-nothing column decode, like the RAS blocks: a damaged body loses
-  // the whole block to the top-up, never a prefix of it. Ten varint columns
-  // of at least one byte each bound the count.
-  if (std::uint64_t{n} * 10 > body.size()) {
-    throw ParseError("corrupt column block in binary job log at byte offset " +
-                     std::to_string(block_at));
-  }
+  bin::ColumnBlock block;
+  if (!bin::read_column_block(cur, filter_, scratch_, attempted_, blocks_, block)) return;
+  const std::uint64_t block_at = block.offset;
+  const std::uint32_t n = block.count;
+  const std::string_view body = block.body;
   const auto bad_block = [&]() -> ParseError {
     return ParseError("corrupt column block in binary job log at byte offset " +
                       std::to_string(block_at));
   };
+  // All-or-nothing column decode, like the RAS blocks: a damaged body loses
+  // the whole block to the top-up, never a prefix of it. Ten varint columns
+  // of at least one byte each bound the count.
+  if (std::uint64_t{n} * 10 > body.size()) throw bad_block();
   std::vector<std::int64_t> ids(n), starts(n), waits(n), durs(n);
   std::vector<std::uint64_t> execs(n), users(n), projs(n), firsts(n), counts(n);
   std::vector<std::int64_t> exits(n);
@@ -314,11 +273,7 @@ void JobStreamDecoder::on_payload(std::string_view payload,
       return;
     }
     if (tag == kJobMetaTag) {
-      bin::StoreMeta m = bin::parse_store_meta(cur);
-      if (m.machine != machine_->name() && mode_ == ParseMode::Strict) {
-        throw ParseError("binary job log written for machine '" + m.machine +
-                         "' but read with model '" + std::string(machine_->name()) + "'");
-      }
+      bin::StoreMeta m = bin::parse_store_meta(cur, machine_->name(), mode_);
       if (!meta_) meta_ = std::move(m);
       return;
     }
@@ -367,19 +322,9 @@ JobLog JobStreamDecoder::finish(IngestReport& rep, const IngestReport& frame_dam
     }
   }
 
-  if (mode_ == ParseMode::Strict) {
-    if (!total_) throw ParseError("missing header block in binary job log");
-    if (attempted_ != *total_) {
-      throw ParseError("binary job log record count mismatch: expected " +
-                       std::to_string(*total_) + ", got " + std::to_string(attempted_));
-    }
-  } else {
-    const std::uint64_t expected = total_ ? *total_ : attempted_;
-    if (expected > attempted_) {
-      rep.add_malformed_bulk(IngestReason::BinaryFrame, expected - attempted_);
-    }
-    rep.adopt_samples(frame_damage);
-  }
+  bin::check_declared_total(total_, attempted_, mode_, "binary job log", "header block",
+                            rep);
+  if (mode_ == ParseMode::Lenient) rep.adopt_samples(frame_damage);
 
   log_.finalize();
   return std::move(log_);

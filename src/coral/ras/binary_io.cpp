@@ -9,7 +9,6 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
-#include <streambuf>
 #include <string_view>
 #include <unordered_map>
 
@@ -32,34 +31,22 @@ namespace coral::ras {
 
 namespace {
 
-/// An istream over an in-memory region, so the recovering BlockReader can
-/// run on the already-buffered file without copying it.
-struct ViewBuf : std::streambuf {
-  explicit ViewBuf(std::string_view v) {
-    char* p = const_cast<char*>(v.data());
-    setg(p, p, p + v.size());
-  }
-};
-
-// The reference reader: the recovering BlockReader walked front to back,
-// feeding the shared incremental decoder — the same class the fleet
-// session/wire path runs, which is what makes network ingest byte-identical
-// to offline reads. Handles every damage shape and both format versions,
-// and defines the exact error messages and lenient accounting the parallel
-// fast paths must reproduce.
+// The reference reader: the region walked front to back through the frame
+// assembler, feeding the shared incremental decoder — the same classes the
+// fleet session/wire path runs, which is what makes network ingest
+// byte-identical to offline reads. Handles every damage shape and both
+// format versions, and defines the exact error messages and lenient
+// accounting the pooled fast path must reproduce.
 RasLog read_region_sequential(std::string_view region, const Catalog& catalog,
                               ParseMode mode, const machine::MachineModel& machine,
                               IngestReport& rep, const bin::ZoneFilter* filter,
                               bin::BlockCounters& blocks, std::size_t reserve_div) {
-  ViewBuf viewbuf(region);
-  std::istream in(&viewbuf);
-
   // Frame damage is tracked in a side report: one sample per damaged
   // stretch, while the caller-visible BinaryFrame *count* is computed in
   // finish() as the exact number of records lost (the dictionary carries
   // the total).
   IngestReport frames;
-  bin::BlockReader reader(in, mode, &frames, "binary RAS log");
+  bin::FrameAssembler assembler(mode, &frames, "binary RAS log");
 
   RasStreamDecoder decoder(catalog, mode, machine);
   // Pre-size from the declared total, capped by what the region could
@@ -67,10 +54,9 @@ RasLog read_region_sequential(std::string_view region, const Catalog& catalog,
   // (v3 blocks compress, so their floor is a few bytes per record).
   decoder.set_reserve_cap(region.size() / reserve_div);
   decoder.set_filter(filter);
-  std::string payload;
-  while (reader.next(payload)) {
-    decoder.on_payload(payload, reader.block_offset() + bin::kBlockHeaderBytes);
-  }
+  bin::walk_frames(assembler, region, [&](std::string_view payload, std::uint64_t offset) {
+    decoder.on_payload(payload, offset);
+  });
   RasLog log = decoder.finish(rep, frames);
   blocks = decoder.block_counters();
   return log;
@@ -89,22 +75,22 @@ struct BlockSlot {
   std::uint32_t written = 0;
 };
 
-/// The record count a payload with record tag `tag` ('R' or 'C') declares
-/// right after the tag byte; 0 for any other payload.
-std::uint32_t declared_count(const char* payload, std::uint32_t size, char tag) {
+/// The record count a 'C' payload declares right after the tag byte; 0 for
+/// a payload too short to hold one.
+std::uint32_t declared_count(const char* payload, std::uint32_t size) {
   std::uint32_t n = 0;
-  if (size >= 1 + sizeof n && payload[0] == tag) std::memcpy(&n, payload + 1, sizeof n);
+  if (size >= 1 + sizeof n) std::memcpy(&n, payload + 1, sizeof n);
   return n;
 }
 
 /// Give each block its slot, in block order; returns the summed rooms.
-std::size_t assign_slots(std::vector<BlockSlot>& slots, const char* base, char tag) {
+std::size_t assign_slots(std::vector<BlockSlot>& slots, const char* base) {
   std::size_t total = 0;
   for (BlockSlot& s : slots) {
     const char* payload = base + s.frame->offset + bin::kBlockHeaderBytes;
     s.begin = total;
     s.room = static_cast<std::uint32_t>(std::min<std::size_t>(
-        declared_count(payload, s.frame->size, tag), kRasRecordsPerBlock));
+        declared_count(payload, s.frame->size), kRasRecordsPerBlock));
     total += s.room;
   }
   return total;
@@ -115,8 +101,8 @@ struct ChunkOut {
   std::uint64_t attempted = 0;
   std::size_t written = 0;  ///< records the chunk's blocks left in their slots
   bin::BlockCounters blocks;
-  FatalColumns fatal;      ///< v3: fatal gather from emit, log_index in slot positions
-  bool sorted = true;      ///< v3: chunk-local time order held at emit
+  FatalColumns fatal;      ///< fatal gather from emit, log_index in slot positions
+  bool sorted = true;      ///< chunk-local time order held at emit
   bool damaged = false;    ///< lenient CRC failure: whole read falls back
   bool reshaped = false;   ///< a block declared more records than its slot
   std::string error;       ///< strict: first error in block order
@@ -176,41 +162,6 @@ bool chunks_committed(const std::vector<ChunkOut>& outs) {
   return true;
 }
 
-/// Verify one block's CRC before its payload is parsed. On a mismatch the
-/// chunk stops: strict mode records the sequential reader's error, lenient
-/// mode marks the read for the fallback.
-bool crc_ok(const bin::FrameRef& fr, const char* payload, ParseMode mode, ChunkOut& out) {
-  if (bin::crc32(payload, fr.size) == fr.crc) return true;
-  if (mode == ParseMode::Strict) {
-    out.has_error = true;
-    out.error =
-        "binary RAS log: block CRC mismatch at byte offset " + std::to_string(fr.offset);
-  } else {
-    out.damaged = true;
-  }
-  return false;
-}
-
-/// Fold the committed chunks' reports in block order and apply the
-/// declared-total check (strict) or the lost-record top-up (lenient).
-void merge_accounting(const std::vector<ChunkOut>& outs, std::uint64_t attempted,
-                      std::uint64_t total_records, ParseMode mode, IngestReport& rep,
-                      bin::BlockCounters& blocks) {
-  for (const ChunkOut& out : outs) {
-    rep.merge(out.rep);  // chunk order == offset order: samples stay sorted
-    blocks.merge(out.blocks);
-    attempted += out.attempted;
-  }
-  if (mode == ParseMode::Strict) {
-    if (attempted != total_records) {
-      throw ParseError("binary RAS log record count mismatch: expected " +
-                       std::to_string(total_records) + ", got " + std::to_string(attempted));
-    }
-  } else if (total_records > attempted) {
-    rep.add_malformed_bulk(IngestReason::BinaryFrame, total_records - attempted);
-  }
-}
-
 /// Close the holes that rejected and exact-filtered records left in their
 /// slots: every record behind a hole moves down, and gets the RECID of its
 /// new position and (through `fatal`, whose log_index values are slot
@@ -240,115 +191,31 @@ void close_holes(std::vector<RasEvent>& events, const std::vector<BlockSlot>& sl
   events.resize(dst);
 }
 
-// The v2 fast path: the dictionary lives in block 0, every other block is
-// decoded independently across contiguous block ranges, straight into its
-// slot of the log's event array. Any framing anomaly defers to the
-// sequential reader, which is the authority on recovery; the caller's
-// report is only touched on a committed parallel result, so the fallback
-// starts clean.
-template <typename FallBack>
-RasLog read_region_parallel_v2(std::string_view region,
-                               const std::vector<bin::FrameRef>& frames,
-                               const Catalog& catalog, ParseMode mode,
-                               const machine::MachineModel& machine, IngestReport& rep,
-                               par::ThreadPool& pool, const bin::ZoneFilter* filter,
-                               bin::BlockCounters& blocks, const FallBack& fall_back) {
-  const char* base = region.data();
-
-  // Block 0 carries the dictionary, so any error in it — CRC or content — is
-  // also the sequential reader's first error; order is preserved by handling
-  // it before the fan-out.
-  const bin::FrameRef& f0 = frames[0];
-  const char* dict_payload = base + f0.offset + bin::kBlockHeaderBytes;
-  if (bin::crc32(dict_payload, f0.size) != f0.crc) {
-    if (mode == ParseMode::Strict) {
-      throw ParseError("binary RAS log: block CRC mismatch at byte offset " +
-                       std::to_string(f0.offset));
-    }
-    return fall_back();  // the redundant copy may still be intact
-  }
-  RasDictionary dict;
-  {
-    bin::PayloadCursor cur(std::string_view(dict_payload, f0.size),
-                           f0.offset + bin::kBlockHeaderBytes, "binary RAS log");
-    try {
-      cur.get<char>();  // tag, known to be 'D'
-      dict = parse_ras_dictionary(cur, catalog, mode);
-    } catch (const Error&) {
-      if (mode == ParseMode::Strict) throw;
-      return fall_back();  // sequential skips the block, second copy serves
-    }
-  }
-
-  // Only 'R' blocks hold records; every other block gets an empty slot.
-  std::vector<BlockSlot> slots(frames.size() - 1);
-  for (std::size_t f = 1; f < frames.size(); ++f) slots[f - 1].frame = &frames[f];
-  std::vector<RasEvent> events(assign_slots(slots, base, kRasRecordTag));
-
-  std::vector<ChunkOut> outs = decode_chunks(
-      slots, pool, [&](BlockSlot& s, ChunkOut& out, RasV3Scratch&) {
-        const bin::FrameRef& fr = *s.frame;
-        const char* payload = base + fr.offset + bin::kBlockHeaderBytes;
-        if (!crc_ok(fr, payload, mode, out)) return false;
-        bin::PayloadCursor cur(std::string_view(payload, fr.size),
-                               fr.offset + bin::kBlockHeaderBytes, "binary RAS log");
-        try {
-          const char tag = cur.get<char>();
-          if (tag == kRasDictTag) {
-            parse_ras_dictionary(cur, catalog, mode);  // redundant copy
-            return true;
-          }
-          if (tag != kRasRecordTag) {
-            if (mode == ParseMode::Strict) {
-              throw ParseError("unknown block tag in binary RAS log at byte offset " +
-                               std::to_string(fr.offset));
-            }
-            return true;
-          }
-          if (declared_count(payload, fr.size, kRasRecordTag) > s.room) {
-            out.reshaped = true;
-            return false;
-          }
-          s.written = static_cast<std::uint32_t>(
-              decode_ras_records(cur, &dict, mode, machine, out.rep,
-                                 RasBlockOut{.slot = events.data() + s.begin, .first = s.begin},
-                                 out.attempted, out.blocks, filter));
-        } catch (const Error& e) {
-          if (mode == ParseMode::Strict) {
-            out.has_error = true;
-            out.error = e.what();
-            return false;
-          }
-          // Lenient: CRC-valid block that still fails to parse — skip it,
-          // the lost-record top-up accounts for its records.
-        }
-        return true;
-      });
-  if (!chunks_committed(outs)) return fall_back();
-
-  std::size_t written = 0;
-  for (const ChunkOut& out : outs) written += out.written;
-  close_holes(events, slots, written, nullptr);
-  merge_accounting(outs, 0, dict.total_records, mode, rep, blocks);
-  return RasLog(std::move(events), catalog, machine, RasLog::TrustedRecids{});
-}
-
-// The v3 fast path: parse the writer-canonical metadata prefix
+// The pooled v3 reader: parse the writer-canonical metadata prefix
 // ('M' 'M' 'D' 'D' 'L' 'L') in order, rebuild the block directory from the
 // 'S' segment footers, then fan the 'C' blocks out, each decoded straight
 // into its slot of the log's event array. Under a predicate, blocks whose
 // footer entry zone-rejects get no slot and are skipped without touching
 // their payload bytes at all (the mmap zero-copy win) — so their CRCs are
 // never checked either; blocks without a footer entry (an appender's
-// unsealed tail) fall back to the in-block zone map. Any deviation from the
-// canonical shape defers to the sequential reader.
-template <typename FallBack>
-RasLog read_region_parallel_v3(std::string_view region,
-                               const std::vector<bin::FrameRef>& frames,
-                               const Catalog& catalog, ParseMode mode,
-                               const machine::MachineModel& machine, IngestReport& rep,
-                               par::ThreadPool& pool, const bin::ZoneFilter* filter,
-                               bin::BlockCounters& blocks, const FallBack& fall_back) {
+// unsealed tail) fall back to the in-block zone map. A v2 region, and any
+// deviation from the canonical shape, defers to the sequential reader.
+RasLog read_region_parallel_v3(std::string_view region, const Catalog& catalog,
+                               ParseMode mode, const machine::MachineModel& machine,
+                               IngestReport& rep, par::ThreadPool& pool,
+                               const bin::ZoneFilter* filter, bin::BlockCounters& blocks,
+                               std::size_t reserve_div) {
+  const auto fall_back = [&] {
+    blocks = bin::BlockCounters{};
+    return read_region_sequential(region, catalog, mode, machine, rep, filter, blocks,
+                                  reserve_div);
+  };
+  if (region.size() <= bin::kBlockHeaderBytes ||
+      region[bin::kBlockHeaderBytes] != kRasMetaTag) {
+    return fall_back();
+  }
+  std::vector<bin::FrameRef> frames;
+  if (!bin::index_frames(region, frames)) return fall_back();
   const char* base = region.data();
   const auto tag_of = [&](const bin::FrameRef& f) {
     return base[f.offset + bin::kBlockHeaderBytes];
@@ -380,12 +247,7 @@ RasLog read_region_parallel_v3(std::string_view region,
     try {
       const char tag = cur.get<char>();
       if (tag == kRasMetaTag) {
-        const bin::StoreMeta meta = bin::parse_store_meta(cur);
-        if (meta.machine != machine.name() && mode == ParseMode::Strict) {
-          throw ParseError("binary RAS log written for machine '" + meta.machine +
-                           "' but read with model '" + std::string(machine.name()) +
-                           "'");
-        }
+        bin::parse_store_meta(cur, machine.name(), mode);
       } else if (tag == kRasDictTag) {
         RasDictionary d = parse_ras_dictionary(cur, catalog, mode);
         if (!dict) dict = std::move(d);
@@ -447,14 +309,25 @@ RasLog read_region_parallel_v3(std::string_view region,
     }
     slots.push_back(BlockSlot{fr});
   }
-  std::vector<RasEvent> events(assign_slots(slots, base, kRasColumnTag));
+  std::vector<RasEvent> events(assign_slots(slots, base));
 
   std::vector<ChunkOut> outs = decode_chunks(
       slots, pool, [&](BlockSlot& s, ChunkOut& out, RasV3Scratch& scratch) {
         const bin::FrameRef& fr = *s.frame;
         const char* payload = base + fr.offset + bin::kBlockHeaderBytes;
-        if (!crc_ok(fr, payload, mode, out)) return false;
-        if (declared_count(payload, fr.size, kRasColumnTag) > s.room) {
+        if (bin::crc32(payload, fr.size) != fr.crc) {
+          // Strict mode records the sequential reader's error, lenient mode
+          // marks the read for the fallback.
+          if (mode == ParseMode::Strict) {
+            out.has_error = true;
+            out.error = "binary RAS log: block CRC mismatch at byte offset " +
+                        std::to_string(fr.offset);
+          } else {
+            out.damaged = true;
+          }
+          return false;
+        }
+        if (declared_count(payload, fr.size) > s.room) {
           out.reshaped = true;
           return false;
         }
@@ -481,10 +354,16 @@ RasLog read_region_parallel_v3(std::string_view region,
   // only unchecked pairs. The fatal gathers concatenate in block order.
   RasLog::TrustedParts parts;
   std::size_t written = 0;
+  std::uint64_t attempted = skipped_records;
   for (const ChunkOut& out : outs) {
     parts.sorted = parts.sorted && out.sorted;
     written += out.written;
+    rep.merge(out.rep);  // chunk order == offset order: samples stay sorted
+    blocks.merge(out.blocks);
+    attempted += out.attempted;
   }
+  bin::check_declared_total(dict->total_records, attempted, mode, "binary RAS log",
+                            "dictionary", rep);
   if (parts.sorted) {
     std::size_t nfatal = 0;
     for (const ChunkOut& out : outs) nfatal += out.fatal.size();
@@ -515,35 +394,7 @@ RasLog read_region_parallel_v3(std::string_view region,
       }
     }
   }
-  merge_accounting(outs, skipped_records, dict->total_records, mode, rep, blocks);
   return RasLog(std::move(events), catalog, machine, std::move(parts));
-}
-
-// Index the region and dispatch on the first block's tag ('D' = v2,
-// 'M' = v3); anything else is the sequential recovering reader's problem.
-RasLog read_region_parallel(std::string_view region, const Catalog& catalog,
-                            ParseMode mode, const machine::MachineModel& machine,
-                            IngestReport& rep, par::ThreadPool& pool,
-                            const bin::ZoneFilter* filter, bin::BlockCounters& blocks,
-                            std::size_t reserve_div) {
-  const auto fall_back = [&] {
-    blocks = bin::BlockCounters{};
-    return read_region_sequential(region, catalog, mode, machine, rep, filter, blocks,
-                                  reserve_div);
-  };
-
-  std::vector<bin::FrameRef> frames;
-  if (!bin::index_frames(region, frames) || frames.empty()) return fall_back();
-  const char first = region[frames[0].offset + bin::kBlockHeaderBytes];
-  if (first == kRasDictTag) {
-    return read_region_parallel_v2(region, frames, catalog, mode, machine, rep, pool,
-                                   filter, blocks, fall_back);
-  }
-  if (first == kRasMetaTag) {
-    return read_region_parallel_v3(region, frames, catalog, mode, machine, rep, pool,
-                                   filter, blocks, fall_back);
-  }
-  return fall_back();
 }
 
 std::string slurp(std::istream& in) {
@@ -706,32 +557,14 @@ void write_v3(std::ostream& out, const RasLog& log, const WriteOptions& opts) {
   for (const std::uint32_t key : keys) append_raw(loc_payload, key);
 
   std::string head;
-  bin::append_frame(head, meta_payload);
-  bin::append_frame(head, meta_payload);
-  bin::append_frame(head, dict_payload);
-  bin::append_frame(head, dict_payload);
-  bin::append_frame(head, loc_payload);
-  bin::append_frame(head, loc_payload);
+  for (const std::string& payload : {meta_payload, dict_payload, loc_payload}) {
+    bin::append_frame(head, payload);
+    bin::append_frame(head, payload);
+  }
   out.write(head.data(), static_cast<std::streamsize>(head.size()));
 
-  // Offsets in segment footers count from the end of the 8-byte file
-  // header, like every other offset the readers report.
-  std::uint64_t offset = head.size();
-  const std::size_t bps = std::max<std::size_t>(1, opts.blocks_per_segment);
+  bin::SegmentWriter segments(out, kRasSegmentTag, head.size(), opts.blocks_per_segment);
   const std::size_t nblocks = (log.size() + kRasRecordsPerBlock - 1) / kRasRecordsPerBlock;
-  std::vector<bin::SegmentEntry> seg;
-  seg.reserve(bps);
-  const auto flush_segment = [&] {
-    std::string footer;
-    footer.push_back(kRasSegmentTag);
-    bin::append_segment_footer(footer, seg);
-    std::string framed_footer;
-    bin::append_frame(framed_footer, footer);
-    out.write(framed_footer.data(), static_cast<std::streamsize>(framed_footer.size()));
-    offset += framed_footer.size();
-    seg.clear();
-  };
-
   constexpr std::size_t kBatchBlocks = 4096;
   std::vector<std::string> framed;
   for (std::size_t batch = 0; batch < nblocks; batch += kBatchBlocks) {
@@ -748,26 +581,9 @@ void write_v3(std::ostream& out, const RasLog& log, const WriteOptions& opts) {
                                            loc_idx.data() + base, opts.compress,
                                            machine.codec(), raw);
                  });
-    for (std::size_t b = batch; b < batch_end; ++b) {
-      const std::string& f = framed[b - batch];
-      out.write(f.data(), static_cast<std::streamsize>(f.size()));
-      // The footer repeats the block's count and zone map; both sit at
-      // fixed offsets in the payload we just framed.
-      bin::SegmentEntry entry;
-      entry.offset = offset;
-      std::uint32_t count = 0;
-      std::memcpy(&count, f.data() + bin::kBlockHeaderBytes + 1, sizeof count);
-      entry.count = count;
-      std::size_t pos = 0;
-      bin::read_zone_map(
-          std::string_view(f).substr(bin::kBlockHeaderBytes + 1 + sizeof count),
-          pos, entry.zone);
-      seg.push_back(entry);
-      offset += f.size();
-      if (seg.size() >= bps) flush_segment();
-    }
+    for (const std::string& f : framed) segments.write_block(f);
   }
-  if (!seg.empty()) flush_segment();
+  segments.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -782,24 +598,15 @@ RasLog read_view(std::string_view buffer, const Catalog& catalog,
   obs::Span span(opts.obs, "ingest.ras_binary");
   CORAL_OBS_COUNT(opts.obs, "ingest.ras_binary.bytes", buffer.size());
 
-  std::uint32_t version = kRasVersion;
-  const bool header_ok = buffer.size() >= sizeof kRasMagic + sizeof version &&
-                         std::memcmp(buffer.data(), kRasMagic, sizeof kRasMagic) == 0;
-  if (header_ok) {
-    std::memcpy(&version, buffer.data() + sizeof kRasMagic, sizeof version);
-  }
-  if (opts.mode == ParseMode::Strict) {
-    if (!header_ok) throw ParseError("not a binary RAS log (bad magic)");
-    if (version != kRasVersion && version != kRasVersion3) {
-      throw ParseError("unsupported binary RAS log version " + std::to_string(version));
-    }
-  }
+  const std::uint32_t version =
+      bin::check_file_header(buffer.substr(0, bin::kFileHeaderBytes), kRasMagic,
+                             "binary RAS log", opts.mode);
   // Lenient mode tolerates a damaged file header: the framed blocks are
   // self-locating, so recovery proceeds from whatever survives. Offsets in
   // reports and errors are relative to the end of the 8-byte header, as the
   // streaming reader always counted them.
   const std::string_view region =
-      buffer.substr(std::min(buffer.size(), sizeof kRasMagic + sizeof version));
+      buffer.substr(std::min(buffer.size(), bin::kFileHeaderBytes));
 
   // Bound for the corrupt-declared-total allocation guard: v2 records are
   // fixed 24 bytes; v3 columns bottom out at 8 bytes per record before
@@ -817,8 +624,8 @@ RasLog read_view(std::string_view buffer, const Catalog& catalog,
   // The indexed in-place path wins even on a single-thread pool (no per-block
   // payload copies), so any pool at all selects it.
   RasLog log = opts.pool != nullptr
-                   ? read_region_parallel(region, catalog, opts.mode, machine, rep,
-                                          *opts.pool, filter, blocks, reserve_div)
+                   ? read_region_parallel_v3(region, catalog, opts.mode, machine, rep,
+                                             *opts.pool, filter, blocks, reserve_div)
                    : read_region_sequential(region, catalog, opts.mode, machine, rep,
                                             filter, blocks, reserve_div);
 

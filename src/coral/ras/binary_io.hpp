@@ -108,11 +108,13 @@ struct ReadOptions {
 /// counters, and bytes/blocks_total/blocks_decoded/blocks_skipped counters
 /// are recorded.
 ///
-/// The input is buffered whole and frames are decoded in place. With a
-/// `pool`, CRC verification and record decoding fan out across contiguous
-/// block ranges — results (events, error messages, lenient accounting) are
-/// identical to the sequential read; a file with any frame damage falls back
-/// to the sequential recovering reader.
+/// The input is buffered whole. Without a `pool`, or for a v2 file, the
+/// sequential recovering reader walks its frames through a FrameAssembler;
+/// it is the authority on damage for both versions. With a `pool`, a v3
+/// file's frames are decoded in place, CRC verification and record
+/// decoding fanned out across contiguous block ranges — results (events,
+/// error messages, lenient accounting) are identical to the sequential
+/// read, and a file with any frame damage falls back to it.
 /// Packed locations are validated against the machine model; the returned
 /// log is stamped with it.
 RasLog read_binary(std::istream& in, const Catalog& catalog, const ReadOptions& opts);
@@ -121,11 +123,11 @@ RasLog read_binary(std::istream& in, const Catalog& catalog = default_catalog(),
                    obs::Collector* obs = nullptr, par::ThreadPool* pool = nullptr,
                    const machine::MachineModel& machine = machine::bgp_model());
 
-/// read_binary over a memory-mapped file: the region is decoded in place
-/// with zero copies (uncompressed payloads — v2 records, v3 raw-codec
-/// bodies — are read straight from the mapped pages, and predicate reads
-/// never fault in the pages of footer-covered skipped blocks). Falls back
-/// to a buffered stream read when the platform cannot map the file.
+/// read_binary over a memory-mapped file: with a pool, a v3 region is
+/// decoded in place with zero copies (raw-codec bodies are read straight
+/// from the mapped pages, and predicate reads never fault in the pages of
+/// footer-covered skipped blocks). Falls back to a buffered stream read
+/// when the platform cannot map the file.
 RasLog read_binary_file(const std::string& path, const Catalog& catalog = default_catalog(),
                         const ReadOptions& opts = {});
 

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "coral/common/error.hpp"
-#include "coral/common/lz.hpp"
 #include "coral/common/varint.hpp"
 #include "coral/machine/model.hpp"
 
@@ -328,49 +327,11 @@ std::size_t decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictiona
                                       const bin::ZoneFilter* filter, IngestReport& rep,
                                       const RasBlockOut& out, std::uint64_t& attempted,
                                       bin::BlockCounters& blocks, RasV3Scratch& scratch) {
-  const std::uint64_t block_at = cur.offset();
-  const auto n = cur.get<std::uint32_t>();
-  bin::ZoneMap zm;
-  {
-    const std::string_view zb = cur.take(bin::kZoneMapBytes);
-    std::size_t pos = 0;
-    bin::read_zone_map(zb, pos, zm);
-  }
-  ++blocks.total;
-  if (filter != nullptr && !filter->may_match(zm)) {
-    // Zone-rejected: the CRC already vouched for the count field, so the
-    // declared records feed `attempted` without decoding — the strict total
-    // check and the lenient top-up stay exact under pushdown.
-    attempted += n;
-    ++blocks.skipped;
-    return 0;
-  }
-  const auto codec = cur.get<std::uint8_t>();
-  const auto raw_size = cur.get<std::uint32_t>();
-  if (raw_size > bin::kMaxBlockPayload) {
-    throw ParseError("implausible column block size in binary RAS log at byte offset " +
-                     std::to_string(block_at));
-  }
-  std::string_view body;
-  if (codec == bin::kCodecRaw) {
-    if (cur.remaining() != raw_size) {
-      throw ParseError("column block size mismatch in binary RAS log at byte offset " +
-                       std::to_string(block_at));
-    }
-    body = cur.take(raw_size);
-  } else if (codec == bin::kCodecLz) {
-    scratch.raw.resize(raw_size);
-    const std::string_view comp = cur.take(cur.remaining());
-    if (!bin::lz::decompress(comp, scratch.raw.data(), raw_size)) {
-      throw ParseError("corrupt compressed block in binary RAS log at byte offset " +
-                       std::to_string(block_at));
-    }
-    body = scratch.raw;
-  } else {
-    throw ParseError("unknown codec in binary RAS log at byte offset " +
-                     std::to_string(block_at));
-  }
-  if (!decode_ras_columns(body, n, scratch.cols)) {
+  bin::ColumnBlock block;
+  if (!bin::read_column_block(cur, filter, scratch.raw, attempted, blocks, block)) return 0;
+  const std::uint64_t block_at = block.offset;
+  const std::uint32_t n = block.count;
+  if (!decode_ras_columns(block.body, n, scratch.cols)) {
     throw ParseError("corrupt column block in binary RAS log at byte offset " +
                      std::to_string(block_at));
   }
@@ -543,11 +504,7 @@ void RasStreamDecoder::on_payload(std::string_view payload,
       return;
     }
     if (tag == kRasMetaTag) {
-      bin::StoreMeta m = parse_store_meta(cur);
-      if (m.machine != machine_->name() && mode_ == ParseMode::Strict) {
-        throw ParseError("binary RAS log written for machine '" + m.machine +
-                         "' but read with model '" + std::string(machine_->name()) + "'");
-      }
+      bin::StoreMeta m = bin::parse_store_meta(cur, machine_->name(), mode_);
       if (!meta_) meta_ = std::move(m);
       return;
     }
@@ -592,21 +549,9 @@ void RasStreamDecoder::on_payload(std::string_view payload,
 RasLog RasStreamDecoder::finish(IngestReport& rep, const IngestReport& frame_damage) {
   rep.merge(record_rep_);
   record_rep_ = IngestReport{};
-  if (mode_ == ParseMode::Strict) {
-    if (!dict_) throw ParseError("missing dictionary in binary RAS log");
-    if (attempted_ != dict_->total_records) {
-      throw ParseError("binary RAS log record count mismatch: expected " +
-                       std::to_string(dict_->total_records) + ", got " +
-                       std::to_string(attempted_));
-    }
-  } else {
-    // Exactly the records that vanished with dropped/undecodable frames.
-    const std::uint64_t expected = dict_ ? dict_->total_records : attempted_;
-    if (expected > attempted_) {
-      rep.add_malformed_bulk(IngestReason::BinaryFrame, expected - attempted_);
-    }
-    rep.adopt_samples(frame_damage);
-  }
+  bin::check_declared_total(declared_total(), attempted_, mode_, "binary RAS log",
+                            "dictionary", rep);
+  if (mode_ == ParseMode::Lenient) rep.adopt_samples(frame_damage);
   if (!saw_v2_records_) {
     // Pure columnar stream: the emit loop gathered the fatal columns and
     // verified time order as it went, so the log adopts them without

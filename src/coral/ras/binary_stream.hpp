@@ -181,8 +181,9 @@ std::size_t decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictiona
                                       bin::BlockCounters& blocks, RasV3Scratch& scratch);
 
 /// Incremental binary v2/v3 RAS decoder: feed block payloads as they become
-/// available (from a BlockReader, a FrameAssembler over a socket, a tailed
-/// file); finish() runs the lost-record top-up and builds the log. Feeding
+/// available (from a FrameAssembler over a socket, a tailed file or a whole
+/// file walked with bin::walk_frames); finish() runs the lost-record top-up
+/// and builds the log. Feeding
 /// the payload sequence of an intact or damaged file reproduces the one-shot
 /// reader's events and accounting exactly — read_binary's sequential path is
 /// itself implemented on this class. The v2 and v3 tag sets are disjoint,

@@ -1,6 +1,6 @@
 #include "coral/stream/session.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -9,21 +9,16 @@
 
 namespace coral::stream {
 
-namespace {
-
-constexpr std::size_t kFileHeaderBytes = 8;  // magic[4] + u32 version
-
-}  // namespace
-
 /// One log feed's ingest state. The queue is the only part touched by
 /// feed(); everything from the assembler down is owned by the drain lock.
 /// `queued`/`assembling` shadow the backlog as atomics so snapshot() never
 /// needs either lock.
 struct Session::SourceState {
-  SourceState(Source which, ParseMode mode, const char* label)
-      : kind(which), what(label), frames(mode, &frame_damage, label) {}
+  SourceState(Source which, ParseMode mode, const char (&file_magic)[4], const char* label)
+      : kind(which), magic(file_magic), what(label), frames(mode, &frame_damage, label) {}
 
   const Source kind;
+  const char (&magic)[4];
   const char* what;
 
   std::mutex mu;  ///< guards queue
@@ -34,7 +29,6 @@ struct Session::SourceState {
 
   // --- drain-lock territory ---
   std::string header;        ///< the 8-byte file header, accumulated
-  bool header_checked = false;
   IngestReport frame_damage; ///< framing-layer samples (adopted at finish)
   bin::FrameAssembler frames;
 
@@ -43,8 +37,10 @@ struct Session::SourceState {
 
 Session::Session(std::string name, SessionConfig config, const Context& ctx)
     : name_(std::move(name)), config_(std::move(config)), ctx_(ctx) {
-  ras_ = std::make_unique<SourceState>(Source::Ras, config_.mode, "binary RAS log");
-  jobs_ = std::make_unique<SourceState>(Source::Jobs, config_.mode, "binary job log");
+  ras_ = std::make_unique<SourceState>(Source::Ras, config_.mode, ras::kRasMagic,
+                                       "binary RAS log");
+  jobs_ = std::make_unique<SourceState>(Source::Jobs, config_.mode, joblog::kJobMagic,
+                                        "binary job log");
   ras_dec_ = std::make_unique<ras::RasStreamDecoder>(ctx_.catalog(), config_.mode,
                                                      ctx_.machine());
   job_dec_ = std::make_unique<joblog::JobStreamDecoder>(config_.mode, ctx_.machine());
@@ -96,42 +92,32 @@ std::size_t Session::pump_locked(SourceState& st) {
   for (std::string& chunk : chunks) {
     taken += chunk.size();
     std::string_view rest = chunk;
-    if (st.header.size() < kFileHeaderBytes) {
-      const std::size_t want = kFileHeaderBytes - st.header.size();
+    if (st.header.size() < bin::kFileHeaderBytes) {
+      const std::size_t want = bin::kFileHeaderBytes - st.header.size();
       const std::size_t got = std::min(want, rest.size());
       st.header.append(rest.data(), got);
       rest.remove_prefix(got);
-    }
-    if (!st.header_checked && st.header.size() == kFileHeaderBytes) {
-      st.header_checked = true;
-      // Same gate the offline readers apply to the 8-byte file header:
-      // strict insists on magic + version, lenient tolerates damage (the
-      // framed blocks are self-locating).
-      if (config_.mode == ParseMode::Strict) {
-        const bool is_ras = st.kind == Source::Ras;
-        const char* magic = is_ras ? ras::kRasMagic : joblog::kJobMagic;
-        const char* logname = is_ras ? "RAS" : "job";
-        if (std::memcmp(st.header.data(), magic, 4) != 0) {
-          throw ParseError(std::string("not a binary ") + logname + " log (bad magic)");
-        }
-        std::uint32_t version = 0;
-        std::memcpy(&version, st.header.data() + 4, sizeof version);
-        // v2 and v3 block tags are disjoint, so one decoder handles both
-        // and the session accepts either header.
-        const bool known = is_ras ? (version == ras::kRasVersion ||
-                                     version == ras::kRasVersion3)
-                                  : (version == joblog::kJobVersion ||
-                                     version == joblog::kJobVersion3);
-        if (!known) {
-          throw ParseError(std::string("unsupported binary ") + logname +
-                           " log version " + std::to_string(version));
-        }
+      // The offline readers' gate on the 8-byte file header; v2 and v3 block
+      // tags are disjoint, so one decoder handles both versions.
+      if (st.header.size() == bin::kFileHeaderBytes) {
+        bin::check_file_header(st.header, st.magic, st.what, config_.mode);
       }
     }
     if (!rest.empty()) st.frames.push(rest);
   }
   st.queued.fetch_sub(taken, std::memory_order_relaxed);
 
+  decode_locked(st);
+  const std::size_t buffered = st.frames.buffered();
+  const std::size_t consumed =
+      taken + st.assembling.exchange(buffered, std::memory_order_relaxed) - buffered;
+  bytes_decoded_.fetch_add(consumed, std::memory_order_relaxed);
+  CORAL_OBS_COUNT(ctx_.obs(), "session.bytes.decoded", consumed);
+  if (st.kind == Source::Ras) predict_new_records_locked();
+  return consumed;
+}
+
+void Session::decode_locked(SourceState& st) {
   std::string payload;
   while (st.frames.next(payload)) {
     const std::uint64_t at = st.frames.block_offset() + bin::kBlockHeaderBytes;
@@ -143,13 +129,6 @@ std::size_t Session::pump_locked(SourceState& st) {
       job_records_.store(job_dec_->records_decoded(), std::memory_order_relaxed);
     }
   }
-  const std::size_t buffered = st.frames.buffered();
-  const std::size_t consumed =
-      taken + st.assembling.exchange(buffered, std::memory_order_relaxed) - buffered;
-  bytes_decoded_.fetch_add(consumed, std::memory_order_relaxed);
-  CORAL_OBS_COUNT(ctx_.obs(), "session.bytes.decoded", consumed);
-  if (st.kind == Source::Ras) predict_new_records_locked();
-  return consumed;
 }
 
 void Session::predict_new_records_locked() {
@@ -198,26 +177,17 @@ SessionResult Session::finalize() {
     throw InvalidArgument("session '" + name_ + "' already finalized");
   }
   // Drain everything accepted before the finalize cut, then declare
-  // end-of-stream so the assemblers run BlockReader's truncation endgame.
+  // end-of-stream so the assemblers run their truncation endgame.
   while (pump_locked(*ras_) + pump_locked(*jobs_) != 0) {
   }
   SessionResult out;
   for (SourceState* st : {ras_.get(), jobs_.get()}) {
     st->frames.finish();
-    std::string payload;
-    while (st->frames.next(payload)) {
-      const std::uint64_t at = st->frames.block_offset() + bin::kBlockHeaderBytes;
-      if (st->kind == Source::Ras) {
-        ras_dec_->on_payload(payload, at);
-      } else {
-        job_dec_->on_payload(payload, at);
-      }
-    }
+    decode_locked(*st);
     st->assembling.store(st->frames.buffered(), std::memory_order_relaxed);
-    if (config_.mode == ParseMode::Strict && !st->header_checked) {
-      // Fewer than 8 bytes ever arrived: the offline readers' "bad magic".
-      throw ParseError(std::string("not a binary ") +
-                       (st->kind == Source::Ras ? "RAS" : "job") + " log (bad magic)");
+    if (st->header.size() < bin::kFileHeaderBytes) {
+      // Fewer than 8 bytes ever arrived: strict mode's "bad magic".
+      bin::check_file_header(st->header, st->magic, st->what, config_.mode);
     }
   }
   // Feed the predictor the tail decoded by the truncation endgame before

@@ -78,12 +78,15 @@ struct SessionResult {
 };
 
 /// One tenant's resident co-analysis engine: an explicit feed()/flush()/
-/// snapshot()/finalize() lifecycle over the binary-v2 log formats.
+/// snapshot()/finalize() lifecycle over the binary log formats (v2 and the
+/// v3 store, whose block tags are disjoint, so each feed is whatever its
+/// blocks say).
 ///
 /// feed() enqueues raw file bytes (any chunking — a socket's recv sizes, a
 /// tail -f, whole files) behind a bounded admission gate; pump() drains the
-/// backlog through the same FrameAssembler + stream decoders the offline
-/// readers are built on, so finalize() is byte-identical to read_binary +
+/// backlog through the same file-header gate, FrameAssembler and stream
+/// decoders the offline readers are built on, so finalize() is
+/// byte-identical to read_binary +
 /// run_coanalysis over the concatenated bytes — including lenient-mode
 /// damage accounting. That equivalence holds for *any* interleaving of
 /// feeds across sources and tenants, because each source's bytes arrive in
@@ -132,6 +135,9 @@ class Session {
   SourceState& state(Source src);
   /// Drain one source's queue into its assembler + decoder (drain_mu_ held).
   std::size_t pump_locked(SourceState& st);
+  /// Decode every complete payload the source's assembler holds (drain_mu_
+  /// held).
+  void decode_locked(SourceState& st);
   /// Feed RAS records decoded since the last call to the online predictor
   /// (drain_mu_ held; no-op without rules).
   void predict_new_records_locked();

@@ -111,6 +111,24 @@ inline std::string lie_in_zone_map(const std::string& data, Rng& rng) {
   return out;
 }
 
+/// Insert `count` fake frame headers at random offsets: "CBLK", a plausible
+/// payload size (1..256) and a random checksum, so a resynchronizing
+/// reader locks onto each one, takes the bytes after it as a payload and
+/// must reject it on its CRC (or on truncation near the end).
+inline std::string insert_fake_markers(const std::string& data, Rng& rng, int count) {
+  std::string out = data;
+  for (int i = 0; i < count; ++i) {
+    char header[bin::kBlockHeaderBytes];
+    std::memcpy(header, bin::kBlockMagic, sizeof bin::kBlockMagic);
+    const auto size = static_cast<std::uint32_t>(1 + rng.uniform_index(256));
+    const auto crc = static_cast<std::uint32_t>(rng.uniform_index(std::uint64_t{1} << 32));
+    std::memcpy(header + sizeof bin::kBlockMagic, &size, sizeof size);
+    std::memcpy(header + sizeof bin::kBlockMagic + sizeof size, &crc, sizeof crc);
+    out.insert(rng.uniform_index(out.size() + 1), header, sizeof header);
+  }
+  return out;
+}
+
 // -- CSV-specific mutators: operate on physical lines so the damage modes
 // -- are recognizable (and countable) at the record layer.
 

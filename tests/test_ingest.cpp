@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "corrupt.hpp"
+#include "frame_oracle.hpp"
 #include "read_equal.hpp"
 
 #include "coral/common/error.hpp"
@@ -681,6 +682,120 @@ TEST(FuzzSmokeV3, ZoneMapLiesNeverBreakAccounting) {
     EXPECT_EQ(rep.total_malformed(), 0u) << "seed " << seed;
     EXPECT_LE(parsed.size(), n) << "seed " << seed;
   }
+}
+
+// -- Frame walk: bin::FrameAssembler, whatever the push chunking, against
+// -- the frozen istream BlockReader of tests/frame_oracle.hpp.
+
+/// Everything one frame walk yields: intact payloads with their block
+/// offsets, the damage report, and (strict mode) the error that ended it.
+struct FrameWalk {
+  std::vector<std::string> payloads;
+  std::vector<std::uint64_t> offsets;
+  IngestReport damage;
+  std::string error;
+};
+
+FrameWalk oracle_walk(const std::string& region, ParseMode mode) {
+  FrameWalk w;
+  std::istringstream in(region);
+  oracle::BlockReader reader(in, mode, &w.damage, "binary log");
+  std::string payload;
+  try {
+    while (reader.next(payload)) {
+      w.payloads.push_back(payload);
+      w.offsets.push_back(reader.block_offset());
+    }
+  } catch (const ParseError& e) {
+    w.error = e.what();
+  }
+  return w;
+}
+
+/// `push_bytes` 0 walks through bin::walk_frames, the offline readers' path;
+/// anything else pushes chunks of that size by hand.
+FrameWalk assembler_walk(const std::string& region, ParseMode mode, std::size_t push_bytes) {
+  FrameWalk w;
+  bin::FrameAssembler frames(mode, &w.damage, "binary log");
+  const auto take = [&](std::string_view payload, std::uint64_t payload_offset) {
+    w.payloads.emplace_back(payload);
+    w.offsets.push_back(payload_offset - bin::kBlockHeaderBytes);
+  };
+  try {
+    if (push_bytes == 0) {
+      bin::walk_frames(frames, region, take);
+    } else {
+      std::string payload;
+      const auto drain = [&] {
+        while (frames.next(payload)) take(payload, frames.block_offset() + bin::kBlockHeaderBytes);
+      };
+      for (std::size_t at = 0; at < region.size(); at += push_bytes) {
+        frames.push(std::string_view(region).substr(at, push_bytes));
+        drain();
+      }
+      frames.finish();
+      drain();
+    }
+  } catch (const ParseError& e) {
+    w.error = e.what();
+  }
+  return w;
+}
+
+void expect_walks_equal(const FrameWalk& got, const FrameWalk& want) {
+  EXPECT_EQ(got.payloads, want.payloads);
+  EXPECT_EQ(got.offsets, want.offsets);
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.damage.malformed(IngestReason::BinaryFrame),
+            want.damage.malformed(IngestReason::BinaryFrame));
+  ASSERT_EQ(got.damage.samples().size(), want.damage.samples().size());
+  for (std::size_t i = 0; i < got.damage.samples().size(); ++i) {
+    EXPECT_EQ(got.damage.samples()[i].byte_offset, want.damage.samples()[i].byte_offset);
+    EXPECT_EQ(got.damage.samples()[i].detail, want.damage.samples()[i].detail);
+  }
+}
+
+TEST(FuzzSmokeFrames, AssemblerMatchesFrozenBlockReader) {
+  struct Image {
+    std::string name;
+    std::string bytes;  ///< whole file, header included, as the mutators expect
+    char record_tag;
+  };
+  std::vector<Image> images;
+  for (const std::uint32_t version : {2u, 3u}) {
+    std::stringstream ras, jobs;
+    ras::write_binary(ras, make_ras_log(600), {.version = version});
+    joblog::write_binary(jobs, make_job_log(400), {.version = version});
+    const char tag = version == 2 ? 'R' : 'C';
+    images.push_back({"ras v" + std::to_string(version), ras.str(), tag});
+    images.push_back({"job v" + std::to_string(version), jobs.str(), tag});
+  }
+  std::size_t cases = 0;
+  for (const Image& image : images) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed);
+      const std::string& intact = image.bytes;
+      for (const std::string& bad :
+           {intact, testing::flip_bits(intact, rng, 6), testing::truncate_bytes(intact, rng, 0.3),
+            testing::flip_block_payload(intact, rng, image.record_tag, 2),
+            testing::insert_fake_markers(intact, rng, 3),
+            testing::insert_fake_markers(testing::flip_bits(intact, rng, 2), rng, 2)}) {
+        const std::string region = bad.substr(8);  // the frames behind the file header
+        for (const ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
+          const FrameWalk want = oracle_walk(region, mode);
+          for (const std::size_t push : {std::size_t{1}, std::size_t{7}, std::size_t{4096},
+                                         std::size_t{65536}, region.size(), std::size_t{0}}) {
+            SCOPED_TRACE(image.name + ", seed " + std::to_string(seed) + ", push " +
+                         std::to_string(push) +
+                         (mode == ParseMode::Strict ? ", strict" : ", lenient"));
+            expect_walks_equal(assembler_walk(region, mode, push), want);
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 4u * 4u * 6u * 2u * 6u);
 }
 
 TEST(IngestCsvLogs, StrictCleanPairIsClean) {

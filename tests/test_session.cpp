@@ -19,9 +19,9 @@ namespace coral {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Fixtures: exact-content logs serialized to binary-v2 bytes, so parity
-// assertions can compare the session's decode against the offline readers
-// byte for byte.
+// Fixtures: exact-content logs serialized to binary v2 or v3 bytes, so
+// parity assertions can compare the session's decode against the offline
+// readers byte for byte.
 
 ras::RasLog make_ras_log(std::size_t n) {
   const ras::Catalog& cat = ras::default_catalog();
@@ -59,15 +59,15 @@ joblog::JobLog make_job_log(std::size_t n) {
   return log;
 }
 
-std::string ras_bytes(const ras::RasLog& log) {
+std::string ras_bytes(const ras::RasLog& log, std::uint32_t version = 2) {
   std::stringstream buf;
-  ras::write_binary(buf, log);
+  ras::write_binary(buf, log, {.version = version});
   return buf.str();
 }
 
-std::string job_bytes(const joblog::JobLog& log) {
+std::string job_bytes(const joblog::JobLog& log, std::uint32_t version = 2) {
   std::stringstream buf;
-  joblog::write_binary(buf, log);
+  joblog::write_binary(buf, log, {.version = version});
   return buf.str();
 }
 
@@ -79,6 +79,7 @@ struct Offline {
   IngestReport ras_rep, job_rep;
   std::uint64_t result_fp = 0;
   std::uint64_t log_fp = 0;
+  std::string analysis_error;  ///< what the engine threw, when it refused the logs
 };
 
 Offline offline_run(const std::string& ras_image, const std::string& job_image,
@@ -88,8 +89,11 @@ Offline offline_run(const std::string& ras_image, const std::string& job_image,
   off.ras = ras::read_binary(ras_in, ras::default_catalog(), mode, &off.ras_rep);
   off.jobs = joblog::read_binary(job_in, mode, &off.job_rep);
   off.log_fp = fleet::log_fingerprint(off.ras, off.jobs);
-  off.result_fp =
-      fleet::result_fingerprint(core::run_coanalysis(off.ras, off.jobs));
+  try {
+    off.result_fp = fleet::result_fingerprint(core::run_coanalysis(off.ras, off.jobs));
+  } catch (const Error& e) {
+    off.analysis_error = e.what();
+  }
   return off;
 }
 
@@ -133,43 +137,61 @@ void expect_reports_equal(const IngestReport& got, const IngestReport& want,
 // offline batch engine on the same logs.
 
 TEST(SessionParity, RandomInterleavingsMatchOfflineEngine) {
-  const std::string ras_image = ras_bytes(make_ras_log(700));
-  const std::string job_image = job_bytes(make_job_log(300));
-  const Offline off = offline_run(ras_image, job_image, ParseMode::Strict);
-  ASSERT_EQ(off.ras.size(), 700u);
-  ASSERT_EQ(off.jobs.size(), 300u);
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    stream::SessionResult got;
-    ASSERT_NO_FATAL_FAILURE(
-        got = session_run(ras_image, job_image, ParseMode::Strict, seed));
-    EXPECT_EQ(fleet::log_fingerprint(got.ras, got.jobs), off.log_fp)
-        << "seed " << seed;
-    EXPECT_EQ(fleet::result_fingerprint(got.analysis), off.result_fp)
-        << "seed " << seed;
-    expect_reports_equal(got.ras_report, off.ras_rep, seed);
-    expect_reports_equal(got.jobs_report, off.job_rep, seed);
+  for (const std::uint32_t version : {2u, 3u}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    const std::string ras_image = ras_bytes(make_ras_log(700), version);
+    const std::string job_image = job_bytes(make_job_log(300), version);
+    const Offline off = offline_run(ras_image, job_image, ParseMode::Strict);
+    ASSERT_EQ(off.analysis_error, "");
+    ASSERT_EQ(off.ras.size(), 700u);
+    ASSERT_EQ(off.jobs.size(), 300u);
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      stream::SessionResult got;
+      ASSERT_NO_FATAL_FAILURE(
+          got = session_run(ras_image, job_image, ParseMode::Strict, seed));
+      EXPECT_EQ(fleet::log_fingerprint(got.ras, got.jobs), off.log_fp)
+          << "seed " << seed;
+      EXPECT_EQ(fleet::result_fingerprint(got.analysis), off.result_fp)
+          << "seed " << seed;
+      expect_reports_equal(got.ras_report, off.ras_rep, seed);
+      expect_reports_equal(got.jobs_report, off.job_rep, seed);
+    }
   }
 }
 
 TEST(SessionParity, LenientCorruptionAccountingMatchesOffline) {
-  const std::string ras_clean = ras_bytes(make_ras_log(900));
-  const std::string job_clean = job_bytes(make_job_log(400));
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    Rng corrupt_rng(seed);
-    const std::string ras_bad = testing::flip_bits(ras_clean, corrupt_rng, 5);
-    const std::string job_bad =
-        testing::flip_bits(testing::truncate_bytes(job_clean, corrupt_rng, 0.4),
-                           corrupt_rng, 2);
-    const Offline off = offline_run(ras_bad, job_bad, ParseMode::Lenient);
-    stream::SessionResult got;
-    ASSERT_NO_FATAL_FAILURE(
-        got = session_run(ras_bad, job_bad, ParseMode::Lenient, 100 + seed));
-    EXPECT_EQ(fleet::log_fingerprint(got.ras, got.jobs), off.log_fp)
-        << "seed " << seed;
-    EXPECT_EQ(fleet::result_fingerprint(got.analysis), off.result_fp)
-        << "seed " << seed;
-    expect_reports_equal(got.ras_report, off.ras_rep, seed);
-    expect_reports_equal(got.jobs_report, off.job_rep, seed);
+  for (const std::uint32_t version : {2u, 3u}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    const std::string ras_clean = ras_bytes(make_ras_log(900), version);
+    const std::string job_clean = job_bytes(make_job_log(400), version);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng corrupt_rng(seed);
+      const std::string ras_bad = testing::flip_bits(ras_clean, corrupt_rng, 5);
+      const std::string job_bad =
+          testing::flip_bits(testing::truncate_bytes(job_clean, corrupt_rng, 0.4),
+                             corrupt_rng, 2);
+      const Offline off = offline_run(ras_bad, job_bad, ParseMode::Lenient);
+      if (!off.analysis_error.empty()) {
+        // The damage left the engine nothing to analyze (an empty job log):
+        // the session's finalize must refuse the same way.
+        try {
+          session_run(ras_bad, job_bad, ParseMode::Lenient, 100 + seed);
+          ADD_FAILURE() << "seed " << seed << ": expected " << off.analysis_error;
+        } catch (const Error& e) {
+          EXPECT_EQ(e.what(), off.analysis_error) << "seed " << seed;
+        }
+        continue;
+      }
+      stream::SessionResult got;
+      ASSERT_NO_FATAL_FAILURE(
+          got = session_run(ras_bad, job_bad, ParseMode::Lenient, 100 + seed));
+      EXPECT_EQ(fleet::log_fingerprint(got.ras, got.jobs), off.log_fp)
+          << "seed " << seed;
+      EXPECT_EQ(fleet::result_fingerprint(got.analysis), off.result_fp)
+          << "seed " << seed;
+      expect_reports_equal(got.ras_report, off.ras_rep, seed);
+      expect_reports_equal(got.jobs_report, off.job_rep, seed);
+    }
   }
 }
 
@@ -177,6 +199,7 @@ TEST(SessionParity, ConcurrentFeedersWithBackgroundPumping) {
   const std::string ras_image = ras_bytes(make_ras_log(1200));
   const std::string job_image = job_bytes(make_job_log(500));
   const Offline off = offline_run(ras_image, job_image, ParseMode::Strict);
+  ASSERT_EQ(off.analysis_error, "");
   stream::SessionConfig cfg;
   cfg.mode = ParseMode::Strict;
   stream::Session session("concurrent", cfg, Context{});

@@ -276,15 +276,14 @@ TEST(StoreV3, StreamDecoderMatchesFileReader) {
   std::istringstream file(f.ras_v3);
   const ras::RasLog want = ras::read_binary(file, f.data.ras.catalog(), {});
 
-  std::istringstream in(f.ras_v3.substr(8));
   IngestReport frames;
-  bin::BlockReader blocks(in, ParseMode::Strict, &frames, "binary RAS log");
+  bin::FrameAssembler assembler(ParseMode::Strict, &frames, "binary RAS log");
   ras::RasStreamDecoder dec(f.data.ras.catalog(), ParseMode::Strict,
                             machine::bgp_model());
-  std::string payload;
-  while (blocks.next(payload)) {
-    dec.on_payload(payload, blocks.block_offset() + bin::kBlockHeaderBytes);
-  }
+  bin::walk_frames(assembler, std::string_view(f.ras_v3).substr(8),
+                   [&](std::string_view payload, std::uint64_t offset) {
+                     dec.on_payload(payload, offset);
+                   });
   IngestReport rep;
   const ras::RasLog got = dec.finish(rep, frames);
   expect_ras_equal(got, want);
@@ -297,14 +296,13 @@ TEST(StoreV3, JobStreamDecoderMatchesFileReader) {
   std::istringstream file(f.job_v3);
   const joblog::JobLog want = joblog::read_binary(file, {});
 
-  std::istringstream in(f.job_v3.substr(8));
   IngestReport frames;
-  bin::BlockReader blocks(in, ParseMode::Strict, &frames, "binary job log");
+  bin::FrameAssembler assembler(ParseMode::Strict, &frames, "binary job log");
   joblog::JobStreamDecoder dec(ParseMode::Strict, machine::bgp_model());
-  std::string payload;
-  while (blocks.next(payload)) {
-    dec.on_payload(payload, blocks.block_offset() + bin::kBlockHeaderBytes);
-  }
+  bin::walk_frames(assembler, std::string_view(f.job_v3).substr(8),
+                   [&](std::string_view payload, std::uint64_t offset) {
+                     dec.on_payload(payload, offset);
+                   });
   IngestReport rep;
   const joblog::JobLog got = dec.finish(rep, frames);
   expect_jobs_equal(got, want);
@@ -332,12 +330,11 @@ TEST(StoreV3, SegmentFootersPresent) {
   ras::write_binary(out, f.data.ras, {.blocks_per_segment = 4});
   const std::string bytes = out.str();
   std::size_t footers = 0;
-  std::istringstream in(bytes.substr(8));
-  bin::BlockReader blocks(in, ParseMode::Strict, nullptr, "binary RAS log");
-  std::string payload;
-  while (blocks.next(payload)) {
-    if (!payload.empty() && payload[0] == ras::kRasSegmentTag) ++footers;
-  }
+  bin::FrameAssembler assembler(ParseMode::Strict, nullptr, "binary RAS log");
+  bin::walk_frames(assembler, std::string_view(bytes).substr(8),
+                   [&](std::string_view payload, std::uint64_t) {
+                     if (payload[0] == ras::kRasSegmentTag) ++footers;
+                   });
   EXPECT_GT(footers, 1u);
   std::istringstream rd(bytes);
   expect_ras_equal(ras::read_binary(rd, f.data.ras.catalog(), {}), f.data.ras);

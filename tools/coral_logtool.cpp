@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -84,19 +85,26 @@ FileInfo load(const std::string& path) {
   return f;
 }
 
-/// Scan the framed region and pull the first v3 'M' meta, if any.
+/// Walk the framed region (lenient: damage is skipped, not reported),
+/// handing each intact payload to `on_payload`.
+void walk_payloads(const FileInfo& f, const std::function<void(std::string_view)>& on_payload) {
+  bin::FrameAssembler frames(ParseMode::Lenient, nullptr, "binary log");
+  bin::walk_frames(frames, std::string_view(f.data).substr(8),
+                   [&](std::string_view payload, std::uint64_t) { on_payload(payload); });
+}
+
+/// Keep the first v3 'M' meta of a walk (frame payloads are never empty).
+void take_meta(std::string_view payload, std::optional<bin::StoreMeta>& meta) {
+  if (meta || payload[0] != 'M') return;
+  bin::PayloadCursor cur(payload, 0, "binary log");
+  cur.get<char>();
+  meta = bin::parse_store_meta(cur);
+}
+
 std::optional<bin::StoreMeta> peek_meta(const FileInfo& f) {
-  std::istringstream in(f.data.substr(8));
-  bin::BlockReader blocks(in, ParseMode::Lenient, nullptr, "binary log");
-  std::string payload;
-  while (blocks.next(payload)) {
-    if (payload.empty()) continue;
-    if (payload[0] != 'M') continue;
-    bin::PayloadCursor cur(payload, 0, "binary log");
-    cur.get<char>();
-    return bin::parse_store_meta(cur);
-  }
-  return std::nullopt;
+  std::optional<bin::StoreMeta> meta;
+  walk_payloads(f, [&](std::string_view payload) { take_meta(payload, meta); });
+  return meta;
 }
 
 const machine::MachineModel& resolve_machine(const FileInfo& f) {
@@ -137,23 +145,15 @@ int cmd_info(const std::string& path) {
   std::printf("file:      %s (%zu bytes)\n", path.c_str(), f.data.size());
   std::printf("kind:      %s log\n", f.kind == Kind::Ras ? "RAS" : "job");
   std::printf("version:   %u\n", f.version);
-  if (const auto meta = peek_meta(f)) {
-    std::printf("machine:   %s\n", meta->machine.c_str());
-    std::printf("schema:    %s\n", meta->schema.c_str());
-    std::printf("block:     %u records/block%s\n", meta->records_per_block,
-                (meta->flags & bin::kStoreFlagCompressed) ? ", compressed" : "");
-  }
 
   // Block census: one pass over the frames, counting payload tags.
-  std::istringstream in(f.data.substr(8));
-  bin::BlockReader blocks(in, ParseMode::Lenient, nullptr, "binary log");
-  std::string payload;
+  std::optional<bin::StoreMeta> meta;
   std::uint64_t frames = 0, records = 0, lz_blocks = 0, raw_blocks = 0;
   std::map<char, std::uint64_t> tags;
   std::optional<std::uint64_t> declared;
-  while (blocks.next(payload)) {
+  walk_payloads(f, [&](std::string_view payload) {
     ++frames;
-    if (payload.empty()) continue;
+    take_meta(payload, meta);
     const char tag = payload[0];
     ++tags[tag];
     try {
@@ -178,6 +178,12 @@ int cmd_info(const std::string& path) {
     } catch (const Error&) {
       // census only; a malformed payload still counts its tag
     }
+  });
+  if (meta) {
+    std::printf("machine:   %s\n", meta->machine.c_str());
+    std::printf("schema:    %s\n", meta->schema.c_str());
+    std::printf("block:     %u records/block%s\n", meta->records_per_block,
+                (meta->flags & bin::kStoreFlagCompressed) ? ", compressed" : "");
   }
   std::printf("frames:    %llu\n", (unsigned long long)frames);
   std::string census;
