@@ -23,7 +23,8 @@ int main() {
 
   // The busiest midplanes, like the paper's 58/60/61 highlights.
   std::vector<std::pair<std::size_t, int>> by_count;
-  for (int m = 0; m < bgp::Topology::kMidplanes; ++m) {
+  const machine::MachineModel& machine = data.ras.machine();
+  for (int m = 0; m < machine.midplane_count(); ++m) {
     const auto& fit = fits.fits[static_cast<std::size_t>(m)];
     if (fit) by_count.push_back({fit->samples_sec.size() + 1, m});
   }
@@ -34,7 +35,7 @@ int main() {
     const int m = by_count[i].second;
     const auto& fit = *fits.fits[static_cast<std::size_t>(m)];
     std::printf("%-10s %8zu %8.3f %10.0f %12.0f %6s %s\n",
-                bgp::Location::midplane(m).to_string().c_str(), by_count[i].first,
+                machine.midplane_location(m).to_string().c_str(), by_count[i].first,
                 fit.weibull.shape(), fit.weibull.scale(), fit.weibull.mean(),
                 fit.lrt.weibull_preferred ? "W" : "E",
                 (m >= 32 && m < 64) ? "(wide region)" : "");

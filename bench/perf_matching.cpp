@@ -34,7 +34,7 @@ void BM_JobRunningAtQuery(benchmark::State& state) {
   // call invites hoisting. Batch a sweep of query times per iteration and
   // consume every result, reporting per-batch time.
   const auto& jobs = data().jobs;
-  const bgp::Location loc = bgp::Location::parse("R10-M0-N04");
+  const bgp::Location loc = jobs.machine().parse_location("R10-M0-N04");
   const TimePoint base = TimePoint::from_calendar(2009, 3, 1);
   constexpr int kQueries = 4096;
   for (auto _ : state) {

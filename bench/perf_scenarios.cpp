@@ -1,6 +1,7 @@
-// Machines x scenarios matrix over the pluggable MachineModel layer: every
-// registered machine (bgp, bgq) runs every calibrated scenario pack (plus
-// the unmodified base calibration) through the co-analysis.
+// Machines x scenarios matrix over the data-declared MachineModel layer:
+// every registered machine (bgp, bgq; under --smoke also a 12-rack machine
+// with 4 midplanes per rack) runs every calibrated scenario pack (plus the
+// unmodified base calibration) through the co-analysis.
 //
 // Self-main rather than google-benchmark: the matrix is the product, not a
 // flat bench list, and the same binary doubles as the CI smoke runner.
@@ -54,14 +55,21 @@ double best_seconds(Fn&& fn, int reps) {
 }
 
 // A smoke cell must look like a real co-analysis, not just not-crash: the
-// generator produced a log pair, filtering compressed it into groups, and
-// the result is dimensioned for the machine that produced it.
+// generator produced a log pair, filtering compressed it into groups, the
+// result is dimensioned for the machine that produced it, and the Fig. 4
+// fatal tally spreads each group over its midplanes exactly once (the
+// shares are dyadic, so the sum is exact).
 bool sane(const Cell& cell, const core::CoAnalysisResult& r,
           const machine::MachineModel& machine) {
   if (cell.ras_records == 0 || cell.jobs == 0 || cell.groups == 0) return false;
   if (&r.machine() != &machine) return false;
-  return r.fatal_events_per_midplane.size() ==
-         static_cast<std::size_t>(machine.midplane_count());
+  if (r.fatal_events_per_midplane.size() !=
+      static_cast<std::size_t>(machine.midplane_count())) {
+    return false;
+  }
+  double fatal = 0;
+  for (const double v : r.fatal_events_per_midplane) fatal += v;
+  return fatal == static_cast<double>(cell.groups);
 }
 
 }  // namespace
@@ -79,6 +87,17 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(pos.size() > 0 ? std::atoll(pos[0]) : 42);
   const int days = pos.size() > 1 ? std::atoi(pos[1]) : (smoke ? 7 : 14);
   const int reps = smoke ? 1 : (pos.size() > 2 ? std::atoi(pos[2]) : 3);
+
+  if (smoke) {
+    // A machine without 2 midplanes per rack, declared as data.
+    machine::Topology topo;
+    topo.name = "quad";
+    topo.description = "12 racks of 4 midplanes";
+    topo.racks = 12;
+    topo.midplanes_per_rack = 4;
+    static const machine::DataModel quad(topo);
+    machine::register_model(quad);
+  }
 
   std::vector<std::string> scenarios = {"base"};
   for (const auto& pack : synth::scenario_packs()) scenarios.emplace_back(pack.name);

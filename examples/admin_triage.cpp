@@ -36,7 +36,7 @@ void figure2_demo() {
     j.queue_time = t0 + static_cast<Usec>((start_h - 0.1) * kUsecPerHour);
     j.start_time = t0 + static_cast<Usec>(start_h * kUsecPerHour);
     j.end_time = t0 + static_cast<Usec>(end_h * kUsecPerHour);
-    j.partition = bgp::Partition::parse(part);
+    j.partition = machine::bgp_model().parse_partition(part);
     jobs.append(j);
   };
   // Job 1 killed twice (on two different midplanes); job 2 and a later job
@@ -53,8 +53,8 @@ void figure2_demo() {
     ev.errcode = code;
     ev.severity = ras::Severity::Fatal;
     ev.event_time = t0 + static_cast<Usec>(hour * kUsecPerHour);
-    ev.location = hour < 2 ? bgp::Location::parse("R00-M0-N03-J08")
-                           : bgp::Location::parse("R01-M0-N07-J11");
+    ev.location = machine::bgp_model().parse_location(hour < 2 ? "R00-M0-N03-J08"
+                                                               : "R01-M0-N07-J11");
     log.append(ev);
   }
   log.finalize();
@@ -96,11 +96,11 @@ int main() {
   }
 
   // Locations needing attention: most fatal events per midplane.
+  const machine::MachineModel& machine = r.machine();
   std::map<bgp::MidplaneId, int> per_mid;
   for (const auto& g : r.filtered.groups) {
-    if (const auto mid = r.filtered.fatal_events[g.rep].location.midplane_id()) {
-      per_mid[*mid] += 1;
-    }
+    const std::uint32_t key = r.filtered.fatal_events[g.rep].location.packed();
+    if (!machine.codec().is_rack(key)) per_mid[machine.codec().midplanes(key).first] += 1;
   }
   std::vector<std::pair<int, bgp::MidplaneId>> hot;
   for (const auto& [mid, n] : per_mid) hot.push_back({n, mid});
@@ -108,7 +108,7 @@ int main() {
   std::printf("\nHottest midplanes (fatal events):\n");
   for (std::size_t i = 0; i < std::min<std::size_t>(8, hot.size()); ++i) {
     std::printf("  %-8s %d events\n",
-                bgp::Location::midplane(hot[i].second).to_string().c_str(), hot[i].first);
+                machine.midplane_location(hot[i].second).to_string().c_str(), hot[i].first);
   }
 
   std::printf("\nFATAL codes never seen to hurt a job (reduce their alert priority):\n");

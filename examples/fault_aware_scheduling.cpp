@@ -12,6 +12,7 @@ int main() {
   using namespace coral;
   const synth::SynthResult data = synth::generate(synth::small_scenario(3, 60));
   const core::CoAnalysisResult r = core::run_coanalysis(data.ras, data.jobs);
+  const machine::LocCodec codec = data.jobs.machine().codec();
 
   std::printf("Replay: would a blacklist of recently-failed locations have avoided "
               "each system interruption?\n\n");
@@ -35,7 +36,7 @@ int main() {
         const ras::RasEvent& ev = r.filtered.fatal_events[g.rep];
         if (ev.event_time >= job.start_time) break;  // groups are time-ordered
         if (job.start_time - ev.event_time > window) continue;
-        if (job.partition.covers(ev.location)) {
+        if (job.partition.covers_key(ev.location.packed(), codec)) {
           ++avoidable;
           break;
         }
@@ -51,7 +52,7 @@ int main() {
         const ras::RasEvent& ev = r.filtered.fatal_events[g.rep];
         if (ev.event_time >= job.start_time) break;
         if (job.start_time - ev.event_time > window) continue;
-        if (job.partition.covers(ev.location)) {
+        if (job.partition.covers_key(ev.location.packed(), codec)) {
           ++blocked;
           break;
         }

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     std::printf("  Queuing Time   %.2f\n", job.queue_time.unix_seconds());
     std::printf("  Starting Time  %.2f\n", job.start_time.unix_seconds());
     std::printf("  End Time       %.2f\n", job.end_time.unix_seconds());
-    std::printf("  Location       %s  (%d midplanes)\n\n", job.partition.name().c_str(),
+    std::printf("  Location       %s  (%d midplanes)\n\n", data.jobs.machine().partition_name(job.partition).c_str(),
                 job.size_midplanes());
   }
 

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
           std::printf("ALERT %s  %-28s %-10s killed %zu job(s):",
                       m.group.rep_time.to_ras_string().c_str(),
                       ras::Catalog::instance().info(m.group.errcode).name.c_str(),
-                      bgp::Location::from_packed(m.group.rep_key).to_string().c_str(),
+                      data.ras.machine().location_from_packed(m.group.rep_key).to_string().c_str(),
                       m.jobs.size());
           for (const std::size_t j : m.jobs) {
             std::printf(" %lld", static_cast<long long>(data.jobs[j].job_id));

@@ -1,10 +1,8 @@
 #include "coral/bgp/location.hpp"
 
-#include <array>
 #include <cstdio>
 
 #include "coral/common/error.hpp"
-#include "coral/common/strings.hpp"
 
 namespace coral::bgp {
 
@@ -19,61 +17,6 @@ const char* to_string(LocationKind kind) {
     case LocationKind::IoNode: return "I/O node";
   }
   return "?";
-}
-
-Location Location::rack(int rack) {
-  CORAL_EXPECTS(rack >= 0 && rack < Topology::kRacks);
-  Location loc;
-  loc.kind_ = LocationKind::Rack;
-  loc.rack_ = static_cast<std::int16_t>(rack);
-  return loc;
-}
-
-Location Location::midplane(MidplaneId mid) {
-  CORAL_EXPECTS(mid >= 0 && mid < Topology::kMidplanes);
-  Location loc;
-  loc.kind_ = LocationKind::Midplane;
-  loc.rack_ = static_cast<std::int16_t>(rack_of(mid));
-  loc.midplane_ = static_cast<std::int8_t>(midplane_in_rack_of(mid));
-  return loc;
-}
-
-Location Location::node_card(MidplaneId mid, int card) {
-  CORAL_EXPECTS(card >= 0 && card < Topology::kNodeCardsPerMidplane);
-  Location loc = midplane(mid);
-  loc.kind_ = LocationKind::NodeCard;
-  loc.card_ = static_cast<std::int8_t>(card);
-  return loc;
-}
-
-Location Location::compute_card(MidplaneId mid, int card, int jslot) {
-  CORAL_EXPECTS(jslot >= 4 && jslot < 4 + Topology::kComputeCardsPerNodeCard);
-  Location loc = node_card(mid, card);
-  loc.kind_ = LocationKind::ComputeCard;
-  loc.sub_ = static_cast<std::int8_t>(jslot);
-  return loc;
-}
-
-Location Location::service_card(MidplaneId mid) {
-  Location loc = midplane(mid);
-  loc.kind_ = LocationKind::ServiceCard;
-  return loc;
-}
-
-Location Location::link_card(MidplaneId mid, int slot) {
-  CORAL_EXPECTS(slot >= 0 && slot < Topology::kLinkCardsPerMidplane);
-  Location loc = midplane(mid);
-  loc.kind_ = LocationKind::LinkCard;
-  loc.card_ = static_cast<std::int8_t>(slot);
-  return loc;
-}
-
-Location Location::io_node(MidplaneId mid, int card, int slot) {
-  CORAL_EXPECTS(slot >= 0 && slot < 2);
-  Location loc = node_card(mid, card);
-  loc.kind_ = LocationKind::IoNode;
-  loc.sub_ = static_cast<std::int8_t>(slot);
-  return loc;
 }
 
 Location Location::make(LocationKind kind, int rack, int midplane_in_rack, int card, int sub) {
@@ -105,128 +48,6 @@ Location Location::make(LocationKind kind, int rack, int midplane_in_rack, int c
   return loc;
 }
 
-namespace {
-
-int parse_num_after(std::string_view part, char prefix, std::string_view whole) {
-  if (part.size() < 2 || part[0] != prefix) {
-    throw ParseError("bad location segment '" + std::string(part) + "' in '" +
-                     std::string(whole) + "'");
-  }
-  for (std::size_t i = 1; i < part.size(); ++i) {
-    if (part[i] < '0' || part[i] > '9') {
-      throw ParseError("bad location segment '" + std::string(part) + "' in '" +
-                       std::string(whole) + "'");
-    }
-  }
-  return static_cast<int>(parse_int(part.substr(1)));
-}
-
-}  // namespace
-
-Location Location::parse(std::string_view text) {
-  // Segment the view in place (location codes have at most 4 segments; keep
-  // two spares so malformed 5/6-part strings reach the specific diagnostics
-  // below instead of a generic one).
-  std::array<std::string_view, 6> parts;
-  std::size_t nparts = 0;
-  std::size_t seg_begin = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == '-') {
-      if (nparts == parts.size()) throw ParseError("too many segments: '" + std::string(text) + "'");
-      parts[nparts++] = text.substr(seg_begin, i - seg_begin);
-      seg_begin = i + 1;
-    }
-  }
-  if (parts[0].empty()) throw ParseError("empty location");
-
-  const int rk = parse_num_after(parts[0], 'R', text);
-  if (rk < 0 || rk >= Topology::kRacks) {
-    throw ParseError("rack out of range: '" + std::string(text) + "'");
-  }
-  if (nparts == 1) return rack(rk);
-
-  const std::string_view p1 = parts[1];
-  if (p1 == "S") {
-    // Some logs write "R04-M0-S"; rack-level "R04-S" is not a thing — require
-    // a midplane segment first.
-    throw ParseError("service card requires a midplane: '" + std::string(text) + "'");
-  }
-  const int mp = parse_num_after(p1, 'M', text);
-  if (mp < 0 || mp >= Topology::kMidplanesPerRack) {
-    throw ParseError("midplane out of range: '" + std::string(text) + "'");
-  }
-  const MidplaneId mid = bgp::midplane_id(rk, mp);
-  if (nparts == 2) return midplane(mid);
-
-  const std::string_view p2 = parts[2];
-  if (p2 == "S") {
-    if (nparts != 3) {
-      throw ParseError("trailing segments after service card: '" + std::string(text) + "'");
-    }
-    return service_card(mid);
-  }
-  if (!p2.empty() && p2[0] == 'L') {
-    if (nparts != 3) {
-      throw ParseError("trailing segments after link card: '" + std::string(text) + "'");
-    }
-    const int slot = parse_num_after(p2, 'L', text);
-    if (slot < 0 || slot >= Topology::kLinkCardsPerMidplane) {
-      throw ParseError("link card out of range: '" + std::string(text) + "'");
-    }
-    return link_card(mid, slot);
-  }
-  const int card = parse_num_after(p2, 'N', text);
-  if (card < 0 || card >= Topology::kNodeCardsPerMidplane) {
-    throw ParseError("node card out of range: '" + std::string(text) + "'");
-  }
-  if (nparts == 3) return node_card(mid, card);
-
-  const std::string_view p3 = parts[3];
-  if (nparts != 4) throw ParseError("too many segments: '" + std::string(text) + "'");
-  if (!p3.empty() && p3[0] == 'I') {
-    const int slot = parse_num_after(p3, 'I', text);
-    if (slot < 0 || slot >= 2) throw ParseError("I/O node out of range: '" + std::string(text) + "'");
-    return io_node(mid, card, slot);
-  }
-  const int jslot = parse_num_after(p3, 'J', text);
-  if (jslot < 4 || jslot >= 4 + Topology::kComputeCardsPerNodeCard) {
-    throw ParseError("compute card out of range: '" + std::string(text) + "'");
-  }
-  return compute_card(mid, card, jslot);
-}
-
-Location Location::from_packed(std::uint32_t key) {
-  const auto kind = static_cast<LocationKind>((key >> 24) & 0xFF);
-  const int rack = static_cast<int>((key >> 16) & 0xFF);
-  const int mid_in_rack =
-      static_cast<int>((key >> 12) & 0xF) == 0xF ? -1 : static_cast<int>((key >> 12) & 0xF);
-  const int card =
-      static_cast<int>((key >> 6) & 0x3F) == 0x3F ? -1 : static_cast<int>((key >> 6) & 0x3F);
-  const int sub = static_cast<int>(key & 0x3F) == 0x3F ? -1 : static_cast<int>(key & 0x3F);
-  switch (kind) {
-    case LocationKind::Rack:
-      return Location::rack(rack);
-    case LocationKind::Midplane:
-      return Location::midplane(bgp::midplane_id(rack, mid_in_rack));
-    case LocationKind::NodeCard:
-      return Location::node_card(bgp::midplane_id(rack, mid_in_rack), card);
-    case LocationKind::ComputeCard:
-      return Location::compute_card(bgp::midplane_id(rack, mid_in_rack), card, sub);
-    case LocationKind::ServiceCard:
-      return Location::service_card(bgp::midplane_id(rack, mid_in_rack));
-    case LocationKind::LinkCard:
-      return Location::link_card(bgp::midplane_id(rack, mid_in_rack), card);
-    case LocationKind::IoNode:
-      return Location::io_node(bgp::midplane_id(rack, mid_in_rack), card, sub);
-  }
-  throw ParseError("bad location kind in packed key");
-}
-
-std::optional<MidplaneId> Location::midplane_id() const {
-  if (kind_ == LocationKind::Rack) return std::nullopt;
-  return bgp::midplane_id(rack_, midplane_);
-}
-
 bool Location::is_within(const Location& other) const {
   if (other.rack_ != rack_) return false;
   switch (other.kind_) {
@@ -241,11 +62,6 @@ bool Location::is_within(const Location& other) const {
     default:
       return *this == other;
   }
-}
-
-bool Location::touches_midplane(MidplaneId mid) const {
-  if (kind_ == LocationKind::Rack) return rack_of(mid) == rack_;
-  return bgp::midplane_id(rack_, midplane_) == mid;
 }
 
 std::string Location::to_string() const {

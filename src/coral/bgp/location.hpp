@@ -1,12 +1,13 @@
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <string>
-#include <string_view>
-
-#include "coral/bgp/topology.hpp"
 
 namespace coral::bgp {
+
+/// Flat machine midplane index: rack * midplanes-per-rack + midplane within
+/// the rack (see machine::LocCodec).
+using MidplaneId = std::int32_t;
 
 /// Hardware element kinds that appear in the RAS LOCATION field.
 enum class LocationKind : std::uint8_t {
@@ -22,63 +23,31 @@ enum class LocationKind : std::uint8_t {
 /// Short human-readable name of a kind ("midplane", "node card", ...).
 const char* to_string(LocationKind kind);
 
-/// A parsed Blue Gene/P location code.
+/// A hardware location: (kind, rack, midplane, card, sub) in the Blue Gene
+/// family's location-code shape.
 ///
 /// Location strings are hierarchical: rack > midplane > node card > card.
-/// The co-analysis only needs two operations beyond round-tripping —
-/// which midplane an event touches, and rack-level fan-out — both provided
-/// here. Invalid strings throw ParseError.
+/// This is a value type only: which strings and keys are valid on a machine,
+/// and which midplanes a location touches, belong to machine::MachineModel
+/// and its machine::LocCodec.
 class Location {
  public:
-  /// Default-constructs as rack R00 (a placeholder; prefer the factories).
+  /// Default-constructs as rack R00 (a placeholder; prefer a model's
+  /// parse_location or make()).
   Location() = default;
-
-  /// Rack-level location, rack in [0, 40).
-  static Location rack(int rack);
-  /// Midplane-level location.
-  static Location midplane(MidplaneId mid);
-  /// Node card on a midplane, card in [0, 16).
-  static Location node_card(MidplaneId mid, int card);
-  /// Compute card: card in [0,16), jslot in [4, 36) (J04..J35 on BG/P).
-  static Location compute_card(MidplaneId mid, int card, int jslot);
-  /// Service card of a midplane.
-  static Location service_card(MidplaneId mid);
-  /// Link card of a midplane, slot in [0, 4).
-  static Location link_card(MidplaneId mid, int slot);
-  /// I/O node on a node card, slot in [0, 2).
-  static Location io_node(MidplaneId mid, int card, int slot);
-
-  /// Parse a location string such as "R04-M0-N08-J12". Throws ParseError.
-  /// Takes a string_view so per-record CSV ingest parses in place without
-  /// materializing a temporary std::string per field.
-  static Location parse(std::string_view text);
 
   /// Assemble a location from raw fields (-1 = absent), validating only
   /// what the packed() encoding can represent plus which fields the kind
-  /// requires — NOT the BG/P index ranges. This is the factory for
-  /// machine::MachineModel implementations whose racks/slots exceed BG/P's;
-  /// the named factories above stay the BG/P-validating path. Throws
-  /// InvalidArgument on a field the encoding cannot hold.
+  /// requires; a machine's index ranges are machine::MachineModel's to
+  /// check. Throws InvalidArgument on a field the encoding cannot hold.
   static Location make(LocationKind kind, int rack, int midplane_in_rack, int card, int sub);
-
-  /// Rebuild a Location from its packed() key, validating every field (the
-  /// key may come from an untrusted binary log). Throws ParseError on an
-  /// impossible encoding.
-  static Location from_packed(std::uint32_t key);
 
   LocationKind kind() const { return kind_; }
   int rack_index() const { return rack_; }
 
-  /// The midplane this location lives on; nullopt for rack-level locations.
-  std::optional<MidplaneId> midplane_id() const;
-
   /// True if this location is `other` or contained within it (e.g. a compute
   /// card is within its midplane and its rack).
   bool is_within(const Location& other) const;
-
-  /// True if the location denotes hardware on (or containing) midplane `mid`.
-  /// Rack-level locations touch both midplanes of the rack.
-  bool touches_midplane(MidplaneId mid) const;
 
   /// Canonical string form ("R04-M0-N08-J12").
   std::string to_string() const;
@@ -93,29 +62,32 @@ class Location {
            (static_cast<std::uint32_t>(static_cast<std::uint8_t>(sub_)) & 0x3F);
   }
 
+  /// The Location whose packed() is `key`, without validation: exact only
+  /// for a canonical key. A key from outside goes through a machine's
+  /// location_from_packed, which validates it and then calls this.
+  static Location unpack(std::uint32_t key) {
+    const auto field = [](std::uint32_t v, std::uint32_t absent) {
+      return static_cast<std::int8_t>(v == absent ? -1 : static_cast<int>(v));
+    };
+    Location loc;
+    loc.kind_ = static_cast<LocationKind>(key >> 24);
+    loc.rack_ = static_cast<std::int16_t>((key >> 16) & 0xFF);
+    loc.midplane_ = field((key >> 12) & 0xF, 0xF);
+    loc.card_ = field((key >> 6) & 0x3F, 0x3F);
+    loc.sub_ = field(key & 0x3F, 0x3F);
+    return loc;
+  }
+
   friend bool operator==(const Location& a, const Location& b) = default;
 
  private:
   // rack_ leads so the five fields pack into 6 bytes with no padding,
   // which keeps ras::RasEvent at 32 bytes.
-  std::int16_t rack_ = 0;      ///< [0, 40)
+  std::int16_t rack_ = 0;
   LocationKind kind_ = LocationKind::Rack;
-  std::int8_t midplane_ = -1;  ///< within rack, [0, 2); -1 when rack-level
+  std::int8_t midplane_ = -1;  ///< within rack; -1 when rack-level
   std::int8_t card_ = -1;      ///< node-card or link-card slot
   std::int8_t sub_ = -1;       ///< compute-card J-slot or I/O-node slot
 };
-
-/// Field accessors for packed() keys, so the columnar hot paths can reason
-/// about a location without materializing a Location. These assume a key
-/// produced by Location::packed() (use Location::from_packed to validate an
-/// untrusted key).
-constexpr LocationKind packed_kind(std::uint32_t key) {
-  return static_cast<LocationKind>(key >> 24);
-}
-constexpr int packed_rack(std::uint32_t key) { return static_cast<int>((key >> 16) & 0xFF); }
-/// Machine midplane id of a sub-rack key; meaningless for rack-level keys.
-constexpr MidplaneId packed_midplane(std::uint32_t key) {
-  return midplane_id(packed_rack(key), static_cast<int>((key >> 12) & 0xF));
-}
 
 }  // namespace coral::bgp

@@ -1,45 +1,10 @@
 #include "coral/bgp/partition.hpp"
 
-#include <cstdio>
 #include <string>
 
 #include "coral/common/error.hpp"
 
 namespace coral::bgp {
-
-namespace {
-
-// Rack alignment for a rack-count: powers of two align to themselves,
-// 24 and 32 racks align to 8, 40 racks (full machine) to 40.
-int rack_alignment(int racks) {
-  switch (racks) {
-    case 1: return 1;
-    case 2: return 2;
-    case 4: return 4;
-    case 8: return 8;
-    case 16: return 16;
-    case 24: return 8;
-    case 32: return 8;
-    case 40: return 40;
-    default: return 0;  // illegal
-  }
-}
-
-bool is_legal(MidplaneId first, int count) {
-  if (first < 0 || count <= 0 || first + count > Topology::kMidplanes) return false;
-  if (count == 1) return true;
-  if (count % 2 != 0 || first % 2 != 0) return false;  // >=2 means whole racks
-  const int racks = count / 2;
-  const int first_rack = first / 2;
-  const int align = rack_alignment(racks);
-  return align > 0 && first_rack % align == 0;
-}
-
-}  // namespace
-
-bool Partition::is_legal(MidplaneId first, int midplane_count) {
-  return bgp::is_legal(first, midplane_count);
-}
 
 Partition Partition::unchecked(MidplaneId first, int midplane_count) {
   if (first < 0 || midplane_count <= 0) {
@@ -52,90 +17,11 @@ Partition Partition::unchecked(MidplaneId first, int midplane_count) {
   return p;
 }
 
-const std::vector<int>& Partition::legal_sizes() {
-  static const std::vector<int> sizes = {1, 2, 4, 8, 16, 32, 48, 64, 80};
-  return sizes;
-}
-
-Partition::Partition(MidplaneId first, int midplane_count)
-    : first_(first), count_(midplane_count) {
-  if (!is_legal(first, midplane_count)) {
-    throw InvalidArgument("illegal partition: first midplane " + std::to_string(first) +
-                          ", size " + std::to_string(midplane_count));
-  }
-}
-
-Partition Partition::parse(std::string_view text) {
-  // A partition name has at most two '-'-separated segments; find the split
-  // point without allocating.
-  const std::size_t dash = text.find('-');
-  const std::string_view head = text.substr(0, dash);
-  const std::string_view tail =
-      dash == std::string_view::npos ? std::string_view{} : text.substr(dash + 1);
-  try {
-    if (dash == std::string_view::npos) {
-      // "R04": one rack.
-      const Location loc = Location::parse(text);
-      if (loc.kind() != LocationKind::Rack) {
-        throw ParseError("not a partition: '" + std::string(text) + "'");
-      }
-      return Partition(midplane_id(loc.rack_index(), 0), 2);
-    }
-    if (!tail.empty() && tail[0] == 'M' && tail.find('-') == std::string_view::npos) {
-      // "R04-M0": one midplane.
-      const Location loc = Location::parse(text);
-      return Partition(*loc.midplane_id(), 1);
-    }
-    if (!tail.empty() && tail[0] == 'R' && tail.find('-') == std::string_view::npos) {
-      // "R08-R11": inclusive rack range.
-      const Location a = Location::parse(head);
-      const Location b = Location::parse(tail);
-      if (a.kind() != LocationKind::Rack || b.kind() != LocationKind::Rack ||
-          b.rack_index() < a.rack_index()) {
-        throw ParseError("bad rack range: '" + std::string(text) + "'");
-      }
-      const int racks = b.rack_index() - a.rack_index() + 1;
-      return Partition(midplane_id(a.rack_index(), 0), racks * 2);
-    }
-  } catch (const InvalidArgument& e) {
-    throw ParseError("illegal partition '" + std::string(text) + "': " + e.what());
-  }
-  throw ParseError("unrecognized partition: '" + std::string(text) + "'");
-}
-
-std::vector<Partition> Partition::all_of_size(int midplane_count) {
-  std::vector<Partition> out;
-  for (MidplaneId first = 0; first + midplane_count <= Topology::kMidplanes; ++first) {
-    if (is_legal(first, midplane_count)) out.emplace_back(first, midplane_count);
-  }
-  return out;
-}
-
-bool Partition::covers(const Location& loc) const {
-  for (MidplaneId m = first_; m < first_ + count_; ++m) {
-    if (loc.touches_midplane(m)) return true;
-  }
-  return false;
-}
-
 std::vector<MidplaneId> Partition::midplanes() const {
   std::vector<MidplaneId> out;
   out.reserve(static_cast<std::size_t>(count_));
   for (MidplaneId m = first_; m < first_ + count_; ++m) out.push_back(m);
   return out;
-}
-
-std::string Partition::name() const {
-  char buf[32];
-  if (count_ == 1) {
-    std::snprintf(buf, sizeof buf, "R%02d-M%d", rack_of(first_), midplane_in_rack_of(first_));
-  } else if (count_ == 2) {
-    std::snprintf(buf, sizeof buf, "R%02d", rack_of(first_));
-  } else {
-    std::snprintf(buf, sizeof buf, "R%02d-R%02d", rack_of(first_),
-                  rack_of(first_ + count_ - 1));
-  }
-  return buf;
 }
 
 }  // namespace coral::bgp

@@ -1,50 +1,29 @@
 #pragma once
 
-#include <string>
-#include <string_view>
+#include <cstdint>
 #include <vector>
 
 #include "coral/bgp/location.hpp"
-#include "coral/bgp/topology.hpp"
 #include "coral/machine/codec.hpp"
 
 namespace coral::bgp {
 
-/// A schedulable partition: a contiguous, aligned range of midplanes.
+/// A schedulable partition: a contiguous range of midplanes.
 ///
 /// The midplane is the minimum scheduling unit on Intrepid (§III-A); larger
-/// partitions are whole racks joined with adjacent racks. Legal sizes (in
-/// midplanes) are 1, 2, 4, 8, 16, 32, 48, 64 and 80 — exactly the job sizes
-/// of Table VI. Sizes >= 2 are rack-aligned; rack counts are aligned to
-/// their own size (24-rack and 32-rack partitions align to 8 racks; the
-/// 80-midplane partition is the full machine).
+/// partitions are whole racks joined with adjacent racks. This is a value
+/// type only: which (first, size) pairs are legal, and how a partition is
+/// named in a job log, is the machine's partition ladder
+/// (machine::MachineModel::is_legal_partition, parse_partition).
 class Partition {
  public:
-  /// Legal partition sizes in midplanes, ascending.
-  static const std::vector<int>& legal_sizes();
+  /// The single midplane 0.
+  Partition() = default;
 
-  /// Construct from first midplane and size. Throws InvalidArgument if the
-  /// (first, size) pair is not a legal aligned partition.
-  Partition(MidplaneId first, int midplane_count);
-
-  /// True if (first, size) is a legal aligned BG/P partition — the
-  /// constructor's acceptance predicate, exposed so machine::BgpModel can
-  /// answer legality without the throw/catch round-trip.
-  static bool is_legal(MidplaneId first, int midplane_count);
-
-  /// Construct without the BG/P legality check (bounds only: first >= 0,
-  /// count > 0). machine::MachineModel implementations use this for
-  /// machines with their own partition ladders; everything else should go
-  /// through the validating constructor or a model's parse_partition.
+  /// Construct without a legality check (bounds only: first >= 0,
+  /// count > 0). Throws InvalidArgument on a bound; legality is the
+  /// machine's to check (machine::MachineModel::is_legal_partition).
   static Partition unchecked(MidplaneId first, int midplane_count);
-
-  /// Parse a job-log location string: "R04-M0" (one midplane), "R04" (one
-  /// rack = 2 midplanes), "R08-R11" (rack range). Throws ParseError.
-  /// Takes a string_view so CSV ingest parses fields without allocating.
-  static Partition parse(std::string_view text);
-
-  /// All legal partitions of a given size on the machine, in address order.
-  static std::vector<Partition> all_of_size(int midplane_count);
 
   MidplaneId first_midplane() const { return first_; }
   int midplane_count() const { return count_; }
@@ -54,42 +33,22 @@ class Partition {
   bool overlaps(const Partition& other) const {
     return first_ < other.end_midplane() && other.first_ < end_midplane();
   }
-  /// True if `loc` denotes hardware on one of this partition's midplanes.
-  bool covers(const Location& loc) const;
 
-  /// covers() on a Location::packed() key without materializing a Location —
-  /// the matching hot loops test millions of (job, event) pairs. Rack-level
-  /// keys touch both midplanes of the rack, same as Location::touches_midplane.
-  bool covers_key(std::uint32_t key) const {
-    if (packed_kind(key) == LocationKind::Rack) {
-      const MidplaneId lo = midplane_id(packed_rack(key), 0);
-      return lo < end_midplane() && first_ <= lo + 1;
-    }
-    return contains(packed_midplane(key));
-  }
-
-  /// covers_key against a machine-provided codec, for machines whose
-  /// midplanes-per-rack differs from the Blue Gene family's 2. With the
-  /// default codec this computes exactly the overload above.
+  /// True if the location with packed key `key` touches one of this
+  /// partition's midplanes, by the machine codec's midplane rule. Works on
+  /// the key so the matching hot loops test millions of (job, event) pairs
+  /// without materializing a Location.
   bool covers_key(std::uint32_t key, const machine::LocCodec& codec) const {
-    if (codec.is_rack(key)) {
-      const MidplaneId lo = codec.rack_first_midplane(key);
-      return lo < end_midplane() && first_ <= lo + codec.midplanes_per_rack - 1;
-    }
-    return contains(codec.midplane_of(key));
+    const machine::MidplaneRange r = codec.midplanes(key);
+    return r.first < end_midplane() && first_ < r.end;
   }
 
   /// Midplane ids of this partition, ascending.
   std::vector<MidplaneId> midplanes() const;
 
-  /// Canonical job-log name ("R04-M0", "R04", "R08-R11").
-  std::string name() const;
-
   friend bool operator==(const Partition& a, const Partition& b) = default;
 
  private:
-  Partition() = default;  // for unchecked(); fields assigned there
-
   MidplaneId first_ = 0;
   int count_ = 1;
 };

@@ -35,14 +35,8 @@ std::uint64_t load_u64(const char* p) {
 
 void ZoneMap::add_location(std::uint32_t key, const machine::LocCodec& codec) {
   add_key(key);
-  if (codec.is_rack(key)) {
-    const machine::MidplaneId first = codec.rack_first_midplane(key);
-    for (int i = 0; i < codec.midplanes_per_rack; ++i) {
-      add_midplane(first + i);
-    }
-  } else {
-    add_midplane(codec.midplane_of(key));
-  }
+  const machine::MidplaneRange r = codec.midplanes(key);
+  for (machine::MidplaneId m = r.first; m < r.end; ++m) add_midplane(m);
 }
 
 void append_zone_map(std::string& out, const ZoneMap& zm) {
@@ -96,14 +90,8 @@ bool ZoneFilter::may_match(const ZoneMap& zm) const {
 }
 
 bool ZoneFilter::match_location(std::uint32_t key) const {
-  if (!constrain_midplanes_) return true;
-  if (codec_.is_rack(key)) {
-    return match_midplane_range(codec_.rack_first_midplane(key),
-                                codec_.midplanes_per_rack);
-  }
-  const machine::MidplaneId mid = codec_.midplane_of(key);
-  return mid >= 0 && static_cast<std::size_t>(mid) < member_.size() &&
-         member_[static_cast<std::size_t>(mid)];
+  const machine::MidplaneRange r = codec_.midplanes(key);
+  return match_midplane_range(r.first, r.size());
 }
 
 bool ZoneFilter::match_midplane_range(machine::MidplaneId first, int count) const {

@@ -319,13 +319,4 @@ ClassificationResult classify_causes(const filter::FilterPipelineResult& filtere
   return result;
 }
 
-ClassificationResult classify_causes(const filter::FilterPipelineResult& filtered,
-                                     const MatchResult& matches,
-                                     const IdentificationResult& identification,
-                                     const joblog::JobLog& jobs,
-                                     const ClassificationConfig& config) {
-  return classify_causes(filtered, matches, identification, jobs,
-                         build_char_columns(filtered, matches, jobs), config);
-}
-
 }  // namespace coral::core

@@ -70,10 +70,4 @@ ClassificationResult classify_causes(const filter::FilterPipelineResult& filtere
                                      const ClassificationConfig& config = {},
                                      par::ThreadPool* pool = nullptr);
 
-ClassificationResult classify_causes(const filter::FilterPipelineResult& filtered,
-                                     const MatchResult& matches,
-                                     const IdentificationResult& identification,
-                                     const joblog::JobLog& jobs,
-                                     const ClassificationConfig& config = {});
-
 }  // namespace coral::core

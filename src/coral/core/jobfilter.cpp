@@ -72,22 +72,14 @@ JobFilterResult job_related_filter(const filter::FilterPipelineResult& filtered,
   // Did any untroubled job run *on the failed hardware itself* between the
   // two reports? (The paper's "no job executed between these two events".)
   // The per-midplane interval index narrows the candidates to jobs whose
-  // partition contains the location's midplane(s) — one bucket for sub-rack
-  // locations, midplanes_per_rack buckets for rack-level ones — and the
-  // start-ordered slice turns the time window into a binary search plus a
-  // contiguous scan.
+  // partition contains one of the midplanes the location touches (the
+  // codec's midplane rule), and the start-ordered slice turns the time
+  // window into a binary search plus a contiguous scan.
   const joblog::IntervalIndex& index = jobs.interval_index();
   const machine::LocCodec codec = jobs.machine().codec();
   const auto untroubled_job_between = [&](std::uint32_t loc_key, TimePoint a, TimePoint b) {
-    bgp::MidplaneId first = 0;
-    int span = 1;
-    if (codec.is_rack(loc_key)) {
-      first = codec.rack_first_midplane(loc_key);
-      span = codec.midplanes_per_rack;
-    } else {
-      first = codec.midplane_of(loc_key);
-    }
-    for (bgp::MidplaneId m = first; m < first + span; ++m) {
+    const machine::MidplaneRange r = codec.midplanes(loc_key);
+    for (bgp::MidplaneId m = r.first; m < r.end; ++m) {
       const joblog::IntervalIndex::StartSlice s = index.starts(m);
       std::size_t i = static_cast<std::size_t>(
           std::upper_bound(s.start_time.begin(), s.start_time.end(), a) -
@@ -161,15 +153,6 @@ JobFilterResult job_related_filter(const filter::FilterPipelineResult& filtered,
     if (!redundant[g]) result.kept.push_back(g);
   }
   return result;
-}
-
-JobFilterResult job_related_filter(const filter::FilterPipelineResult& filtered,
-                                   const MatchResult& matches,
-                                   const ClassificationResult& classification,
-                                   const joblog::JobLog& jobs,
-                                   const JobFilterConfig& config) {
-  return job_related_filter(filtered, matches, classification, jobs,
-                            build_char_columns(filtered, matches, jobs), config);
 }
 
 }  // namespace coral::core

@@ -39,10 +39,4 @@ JobFilterResult job_related_filter(const filter::FilterPipelineResult& filtered,
                                    const JobFilterConfig& config = {},
                                    par::ThreadPool* pool = nullptr);
 
-JobFilterResult job_related_filter(const filter::FilterPipelineResult& filtered,
-                                   const MatchResult& matches,
-                                   const ClassificationResult& classification,
-                                   const joblog::JobLog& jobs,
-                                   const JobFilterConfig& config = {});
-
 }  // namespace coral::core

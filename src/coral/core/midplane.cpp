@@ -8,18 +8,13 @@ MidplaneFits fit_midplane_interarrivals(const filter::FilterPipelineResult& filt
                                         const MidplaneFitConfig& config,
                                         const machine::MachineModel& machine) {
   MidplaneFits out;
-  const machine::LocCodec codec = machine.codec();
   out.fits.resize(static_cast<std::size_t>(machine.midplane_count()));
   std::vector<std::vector<TimePoint>> times(static_cast<std::size_t>(machine.midplane_count()));
   for (const filter::EventGroup& g : filtered.groups) {
     const ras::RasEvent& rep = filtered.fatal_events[g.rep];
-    if (const auto mid = rep.location.midplane_id()) {
-      times[static_cast<std::size_t>(*mid)].push_back(rep.event_time);
-    } else {
-      const int first = rep.location.rack_index() * codec.midplanes_per_rack;
-      for (int i = 0; i < codec.midplanes_per_rack; ++i) {
-        times[static_cast<std::size_t>(first + i)].push_back(rep.event_time);
-      }
+    const machine::MidplaneRange r = machine.codec().midplanes(rep.location.packed());
+    for (machine::MidplaneId m = r.first; m < r.end; ++m) {
+      times[static_cast<std::size_t>(m)].push_back(rep.event_time);
     }
   }
   for (std::size_t m = 0; m < times.size(); ++m) {

@@ -36,6 +36,10 @@ PredictionOutcome evaluate_predictor(const CoAnalysisResult& analysis,
 
   const bgp::Partition whole_machine =
       bgp::Partition::unchecked(0, jobs.machine().midplane_count());
+  const machine::LocCodec codec = jobs.machine().codec();
+  const auto covers = [&](const Interruption& in, const Alarm& alarm) {
+    return jobs[in.job].partition.covers_key(alarm.location.packed(), codec);
+  };
 
   // Score alarms: did a *future* interruption occur within the horizon at a
   // location the alarm covers? (The kill at the alarm instant itself is not
@@ -45,10 +49,7 @@ PredictionOutcome evaluate_predictor(const CoAnalysisResult& analysis,
     for (const Interruption& in : analysis.matches.interruptions) {
       if (in.time <= alarm.time) continue;
       if (in.time - alarm.time > config.horizon) continue;
-      if (config.use_location &&
-          !jobs[in.job].partition.covers(alarm.location)) {
-        continue;
-      }
+      if (config.use_location && !covers(in, alarm)) continue;
       hit = true;
       break;
     }
@@ -70,9 +71,7 @@ PredictionOutcome evaluate_predictor(const CoAnalysisResult& analysis,
     for (const Alarm& alarm : alarms) {
       if (alarm.time >= in.time) break;  // alarms are time-ordered
       if (in.time - alarm.time > config.horizon) continue;
-      if (config.use_location && !jobs[in.job].partition.covers(alarm.location)) {
-        continue;
-      }
+      if (config.use_location && !covers(in, alarm)) continue;
       ++out.caught;
       break;
     }

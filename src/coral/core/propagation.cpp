@@ -65,12 +65,4 @@ PropagationResult analyze_propagation(const filter::FilterPipelineResult& filter
   return result;
 }
 
-PropagationResult analyze_propagation(const filter::FilterPipelineResult& filtered,
-                                      const MatchResult& matches,
-                                      const joblog::JobLog& jobs,
-                                      const PropagationConfig& config) {
-  return analyze_propagation(filtered, matches, jobs,
-                             build_char_columns(filtered, matches, jobs), config);
-}
-
 }  // namespace coral::core

@@ -49,9 +49,4 @@ PropagationResult analyze_propagation(const filter::FilterPipelineResult& filter
                                       const PropagationConfig& config = {},
                                       par::ThreadPool* pool = nullptr);
 
-PropagationResult analyze_propagation(const filter::FilterPipelineResult& filtered,
-                                      const MatchResult& matches,
-                                      const joblog::JobLog& jobs,
-                                      const PropagationConfig& config = {});
-
 }  // namespace coral::core

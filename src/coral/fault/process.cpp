@@ -8,7 +8,6 @@ namespace coral::fault {
 
 using bgp::LocationKind;
 using bgp::MidplaneId;
-using bgp::Topology;
 using ras::Catalog;
 using ras::ErrcodeId;
 using ras::ErrcodeInfo;
@@ -120,10 +119,6 @@ ErrcodeId SystemFaultProcess::pick_code(TriggerClass cls) {
   return class_codes_[c][class_samplers_[c].sample(rng_)];
 }
 
-bgp::Location location_on_midplane(LocationKind kind, MidplaneId mid, Rng& rng) {
-  return machine::bgp_model().location_on_midplane(kind, mid, rng);
-}
-
 std::optional<bgp::Location> SystemFaultProcess::choose_location(const Trigger& trigger,
                                                                  const OccupancyView& view) {
   const ErrcodeInfo& info = catalog_->info(trigger.code);
@@ -132,13 +127,12 @@ std::optional<bgp::Location> SystemFaultProcess::choose_location(const Trigger& 
   std::vector<double> weights(static_cast<std::size_t>(midplane_count), 0.0);
   double total = 0;
 
-  const int mpr = codec.midplanes_per_rack;
   const auto footprint_idle = [&](MidplaneId m) {
     if (view.busy(m)) return false;
     if (info.loc_kind == LocationKind::Rack) {
       // Rack-level hardware touches every sibling midplane in the rack too.
-      const MidplaneId first = (m / mpr) * mpr;
-      for (MidplaneId s = first; s < first + mpr; ++s) {
+      const machine::MidplaneRange rack = codec.rack_midplanes(codec.rack_of_midplane(m));
+      for (MidplaneId s = rack.first; s < rack.end; ++s) {
         if (s != m && view.busy(s)) return false;
       }
     }

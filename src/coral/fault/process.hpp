@@ -131,10 +131,4 @@ class SystemFaultProcess {
   DiscreteSampler class_samplers_[4];
 };
 
-/// Build a concrete Location of the catalog's loc_kind on a given midplane
-/// (random card/slot positions) on the reference BG/P machine. Shared with
-/// the application-error path; model-aware callers should use
-/// MachineModel::location_on_midplane instead.
-bgp::Location location_on_midplane(bgp::LocationKind kind, bgp::MidplaneId mid, Rng& rng);
-
 }  // namespace coral::fault

@@ -7,7 +7,8 @@ namespace coral::filter {
 
 std::vector<EventGroup> neural_gas_filter(std::span<const ras::RasEvent> events,
                                           const NeuralGasFilterConfig& config,
-                                          const ras::Catalog& catalog) {
+                                          const ras::Catalog& catalog,
+                                          const machine::MachineModel& machine) {
   if (events.empty()) return {};
 
   // Feature embedding. Time is normalized over the log span; location is
@@ -16,17 +17,15 @@ std::vector<EventGroup> neural_gas_filter(std::span<const ras::RasEvent> events,
   const TimePoint t1 = events.back().event_time;
   const double span = std::max<double>(1.0, static_cast<double>(t1 - t0));
   const double n_codes = static_cast<double>(catalog.fatal_ids().size());
+  const double n_midplanes = machine.midplane_count();
 
   std::vector<std::vector<double>> points;
   points.reserve(events.size());
   for (const ras::RasEvent& ev : events) {
-    const auto mid = ev.location.midplane_id();
-    const double midplane =
-        mid ? static_cast<double>(*mid)
-            : static_cast<double>(bgp::midplane_id(ev.location.rack_index(), 0));
+    const double midplane = machine.codec().midplanes(ev.location.packed()).first;
     points.push_back({
         config.time_weight * static_cast<double>(ev.event_time - t0) / span,
-        config.space_weight * midplane / config.midplane_count,
+        config.space_weight * midplane / n_midplanes,
         config.code_weight * static_cast<double>(ev.errcode) / n_codes,
     });
   }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include "coral/filter/groups.hpp"
+#include "coral/machine/model.hpp"
 #include "coral/stats/neural_gas.hpp"
 
 namespace coral::filter {
@@ -17,17 +18,18 @@ struct NeuralGasFilterConfig {
   double space_weight = 1.0;    ///< midplane axis
   double code_weight = 2.0;     ///< errcode identity axis
   Usec chain_gap = kUsecPerHour;  ///< split same-cluster chains at this gap
-  /// Midplanes on the machine the events came from; normalizes the spatial
-  /// feature axis to [0, 1). Default: the reference BG/P.
-  int midplane_count = bgp::Topology::kMidplanes;
 
   NeuralGasFilterConfig() { gas.units = 0; }
 };
 
 /// Cluster the (time-sorted) events into groups. Deterministic in
-/// `config.gas.seed`. The catalog scales the errcode feature axis.
+/// `config.gas.seed`. The catalog scales the errcode feature axis; the
+/// machine the events came from places each location on the midplane axis
+/// (the first midplane it touches, normalized by the machine's midplane
+/// count).
 std::vector<EventGroup> neural_gas_filter(
     std::span<const ras::RasEvent> events, const NeuralGasFilterConfig& config = {},
-    const ras::Catalog& catalog = ras::default_catalog());
+    const ras::Catalog& catalog = ras::default_catalog(),
+    const machine::MachineModel& machine = machine::bgp_model());
 
 }  // namespace coral::filter

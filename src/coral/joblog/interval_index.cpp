@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "coral/bgp/topology.hpp"
 #include "coral/common/error.hpp"
 
 namespace coral::joblog {

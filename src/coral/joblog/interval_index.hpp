@@ -12,19 +12,18 @@ namespace coral::joblog {
 ///
 /// Job j appears in bucket m exactly when j.partition contains midplane m,
 /// so a query about an event at location L only ever touches the buckets of
-/// L's footprint (one midplane, or two for a rack-level location) instead of
-/// testing Partition::covers() against every job in a time window. Buckets
+/// L's footprint (the midplanes the machine codec says it touches) instead of
+/// testing Partition::covers_key() against every job in a time window. Buckets
 /// share one CSR layout in ascending job-index (= start time, the JobLog
 /// sort order) order, with parallel start/end time columns and a running
 /// max-end prefix — running_at()'s bounded backward scan, per bucket.
 class IntervalIndex {
  public:
-  /// Default: a valid index over zero jobs (every bucket empty).
-  IntervalIndex() : IntervalIndex(std::span<const JobRecord>{}) {}
+  /// Default: a valid index over zero jobs and zero midplanes.
+  IntervalIndex() : IntervalIndex(std::span<const JobRecord>{}, 0) {}
   /// `jobs` must be sorted by start time. `midplane_count` sizes the bucket
-  /// table (default: the reference BG/P's 80).
-  explicit IntervalIndex(std::span<const JobRecord> jobs,
-                         int midplane_count = bgp::Topology::kMidplanes);
+  /// table.
+  IntervalIndex(std::span<const JobRecord> jobs, int midplane_count);
 
   /// A bucket in ascending job-index (= start time) order.
   struct StartSlice {

@@ -26,7 +26,7 @@ struct JobRecord {
   TimePoint queue_time;  ///< when the job entered the wait queue
   TimePoint start_time;  ///< when it started running
   TimePoint end_time;    ///< when it exited (finished or interrupted)
-  bgp::Partition partition{0, 1};
+  bgp::Partition partition;  ///< default: the single midplane 0
   int exit_code = 0;  ///< 0 = clean exit; informational only
 
   Usec runtime() const { return end_time - start_time; }

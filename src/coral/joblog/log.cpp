@@ -174,20 +174,18 @@ std::vector<std::size_t> JobLog::running_at(TimePoint t, const bgp::Location& lo
   CORAL_EXPECTS(finalized_);
   if (jobs_.empty()) return {};
   std::vector<std::size_t> out;
-  const machine::LocCodec& codec = machine_->codec();
-  if (loc.kind() == bgp::LocationKind::Rack) {
-    // Rack-level locations touch every midplane of the rack; a multi-midplane
-    // partition can sit in several buckets, so merge and dedupe.
-    const auto lo = static_cast<bgp::MidplaneId>(loc.rack_index() * codec.midplanes_per_rack);
-    for (int i = 0; i < codec.midplanes_per_rack; ++i) {
-      bucket_running_at(interval_.starts(lo + i), t, out);
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
+  const machine::MidplaneRange r = machine_->codec().midplanes(loc.packed());
+  for (bgp::MidplaneId m = r.first; m < r.end; ++m) {
+    bucket_running_at(interval_.starts(m), t, out);
+  }
+  if (r.size() == 1) {
+    std::reverse(out.begin(), out.end());
     return out;
   }
-  bucket_running_at(interval_.starts(codec.midplane_of(loc.packed())), t, out);
-  std::reverse(out.begin(), out.end());
+  // A location over several midplanes (a rack): a multi-midplane partition
+  // can sit in several buckets, so merge and dedupe.
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

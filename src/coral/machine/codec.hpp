@@ -6,10 +6,19 @@ namespace coral::machine {
 
 using MidplaneId = std::int32_t;
 
+/// A half-open range [first, end) of flat midplane ids.
+struct MidplaneRange {
+  MidplaneId first = 0;
+  MidplaneId end = 0;
+
+  int size() const { return end - first; }
+  bool contains(MidplaneId m) const { return m >= first && m < end; }
+};
+
 /// The packed loc_key codec contract.
 ///
-/// Every MachineModel encodes locations into the same 32-bit layout that
-/// `bgp::Location::packed()` established for the columnar hot paths:
+/// Every MachineModel encodes locations into the same 32-bit layout,
+/// `bgp::Location::packed()`, that the columnar hot paths key on:
 ///
 ///     [31..24] kind   (LocationKind; Rack == 0)
 ///     [23..16] rack   index, [0, 256)
@@ -20,29 +29,36 @@ using MidplaneId = std::int32_t;
 /// The only machine-dependent step in decoding a key is mapping
 /// (rack, midplane-within-rack) to a flat machine midplane id, which needs
 /// the machine's midplanes-per-rack. LocCodec carries exactly that one
-/// number, so hot loops grab the codec once per run and decode keys with
-/// two shifts and a multiply — no virtual call per event, no Location
-/// materialization. A default-constructed LocCodec is the Blue Gene
-/// family codec (2 midplanes per rack) and decodes identically to the
-/// constexpr `bgp::packed_*` helpers.
+/// number and is the one place that does the mapping: `midplanes(key)` is
+/// the rule for which midplanes a location touches (every midplane of its
+/// rack for a rack-level location, its own midplane otherwise), and the
+/// rack/midplane conversions below are the only rack arithmetic in the
+/// code base. Hot loops grab the codec once per run and decode keys with
+/// two shifts and a multiply, with no virtual call per event and no
+/// Location materialization. A default-constructed LocCodec is the Blue
+/// Gene family codec (2 midplanes per rack).
 struct LocCodec {
   int midplanes_per_rack = 2;
 
-  int rack_of(std::uint32_t key) const { return static_cast<int>((key >> 16) & 0xFF); }
+  static int rack_of(std::uint32_t key) { return static_cast<int>((key >> 16) & 0xFF); }
 
   /// True when the key encodes a whole rack (LocationKind::Rack == 0).
-  bool is_rack(std::uint32_t key) const { return (key >> 24) == 0; }
+  static bool is_rack(std::uint32_t key) { return (key >> 24) == 0; }
 
-  /// Flat midplane id of a sub-rack key; meaningless for rack-level keys.
-  MidplaneId midplane_of(std::uint32_t key) const {
-    return static_cast<MidplaneId>(static_cast<int>((key >> 16) & 0xFF) * midplanes_per_rack +
-                                   static_cast<int>((key >> 12) & 0xF));
+  /// The midplanes a location key touches.
+  MidplaneRange midplanes(std::uint32_t key) const {
+    const MidplaneRange rack = rack_midplanes(rack_of(key));
+    if (is_rack(key)) return rack;
+    const MidplaneId m = rack.first + static_cast<MidplaneId>((key >> 12) & 0xF);
+    return {m, m + 1};
   }
 
-  /// First midplane of the rack a (rack-level) key denotes.
-  MidplaneId rack_first_midplane(std::uint32_t key) const {
-    return static_cast<MidplaneId>(static_cast<int>((key >> 16) & 0xFF) * midplanes_per_rack);
+  /// The midplanes of rack `rack`.
+  MidplaneRange rack_midplanes(int rack) const {
+    return {rack * midplanes_per_rack, (rack + 1) * midplanes_per_rack};
   }
+  int rack_of_midplane(MidplaneId m) const { return m / midplanes_per_rack; }
+  int midplane_in_rack(MidplaneId m) const { return m % midplanes_per_rack; }
 };
 
 }  // namespace coral::machine

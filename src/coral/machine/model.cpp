@@ -1,5 +1,6 @@
 #include "coral/machine/model.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <mutex>
@@ -10,10 +11,137 @@
 namespace coral::machine {
 
 // ---------------------------------------------------------------------------
-// Generic location grammar, parameterized by Topology. The string shapes are
-// the Blue Gene family's ("R04-M0-N08-J12"); the machine decides the index
-// ranges. BgpModel overrides these with the original bgp/ routines so the
-// reference machine keeps its exact diagnostics.
+// Declaration: the built-in machines, the default ladder and zones.
+
+namespace {
+
+// The BG/P proportions (§VI-B) scaled to an N-midplane machine: a
+// 2-midplane debug head, the top fifth for long narrow jobs, a two-fifths
+// reservation band for wide jobs, and the remainder for small
+// multi-midplane jobs. At N = 80 this is Intrepid's layout exactly
+// (0-1 / 64-79 / 2-31 / 32-63, wide >= 32).
+PlacementZones scaled_zones(int n) {
+  const int fifth = n / 5;
+  PlacementZones z;
+  z.head_first = 0;
+  z.head_count = 2;
+  z.tail_first = n - fifth;
+  z.tail_count = fifth;
+  z.wide_first = 2 * fifth;
+  z.wide_count = z.tail_first - z.wide_first;
+  z.small_first = 2;
+  z.small_count = z.wide_first - 2;
+  z.wide_threshold = z.wide_first;
+  return z;
+}
+
+// Every power of two aligned to its own size, plus the full machine at 0.
+std::vector<PartitionRung> power_of_two_ladder(int n) {
+  std::vector<PartitionRung> ladder;
+  for (int s = 1; s <= n; s *= 2) ladder.push_back({s, s});
+  if (n > 0 && ladder.back().size != n) ladder.push_back({n, n});
+  return ladder;
+}
+
+}  // namespace
+
+MachineModel::MachineModel(const Topology& topo, std::vector<PartitionRung> ladder,
+                           std::optional<PlacementZones> zones)
+    : name_(topo.name),
+      description_(topo.description),
+      interconnect_(topo.interconnect),
+      topo_(topo),
+      codec_{topo.midplanes_per_rack},
+      ladder_(std::move(ladder)),
+      zones_(zones ? *zones : scaled_zones(topo.midplanes())) {
+  topo_.name = name_.c_str();
+  topo_.description = description_.c_str();
+  topo_.interconnect = interconnect_.c_str();
+  for (const PartitionRung& r : ladder_) {
+    CORAL_EXPECTS(r.size > 0 && r.alignment > 0);
+    CORAL_EXPECTS(sizes_.empty() || sizes_.back() < r.size);
+    sizes_.push_back(r.size);
+  }
+
+  // The packed-key grammar: per kind, the accepted raw values of the
+  // midplane nibble, card and sub fields. A field the kind uses takes the
+  // machine's range, clipped below the field's all-ones "absent" value; a
+  // field it does not use takes only that value.
+  const auto range = [](int field, int lo, int hi) {
+    const auto clip = [field](int v) {
+      return static_cast<std::uint32_t>(
+          std::clamp<int>(v, 0, static_cast<int>(kAbsent[field].lo)));
+    };
+    return FieldRange{clip(lo), clip(hi)};
+  };
+  const FieldRange no_mid = kAbsent[0], no_card = kAbsent[1], no_sub = kAbsent[2];
+  const FieldRange mid = range(0, 0, topo_.midplanes_per_rack);
+  const FieldRange node = range(1, 0, topo_.node_cards_per_midplane);
+  const FieldRange link = range(1, 0, topo_.link_cards_per_midplane);
+  const FieldRange jslot =
+      range(2, topo_.jslot_base, topo_.jslot_base + topo_.compute_cards_per_node_card);
+  const FieldRange io = range(2, 0, topo_.io_nodes_per_node_card);
+  const auto set = [this](LocationKind kind, FieldRange m, FieldRange card, FieldRange sub) {
+    FieldRange* f = key_fields_[static_cast<std::size_t>(kind)];
+    f[0] = m;
+    f[1] = card;
+    f[2] = sub;
+  };
+  set(LocationKind::Rack, no_mid, no_card, no_sub);
+  set(LocationKind::Midplane, mid, no_card, no_sub);
+  set(LocationKind::NodeCard, mid, node, no_sub);
+  set(LocationKind::ComputeCard, mid, node, jslot);
+  set(LocationKind::ServiceCard, mid, no_card, no_sub);
+  set(LocationKind::LinkCard, mid, link, no_sub);
+  set(LocationKind::IoNode, mid, node, io);
+}
+
+const MachineModel& bgp_model() {
+  static const MachineModel model(
+      Topology{},
+      {{1, 1}, {2, 2}, {4, 4}, {8, 8}, {16, 16}, {32, 32}, {48, 16}, {64, 16}, {80, 80}});
+  return model;
+}
+
+const MachineModel& bgq_model() {
+  // Mira keeps Intrepid's zone structure but gives the wide band the extra
+  // 16 midplanes: debug head 0-1, long narrow jobs 80-95, small jobs 2-31,
+  // wide (>= 32 midplane) reservation 32-79.
+  static const MachineModel model(
+      Topology{
+          .name = "bgq",
+          .description = "48-rack Blue Gene/Q (Mira)",
+          .interconnect = "5-D torus",
+          .racks = 48,
+          .midplanes_per_rack = 2,
+          .racks_per_row = 16,
+          .node_cards_per_midplane = 16,
+          .compute_cards_per_node_card = 32,
+          .jslot_base = 0,
+          .link_cards_per_midplane = 4,
+          .io_nodes_per_node_card = 2,
+          .nodes_per_midplane = 512,
+          .cores_per_node = 16,
+      },
+      {{1, 1}, {2, 2}, {4, 4}, {8, 8}, {16, 16}, {32, 32}, {64, 32}, {96, 96}},
+      PlacementZones{.head_first = 0,
+                     .head_count = 2,
+                     .tail_first = 80,
+                     .tail_count = 16,
+                     .small_first = 2,
+                     .small_count = 30,
+                     .wide_first = 32,
+                     .wide_count = 48,
+                     .wide_threshold = 32});
+  return model;
+}
+
+DataModel::DataModel(const Topology& topo)
+    : MachineModel(topo, power_of_two_ladder(topo.midplanes())) {}
+
+// ---------------------------------------------------------------------------
+// Location grammar. The string shapes are the Blue Gene family's
+// ("R04-M0-N08-J12"); the machine decides the index ranges.
 
 namespace {
 
@@ -101,51 +229,37 @@ Location MachineModel::parse_location(std::string_view text) const {
   return Location::make(LocationKind::ComputeCard, rk, mp, card, jslot);
 }
 
-Location MachineModel::location_from_packed(std::uint32_t key) const {
-  const auto kind_raw = (key >> 24) & 0xFF;
+void MachineModel::reject_packed_key(std::uint32_t key) const {
+  const std::uint32_t kind_raw = key >> 24;
   if (kind_raw > static_cast<std::uint32_t>(LocationKind::IoNode)) {
     throw ParseError("bad location kind in packed key");
   }
+  if (((key >> 16) & 0xFF) >= static_cast<std::uint32_t>(topo_.racks)) {
+    throw ParseError("rack out of range in packed key");
+  }
   const auto kind = static_cast<LocationKind>(kind_raw);
-  const int rack = static_cast<int>((key >> 16) & 0xFF);
-  const int mp = static_cast<int>((key >> 12) & 0xF) == 0xF ? -1 : static_cast<int>((key >> 12) & 0xF);
-  const int card = static_cast<int>((key >> 6) & 0x3F) == 0x3F ? -1 : static_cast<int>((key >> 6) & 0x3F);
-  const int sub = static_cast<int>(key & 0x3F) == 0x3F ? -1 : static_cast<int>(key & 0x3F);
-
-  const auto check = [&](bool ok, const char* what) {
-    if (!ok) throw ParseError(std::string(what) + " out of range in packed key");
-  };
-  check(rack >= 0 && rack < topo_.racks, "rack");
-  if (kind != LocationKind::Rack) {
-    check(mp >= 0 && mp < topo_.midplanes_per_rack, "midplane");
+  const FieldRange* f = key_fields_[kind_raw];
+  const std::uint32_t raw[3] = {(key >> 12) & 0xF, (key >> 6) & 0x3F, key & 0x3F};
+  for (int i = 0; i < 3; ++i) {
+    if (f[i].contains(raw[i])) continue;
+    const bool required = f[i].lo != kAbsent[i].lo || f[i].hi != kAbsent[i].hi;
+    const char* field = i == 0   ? "midplane"
+                        : i == 1 ? (!required                          ? "card"
+                                    : kind == LocationKind::LinkCard ? "link card"
+                                                                     : "node card")
+                                 : (!required                             ? "sub-slot"
+                                    : kind == LocationKind::ComputeCard ? "compute card"
+                                                                        : "I/O node");
+    if (required) throw ParseError(std::string(field) + " out of range in packed key");
+    throw ParseError(std::string(field) + " present in packed " + bgp::to_string(kind) +
+                     " key");
   }
-  switch (kind) {
-    case LocationKind::NodeCard:
-      check(card >= 0 && card < topo_.node_cards_per_midplane, "node card");
-      break;
-    case LocationKind::ComputeCard:
-      check(card >= 0 && card < topo_.node_cards_per_midplane, "node card");
-      check(sub >= topo_.jslot_base && sub < topo_.jslot_base + topo_.compute_cards_per_node_card,
-            "compute card");
-      break;
-    case LocationKind::LinkCard:
-      check(card >= 0 && card < topo_.link_cards_per_midplane, "link card");
-      break;
-    case LocationKind::IoNode:
-      check(card >= 0 && card < topo_.node_cards_per_midplane, "node card");
-      check(sub >= 0 && sub < topo_.io_nodes_per_node_card, "I/O node");
-      break;
-    default:
-      break;
-  }
-  return Location::make(kind, rack, kind == LocationKind::Rack ? -1 : mp, card, sub);
+  throw ParseError("bad packed location key");
 }
 
-std::string MachineModel::location_string(const Location& loc) const { return loc.to_string(); }
-
 Location MachineModel::location_on_midplane(LocationKind kind, MidplaneId mid, Rng& rng) const {
-  const int rack = mid / topo_.midplanes_per_rack;
-  const int mp = mid % topo_.midplanes_per_rack;
+  const int rack = codec_.rack_of_midplane(mid);
+  const int mp = codec_.midplane_in_rack(mid);
   switch (kind) {
     case LocationKind::Rack:
       return Location::make(LocationKind::Rack, rack, -1, -1, -1);
@@ -177,20 +291,29 @@ Location MachineModel::location_on_midplane(LocationKind kind, MidplaneId mid, R
 }
 
 Location MachineModel::midplane_location(MidplaneId mid) const {
-  return Location::make(LocationKind::Midplane, mid / topo_.midplanes_per_rack,
-                        mid % topo_.midplanes_per_rack, -1, -1);
+  return Location::make(LocationKind::Midplane, codec_.rack_of_midplane(mid),
+                        codec_.midplane_in_rack(mid), -1, -1);
 }
 
 // ---------------------------------------------------------------------------
-// Generic partition algebra.
+// Partition algebra.
+
+bool MachineModel::is_legal_partition(MidplaneId first, int count) const {
+  for (const PartitionRung& r : ladder_) {
+    if (r.size == count) {
+      return first >= 0 && first % r.alignment == 0 && first + count <= midplane_count();
+    }
+  }
+  return false;
+}
 
 Partition MachineModel::parse_partition(std::string_view text) const {
-  const int mpr = topo_.midplanes_per_rack;
   const std::size_t dash = text.find('-');
   const std::string_view head = text.substr(0, dash);
   const std::string_view tail =
       dash == std::string_view::npos ? std::string_view{} : text.substr(dash + 1);
-  const auto checked = [&](MidplaneId first, int count) {
+  const auto checked = [&](MidplaneId first, MidplaneId end) {
+    const int count = end - first;
     if (!is_legal_partition(first, count)) {
       throw ParseError("illegal partition '" + std::string(text) + "': illegal partition: first midplane " +
                        std::to_string(first) + ", size " + std::to_string(count));
@@ -202,11 +325,12 @@ Partition MachineModel::parse_partition(std::string_view text) const {
     if (loc.kind() != LocationKind::Rack) {
       throw ParseError("not a partition: '" + std::string(text) + "'");
     }
-    return checked(static_cast<MidplaneId>(loc.rack_index() * mpr), mpr);
+    const MidplaneRange r = codec_.rack_midplanes(loc.rack_index());
+    return checked(r.first, r.end);
   }
   if (!tail.empty() && tail[0] == 'M' && tail.find('-') == std::string_view::npos) {
-    const Location loc = parse_location(text);
-    return checked(codec_.midplane_of(loc.packed()), 1);
+    const MidplaneRange r = codec_.midplanes(parse_location(text).packed());
+    return checked(r.first, r.end);
   }
   if (!tail.empty() && tail[0] == 'R' && tail.find('-') == std::string_view::npos) {
     const Location a = parse_location(head);
@@ -215,23 +339,23 @@ Partition MachineModel::parse_partition(std::string_view text) const {
         b.rack_index() < a.rack_index()) {
       throw ParseError("bad rack range: '" + std::string(text) + "'");
     }
-    const int racks = b.rack_index() - a.rack_index() + 1;
-    return checked(static_cast<MidplaneId>(a.rack_index() * mpr), racks * mpr);
+    return checked(codec_.rack_midplanes(a.rack_index()).first,
+                   codec_.rack_midplanes(b.rack_index()).end);
   }
   throw ParseError("unrecognized partition: '" + std::string(text) + "'");
 }
 
 std::string MachineModel::partition_name(const Partition& part) const {
-  const int mpr = topo_.midplanes_per_rack;
+  const int first_rack = codec_.rack_of_midplane(part.first_midplane());
   char buf[32];
   if (part.midplane_count() == 1) {
-    std::snprintf(buf, sizeof buf, "R%02d-M%d", part.first_midplane() / mpr,
-                  part.first_midplane() % mpr);
-  } else if (part.midplane_count() == mpr) {
-    std::snprintf(buf, sizeof buf, "R%02d", part.first_midplane() / mpr);
+    std::snprintf(buf, sizeof buf, "R%02d-M%d", first_rack,
+                  codec_.midplane_in_rack(part.first_midplane()));
+  } else if (part.midplane_count() == topo_.midplanes_per_rack) {
+    std::snprintf(buf, sizeof buf, "R%02d", first_rack);
   } else {
-    std::snprintf(buf, sizeof buf, "R%02d-R%02d", part.first_midplane() / mpr,
-                  (part.end_midplane() - 1) / mpr);
+    std::snprintf(buf, sizeof buf, "R%02d-R%02d", first_rack,
+                  codec_.rack_of_midplane(part.end_midplane() - 1));
   }
   return buf;
 }
@@ -244,56 +368,6 @@ std::vector<Partition> MachineModel::partitions_of_size(int midplane_count) cons
     }
   }
   return out;
-}
-
-PlacementZones MachineModel::placement_zones() const {
-  // The BG/P proportions (§VI-B) scaled to this machine: a 2-midplane debug
-  // head, the top fifth for long narrow jobs, a two-fifths reservation band
-  // for wide jobs, and the remainder for small multi-midplane jobs. At
-  // N = 80 this reproduces Intrepid's zones exactly (0-1 / 64-79 / 2-31 /
-  // 32-63, wide >= 32).
-  const int n = midplane_count();
-  const int fifth = n / 5;
-  PlacementZones z;
-  z.head_first = 0;
-  z.head_count = 2;
-  z.tail_first = n - fifth;
-  z.tail_count = fifth;
-  z.wide_first = 2 * fifth;
-  z.wide_count = z.tail_first - z.wide_first;
-  z.small_first = 2;
-  z.small_count = z.wide_first - 2;
-  z.wide_threshold = z.wide_first;
-  return z;
-}
-
-// ---------------------------------------------------------------------------
-// Data-declared models.
-
-DataModel::DataModel(const Topology& topo)
-    : MachineModel(topo),
-      name_(topo.name),
-      description_(topo.description),
-      interconnect_(topo.interconnect) {
-  // The Topology passed in may point at transient strings; re-point the
-  // stored copy at storage that lives as long as the model.
-  topo_.name = name_.c_str();
-  topo_.description = description_.c_str();
-  topo_.interconnect = interconnect_.c_str();
-  const int n = midplane_count();
-  for (int s = 1; s <= n; s *= 2) sizes_.push_back(s);
-  if (sizes_.empty() || sizes_.back() != n) sizes_.push_back(n);
-}
-
-const std::vector<int>& DataModel::legal_partition_sizes() const { return sizes_; }
-
-bool DataModel::is_legal_partition(MidplaneId first, int count) const {
-  if (first < 0 || count <= 0 || first + count > midplane_count()) return false;
-  if (count == midplane_count()) return first == 0;
-  // Power-of-two sizes aligned to their own size — the standard torus
-  //-partitioning rule both built-ins specialize.
-  if ((count & (count - 1)) != 0) return false;
-  return first % count == 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -9,15 +9,6 @@ namespace coral::predict {
 
 namespace {
 
-bool zone_covers(const machine::LocCodec& codec, std::int32_t zone, std::uint32_t key) {
-  if (zone < 0) return true;
-  if (codec.is_rack(key)) {
-    const machine::MidplaneId first = codec.rack_first_midplane(key);
-    return zone >= first && zone < first + codec.midplanes_per_rack;
-  }
-  return codec.midplane_of(key) == zone;
-}
-
 /// One ground-truth system-failure manifestation, time-ordered.
 struct Manifestation {
   TimePoint time;

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <mutex>
 
-#include "coral/bgp/location.hpp"
 #include "coral/common/error.hpp"
 #include "coral/core/pipeline.hpp"
+#include "coral/machine/codec.hpp"
 
 namespace coral::predict {
 
@@ -17,9 +17,10 @@ namespace {
 /// either side being rack-level degrades the test to same-rack — the rack
 /// touches all of its midplanes.
 bool same_zone(std::uint32_t a, std::uint32_t b) {
-  const bool rack_a = bgp::packed_kind(a) == bgp::LocationKind::Rack;
-  const bool rack_b = bgp::packed_kind(b) == bgp::LocationKind::Rack;
-  if (rack_a || rack_b) return bgp::packed_rack(a) == bgp::packed_rack(b);
+  using machine::LocCodec;
+  if (LocCodec::is_rack(a) || LocCodec::is_rack(b)) {
+    return LocCodec::rack_of(a) == LocCodec::rack_of(b);
+  }
   return ((a ^ b) & 0x00FFF000u) == 0;
 }
 

@@ -41,16 +41,6 @@ Predictor::Predictor(const RuleTable& table, const machine::MachineModel& machin
   }
 }
 
-bool Predictor::zone_covers(std::int32_t zone, std::uint32_t loc_key) const {
-  if (zone < 0) return true;
-  const machine::LocCodec& codec = machine_->codec();
-  if (codec.is_rack(loc_key)) {
-    const machine::MidplaneId first = codec.rack_first_midplane(loc_key);
-    return zone >= first && zone < first + codec.midplanes_per_rack;
-  }
-  return codec.midplane_of(loc_key) == zone;
-}
-
 void Predictor::fire(std::uint32_t rule_index, std::int32_t zone, TimePoint t) {
   auto& acts = active_[rule_index];
   std::erase_if(acts, [&](const Active& a) { return predictions_[a.pred].expires < t; });
@@ -86,7 +76,7 @@ void Predictor::on_named_record(const ras::RasEvent& event) {
       std::erase_if(acts, [&](const Active& a) { return predictions_[a.pred].expires < t; });
       for (Active& a : acts) {
         const Prediction& p = predictions_[a.pred];
-        if (!a.hit && p.issued < t && zone_covers(a.zone, key)) {
+        if (!a.hit && p.issued < t && zone_covers(machine_->codec(), a.zone, key)) {
           a.hit = true;
           ++hits_;
           CORAL_OBS_COUNT(obs_, "predict.hits", 1);
@@ -105,13 +95,8 @@ void Predictor::on_named_record(const ras::RasEvent& event) {
         fire(r, -1, t);
         continue;
       }
-      const machine::LocCodec& codec = machine_->codec();
-      if (codec.is_rack(key)) {
-        const machine::MidplaneId first = codec.rack_first_midplane(key);
-        for (int m = 0; m < codec.midplanes_per_rack; ++m) fire(r, first + m, t);
-      } else {
-        fire(r, codec.midplane_of(key), t);
-      }
+      const machine::MidplaneRange zones = machine_->codec().midplanes(key);
+      for (machine::MidplaneId m = zones.first; m < zones.end; ++m) fire(r, m, t);
     }
   }
 }

@@ -26,6 +26,12 @@ struct Prediction {
   friend bool operator==(const Prediction& a, const Prediction& b) = default;
 };
 
+/// True when a prediction zone (a midplane id, -1 = machine-wide) covers
+/// the location with packed key `key`: the key touches that midplane.
+inline bool zone_covers(const machine::LocCodec& codec, std::int32_t zone, std::uint32_t key) {
+  return zone < 0 || codec.midplanes(key).contains(zone);
+}
+
 /// The online prediction state machine: feed RAS records in time order and
 /// it issues predictions per the rule table. Pure and deterministic — the
 /// output depends only on the table and the record sequence, never on
@@ -73,7 +79,6 @@ class Predictor {
   };
 
   void on_named_record(const ras::RasEvent& event);
-  bool zone_covers(std::int32_t zone, std::uint32_t loc_key) const;
   void fire(std::uint32_t rule_index, std::int32_t zone, TimePoint t);
 
   const RuleTable* table_;

@@ -72,7 +72,7 @@ RasDictionary parse_ras_dictionary(bin::PayloadCursor& cur, const Catalog& catal
 
 /// Decoded 'L' payload: the file's distinct packed location keys, each
 /// validated against the machine model ONCE here instead of once per record
-/// (v2's per-record virtual `location_from_packed` is the single hottest
+/// (v2's per-record `location_from_packed` is the single hottest
 /// cost of a full read). Lenient mode keeps invalid keys as flagged
 /// entries; records referencing them are rejected individually.
 struct RasLocDict {

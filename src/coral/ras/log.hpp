@@ -29,7 +29,7 @@ struct RasLogSummary {
 /// them from three contiguous columns (8+4+4 bytes) instead of chasing
 /// whole RasEvents. `log_index[i]` maps column row i back to the owning
 /// RasLog's events(); locations are stored as Location::packed() keys
-/// (recover with bgp::Location::from_packed).
+/// (validate and recover with the log's MachineModel::location_from_packed).
 struct FatalColumns {
   std::vector<TimePoint> event_time;
   std::vector<ErrcodeId> errcode;

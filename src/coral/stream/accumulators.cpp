@@ -18,28 +18,19 @@ void DailyCounter::merge(const DailyCounter& other) {
 }
 
 void MidplaneTallies::add_group_rep(const bgp::Location& rep_location) {
-  const auto mid = rep_location.midplane_id();
-  if (mid) {
-    fatal_events[static_cast<std::size_t>(*mid)] += 1;
-  } else {
-    // Rack-level events touch every midplane in the rack; split the count.
-    const int first = rep_location.rack_index() * codec_.midplanes_per_rack;
-    const double share = 1.0 / codec_.midplanes_per_rack;
-    for (int i = 0; i < codec_.midplanes_per_rack; ++i) {
-      fatal_events[static_cast<std::size_t>(first + i)] += share;
-    }
-  }
+  add_group_rep(rep_location.packed());
 }
 
 void MidplaneTallies::add_group_rep(std::uint32_t loc_key) {
-  if (!codec_.is_rack(loc_key)) {
-    fatal_events[static_cast<std::size_t>(codec_.midplane_of(loc_key))] += 1;
-  } else {
-    const auto first = codec_.rack_first_midplane(loc_key);
-    const double share = 1.0 / codec_.midplanes_per_rack;
-    for (int i = 0; i < codec_.midplanes_per_rack; ++i) {
-      fatal_events[static_cast<std::size_t>(first + i)] += share;
-    }
+  // A location over several midplanes (a rack) splits its count evenly.
+  const machine::MidplaneRange r = codec_.midplanes(loc_key);
+  if (r.size() == 1) {
+    fatal_events[static_cast<std::size_t>(r.first)] += 1;
+    return;
+  }
+  const double share = 1.0 / r.size();
+  for (machine::MidplaneId m = r.first; m < r.end; ++m) {
+    fatal_events[static_cast<std::size_t>(m)] += share;
   }
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "coral/bgp/location.hpp"
-#include "coral/bgp/topology.hpp"
 #include "coral/core/interarrival.hpp"
 #include "coral/joblog/job.hpp"
 #include "coral/machine/model.hpp"
@@ -55,8 +54,8 @@ class DailyCounter {
   std::vector<int> counts_;
 };
 
-/// Per-midplane tallies for the Fig. 4 series: fatal-event counts (rack-
-/// level events split evenly over the rack's midplanes) and workload in
+/// Per-midplane tallies for the Fig. 4 series: fatal-event counts (an event
+/// split evenly over the midplanes its location touches) and workload in
 /// midplane-seconds (all jobs, and wide jobs at or above the machine's
 /// wide threshold — 32 midplanes on the reference BG/P).
 ///
@@ -74,9 +73,9 @@ class MidplaneTallies {
         codec_(machine.codec()),
         wide_threshold_(machine.placement_zones().wide_threshold) {}
 
+  /// Tally a group representative by the midplanes its location touches
+  /// (the machine codec's rule). The Location overload forwards to the key.
   void add_group_rep(const bgp::Location& rep_location);
-  /// Packed-key variant for columnar/streaming paths: decodes through the
-  /// machine codec, no Location materialization.
   void add_group_rep(std::uint32_t loc_key);
   void add_job(const joblog::JobRecord& job);
   void merge(const MidplaneTallies& other);

@@ -16,6 +16,7 @@ namespace coral::synth {
 namespace {
 
 using bgp::MidplaneId;
+using machine::MidplaneRange;
 using bgp::Partition;
 using fault::Manifestation;
 using fault::OccupancyView;
@@ -47,7 +48,7 @@ struct ActiveJob {
   TimePoint queue_time;
   TimePoint start;
   TimePoint planned_end;
-  Partition part{0, 1};
+  Partition part;
   std::uint32_t version = 0;  ///< invalidates stale JobEnd events
   int consec_fails = 0;
 };
@@ -103,7 +104,7 @@ class Simulation {
         catalog_(&ctx.catalog()),
         machine_(config.machine),
         n_midplanes_(machine_->midplane_count()),
-        mpr_(machine_->codec().midplanes_per_rack),
+        codec_(machine_->codec()),
         zones_(machine_->placement_zones()),
         master_rng_(ctx.derive_seed(config.seed)),
         sim_rng_(master_rng_.split()),
@@ -322,7 +323,7 @@ class Simulation {
     // Persistent faults re-hit newly started jobs (job-related redundancy).
     for (const ActivePersistentFault& f : persistent_) {
       if (f.until <= now) continue;
-      if (!part.covers(f.location)) continue;
+      if (!part.covers_key(f.location.packed(), codec_)) continue;
       const TimePoint hit = now + process_.sample_rehit_delay();
       if (hit >= j.planned_end || hit >= f.until) continue;
       push(SimEvent{.t = hit, .kind = EventKind::Interrupt, .slot = slot,
@@ -475,10 +476,9 @@ class Simulation {
     if (!loc) return;  // no feasible footprint (e.g. machine fully busy)
 
     const ErrcodeInfo& info = catalog_->info(trig.code);
-    const auto mid = loc->midplane_id();
-    const std::int32_t slot_at =
-        mid ? job_at_[static_cast<std::size_t>(*mid)]
-            : job_at_[static_cast<std::size_t>(loc->rack_index() * mpr_)];
+    // The hardware's footprint: its midplane, or every midplane of its rack.
+    const MidplaneRange footprint = codec_.midplanes(loc->packed());
+    const std::int32_t slot_at = job_at_[static_cast<std::size_t>(footprint.first)];
 
     const std::int32_t truth_id =
         add_truth(t, trig.code, *loc, FaultNature::SystemFailure,
@@ -489,9 +489,7 @@ class Simulation {
         emit_storm(t, trig.code, *loc, std::nullopt, truth_id);
         // Take the hardware out for diagnostics briefly so no job lands on
         // the faulted midplane mid-storm (rack-level faults hold the rack).
-        const Partition hold =
-            mid ? Partition::unchecked(*mid, 1)
-                : Partition::unchecked(loc->rack_index() * mpr_, mpr_);
+        const Partition hold = Partition::unchecked(footprint.first, footprint.size());
         pool_.force_acquire(hold);
         push(SimEvent{.t = t + 15 * kUsecPerMin, .kind = EventKind::DiagRelease,
                       .hold = hold});
@@ -647,13 +645,9 @@ class Simulation {
 
     // The fault-aware scheduler (if enabled) observes this FATAL location.
     if (config_.sched.avoid_failed_window > 0) {
-      if (const auto mid = loc.midplane_id()) {
-        last_fatal_at_[static_cast<std::size_t>(*mid)] = t;
-      } else {
-        const MidplaneId first = loc.rack_index() * mpr_;
-        for (int k = 0; k < mpr_; ++k) {
-          last_fatal_at_[static_cast<std::size_t>(first + k)] = t;
-        }
+      const MidplaneRange r = codec_.midplanes(loc.packed());
+      for (MidplaneId mid = r.first; mid < r.end; ++mid) {
+        last_fatal_at_[static_cast<std::size_t>(mid)] = t;
       }
     }
   }
@@ -757,7 +751,7 @@ class Simulation {
   const Catalog* catalog_;
   const machine::MachineModel* machine_;
   int n_midplanes_;
-  int mpr_;  ///< midplanes per rack
+  machine::LocCodec codec_;
   machine::PlacementZones zones_;
   Rng master_rng_;
   Rng sim_rng_;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coral/common/binary_frame.hpp"
@@ -87,6 +88,15 @@ inline std::string flip_block_payload(const std::string& data, Rng& rng, char ta
   return out;
 }
 
+/// Recompute the CRC of the frame at `p` over its (edited) payload, so the
+/// edit survives framing and reaches the layer under test.
+inline void reseal_frame(std::string& data, std::size_t p) {
+  std::uint32_t size = 0;
+  std::memcpy(&size, data.data() + p + sizeof bin::kBlockMagic, sizeof size);
+  const std::uint32_t crc = bin::crc32(data.data() + p + bin::kBlockHeaderBytes, size);
+  std::memcpy(data.data() + p + sizeof bin::kBlockMagic + sizeof size, &crc, sizeof crc);
+}
+
 /// Corrupt the 32-byte zone map of one random v3 'C' block and REPAIR the
 /// frame CRC, so the lie survives framing and reaches the zone-skip logic:
 /// a pushdown read may now wrongly skip (or wrongly decode) that block, and
@@ -106,8 +116,52 @@ inline std::string lie_in_zone_map(const std::string& data, Rng& rng) {
     const std::size_t at = zone_at + rng.uniform_index(kZoneBytes);
     out[at] = static_cast<char>(out[at] ^ (1 << rng.uniform_index(8)));
   }
-  const std::uint32_t crc = bin::crc32(out.data() + p + bin::kBlockHeaderBytes, size);
-  std::memcpy(out.data() + p + sizeof bin::kBlockMagic + sizeof size, &crc, sizeof crc);
+  reseal_frame(out, p);
+  return out;
+}
+
+/// Rewrite one packed location key of a binary RAS log to a non-canonical
+/// one, the midplane nibble 0xF ("absent") on a non-rack kind, and REPAIR
+/// the frame CRC, so the damage reaches the per-key location validator. The
+/// key is one record of a random v2 'R' block, or one entry of the first v3
+/// 'L' dictionary copy (the copy a reader adopts). `*original` receives the
+/// key before the edit. Returns the input unchanged when it holds no
+/// non-rack key.
+inline std::string reseal_bad_location_key(const std::string& data, Rng& rng,
+                                           std::uint32_t* original = nullptr) {
+  // (frame offset, key offset) of every candidate key.
+  std::vector<std::pair<std::size_t, std::size_t>> keys;
+  const auto add_keys = [&](std::size_t p, std::size_t first_key, std::size_t stride) {
+    std::uint32_t size = 0, count = 0;
+    std::memcpy(&size, data.data() + p + sizeof bin::kBlockMagic, sizeof size);
+    const std::size_t payload = p + bin::kBlockHeaderBytes;
+    if (size < 1 + sizeof count) return;
+    std::memcpy(&count, data.data() + payload + 1, sizeof count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t at = payload + first_key + i * stride;
+      if (at + sizeof(std::uint32_t) > payload + size) break;
+      if (static_cast<unsigned char>(data[at + 3]) != 0) keys.emplace_back(p, at);  // kind byte
+    }
+  };
+  const auto dictionaries = frames_with_tag(data, 'L');
+  if (!dictionaries.empty()) {
+    // Payload: tag | u32 count | count x u32 key.
+    add_keys(dictionaries.front(), 1 + sizeof(std::uint32_t), sizeof(std::uint32_t));
+  } else {
+    // Payload: tag | u32 count | count x 24-byte record, key at record + 8.
+    for (const std::size_t p : frames_with_tag(data, 'R')) {
+      add_keys(p, 1 + sizeof(std::uint32_t) + 8, 24);
+    }
+  }
+  if (keys.empty()) return data;
+  std::string out = data;
+  const auto [p, at] = keys[rng.uniform_index(keys.size())];
+  std::uint32_t key = 0;
+  std::memcpy(&key, out.data() + at, sizeof key);
+  if (original != nullptr) *original = key;
+  key |= 0xFu << 12;
+  std::memcpy(out.data() + at, &key, sizeof key);
+  reseal_frame(out, p);
   return out;
 }
 

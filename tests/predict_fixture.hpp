@@ -36,6 +36,8 @@
 #include "coral/ras/catalog.hpp"
 #include "coral/ras/log.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral::testing {
 
 /// The six fixture codes, resolved against a catalog.
@@ -101,7 +103,7 @@ inline core::CharColumns chain_columns(const ras::Catalog& cat = ras::default_ca
   for (const auto& ev : detail::chain_events(cat)) {
     cols.group_time.push_back(ev.time);
     cols.group_code.push_back(ev.code);
-    cols.group_loc.push_back(bgp::Location::midplane(ev.midplane).packed());
+    cols.group_loc.push_back(testing::bgp_midplane(ev.midplane).packed());
   }
   return cols;
 }
@@ -113,7 +115,7 @@ inline ras::RasLog chain_ras_log(const ras::Catalog& cat = ras::default_catalog(
   for (const auto& ev : detail::chain_events(cat)) {
     ras::RasEvent e;
     e.event_time = ev.time;
-    e.location = bgp::Location::midplane(ev.midplane);
+    e.location = testing::bgp_midplane(ev.midplane);
     e.errcode = ev.code;
     e.severity = ras::Severity::Fatal;
     e.serial = serial++;

@@ -11,6 +11,8 @@
 #include "coral/core/pipeline.hpp"
 #include "coral/synth/intrepid.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral {
 namespace {
 
@@ -112,12 +114,12 @@ TEST(RasBinary, GoldenByteLayout) {
                            ras::ErrcodeInfo{.name = "BETA"}});
   std::vector<ras::RasEvent> events(2);
   events[0].event_time = TimePoint(1000000);
-  events[0].location = bgp::Location::rack(3);
+  events[0].location = testing::bgp_rack(3);
   events[0].errcode = 1;
   events[0].severity = ras::Severity::Fatal;
   events[0].serial = 7;
   events[1].event_time = TimePoint(2000000);
-  events[1].location = bgp::Location::midplane(5);
+  events[1].location = testing::bgp_midplane(5);
   events[1].errcode = 0;
   events[1].severity = ras::Severity::Info;
   events[1].serial = 9;

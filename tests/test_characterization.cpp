@@ -92,7 +92,7 @@ struct Obs {
   TimePoint time;
   std::size_t job = 0;
   joblog::ExecId exec = 0;
-  bgp::Partition partition{0, 1};
+  bgp::Partition partition;
   bgp::Location location;
 };
 
@@ -247,7 +247,7 @@ JobFilterResult ref_jobfilter(const filter::FilterPipelineResult& filtered,
     for (std::size_t s : survivors) {
       const joblog::JobRecord& job = jobs[s];
       if (job.start_time <= a || job.end_time >= b) continue;
-      if (job.partition.covers(where)) return true;
+      if (job.partition.covers_key(where.packed(), jobs.machine().codec())) return true;
     }
     return false;
   };
@@ -451,8 +451,10 @@ VulnerabilityResult ref_vulnerability(const filter::FilterPipelineResult& filter
   const auto n_midplanes = static_cast<std::size_t>(jobs.machine().midplane_count());
   std::vector<std::size_t> fatal_per_mid(n_midplanes, 0);
   for (const filter::EventGroup& g : filtered.groups) {
-    const auto mid = filtered.fatal_events[g.rep].location.midplane_id();
-    if (mid) fatal_per_mid[static_cast<std::size_t>(*mid)] += 1;
+    const std::uint32_t key = filtered.fatal_events[g.rep].location.packed();
+    if (!machine::LocCodec::is_rack(key)) {
+      fatal_per_mid[static_cast<std::size_t>(jobs.machine().codec().midplanes(key).first)] += 1;
+    }
   }
   std::vector<bgp::MidplaneId> mids(n_midplanes);
   for (std::size_t m = 0; m < n_midplanes; ++m) mids[m] = static_cast<bgp::MidplaneId>(m);
@@ -689,7 +691,8 @@ TEST(CharacterizationDifferential, StreamingEngineAcrossSeeds) {
     bool off_bgp_row = false;
     for (const joblog::JobRecord& job : data.jobs) {
       const int size = job.size_midplanes();
-      if (core::size_row(size, machine::bgq_model()) != core::size_row(size)) {
+      if (core::size_row(size, machine::bgq_model()) !=
+          core::size_row(size, machine::bgp_model())) {
         off_bgp_row = true;
       }
     }
@@ -747,7 +750,8 @@ TEST(CharacterizationDifferential, StreamingEngineAcrossSeeds) {
                                core::CauseRule::FollowsResubmission, 0};
     }
     const core::VulnerabilityResult got =
-        core::analyze_vulnerability(r.filtered, r.matches, all_app, data.jobs);
+        core::analyze_vulnerability(r.filtered, r.matches, all_app, data.jobs,
+                                    core::build_char_columns(r.filtered, r.matches, data.jobs));
     EXPECT_EQ(got.grid.total.interrupted, 0u);
     expect_vulnerability_eq(
         refimpl::ref_vulnerability(r.filtered, r.matches, all_app, data.jobs), got);
@@ -823,10 +827,11 @@ TEST(VulnerabilityConfig, UnreliableMidplaneCountCapsAtMachineSize) {
   core::VulnerabilityConfig all, beyond;
   all.unreliable_midplane_count = static_cast<int>(n_midplanes);
   beyond.unreliable_midplane_count = 100;
+  const core::CharColumns cols = core::build_char_columns(r.filtered, r.matches, jobs);
   const core::VulnerabilityResult want =
-      core::analyze_vulnerability(r.filtered, r.matches, r.classification, jobs, all);
+      core::analyze_vulnerability(r.filtered, r.matches, r.classification, jobs, cols, all);
   const core::VulnerabilityResult got =
-      core::analyze_vulnerability(r.filtered, r.matches, r.classification, jobs, beyond);
+      core::analyze_vulnerability(r.filtered, r.matches, r.classification, jobs, cols, beyond);
   for (const core::FeatureRanking& f : got.features) {
     ASSERT_EQ(f.unreliable_midplanes.size(), n_midplanes);
     std::vector<bgp::MidplaneId> sorted = f.unreliable_midplanes;
@@ -842,8 +847,10 @@ TEST(VulnerabilityConfig, NegativeUnreliableMidplaneCountThrows) {
   const core::CoAnalysisResult r = run_streaming(17);
   core::VulnerabilityConfig config;
   config.unreliable_midplane_count = -1;
-  EXPECT_THROW(core::analyze_vulnerability(r.filtered, r.matches, r.classification,
-                                           scenario(17).jobs, config),
+  const joblog::JobLog& jobs = scenario(17).jobs;
+  EXPECT_THROW(core::analyze_vulnerability(r.filtered, r.matches, r.classification, jobs,
+                                           core::build_char_columns(r.filtered, r.matches, jobs),
+                                           config),
                InvalidArgument);
 }
 

@@ -22,6 +22,7 @@
 #include "coral/ras/log.hpp"
 #include "coral/stream/coanalysis.hpp"
 #include "coral/synth/intrepid.hpp"
+#include "bgp_fixture.hpp"
 #include "corrupt.hpp"
 #include "frontend_oracle.hpp"
 #include "read_equal.hpp"
@@ -52,7 +53,7 @@ void expect_columns_match_events(const ras::RasLog& log) {
     const ras::RasEvent& owner = log[cols.log_index[i]];
     EXPECT_EQ(owner.severity, ras::Severity::Fatal);
     EXPECT_EQ(owner.event_time, fatal[i].event_time);
-    EXPECT_EQ(bgp::Location::from_packed(cols.loc_key[i]), owner.location);
+    EXPECT_EQ(log.machine().location_from_packed(cols.loc_key[i]), owner.location);
   }
 }
 
@@ -69,9 +70,12 @@ TEST(FatalColumns, OutOfOrderAppendsAreSortedConsistently) {
   for (std::size_t i = 0; i < 500; ++i) {
     ras::RasEvent ev;
     ev.event_time = base + static_cast<Usec>((i * 7919) % 500) * kUsecPerMin;
-    ev.location = i % 3 == 0 ? bgp::Location::rack(static_cast<int>(i % 40))
-                             : bgp::Location::node_card(static_cast<int>(i % 80),
-                                                        static_cast<int>(i % 16));
+    const machine::LocCodec& codec = machine::bgp_model().codec();
+    const auto mid = static_cast<bgp::MidplaneId>(i % 80);
+    ev.location = i % 3 == 0
+                      ? testing::bgp_rack(static_cast<int>(i % 40))
+                      : bgp::Location::make(bgp::LocationKind::NodeCard, codec.rack_of_midplane(mid),
+                                            codec.midplane_in_rack(mid), static_cast<int>(i % 16), -1);
     ev.errcode = i % 2 == 0 ? cat.fatal_ids()[i % cat.fatal_ids().size()]
                             : cat.nonfatal_ids()[i % cat.nonfatal_ids().size()];
     ev.severity = i % 2 == 0 ? ras::Severity::Fatal : ras::Severity::Warning;
@@ -156,13 +160,14 @@ TEST(Overlapping, SampledWindowsMatchReference) {
 }
 
 // ---------------------------------------------------------------------------
-// IntervalIndex-backed running_at against the covers() scan it replaced.
+// IntervalIndex-backed running_at against the covers_key() scan it replaced.
 
 std::vector<std::size_t> running_at_reference(const joblog::JobLog& jobs, TimePoint t,
                                               const bgp::Location& loc) {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (jobs[i].start_time <= t && jobs[i].end_time > t && jobs[i].partition.covers(loc)) {
+    if (jobs[i].start_time <= t && jobs[i].end_time > t &&
+        jobs[i].partition.covers_key(loc.packed(), jobs.machine().codec())) {
       out.push_back(i);
     }
   }
@@ -177,7 +182,7 @@ TEST(IntervalIndex, RunningAtMatchesReferenceOnScenario) {
   // locations, whose two-bucket merge path is easy to get wrong.
   const std::size_t step = std::max<std::size_t>(1, cols.size() / 200);
   for (std::size_t i = 0; i < cols.size(); i += step) {
-    const bgp::Location loc = bgp::Location::from_packed(cols.loc_key[i]);
+    const bgp::Location loc = jobs.machine().location_from_packed(cols.loc_key[i]);
     EXPECT_EQ(jobs.running_at(cols.event_time[i], loc),
               running_at_reference(jobs, cols.event_time[i], loc))
         << "event row " << i << " at " << loc.to_string();
@@ -206,7 +211,7 @@ joblog::JobLog boundary_log() {
     rec.queue_time = TimePoint(start);
     rec.start_time = TimePoint(start);
     rec.end_time = TimePoint(end);
-    rec.partition = bgp::Partition(m, count);
+    rec.partition = testing::bgp_part(m, count);
     jobs.append(rec);
   };
   add(1, 1000, 2000, 0, 1);  // the job whose edges the queries probe
@@ -220,7 +225,7 @@ joblog::JobLog boundary_log() {
 
 TEST(IntervalIndexBoundary, RunningAtJobEdges) {
   const joblog::JobLog jobs = boundary_log();
-  const bgp::Location m0 = bgp::Location::midplane(0);
+  const bgp::Location m0 = testing::bgp_midplane(0);
 
   // At the exact start instant the job is running; one tick before, not.
   EXPECT_EQ(jobs.running_at(TimePoint(1000), m0),
@@ -242,14 +247,14 @@ TEST(IntervalIndexBoundary, RunningAtJobEdges) {
 
 TEST(IntervalIndexBoundary, RunningAtRackMergesBothMidplanes) {
   const joblog::JobLog jobs = boundary_log();
-  const bgp::Location rack0 = bgp::Location::rack(0);
+  const bgp::Location rack0 = testing::bgp_rack(0);
   // Jobs 1 (midplane 0) and 4 (midplane 1) both run at t=1500 under rack 0;
   // the two-bucket merge must return them once each, index-sorted.
   EXPECT_EQ(jobs.running_at(TimePoint(1500), rack0),
             running_at_reference(jobs, TimePoint(1500), rack0));
   EXPECT_EQ(jobs.running_at(TimePoint(1500), rack0), (std::vector<std::size_t>{1, 2}));
   // A wide partition's job appears once even though it fills two buckets.
-  const bgp::Location rack1 = bgp::Location::rack(1);
+  const bgp::Location rack1 = testing::bgp_rack(1);
   EXPECT_EQ(jobs.running_at(TimePoint(1500), rack1), (std::vector<std::size_t>{0}));
 }
 
@@ -295,8 +300,9 @@ TEST(OverlappingBoundary, RandomizedEdgeAlignedWindows) {
     const TimePoint end = std::max(edges[0], edges[1]);
     EXPECT_EQ(jobs.overlapping(begin, end), overlapping_reference(jobs, begin, end))
         << "window [" << begin.usec() << ", " << end.usec() << ")";
-    const bgp::Location loc = bgp::Location::midplane(
-        static_cast<bgp::MidplaneId>(rng.uniform_index(bgp::Topology::kMidplanes)));
+    const bgp::Location loc = testing::bgp_midplane(
+        static_cast<bgp::MidplaneId>(rng.uniform_index(
+            static_cast<std::size_t>(machine::bgp_model().midplane_count()))));
     EXPECT_EQ(jobs.running_at(begin, loc), running_at_reference(jobs, begin, loc));
     EXPECT_EQ(jobs.running_at(end, loc), running_at_reference(jobs, end, loc));
   }

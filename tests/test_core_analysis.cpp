@@ -261,13 +261,13 @@ TEST(Vulnerability, BucketHelpers) {
   EXPECT_EQ(runtime_bucket(1600), 2);
   EXPECT_EQ(runtime_bucket(6400), 3);
   EXPECT_EQ(runtime_bucket(1e6), 3);
-  EXPECT_EQ(size_row(1), 0);
-  EXPECT_EQ(size_row(80), 8);
+  EXPECT_EQ(size_row(1, machine::bgp_model()), 0);
+  EXPECT_EQ(size_row(80, machine::bgp_model()), 8);
   // Off-ladder sizes bucket into the next row up instead of throwing (they
   // can reach the analysis through non-BG/P machine models).
-  EXPECT_EQ(size_row(3), 2);
-  EXPECT_EQ(size_row(33), 6);
-  EXPECT_EQ(size_row(81), 8);
+  EXPECT_EQ(size_row(3, machine::bgp_model()), 2);
+  EXPECT_EQ(size_row(33, machine::bgp_model()), 6);
+  EXPECT_EQ(size_row(81, machine::bgp_model()), 8);
   // Machine-derived rows: the BG/Q ladder {1,2,4,8,16,32,64,96}.
   EXPECT_EQ(size_row(96, machine::bgq_model()), 7);
   EXPECT_EQ(size_row(64, machine::bgq_model()), 6);

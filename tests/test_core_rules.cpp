@@ -5,6 +5,8 @@
 
 #include "coral/core/pipeline.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral::core {
 namespace {
 
@@ -33,7 +35,7 @@ struct Scenario {
     j.queue_time = at_hours(start_h - 0.05);
     j.start_time = at_hours(start_h);
     j.end_time = at_hours(end_h);
-    j.partition = bgp::Partition::parse(part);
+    j.partition = testing::bgp_part(part);
     jobs.append(j);
     return j.job_id;
   }
@@ -43,7 +45,7 @@ struct Scenario {
     ev.errcode = *Catalog::instance().find(code);
     ev.severity = ras::Severity::Fatal;
     ev.event_time = at_hours(t_h);
-    ev.location = bgp::Location::parse(where);
+    ev.location = testing::bgp_loc(where);
     ras.append(ev);
   }
 

@@ -6,6 +6,8 @@
 #include "coral/fault/process.hpp"
 #include "coral/fault/storm.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral::fault {
 namespace {
 
@@ -121,7 +123,7 @@ TEST(FaultProcess, IdleTriggersAvoidBusyMidplanes) {
     }
     const auto loc = proc.choose_location(trig, view);
     ASSERT_TRUE(loc.has_value());
-    const auto mid = loc->midplane_id();
+    const auto mid = testing::bgp_midplane_of(*loc);
     if (mid) {
       EXPECT_GE(*mid, 40);
     } else {
@@ -170,7 +172,7 @@ TEST(FaultProcess, InterruptingTriggersPreferWideMidplanes) {
   for (int i = 0; i < n; ++i) {
     const auto loc = proc.choose_location(trig, view);
     ASSERT_TRUE(loc.has_value());
-    const auto mid = loc->midplane_id();
+    const auto mid = testing::bgp_midplane_of(*loc);
     if (mid && *mid >= 32 && *mid < 64) ++in_region;
   }
   EXPECT_GT(in_region, n * 3 / 5);  // strongly biased toward the wide region
@@ -193,7 +195,7 @@ TEST(Storm, PrimaryRecordAlwaysEmitted) {
   Manifestation m;
   m.time = TimePoint::from_calendar(2009, 2, 1);
   m.code = *Catalog::instance().find(ras::codes::kRasStormFatal);
-  m.location = bgp::Location::parse("R05-M1-N03-J07");
+  m.location = testing::bgp_loc("R05-M1-N03-J07");
   m.truth_tag = 42;
   std::vector<TaggedEvent> out;
   storm.expand(m, rng, out);
@@ -212,8 +214,8 @@ TEST(Storm, JobHitFansOutAcrossPartition) {
   Manifestation m;
   m.time = TimePoint::from_calendar(2009, 2, 1);
   m.code = *Catalog::instance().find("_bgp_err_kernel_panic");
-  m.location = bgp::Location::parse("R08-M0-N00-J04");
-  m.job_partition = bgp::Partition::parse("R08-R11");
+  m.location = testing::bgp_loc("R08-M0-N00-J04");
+  m.job_partition = testing::bgp_part("R08-R11");
   m.truth_tag = 1;
   std::vector<TaggedEvent> out;
   storm.expand(m, rng, out);
@@ -222,7 +224,7 @@ TEST(Storm, JobHitFansOutAcrossPartition) {
   for (const auto& te : out) {
     locations.insert(te.event.location.packed());
     // Every record lands within the job's partition footprint.
-    const auto mid = te.event.location.midplane_id();
+    const auto mid = testing::bgp_midplane_of(te.event.location);
     ASSERT_TRUE(mid.has_value());
     EXPECT_TRUE(m.job_partition->contains(*mid));
   }
@@ -236,8 +238,8 @@ TEST(Storm, RecordsStayWithinTemporalWindow) {
   Manifestation m;
   m.time = TimePoint::from_calendar(2009, 2, 1);
   m.code = *Catalog::instance().find("_bgp_err_l2_array_fatal");
-  m.location = bgp::Location::parse("R01-M0-N01-J05");
-  m.job_partition = bgp::Partition::parse("R01-M0");
+  m.location = testing::bgp_loc("R01-M0-N01-J05");
+  m.job_partition = testing::bgp_part("R01-M0");
   std::vector<TaggedEvent> out;
   storm.expand(m, rng, out);
   for (const auto& te : out) {
@@ -267,7 +269,7 @@ TEST(Storm, CascadeEmitsPartnerCode) {
   Manifestation m;
   m.time = TimePoint::from_calendar(2009, 2, 1);
   m.code = *Catalog::instance().find(ras::codes::kRasStormFatal);
-  m.location = bgp::Location::parse("R02-M1-N09-J20");
+  m.location = testing::bgp_loc("R02-M1-N09-J20");
   std::vector<TaggedEvent> out;
   storm.expand(m, rng, out);
   const auto partner = StormModel::cascade_partner(m.code);
@@ -283,7 +285,7 @@ TEST(Storm, IdleFaultEmitsNoPartitionFanout) {
   Manifestation m;
   m.time = TimePoint::from_calendar(2009, 2, 1);
   m.code = *Catalog::instance().find("diags_lattice_fail_00");
-  m.location = bgp::Location::parse("R30-M1-N02");
+  m.location = testing::bgp_loc("R30-M1-N02");
   std::vector<TaggedEvent> out;
   storm.expand(m, rng, out);
   for (const auto& te : out) {

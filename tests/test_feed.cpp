@@ -8,6 +8,8 @@
 #include "coral/core/feed.hpp"
 #include "coral/synth/intrepid.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral::core {
 namespace {
 
@@ -105,7 +107,7 @@ TEST(EventFeed, WindowedReplayPinsTieBreakOrder) {
   for (const TimePoint t : {t0, t1, t2}) {
     ras::RasEvent ev;
     ev.event_time = t;
-    ev.location = bgp::Location::parse("R04-M0");
+    ev.location = testing::bgp_loc("R04-M0");
     ev.severity = ras::Severity::Fatal;
     ras_log.append(ev);
   }
@@ -120,7 +122,7 @@ TEST(EventFeed, WindowedReplayPinsTieBreakOrder) {
   a.queue_time = t0;
   a.start_time = t0;
   a.end_time = t1;
-  a.partition = bgp::Partition::parse("R04-M0");
+  a.partition = testing::bgp_part("R04-M0");
   joblog::JobRecord b = a;
   b.job_id = 2;
   b.start_time = t1;

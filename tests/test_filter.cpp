@@ -9,6 +9,8 @@
 #include "coral/stream/filter_stages.hpp"
 #include "coral/synth/intrepid.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral::filter {
 namespace {
 
@@ -22,7 +24,7 @@ RasEvent make_event(const char* code, double t_sec, const char* where) {
   ev.severity = ras::Severity::Fatal;
   ev.event_time = TimePoint::from_calendar(2009, 3, 1) +
                   static_cast<Usec>(t_sec * kUsecPerSec);
-  ev.location = bgp::Location::parse(where);
+  ev.location = testing::bgp_loc(where);
   return ev;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "bgp_fixture.hpp"
 #include "corrupt.hpp"
 #include "frame_oracle.hpp"
 #include "read_equal.hpp"
@@ -19,6 +20,7 @@
 #include "coral/ras/binary_io.hpp"
 #include "coral/obs/obs.hpp"
 #include "coral/ras/log.hpp"
+#include "coral/stream/session.hpp"
 #include "coral/synth/scenario.hpp"
 #include "coral/synth/intrepid.hpp"
 
@@ -36,7 +38,7 @@ ras::RasLog make_ras_log(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     ras::RasEvent& ev = events[i];
     ev.event_time = base + static_cast<Usec>(i) * kUsecPerMin;
-    ev.location = bgp::Location::midplane(static_cast<int>(i % 80));
+    ev.location = testing::bgp_midplane(static_cast<int>(i % 80));
     ev.errcode = i % 2 == 0 ? cat.fatal_ids()[i % cat.fatal_ids().size()]
                             : cat.nonfatal_ids()[i % cat.nonfatal_ids().size()];
     ev.severity = i % 2 == 0 ? ras::Severity::Fatal : ras::Severity::Info;
@@ -58,7 +60,7 @@ joblog::JobLog make_job_log(std::size_t n) {
     j.start_time = base + static_cast<Usec>(i) * 10 * kUsecPerMin;
     j.queue_time = j.start_time - 5 * kUsecPerMin;
     j.end_time = j.start_time + 30 * kUsecPerMin;
-    j.partition = bgp::Partition(static_cast<int>(i % 40) * 2, 2);
+    j.partition = testing::bgp_part(static_cast<int>(i % 40) * 2, 2);
     j.exit_code = i % 4 == 0 ? 137 : 0;
     log.append(j);
   }
@@ -537,6 +539,67 @@ TEST(FuzzSmokeBinary, RecoversAtLeast99PercentAfterBitFlips) {
         ras::read_binary(in, ras::default_catalog(), ParseMode::Lenient, &rep);
     EXPECT_GE(parsed.size(), n * 99 / 100) << "seed " << seed << ": " << rep.summary();
     EXPECT_EQ(rep.records_seen(), n) << "seed " << seed;
+  }
+}
+
+// A packed location key damaged with its frame CRC repaired: framing passes
+// it, so the per-key location validator alone must catch it. Every record
+// that carries the key (one v2 record, or every record of a v3 dictionary
+// entry) is a BadLocation, nothing else moves, and strict mode refuses.
+TEST(FuzzSmokeBinary, ResealedBadLocationKeyIsBadLocation) {
+  const std::size_t n = 600;
+  const ras::RasLog log = make_ras_log(n);
+  std::stringstream job_buf;
+  joblog::write_binary(job_buf, make_job_log(200));
+  for (const std::uint32_t version : {2u, 3u}) {
+    std::stringstream buf;
+    ras::write_binary(buf, log, {.version = version});
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("v" + std::to_string(version) + ", seed " + std::to_string(seed));
+      Rng rng(seed);
+      std::uint32_t key = 0;
+      const std::string bad = testing::reseal_bad_location_key(buf.str(), rng, &key);
+      ASSERT_NE(bad, buf.str());
+      std::size_t carriers = 0;
+      for (const ras::RasEvent& ev : log) carriers += ev.location.packed() == key ? 1 : 0;
+      const std::size_t expected_bad = version == 2 ? 1 : carriers;
+
+      std::istringstream in(bad);
+      IngestReport rep;
+      ras::RasLog parsed;
+      ASSERT_NO_THROW(parsed = ras::read_binary(in, ras::default_catalog(),
+                                                ParseMode::Lenient, &rep));
+      EXPECT_EQ(rep.malformed(IngestReason::BadLocation), expected_bad);
+      EXPECT_EQ(rep.total_malformed(), expected_bad);
+      EXPECT_EQ(rep.records_ok(), parsed.size());
+      EXPECT_EQ(rep.records_ok() + rep.total_malformed(), n);
+      // Survivors are the originals in order, less records that carried the key.
+      ASSERT_EQ(parsed.size(), n - expected_bad);
+      std::size_t i = 0;
+      for (const ras::RasEvent& got : parsed) {
+        while (i < n && !(log[i].event_time == got.event_time && log[i].serial == got.serial)) {
+          ASSERT_EQ(log[i].location.packed(), key) << "record " << i << " lost";
+          ++i;
+        }
+        ASSERT_LT(i, n);
+        EXPECT_EQ(got.errcode, log[i].errcode);
+        EXPECT_EQ(got.location, log[i].location);
+        EXPECT_EQ(got.severity, log[i].severity);
+        ++i;
+      }
+
+      // A session fed the same bytes reads exactly what the offline read did.
+      stream::Session session("resealed", stream::SessionConfig{}, Context{});
+      ASSERT_EQ(session.feed(stream::Source::Ras, bad), stream::Admission::Accepted);
+      ASSERT_EQ(session.feed(stream::Source::Jobs, job_buf.str()), stream::Admission::Accepted);
+      const stream::SessionResult live = session.finalize();
+      testing::expect_logs_equal(parsed, live.ras);
+      testing::expect_reports_equal(rep, live.ras_report);
+
+      std::istringstream strict_in(bad);
+      EXPECT_THROW(ras::read_binary(strict_in, ras::default_catalog(), ParseMode::Strict),
+                   ParseError);
+    }
   }
 }
 

@@ -8,6 +8,8 @@
 #include "coral/core/pipeline.hpp"
 #include "coral/synth/intrepid.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral {
 namespace {
 
@@ -83,7 +85,7 @@ TEST(Integration, EmptyishLogsDoNotCrash) {
     ev.errcode = *ras::Catalog::instance().find("ecc_correctable");
     ev.severity = ras::Severity::Warning;
     ev.event_time = TimePoint::from_calendar(2009, 1, 6);
-    ev.location = bgp::Location::parse("R00-M0-N00-J04");
+    ev.location = testing::bgp_loc("R00-M0-N00-J04");
     ras.append(ev);
     ras.finalize();
   }
@@ -96,7 +98,7 @@ TEST(Integration, EmptyishLogsDoNotCrash) {
     j.queue_time = TimePoint::from_calendar(2009, 1, 6);
     j.start_time = j.queue_time + kUsecPerMin;
     j.end_time = j.start_time + kUsecPerHour;
-    j.partition = bgp::Partition::parse("R00-M0");
+    j.partition = testing::bgp_part("R00-M0");
     jobs.append(j);
     jobs.finalize();
   }

@@ -5,6 +5,8 @@
 #include "coral/common/error.hpp"
 #include "coral/joblog/log.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral::joblog {
 namespace {
 
@@ -18,7 +20,7 @@ JobRecord make_job(JobLog& log, std::int64_t id, const char* exec, const char* u
   j.queue_time = TimePoint::from_unix_seconds(start_s - 100);
   j.start_time = TimePoint::from_unix_seconds(start_s);
   j.end_time = TimePoint::from_unix_seconds(end_s);
-  j.partition = bgp::Partition::parse(part);
+  j.partition = testing::bgp_part(part);
   return j;
 }
 
@@ -113,23 +115,23 @@ TEST(JobLog, RunningAtLocationMatching) {
   log.finalize();
 
   const auto at_1600_r00m0 =
-      log.running_at(TimePoint::from_unix_seconds(1600), bgp::Location::parse("R00-M0-N03"));
+      log.running_at(TimePoint::from_unix_seconds(1600), testing::bgp_loc("R00-M0-N03"));
   ASSERT_EQ(at_1600_r00m0.size(), 1u);
   EXPECT_EQ(log[at_1600_r00m0[0]].job_id, 1);
 
   const auto at_1600_r01 =
-      log.running_at(TimePoint::from_unix_seconds(1600), bgp::Location::parse("R01-M1"));
+      log.running_at(TimePoint::from_unix_seconds(1600), testing::bgp_loc("R01-M1"));
   ASSERT_EQ(at_1600_r01.size(), 1u);
   EXPECT_EQ(log[at_1600_r01[0]].job_id, 2);
 
   // End time is exclusive: at t=2000 job 1 has exited.
   const auto at_2000 =
-      log.running_at(TimePoint::from_unix_seconds(2000), bgp::Location::parse("R00-M0"));
+      log.running_at(TimePoint::from_unix_seconds(2000), testing::bgp_loc("R00-M0"));
   EXPECT_TRUE(at_2000.empty());
 
   // No job covers R05.
   EXPECT_TRUE(
-      log.running_at(TimePoint::from_unix_seconds(1600), bgp::Location::parse("R05-M0"))
+      log.running_at(TimePoint::from_unix_seconds(1600), testing::bgp_loc("R05-M0"))
           .empty());
 }
 
@@ -138,10 +140,10 @@ TEST(JobLog, RunningAtPartitionOverlap) {
   log.append(make_job(log, 1, "appA", "u1", "p1", 1000, 2000, "R00-R01"));
   log.finalize();
   EXPECT_EQ(
-      log.running_at(TimePoint::from_unix_seconds(1500), bgp::Partition::parse("R01")).size(),
+      log.running_at(TimePoint::from_unix_seconds(1500), testing::bgp_part("R01")).size(),
       1u);
   EXPECT_TRUE(
-      log.running_at(TimePoint::from_unix_seconds(1500), bgp::Partition::parse("R02"))
+      log.running_at(TimePoint::from_unix_seconds(1500), testing::bgp_part("R02"))
           .empty());
 }
 
@@ -180,7 +182,7 @@ TEST(JobLog, CsvRoundTrip) {
   EXPECT_EQ(parsed[0].job_id, 8935);
   EXPECT_EQ(parsed.exec_files()[static_cast<std::size_t>(parsed[0].exec_id)],
             "/gpfs/apps/flash,2");
-  EXPECT_EQ(parsed[0].partition.name(), "R10-R11");
+  EXPECT_EQ(machine::bgp_model().partition_name(parsed[0].partition), "R10-R11");
   EXPECT_NEAR(parsed[0].start_time.unix_seconds(), 1209618043.1, 0.01);
   EXPECT_EQ(parsed[1].size_midplanes(), 1);
 }

@@ -4,6 +4,8 @@
 #include "coral/joblog/stats.hpp"
 #include "coral/synth/intrepid.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral::joblog {
 namespace {
 
@@ -18,7 +20,7 @@ JobLog two_job_log() {
   a.queue_time = t0 - 100 * kUsecPerSec;
   a.start_time = t0;
   a.end_time = a.start_time + kUsecPerHour;
-  a.partition = bgp::Partition::parse("R00-M0");
+  a.partition = testing::bgp_part("R00-M0");
   log.append(a);
   JobRecord b = a;
   b.job_id = 2;
@@ -27,7 +29,7 @@ JobLog two_job_log() {
   b.queue_time = t0 - 300 * kUsecPerSec;
   b.start_time = t0;
   b.end_time = b.start_time + 2 * kUsecPerHour;
-  b.partition = bgp::Partition::parse("R16-R31");  // 32 midplanes
+  b.partition = testing::bgp_part("R16-R31");  // 32 midplanes
   log.append(b);
   log.finalize();
   return log;

@@ -1,15 +1,20 @@
-// The machine layer: the MachineModel interface, the BG/P reference model's
-// byte-identity with the pre-MachineModel pipeline, the BG/Q model's own
-// grammar and partition algebra, and the calibrated scenario packs running
-// end to end on a non-BG/P machine.
+// The machine layer: the data-declared MachineModel, the BG/P reference
+// model's byte-identity with the pre-MachineModel pipeline, the BG/Q model's
+// own grammar and partition algebra, the one grammar pinned by property on
+// every kind of machine, and the calibrated scenario packs running end to
+// end on non-BG/P machines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "coral/common/error.hpp"
 #include "coral/core/pipeline.hpp"
 #include "coral/fleet/fingerprint.hpp"
+#include "coral/joblog/log.hpp"
 #include "coral/machine/model.hpp"
+#include "coral/stream/accumulators.hpp"
 #include "coral/synth/intrepid.hpp"
 #include "coral/synth/packs.hpp"
 
@@ -43,7 +48,7 @@ TEST(MachineRegistry, TopologyDimensions) {
 
 // ---- BG/P byte-identity ----------------------------------------------------
 //
-// The refactor's contract: every BG/P analysis routed through BgpModel is
+// The refactor's contract: every BG/P analysis routed through bgp_model() is
 // byte-identical to the pre-MachineModel code. These fingerprints were
 // captured from the tree *before* the machine layer existed — the CSV hashes
 // pin every record field of a full synth run, the analysis numbers pin the
@@ -120,19 +125,23 @@ TEST(MachineDifferential, BgpCoanalysisFingerprint) {
   EXPECT_DOUBLE_EQ(r.fatal_after_jobfilter.weibull.shape(), 0.52667415655712879);
 }
 
+// The BG/P model is declared as data; it answers what the hard-wired BG/P
+// grammar answered (the property tests below pin the rest).
 TEST(MachineDifferential, BgpModelDelegatesToBgpGrammar) {
   const MachineModel& m = machine::bgp_model();
   const auto loc = m.parse_location("R04-M0-N08-J12");
-  EXPECT_EQ(loc, bgp::Location::parse("R04-M0-N08-J12"));
+  EXPECT_EQ(loc, bgp::Location::make(bgp::LocationKind::ComputeCard, 4, 0, 8, 12));
   EXPECT_EQ(m.location_string(loc), "R04-M0-N08-J12");
   EXPECT_EQ(m.location_from_packed(loc.packed()), loc);
 
-  EXPECT_EQ(m.legal_partition_sizes(), bgp::Partition::legal_sizes());
-  for (const int size : m.legal_partition_sizes()) {
-    EXPECT_EQ(m.partitions_of_size(size), bgp::Partition::all_of_size(size));
+  EXPECT_EQ(m.legal_partition_sizes(), (std::vector<int>{1, 2, 4, 8, 16, 32, 48, 64, 80}));
+  const std::vector<std::pair<int, std::size_t>> counts = {
+      {1, 80}, {2, 40}, {4, 20}, {8, 10}, {16, 5}, {32, 2}, {48, 3}, {64, 2}, {80, 1}};
+  for (const auto& [size, count] : counts) {
+    EXPECT_EQ(m.partitions_of_size(size).size(), count) << size;
   }
-  EXPECT_EQ(m.parse_partition("R08-R11"), bgp::Partition::parse("R08-R11"));
-  EXPECT_EQ(m.partition_name(bgp::Partition(16, 8)), "R08-R11");
+  EXPECT_EQ(m.parse_partition("R08-R11"), bgp::Partition::unchecked(16, 8));
+  EXPECT_EQ(m.partition_name(bgp::Partition::unchecked(16, 8)), "R08-R11");
 }
 
 // ---- BG/Q grammar and algebra ----------------------------------------------
@@ -143,7 +152,7 @@ TEST(BgqModel, LocationGrammar) {
   // BG/Q numbers compute cards J00..J31 (BG/P: J04..J35) and has 48 racks.
   const auto loc = m.parse_location("R47-M1-N15-J00");
   EXPECT_EQ(loc.rack_index(), 47);
-  EXPECT_EQ(loc.midplane_id(), 95);
+  EXPECT_EQ(m.codec().midplanes(loc.packed()).first, 95);
   EXPECT_EQ(m.location_string(loc), "R47-M1-N15-J00");
   EXPECT_EQ(m.location_from_packed(loc.packed()), loc);
 
@@ -153,7 +162,7 @@ TEST(BgqModel, LocationGrammar) {
                ParseError);  // and BG/P starts at J04
 
   EXPECT_EQ(m.location_string(m.midplane_location(95)), "R47-M1");
-  EXPECT_EQ(m.midplane_location(94).midplane_id(), 94);
+  EXPECT_EQ(m.codec().midplanes(m.midplane_location(94).packed()).first, 94);
 }
 
 TEST(BgqModel, LocationOnMidplaneStaysOnMidplane) {
@@ -163,7 +172,7 @@ TEST(BgqModel, LocationOnMidplaneStaysOnMidplane) {
                           bgp::LocationKind::ComputeCard, bgp::LocationKind::IoNode}) {
     for (const machine::MidplaneId mid : {0, 81, 95}) {
       const auto loc = m.location_on_midplane(kind, mid, rng);
-      EXPECT_EQ(loc.midplane_id(), mid);
+      EXPECT_EQ(m.codec().midplanes(loc.packed()).first, mid);
       // Round-trips through the machine's own grammar and codec.
       EXPECT_EQ(m.parse_location(m.location_string(loc)), loc);
       EXPECT_EQ(m.location_from_packed(loc.packed()), loc);
@@ -260,7 +269,7 @@ TEST(ScenarioPacks, ApplyPackIsDeclarative) {
 // ---- BG/Q end to end -------------------------------------------------------
 //
 // The second machine runs the *full* co-analysis pipeline on its own
-// scenario packs: synth on BgqModel, ingest-free columnar path, filtering,
+// scenario packs: synth on bgq_model(), ingest-free columnar path, filtering,
 // matching, per-midplane series sized 96. Goldens committed from seed 11 /
 // 14 days; ±2% relative like the BG/P paper goldens.
 
@@ -405,6 +414,296 @@ TEST(ModelRegistry, DataModelPartitionLadderIsPowerOfTwo) {
   EXPECT_FALSE(model.is_legal_partition(0, 3));   // not a power of two
   EXPECT_TRUE(model.is_legal_partition(0, 6));    // full machine
   EXPECT_FALSE(model.is_legal_partition(2, 6));   // full machine starts at 0
+}
+
+// ---- one grammar, pinned by property ---------------------------------------
+//
+// Every machine shares one location grammar, one packed-key validator and
+// one partition algebra; what differs is data. These properties hold on the
+// two built-ins and on a data-declared machine that does not have 2
+// midplanes per rack.
+
+machine::Topology four_per_rack_topology() {
+  machine::Topology topo;
+  topo.name = "quad";
+  topo.description = "12 racks of 4 midplanes";
+  topo.racks = 12;
+  topo.midplanes_per_rack = 4;
+  return topo;
+}
+
+const machine::DataModel& four_per_rack() {
+  static const machine::DataModel model(four_per_rack_topology());
+  return model;
+}
+
+const machine::DataModel& one_per_rack() {
+  static const machine::DataModel model = [] {
+    machine::Topology topo;
+    topo.name = "mono";
+    topo.description = "10 racks of 1 midplane";
+    topo.racks = 10;
+    topo.midplanes_per_rack = 1;
+    return machine::DataModel(topo);
+  }();
+  return model;
+}
+
+std::vector<const MachineModel*> grammar_machines() {
+  return {&machine::bgp_model(), &machine::bgq_model(), &four_per_rack()};
+}
+
+/// Every valid location of a machine, enumerated from its Topology.
+std::vector<bgp::Location> all_locations(const MachineModel& m) {
+  using K = bgp::LocationKind;
+  const machine::Topology& t = m.topology();
+  std::vector<bgp::Location> out;
+  for (int r = 0; r < t.racks; ++r) {
+    out.push_back(bgp::Location::make(K::Rack, r, -1, -1, -1));
+    for (int mp = 0; mp < t.midplanes_per_rack; ++mp) {
+      out.push_back(bgp::Location::make(K::Midplane, r, mp, -1, -1));
+      out.push_back(bgp::Location::make(K::ServiceCard, r, mp, -1, -1));
+      for (int l = 0; l < t.link_cards_per_midplane; ++l) {
+        out.push_back(bgp::Location::make(K::LinkCard, r, mp, l, -1));
+      }
+      for (int n = 0; n < t.node_cards_per_midplane; ++n) {
+        out.push_back(bgp::Location::make(K::NodeCard, r, mp, n, -1));
+        for (int j = 0; j < t.compute_cards_per_node_card; ++j) {
+          out.push_back(bgp::Location::make(K::ComputeCard, r, mp, n, t.jslot_base + j));
+        }
+        for (int io = 0; io < t.io_nodes_per_node_card; ++io) {
+          out.push_back(bgp::Location::make(K::IoNode, r, mp, n, io));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(MachineGrammar, EveryValidLocationRoundTrips) {
+  for (const MachineModel* m : grammar_machines()) {
+    for (const bgp::Location& loc : all_locations(*m)) {
+      ASSERT_EQ(m->parse_location(m->location_string(loc)), loc) << m->name() << " " << loc.to_string();
+      ASSERT_EQ(m->location_from_packed(loc.packed()), loc) << m->name() << " " << loc.to_string();
+    }
+  }
+}
+
+/// Sweeps every kind and midplane nibble, racks 0..racks, and boundary card
+/// and sub values: the validator accepts exactly the packed keys of valid
+/// locations, returns the Location whose packed() is the key, and rejects
+/// everything else with ParseError.
+void expect_key_sweep_accepts_exactly_valid_keys(const MachineModel* m) {
+  const machine::Topology& t = m->topology();
+  std::set<std::uint32_t> valid;
+  for (const bgp::Location& loc : all_locations(*m)) valid.insert(loc.packed());
+
+  // Per field: 0, 1, the last valid and first invalid value of each kind
+  // that uses the field, the largest real value and the absent sentinel.
+  std::set<std::uint32_t> cards = {0, 1, 0x3E, 0x3F};
+  for (const int n : {t.node_cards_per_midplane, t.link_cards_per_midplane}) {
+    cards.insert(static_cast<std::uint32_t>(n - 1));
+    cards.insert(static_cast<std::uint32_t>(n));
+  }
+  std::set<std::uint32_t> subs = {0, 1, 0x3E, 0x3F};
+  for (const int hi : {t.jslot_base + t.compute_cards_per_node_card, t.io_nodes_per_node_card}) {
+    subs.insert(static_cast<std::uint32_t>(hi - 1));
+    subs.insert(static_cast<std::uint32_t>(hi));
+  }
+  if (t.jslot_base > 0) subs.insert(static_cast<std::uint32_t>(t.jslot_base - 1));
+  subs.insert(static_cast<std::uint32_t>(t.jslot_base));
+
+  std::size_t accepted = 0;
+  for (std::uint32_t kind = 0; kind < 8; ++kind) {
+    for (std::uint32_t rack = 0; rack <= static_cast<std::uint32_t>(t.racks); ++rack) {
+      for (std::uint32_t mp = 0; mp < 16; ++mp) {
+        for (const std::uint32_t card : cards) {
+          for (const std::uint32_t sub : subs) {
+            const std::uint32_t key =
+                kind << 24 | rack << 16 | mp << 12 | (card & 0x3F) << 6 | (sub & 0x3F);
+            bool ok = false;
+            try {
+              ok = m->location_from_packed(key).packed() == key;
+              ASSERT_TRUE(ok) << m->name() << " relocated key 0x" << std::hex << key;
+            } catch (const ParseError&) {
+              ok = false;
+            }
+            ASSERT_EQ(ok, valid.count(key) == 1) << m->name() << " key 0x" << std::hex << key;
+            accepted += ok ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u) << m->name();
+}
+
+TEST(MachineGrammar, KeySweepOnBgp) {
+  expect_key_sweep_accepts_exactly_valid_keys(&machine::bgp_model());
+}
+
+TEST(MachineGrammar, KeySweepOnBgq) {
+  expect_key_sweep_accepts_exactly_valid_keys(&machine::bgq_model());
+}
+
+TEST(MachineGrammar, KeySweepOnFourMidplanesPerRack) {
+  expect_key_sweep_accepts_exactly_valid_keys(&four_per_rack());
+}
+
+// The three partition-legality predicates the built-ins and DataModel used
+// before their ladders became data, frozen here as the oracle.
+int frozen_bgp_rack_alignment(int racks) {
+  switch (racks) {
+    case 1: return 1;
+    case 2: return 2;
+    case 4: return 4;
+    case 8: return 8;
+    case 16: return 16;
+    case 24: return 8;
+    case 32: return 8;
+    case 40: return 40;
+    default: return 0;
+  }
+}
+
+int frozen_bgq_rack_alignment(int racks) {
+  switch (racks) {
+    case 1: return 1;
+    case 2: return 2;
+    case 4: return 4;
+    case 8: return 8;
+    case 16: return 16;
+    case 32: return 16;
+    case 48: return 48;
+    default: return 0;
+  }
+}
+
+bool frozen_blue_gene_legal(int first, int count, int n, int (*rack_alignment)(int)) {
+  if (first < 0 || count <= 0 || first + count > n) return false;
+  if (count == 1) return true;
+  if (count % 2 != 0 || first % 2 != 0) return false;
+  const int align = rack_alignment(count / 2);
+  return align > 0 && (first / 2) % align == 0;
+}
+
+bool frozen_data_model_legal(int first, int count, int n) {
+  if (first < 0 || count <= 0 || first + count > n) return false;
+  if (count == n) return first == 0;
+  if ((count & (count - 1)) != 0) return false;
+  return first % count == 0;
+}
+
+TEST(MachineGrammar, PartitionLegalityMatchesFrozenPredicates) {
+  const auto sweep = [](const MachineModel& m, const auto& want) {
+    const int n = m.midplane_count();
+    for (int first = -1; first <= n + 1; ++first) {
+      for (int count = -1; count <= n + 1; ++count) {
+        ASSERT_EQ(m.is_legal_partition(first, count), want(first, count))
+            << m.name() << " first " << first << " count " << count;
+      }
+    }
+  };
+  sweep(machine::bgp_model(), [](int f, int c) {
+    return frozen_blue_gene_legal(f, c, 80, frozen_bgp_rack_alignment);
+  });
+  sweep(machine::bgq_model(), [](int f, int c) {
+    return frozen_blue_gene_legal(f, c, 96, frozen_bgq_rack_alignment);
+  });
+  for (const MachineModel* m : {static_cast<const MachineModel*>(&four_per_rack()),
+                                static_cast<const MachineModel*>(&one_per_rack())}) {
+    const int n = m->midplane_count();
+    sweep(*m, [n](int f, int c) { return frozen_data_model_legal(f, c, n); });
+  }
+}
+
+// Machines without 2 midplanes per rack: every consumer of "which midplanes
+// does this location touch" agrees with the codec.
+TEST(MachineGrammar, MidplaneRuleFollowsTheCodecOffTwoPerRack) {
+  for (const MachineModel* m : {static_cast<const MachineModel*>(&four_per_rack()),
+                                static_cast<const MachineModel*>(&one_per_rack())}) {
+    const machine::LocCodec& codec = m->codec();
+    const int mpr = m->topology().midplanes_per_rack;
+
+    // One job per legal partition of sizes 1 and 2, all running at t.
+    joblog::JobLog jobs(*m);
+    const joblog::ExecId exec = jobs.intern_exec("/bin/app");
+    const joblog::UserId user = jobs.intern_user("u0");
+    const joblog::ProjectId project = jobs.intern_project("p0");
+    const TimePoint t0 = TimePoint::from_calendar(2009, 1, 1);
+    std::int64_t id = 0;
+    for (const int size : {1, 2}) {
+      for (const bgp::Partition& p : m->partitions_of_size(size)) {
+        joblog::JobRecord j;
+        j.job_id = ++id;
+        j.exec_id = exec;
+        j.user_id = user;
+        j.project_id = project;
+        j.queue_time = t0;
+        j.start_time = t0;
+        j.end_time = t0 + kUsecPerHour;
+        j.partition = p;
+        jobs.append(j);
+      }
+    }
+    jobs.finalize();
+    const TimePoint t = t0 + kUsecPerMin;
+
+    for (const bgp::Location& loc : all_locations(*m)) {
+      if (loc.kind() != bgp::LocationKind::Rack && loc.kind() != bgp::LocationKind::NodeCard) {
+        continue;
+      }
+      const std::uint32_t key = loc.packed();
+      // The rule, written out from the fields.
+      const int first = loc.rack_index() * mpr +
+                        (loc.kind() == bgp::LocationKind::Rack ? 0 : static_cast<int>((key >> 12) & 0xF));
+      const int end = loc.kind() == bgp::LocationKind::Rack ? (loc.rack_index() + 1) * mpr : first + 1;
+      ASSERT_EQ(codec.midplanes(key).first, first) << m->name() << " " << loc.to_string();
+      ASSERT_EQ(codec.midplanes(key).end, end) << m->name() << " " << loc.to_string();
+
+      stream::MidplaneTallies by_loc(*m), by_key(*m);
+      by_loc.add_group_rep(loc);
+      by_key.add_group_rep(key);
+      ASSERT_EQ(by_loc.fatal_events, by_key.fatal_events) << m->name() << " " << loc.to_string();
+      double sum = 0;
+      for (int mid = 0; mid < m->midplane_count(); ++mid) {
+        const double v = by_key.fatal_events[static_cast<std::size_t>(mid)];
+        sum += v;
+        if (mid < first || mid >= end) {
+          ASSERT_EQ(v, 0.0) << m->name() << " " << loc.to_string();
+        }
+      }
+      ASSERT_DOUBLE_EQ(sum, 1.0);
+
+      std::vector<std::size_t> want;
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const bgp::Partition& p = jobs[j].partition;
+        const bool covers = p.first_midplane() < end && first < p.end_midplane();
+        ASSERT_EQ(p.covers_key(key, codec), covers) << m->name() << " " << loc.to_string();
+        if (covers) want.push_back(j);
+      }
+      ASSERT_EQ(jobs.running_at(t, loc), want) << m->name() << " " << loc.to_string();
+    }
+  }
+  // The 4-per-rack machine tallies R09-M3 at midplane 9 * 4 + 3.
+  stream::MidplaneTallies tallies(four_per_rack());
+  tallies.add_group_rep(four_per_rack().parse_location("R09-M3"));
+  EXPECT_EQ(tallies.fatal_events[39], 1.0);
+}
+
+TEST(MachineGrammar, ScenariosRunOffTwoPerRack) {
+  for (const MachineModel* m : {static_cast<const MachineModel*>(&four_per_rack()),
+                                static_cast<const MachineModel*>(&one_per_rack())}) {
+    const auto data = synth::generate(synth::base_scenario(*m, 42, 7));
+    EXPECT_EQ(&data.ras.machine(), m);
+    EXPECT_GT(data.jobs.size(), 0u) << m->name();
+    const auto r = core::run_coanalysis(data.ras, data.jobs);
+    EXPECT_GT(r.filtered.groups.size(), 0u) << m->name();
+    ASSERT_EQ(r.fatal_events_per_midplane.size(), static_cast<std::size_t>(m->midplane_count()));
+    double fatal = 0;
+    for (const double v : r.fatal_events_per_midplane) fatal += v;
+    EXPECT_DOUBLE_EQ(fatal, static_cast<double>(r.filtered.groups.size())) << m->name();
+  }
 }
 
 }  // namespace

@@ -11,10 +11,11 @@
 #include <algorithm>
 #include <vector>
 
-#include "coral/bgp/topology.hpp"
 #include "coral/common/error.hpp"
 #include "coral/ras/catalog.hpp"
 #include "coral/stream/coanalysis.hpp"
+
+#include "bgp_fixture.hpp"
 
 namespace coral::core {
 namespace {
@@ -37,7 +38,7 @@ joblog::JobRecord job_on(std::int64_t id, double start_sec, double end_sec,
   j.job_id = id;
   j.start_time = kBase + static_cast<Usec>(start_sec * kUsecPerSec);
   j.end_time = kBase + static_cast<Usec>(end_sec * kUsecPerSec);
-  j.partition = bgp::Partition(first, midplanes);
+  j.partition = testing::bgp_part(first, midplanes);
   return j;
 }
 
@@ -81,7 +82,7 @@ TEST(MatchBranches, RackLocationExpandsToEveryMidplaneOfTheRack) {
       job_on(2, 0, 1020, bgp::MidplaneId(7)),
       job_on(3, 0, 1030, bgp::MidplaneId(8)),  // rack 4: outside the footprint
   });
-  const auto front = front_end({fatal_at(1000, bgp::Location::rack(3))}, jobs);
+  const auto front = front_end({fatal_at(1000, testing::bgp_rack(3))}, jobs);
   EXPECT_EQ(matched_ids(front.matches, jobs), (std::vector<std::int64_t>{1, 2}));
 }
 
@@ -90,18 +91,18 @@ TEST(MatchBranches, FootprintSaturatesAtWholeMachineAndStopsTheMemberScan) {
   // group, cover the whole machine: every job ending in the window matches,
   // each found by the first member whose location its partition covers.
   std::vector<ras::RasEvent> events;
-  for (int r = 0; r < bgp::Topology::kRacks; ++r)
-    events.push_back(fatal_at(1000, bgp::Location::rack(r)));
-  events.push_back(fatal_at(1000, bgp::Location::midplane(0)));
+  for (int r = 0; r < machine::bgp_model().topology().racks; ++r)
+    events.push_back(fatal_at(1000, testing::bgp_rack(r)));
+  events.push_back(fatal_at(1000, testing::bgp_midplane(0)));
   const auto jobs = make_jobs({
       job_on(1, 0, 1010, bgp::MidplaneId(0)),
       job_on(2, 0, 1020, bgp::MidplaneId(39)),
-      job_on(3, 0, 1030, bgp::MidplaneId(bgp::Topology::kMidplanes - 1)),
+      job_on(3, 0, 1030, bgp::MidplaneId(machine::bgp_model().midplane_count() - 1)),
   });
   const auto front = front_end(std::move(events), jobs);
   ASSERT_EQ(front.filtered.groups.size(), 1u);
   EXPECT_EQ(front.filtered.groups[0].members.size(),
-            static_cast<std::size_t>(bgp::Topology::kRacks) + 1);
+            static_cast<std::size_t>(machine::bgp_model().topology().racks) + 1);
   EXPECT_EQ(matched_ids(front.matches, jobs), (std::vector<std::int64_t>{1, 2, 3}));
 }
 
@@ -109,9 +110,9 @@ TEST(MatchBranches, DuplicateMemberLocationsTouchEachMidplaneOnce) {
   // Three members on the same midplane (one temporal chain): the job is
   // matched exactly once.
   const auto jobs = make_jobs({job_on(1, 0, 1010, bgp::MidplaneId(5))});
-  const auto front = front_end({fatal_at(1000, bgp::Location::midplane(5)),
-                                fatal_at(1001, bgp::Location::midplane(5)),
-                                fatal_at(1002, bgp::Location::midplane(5))},
+  const auto front = front_end({fatal_at(1000, testing::bgp_midplane(5)),
+                                fatal_at(1001, testing::bgp_midplane(5)),
+                                fatal_at(1002, testing::bgp_midplane(5))},
                                jobs);
   ASSERT_EQ(front.filtered.groups.size(), 1u);
   ASSERT_EQ(front.matches.interruptions.size(), 1u);
@@ -126,7 +127,7 @@ TEST(MatchBranches, InvertedIntervalsAreRejectedAtAppendTime) {
                coral::InvalidArgument);
   // Zero-duration jobs are legal and match like any other in-window end.
   const auto jobs = make_jobs({job_on(1, 1010, 1010, bgp::MidplaneId(2))});
-  const auto front = front_end({fatal_at(1000, bgp::Location::midplane(2))}, jobs);
+  const auto front = front_end({fatal_at(1000, testing::bgp_midplane(2))}, jobs);
   EXPECT_EQ(matched_ids(front.matches, jobs), std::vector<std::int64_t>{1});
 }
 
@@ -136,8 +137,8 @@ TEST(MatchBranches, FirstGroupClaimsAJobMatchedByTwoGroups) {
   // only, and the candidate lists still record both.
   const auto jobs = make_jobs({job_on(7, 0, 1010, bgp::MidplaneId(0))});
   const auto front = front_end(
-      {fatal_at(1000, bgp::Location::midplane(0)),
-       fatal_at(1005, bgp::Location::midplane(0), ras::codes::kDdrController)},
+      {fatal_at(1000, testing::bgp_midplane(0)),
+       fatal_at(1005, testing::bgp_midplane(0), ras::codes::kDdrController)},
       jobs);
   const MatchResult& result = front.matches;
   ASSERT_EQ(front.filtered.groups.size(), 2u);
@@ -151,8 +152,8 @@ TEST(MatchBranches, FirstGroupClaimsAJobMatchedByTwoGroups) {
 
 TEST(FilterPipelineBranches, CausalityDisabledSkipsTheStage) {
   const auto jobs = make_jobs({job_on(1, 0, 10, bgp::MidplaneId(3))});
-  const auto front = front_end({fatal_at(0, bgp::Location::midplane(0)),
-                                fatal_at(4000, bgp::Location::midplane(1))},
+  const auto front = front_end({fatal_at(0, testing::bgp_midplane(0)),
+                                fatal_at(4000, testing::bgp_midplane(1))},
                                jobs, /*causality=*/false);
   const filter::FilterPipelineResult& result = front.filtered;
   ASSERT_EQ(result.stages.size(), 3u);  // raw, temporal, spatial — no causality

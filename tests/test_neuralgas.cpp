@@ -4,6 +4,8 @@
 #include "coral/filter/neuralgas.hpp"
 #include "coral/synth/intrepid.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral {
 namespace {
 
@@ -109,7 +111,7 @@ TEST(NeuralGasFilter, ChainGapSplitsDistantRecords) {
       ev.severity = ras::Severity::Fatal;
       ev.event_time = TimePoint::from_calendar(2009, 3, 1 + burst * 7) +
                       static_cast<Usec>(i) * 10 * kUsecPerSec;
-      ev.location = bgp::Location::parse("R00-M0-N00-J04");
+      ev.location = testing::bgp_loc("R00-M0-N00-J04");
       events.push_back(ev);
     }
   }

@@ -8,6 +8,8 @@
 #include "coral/core/pipeline.hpp"
 #include "coral/synth/intrepid.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral::core {
 namespace {
 
@@ -69,7 +71,7 @@ TEST(Observations, Obs4_WeibullFitsWithShapeBelowOne) {
 TEST(Observations, Obs5_FailuresFollowWideJobsNotWorkload) {
   const auto& r = fx().r;
   double fatal_region = 0, fatal_total = 0, work_region = 0, work_total = 0;
-  for (int m = 0; m < bgp::Topology::kMidplanes; ++m) {
+  for (int m = 0; m < machine::bgp_model().midplane_count(); ++m) {
     const auto i = static_cast<std::size_t>(m);
     fatal_total += r.fatal_events_per_midplane[i];
     work_total += r.workload_per_midplane[i];

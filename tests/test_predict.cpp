@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bgp_fixture.hpp"
 #include "corrupt.hpp"
 #include "frontend_oracle.hpp"
 #include "predict_fixture.hpp"
@@ -264,7 +265,7 @@ TEST(PredictPredictor, RefiringInsideWindowSuppressesUntilExpiry) {
   const auto precursor_at = [&](TimePoint t) {
     ras::RasEvent e;
     e.event_time = t;
-    e.location = bgp::Location::midplane(3);
+    e.location = testing::bgp_midplane(3);
     e.errcode = codes.a;
     e.severity = ras::Severity::Fatal;
     return e;
@@ -287,17 +288,15 @@ TEST(PredictPredictor, RackPrecursorFansOutToItsMidplanes) {
   const machine::MachineModel& machine = machine::bgp_model();
   ras::RasEvent e;
   e.event_time = TimePoint::from_calendar(2009, 1, 5);
-  e.location = bgp::Location::rack(2);
+  e.location = testing::bgp_rack(2);
   e.errcode = codes.a;
   e.severity = ras::Severity::Fatal;
   predict::Predictor predictor(table, machine);
   predictor.on_record(e);
-  const machine::LocCodec& codec = machine.codec();
-  ASSERT_EQ(predictor.predictions().size(),
-            static_cast<std::size_t>(codec.midplanes_per_rack));
-  const machine::MidplaneId first = codec.rack_first_midplane(e.location.packed());
-  for (int m = 0; m < codec.midplanes_per_rack; ++m) {
-    EXPECT_EQ(predictor.predictions()[static_cast<std::size_t>(m)].midplane, first + m);
+  const machine::MidplaneRange rack = machine.codec().rack_midplanes(2);
+  ASSERT_EQ(predictor.predictions().size(), static_cast<std::size_t>(rack.size()));
+  for (int m = 0; m < rack.size(); ++m) {
+    EXPECT_EQ(predictor.predictions()[static_cast<std::size_t>(m)].midplane, rack.first + m);
   }
 }
 
@@ -376,7 +375,7 @@ TEST(PredictSessionParity, SessionWithoutRulesPredictsNothing) {
               j.queue_time = TimePoint::from_calendar(2009, 1, 5);
               j.start_time = j.queue_time + kUsecPerMin;
               j.end_time = j.start_time + kUsecPerHour;
-              j.partition = bgp::Partition(0, 2);
+              j.partition = testing::bgp_part(0, 2);
               jobs.append(j);
               jobs.finalize();
               return jobs;

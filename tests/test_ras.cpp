@@ -8,6 +8,8 @@
 #include "coral/ras/catalog.hpp"
 #include "coral/ras/log.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral::ras {
 namespace {
 
@@ -102,7 +104,7 @@ RasEvent make_event(const char* code, const char* when, const char* where) {
   ev.errcode = *Catalog::instance().find(code);
   ev.severity = Catalog::instance().info(ev.errcode).severity;
   ev.event_time = TimePoint::parse_ras(when);
-  ev.location = bgp::Location::parse(where);
+  ev.location = testing::bgp_loc(where);
   ev.serial = 12345;
   return ev;
 }

@@ -5,6 +5,8 @@
 #include "coral/core/pipeline.hpp"
 #include "coral/synth/intrepid.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral {
 namespace {
 
@@ -81,8 +83,8 @@ TEST(Robustness, LocationParserFuzz) {
       s += alphabet[rng.uniform_index(alphabet.size())];
     }
     try {
-      const bgp::Location loc = bgp::Location::parse(s);
-      const bgp::Location again = bgp::Location::parse(loc.to_string());
+      const bgp::Location loc = testing::bgp_loc(s);
+      const bgp::Location again = testing::bgp_loc(loc.to_string());
       EXPECT_EQ(loc, again) << s;
     } catch (const ParseError&) {
       // fine
@@ -100,8 +102,8 @@ TEST(Robustness, PartitionParserFuzz) {
       s += alphabet[rng.uniform_index(alphabet.size())];
     }
     try {
-      const bgp::Partition p = bgp::Partition::parse(s);
-      EXPECT_EQ(bgp::Partition::parse(p.name()), p) << s;
+      const bgp::Partition p = testing::bgp_part(s);
+      EXPECT_EQ(testing::bgp_part(machine::bgp_model().partition_name(p)), p) << s;
     } catch (const ParseError&) {
       // fine
     }

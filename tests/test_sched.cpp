@@ -13,6 +13,8 @@
 #include "coral/sched/policy.hpp"
 #include "coral/sched/pool.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral::sched {
 namespace {
 
@@ -78,7 +80,7 @@ const PlacementTable& bgp_table() {
 
 TEST(PartitionPool, AcquireReleaseRoundTrip) {
   PartitionPool pool;
-  const Partition p = Partition::parse("R00");
+  const Partition p = testing::bgp_part("R00");
   EXPECT_TRUE(pool.is_free(p));
   pool.acquire(p);
   EXPECT_FALSE(pool.is_free(p));
@@ -92,30 +94,30 @@ TEST(PartitionPool, AcquireReleaseRoundTrip) {
 
 TEST(PartitionPool, DoubleAcquireThrows) {
   PartitionPool pool;
-  pool.acquire(Partition::parse("R00-M0"));
-  EXPECT_THROW(pool.acquire(Partition::parse("R00-M0")), InvalidArgument);
+  pool.acquire(testing::bgp_part("R00-M0"));
+  EXPECT_THROW(pool.acquire(testing::bgp_part("R00-M0")), InvalidArgument);
   // Overlapping partition also fails.
-  EXPECT_THROW(pool.acquire(Partition::parse("R00")), InvalidArgument);
+  EXPECT_THROW(pool.acquire(testing::bgp_part("R00")), InvalidArgument);
 }
 
 TEST(PartitionPool, ReleaseFreeThrows) {
   PartitionPool pool;
-  EXPECT_THROW(pool.release(Partition::parse("R00-M0")), InvalidArgument);
+  EXPECT_THROW(pool.release(testing::bgp_part("R00-M0")), InvalidArgument);
 }
 
 TEST(PartitionPool, ForceAcquireIsIdempotent) {
   PartitionPool pool;
-  pool.acquire(Partition::parse("R00-M0"));
-  pool.force_acquire(Partition::parse("R00"));  // overlaps the busy midplane
+  pool.acquire(testing::bgp_part("R00-M0"));
+  pool.force_acquire(testing::bgp_part("R00"));  // overlaps the busy midplane
   EXPECT_EQ(pool.busy_count(), 2u);
-  pool.release(Partition::parse("R00"));
+  pool.release(testing::bgp_part("R00"));
   EXPECT_EQ(pool.busy_count(), 0u);
 }
 
 TEST(PartitionPool, FreePartitionsShrinkUnderLoad) {
   PartitionPool pool;
   EXPECT_EQ(free_partitions(pool, 80).size(), 1u);
-  pool.acquire(Partition::parse("R20-M0"));
+  pool.acquire(testing::bgp_part("R20-M0"));
   EXPECT_TRUE(free_partitions(pool, 80).empty());
   EXPECT_EQ(free_partitions(pool, 1).size(), 79u);
 }
@@ -125,24 +127,24 @@ TEST(PartitionPool, FreePartitionsShrinkUnderLoad) {
 TEST(Policy, ShortNarrowJobsPreferMidplanes0And1) {
   SchedulerConfig config;
   const Usec short_rt = 100 * kUsecPerSec;
-  EXPECT_LT(placement_rank(config, Partition(0, 1), short_rt),
-            placement_rank(config, Partition(70, 1), short_rt));
-  EXPECT_LT(placement_rank(config, Partition(70, 1), short_rt),
-            placement_rank(config, Partition(40, 1), short_rt));
+  EXPECT_LT(placement_rank(config, testing::bgp_part(0, 1), short_rt),
+            placement_rank(config, testing::bgp_part(70, 1), short_rt));
+  EXPECT_LT(placement_rank(config, testing::bgp_part(70, 1), short_rt),
+            placement_rank(config, testing::bgp_part(40, 1), short_rt));
 }
 
 TEST(Policy, LongNarrowJobsPreferHighMidplanes) {
   SchedulerConfig config;
   const Usec long_rt = 8000 * kUsecPerSec;
-  EXPECT_LT(placement_rank(config, Partition(70, 1), long_rt),
-            placement_rank(config, Partition(0, 1), long_rt));
-  EXPECT_LT(placement_rank(config, Partition(0, 1), long_rt),
-            placement_rank(config, Partition(40, 1), long_rt));
+  EXPECT_LT(placement_rank(config, testing::bgp_part(70, 1), long_rt),
+            placement_rank(config, testing::bgp_part(0, 1), long_rt));
+  EXPECT_LT(placement_rank(config, testing::bgp_part(0, 1), long_rt),
+            placement_rank(config, testing::bgp_part(40, 1), long_rt));
 }
 
 TEST(Policy, WideJobsPreferReservedRegion) {
   SchedulerConfig config;
-  const auto p32 = Partition::all_of_size(32);
+  const auto p32 = machine::bgp_model().partitions_of_size(32);
   ASSERT_EQ(p32.size(), 2u);
   // The partition inside midplanes 32..63 ranks ahead of midplanes 0..31.
   EXPECT_LT(placement_rank(config, p32[1], kUsecPerHour),
@@ -151,8 +153,8 @@ TEST(Policy, WideJobsPreferReservedRegion) {
 
 TEST(Policy, MidSizeJobsAvoidWideRegion) {
   SchedulerConfig config;
-  EXPECT_LT(placement_rank(config, Partition(8, 4), kUsecPerHour),
-            placement_rank(config, Partition(40, 4), kUsecPerHour));
+  EXPECT_LT(placement_rank(config, testing::bgp_part(8, 4), kUsecPerHour),
+            placement_rank(config, testing::bgp_part(40, 4), kUsecPerHour));
 }
 
 TEST(Policy, ChoosesFreePartitionOfRequestedSize) {
@@ -165,7 +167,7 @@ TEST(Policy, ChoosesFreePartitionOfRequestedSize) {
 
 TEST(Policy, ReturnsNulloptWhenNothingFits) {
   PartitionPool pool;
-  pool.acquire(bgp::Partition(0, 80));
+  pool.acquire(testing::bgp_part(0, 80));
   Rng rng(1);
   EXPECT_FALSE(bgp_table().choose(pool, 1, kUsecPerHour, std::nullopt, rng));
 }
@@ -175,7 +177,7 @@ TEST(Policy, ResubmissionAffinityReusesPreviousPartition) {
   config.resubmit_same_partition_prob = 1.0;
   PartitionPool pool;
   Rng rng(2);
-  const Partition prev = Partition::parse("R17");
+  const Partition prev = testing::bgp_part("R17");
   const auto part =
       PlacementTable(pool.machine(), config).choose(pool, 2, kUsecPerHour, prev, rng);
   ASSERT_TRUE(part.has_value());
@@ -186,7 +188,7 @@ TEST(Policy, AffinityIgnoredWhenPreviousBusy) {
   SchedulerConfig config;
   config.resubmit_same_partition_prob = 1.0;
   PartitionPool pool;
-  const Partition prev = Partition::parse("R17");
+  const Partition prev = testing::bgp_part("R17");
   pool.acquire(prev);
   Rng rng(3);
   const auto part =
@@ -200,7 +202,7 @@ TEST(Policy, AffinityIgnoredOnSizeChange) {
   config.resubmit_same_partition_prob = 1.0;
   PartitionPool pool;
   Rng rng(4);
-  const Partition prev = Partition::parse("R17");
+  const Partition prev = testing::bgp_part("R17");
   const auto part =
       PlacementTable(pool.machine(), config).choose(pool, 4, kUsecPerHour, prev, rng);
   ASSERT_TRUE(part.has_value());

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "bgp_fixture.hpp"
 #include "corrupt.hpp"
 
 #include "coral/common/error.hpp"
@@ -30,7 +31,7 @@ ras::RasLog make_ras_log(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     ras::RasEvent& ev = events[i];
     ev.event_time = base + static_cast<Usec>(i) * kUsecPerMin;
-    ev.location = bgp::Location::midplane(static_cast<int>(i % 80));
+    ev.location = testing::bgp_midplane(static_cast<int>(i % 80));
     ev.errcode = i % 2 == 0 ? cat.fatal_ids()[i % cat.fatal_ids().size()]
                             : cat.nonfatal_ids()[i % cat.nonfatal_ids().size()];
     ev.severity = i % 2 == 0 ? ras::Severity::Fatal : ras::Severity::Info;
@@ -51,7 +52,7 @@ joblog::JobLog make_job_log(std::size_t n) {
     j.start_time = base + static_cast<Usec>(i) * 10 * kUsecPerMin;
     j.queue_time = j.start_time - 5 * kUsecPerMin;
     j.end_time = j.start_time + 30 * kUsecPerMin;
-    j.partition = bgp::Partition(static_cast<int>(i % 40) * 2, 2);
+    j.partition = testing::bgp_part(static_cast<int>(i % 40) * 2, 2);
     j.exit_code = i % 4 == 0 ? 137 : 0;
     log.append(j);
   }

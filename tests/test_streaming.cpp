@@ -18,6 +18,7 @@
 #include "coral/stream/shard.hpp"
 #include "coral/synth/intrepid.hpp"
 #include "coral/synth/packs.hpp"
+#include "bgp_fixture.hpp"
 #include "frontend_oracle.hpp"
 
 namespace coral {
@@ -312,7 +313,7 @@ ras::RasLog fatal_log(const std::vector<Fatal>& records) {
     ev.errcode = *ras::Catalog::instance().find(f.code);
     ev.severity = ras::Severity::Fatal;
     ev.event_time = kBase + static_cast<Usec>(f.sec * kUsecPerSec);
-    ev.location = bgp::Location::midplane(f.midplane);
+    ev.location = testing::bgp_midplane(f.midplane);
     events.push_back(ev);
   }
   return ras::RasLog(std::move(events));
@@ -332,7 +333,7 @@ joblog::JobLog one_job(double start_sec, double end_sec) {
   j.queue_time = kBase + static_cast<Usec>(start_sec * kUsecPerSec);
   j.start_time = j.queue_time;
   j.end_time = kBase + static_cast<Usec>(end_sec * kUsecPerSec);
-  j.partition = bgp::Partition(0, 1);
+  j.partition = testing::bgp_part(0, 1);
   jobs.append(j);
   jobs.finalize();
   return jobs;
@@ -381,7 +382,7 @@ joblog::JobLog jobs_ending_at(const std::vector<TimePoint>& ends, bgp::MidplaneI
     j.start_time = ends[i] - 3600 * kUsecPerSec;
     j.queue_time = j.start_time;
     j.end_time = ends[i];
-    j.partition = bgp::Partition(midplane, 1);
+    j.partition = testing::bgp_part(midplane, 1);
     jobs.append(j);
   }
   jobs.finalize();
@@ -476,7 +477,7 @@ TEST(StreamingMatcher, StandaloneKeepsJobEndsUntilAWatermarkArrives) {
       members, {});
   matcher.on_job_end(jobs[0].end_time, jobs[0], 0);
   stream::StreamGroup g = stream::StreamGroup::single(0, kBase + 200 * kUsecPerSec, 0,
-                                                      bgp::Location::midplane(0).packed());
+                                                      testing::bgp_midplane(0).packed());
   matcher.on_watermark(g.rep_time);
   matcher.on_watermark(kBase);  // weaker promise: ignored
   matcher.on_group(std::move(g));

@@ -11,6 +11,8 @@
 #include "coral/obs/obs.hpp"
 #include "coral/synth/intrepid.hpp"
 
+#include "bgp_fixture.hpp"
+
 namespace coral::synth {
 namespace {
 
@@ -115,8 +117,8 @@ TEST(Simulation, DifferentSeedsDiffer) {
 TEST(Simulation, NoOverlappingJobsOnAnyMidplane) {
   const SynthResult& r = small_result();
   // Sweep per midplane: intervals must not overlap.
-  std::array<std::vector<std::pair<TimePoint, TimePoint>>, bgp::Topology::kMidplanes>
-      intervals;
+  std::vector<std::vector<std::pair<TimePoint, TimePoint>>> intervals(
+      static_cast<std::size_t>(machine::bgp_model().midplane_count()));
   for (const auto& job : r.jobs) {
     for (bgp::MidplaneId m : job.partition.midplanes()) {
       intervals[static_cast<std::size_t>(m)].push_back({job.start_time, job.end_time});
