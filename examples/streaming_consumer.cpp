@@ -1,13 +1,19 @@
-// Live consumption of the merged RAS/job event stream (the CiFTS-style feed
-// of SS VII) through the streaming stages: mine causal pairs in a warm-up
-// window, then run the windowed filter -> matcher pipeline incrementally,
-// alerting on each job interruption as soon as its match window closes —
-// with state bounded by the windows, not the log.
+// Live consumption of the RAS/job event stream (the CiFTS-style feed of
+// SS VII) through the streaming stages: mine causal pairs in a warm-up
+// window, then run the windowed filter -> causality -> matcher pipeline
+// incrementally, alerting on each job interruption as soon as its match
+// window closes — with state bounded by the windows, not the log.
+//
+// The stages take the columnar inputs the front end
+// (stream::run_streaming_frontend) feeds them: FATAL records from
+// ras::FatalColumns into StreamingFilter::on_fatal, and job terminations in
+// JobLog::by_end_time() order into StreamingMatcher::on_job_end.
 //
 //   $ ./example_streaming_consumer [seed] [days] [warmup_days]
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <vector>
 
 #include "coral/ras/catalog.hpp"
 #include "coral/stream/filter_stages.hpp"
@@ -25,20 +31,22 @@ int main(int argc, char** argv) {
   std::printf("Generated %d days: %zu RAS records, %zu jobs\n", days, data.ras.size(),
               data.jobs.size());
 
-  // Group members are linked through the FATAL-record indices StageDriver
-  // numbers records with; one chain per pass over the records.
+  // Group members are linked through the FATAL-record rows of the columns;
+  // one chain per pass over the records.
   const ras::FatalColumns& fatal = data.ras.fatal_columns();
+  const std::vector<std::size_t>& by_end = data.jobs.by_end_time();
 
   // --- Warm-up: mine causal errcode pairs over the first warmup_days. ---
+  const TimePoint warmup_end = scenario.start + warmup_days * kUsecPerDay;
   stream::MemberChain warmup_members(fatal.size());
   stream::GroupBuffer warmup_groups;
   stream::StreamingFilter::Options mine_options;
   mine_options.mine_pairs = true;
   stream::StreamingFilter mining_filter(mine_options, warmup_members, warmup_groups);
-  stream::StageDriver warmup(data.ras, data.jobs);
-  warmup.attach(mining_filter);
-  warmup.replay(scenario.start, scenario.start + warmup_days * kUsecPerDay);
-  warmup.flush();
+  for (std::size_t i = 0; i < fatal.size() && fatal.event_time[i] < warmup_end; ++i) {
+    mining_filter.on_fatal(fatal.event_time[i], fatal.errcode[i], fatal.loc_key[i], i);
+  }
+  mining_filter.flush();
 
   const filter::CausalityFilterConfig causality;
   const auto pairs =
@@ -46,8 +54,9 @@ int main(int argc, char** argv) {
   std::printf("Warm-up (%d days): %zu groups seen, %zu causal pairs mined\n\n",
               warmup_days, warmup_groups.groups.size(), pairs.size());
 
-  // --- Live pipeline: filter (using the mined pairs) into the matcher;
-  // every resolved group with matched jobs becomes an alert. ---
+  // --- Live pipeline: filter, then causality merging with the mined pairs
+  // into the matcher (phase 2 of the front end); every resolved group with
+  // matched jobs becomes an alert. ---
   std::size_t alerts = 0, quiet_groups = 0;
   stream::MemberChain members(fatal.size());
   stream::StreamingMatcher matcher(
@@ -69,30 +78,43 @@ int main(int argc, char** argv) {
           std::printf("\n");
         }
       },
-      members, fatal.loc_key);
-
-  stream::StreamingFilter::Options live_options;
-  live_options.pairs = pairs;
-  stream::StreamingFilter live_filter(live_options, members, matcher);
-  stream::StageDriver live(data.ras, data.jobs);
-  live.attach(live_filter);
-  live.attach(matcher);
+      members, fatal.loc_key, data.jobs.machine().codec());
+  stream::CausalityCoalescer live_causality(causality.window, pairs, members, &matcher);
+  stream::StreamingFilter live_filter({}, members, live_causality);
 
   // Deliver the stream one day at a time, as a daemon tailing the logs
-  // would; one final catch-up window collects stragglers, then flush.
-  for (int day = 0; day < days; ++day) {
-    live.replay(scenario.start + day * kUsecPerDay,
-                scenario.start + (day + 1) * kUsecPerDay);
-  }
-  live.replay(scenario.start + days * kUsecPerDay,
-              TimePoint(std::numeric_limits<Usec>::max()));
-  live.flush();
+  // would: each day's FATAL records and job terminations merged in time
+  // order, a record before a termination at the same time. One final
+  // catch-up window collects stragglers, then flush.
+  std::size_t next_fatal = 0, next_end = 0;
+  const auto deliver_until = [&](TimePoint until) {
+    for (;;) {
+      const bool fatal_due = next_fatal < fatal.size() && fatal.event_time[next_fatal] < until;
+      const joblog::JobRecord* job =
+          next_end < by_end.size() ? &data.jobs[by_end[next_end]] : nullptr;
+      const bool end_due = job != nullptr && job->end_time < until;
+      if (fatal_due && (!end_due || fatal.event_time[next_fatal] <= job->end_time)) {
+        live_filter.on_fatal(fatal.event_time[next_fatal], fatal.errcode[next_fatal],
+                             fatal.loc_key[next_fatal], next_fatal);
+        ++next_fatal;
+      } else if (end_due) {
+        matcher.on_job_end(*job, by_end[next_end]);
+        ++next_end;
+      } else {
+        return;
+      }
+    }
+  };
+  for (int day = 1; day <= days; ++day) deliver_until(scenario.start + day * kUsecPerDay);
+  deliver_until(TimePoint(std::numeric_limits<Usec>::max()));
+  live_filter.flush();
 
   if (alerts > 10) std::printf("... and %zu more alerts\n", alerts - 10);
   std::printf("\n%zu interruption alerts, %zu quiet fatal groups\n", alerts,
               quiet_groups);
   std::printf("peak buffered state: filter %zu groups, matcher %zu entries "
               "(vs %zu raw records)\n",
-              live_filter.peak_buffered(), matcher.peak_buffered(), data.ras.size());
+              live_filter.peak_buffered() + live_causality.peak_chains(),
+              matcher.peak_buffered(), data.ras.size());
   return 0;
 }

@@ -7,7 +7,8 @@
 #   smoke    — scenario-matrix smoke: every registered machine model runs
 #              every calibrated scenario pack through the co-analysis at a
 #              short horizon (perf_scenarios --smoke; whole matrix is well
-#              under a second, tier-1 budget).
+#              under a second, tier-1 budget), the day-by-day streaming
+#              consumer example, and a logtool v2 -> v3 round trip.
 #   daemon   — fleet-daemon smoke: start coral_daemon, feed two tenants
 #              (bgp + bgq) concurrently over the wire protocol, scrape
 #              /metrics mid-run (live, non-final per-tenant counters), and
@@ -118,8 +119,12 @@ esac
 if [ "$RUN_SMOKE" -eq 1 ]; then
   echo "==== [smoke] scenario matrix (machines x packs) ===="
   cmake --preset release
-  cmake --build --preset release -j "$JOBS" --target perf_scenarios coral_logtool
+  cmake --build --preset release -j "$JOBS" \
+    --target perf_scenarios coral_logtool example_streaming_consumer
   build/release/bench/perf_scenarios --smoke
+
+  echo "==== [smoke] streaming consumer: day-by-day stage delivery ===="
+  build/release/examples/example_streaming_consumer
 
   echo "==== [smoke] logtool v2 -> v3 convert + verify round trip ===="
   LOGTOOL_OUT=$(mktemp -d)

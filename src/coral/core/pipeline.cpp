@@ -4,11 +4,25 @@
 #include <set>
 #include <utility>
 
+#include "coral/common/error.hpp"
 #include "coral/obs/obs.hpp"
 #include "coral/stream/accumulators.hpp"
 #include "coral/stream/coanalysis.hpp"
 
 namespace coral::core {
+
+namespace {
+
+/// The vulnerability ranking and the per-day series are defined over the
+/// job log, so an analysis without a single job is refused up front, with
+/// a message about the input rather than a failed precondition deep inside.
+void require_jobs(const joblog::JobLog& jobs) {
+  if (jobs.empty()) {
+    throw InvalidArgument("co-analysis needs at least one job; the job log is empty");
+  }
+}
+
+}  // namespace
 
 IngestedLogs ingest_csv_logs(std::istream& ras_in, std::istream& jobs_in, ParseMode mode,
                              const Context& ctx) {
@@ -23,6 +37,7 @@ IngestedLogs ingest_csv_logs(std::istream& ras_in, std::istream& jobs_in, ParseM
 CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
                                      MatchResult matches, const joblog::JobLog& jobs,
                                      const CoAnalysisConfig& config, const Context& ctx) {
+  require_jobs(jobs);
   CoAnalysisResult r;
   r.machine_ = &jobs.machine();
   r.filtered = std::move(filtered);
@@ -114,13 +129,11 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
   r.distinct_interrupted_jobs = distinct.size();
 
   // Fig. 5: interruptions per day. The job log's first submission anchors
-  // day 0, and a non-empty job log always materializes at least one bucket.
-  if (!jobs.empty()) {
-    stream::DailyCounter daily(jobs.summary().first_submit);
-    for (const Interruption& in : r.matches.interruptions) daily.add(in.time);
-    daily.ensure_days(1);
-    r.interruptions_per_day = daily.take();
-  }
+  // day 0, and at least one bucket is always materialized.
+  stream::DailyCounter daily(jobs.summary().first_submit);
+  for (const Interruption& in : r.matches.interruptions) daily.add(in.time);
+  daily.ensure_days(1);
+  r.interruptions_per_day = daily.take();
 
   // Fig. 4 series.
   stream::MidplaneTallies tallies(jobs.machine());
@@ -136,6 +149,7 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
 
 CoAnalysisResult run_coanalysis(const ras::RasLog& ras, const joblog::JobLog& jobs,
                                 const CoAnalysisConfig& config, const Context& ctx) {
+  require_jobs(jobs);
   stream::FrontEndConfig fe;
   fe.filters = config.filters;
   fe.match_window = config.matching.window;

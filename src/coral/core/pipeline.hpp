@@ -98,7 +98,8 @@ struct CoAnalysisResult {
 /// Run the identification / classification / job-filter steps and the §V/§VI
 /// characterization analyses on an already filtered + matched log pair. This
 /// is the back half of run_coanalysis, exposed so callers can complete a
-/// front end they drove themselves.
+/// front end they drove themselves. Throws InvalidArgument when `jobs` is
+/// empty.
 CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
                                      MatchResult matches, const joblog::JobLog& jobs,
                                      const CoAnalysisConfig& config = {},
@@ -111,7 +112,7 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
 /// else.
 /// The context supplies the worker pool for the data-parallel stages and
 /// the collector for per-stage spans; results are identical with or
-/// without either.
+/// without either. Throws InvalidArgument when `jobs` is empty.
 CoAnalysisResult run_coanalysis(const ras::RasLog& ras, const joblog::JobLog& jobs,
                                 const CoAnalysisConfig& config = {},
                                 const Context& ctx = {});

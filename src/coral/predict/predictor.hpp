@@ -8,7 +8,6 @@
 #include "coral/predict/rules.hpp"
 #include "coral/ras/log.hpp"
 #include "coral/sched/policy.hpp"
-#include "coral/stream/stage.hpp"
 
 namespace coral::predict {
 
@@ -107,25 +106,6 @@ class Predictor {
 /// reference the online session path is pinned against.
 std::vector<Prediction> replay(const RuleTable& table, const ras::RasLog& log,
                                obs::Collector* collector = nullptr);
-
-/// stream::Stage adapter, so a predictor can ride any StageDriver replay
-/// alongside the filter stages.
-class PredictorStage : public stream::Stage {
- public:
-  PredictorStage(const RuleTable& table, const machine::MachineModel& machine,
-                 obs::Collector* collector = nullptr)
-      : predictor_(table, machine, collector) {}
-
-  void on_ras(TimePoint /*t*/, const ras::RasEvent& event, std::size_t /*index*/) override {
-    predictor_.on_record(event);
-  }
-
-  Predictor& predictor() { return predictor_; }
-  const Predictor& predictor() const { return predictor_; }
-
- private:
-  Predictor predictor_;
-};
 
 /// Closes the loop into the scheduler: feeds every RAS record through a
 /// predictor and advises the placement policy to avoid midplanes with an

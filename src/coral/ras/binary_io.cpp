@@ -129,7 +129,7 @@ std::vector<ChunkOut> decode_chunks(std::vector<BlockSlot>& slots, par::ThreadPo
   par::parallel_for_chunks(
       chunks, 1,
       [&](std::size_t cb, std::size_t ce) {
-        RasV3Scratch scratch;
+        RasDecodeScratch scratch;
         for (std::size_t c = cb; c < ce; ++c) {
           ChunkOut& out = outs[c];
           for (std::size_t b = c * nblocks / chunks; b < (c + 1) * nblocks / chunks; ++b) {
@@ -312,7 +312,7 @@ RasLog read_region_parallel_v3(std::string_view region, const Catalog& catalog,
   std::vector<RasEvent> events(assign_slots(slots, base));
 
   std::vector<ChunkOut> outs = decode_chunks(
-      slots, pool, [&](BlockSlot& s, ChunkOut& out, RasV3Scratch& scratch) {
+      slots, pool, [&](BlockSlot& s, ChunkOut& out, RasDecodeScratch& scratch) {
         const bin::FrameRef& fr = *s.frame;
         const char* payload = base + fr.offset + bin::kBlockHeaderBytes;
         if (bin::crc32(payload, fr.size) != fr.crc) {

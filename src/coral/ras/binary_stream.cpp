@@ -114,7 +114,7 @@ std::size_t decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dic
                                ParseMode mode, const machine::MachineModel& machine,
                                IngestReport& rep, const RasBlockOut& out,
                                std::uint64_t& attempted, bin::BlockCounters& blocks,
-                               const bin::ZoneFilter* filter) {
+                               RasDecodeScratch& scratch, const bin::ZoneFilter* filter) {
   ++blocks.total;
   const auto n = cur.get<std::uint32_t>();
   // The payload holds whole records for at most `avail` of the n declared
@@ -142,7 +142,16 @@ std::size_t decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dic
     }
     RasEvent& ev = space.at[space.count];
     if (decode_one(rec, rec_offset, *dict, mode, machine, rep, ev, filter)) {
-      ev.recid = static_cast<std::int64_t>(space.first + space.count + 1);
+      const std::size_t index = space.first + space.count;
+      ev.recid = static_cast<std::int64_t>(index + 1);
+      scratch.sorted &= rec.time_usec >= scratch.last_time;
+      scratch.last_time = rec.time_usec;
+      if (ev.is_fatal()) {
+        scratch.fatal.event_time.push_back(ev.event_time);
+        scratch.fatal.errcode.push_back(ev.errcode);
+        scratch.fatal.loc_key.push_back(ev.location.packed());
+        scratch.fatal.log_index.push_back(index);
+      }
       ++space.count;
     }
   }
@@ -326,7 +335,7 @@ std::size_t decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictiona
                                       const RasLocDict* locs, ParseMode mode,
                                       const bin::ZoneFilter* filter, IngestReport& rep,
                                       const RasBlockOut& out, std::uint64_t& attempted,
-                                      bin::BlockCounters& blocks, RasV3Scratch& scratch) {
+                                      bin::BlockCounters& blocks, RasDecodeScratch& scratch) {
   bin::ColumnBlock block;
   if (!bin::read_column_block(cur, filter, scratch.raw, attempted, blocks, block)) return 0;
   const std::uint64_t block_at = block.offset;
@@ -535,9 +544,8 @@ void RasStreamDecoder::on_payload(std::string_view payload,
       }
       return;  // records inside are covered by the lost-record top-up
     }
-    saw_v2_records_ = true;
     decode_ras_records(cur, dict_ ? &*dict_ : nullptr, mode_, *machine_, record_rep_,
-                       RasBlockOut{.tail = &events_}, attempted_, blocks_, filter_);
+                       RasBlockOut{.tail = &events_}, attempted_, blocks_, scratch_, filter_);
   } catch (const Error&) {
     if (mode_ == ParseMode::Strict) throw;
     // A CRC-valid block whose payload still does not parse (writer bug or an
@@ -552,14 +560,10 @@ RasLog RasStreamDecoder::finish(IngestReport& rep, const IngestReport& frame_dam
   bin::check_declared_total(declared_total(), attempted_, mode_, "binary RAS log",
                             "dictionary", rep);
   if (mode_ == ParseMode::Lenient) rep.adopt_samples(frame_damage);
-  if (!saw_v2_records_) {
-    // Pure columnar stream: the emit loop gathered the fatal columns and
-    // verified time order as it went, so the log adopts them without
-    // another pass over the event array.
-    return RasLog(std::move(events_), *catalog_, *machine_,
-                  RasLog::TrustedParts{std::move(scratch_.fatal), scratch_.sorted});
-  }
-  return RasLog(std::move(events_), *catalog_, *machine_, RasLog::TrustedRecids{});
+  // The emit loops gathered the fatal columns and verified time order as
+  // they went, so the log adopts them without another pass over the events.
+  return RasLog(std::move(events_), *catalog_, *machine_,
+                RasLog::TrustedParts{std::move(scratch_.fatal), scratch_.sorted});
 }
 
 }  // namespace coral::ras

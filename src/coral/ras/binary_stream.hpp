@@ -95,19 +95,22 @@ RasLocDict parse_ras_loc_dict(bin::PayloadCursor& cur,
 /// stream decoder): the vector grows by the block's validated count and is
 /// trimmed back to the records written, also when the decode throws. Either
 /// way the k-th emitted record gets RECID `first + k + 1`, its log position
-/// plus one, which lets the log constructor take the read-only
-/// TrustedRecids finalize.
+/// plus one, which lets the log constructor adopt the emit-side
+/// RasLog::TrustedParts instead of renumbering.
 struct RasBlockOut {
   RasEvent* slot = nullptr;
   std::size_t first = 0;
   std::vector<RasEvent>* tail = nullptr;
 };
 
+struct RasDecodeScratch;
+
 /// Decode one 'R' payload's records (cursor past the tag byte) into `out`
-/// and return how many were written. `dict` may be null only when every
-/// dictionary copy was lost earlier in the input. `attempted` counts records
-/// decoded or individually rejected — the unit the lost-record top-up is
-/// computed in. A non-null `filter` drops records that fail the exact
+/// and return how many were written, gathering them into `scratch`'s fatal
+/// columns and time-order check as the 'C' decode does. `dict` may be null
+/// only when every dictionary copy was lost earlier in the input.
+/// `attempted` counts records decoded or individually rejected — the unit
+/// the lost-record top-up is computed in. A non-null `filter` drops records that fail the exact
 /// predicate *after* full validation (they still count as attempted and ok,
 /// so accounting is layout-independent). `blocks` counts the block as total,
 /// and as decoded unless its payload ends before its declared count; that
@@ -117,6 +120,7 @@ std::size_t decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dic
                                ParseMode mode, const machine::MachineModel& machine,
                                IngestReport& rep, const RasBlockOut& out,
                                std::uint64_t& attempted, bin::BlockCounters& blocks,
+                               RasDecodeScratch& scratch,
                                const bin::ZoneFilter* filter = nullptr);
 
 /// Decoded column arrays of one v3 'C' block body. Severities alias the
@@ -152,13 +156,14 @@ void encode_ras_column_block(std::string& payload, const RasEvent* events,
                              std::string& raw);
 
 /// Reusable scratch for decoding 'C' payloads (one per thread), plus the
-/// emit-side bookkeeping the adopting RasLog constructor wants: fatal
-/// columns gathered as records are emitted (log_index is the record's log
-/// position, as RasBlockOut assigns it) and a running time-order check.
-/// Both cost a couple of register ops per record here versus a second full
-/// pass over the event array in finalize(). Callers that interleave chunks
-/// through one scratch move `fatal`/`sorted` out and reset between chunks.
-struct RasV3Scratch {
+/// emit-side bookkeeping the adopting RasLog constructor wants, kept by the
+/// 'R' and 'C' decodes alike: fatal columns gathered as records are emitted
+/// (log_index is the record's log position, as RasBlockOut assigns it) and
+/// a running time-order check. Both cost a couple of register ops per
+/// record here versus a second full pass over the event array in
+/// finalize(). Callers that interleave chunks through one scratch move
+/// `fatal`/`sorted` out and reset between chunks.
+struct RasDecodeScratch {
   std::string raw;
   RasColumns cols;
   FatalColumns fatal;
@@ -178,7 +183,7 @@ std::size_t decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictiona
                                       const RasLocDict* locs, ParseMode mode,
                                       const bin::ZoneFilter* filter, IngestReport& rep,
                                       const RasBlockOut& out, std::uint64_t& attempted,
-                                      bin::BlockCounters& blocks, RasV3Scratch& scratch);
+                                      bin::BlockCounters& blocks, RasDecodeScratch& scratch);
 
 /// Incremental binary v2/v3 RAS decoder: feed block payloads as they become
 /// available (from a FrameAssembler over a socket, a tailed file or a whole
@@ -249,10 +254,7 @@ class RasStreamDecoder {
   std::uint64_t attempted_ = 0;
   std::uint64_t reserve_cap_ = std::uint64_t{1} << 16;
   bin::BlockCounters blocks_;
-  RasV3Scratch scratch_;
-  /// v2 'R' blocks emit outside the columnar path, so their records are not
-  /// in scratch_'s fatal gather — finish() then takes the verify walk.
-  bool saw_v2_records_ = false;
+  RasDecodeScratch scratch_;
 };
 
 }  // namespace coral::ras

@@ -19,12 +19,6 @@ RasLog::RasLog(std::vector<RasEvent> events, const Catalog& catalog,
 }
 
 RasLog::RasLog(std::vector<RasEvent> events, const Catalog& catalog,
-               const machine::MachineModel& machine, TrustedRecids)
-    : catalog_(&catalog), machine_(&machine), events_(std::move(events)) {
-  finalize_impl(true);
-}
-
-RasLog::RasLog(std::vector<RasEvent> events, const Catalog& catalog,
                const machine::MachineModel& machine, TrustedParts parts)
     : catalog_(&catalog), machine_(&machine), events_(std::move(events)) {
   if (parts.sorted) {
@@ -32,7 +26,7 @@ RasLog::RasLog(std::vector<RasEvent> events, const Catalog& catalog,
     finalized_ = true;
     return;
   }
-  finalize_impl(false);
+  finalize();
 }
 
 void RasLog::append(RasEvent ev) {
@@ -40,19 +34,16 @@ void RasLog::append(RasEvent ev) {
   events_.push_back(ev);
 }
 
-void RasLog::finalize() { finalize_impl(false); }
-
-void RasLog::finalize_impl(bool trust_recids) {
+void RasLog::finalize() {
   const auto by_time = [](const RasEvent& a, const RasEvent& b) {
     return a.event_time < b.event_time;
   };
   // The order check, RECID assignment and the fatal-column gather all touch
   // every record, so they share a single walk — on the multi-million-record
-  // reload path the separate passes were pure memory traffic. Binary logs
-  // are written from a finalized (time-ordered) RasLog, so the first walk
-  // almost always completes; an out-of-order log (hand-built via append)
-  // detects mid-walk, sorts, and rescans. With trusted RECIDs the walk is
-  // read-only — nothing is dirtied, nothing written back.
+  // reload path the separate passes were pure memory traffic. Most logs
+  // arrive time-ordered, so the first walk almost always completes; an
+  // out-of-order log (hand-built via append) detects mid-walk, sorts, and
+  // rescans.
   for (int pass = 0; pass < 2; ++pass) {
     fatal_.event_time.clear();
     fatal_.errcode.clear();
@@ -66,7 +57,7 @@ void RasLog::finalize_impl(bool trust_recids) {
         sorted = false;
         break;
       }
-      if (!trust_recids) ev.recid = recid++;
+      ev.recid = recid++;
       if (ev.is_fatal()) {
         fatal_.event_time.push_back(ev.event_time);
         fatal_.errcode.push_back(ev.errcode);
@@ -75,9 +66,6 @@ void RasLog::finalize_impl(bool trust_recids) {
       }
     }
     if (sorted) break;
-    // A caller that promised order but did not deliver loses the fast path:
-    // sort and rewrite RECIDs like any other finalize.
-    trust_recids = false;
     std::stable_sort(events_.begin(), events_.end(), by_time);
   }
   finalized_ = true;

@@ -51,24 +51,15 @@ class RasLog {
                   const Catalog& catalog = default_catalog(),
                   const machine::MachineModel& machine = machine::bgp_model());
 
-  /// Tag for the reader fast path: the caller guarantees events arrive
-  /// time-ordered with RECIDs already assigned 1..N (the binary readers
-  /// emit exactly that), so finalization is a read-only verification walk
-  /// instead of a rewrite that dirties every cache line of a
-  /// multi-million-record array. If the order check fails the constructor
-  /// falls back to the full finalize, so a caller lying about order still
-  /// gets a correct log.
-  struct TrustedRecids {};
-  RasLog(std::vector<RasEvent> events, const Catalog& catalog,
-         const machine::MachineModel& machine, TrustedRecids);
-
   /// Everything finalize() would compute, produced by a caller whose emit
-  /// loop already had each record in registers: the fatal-column gather and
-  /// the verdict of a running time-order check. When `sorted` holds, the
-  /// constructor adopts the columns and skips the finalize walk entirely —
-  /// the one remaining full pass over a multi-million-record reload. A
-  /// caller whose order check failed sets `sorted = false` and gets the
-  /// full sort-and-rebuild finalize (the columns are discarded).
+  /// loop already had each record in registers (the binary readers): the
+  /// fatal-column gather and the verdict of a running time-order check, for
+  /// events whose RECIDs are already their log positions plus one. When
+  /// `sorted` holds, the constructor adopts the columns and skips the
+  /// finalize walk entirely — the one remaining full pass over a
+  /// multi-million-record reload. A caller whose order check failed sets
+  /// `sorted = false` and gets the full sort-and-rebuild finalize (the
+  /// columns are discarded).
   struct TrustedParts {
     FatalColumns fatal;
     bool sorted = true;
@@ -136,10 +127,6 @@ class RasLog {
                          const machine::MachineModel& machine = machine::bgp_model());
 
  private:
-  /// Shared finalize walk; `trust_recids` makes the pass read-only (RECIDs
-  /// are the caller's, verified time order is still required).
-  void finalize_impl(bool trust_recids);
-
   const Catalog* catalog_;
   const machine::MachineModel* machine_ = &machine::bgp_model();
   std::vector<RasEvent> events_;

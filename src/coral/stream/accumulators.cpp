@@ -12,11 +12,6 @@ void DailyCounter::add(TimePoint t) {
   counts_[bucket] += 1;
 }
 
-void DailyCounter::merge(const DailyCounter& other) {
-  ensure_days(other.counts_.size());
-  for (std::size_t i = 0; i < other.counts_.size(); ++i) counts_[i] += other.counts_[i];
-}
-
 void MidplaneTallies::add_group_rep(const bgp::Location& rep_location) {
   add_group_rep(rep_location.packed());
 }
@@ -42,14 +37,6 @@ void MidplaneTallies::add_job(const joblog::JobRecord& job) {
        ++m) {
     workload_sec[static_cast<std::size_t>(m)] += seconds;
     if (wide) wide_workload_sec[static_cast<std::size_t>(m)] += seconds;
-  }
-}
-
-void MidplaneTallies::merge(const MidplaneTallies& other) {
-  for (std::size_t i = 0; i < fatal_events.size(); ++i) {
-    fatal_events[i] += other.fatal_events[i];
-    workload_sec[i] += other.workload_sec[i];
-    wide_workload_sec[i] += other.wide_workload_sec[i];
   }
 }
 

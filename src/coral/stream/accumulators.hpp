@@ -12,14 +12,10 @@
 namespace coral::stream {
 
 /// Incremental collector for interarrival fitting: feed event times as they
-/// stream by, fit at the end. Fitting sorts internally, so merge order does
-/// not affect the result — shards can be concatenated in any order.
+/// stream by, fit at the end.
 class InterarrivalAccumulator {
  public:
   void add(TimePoint t) { times_.push_back(t); }
-  void merge(const InterarrivalAccumulator& other) {
-    times_.insert(times_.end(), other.times_.begin(), other.times_.end());
-  }
   std::size_t count() const { return times_.size(); }
 
   /// The fitted distributions, or nullopt below the 3-sample minimum —
@@ -44,7 +40,6 @@ class DailyCounter {
   void ensure_days(std::size_t n) {
     if (counts_.size() < n) counts_.resize(n, 0);
   }
-  void merge(const DailyCounter& other);
 
   const std::vector<int>& counts() const { return counts_; }
   std::vector<int> take() { return std::move(counts_); }
@@ -60,9 +55,7 @@ class DailyCounter {
 /// wide threshold — 32 midplanes on the reference BG/P).
 ///
 /// Additions replicate the batch loops operation-for-operation, so feeding
-/// groups/jobs in log order reproduces the batch sums bit-for-bit. The
-/// fatal tallies are sums of 1.0/0.5 (dyadic, exact under any order); the
-/// workload sums are merged in shard order for determinism.
+/// groups/jobs in log order reproduces the batch sums bit-for-bit.
 class MidplaneTallies {
  public:
   MidplaneTallies() : MidplaneTallies(machine::bgp_model()) {}
@@ -78,7 +71,6 @@ class MidplaneTallies {
   void add_group_rep(const bgp::Location& rep_location);
   void add_group_rep(std::uint32_t loc_key);
   void add_job(const joblog::JobRecord& job);
-  void merge(const MidplaneTallies& other);
 
   std::vector<double> fatal_events;
   std::vector<double> workload_sec;

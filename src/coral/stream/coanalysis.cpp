@@ -110,7 +110,7 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
       opt.spatial = config.filters.spatial;
       opt.causality = config.filters.causality;
       opt.mine_pairs = causality;
-      StreamingFilter filter(std::move(opt), chain, buffer);
+      StreamingFilter filter(opt, chain, buffer);
       for (std::size_t i = fatal_begin[s]; i < fatal_begin[s + 1]; ++i) {
         filter.on_fatal(cols.event_time[i], cols.errcode[i], cols.loc_key[i], i);
       }
@@ -192,7 +192,7 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
         // Every group at or before this termination has been delivered, so
         // the matcher may evict job ends that fell out of all match windows.
         stage_sink->on_watermark(t);
-        matcher.on_job_end(t, all_jobs[job_index], job_index);
+        matcher.on_job_end(all_jobs[job_index], job_index);
         ++delivered;
         ++k;
       }

@@ -5,7 +5,6 @@
 namespace coral::stream {
 
 void CausalityCoalescer::on_group(StreamGroup&& g) {
-  ++in_count_;
   const TimePoint now = g.rep_time;
   emit_ready(now);
 
@@ -70,29 +69,19 @@ void CausalityCoalescer::forward_watermark(TimePoint now) {
   out_->on_watermark(chains_.empty() ? now : chains_.front().rep_time);
 }
 
-StreamingFilter::StreamingFilter(Options options, MemberChain& members, GroupSink& out)
-    : options_(std::move(options)), members_(&members) {
+StreamingFilter::StreamingFilter(const Options& options, MemberChain& members,
+                                 GroupSink& out)
+    : members_(&members) {
   // Wire the chain tail-first so each stage holds a stable pointer to the
   // next.
   GroupSink* next = &out;
-  if (!options_.pairs.empty()) {
-    causality_ = std::make_unique<CausalityCoalescer>(options_.causality.window,
-                                                      options_.pairs, members, next);
-    next = causality_.get();
-  }
-  if (options_.mine_pairs) {
-    miner_ = std::make_unique<PairMiner>(options_.causality.window, next);
+  if (options.mine_pairs) {
+    miner_ = std::make_unique<PairMiner>(options.causality.window, next);
     next = miner_.get();
   }
-  spatial_ = std::make_unique<SpatialCoalescer>(options_.spatial.threshold, members, next);
-  temporal_ = std::make_unique<TemporalCoalescer>(options_.temporal.threshold, members,
+  spatial_ = std::make_unique<SpatialCoalescer>(options.spatial.threshold, members, next);
+  temporal_ = std::make_unique<TemporalCoalescer>(options.temporal.threshold, members,
                                                   spatial_.get());
-}
-
-void StreamingFilter::on_ras(TimePoint t, const ras::RasEvent& event,
-                             std::size_t event_index) {
-  (void)t;
-  on_fatal(event.event_time, event.errcode, event.location.packed(), event_index);
 }
 
 void StreamingFilter::on_fatal(TimePoint t, ras::ErrcodeId errcode, std::uint32_t loc_key,
@@ -102,20 +91,11 @@ void StreamingFilter::on_fatal(TimePoint t, ras::ErrcodeId errcode, std::uint32_
   temporal_->on_group(StreamGroup::single(event_index, t, errcode, loc_key));
 }
 
-void StreamingFilter::on_job_start(TimePoint t, const joblog::JobRecord&, std::size_t) {
-  temporal_->on_watermark(t);
-}
-
-void StreamingFilter::on_job_end(TimePoint t, const joblog::JobRecord&, std::size_t) {
-  temporal_->on_watermark(t);
-}
-
 void StreamingFilter::flush() { temporal_->flush(); }
 
 std::size_t StreamingFilter::peak_buffered() const {
   std::size_t peak = temporal_->peak_chains() + spatial_->peak_chains();
   if (miner_) peak += miner_->peak_window();
-  if (causality_) peak += causality_->peak_chains();
   return peak;
 }
 

@@ -34,7 +34,6 @@ class WindowedCoalescer : public GroupSink {
       : threshold_(threshold), members_(&members), out_(out) {}
 
   void on_group(StreamGroup&& g) override {
-    ++in_count_;
     const TimePoint now = g.rep_time;
     emit_ready(now);
     const Key key = key_of_(g);
@@ -69,7 +68,6 @@ class WindowedCoalescer : public GroupSink {
     out_->flush();
   }
 
-  std::size_t in_count() const { return in_count_; }
   std::size_t out_count() const { return out_count_; }
   /// Largest number of simultaneously buffered chains (window-bounded).
   std::size_t peak_chains() const { return peak_chains_; }
@@ -112,7 +110,6 @@ class WindowedCoalescer : public GroupSink {
   std::pmr::unordered_map<Key, std::size_t> open_{&arena_};
   std::size_t first_seq_ = 0;
   std::size_t next_seq_ = 0;
-  std::size_t in_count_ = 0;
   std::size_t out_count_ = 0;
   std::size_t peak_chains_ = 0;
 };
@@ -223,7 +220,6 @@ class CausalityCoalescer : public GroupSink {
   void on_watermark(TimePoint low) override;
   void flush() override;
 
-  std::size_t in_count() const { return in_count_; }
   std::size_t out_count() const { return out_count_; }
   std::size_t peak_chains() const { return peak_chains_; }
 
@@ -240,58 +236,51 @@ class CausalityCoalescer : public GroupSink {
   std::unordered_map<ras::ErrcodeId, std::size_t> open_;  ///< code -> chain seq
   std::size_t first_seq_ = 0;
   std::size_t next_seq_ = 0;
-  std::size_t in_count_ = 0;
   std::size_t out_count_ = 0;
   std::size_t peak_chains_ = 0;
 };
 
 /// The composed streaming filter front-end: FATAL records in, coalesced
-/// event groups out. Job events advance the stage clocks (earlier eviction,
-/// smaller buffers) but carry no data through this stage.
+/// event groups out.
 ///
-///   RAS --> temporal --> spatial --> [pair miner] --> [causality] --> out
+///   FATAL records --> temporal --> spatial --> [pair miner] --> out
 ///
 /// With `mine_pairs` set, a PairMiner taps the spatial output (counts
-/// readable after flush — the warm-up pass of a two-phase run). With
-/// `pairs` non-empty, the causality coalescer merges follower groups using
-/// those previously mined pairs (the live pass). Every stage splices
-/// members onto `members`, which must cover every delivered record index
-/// and outlive the filter and the groups it emits.
-class StreamingFilter : public Stage {
+/// readable after flush — phase 1 of a two-phase run). Causality merging
+/// needs the pairs mined over the whole input, so it is not part of this
+/// stage: a caller composes a CausalityCoalescer downstream, as phase 2 of
+/// run_streaming_frontend does. Every stage splices members onto `members`,
+/// which must cover every delivered record index and outlive the filter and
+/// the groups it emits.
+class StreamingFilter {
  public:
   struct Options {
     filter::TemporalFilterConfig temporal;
     filter::SpatialFilterConfig spatial;
-    filter::CausalityFilterConfig causality;
+    filter::CausalityFilterConfig causality;  ///< the pair miner's window
     bool mine_pairs = false;
-    std::vector<filter::CausalPair> pairs;
   };
 
-  StreamingFilter(Options options, MemberChain& members, GroupSink& out);
+  StreamingFilter(const Options& options, MemberChain& members, GroupSink& out);
 
-  void on_ras(TimePoint t, const ras::RasEvent& event, std::size_t event_index) override;
-  /// Columnar entry point: feed a fatal record without materializing a
-  /// RasEvent (the coanalysis driver reads straight from ras::FatalColumns).
+  /// Feed one FATAL record, in time order, straight from the columns of
+  /// ras::FatalColumns; `event_index` is its row there.
   void on_fatal(TimePoint t, ras::ErrcodeId errcode, std::uint32_t loc_key,
                 std::size_t event_index);
-  void on_job_start(TimePoint t, const joblog::JobRecord& job, std::size_t job_index) override;
-  void on_job_end(TimePoint t, const joblog::JobRecord& job, std::size_t job_index) override;
-  void flush() override;
+  /// End of stream: emit every buffered group and flush `out`.
+  void flush();
 
   std::size_t raw_count() const { return raw_count_; }
   const TemporalCoalescer& temporal() const { return *temporal_; }
   const SpatialCoalescer& spatial() const { return *spatial_; }
   const PairMiner* miner() const { return miner_.get(); }
   PairMiner* miner() { return miner_.get(); }
-  const CausalityCoalescer* causality() const { return causality_.get(); }
 
   /// Largest simultaneously buffered group count across all stages — the
   /// window-bounded working set of the filter.
   std::size_t peak_buffered() const;
 
  private:
-  Options options_;
-  std::unique_ptr<CausalityCoalescer> causality_;
   std::unique_ptr<PairMiner> miner_;
   std::unique_ptr<SpatialCoalescer> spatial_;
   std::unique_ptr<TemporalCoalescer> temporal_;

@@ -4,19 +4,12 @@
 
 namespace coral::stream {
 
-void StreamingMatcher::on_job_start(TimePoint t, const joblog::JobRecord&, std::size_t) {
-  advance(t);
-}
-
-void StreamingMatcher::on_ras(TimePoint t, const ras::RasEvent&, std::size_t) {
-  advance(t);
-}
-
-void StreamingMatcher::on_job_end(TimePoint t, const joblog::JobRecord& job,
-                                  std::size_t job_index) {
+void StreamingMatcher::on_job_end(const joblog::JobRecord& job, std::size_t job_index) {
   ends_.push_back(JobEnd{job.end_time, job_index, job.partition});
   note_peak();
-  advance(t);
+  if (job.end_time > watermark_) watermark_ = job.end_time;
+  resolve();
+  evict();
 }
 
 void StreamingMatcher::on_group(StreamGroup&& g) {
@@ -38,12 +31,6 @@ void StreamingMatcher::on_watermark(TimePoint low) {
 void StreamingMatcher::flush() {
   while (!pending_.empty()) emit_front();
   ends_.clear();
-}
-
-void StreamingMatcher::advance(TimePoint t) {
-  if (t > watermark_) watermark_ = t;
-  resolve();
-  evict();
 }
 
 void StreamingMatcher::resolve() {

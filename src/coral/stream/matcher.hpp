@@ -7,18 +7,19 @@
 #include <span>
 #include <vector>
 
+#include "coral/joblog/job.hpp"
 #include "coral/machine/codec.hpp"
 #include "coral/stream/stage.hpp"
 
 namespace coral::stream {
 
 /// Streaming RAS<->job matcher: a sliding +/-window join between finalized
-/// event groups (from the filter chain, via the GroupSink side) and job
-/// terminations (from the event stream, via the Stage side), keyed by
-/// partition/location overlap.
+/// event groups (from the filter chain, via on_group) and job terminations
+/// (fed in end-time order via on_job_end), keyed by partition/location
+/// overlap.
 ///
 /// Buffers are window-bounded on both sides:
-///  - a pending group resolves once the event clock passes rep_time +
+///  - a pending group resolves once the job-end clock passes rep_time +
 ///    window (every job end that could match has then been seen);
 ///  - a buffered job end is evicted once the *group low-watermark* (the
 ///    earliest representative time any future group can carry, propagated
@@ -29,7 +30,7 @@ namespace coral::stream {
 /// read from `members` (the filter chain's MemberChain) and their packed
 /// locations from `loc_keys`, the fatal-record loc_key column the record
 /// indices point into; both must outlive the matcher.
-class StreamingMatcher : public Stage, public GroupSink {
+class StreamingMatcher : public GroupSink {
  public:
   struct GroupMatch {
     StreamGroup group;
@@ -37,27 +38,24 @@ class StreamingMatcher : public Stage, public GroupSink {
   };
   using Handler = std::function<void(GroupMatch&&)>;
 
-  /// `codec` decodes the groups' packed loc_keys; the default is the Blue
-  /// Gene family codec. Pass `machine.codec()` when matching another model's
-  /// logs.
+  /// `codec` decodes the groups' packed loc_keys: the codec of the machine
+  /// the logs were read against (`jobs.machine().codec()`).
   StreamingMatcher(Usec window, Handler on_match, const MemberChain& members,
-                   std::span<const std::uint32_t> loc_keys, machine::LocCodec codec = {})
+                   std::span<const std::uint32_t> loc_keys, machine::LocCodec codec)
       : window_(window),
         on_match_(std::move(on_match)),
         members_(&members),
         loc_keys_(loc_keys),
         codec_(codec) {}
 
-  // Stage side: the merged event stream.
-  void on_job_start(TimePoint t, const joblog::JobRecord& job, std::size_t job_index) override;
-  void on_ras(TimePoint t, const ras::RasEvent& event, std::size_t event_index) override;
-  void on_job_end(TimePoint t, const joblog::JobRecord& job, std::size_t job_index) override;
+  /// One job termination; terminations arrive in end-time order.
+  void on_job_end(const joblog::JobRecord& job, std::size_t job_index);
 
-  // GroupSink side: finalized groups from the filter chain.
+  // Finalized groups from the filter chain.
   void on_group(StreamGroup&& g) override;
   void on_watermark(TimePoint low) override;
 
-  /// End of stream (both roles): resolve every pending group.
+  /// End of stream: resolve every pending group.
   void flush() override;
 
   std::size_t groups_out() const { return groups_out_; }
@@ -71,7 +69,6 @@ class StreamingMatcher : public Stage, public GroupSink {
     bgp::Partition partition;
   };
 
-  void advance(TimePoint t);
   void resolve();
   void emit_front();
   void evict();

@@ -2,35 +2,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "coral/core/feed.hpp"
 #include "coral/filter/groups.hpp"
-#include "coral/joblog/log.hpp"
-#include "coral/ras/log.hpp"
 
 namespace coral::stream {
-
-/// A processing stage in the streaming co-analysis: a consumer of the merged
-/// job/RAS event stream (the CiFTS-style feed of §VII). Stages receive
-/// events strictly time-ordered, with the EventFeed tie-break (job starts,
-/// then RAS records, then job ends at the same timestamp), and must keep
-/// only *windowed* state: anything older than the stage's coalescing/match
-/// window is evicted or emitted downstream.
-class Stage {
- public:
-  virtual ~Stage() = default;
-
-  virtual void on_job_start(TimePoint /*t*/, const joblog::JobRecord& /*job*/,
-                            std::size_t /*job_index*/) {}
-  virtual void on_ras(TimePoint /*t*/, const ras::RasEvent& /*event*/,
-                      std::size_t /*event_index*/) {}
-  virtual void on_job_end(TimePoint /*t*/, const joblog::JobRecord& /*job*/,
-                          std::size_t /*job_index*/) {}
-
-  /// End of stream: drain all buffered state.
-  virtual void flush() {}
-};
 
 /// An event group flowing between filter stages: the representative record
 /// plus any absorbed re-reports. Equivalent to filter::EventGroup and
@@ -107,34 +84,6 @@ class GroupBuffer : public GroupSink {
  public:
   void on_group(StreamGroup&& g) override { groups.push_back(std::move(g)); }
   std::vector<StreamGroup> groups;
-};
-
-/// Drives one or more stages from a RAS/job log pair via EventFeed,
-/// numbering delivered RAS records 0,1,2,... in delivery order (with
-/// `min_severity = Fatal` these are exactly the indices into
-/// RasLog::fatal_events()). Indices keep counting across windowed replays,
-/// so a warm-up replay followed by live windows sees one consistent
-/// numbering.
-class StageDriver {
- public:
-  /// Both logs must stay alive for the driver's lifetime.
-  StageDriver(const ras::RasLog& ras, const joblog::JobLog& jobs,
-              ras::Severity min_severity = ras::Severity::Fatal);
-
-  void attach(Stage& stage) { stages_.push_back(&stage); }
-
-  /// Replay the whole pair and flush the stages. Returns delivered events.
-  std::size_t replay();
-  /// Replay [begin, end) without flushing (for incremental/live windows).
-  std::size_t replay(TimePoint begin, TimePoint end);
-  /// Flush all attached stages (end of stream).
-  void flush();
-
- private:
-  core::EventFeed feed_;
-  std::vector<Stage*> stages_;
-  const joblog::JobRecord* jobs_base_;
-  std::size_t ras_index_ = 0;
 };
 
 }  // namespace coral::stream

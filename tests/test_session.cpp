@@ -357,9 +357,17 @@ TEST(SessionLifecycle, SnapshotTracksLiveProgress) {
 TEST(SessionLifecycle, EmptySessionPropagatesEngineEmptyInputError) {
   // Parity cuts both ways: the offline engine refuses an empty job log
   // (there is nothing to rank vulnerability over), so an empty session's
-  // finalize surfaces the same error instead of inventing a result.
+  // finalize surfaces the same error instead of inventing a result. The
+  // message is about the input, not a precondition deep in the engine.
   stream::Session session("empty", {}, Context{});
-  EXPECT_THROW((void)session.finalize(), InvalidArgument);
+  try {
+    (void)session.finalize();
+    ADD_FAILURE() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("job log"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

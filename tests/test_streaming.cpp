@@ -235,23 +235,26 @@ TEST(StreamingEngine, RandomizedDifferentialAgainstBatch) {
   }
 }
 
-// The two-pass front end driven stage by stage through StageDriver, the way
-// a live consumer tails the merged event stream: a mining replay, then the
-// filter (with the mined pairs) feeding the matcher in day-sized windows.
+// The two-pass front end driven stage by stage, the way a live consumer
+// tails the logs: a mining pass, then the filter feeding causality merging
+// (with the mined pairs) into the matcher, with FATAL records and job
+// terminations delivered in day-sized windows, merged in time order.
 // Groups and per-group matches must equal the oracle's.
-TEST(StreamingFrontEnd, StageDriverReplayMatchesOracle) {
+TEST(StreamingFrontEnd, DayWindowDeliveryMatchesOracle) {
   const synth::SynthResult& d = data();
   const filter::FilterPipelineConfig filters;
   const ras::FatalColumns& fatal = d.ras.fatal_columns();
+  const std::vector<std::size_t>& by_end = d.jobs.by_end_time();
 
   stream::MemberChain mined_members(fatal.size());
   stream::GroupBuffer mined;
   stream::StreamingFilter::Options mine_options;
   mine_options.mine_pairs = true;
   stream::StreamingFilter miner(mine_options, mined_members, mined);
-  stream::StageDriver warmup(d.ras, d.jobs);
-  warmup.attach(miner);
-  warmup.replay();
+  for (std::size_t i = 0; i < fatal.size(); ++i) {
+    miner.on_fatal(fatal.event_time[i], fatal.errcode[i], fatal.loc_key[i], i);
+  }
+  miner.flush();
   const auto pairs =
       stream::PairMiner::accept(miner.miner()->counts(), filters.causality.min_support);
 
@@ -264,25 +267,42 @@ TEST(StreamingFrontEnd, StageDriverReplayMatchesOracle) {
         groups.push_back(members.to_event_group(m.group));
         jobs_by_group.push_back(std::move(m.jobs));
       },
-      members, fatal.loc_key);
-  stream::StreamingFilter::Options live_options;
-  live_options.pairs = pairs;
-  stream::StreamingFilter live(live_options, members, matcher);
-  stream::StageDriver driver(d.ras, d.jobs);
-  driver.attach(live);
-  driver.attach(matcher);
+      members, fatal.loc_key, d.jobs.machine().codec());
+  stream::CausalityCoalescer causality(filters.causality.window, pairs, members, &matcher);
+  stream::StreamingFilter live({}, members, causality);
+  // Everything before `until` not yet delivered, a record before a
+  // termination at the same time.
+  std::size_t next_fatal = 0, next_end = 0;
+  const auto deliver_until = [&](TimePoint until) {
+    std::size_t n = 0;
+    for (;; ++n) {
+      const bool fatal_due = next_fatal < fatal.size() && fatal.event_time[next_fatal] < until;
+      const joblog::JobRecord* job =
+          next_end < by_end.size() ? &d.jobs[by_end[next_end]] : nullptr;
+      const bool end_due = job != nullptr && job->end_time < until;
+      if (fatal_due && (!end_due || fatal.event_time[next_fatal] <= job->end_time)) {
+        live.on_fatal(fatal.event_time[next_fatal], fatal.errcode[next_fatal],
+                      fatal.loc_key[next_fatal], next_fatal);
+        ++next_fatal;
+      } else if (end_due) {
+        matcher.on_job_end(*job, by_end[next_end]);
+        ++next_end;
+      } else {
+        return n;
+      }
+    }
+  };
   const TimePoint start = std::min(d.ras.summary().first_time, d.jobs[0].start_time);
   std::size_t delivered = 0;
   for (int day = 0; day < 31; ++day) {
-    delivered += driver.replay(start + day * kUsecPerDay, start + (day + 1) * kUsecPerDay);
+    delivered += deliver_until(start + (day + 1) * kUsecPerDay);
   }
-  delivered +=
-      driver.replay(start + 31 * kUsecPerDay, TimePoint(std::numeric_limits<Usec>::max()));
-  driver.flush();
+  delivered += deliver_until(TimePoint(std::numeric_limits<Usec>::max()));
+  live.flush();
 
   const auto filtered = oracle::run_filter_pipeline(d.ras, filters);
   const auto matches = oracle::match_interruptions(filtered, d.jobs, 120 * kUsecPerSec);
-  EXPECT_EQ(delivered, filtered.fatal_events.size() + 2 * d.jobs.size());
+  EXPECT_EQ(delivered, filtered.fatal_events.size() + d.jobs.size());
   EXPECT_EQ(mined.groups.size(), filtered.stages[2].output);  // spatial output
   EXPECT_EQ(pairs, filtered.causal_pairs);
   EXPECT_EQ(live.raw_count(), filtered.fatal_events.size());
@@ -293,7 +313,8 @@ TEST(StreamingFrontEnd, StageDriverReplayMatchesOracle) {
   }
   EXPECT_EQ(jobs_by_group, matches.jobs_by_group);
   EXPECT_EQ(matcher.groups_out(), groups.size());
-  EXPECT_LT(live.peak_buffered() + matcher.peak_buffered(), filtered.fatal_events.size() / 2);
+  EXPECT_LT(live.peak_buffered() + causality.peak_chains() + matcher.peak_buffered(),
+            filtered.fatal_events.size() / 2);
 }
 
 // ---- hand-built logs: FATAL records on whole midplanes, hand-placed jobs ---
@@ -474,8 +495,8 @@ TEST(StreamingMatcher, StandaloneKeepsJobEndsUntilAWatermarkArrives) {
   stream::StreamingMatcher matcher(
       120 * kUsecPerSec,
       [&](stream::StreamingMatcher::GroupMatch&& m) { matched.push_back(std::move(m.jobs)); },
-      members, {});
-  matcher.on_job_end(jobs[0].end_time, jobs[0], 0);
+      members, {}, machine::bgp_model().codec());
+  matcher.on_job_end(jobs[0], 0);
   stream::StreamGroup g = stream::StreamGroup::single(0, kBase + 200 * kUsecPerSec, 0,
                                                       testing::bgp_midplane(0).packed());
   matcher.on_watermark(g.rep_time);
