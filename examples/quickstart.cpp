@@ -22,10 +22,12 @@ int main(int argc, char** argv) {
 
   // 2. Show one record of each log, Table II / Table III style.
   if (!data.ras.empty()) {
-    const ras::RasEvent& ev = data.ras[data.ras.size() / 2];
+    // A record's RECID is its position in the time-ordered log plus one.
+    const std::size_t pos = data.ras.size() / 2;
+    const ras::RasEvent& ev = data.ras[pos];
     const ras::ErrcodeInfo& info = ev.info(data.ras.catalog());
     std::printf("Example RAS record (Table II):\n");
-    std::printf("  RECID        %lld\n", static_cast<long long>(ev.recid));
+    std::printf("  RECID        %zu\n", pos + 1);
     std::printf("  MSG_ID       %s\n", info.msg_id.c_str());
     std::printf("  COMPONENT    %s\n", to_string(info.component));
     std::printf("  SUBCOMPONENT %s\n", info.subcomponent.c_str());

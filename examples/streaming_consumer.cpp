@@ -112,6 +112,10 @@ int main(int argc, char** argv) {
   if (alerts > 10) std::printf("... and %zu more alerts\n", alerts - 10);
   std::printf("\n%zu interruption alerts, %zu quiet fatal groups\n", alerts,
               quiet_groups);
+  std::printf("live causality stage: %zu of %zu spatial groups merged into a causal "
+              "partner\n",
+              live_filter.spatial().out_count() - live_causality.out_count(),
+              live_filter.spatial().out_count());
   std::printf("peak buffered state: filter %zu groups, matcher %zu entries "
               "(vs %zu raw records)\n",
               live_filter.peak_buffered() + live_causality.peak_chains(),

@@ -8,7 +8,8 @@
 #              every calibrated scenario pack through the co-analysis at a
 #              short horizon (perf_scenarios --smoke; whole matrix is well
 #              under a second, tier-1 budget), the day-by-day streaming
-#              consumer example, and a logtool v2 -> v3 round trip.
+#              consumer example (failing if its warm-up mines no causal
+#              pair), and a logtool v2 -> v3 round trip.
 #   daemon   — fleet-daemon smoke: start coral_daemon, feed two tenants
 #              (bgp + bgq) concurrently over the wire protocol, scrape
 #              /metrics mid-run (live, non-final per-tenant counters), and
@@ -124,7 +125,15 @@ if [ "$RUN_SMOKE" -eq 1 ]; then
   build/release/bench/perf_scenarios --smoke
 
   echo "==== [smoke] streaming consumer: day-by-day stage delivery ===="
-  build/release/examples/example_streaming_consumer
+  # Seed 7 over 60 days with a 30-day warm-up mines causal pairs, so the
+  # live causality stage has something to merge; a warm-up that mines none
+  # would check the composition but not a single merge.
+  CONSUMER_OUT=$(build/release/examples/example_streaming_consumer 7 60 30)
+  echo "$CONSUMER_OUT"
+  if ! grep -Eq '^Warm-up .*, [1-9][0-9]* causal pairs mined' <<< "$CONSUMER_OUT"; then
+    echo "smoke: the streaming consumer's warm-up mined no causal pairs" >&2
+    exit 1
+  fi
 
   echo "==== [smoke] logtool v2 -> v3 convert + verify round trip ===="
   LOGTOOL_OUT=$(mktemp -d)

@@ -6,6 +6,11 @@
 
 #include "coral/common/error.hpp"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define CORAL_CRC_CLMUL 1
+#include <immintrin.h>
+#endif
+
 namespace coral::bin {
 
 namespace {
@@ -37,14 +42,11 @@ const Crc32Table& crc_table() {
   return table;
 }
 
-constexpr std::size_t kHeaderBytes = kBlockHeaderBytes;
-
-}  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
+/// Slicing-by-16 over [p, p + size) from the running (pre-inverted) state
+/// `c`: the whole checksum on hosts without PCLMUL, and the tail behind the
+/// carry-less bulk on hosts with it.
+std::uint32_t crc32_slice16(std::uint32_t c, const unsigned char* p, std::size_t size) {
   const auto& t = crc_table().entries;
-  std::uint32_t c = 0xFFFFFFFFu;
   // Same little-endian-host assumption the frame layout already makes.
   while (size >= 16) {
     std::uint32_t w0;
@@ -68,7 +70,114 @@ std::uint32_t crc32(const void* data, std::size_t size) {
   for (std::size_t i = 0; i < size; ++i) {
     c = t[0][(c ^ p[i]) & 0xFFu] ^ (c >> 8);
   }
-  return c ^ 0xFFFFFFFFu;
+  return c;
+}
+
+#ifdef CORAL_CRC_CLMUL
+
+/// Payloads shorter than this stay on the table path: the fold needs four
+/// 16-byte lanes to start.
+constexpr std::size_t kClmulMinBytes = 64;
+
+bool clmul_supported() {
+  static const bool ok = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  }();
+  return ok;
+}
+
+/// One fold step: carry-less multiply the two 64-bit halves of `x` by the
+/// two constants in `k` (x^(n+32) and x^(n-32) mod P, bit-reflected, for a
+/// fold distance of n bits) and add the 128 data bits that distance ahead.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i fold(__m128i x, __m128i k,
+                                                               __m128i ahead) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       ahead);
+}
+
+/// CRC-32 of [p, p + size) from the running state `c` by carry-less
+/// multiplication (Gopal et al., "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ", Intel 2009), for the reflected polynomial
+/// 0xEDB88320. `size` is at least 64 and a multiple of 16. Four 128-bit
+/// lanes fold 64 bytes per step; the lanes then fold into one, which takes
+/// the remaining 16-byte chunks, and a Barrett reduction turns the last
+/// 128 bits into the 32-bit state.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_clmul(std::uint32_t c,
+                                                                   const unsigned char* p,
+                                                                   std::size_t size) {
+  // Fold constants, bit-reflected and shifted left by one as the reflected
+  // domain needs: x^(512+32) and x^(512-32) mod P for the 512-bit lane
+  // stride, x^(128+32) and x^(128-32) mod P for the 128-bit stride, and
+  // x^64 mod P for the 64-to-32-bit step.
+  const __m128i k_lanes = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k_single = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k_64 = _mm_set_epi64x(0, 0x0163cd6124);
+  // Barrett pair: P itself (x^32 + ...) and floor(x^64 / P), both reflected.
+  const __m128i barrett = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  const auto load = [](const unsigned char* at) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+  };
+
+  __m128i x0 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x1 = load(p + 16);
+  __m128i x2 = load(p + 32);
+  __m128i x3 = load(p + 48);
+  p += 64;
+  size -= 64;
+  while (size >= 64) {
+    x0 = fold(x0, k_lanes, load(p));
+    x1 = fold(x1, k_lanes, load(p + 16));
+    x2 = fold(x2, k_lanes, load(p + 32));
+    x3 = fold(x3, k_lanes, load(p + 48));
+    p += 64;
+    size -= 64;
+  }
+  x0 = fold(x0, k_single, x1);
+  x0 = fold(x0, k_single, x2);
+  x0 = fold(x0, k_single, x3);
+  for (; size >= 16; p += 16, size -= 16) x0 = fold(x0, k_single, load(p));
+
+  // 128 -> 64 bits: the low half times x^(128-32) mod P, added to the high
+  // half.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), _mm_clmulepi64_si128(x0, k_single, 0x10));
+  // 64 -> 32 bits (with the 32 bits of headroom the Barrett step needs).
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k_64, 0x00));
+  // Barrett: q = low32(x) * floor(x^64 / P), then x - low32(q) * P leaves
+  // the remainder in bits 32..63.
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), barrett, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, q), 1));
+}
+
+#endif  // CORAL_CRC_CLMUL
+
+constexpr std::size_t kHeaderBytes = kBlockHeaderBytes;
+
+}  // namespace
+
+std::uint32_t crc32(const void* data, std::size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t c = 0xFFFFFFFFu;
+#ifdef CORAL_CRC_CLMUL
+  if (size >= kClmulMinBytes && clmul_supported()) {
+    const std::size_t bulk = size & ~std::size_t{15};
+    c = crc32_clmul(c, p, bulk);
+    p += bulk;
+    size -= bulk;
+  }
+#endif
+  return crc32_slice16(c, p, size) ^ 0xFFFFFFFFu;
+}
+
+const char* crc32_kernel() {
+#ifdef CORAL_CRC_CLMUL
+  if (clmul_supported()) return "pclmul";
+#endif
+  return "table";
 }
 
 bool index_frames(std::string_view region, std::vector<FrameRef>& out) {
@@ -247,14 +356,16 @@ void walk_frames(FrameAssembler& frames, std::istream& input, const PayloadSink&
 
 void check_declared_total(std::optional<std::uint64_t> declared, std::uint64_t attempted,
                           ParseMode mode, const char* what, const char* missing,
-                          IngestReport& rep) {
+                          IngestReport& rep, std::uint64_t undeclared_lost) {
   if (mode == ParseMode::Strict) {
     if (!declared) throw ParseError(std::string("missing ") + missing + " in " + what);
     if (attempted != *declared) {
       throw ParseError(std::string(what) + " record count mismatch: expected " +
                        std::to_string(*declared) + ", got " + std::to_string(attempted));
     }
-  } else if (declared && *declared > attempted) {
+  } else if (!declared) {
+    rep.add_malformed_bulk(IngestReason::BinaryFrame, undeclared_lost);
+  } else if (*declared > attempted) {
     rep.add_malformed_bulk(IngestReason::BinaryFrame, *declared - attempted);
   }
 }

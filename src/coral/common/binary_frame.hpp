@@ -13,9 +13,15 @@
 
 namespace coral::bin {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), the zlib/gzip checksum.
-/// Slicing-by-16: sixteen bytes per table round instead of one.
+/// CRC-32 (IEEE 802.3 polynomial, reflected), the zlib/gzip checksum. On
+/// x86-64 hosts with PCLMULQDQ and SSE4.1 (checked once, at the first call)
+/// the bulk of a payload of 64 bytes or more folds 64 bytes per step by
+/// carry-less multiplication; shorter payloads, the last 0-15 bytes and
+/// other hosts run slicing-by-16 tables. Both paths give the same value.
 std::uint32_t crc32(const void* data, std::size_t size);
+
+/// Which bulk kernel crc32() runs on this host: "pclmul" or "table".
+const char* crc32_kernel();
 
 /// Per-block framing shared by every binary log format (v2 row blocks and
 /// the v3 columnar store, RAS and job logs alike) and the fleet wire.
@@ -159,11 +165,12 @@ void walk_frames(FrameAssembler& frames, std::istream& input, const PayloadSink&
 /// in <what>") and equals the records attempted ("<what> record count
 /// mismatch: expected D, got A"). Lenient mode charges the records the
 /// declaration says were lost with dropped or undecodable frames to
-/// IngestReason::BinaryFrame in `rep`; with no surviving declaration,
-/// nothing is known lost.
+/// IngestReason::BinaryFrame in `rep`; with no surviving declaration it
+/// charges `undeclared_lost` instead, the records the caller knows lost
+/// without one (the v3 segment footers' bound, bin::FooterLedger).
 void check_declared_total(std::optional<std::uint64_t> declared, std::uint64_t attempted,
                           ParseMode mode, const char* what, const char* missing,
-                          IngestReport& rep);
+                          IngestReport& rep, std::uint64_t undeclared_lost = 0);
 
 /// A bounds-checked little-endian cursor over one block payload — a view,
 /// so it reads equally from an assembler's copied payload or from a mapped

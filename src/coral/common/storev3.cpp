@@ -84,6 +84,20 @@ void parse_segment_footer(PayloadCursor& cur, std::vector<SegmentEntry>& out) {
   }
 }
 
+void FooterLedger::list(const std::vector<SegmentEntry>& entries) {
+  for (const SegmentEntry& e : entries) listed_.emplace_back(e.offset, e.count);
+}
+
+std::uint64_t FooterLedger::undelivered_records() const {
+  std::vector<std::uint64_t> delivered = delivered_;
+  std::sort(delivered.begin(), delivered.end());
+  std::uint64_t lost = 0;
+  for (const auto& [offset, count] : listed_) {
+    if (!std::binary_search(delivered.begin(), delivered.end(), offset)) lost += count;
+  }
+  return lost;
+}
+
 SegmentWriter::SegmentWriter(std::ostream& out, char footer_tag, std::uint64_t offset,
                              std::size_t blocks_per_segment)
     : out_(out),

@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "coral/common/binary_frame.hpp"
@@ -66,6 +67,28 @@ void append_segment_footer(std::string& out, const std::vector<SegmentEntry>& en
 /// Parse a footer body (cursor past the tag byte), appending to `out`.
 /// Throws ParseError on truncation or an implausible entry count.
 void parse_segment_footer(PayloadCursor& cur, std::vector<SegmentEntry>& out);
+
+/// What the 'S' footers of a v3 stream say about its column blocks, kept by
+/// the stream decoders while no declared total (RAS 'D', job 'H') has been
+/// seen. The footers list every sealed block with its record count, so when
+/// every copy of the declaration is lost they still bound the loss: the
+/// records of a listed block that no frame delivered. Blocks whose footer
+/// was lost too, the unsealed tail of an appended file and v2 files (no
+/// footers) stay unbounded.
+class FooterLedger {
+ public:
+  /// Note the entries of one parsed footer.
+  void list(const std::vector<SegmentEntry>& entries);
+  /// Note that the block framed at `offset` (the frame's first byte, in
+  /// footer coordinates) was delivered and its records accounted for.
+  void deliver(std::uint64_t offset) { delivered_.push_back(offset); }
+  /// Records of the listed blocks that no delivery covered.
+  std::uint64_t undelivered_records() const;
+
+ private:
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> listed_;  ///< (offset, count)
+  std::vector<std::uint64_t> delivered_;
+};
 
 /// The body of a v3 store as both logs write it: framed column blocks, each
 /// run of `blocks_per_segment` of them (and the rest, at finish()) closed

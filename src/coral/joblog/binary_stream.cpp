@@ -278,14 +278,16 @@ void JobStreamDecoder::on_payload(std::string_view payload,
       return;
     }
     if (tag == kJobSegmentTag) {
-      // Footers index blocks the stream delivers anyway; validate the shape
-      // and move on (the one-shot readers use them for zero-touch skips).
+      // Footers index blocks the stream delivers anyway; their counts are
+      // kept only while no header total has survived.
       std::vector<bin::SegmentEntry> entries;
       bin::parse_segment_footer(cur, entries);
+      if (!total_) footers_.list(entries);
       return;
     }
     if (tag == kJobColumnTag) {
       decode_columns(cur);
+      if (!total_) footers_.deliver(payload_offset - bin::kBlockHeaderBytes);
       return;
     }
     if (tag != kJobRecordTag) {
@@ -323,7 +325,7 @@ JobLog JobStreamDecoder::finish(IngestReport& rep, const IngestReport& frame_dam
   }
 
   bin::check_declared_total(total_, attempted_, mode_, "binary job log", "header block",
-                            rep);
+                            rep, footers_.undelivered_records());
   if (mode_ == ParseMode::Lenient) rep.adopt_samples(frame_damage);
 
   log_.finalize();

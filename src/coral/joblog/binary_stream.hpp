@@ -103,8 +103,9 @@ class JobStreamDecoder {
   const std::optional<bin::StoreMeta>& meta() const { return meta_; }
 
   /// End of stream: verify counts (strict) or top-up the BinaryFrame ledger
-  /// (lenient), fold per-record accounting into `rep`, adopt the framing
-  /// layer's damage samples, and return the finalized log.
+  /// (lenient; from the v3 segment footers when both header copies were
+  /// lost), fold per-record accounting into `rep`, adopt the framing layer's
+  /// damage samples, and return the finalized log.
   JobLog finish(IngestReport& rep, const IngestReport& frame_damage);
 
  private:
@@ -131,6 +132,7 @@ class JobStreamDecoder {
   std::uint64_t attempted_ = 0;
   std::uint64_t reserve_cap_ = std::uint64_t{1} << 16;
   bin::BlockCounters blocks_;
+  bin::FooterLedger footers_;  ///< kept while no header total survived
   std::string scratch_;  ///< decompression buffer, reused across blocks
 };
 

@@ -14,6 +14,7 @@
 
 #include "coral/common/binary_frame.hpp"
 #include "coral/common/error.hpp"
+#include "coral/common/hugepage.hpp"
 #include "coral/common/parallel.hpp"
 #include "coral/common/storev3.hpp"
 #include "coral/obs/obs.hpp"
@@ -163,10 +164,10 @@ bool chunks_committed(const std::vector<ChunkOut>& outs) {
 }
 
 /// Close the holes that rejected and exact-filtered records left in their
-/// slots: every record behind a hole moves down, and gets the RECID of its
-/// new position and (through `fatal`, whose log_index values are slot
-/// positions in ascending order) its new fatal log_index. An intact,
-/// unfiltered read fills every slot and moves nothing.
+/// slots: every record behind a hole moves down, and (through `fatal`, whose
+/// log_index values are slot positions in ascending order) gets its new
+/// fatal log_index. An intact, unfiltered read fills every slot and moves
+/// nothing.
 void close_holes(std::vector<RasEvent>& events, const std::vector<BlockSlot>& slots,
                  std::size_t written, FatalColumns* fatal) {
   if (written == events.size()) return;
@@ -175,11 +176,7 @@ void close_holes(std::vector<RasEvent>& events, const std::vector<BlockSlot>& sl
   for (const BlockSlot& s : slots) {
     const std::size_t shift = s.begin - dst;
     if (shift != 0) {
-      for (std::size_t k = 0; k < s.written; ++k) {
-        RasEvent& ev = events[dst + k];
-        ev = events[s.begin + k];
-        ev.recid = static_cast<std::int64_t>(dst + k + 1);
-      }
+      for (std::size_t k = 0; k < s.written; ++k) events[dst + k] = events[s.begin + k];
     }
     if (fatal != nullptr) {
       for (; fi < fatal->size() && fatal->log_index[fi] < s.begin + s.written; ++fi) {
@@ -309,7 +306,10 @@ RasLog read_region_parallel_v3(std::string_view region, const Catalog& catalog,
     }
     slots.push_back(BlockSlot{fr});
   }
-  std::vector<RasEvent> events(assign_slots(slots, base));
+  const std::size_t room = assign_slots(slots, base);
+  std::vector<RasEvent> events;
+  mem::reserve_huge(events, room);
+  events.resize(room);
 
   std::vector<ChunkOut> outs = decode_chunks(
       slots, pool, [&](BlockSlot& s, ChunkOut& out, RasDecodeScratch& scratch) {

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "coral/common/error.hpp"
+#include "coral/common/hugepage.hpp"
 #include "coral/common/varint.hpp"
 #include "coral/machine/model.hpp"
 
@@ -143,7 +144,6 @@ std::size_t decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dic
     RasEvent& ev = space.at[space.count];
     if (decode_one(rec, rec_offset, *dict, mode, machine, rep, ev, filter)) {
       const std::size_t index = space.first + space.count;
-      ev.recid = static_cast<std::int64_t>(index + 1);
       scratch.sorted &= rec.time_usec >= scratch.last_time;
       scratch.last_time = rec.time_usec;
       if (ev.is_fatal()) {
@@ -381,12 +381,11 @@ std::size_t decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictiona
   std::int64_t last_time = scratch.last_time;
   bool sorted = scratch.sorted;
   BlockSpace space(out, n);
-  // Store one record straight into its slot, with its RECID (log position
-  // + 1), and gather it into the fatal columns when it is FATAL.
+  // Store one record straight into its slot, and gather it into the fatal
+  // columns when it is FATAL.
   const auto emit = [&](std::size_t k, std::int64_t t, const machine::Location& loc,
                         std::uint8_t sev, ErrcodeId err, std::uint32_t serial) {
     RasEvent& ev = space.at[k];
-    ev.recid = static_cast<std::int64_t>(space.first + k + 1);
     ev.event_time = TimePoint(t);
     ev.location = loc;
     ev.severity = static_cast<Severity>(sev);
@@ -507,8 +506,8 @@ void RasStreamDecoder::on_payload(std::string_view payload,
       RasDictionary d = parse_ras_dictionary(cur, *catalog_, mode_);
       if (!dict_) {
         dict_ = std::move(d);
-        events_.reserve(static_cast<std::size_t>(
-            std::min<std::uint64_t>(dict_->total_records, reserve_cap_)));
+        mem::reserve_huge(events_, static_cast<std::size_t>(std::min<std::uint64_t>(
+                                       dict_->total_records, reserve_cap_)));
       }
       return;
     }
@@ -523,11 +522,12 @@ void RasStreamDecoder::on_payload(std::string_view payload,
       return;
     }
     if (tag == kRasSegmentTag) {
-      // Footers index blocks the stream has already (or will) deliver; the
-      // one-shot file readers use them for zero-touch skips, a streaming
-      // decoder just validates the shape and moves on.
+      // Footers index blocks the stream has already delivered; the one-shot
+      // file readers use them for zero-touch skips. A streaming decoder
+      // keeps their counts only while no dictionary total has survived.
       std::vector<bin::SegmentEntry> entries;
       bin::parse_segment_footer(cur, entries);
+      if (!dict_) footers_.list(entries);
       return;
     }
     if (tag == kRasColumnTag) {
@@ -535,6 +535,7 @@ void RasStreamDecoder::on_payload(std::string_view payload,
                                 loc_dict_ ? &*loc_dict_ : nullptr, mode_, filter_,
                                 record_rep_, RasBlockOut{.tail = &events_}, attempted_,
                                 blocks_, scratch_);
+      if (!dict_) footers_.deliver(payload_offset - bin::kBlockHeaderBytes);
       return;
     }
     if (tag != kRasRecordTag) {
@@ -558,7 +559,7 @@ RasLog RasStreamDecoder::finish(IngestReport& rep, const IngestReport& frame_dam
   rep.merge(record_rep_);
   record_rep_ = IngestReport{};
   bin::check_declared_total(declared_total(), attempted_, mode_, "binary RAS log",
-                            "dictionary", rep);
+                            "dictionary", rep, footers_.undelivered_records());
   if (mode_ == ParseMode::Lenient) rep.adopt_samples(frame_damage);
   // The emit loops gathered the fatal columns and verified time order as
   // they went, so the log adopts them without another pass over the events.

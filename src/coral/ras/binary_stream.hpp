@@ -94,9 +94,8 @@ RasLocDict parse_ras_loc_dict(bin::PayloadCursor& cur,
 /// holds log records `first`, `first + 1`, ... Append mode (`tail` set; the
 /// stream decoder): the vector grows by the block's validated count and is
 /// trimmed back to the records written, also when the decode throws. Either
-/// way the k-th emitted record gets RECID `first + k + 1`, its log position
-/// plus one, which lets the log constructor adopt the emit-side
-/// RasLog::TrustedParts instead of renumbering.
+/// way the k-th emitted record is log record `first + k`, the position the
+/// emit-side fatal gather records as its log_index.
 struct RasBlockOut {
   RasEvent* slot = nullptr;
   std::size_t first = 0;
@@ -237,8 +236,10 @@ class RasStreamDecoder {
   /// End of stream: verify counts (strict) or top-up the BinaryFrame ledger
   /// with the exact number of records lost to dropped frames (lenient), fold
   /// the per-record accounting into `rep`, and build the finalized log.
-  /// `frame_damage` carries the framing layer's per-stretch samples
-  /// (adopted as diagnostics, never double-counted).
+  /// When both dictionary copies were lost, the v3 segment footers bound
+  /// the top-up instead: the records of every footer-listed block no frame
+  /// delivered. `frame_damage` carries the framing layer's per-stretch
+  /// samples (adopted as diagnostics, never double-counted).
   RasLog finish(IngestReport& rep, const IngestReport& frame_damage);
 
  private:
@@ -254,6 +255,7 @@ class RasStreamDecoder {
   std::uint64_t attempted_ = 0;
   std::uint64_t reserve_cap_ = std::uint64_t{1} << 16;
   bin::BlockCounters blocks_;
+  bin::FooterLedger footers_;  ///< kept while no dictionary total survived
   RasDecodeScratch scratch_;
 };
 

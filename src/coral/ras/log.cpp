@@ -38,26 +38,22 @@ void RasLog::finalize() {
   const auto by_time = [](const RasEvent& a, const RasEvent& b) {
     return a.event_time < b.event_time;
   };
-  // The order check, RECID assignment and the fatal-column gather all touch
-  // every record, so they share a single walk — on the multi-million-record
-  // reload path the separate passes were pure memory traffic. Most logs
-  // arrive time-ordered, so the first walk almost always completes; an
-  // out-of-order log (hand-built via append) detects mid-walk, sorts, and
-  // rescans.
+  // The order check and the fatal-column gather touch every record, so they
+  // share a single walk. Most logs arrive time-ordered, so the first walk
+  // almost always completes; an out-of-order log (hand-built via append)
+  // detects mid-walk, sorts, and rescans.
   for (int pass = 0; pass < 2; ++pass) {
     fatal_.event_time.clear();
     fatal_.errcode.clear();
     fatal_.loc_key.clear();
     fatal_.log_index.clear();
     bool sorted = true;
-    std::int64_t recid = 1;
     for (std::size_t i = 0; i < events_.size(); ++i) {
-      RasEvent& ev = events_[i];
+      const RasEvent& ev = events_[i];
       if (i != 0 && ev.event_time < events_[i - 1].event_time) {
         sorted = false;
         break;
       }
-      ev.recid = recid++;
       if (ev.is_fatal()) {
         fatal_.event_time.push_back(ev.event_time);
         fatal_.errcode.push_back(ev.errcode);
@@ -134,9 +130,10 @@ void RasLog::write_csv(std::ostream& out) const {
   CsvWriter w(out);
   w.write_row({"RECID", "MSG_ID", "COMPONENT", "SUBCOMPONENT", "ERRCODE", "SEVERITY",
                "EVENT_TIME", "LOCATION", "SERIAL", "MESSAGE"});
-  for (const auto& ev : events_) {
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const RasEvent& ev = events_[i];
     const ErrcodeInfo& info = ev.info(*catalog_);
-    w.write_row({std::to_string(ev.recid), info.msg_id, to_string(info.component),
+    w.write_row({std::to_string(i + 1), info.msg_id, to_string(info.component),
                  info.subcomponent, info.name, to_string(ev.severity),
                  ev.event_time.to_ras_string(), ev.location.to_string(),
                  std::to_string(ev.serial), info.message});
@@ -184,7 +181,7 @@ RasLog RasLog::read_csv(std::istream& in, const Catalog& catalog, ParseMode mode
     }
     if (mode == ParseMode::Strict) {
       RasEvent ev;
-      ev.recid = parse_int(row[0]);
+      parse_int(row[0]);  // RECID: validated, then renumbered by position
       const auto code = catalog.find(row[4]);
       if (!code) throw ParseError("unknown ERRCODE in CSV: '" + row[4] + "'");
       ev.errcode = *code;
@@ -201,7 +198,7 @@ RasLog RasLog::read_csv(std::istream& in, const Catalog& catalog, ParseMode mode
     IngestReason reason = IngestReason::BadRecord;
     try {
       reason = IngestReason::BadNumber;
-      ev.recid = parse_int(row[0]);
+      parse_int(row[0]);
       reason = IngestReason::UnknownErrcode;
       const auto code = catalog.find(row[4]);
       if (!code) throw ParseError("unknown ERRCODE in CSV: '" + row[4] + "'");

@@ -40,8 +40,9 @@ struct FatalColumns {
   bool empty() const { return event_time.empty(); }
 };
 
-/// An in-memory RAS log: records sorted by EVENT_TIME, RECIDs assigned in
-/// time order (as the CMCS backend does). A log remembers which catalog its
+/// An in-memory RAS log: records sorted by EVENT_TIME, a record's RECID being
+/// its position plus one (time order, as the CMCS backend assigns them). A
+/// log remembers which catalog its
 /// ErrcodeIds index into — and which machine its locations were parsed
 /// against — so downstream consumers never have to guess.
 class RasLog {
@@ -53,8 +54,7 @@ class RasLog {
 
   /// Everything finalize() would compute, produced by a caller whose emit
   /// loop already had each record in registers (the binary readers): the
-  /// fatal-column gather and the verdict of a running time-order check, for
-  /// events whose RECIDs are already their log positions plus one. When
+  /// fatal-column gather and the verdict of a running time-order check. When
   /// `sorted` holds, the constructor adopts the columns and skips the
   /// finalize walk entirely — the one remaining full pass over a
   /// multi-million-record reload. A caller whose order check failed sets
@@ -85,8 +85,8 @@ class RasLog {
   /// fixed up by finalize()).
   void append(RasEvent ev);
 
-  /// Sort by time and assign RECIDs 1..N. Must be called after out-of-order
-  /// appends and before analysis.
+  /// Sort by time (stable) and rebuild the fatal columns. Must be called
+  /// after out-of-order appends and before analysis.
   void finalize();
 
   /// Copy of all FATAL-severity records, time-ordered. A finalized log
@@ -108,6 +108,7 @@ class RasLog {
 
   /// CSV serialization with the Table II column set:
   /// RECID,MSG_ID,COMPONENT,SUBCOMPONENT,ERRCODE,SEVERITY,EVENT_TIME,LOCATION,SERIAL,MESSAGE
+  /// where RECID is the record's position plus one.
   void write_csv(std::ostream& out) const;
 
   /// Load a RAS CSV. Strict mode (the default) throws ParseError on the
@@ -119,7 +120,9 @@ class RasLog {
   /// plus per-reason malformed counters are recorded, alongside whatever
   /// stage spans the analysis engines record into the same collector.
   /// Location strings are validated against `machine`'s grammar; the
-  /// returned log is stamped with that model.
+  /// returned log is stamped with that model. The RECID column must parse
+  /// as an integer but is then discarded: the returned log is time-sorted
+  /// and renumbered 1..N.
   static RasLog read_csv(std::istream& in, const Catalog& catalog = default_catalog(),
                          ParseMode mode = ParseMode::Strict,
                          IngestReport* report = nullptr,

@@ -102,7 +102,7 @@ struct InterruptionTruth {
 struct GroundTruth {
   std::vector<FaultInstanceTruth> faults;
   /// Per-RAS-record fault instance id, aligned with the finalized RasLog
-  /// (index = recid - 1); -1 marks background noise records.
+  /// (index = log position); -1 marks background noise records.
   std::vector<std::int32_t> record_tags;
   std::vector<InterruptionTruth> interruptions;
 };

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "coral/common/error.hpp"
+#include "coral/common/hugepage.hpp"
 #include "coral/common/strings.hpp"
 #include "coral/obs/obs.hpp"
 #include "coral/sched/policy.hpp"
@@ -716,9 +717,10 @@ class Simulation {
   // ---- assembly ----------------------------------------------------------
 
   SynthResult assemble() {
-    // Sort records and tags together so record_tags aligns with recids. One
-    // sort of contiguous (time, index) keys: the index tie-break keeps
-    // equal-time records in emission order, as a stable sort would.
+    // Sort records and tags together so record_tags aligns with log
+    // positions. One sort of contiguous (time, index) keys: the index
+    // tie-break keeps equal-time records in emission order, as a stable sort
+    // would.
     std::vector<std::pair<std::int64_t, std::size_t>> order(records_.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
       order[i] = {records_[i].event.event_time.usec(), i};
@@ -726,7 +728,7 @@ class Simulation {
     std::sort(order.begin(), order.end());
 
     std::vector<ras::RasEvent> events;
-    events.reserve(records_.size());
+    mem::reserve_huge(events, records_.size());
     std::vector<std::int32_t> tags;
     tags.reserve(records_.size());
     for (const auto& key : order) {

@@ -503,8 +503,8 @@ TEST(ParallelBinaryRead, RejectedRecordsLeaveHolesThatCloseLikeSequential) {
   // A catalog without every third errcode: a lenient read drops those
   // records inside their blocks, and (under a predicate) the exact filter
   // drops more, so the pooled readers' slots fill only in part. Closing
-  // the holes must renumber RECIDs and fatal log indices exactly as the
-  // sequential reader's push-as-you-go numbering does.
+  // the holes must move the records down and renumber the fatal log indices
+  // exactly as the sequential reader's push-as-you-go numbering does.
   std::vector<ras::ErrcodeInfo> kept;
   const auto all = ras::default_catalog().all();
   for (std::size_t i = 0; i < all.size(); ++i) {

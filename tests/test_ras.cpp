@@ -2,6 +2,8 @@
 
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "coral/common/error.hpp"
 #include "coral/common/strings.hpp"
@@ -114,10 +116,11 @@ TEST(RasLog, FinalizeSortsAndAssignsRecids) {
   log.append(make_event(codes::kRasStormFatal, "2009-01-06-00.00.00", "R01-M0-N00-J04"));
   log.append(make_event(codes::kBulkPowerFatal, "2009-01-05-00.00.00", "R01"));
   log.finalize();
-  EXPECT_EQ(log[0].recid, 1);
-  EXPECT_EQ(log[1].recid, 2);
+  // RECID is the position plus one: the earlier record comes first.
   EXPECT_LE(log[0].event_time, log[1].event_time);
   EXPECT_EQ(log[0].info(log.catalog()).name, codes::kBulkPowerFatal);
+  EXPECT_EQ(log[1].info(log.catalog()).name, codes::kRasStormFatal);
+  EXPECT_EQ(log[1].location, testing::bgp_loc("R01-M0-N00-J04"));
 }
 
 TEST(RasLog, SummaryCountsSeverities) {
@@ -152,8 +155,10 @@ TEST(RasLog, FatalIndicesMatchFatalEvents) {
   const std::vector<RasEvent> scanned = log.fatal_events();
   ASSERT_EQ(scanned.size(), idx.size());
   for (std::size_t i = 0; i < idx.size(); ++i) {
-    EXPECT_EQ(log[idx[i]].recid, scanned[i].recid);
     EXPECT_EQ(log[idx[i]].event_time, scanned[i].event_time);
+    EXPECT_EQ(log[idx[i]].errcode, scanned[i].errcode);
+    EXPECT_EQ(log[idx[i]].location, scanned[i].location);
+    EXPECT_EQ(log[idx[i]].serial, scanned[i].serial);
   }
 
   // The index tracks re-finalization after further appends.
@@ -196,6 +201,66 @@ TEST(RasLog, CsvRoundTrip) {
     EXPECT_EQ(parsed[i].severity, log[i].severity);
     EXPECT_EQ(parsed[i].serial, log[i].serial);
   }
+}
+
+/// The data rows of a RAS CSV, and the RECID (first field) of each.
+std::vector<std::string> csv_rows(const std::string& csv) {
+  std::vector<std::string> rows;
+  std::istringstream in(csv);
+  std::string line;
+  std::getline(in, line);  // header
+  while (std::getline(in, line)) {
+    if (!line.empty()) rows.push_back(line);
+  }
+  return rows;
+}
+
+std::string recid_of(const std::string& row) { return row.substr(0, row.find(',')); }
+
+TEST(RasLog, CsvRecidIsPositionPlusOne) {
+  RasLog log;
+  log.append(make_event(codes::kRasStormFatal, "2009-01-05-03.00.00", "R01-M0-N00-J04"));
+  log.append(make_event("ecc_correctable", "2009-01-05-01.00.00", "R02-M1-N01-J06"));
+  log.append(make_event(codes::kBulkPowerFatal, "2009-01-05-02.00.00", "R01"));
+  log.finalize();
+  std::ostringstream out;
+  log.write_csv(out);
+  const std::vector<std::string> rows = csv_rows(out.str());
+  ASSERT_EQ(rows.size(), 3u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(recid_of(rows[i]), std::to_string(i + 1));
+  }
+
+  // Gapped, out-of-order RECIDs on rows out of time order: the RECIDs are
+  // parsed and dropped, the records come back time-sorted, and writing
+  // them numbers the rows 1..n again.
+  const std::string header = out.str().substr(0, out.str().find('\n') + 1);
+  const auto renumbered = [&](std::size_t i, const char* recid) {
+    return recid + rows[i].substr(rows[i].find(',')) + "\n";
+  };
+  std::istringstream gapped(header + renumbered(2, "907") + renumbered(0, "12") +
+                            renumbered(1, "5000"));
+  const RasLog parsed = RasLog::read_csv(gapped);
+  ASSERT_EQ(parsed.size(), log.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(parsed[i].event_time, log[i].event_time);
+    EXPECT_EQ(parsed[i].errcode, log[i].errcode);
+    EXPECT_EQ(parsed[i].location, log[i].location);
+  }
+  std::ostringstream back;
+  parsed.write_csv(back);
+  EXPECT_EQ(back.str(), out.str());
+
+  // The RECID column is still validated: strict mode throws on a
+  // non-numeric one, lenient mode charges the row to BadNumber.
+  std::istringstream strict_bad(header + renumbered(0, "x1") + renumbered(1, "2"));
+  EXPECT_THROW(RasLog::read_csv(strict_bad), ParseError);
+  std::istringstream lenient_bad(header + renumbered(0, "x1") + renumbered(1, "2"));
+  IngestReport rep;
+  const RasLog kept =
+      RasLog::read_csv(lenient_bad, default_catalog(), ParseMode::Lenient, &rep);
+  EXPECT_EQ(kept.size(), 1u);
+  EXPECT_EQ(rep.malformed(IngestReason::BadNumber), 1u);
 }
 
 TEST(RasLog, CsvRejectsGarbage) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -12,8 +13,10 @@
 #include "coral/context.hpp"
 #include "coral/fleet/fingerprint.hpp"
 #include "coral/joblog/binary_io.hpp"
+#include "coral/joblog/binary_stream.hpp"
 #include "coral/obs/obs.hpp"
 #include "coral/ras/binary_io.hpp"
+#include "coral/ras/binary_stream.hpp"
 #include "coral/stream/session.hpp"
 
 namespace coral {
@@ -193,6 +196,53 @@ TEST(SessionParity, LenientCorruptionAccountingMatchesOffline) {
       expect_reports_equal(got.ras_report, off.ras_rep, seed);
       expect_reports_equal(got.jobs_report, off.job_rep, seed);
     }
+  }
+}
+
+/// Flip one payload bit of every `tag` frame and of the `nth` 'C' frame of a
+/// v3 image, leaving every frame header (and so every other frame) intact.
+std::string damage_frames(const std::string& image, char tag, std::size_t nth) {
+  std::string out = image;
+  std::vector<std::size_t> targets = testing::frames_with_tag(image, tag);
+  const std::vector<std::size_t> columns = testing::frames_with_tag(image, 'C');
+  if (columns.size() <= nth) {
+    ADD_FAILURE() << "image has only " << columns.size() << " column blocks";
+    return out;
+  }
+  targets.push_back(columns[nth]);
+  for (const std::size_t p : targets) {
+    std::uint32_t size = 0;
+    std::memcpy(&size, out.data() + p + sizeof bin::kBlockMagic, sizeof size);
+    out[p + bin::kBlockHeaderBytes + size / 2] ^= 0x01;
+  }
+  EXPECT_EQ(testing::frame_offsets(out), testing::frame_offsets(image));
+  return out;
+}
+
+TEST(SessionParity, FootersBoundTheLossWhenEveryDeclaredTotalIsLost) {
+  // Both copies of the declared total (RAS 'D', job 'H') and one column
+  // block are damaged; the block's segment footer survives. The lenient
+  // ledger must still account for every record of the image: the footer
+  // lists the lost block's count, so it is charged to BinaryFrame.
+  const std::string ras_clean = ras_bytes(make_ras_log(900), 3);
+  const std::string job_clean = job_bytes(make_job_log(400), 3);
+  const std::string ras_bad = damage_frames(ras_clean, 'D', 5);
+  const std::string job_bad = damage_frames(job_clean, 'H', 2);
+
+  const Offline off = offline_run(ras_bad, job_bad, ParseMode::Lenient);
+  EXPECT_EQ(off.ras_rep.records_seen(), 900u);
+  EXPECT_EQ(off.ras_rep.malformed(IngestReason::BinaryFrame), ras::kRasRecordsPerBlock);
+  EXPECT_EQ(off.job_rep.records_seen(), 400u);
+  EXPECT_EQ(off.job_rep.malformed(IngestReason::BinaryFrame), joblog::kJobRecordsPerBlock);
+  EXPECT_EQ(off.jobs.size(), 400u - joblog::kJobRecordsPerBlock);
+
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const stream::SessionResult got =
+        session_run(ras_bad, job_bad, ParseMode::Lenient, seed);
+    EXPECT_EQ(got.ras_report.records_seen(), 900u) << "seed " << seed;
+    EXPECT_EQ(got.jobs_report.records_seen(), 400u) << "seed " << seed;
+    expect_reports_equal(got.ras_report, off.ras_rep, seed);
+    expect_reports_equal(got.jobs_report, off.job_rep, seed);
   }
 }
 

