@@ -161,7 +161,6 @@ BENCHMARK(BM_Vulnerability)->Unit(benchmark::kMillisecond);
 void BM_EndToEndCoAnalysis(benchmark::State& state) {
   const StorePaths& store = v3_store();
   par::ThreadPool pool;
-  const Context ctx = Context{}.with_pool(&pool);
   ras::ReadOptions ras_opts;
   ras_opts.pool = &pool;
   std::size_t interruptions = 0;
@@ -170,7 +169,7 @@ void BM_EndToEndCoAnalysis(benchmark::State& state) {
         ras::read_binary_file(store.ras, ras::default_catalog(), ras_opts);
     std::ifstream job_in(store.jobs, std::ios::binary);
     const joblog::JobLog jobs = joblog::read_binary(job_in, joblog::ReadOptions{});
-    const core::CoAnalysisResult result = core::run_coanalysis(ras, jobs, {}, ctx);
+    const core::CoAnalysisResult result = core::run_coanalysis(ras, jobs);
     interruptions = result.interruption_count();
     benchmark::DoNotOptimize(result.matches.interruptions.data());
   }
@@ -178,7 +177,8 @@ void BM_EndToEndCoAnalysis(benchmark::State& state) {
                           static_cast<std::int64_t>(data().ras.size()));
   state.counters["interruptions"] = static_cast<double>(interruptions);
 }
-// Reads and analyses on a pool: measured as process CPU, workers included.
+// The RAS read runs on a pool, the analysis serially: measured as process
+// CPU, workers included.
 BENCHMARK(BM_EndToEndCoAnalysis)->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime();
 
 }  // namespace

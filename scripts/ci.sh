@@ -28,9 +28,9 @@
 #              on a >10% cpu_time regression versus the committed numbers.
 #   coverage — rebuilds with gcc --coverage, runs the full suite, and gates
 #              line coverage on src/coral at 80% plus branch coverage on the
-#              streaming front-end kernels (filter stages, matcher, shard
-#              planner and merge) at 92% via scripts/coverage.py (plain
-#              gcov + python3; no gcovr dependency).
+#              streaming front-end kernels (filter stages, matcher, driver
+#              and merge) at 92% via scripts/coverage.py (plain gcov +
+#              python3; no gcovr dependency).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -98,22 +98,24 @@ case " ${PRESETS[*]} " in
     ;;
 esac
 
-# The concurrent multi-catalog tests, the sharded streaming differential,
-# the fleet daemon tests and the obs tests must always run under
-# ThreadSanitizer, even when the caller asked for a subset of presets: they
-# are the only coverage of two Contexts racing through the full pipeline, of
-# shards splicing group members into disjoint index ranges of one shared
-# member chain, of the daemon's accept, connection and metrics threads
-# starting and stopping, and of per-shard spans recording into one
-# collector (and its span histograms) from pool workers.
+# The threads that remain must always run under ThreadSanitizer, even when
+# the caller asked for a subset of presets. The analysis itself is serial;
+# these tests are the only coverage of two Contexts racing through the full
+# pipeline on separate threads (test_context), of the pooled v3 reader's
+# block decode across workers (ParallelBinaryRead.* in test_columnar), of
+# ThreadPool and parallel_for_chunks themselves (test_parallel), of the
+# daemon's accept, connection and metrics threads starting and stopping
+# (test_fleet), and of spans and counters recording into one collector
+# from several threads and pool workers (test_obs).
 case " ${PRESETS[*]} " in
   *" tsan "*) ;;  # full tsan suite already ran above
   *)
-    echo "==== [tsan] focused Context + sharded streaming + fleet + obs race check ===="
+    echo "==== [tsan] focused Context + pooled reader + pool + fleet + obs race check ===="
     cmake --preset tsan
     cmake --build --preset tsan -j "$JOBS" \
-      --target test_context test_streaming test_fleet test_obs
-    ctest --preset tsan -R 'Context|StreamingEngine|Fleet|Obs' -j "$JOBS"
+      --target test_context test_columnar test_parallel test_fleet test_obs
+    ctest --preset tsan -R 'Context|ParallelBinaryRead|ParallelFor|ThreadPool|Fleet|Obs' \
+      -j "$JOBS"
     ;;
 esac
 
@@ -269,10 +271,10 @@ if [ "$RUN_BENCH" -eq 1 ]; then
   done
   # Run from the bench dir: perf_streaming drops its BENCH_streaming.json
   # stage-timing artifact in cwd, which should stay out of the repo root.
-  # Best-of-7 reps (seed/shards at defaults): the per-mode wall numbers are
+  # Best-of-7 reps (seed at its default): the per-mode wall numbers are
   # only a few ms, and on shared CI VMs best-of-3 leaves enough scheduler
   # noise to trip the regression gate spuriously.
-  (cd "$BENCH_DIR" && ./perf_streaming 42 8 7) > "$BENCH_OUT/perf_streaming.json"
+  (cd "$BENCH_DIR" && ./perf_streaming 42 7) > "$BENCH_OUT/perf_streaming.json"
   echo "==== [bench] merge + regression gate ===="
   python3 scripts/merge_bench.py --out BENCH_coanalysis.json \
     --gbench "$BENCH_OUT"/perf_filtering.json "$BENCH_OUT"/perf_matching.json \
@@ -297,8 +299,7 @@ if [ "$RUN_COVERAGE" -eq 1 ]; then
   python3 scripts/coverage.py --build-dir build/coverage \
     --source-prefix src/coral --min-percent 80 \
     --branch-prefix src/coral/stream/filter_stages --branch-prefix src/coral/stream/matcher \
-    --branch-prefix src/coral/stream/coanalysis --branch-prefix src/coral/stream/shard \
-    --branch-prefix src/coral/stream/stage \
+    --branch-prefix src/coral/stream/coanalysis --branch-prefix src/coral/stream/stage \
     --min-branch-percent 92
 fi
 

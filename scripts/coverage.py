@@ -8,7 +8,7 @@ it), and reports line coverage restricted to files under --source-prefix.
 
 Branch coverage is gated separately and only on the decision-heavy kernels
 (--branch-prefix, repeatable; default the streaming front end's filter
-stages, matcher, driver, shard planner and stage plumbing): line coverage
+stages, matcher, driver and stage plumbing): line coverage
 on glue code is a fine proxy, but the coalescing windows, watermarks and
 match rules are condition soup where a hit line says little about which
 way the condition went. Exception-only edges ("throw" branches in the gcov
@@ -17,7 +17,7 @@ JSON) are excluded, as conventional.
 Usage:
   python3 scripts/coverage.py --build-dir build/coverage \
       --source-prefix src/coral --min-percent 80 \
-      --branch-prefix src/coral/stream/matcher --branch-prefix src/coral/stream/shard \
+      --branch-prefix src/coral/stream/matcher --branch-prefix src/coral/stream/coanalysis \
       --min-branch-percent 92
 """
 
@@ -83,7 +83,7 @@ def main() -> int:
     args = parser.parse_args()
     branch_prefixes = args.branch_prefix or [
         f"src/coral/stream/{name}"
-        for name in ("filter_stages", "matcher", "coanalysis", "shard", "stage")
+        for name in ("filter_stages", "matcher", "coanalysis", "stage")
     ]
 
     gcda_files = find_gcda(args.build_dir)

@@ -1,7 +1,6 @@
 #include "coral/common/parallel.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace coral::par {
 
@@ -105,34 +104,6 @@ void ThreadPool::worker_loop() {
       if (--in_flight_ == 0) cv_idle_.notify_all();
     }
   }
-}
-
-void parallel_for_chunks(std::size_t n, std::size_t min_chunk,
-                         const std::function<void(std::size_t, std::size_t)>& body,
-                         ThreadPool* pool) {
-  // Explicit template argument so this forwards to the header implementation
-  // instead of recursing into itself.
-  parallel_for_chunks<const std::function<void(std::size_t, std::size_t)>&>(
-      n, min_chunk, body, pool);
-}
-
-std::size_t configured_thread_count() {
-  const char* env = std::getenv("CORAL_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  // All-digits only: strtol would skip leading whitespace and accept signs,
-  // which we treat as malformed rather than guess at.
-  for (const char* p = env; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return 0;
-  }
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v <= 0) return 0;
-  return static_cast<std::size_t>(v);
-}
-
-ThreadPool& default_pool() {
-  static ThreadPool pool(configured_thread_count());
-  return pool;
 }
 
 }  // namespace coral::par

@@ -18,6 +18,11 @@ namespace coral::par {
 /// A fixed-size worker pool. Tasks are arbitrary callables; `wait_idle`
 /// blocks until every submitted task has completed. Exceptions thrown by
 /// tasks are captured and rethrown (first one) from wait_idle().
+///
+/// The pool pays where the data volume is: the v3 RAS reader's block decode
+/// and the writer's block encode (ras::ReadOptions::pool,
+/// ras::WriteOptions::pool). The co-analysis itself runs serially. Since
+/// wait_idle() is a whole-pool barrier, one caller uses a pool at a time.
 class ThreadPool {
  public:
   /// `threads == 0` selects hardware_concurrency() (at least 1).
@@ -110,20 +115,5 @@ void parallel_for_chunks(std::size_t n, std::size_t min_chunk, Body&& body,
   }
   pool->wait_idle();
 }
-
-/// Type-erased overload, kept for call sites that already hold a
-/// std::function (non-template translation units).
-void parallel_for_chunks(std::size_t n, std::size_t min_chunk,
-                         const std::function<void(std::size_t, std::size_t)>& body,
-                         ThreadPool* pool = nullptr);
-
-/// Worker count requested via the CORAL_THREADS environment variable; 0 when
-/// unset or not a positive integer (0 = let ThreadPool pick the hardware
-/// concurrency).
-std::size_t configured_thread_count();
-
-/// Global default pool (lazily constructed; sized from CORAL_THREADS when
-/// set, else to the hardware).
-ThreadPool& default_pool();
 
 }  // namespace coral::par

@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "coral/common/parallel.hpp"
-#include "coral/common/rng.hpp"
 #include "coral/machine/model.hpp"
 #include "coral/obs/obs.hpp"
 #include "coral/ras/catalog.hpp"
@@ -11,15 +10,15 @@
 namespace coral {
 
 /// The explicit per-analysis runtime handle: which machine catalog to
-/// generate/analyze against, which worker pool to run on, a base RNG seed
-/// policy, and where stage instrumentation goes.
+/// generate/analyze against, a base RNG seed policy, and where stage
+/// instrumentation goes.
 ///
 /// A Context is a cheap-to-copy bundle of non-owning handles; the caller
-/// keeps the catalog, pool and collector alive for as long as any analysis using
+/// keeps the catalog and collector alive for as long as any analysis using
 /// the context runs (for the default catalog that is the whole process).
 /// Every layer that used to consult process-global state — fault injection,
 /// the synthetic workload, RAS ingest/serialization, filtering, the core
-/// reports and both co-analysis engines — takes a Context (or the relevant
+/// reports and the co-analysis — takes a Context (or the relevant
 /// member) instead, so two analyses over *different* catalogs can run
 /// concurrently in one process.
 ///
@@ -33,6 +32,7 @@ class Context {
 
   const ras::Catalog& catalog() const { return *catalog_; }
   const machine::MachineModel& machine() const { return *machine_; }
+  /// Ignored by every analysis layer; see with_pool().
   par::ThreadPool* pool() const { return pool_; }
   obs::Collector* obs() const { return obs_; }
   std::uint64_t seed() const { return seed_; }
@@ -48,18 +48,19 @@ class Context {
     machine_ = &machine;
     return *this;
   }
-  /// Worker pool for the data-parallel stages; nullptr (the default) runs
-  /// everything serially. Results are identical either way.
+  /// Ignored: the analysis runs serially, and no layer reads pool(). Kept
+  /// because the e2e benchmark package compiles against it. A pool pays in
+  /// the v3 RAS reader and writer; pass it there (ras::ReadOptions::pool,
+  /// ras::WriteOptions::pool).
   Context& with_pool(par::ThreadPool* pool) {
     pool_ = pool;
     return *this;
   }
   /// Observability: every layer records its stage spans (one per stage,
-  /// or per shard of a sharded stage, each also feeding a same-named
-  /// duration histogram), typed counters — the log readers' per-reason
-  /// "ingest.*.malformed.*" ledgers among them — and value histograms into
-  /// `collector`. One object, one snapshot, every layer; nullptr (the
-  /// default) records nothing.
+  /// each also feeding a same-named duration histogram), typed counters —
+  /// the log readers' per-reason "ingest.*.malformed.*" ledgers among
+  /// them — and value histograms into `collector`. One object, one
+  /// snapshot, every layer; nullptr (the default) records nothing.
   Context& with_obs(obs::Collector* collector) {
     obs_ = collector;
     return *this;
@@ -75,11 +76,6 @@ class Context {
 
   /// Fold a config-level seed through the context's seed policy.
   std::uint64_t derive_seed(std::uint64_t config_seed) const { return config_seed ^ seed_; }
-
-  /// Deterministic RNG for a numbered stream under the context's policy.
-  Rng make_rng(std::uint64_t stream) const {
-    return Rng(seed_ ^ (0x9E3779B97F4A7C15ull * (stream + 1)));
-  }
 
  private:
   const ras::Catalog* catalog_;

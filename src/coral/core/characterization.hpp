@@ -41,8 +41,9 @@ struct CharColumns {
   std::size_t job_count() const { return job_group.size(); }
 };
 
-/// Gather the per-analysis columns once per co-analysis. `pool` fans the
-/// fills over worker threads; results are identical with or without it.
+/// Gather the per-analysis columns once per co-analysis, in two serial
+/// fills. `pool` is ignored; it stays because the e2e benchmark package
+/// compiles against it.
 CharColumns build_char_columns(const filter::FilterPipelineResult& filtered,
                                const MatchResult& matches, const joblog::JobLog& jobs,
                                par::ThreadPool* pool = nullptr);

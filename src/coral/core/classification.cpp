@@ -151,117 +151,92 @@ ClassificationResult classify_causes(const filter::FilterPipelineResult& filtere
                                      const IdentificationResult& identification,
                                      const joblog::JobLog& jobs, const CharColumns& cols,
                                      const ClassificationConfig& config,
-                                     par::ThreadPool* pool) {
+                                     par::ThreadPool* /*pool*/) {
   ClassificationResult result;
 
   const ObsBuckets obs = bucket_interruptions(matches, jobs, cols);
   const joblog::JobColumns& jc = jobs.columns();
 
   // --- Rules 1–3, one independent verdict per errcode --------------------
-  // The codes are independent of each other, so they fan over the pool; the
-  // outcomes land in an index-addressed array and merge serially in map
-  // (ascending-code) order, keeping the result deterministic.
-  std::vector<ras::ErrcodeId> vcode;
-  std::vector<ErrcodeVerdict> vview;
-  vcode.reserve(identification.verdicts.size());
-  vview.reserve(identification.verdicts.size());
+  // No code's verdict reads another's, so each lands in the map as soon as
+  // it is decided; codes left unlabeled fall through to rule 4.
   for (const auto& [code, verdict] : identification.verdicts) {
-    vcode.push_back(code);
-    vview.push_back(verdict);
-  }
-  enum : std::uint8_t { kNone = 0, kRule1, kRule2, kRule3 };
-  std::vector<std::uint8_t> outcome(vcode.size(), kNone);
-
-  par::parallel_for_chunks(vcode.size(), 8, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t c = lo; c < hi; ++c) {
-      const std::ptrdiff_t bi = obs.find(vcode[c]);
-      if (bi < 0) {
-        // Rule 1: only observed on idle hardware → system failure.
-        if (vview[c] == ErrcodeVerdict::Undetermined) outcome[c] = kRule1;
-        continue;  // non-fatal-to-jobs; resolved by the correlation pass
+    const std::ptrdiff_t bi = obs.find(code);
+    if (bi < 0) {
+      // Rule 1: only observed on idle hardware → system failure.
+      if (verdict == ErrcodeVerdict::Undetermined) {
+        result.by_code[code] = {Cause::SystemFailure, CauseRule::NeverWithJob, 0};
       }
-      const std::size_t vb = obs.offset[static_cast<std::size_t>(bi)];
-      const std::size_t ve = obs.offset[static_cast<std::size_t>(bi) + 1];
+      continue;  // non-fatal-to-jobs; resolved by the correlation pass
+    }
+    const std::size_t vb = obs.offset[static_cast<std::size_t>(bi)];
+    const std::size_t ve = obs.offset[static_cast<std::size_t>(bi) + 1];
 
-      // Rule 2: interruptions of different jobs of *different executables*
-      // reported from the *same hardware location* → the scheduler kept
-      // assigning the failed nodes → system. (Distinct executables separate
-      // this from a user resubmitting a buggy code to the same partition;
-      // comparing fault locations rather than job partitions keeps a
-      // propagating shared-file-system error from looking like node repeats.)
-      bool same_location_repeat = false;
-      for (std::size_t i = vb; i + 1 < ve && !same_location_repeat; ++i) {
-        for (std::size_t k = i + 1; k < ve; ++k) {
-          if (obs.time[k] - obs.time[i] > config.same_location_horizon) break;
-          if (obs.exec[k] != obs.exec[i] && obs.loc[k] == obs.loc[i]) {
-            same_location_repeat = true;
+    // Rule 2: interruptions of different jobs of *different executables*
+    // reported from the *same hardware location* → the scheduler kept
+    // assigning the failed nodes → system. (Distinct executables separate
+    // this from a user resubmitting a buggy code to the same partition;
+    // comparing fault locations rather than job partitions keeps a
+    // propagating shared-file-system error from looking like node repeats.)
+    bool same_location_repeat = false;
+    for (std::size_t i = vb; i + 1 < ve && !same_location_repeat; ++i) {
+      for (std::size_t k = i + 1; k < ve; ++k) {
+        if (obs.time[k] - obs.time[i] > config.same_location_horizon) break;
+        if (obs.exec[k] != obs.exec[i] && obs.loc[k] == obs.loc[i]) {
+          same_location_repeat = true;
+          break;
+        }
+      }
+    }
+
+    // Rule 3 (Fig. 2): the same executable is interrupted by the same code
+    // at a *different* location, while the original location later hosts an
+    // untroubled job → the error travels with the code, not the nodes.
+    int follow_evidence = 0;
+    for (std::size_t i = vb; i < ve; ++i) {
+      bool found_for_i = false;
+      for (std::size_t k = i + 1; k < ve && !found_for_i; ++k) {
+        if (obs.time[k] - obs.time[i] > config.follow_gap) break;
+        if (obs.exec[k] != obs.exec[i]) continue;
+        if (obs.part_first[i] < obs.part_end[k] && obs.part_first[k] < obs.part_end[i]) {
+          continue;  // same nodes — not the travelling pattern
+        }
+        // (b) an untroubled job ran on the original partition in between
+        // (it must start inside the gap; it may still be running at the
+        // second interruption — Fig. 2's "job 2 has no interruption").
+        // Jobs are start-ordered, so the window is one binary search plus
+        // a contiguous scan that skips the interrupted jobs.
+        const std::size_t sb = static_cast<std::size_t>(
+            std::upper_bound(jc.start.begin(), jc.start.end(), obs.time[i]) -
+            jc.start.begin());
+        for (std::size_t s = sb; s < jc.size() && jc.start[s] < obs.time[k]; ++s) {
+          if (jc.part_first[s] < obs.part_end[i] && obs.part_first[i] < jc.part_end[s] &&
+              cols.job_group[s] < 0) {
+            found_for_i = true;
             break;
           }
         }
       }
-
-      // Rule 3 (Fig. 2): the same executable is interrupted by the same code
-      // at a *different* location, while the original location later hosts an
-      // untroubled job → the error travels with the code, not the nodes.
-      int follow_evidence = 0;
-      for (std::size_t i = vb; i < ve; ++i) {
-        bool found_for_i = false;
-        for (std::size_t k = i + 1; k < ve && !found_for_i; ++k) {
-          if (obs.time[k] - obs.time[i] > config.follow_gap) break;
-          if (obs.exec[k] != obs.exec[i]) continue;
-          if (obs.part_first[i] < obs.part_end[k] && obs.part_first[k] < obs.part_end[i]) {
-            continue;  // same nodes — not the travelling pattern
-          }
-          // (b) an untroubled job ran on the original partition in between
-          // (it must start inside the gap; it may still be running at the
-          // second interruption — Fig. 2's "job 2 has no interruption").
-          // Jobs are start-ordered, so the window is one binary search plus
-          // a contiguous scan that skips the interrupted jobs.
-          const std::size_t sb = static_cast<std::size_t>(
-              std::upper_bound(jc.start.begin(), jc.start.end(), obs.time[i]) -
-              jc.start.begin());
-          for (std::size_t s = sb; s < jc.size() && jc.start[s] < obs.time[k]; ++s) {
-            if (jc.part_first[s] < obs.part_end[i] && obs.part_first[i] < jc.part_end[s] &&
-                cols.job_group[s] < 0) {
-              found_for_i = true;
-              break;
-            }
-          }
-        }
-        if (found_for_i) ++follow_evidence;
-      }
-
-      // The follows-the-executable evidence is the stronger signal: a code
-      // that travels with a resubmitted binary while its old nodes stay
-      // healthy cannot be a hardware fault, whereas a shared-resource
-      // application error can coincidentally repeat at one location.
-      if (follow_evidence >= config.min_follow_evidence) {
-        outcome[c] = kRule3;
-      } else if (same_location_repeat) {
-        outcome[c] = kRule2;
-      }
-      // else: unlabeled, falls through to the correlation pass.
+      if (found_for_i) ++follow_evidence;
     }
-  }, pool);
 
-  for (std::size_t c = 0; c < vcode.size(); ++c) {
-    switch (outcome[c]) {
-      case kRule1:
-        result.by_code[vcode[c]] = {Cause::SystemFailure, CauseRule::NeverWithJob, 0};
-        break;
-      case kRule2:
-        result.by_code[vcode[c]] = {Cause::SystemFailure, CauseRule::RepeatSameLocation, 0};
-        break;
-      case kRule3:
-        result.by_code[vcode[c]] = {Cause::ApplicationError, CauseRule::FollowsResubmission, 0};
-        break;
-      default: break;
+    // The follows-the-executable evidence is the stronger signal: a code
+    // that travels with a resubmitted binary while its old nodes stay
+    // healthy cannot be a hardware fault, whereas a shared-resource
+    // application error can coincidentally repeat at one location.
+    if (follow_evidence >= config.min_follow_evidence) {
+      result.by_code[code] = {Cause::ApplicationError, CauseRule::FollowsResubmission, 0};
+    } else if (same_location_repeat) {
+      result.by_code[code] = {Cause::SystemFailure, CauseRule::RepeatSameLocation, 0};
     }
+    // else: unlabeled, falls through to the correlation pass.
   }
 
   // --- Rule 4: Pearson-correlation fallback ------------------------------
-  // Build aggregate time series of the already-labeled categories and
-  // correlate each unlabeled code's event times against them.
+  // Build aggregate time series of the codes labeled by rules 1–3 and
+  // correlate each unlabeled code's event times against them. The series
+  // are built before any rule-4 verdict lands, so a verdict never feeds
+  // another.
   if (!filtered.fatal_events.empty()) {
     const TimePoint begin = filtered.fatal_events.front().event_time;
     const TimePoint end = filtered.fatal_events.back().event_time + 1;
@@ -275,32 +250,22 @@ ClassificationResult classify_causes(const filter::FilterPipelineResult& filtere
     }
     const GroupTimeBuckets series = bucket_group_times(cols);
 
-    std::vector<std::size_t> todo;
-    for (std::size_t c = 0; c < vcode.size(); ++c) {
-      if (result.by_code.find(vcode[c]) == result.by_code.end()) todo.push_back(c);
-    }
-    std::vector<Cause> cause(todo.size(), Cause::SystemFailure);
-    std::vector<double> corr(todo.size(), 0.0);
-    par::parallel_for_chunks(todo.size(), 4, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t t = lo; t < hi; ++t) {
-        const std::span<const TimePoint> times = series.times_of(vcode[todo[t]]);
-        double r_sys = 0, r_app = 0;
-        if (!times.empty() && end - begin > config.correlation_window) {
-          if (!sys_times.empty()) {
-            r_sys = stats::event_time_correlation(times, sys_times, begin, end,
-                                                  config.correlation_window);
-          }
-          if (!app_times.empty()) {
-            r_app = stats::event_time_correlation(times, app_times, begin, end,
-                                                  config.correlation_window);
-          }
+    for (const auto& [code, verdict] : identification.verdicts) {
+      if (result.by_code.find(code) != result.by_code.end()) continue;
+      const std::span<const TimePoint> times = series.times_of(code);
+      double r_sys = 0, r_app = 0;
+      if (!times.empty() && end - begin > config.correlation_window) {
+        if (!sys_times.empty()) {
+          r_sys = stats::event_time_correlation(times, sys_times, begin, end,
+                                                config.correlation_window);
         }
-        cause[t] = r_app > r_sys ? Cause::ApplicationError : Cause::SystemFailure;
-        corr[t] = std::max(r_sys, r_app);
+        if (!app_times.empty()) {
+          r_app = stats::event_time_correlation(times, app_times, begin, end,
+                                                config.correlation_window);
+        }
       }
-    }, pool);
-    for (std::size_t t = 0; t < todo.size(); ++t) {
-      result.by_code[vcode[todo[t]]] = {cause[t], CauseRule::CorrelationFallback, corr[t]};
+      result.by_code[code] = {r_app > r_sys ? Cause::ApplicationError : Cause::SystemFailure,
+                              CauseRule::CorrelationFallback, std::max(r_sys, r_app)};
     }
   }
 

@@ -56,12 +56,11 @@ struct ClassificationResult {
   Cause cause_of(ras::ErrcodeId code) const { return by_code.at(code).cause; }
 };
 
-/// Distinguish system failures from application errors. The columnar
-/// overload runs the rules over CharColumns and JobLog::columns() (per-code
-/// CSR interruption buckets, a binary search into the start-ordered jobs
-/// for rule 3(b)) with independent codes fanned over
-/// `pool`; the convenience overload gathers the columns itself. Results are
-/// identical.
+/// Distinguish system failures from application errors. The rules run
+/// over CharColumns and JobLog::columns() (per-code CSR interruption
+/// buckets, a binary search into the start-ordered jobs for rule 3(b)),
+/// one code at a time in ascending order. `pool` is ignored; it stays
+/// because the e2e benchmark package compiles against it.
 ClassificationResult classify_causes(const filter::FilterPipelineResult& filtered,
                                      const MatchResult& matches,
                                      const IdentificationResult& identification,

@@ -62,7 +62,8 @@ JobFilterResult job_related_filter(const filter::FilterPipelineResult& filtered,
                                    const MatchResult& matches,
                                    const ClassificationResult& classification,
                                    const joblog::JobLog& jobs, const CharColumns& cols,
-                                   const JobFilterConfig& config, par::ThreadPool* pool) {
+                                   const JobFilterConfig& config,
+                                   par::ThreadPool* /*pool*/) {
   (void)filtered;
   JobFilterResult result;
   const std::size_t n_groups = cols.group_count();
@@ -92,63 +93,52 @@ JobFilterResult job_related_filter(const filter::FilterPipelineResult& filtered,
   };
 
   // Each errcode's redundancy chain is independent of every other code's
-  // (a group belongs to exactly one bucket), so the buckets fan over the
-  // pool; the (removed, anchor) pairs land in per-bucket vectors and merge
-  // serially in ascending-code order.
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> removed(buckets.codes.size());
-  par::parallel_for_chunks(buckets.codes.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t bkt = lo; bkt < hi; ++bkt) {
-      const std::uint32_t* v = buckets.group.data() + buckets.offset[bkt];
-      const std::size_t len = buckets.offset[bkt + 1] - buckets.offset[bkt];
-      const auto cit = classification.by_code.find(buckets.codes[bkt]);
-      const bool app_error =
-          cit != classification.by_code.end() && cit->second.cause == Cause::ApplicationError;
+  // (a group belongs to exactly one bucket); the buckets run in ascending
+  // code order.
+  std::vector<std::uint8_t> redundant(n_groups, 0);
+  for (std::size_t bkt = 0; bkt < buckets.codes.size(); ++bkt) {
+    const std::uint32_t* v = buckets.group.data() + buckets.offset[bkt];
+    const std::size_t len = buckets.offset[bkt + 1] - buckets.offset[bkt];
+    const auto cit = classification.by_code.find(buckets.codes[bkt]);
+    const bool app_error =
+        cit != classification.by_code.end() && cit->second.cause == Cause::ApplicationError;
 
-      // red[i] = observation i is redundant; transitivity: the anchor of a
-      // redundant observation is the anchor of its predecessor.
-      std::vector<std::uint8_t> red(len, 0);
-      for (std::size_t i = 1; i < len; ++i) {
-        for (std::size_t k = i; k-- > 0;) {
-          if (cols.group_time[v[i]] - cols.group_time[v[k]] > config.horizon) break;
-          if (red[k]) continue;  // compare against anchors only
-          bool is_redundant = false;
-          if (app_error) {
-            // Same executable interrupted by the same code before.
-            for (const std::size_t ji : matches.jobs_by_group[v[i]]) {
-              for (const std::size_t jk : matches.jobs_by_group[v[k]]) {
-                if (jobs[ji].exec_id == jobs[jk].exec_id) {
-                  is_redundant = true;
-                  break;
-                }
+    // Transitivity: the anchor of a redundant observation is the anchor of
+    // its predecessor, so only anchors are compared against.
+    for (std::size_t i = 1; i < len; ++i) {
+      for (std::size_t k = i; k-- > 0;) {
+        if (cols.group_time[v[i]] - cols.group_time[v[k]] > config.horizon) break;
+        if (redundant[v[k]]) continue;
+        bool is_redundant = false;
+        if (app_error) {
+          // Same executable interrupted by the same code before.
+          for (const std::size_t ji : matches.jobs_by_group[v[i]]) {
+            for (const std::size_t jk : matches.jobs_by_group[v[k]]) {
+              if (jobs[ji].exec_id == jobs[jk].exec_id) {
+                is_redundant = true;
+                break;
               }
-              if (is_redundant) break;
             }
-          } else {
-            // Same failed hardware, and no untroubled job ran on it in
-            // between.
-            if (cols.group_loc[v[i]] == cols.group_loc[v[k]] &&
-                !untroubled_job_between(cols.group_loc[v[k]], cols.group_time[v[k]],
-                                  cols.group_time[v[i]])) {
-              is_redundant = true;
-            }
+            if (is_redundant) break;
           }
-          if (is_redundant) {
-            red[i] = 1;
-            removed[bkt].push_back({v[i], v[k]});
-            break;
+        } else {
+          // Same failed hardware, and no untroubled job ran on it in
+          // between.
+          if (cols.group_loc[v[i]] == cols.group_loc[v[k]] &&
+              !untroubled_job_between(cols.group_loc[v[k]], cols.group_time[v[k]],
+                                      cols.group_time[v[i]])) {
+            is_redundant = true;
           }
+        }
+        if (is_redundant) {
+          redundant[v[i]] = 1;
+          result.redundant_to[v[i]] = v[k];
+          break;
         }
       }
     }
-  }, pool);
-
-  std::vector<std::uint8_t> redundant(n_groups, 0);
-  for (const auto& pairs : removed) {
-    for (const auto& [g, anchor] : pairs) {
-      redundant[g] = 1;
-      result.redundant_to[g] = anchor;
-    }
   }
+
   for (std::size_t g = 0; g < n_groups; ++g) {
     if (!redundant[g]) result.kept.push_back(g);
   }

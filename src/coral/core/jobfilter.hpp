@@ -31,6 +31,8 @@ struct JobFilterResult {
 ///     is the same fault re-reported (transitively);
 ///   - application errors: a later interruption of the *same executable* by
 ///     the same code is the same bug re-reported.
+/// The per-code chains run serially, in ascending code order. `pool` is
+/// ignored; it stays because the e2e benchmark package compiles against it.
 JobFilterResult job_related_filter(const filter::FilterPipelineResult& filtered,
                                    const MatchResult& matches,
                                    const ClassificationResult& classification,

@@ -44,7 +44,6 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
   r.matches = std::move(matches);
 
   obs::Collector* obs = ctx.obs();
-  par::ThreadPool* pool = ctx.pool();
 
   // Step 1 (continued): identify the interruption-related errcodes (§IV-A).
   {
@@ -60,7 +59,7 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
   CharColumns cols;
   {
     obs::Span span(obs, "char.columns");
-    cols = build_char_columns(r.filtered, r.matches, jobs, pool);
+    cols = build_char_columns(r.filtered, r.matches, jobs);
     span.counts(cols.group_count() + cols.job_count(), r.matches.interruptions.size());
   }
 
@@ -68,7 +67,7 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
   {
     obs::Span span(obs, "classification");
     r.classification = classify_causes(r.filtered, r.matches, r.identification, jobs,
-                                       cols, config.classification, pool);
+                                       cols, config.classification);
     span.counts(r.identification.verdicts.size(), r.classification.by_code.size());
   }
 
@@ -76,7 +75,7 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
   {
     obs::Span span(obs, "job_filter");
     r.job_filter = job_related_filter(r.filtered, r.matches, r.classification, jobs,
-                                      cols, config.job_filter, pool);
+                                      cols, config.job_filter);
     span.counts(r.filtered.groups.size(), r.job_filter.kept.size());
   }
 
@@ -84,14 +83,14 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
   {
     obs::Span span(obs, "propagation");
     r.propagation =
-        analyze_propagation(r.filtered, r.matches, jobs, cols, config.propagation, pool);
+        analyze_propagation(r.filtered, r.matches, jobs, cols, config.propagation);
     span.counts(r.matches.interruptions.size(), r.propagation.propagating_codes.size());
   }
   {
     obs::Span span(obs, "vulnerability");
     r.vulnerability =
         analyze_vulnerability(r.filtered, r.matches, r.classification, jobs, cols,
-                              config.vulnerability, pool);
+                              config.vulnerability);
     span.counts(r.matches.interruptions.size(), jobs.size());
   }
 
@@ -153,11 +152,9 @@ CoAnalysisResult run_coanalysis(const ras::RasLog& ras, const joblog::JobLog& jo
   stream::FrontEndConfig fe;
   fe.filters = config.filters;
   fe.match_window = config.matching.window;
-  fe.shards = config.execution.shards;
   stream::FrontEndResult front = stream::run_streaming_frontend(ras, jobs, fe, ctx);
   CoAnalysisResult r = complete_coanalysis(std::move(front.filtered), std::move(front.matches),
                                            jobs, config, ctx);
-  r.shards_used = front.shards_used;
   r.peak_stage_state = front.peak_stage_state;
   return r;
 }

@@ -32,14 +32,12 @@ IngestedLogs ingest_csv_logs(std::istream& ras_in, std::istream& jobs_in,
                              const Context& ctx = {});
 
 struct ExecutionConfig {
-  /// Target time-axis shard count for the streaming front end (cut only at
-  /// quiesce gaps, so any value is exact).
+  /// Ignored: the co-analysis is one serial pass. Kept because the e2e
+  /// benchmark package compiles against it.
   int shards = 1;
 };
 
-/// Every knob of the co-analysis, in one place. The worker pool is not a
-/// config knob: select it via coral::Context::with_pool (the deprecated
-/// `pool` member was removed after its one-cycle grace period).
+/// Every knob of the co-analysis, in one place.
 struct CoAnalysisConfig {
   filter::FilterPipelineConfig filters;
   MatchConfig matching;
@@ -88,7 +86,7 @@ struct CoAnalysisResult {
   std::size_t application_interruptions = 0;
   std::size_t distinct_interrupted_jobs = 0;  ///< distinct executables
 
-  // Execution trace of the front end that produced `filtered`/`matches`.
+  /// Always 1. Kept because the e2e benchmark package compiles against it.
   std::size_t shards_used = 1;
   /// Largest simultaneously buffered stage state — bounded by the
   /// coalescing/matching windows, not the log length.
@@ -110,9 +108,9 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
 /// composition: stream::run_streaming_frontend produces the filtered groups
 /// and the RAS↔job matches, then complete_coanalysis derives everything
 /// else.
-/// The context supplies the worker pool for the data-parallel stages and
-/// the collector for per-stage spans; results are identical with or
-/// without either. Throws InvalidArgument when `jobs` is empty.
+/// The context supplies the collector for per-stage spans; results are
+/// identical with or without it. Throws InvalidArgument when `jobs` is
+/// empty.
 CoAnalysisResult run_coanalysis(const ras::RasLog& ras, const joblog::JobLog& jobs,
                                 const CoAnalysisConfig& config = {},
                                 const Context& ctx = {});

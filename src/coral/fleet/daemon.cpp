@@ -10,7 +10,6 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -104,7 +103,6 @@ class Daemon::Impl {
 
   void start() {
     if (running_.exchange(true)) return;
-    if (config_.pool_threads > 0) pool_.emplace(config_.pool_threads);
     // Each accept loop gets its listen fd when its thread is created and
     // never reads the fields, which stop() resets only after joining it.
     wire_fd_ = listen_on(config_.bind, config_.wire_port);
@@ -235,7 +233,6 @@ class Daemon::Impl {
     sc.rules = config_.rules;
     Context ctx(catalog_);
     ctx.with_machine(*model).with_obs(&tenant->collector);
-    if (pool_) ctx.with_pool(&*pool_);
     tenant->session =
         std::make_unique<stream::Session>(hs.tenant, sc, ctx);
     Tenant& ref = *tenant;
@@ -259,12 +256,13 @@ class Daemon::Impl {
     return out;
   }
 
-  /// Run one tenant's finalize and build the Complete reply. Serialized
-  /// across tenants: they share one analysis pool, and ThreadPool::wait_idle
-  /// is a whole-pool barrier, so interleaved finalizes would observe each
-  /// other's tasks. The tenant's collector gets a "fleet.finalize" span
-  /// (its stage spans nest under it) and a "fleet.finalize_wait" child that
-  /// closes once the serializing lock is held.
+  /// Run one tenant's finalize and build the Complete reply. finalize_mu_
+  /// runs one tenant's analysis at a time. Finalized tenants are never
+  /// evicted, so concurrent finalizes would let faster rounds leave more of
+  /// them resident; the lock can go once finalized tenants are evicted. The
+  /// tenant's collector gets a "fleet.finalize" span (its stage spans nest
+  /// under it) and a "fleet.finalize_wait" child that closes once the
+  /// serializing lock is held.
   std::string finalize_tenant(Tenant& t) {
     {
       std::lock_guard<std::mutex> lock(t.mu);
@@ -418,7 +416,6 @@ class Daemon::Impl {
 
   const DaemonConfig config_;
   const ras::Catalog& catalog_;
-  std::optional<par::ThreadPool> pool_;
 
   std::atomic<bool> running_{false};
   int wire_fd_ = -1;
@@ -435,6 +432,7 @@ class Daemon::Impl {
   std::set<int> conn_fds_;
   std::vector<std::thread> conn_threads_;
 
+  /// Runs one tenant's finalize at a time (see finalize_tenant).
   std::mutex finalize_mu_;
 };
 

@@ -17,10 +17,6 @@ struct DaemonConfig {
   std::string bind = "127.0.0.1";
   int wire_port = 0;
   int metrics_port = 0;
-  /// Threads in the shared analysis pool all tenants' finalize runs on.
-  /// 0 = no pool: finalize runs serially on the connection thread (results
-  /// are identical either way — the pool only buys wall-clock).
-  std::size_t pool_threads = 0;
   /// Per-source ingest quota handed to each tenant's Session.
   std::size_t queue_bytes = std::size_t{4} << 20;
   /// Span ring capacity per tenant's obs::Collector (0 = unbounded; the
@@ -42,16 +38,17 @@ struct TenantStatus {
 };
 
 /// The resident fleet daemon: N tenants (one per machine/log-source), each
-/// a named stream::Session wrapping the co-analysis engine, all sharing one
-/// Context pool. Connections speak the CBLK-framed wire protocol; a
-/// handshake names the tenant and its registered MachineModel, data chunks
-/// carry raw v2 log-file bytes, and Finalize runs the full co-analysis and
-/// replies with result/log fingerprints for parity checking. Live counters
-/// per tenant are scrapeable mid-run at GET /metrics (Prometheus text
-/// exposition, tenant="..." label dimension).
+/// a named stream::Session wrapping the co-analysis engine. Connections
+/// speak the CBLK-framed wire protocol; a handshake names the tenant and
+/// its registered MachineModel, data chunks carry raw v2 log-file bytes,
+/// and Finalize runs the full co-analysis and replies with result/log
+/// fingerprints for parity checking. Live counters per tenant are
+/// scrapeable mid-run at GET /metrics (Prometheus text exposition,
+/// tenant="..." label dimension).
 ///
-/// Several connections may feed one tenant (Session::feed is thread-safe);
-/// two tenants never contend except on the shared pool at finalize time.
+/// Several connections may feed one tenant (Session::feed is thread-safe).
+/// A finalize runs the co-analysis serially on its connection thread, and
+/// finalizes run one tenant at a time.
 class Daemon {
  public:
   explicit Daemon(DaemonConfig config = {},

@@ -194,24 +194,6 @@ std::vector<std::size_t> JobLog::running_at(TimePoint t, const bgp::Partition& p
                           [&part](const JobRecord& j) { return j.partition.overlaps(part); });
 }
 
-std::vector<std::size_t> JobLog::overlapping(TimePoint begin, TimePoint end) const {
-  CORAL_EXPECTS(finalized_);
-  // Binary-search both edges of the candidate slice: jobs starting at or
-  // after `end` cannot intersect, and neither can any prefix whose running
-  // max end time is still <= `begin`.
-  const auto lo = std::partition_point(max_end_prefix_.begin(), max_end_prefix_.end(),
-                                       [&](TimePoint m) { return m <= begin; });
-  const auto hi = std::partition_point(jobs_.begin(), jobs_.end(),
-                                       [&](const JobRecord& j) { return j.start_time < end; });
-  std::vector<std::size_t> out;
-  const auto first = static_cast<std::size_t>(lo - max_end_prefix_.begin());
-  const auto last = static_cast<std::size_t>(hi - jobs_.begin());
-  for (std::size_t i = first; i < last; ++i) {
-    if (jobs_[i].end_time > begin) out.push_back(i);
-  }
-  return out;
-}
-
 JobLogSummary JobLog::summary() const {
   CORAL_EXPECTS(finalized_ || jobs_.empty());
   JobLogSummary s = summary_;

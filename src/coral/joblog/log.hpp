@@ -95,10 +95,6 @@ class JobLog {
   /// Indices of jobs running at `t` on any midplane of `part`.
   std::vector<std::size_t> running_at(TimePoint t, const bgp::Partition& part) const;
 
-  /// Indices of all jobs whose [start, end) intersects [begin, end), in
-  /// start order.
-  std::vector<std::size_t> overlapping(TimePoint begin, TimePoint end) const;
-
   /// Job indices ordered by (end_time, index). Maintained by finalize() so
   /// streaming consumers can walk terminations without re-sorting per run.
   const std::vector<std::size_t>& by_end_time() const;

@@ -15,7 +15,7 @@ std::int64_t us_since(Clock::time_point epoch, Clock::time_point t) {
 }
 
 /// Innermost open span per (thread, collector). Frames from different
-/// collectors may interleave on one thread (two Contexts sharing a pool), so
+/// collectors may interleave on one thread (a pool worker serving two), so
 /// each frame remembers its owner and parents are matched by owner.
 struct ActiveFrame {
   const Collector* collector;

@@ -103,8 +103,7 @@ struct Snapshot {
   /// (see Collector::set_span_capacity); 0 for unbounded collectors.
   std::uint64_t spans_dropped = 0;
 
-  /// Total wall-ms across every span with this name (a sharded stage records
-  /// one span per shard).
+  /// Total wall-ms across every span with this name.
   double total_ms(std::string_view name) const;
   /// Sum of a counter by name (0 when absent).
   std::uint64_t counter_value(std::string_view name) const;

@@ -1,7 +1,6 @@
 #include "coral/predict/miner.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "coral/common/error.hpp"
 #include "coral/core/pipeline.hpp"
@@ -28,8 +27,7 @@ bool same_zone(std::uint32_t a, std::uint32_t b) {
 
 RuleTable mine_rules(const core::CharColumns& cols,
                      const core::IdentificationResult& identification,
-                     const ras::Catalog& catalog, const MinerConfig& config,
-                     par::ThreadPool* pool) {
+                     const ras::Catalog& catalog, const MinerConfig& config) {
   CORAL_EXPECTS(config.window > 0);
   const std::size_t n = cols.group_count();
 
@@ -41,54 +39,36 @@ RuleTable mine_rules(const core::CharColumns& cols,
   std::vector<std::int32_t> dense(catalog.size(), -1);
   for (std::size_t i = 0; i < f; ++i) dense[static_cast<std::size_t>(fatal[i])] = static_cast<std::int32_t>(i);
 
-  // Global integer accumulators; per-chunk partials are summed under a lock,
-  // so the totals are independent of chunking and thread count.
   std::vector<std::uint32_t> occurrences(f, 0);
   std::vector<std::uint32_t> support_mid(f * f, 0);
   std::vector<std::uint32_t> support_mach(f * f, 0);
-  std::mutex merge_mu;
-
-  par::parallel_for_chunks(
-      n, 256,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<std::uint32_t> occ(f, 0);
-        std::vector<std::uint32_t> mid(f * f, 0);
-        std::vector<std::uint32_t> mach(f * f, 0);
-        // Generation-stamped markers: first occurrence of a target per
-        // precursor occurrence counts once, per scope.
-        std::vector<std::uint32_t> seen_mid(f, 0);
-        std::vector<std::uint32_t> seen_mach(f, 0);
-        std::uint32_t stamp = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto p = dense[static_cast<std::size_t>(cols.group_code[i])];
-          if (p < 0) continue;
-          ++occ[static_cast<std::size_t>(p)];
-          ++stamp;
-          const TimePoint t = cols.group_time[i];
-          const std::uint32_t loc = cols.group_loc[i];
-          const std::size_t row = static_cast<std::size_t>(p) * f;
-          for (std::size_t j = i + 1; j < n && cols.group_time[j] - t <= config.window; ++j) {
-            const auto q = dense[static_cast<std::size_t>(cols.group_code[j])];
-            if (q < 0) continue;
-            const auto qi = static_cast<std::size_t>(q);
-            if (seen_mach[qi] != stamp) {
-              seen_mach[qi] = stamp;
-              ++mach[row + qi];
-            }
-            if (seen_mid[qi] != stamp && same_zone(loc, cols.group_loc[j])) {
-              seen_mid[qi] = stamp;
-              ++mid[row + qi];
-            }
-          }
-        }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        for (std::size_t k = 0; k < f; ++k) occurrences[k] += occ[k];
-        for (std::size_t k = 0; k < f * f; ++k) {
-          support_mid[k] += mid[k];
-          support_mach[k] += mach[k];
-        }
-      },
-      pool);
+  // Generation-stamped markers: first occurrence of a target per precursor
+  // occurrence counts once, per scope.
+  std::vector<std::uint32_t> seen_mid(f, 0);
+  std::vector<std::uint32_t> seen_mach(f, 0);
+  std::uint32_t stamp = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto p = dense[static_cast<std::size_t>(cols.group_code[i])];
+    if (p < 0) continue;
+    ++occurrences[static_cast<std::size_t>(p)];
+    ++stamp;
+    const TimePoint t = cols.group_time[i];
+    const std::uint32_t loc = cols.group_loc[i];
+    const std::size_t row = static_cast<std::size_t>(p) * f;
+    for (std::size_t j = i + 1; j < n && cols.group_time[j] - t <= config.window; ++j) {
+      const auto q = dense[static_cast<std::size_t>(cols.group_code[j])];
+      if (q < 0) continue;
+      const auto qi = static_cast<std::size_t>(q);
+      if (seen_mach[qi] != stamp) {
+        seen_mach[qi] = stamp;
+        ++support_mach[row + qi];
+      }
+      if (seen_mid[qi] != stamp && same_zone(loc, cols.group_loc[j])) {
+        seen_mid[qi] = stamp;
+        ++support_mid[row + qi];
+      }
+    }
+  }
 
   RuleTable table;
   for (std::size_t pi = 0; pi < f; ++pi) {
@@ -141,9 +121,8 @@ RuleTable mine_rules(const core::CoAnalysisResult& analysis, const joblog::JobLo
                      const MinerConfig& config, const Context& ctx) {
   obs::Span span(ctx.obs(), "predict.mine");
   const core::CharColumns cols =
-      core::build_char_columns(analysis.filtered, analysis.matches, jobs, ctx.pool());
-  RuleTable table =
-      mine_rules(cols, analysis.identification, ctx.catalog(), config, ctx.pool());
+      core::build_char_columns(analysis.filtered, analysis.matches, jobs);
+  RuleTable table = mine_rules(cols, analysis.identification, ctx.catalog(), config);
   span.counts(cols.group_count(), table.rules.size());
   CORAL_OBS_COUNT(ctx.obs(), "predict.rules_mined", table.rules.size());
   return table;

@@ -45,16 +45,14 @@ struct MinerConfig {
 /// pair (the actionable scope); a machine-wide rule is emitted only when the
 /// midplane-scoped one fails the thresholds.
 ///
-/// Deterministic: the per-chunk counts are integers summed over disjoint
-/// ranges, so the result is exact-equal for any `pool` size (including
-/// none), and rule order is (precursor, target) ascending.
+/// Deterministic: one serial scan of integer counts, and rule order is
+/// (precursor, target) ascending.
 RuleTable mine_rules(const core::CharColumns& cols,
                      const core::IdentificationResult& identification,
-                     const ras::Catalog& catalog, const MinerConfig& config = {},
-                     par::ThreadPool* pool = nullptr);
+                     const ras::Catalog& catalog, const MinerConfig& config = {});
 
 /// Convenience overload for callers holding a finished co-analysis: gathers
-/// the shared columns and mines with the context's catalog and pool.
+/// the shared columns and mines with the context's catalog.
 RuleTable mine_rules(const core::CoAnalysisResult& analysis, const joblog::JobLog& jobs,
                      const MinerConfig& config = {}, const Context& ctx = {});
 

@@ -85,24 +85,6 @@ std::vector<RasEvent> RasLog::fatal_events() const {
   return out;
 }
 
-std::size_t RasLog::lower_bound(TimePoint t) const {
-  CORAL_EXPECTS(finalized_);
-  const auto it = std::lower_bound(events_.begin(), events_.end(), t,
-                                   [](const RasEvent& ev, TimePoint tp) {
-                                     return ev.event_time < tp;
-                                   });
-  return static_cast<std::size_t>(it - events_.begin());
-}
-
-std::vector<RasEvent> RasLog::in_range(TimePoint begin, TimePoint end) const {
-  std::vector<RasEvent> out;
-  for (std::size_t i = lower_bound(begin); i < events_.size(); ++i) {
-    if (events_[i].event_time >= end) break;
-    out.push_back(events_[i]);
-  }
-  return out;
-}
-
 RasLogSummary RasLog::summary() const {
   RasLogSummary s;
   s.total_records = events_.size();

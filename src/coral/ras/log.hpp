@@ -98,12 +98,6 @@ class RasLog {
   /// Row i describes events()[fatal_columns().log_index[i]].
   const FatalColumns& fatal_columns() const;
 
-  /// Index of the first event with time >= t (log must be finalized).
-  std::size_t lower_bound(TimePoint t) const;
-
-  /// Events within [begin, end), time-ordered (log must be finalized).
-  std::vector<RasEvent> in_range(TimePoint begin, TimePoint end) const;
-
   RasLogSummary summary() const;
 
   /// CSV serialization with the Table II column set:

@@ -132,8 +132,8 @@ using SpatialCoalescer = WindowedCoalescer<ras::ErrcodeId, SpatialKey>;
 
 /// Streaming causal-pair miner: counts co-occurrences of distinct codes
 /// among group reps within the window, over a sliding deque of recent reps.
-/// Counts are mergeable across shards (no co-occurrence spans a shard cut,
-/// see shard.hpp), so accept() on the merged counts is exact.
+/// Support is a global threshold, so accept() runs on the counts of the
+/// whole input.
 class PairMiner : public GroupSink {
  public:
   using Counts = std::map<std::pair<ras::ErrcodeId, ras::ErrcodeId>, int>;
@@ -166,12 +166,7 @@ class PairMiner : public GroupSink {
   }
 
   const Counts& counts() const { return counts_; }
-  Counts take_counts() { return std::move(counts_); }
   std::size_t peak_window() const { return peak_window_; }
-
-  static void merge_counts(Counts& into, const Counts& from) {
-    for (const auto& [key, n] : from) into[key] += n;
-  }
 
   /// Pairs meeting min_support, in code order.
   static std::vector<filter::CausalPair> accept(const Counts& counts, int min_support) {

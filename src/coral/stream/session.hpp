@@ -97,7 +97,7 @@ struct SessionResult {
 /// callers queue up harmlessly). One session's pump never blocks another's.
 class Session {
  public:
-  /// `ctx` supplies catalog, machine, pool and obs; the session keeps a
+  /// `ctx` supplies catalog, machine and obs; the session keeps a
   /// copy. Per-tenant live counters are published to ctx.obs() (if any)
   /// under "session.*" names.
   Session(std::string name, SessionConfig config, const Context& ctx);

@@ -33,8 +33,7 @@ struct StreamGroup {
 /// the fatal-record indices: `next[i]` is the record after record i in its
 /// group. A group holds only the chain's ends (rep, tail), so absorbing one
 /// group into another is an O(1) splice, in arrival order. One chain serves
-/// a whole run: the groups of a time shard touch only that shard's index
-/// range, so shards may absorb into one chain concurrently.
+/// a whole run.
 class MemberChain {
  public:
   /// A chain over the record indices [0, records).
@@ -79,7 +78,8 @@ class GroupSink {
   virtual void flush() {}
 };
 
-/// Collects emitted groups (terminal sink for tests and the shard executor).
+/// Collects emitted groups (terminal sink for tests and phase 1 of
+/// run_streaming_frontend).
 class GroupBuffer : public GroupSink {
  public:
   void on_group(StreamGroup&& g) override { groups.push_back(std::move(g)); }

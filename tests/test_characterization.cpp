@@ -643,11 +643,9 @@ const synth::SynthResult& scenario(std::uint64_t seed) {
   return it->second;
 }
 
-core::CoAnalysisResult run_streaming(std::uint64_t seed, par::ThreadPool* pool = nullptr) {
+core::CoAnalysisResult run_streaming(std::uint64_t seed) {
   const synth::SynthResult& data = scenario(seed);
-  Context ctx;
-  if (pool != nullptr) ctx.with_pool(pool);
-  return core::run_coanalysis(data.ras, data.jobs, {}, ctx);
+  return core::run_coanalysis(data.ras, data.jobs);
 }
 
 /// The characterization stages on the frozen oracle's filter/match output.
@@ -763,10 +761,9 @@ TEST(CharacterizationDifferential, BatchEngine) {
 }
 
 TEST(CharacterizationDifferential, ThreadedPathIsDeterministic) {
-  // The columnar stages fan loops over the pool; the frozen references are
-  // serial, so agreement here pins the parallel path to the serial answer.
-  par::ThreadPool pool(4);
-  expect_matches_reference(17, run_streaming(17, &pool));
+  // The columnar stages run serially; that one path must equal the frozen
+  // references.
+  expect_matches_reference(17, run_streaming(17));
 }
 
 TEST(CharacterizationDifferential, EnginesAgreeOnEveryStatistic) {

@@ -1,9 +1,8 @@
-// coral::Context: explicit catalog / pool / collector / seed handles replacing
+// coral::Context: explicit catalog / collector / seed handles replacing
 // the old process-global state. Covers heterogeneous catalog lookup, a
 // three-errcode toy catalog driving the generator + analysis end to end,
 // two concurrent analyses over distinct catalogs, stage instrumentation,
-// the seed policy, and the deprecated CoAnalysisConfig::pool compatibility
-// path.
+// the seed policy, and the kept-but-ignored pool and shard settings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +12,7 @@
 
 #include "coral/context.hpp"
 #include "coral/core/pipeline.hpp"
+#include "coral/fleet/fingerprint.hpp"
 #include "coral/obs/obs.hpp"
 #include "coral/synth/intrepid.hpp"
 
@@ -275,14 +275,18 @@ TEST(ContextSeed, SeedOffsetDecorrelatesGeneration) {
 // ---- pool via Context ----------------------------------------------------
 
 TEST(ContextPool, ContextPoolMatchesSerial) {
+  // Context::with_pool and ExecutionConfig::shards stay for source
+  // compatibility and are ignored: the run is the default run.
   const synth::SynthResult& data = intrepid_data();
-  core::CoAnalysisConfig sharded;
-  sharded.execution.shards = 2;
-  const auto serial = core::run_coanalysis(data.ras, data.jobs, sharded);
+  const auto serial = core::run_coanalysis(data.ras, data.jobs);
 
-  par::ThreadPool pool(2);
+  core::CoAnalysisConfig sharded;
+  sharded.execution.shards = 4;
+  par::ThreadPool pool(4);
   const auto via_ctx = core::run_coanalysis(data.ras, data.jobs, sharded,
                                             Context().with_pool(&pool));
+  EXPECT_EQ(via_ctx.shards_used, 1u);
+  EXPECT_EQ(fleet::result_fingerprint(via_ctx), fleet::result_fingerprint(serial));
   expect_same(serial, via_ctx);
 }
 

@@ -147,24 +147,6 @@ TEST(JobLog, RunningAtPartitionOverlap) {
           .empty());
 }
 
-TEST(JobLog, OverlappingWindow) {
-  JobLog log;
-  log.append(make_job(log, 1, "a", "u", "p", 1000, 2000, "R00-M0"));
-  log.append(make_job(log, 2, "b", "u", "p", 3000, 4000, "R00-M0"));
-  log.finalize();
-  EXPECT_EQ(log.overlapping(TimePoint::from_unix_seconds(500),
-                            TimePoint::from_unix_seconds(1500))
-                .size(),
-            1u);
-  EXPECT_EQ(log.overlapping(TimePoint::from_unix_seconds(0),
-                            TimePoint::from_unix_seconds(9000))
-                .size(),
-            2u);
-  EXPECT_TRUE(log.overlapping(TimePoint::from_unix_seconds(2000),
-                              TimePoint::from_unix_seconds(3000))
-                  .empty());
-}
-
 TEST(JobLog, CsvRoundTrip) {
   JobLog log;
   log.append(make_job(log, 8935, "/gpfs/apps/flash,2", "alice", "astro", 1209618043.1,

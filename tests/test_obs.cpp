@@ -422,33 +422,32 @@ TEST(ObsExport, SnapshotJsonIsValid) {
 TEST(ObsEndToEnd, CoanalysisProducesATraceAcrossLayers) {
   const synth::SynthResult data = synth::generate(synth::small_scenario(11, 10));
   obs::Collector c;
-  par::ThreadPool pool(2);
-  pool.set_obs(&c);
   Context ctx;
-  ctx.with_pool(&pool).with_obs(&c);
+  ctx.with_obs(&c);
 
-  core::CoAnalysisConfig config;
-  config.execution.shards = 4;
-  const core::CoAnalysisResult r = core::run_coanalysis(data.ras, data.jobs, config, ctx);
-  pool.set_obs(nullptr);
+  const core::CoAnalysisResult r = core::run_coanalysis(data.ras, data.jobs, {}, ctx);
   EXPECT_GT(r.filtered.groups.size(), 0u);
 
   const obs::Snapshot snap = c.snapshot();
-  // A sharded stage records one span per shard, from the worker that ran it.
-  EXPECT_EQ(span_count(snap, "filter.coalesce"), r.shards_used);
+  EXPECT_EQ(span_count(snap, "filter.coalesce"), 1u);
   EXPECT_GT(snap.total_ms("filter.coalesce"), 0.0);
   EXPECT_GT(snap.total_ms("filter.match"), 0.0);
-  // Phase 2 walks every job termination once across the shards and
-  // delivers only those inside some group's match window.
-  const std::uint64_t walked = snap.counter_value("stream.shard.terminations_walked");
-  const std::uint64_t delivered = snap.counter_value("stream.shard.terminations_delivered");
+  // Phase 2 walks every job termination once and delivers only those
+  // inside some group's match window.
+  const std::uint64_t walked = snap.counter_value("stream.terminations_walked");
+  const std::uint64_t delivered = snap.counter_value("stream.terminations_delivered");
   EXPECT_EQ(walked, data.jobs.size());
   EXPECT_GT(delivered, 0u);
   EXPECT_LT(delivered, walked);
+  // One state gauge for the whole front end, and no per-shard gauge or
+  // shard count.
+  ASSERT_NE(find_histogram(snap, "stream.peak_state"), nullptr);
+  EXPECT_EQ(find_histogram(snap, "stream.shard.peak_state"), nullptr);
+  EXPECT_EQ(snap.counter_value("stream.shards_used"), 0u);
 
   const std::string trace = obs::chrome_trace_json(snap);
   EXPECT_TRUE(valid_json(trace));
-  EXPECT_NE(trace.find("\"stream.shard.terminations_delivered\""), std::string::npos);
+  EXPECT_NE(trace.find("\"stream.terminations_delivered\""), std::string::npos);
 }
 
 
@@ -501,42 +500,6 @@ TEST(ObsStages, OneSpanPerStageAtOneShard) {
   expect_counts("job_filter", groups, r.job_filter.kept.size());
   expect_counts("propagation", interruptions, r.propagation.propagating_codes.size());
   expect_counts("vulnerability", interruptions, data.jobs.size());
-}
-
-TEST(ObsStages, OneSpanPerShardOnAPool) {
-  const synth::SynthResult data = synth::generate(synth::small_scenario(11, 10));
-  obs::Collector c;
-  par::ThreadPool pool(4);
-  Context ctx;
-  ctx.with_pool(&pool).with_obs(&c);
-  EXPECT_EQ(ctx.obs(), &c);
-  core::CoAnalysisConfig config;
-  config.execution.shards = 4;
-  const core::CoAnalysisResult r = core::run_coanalysis(data.ras, data.jobs, config, ctx);
-  ASSERT_GT(r.shards_used, 1u);
-
-  const obs::Snapshot snap = c.snapshot();
-  // The sharded stages record one span per shard; their counts add up to
-  // the stage's whole.
-  std::uint64_t coalesce_in = 0, coalesce_out = 0, match_in = 0, match_out = 0;
-  for (const obs::SpanRecord& s : snap.spans) {
-    if (s.name == "filter.coalesce") {
-      coalesce_in += s.in;
-      coalesce_out += s.out;
-    } else if (s.name == "filter.match") {
-      match_in += s.in;
-      match_out += s.out;
-    }
-  }
-  EXPECT_EQ(span_count(snap, "filter.coalesce"), r.shards_used);
-  EXPECT_EQ(span_count(snap, "filter.match"), r.shards_used);
-  EXPECT_EQ(coalesce_in, r.filtered.fatal_events.size());
-  EXPECT_EQ(coalesce_out, r.filtered.stages[2].output);
-  EXPECT_EQ(match_in, r.filtered.stages[2].output);
-  EXPECT_EQ(match_out, r.filtered.groups.size());
-  for (const char* name : {"fatal_view", "mine.merge", "merge", "identification"}) {
-    EXPECT_EQ(span_count(snap, name), 1u) << name;
-  }
 }
 
 // ---- bounded span ring + labeled multi-tenant export -----------------------

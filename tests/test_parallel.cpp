@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -108,7 +107,7 @@ TEST(ParallelFor, SumMatchesSerial) {
 
 TEST(ParallelFor, MoveOnlyBodyUsesTemplatedOverload) {
   // A closure capturing a move-only value cannot be stored in std::function;
-  // the templated overload runs it by reference instead of erasing it.
+  // parallel_for_chunks runs it by reference instead of erasing it.
   ThreadPool pool(4);
   std::atomic<std::size_t> counter{0};
   auto token = std::make_unique<int>(7);
@@ -131,31 +130,6 @@ TEST(ParallelFor, SmallRangeRunsAsOneChunkInline) {
   // n <= min_chunk: a single inline call, no pool round-trip.
   ASSERT_EQ(calls.size(), 1u);
   EXPECT_EQ(calls[0], (std::pair<std::size_t, std::size_t>{0, 8}));
-}
-
-TEST(ConfiguredThreads, ReadsCoralThreadsEnv) {
-  ::setenv("CORAL_THREADS", "3", 1);
-  EXPECT_EQ(configured_thread_count(), 3u);
-  ::setenv("CORAL_THREADS", "16", 1);
-  EXPECT_EQ(configured_thread_count(), 16u);
-  ::unsetenv("CORAL_THREADS");
-  EXPECT_EQ(configured_thread_count(), 0u);
-}
-
-TEST(ConfiguredThreads, RejectsNonPositiveOrGarbage) {
-  for (const char* bad : {"0", "-2", "abc", "4x", "", " 2"}) {
-    ::setenv("CORAL_THREADS", bad, 1);
-    EXPECT_EQ(configured_thread_count(), 0u) << "CORAL_THREADS=" << bad;
-  }
-  ::unsetenv("CORAL_THREADS");
-}
-
-TEST(DefaultPool, IsUsable) {
-  EXPECT_GE(default_pool().thread_count(), 1u);
-  std::atomic<int> counter{0};
-  default_pool().submit([&counter] { counter.fetch_add(1); });
-  default_pool().wait_idle();
-  EXPECT_EQ(counter.load(), 1);
 }
 
 }  // namespace

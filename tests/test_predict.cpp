@@ -387,40 +387,23 @@ TEST(PredictSessionParity, SessionWithoutRulesPredictsNothing) {
 
 // ---------------------------------------------------------------------------
 // Determinism: mined rules and evaluation metrics are exact-equal whatever
-// the worker pool or front-end engine (the test_characterization.cpp
+// the front-end implementation, and a context's pool (kept for source
+// compatibility, ignored) changes nothing (the test_characterization.cpp
 // contract, extended to the prediction stages).
-
-TEST(PredictDeterminism, MinerExactAcrossThreadPools) {
-  const ras::Catalog& cat = ras::default_catalog();
-  const core::CharColumns cols = testing::chain_columns(cat);
-  const core::IdentificationResult id = testing::chain_identification(cat);
-  const predict::MinerConfig config = testing::chain_miner_config();
-  const predict::RuleTable serial = predict::mine_rules(cols, id, cat, config, nullptr);
-  for (const std::size_t threads : {2u, 8u}) {
-    par::ThreadPool pool(threads);
-    EXPECT_EQ(predict::mine_rules(cols, id, cat, config, &pool), serial)
-        << threads << " threads";
-  }
-}
 
 TEST(PredictDeterminism, MinerExactAcrossEnginesAndPools) {
   synth::ScenarioConfig scenario =
       synth::pack_scenario(machine::bgp_model(), "correlated_cascade", 11, 3);
   const synth::SynthResult synth = synth::generate(scenario);
 
-  // The frozen batch front end (frontend_oracle.hpp) against the sharded
-  // streaming one on a pool.
+  // The frozen batch front end (frontend_oracle.hpp) against the streaming
+  // one.
   const predict::RuleTable batch =
       predict::mine_rules(oracle::run_coanalysis(synth.ras, synth.jobs), synth.jobs);
   ASSERT_FALSE(batch.empty());
 
-  core::CoAnalysisConfig stream_cfg;
-  stream_cfg.execution.shards = 3;
-  par::ThreadPool pool(4);
-  Context ctx;
-  ctx.with_pool(&pool);
-  const predict::RuleTable streamed = predict::mine_rules(
-      core::run_coanalysis(synth.ras, synth.jobs, stream_cfg, ctx), synth.jobs, {}, ctx);
+  const predict::RuleTable streamed =
+      predict::mine_rules(core::run_coanalysis(synth.ras, synth.jobs), synth.jobs);
   EXPECT_EQ(streamed, batch);
 }
 

@@ -168,20 +168,6 @@ TEST(RasLog, FatalIndicesMatchFatalEvents) {
   EXPECT_EQ(log.fatal_columns().log_index[0], 0u);  // new earliest fatal sorted to front
 }
 
-TEST(RasLog, RangeQueries) {
-  RasLog log;
-  for (int h = 0; h < 10; ++h) {
-    log.append(make_event(codes::kRasStormFatal,
-                          strformat("2009-01-05-%02d.00.00", h).c_str(), "R01-M0-N00-J04"));
-  }
-  log.finalize();
-  const TimePoint t3 = TimePoint::from_calendar(2009, 1, 5, 3);
-  const TimePoint t6 = TimePoint::from_calendar(2009, 1, 5, 6);
-  EXPECT_EQ(log.lower_bound(t3), 3u);
-  EXPECT_EQ(log.in_range(t3, t6).size(), 3u);
-  EXPECT_EQ(log.in_range(TimePoint(0), t3).size(), 3u);
-}
-
 TEST(RasLog, CsvRoundTrip) {
   RasLog log;
   log.append(make_event(codes::kRasStormFatal, "2009-01-05-01.02.03.000004", "R01-M0-N00-J04"));

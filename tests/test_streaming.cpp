@@ -1,7 +1,7 @@
 // The streaming front end must be *indistinguishable* from the frozen batch
 // passes in frontend_oracle.hpp: identical groups, stage stats, causal
 // pairs, interruption lists, classification counts and fitted distributions
-// — single-shard and sharded, and when driven stage by stage.
+// — through run_coanalysis, and when driven stage by stage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "coral/stream/coanalysis.hpp"
 #include "coral/stream/filter_stages.hpp"
 #include "coral/stream/matcher.hpp"
-#include "coral/stream/shard.hpp"
 #include "coral/synth/intrepid.hpp"
 #include "coral/synth/packs.hpp"
 #include "bgp_fixture.hpp"
@@ -106,16 +105,13 @@ TEST(StreamingEngine, SingleShardIdenticalToBatch) {
 }
 
 TEST(StreamingEngine, FourShardsIdenticalToBatch) {
+  // The shard count and the context's pool are kept for source
+  // compatibility and ignored: one serial pass, the oracle's answer.
   par::ThreadPool pool(4);
   const auto result = core::run_coanalysis(data().ras, data().jobs, sharded(4),
                                            Context().with_pool(&pool));
-  EXPECT_GE(result.shards_used, 2u);  // a month of gaps: cuts must exist
-  EXPECT_LE(result.shards_used, 4u);
+  EXPECT_EQ(result.shards_used, 1u);
   expect_identical(oracle_result(), result);
-}
-
-TEST(StreamingEngine, ShardedWithoutPoolStillIdentical) {
-  expect_identical(oracle_result(), core::run_coanalysis(data().ras, data().jobs, sharded(3)));
 }
 
 TEST(StreamingEngine, DefaultConfigUsesStreaming) {
@@ -159,17 +155,15 @@ TEST(StreamingFrontEnd, MatchesBatchFilterAndMatcherDirectly) {
   }
 }
 
-// Randomized differential: 20 seeded scenario/workload/storm/sharding
-// combinations, each requiring the streaming engine to be byte-identical to
-// the oracle. The combinations sweep the axes that have historically
-// produced divergence: storm burst shape (group sizes near window edges),
-// causality on/off (three- vs four-stage pipeline), match window (30 s to
-// 15 min, including windows wider than the causality window), shard count
-// (boundary handling) and pool width (merge determinism under real
-// concurrency). Every window meets causality off and every shard count.
-// Two scenario packs follow, each at 1-5 shards and pool widths 1-4: a
-// BG/P failure_storm, whose storm groups chain over a thousand members,
-// and a short BG/Q multi_year_drift, which decodes with the BG/Q codec.
+// Randomized differential: 20 seeded scenario/workload/storm combinations,
+// each requiring the streaming engine to be byte-identical to the oracle.
+// The combinations sweep the axes that have historically produced
+// divergence: storm burst shape (group sizes near window edges), causality
+// on/off (three- vs four-stage pipeline) and match window (30 s to 15 min,
+// including windows wider than the causality window). Every window meets
+// causality off. Two scenario packs follow: a BG/P failure_storm, whose
+// storm groups chain over a thousand members, and a short BG/Q
+// multi_year_drift, which decodes with the BG/Q codec.
 TEST(StreamingEngine, RandomizedDifferentialAgainstBatch) {
   constexpr int kCombos = 20;
   constexpr Usec kWindowsSec[] = {30, 120, 300, 900};
@@ -194,13 +188,7 @@ TEST(StreamingEngine, RandomizedDifferentialAgainstBatch) {
     config.filters.enable_causality = i % 3 != 2;
     config.matching.window = kWindowsSec[(i / 5) % 4] * kUsecPerSec;
     const auto reference = oracle::run_coanalysis(run.ras, run.jobs, config);
-
-    config.execution.shards = 1 + (i % 5);
-    par::ThreadPool pool(1 + static_cast<std::size_t>(i % 4));
-    const auto streaming =
-        core::run_coanalysis(run.ras, run.jobs, config, Context().with_pool(&pool));
-
-    expect_identical(reference, streaming);
+    expect_identical(reference, core::run_coanalysis(run.ras, run.jobs, config));
     if (HasFatalFailure()) return;  // one combo's dump is enough
   }
 
@@ -223,15 +211,8 @@ TEST(StreamingEngine, RandomizedDifferentialAgainstBatch) {
       }
       EXPECT_GE(longest, 1000u);
     }
-    for (int shards = 1; shards <= 5; ++shards) {
-      SCOPED_TRACE("shards " + std::to_string(shards));
-      core::CoAnalysisConfig config;
-      config.execution.shards = shards;
-      par::ThreadPool pool(1 + static_cast<std::size_t>(shards % 4));
-      expect_identical(reference, core::run_coanalysis(run.ras, run.jobs, config,
-                                                       Context().with_pool(&pool)));
-      if (HasFatalFailure()) return;
-    }
+    expect_identical(reference, core::run_coanalysis(run.ras, run.jobs));
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -367,7 +348,7 @@ void expect_one_interruption(const ras::RasLog& ras, const joblog::JobLog& jobs,
   expect_identical(reference, core::run_coanalysis(ras, jobs, config));
 }
 
-// A group that reaches the matcher before the shard's first job end must
+// A group that reaches the matcher before the first job end must
 // wait for it: the matcher's clock starts at the minimum time point, and
 // resolving against that clock once dropped the match.
 TEST(StreamingMatcher, GroupBeforeFirstJobEndStillMatches) {
@@ -432,8 +413,8 @@ TEST(StreamingMatcher, GatedTerminationsMatchOnBothWindowEdges) {
   EXPECT_EQ(result.matches.jobs_by_group[0], std::vector<std::size_t>{0});
   EXPECT_EQ(result.matches.jobs_by_group[1], (std::vector<std::size_t>{2, 3}));
   const obs::Snapshot snap = c.snapshot();
-  EXPECT_EQ(snap.counter_value("stream.shard.terminations_walked"), 5u);
-  EXPECT_EQ(snap.counter_value("stream.shard.terminations_delivered"), 3u);
+  EXPECT_EQ(snap.counter_value("stream.terminations_walked"), 5u);
+  EXPECT_EQ(snap.counter_value("stream.terminations_delivered"), 3u);
 }
 
 TEST(StreamingMatcher, TerminationInTwoWindowsGoesToTheFirstGroup) {
@@ -476,15 +457,6 @@ TEST(StreamingMatcher, CausalityFollowerMatchesThroughItsLeader) {
   EXPECT_EQ(result.matches.group_by_job[0], 4u);
 }
 
-TEST(StreamingEngine, ShardingASingleFatalRecordRunsOneShard) {
-  // Nothing to cut between fewer than two records: one shard, same answer.
-  const auto ras = one_fatal(100);
-  const auto jobs = one_job(0, 150);
-  const auto r = core::run_coanalysis(ras, jobs, sharded(4));
-  EXPECT_EQ(r.shards_used, 1u);
-  expect_identical(oracle::run_coanalysis(ras, jobs), r);
-}
-
 TEST(StreamingMatcher, StandaloneKeepsJobEndsUntilAWatermarkArrives) {
   // Driven directly, with no filter upstream: job ends buffered before any
   // group watermark must survive eviction, and a weaker (earlier) watermark
@@ -518,61 +490,6 @@ TEST(StreamingFilter, RejectsARecordBeyondItsMemberChain) {
   filter.on_fatal(kBase, 0, 0, 1);
   EXPECT_THROW(filter.on_fatal(kBase, 0, 0, 2), InvalidArgument);
   EXPECT_EQ(filter.raw_count(), 1u);
-}
-
-TEST(ShardPlan, CutsOnlyInsideQuiesceGaps) {
-  // Events in three bursts with two large gaps; quiesce smaller than the
-  // gaps, so both midpoints are candidates.
-  std::vector<TimePoint> times;
-  for (int burst = 0; burst < 3; ++burst) {
-    const TimePoint base(burst * 10'000'000);
-    for (int i = 0; i < 5; ++i) times.push_back(base + i * 100);
-  }
-  const auto plan = stream::plan_shards(times, 3, /*quiesce=*/1'000'000);
-  ASSERT_EQ(plan.cuts.size(), 2u);
-  EXPECT_TRUE(std::is_sorted(plan.cuts.begin(), plan.cuts.end()));
-  for (const TimePoint cut : plan.cuts) {
-    // Every record is at least half a quiesce gap away from any cut.
-    for (const TimePoint t : times) {
-      EXPECT_GE(t < cut ? cut - t : t - cut, 500'000);
-    }
-  }
-  EXPECT_EQ(plan.shard_of(times.front()), 0u);
-  EXPECT_EQ(plan.shard_of(times.back()), 2u);
-}
-
-TEST(ShardPlan, MoreShardsThanGapsUsesEachGapOnce) {
-  // Two qualifying gaps, eight shards asked for: each gap is cut once, in
-  // order, and the planner stops when the candidates run out.
-  const std::vector<TimePoint> times = {TimePoint(0), TimePoint(100),
-                                        TimePoint(10'000'000), TimePoint(10'000'100),
-                                        TimePoint(11'000'000)};
-  const auto plan = stream::plan_shards(times, 8, /*quiesce=*/500'000);
-  ASSERT_EQ(plan.cuts.size(), 2u);
-  EXPECT_EQ(plan.cuts[0], TimePoint(100 + (10'000'000 - 100) / 2));
-  EXPECT_EQ(plan.cuts[1], TimePoint(10'000'100 + (11'000'000 - 10'000'100) / 2));
-  EXPECT_EQ(plan.shard_count(), 3u);
-}
-
-TEST(ShardPlan, NoQualifyingGapMeansOneShard) {
-  std::vector<TimePoint> times;
-  for (int i = 0; i < 100; ++i) times.push_back(TimePoint(i * 1000));
-  const auto plan = stream::plan_shards(times, 8, /*quiesce=*/1'000'000);
-  EXPECT_TRUE(plan.cuts.empty());
-  EXPECT_EQ(plan.shard_count(), 1u);
-  // One shard asked for, or a single record: nothing to cut either.
-  EXPECT_TRUE(stream::plan_shards(times, 1, /*quiesce=*/10).cuts.empty());
-  EXPECT_TRUE(stream::plan_shards({&times[0], 1}, 8, /*quiesce=*/10).cuts.empty());
-}
-
-TEST(ShardPlan, QuiesceGapCoversEveryWindow) {
-  const Usec q = stream::quiesce_gap(300, 500, 120, 1000);
-  EXPECT_GE(q, 300);
-  EXPECT_GE(q, 500);
-  EXPECT_GE(q, 120);
-  // A qualifying gap is *strictly* larger than q, so its floored half-gap
-  // still exceeds the match window.
-  EXPECT_GT((q + 1) / 2, 1000);
 }
 
 }  // namespace

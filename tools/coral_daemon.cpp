@@ -10,7 +10,10 @@
 //
 // Usage:
 //   coral_daemon [--bind HOST] [--port N] [--metrics-port N]
-//                [--threads N] [--queue-bytes N] [--span-capacity N]
+//                [--queue-bytes N] [--span-capacity N]
+//
+// Each tenant's finalize runs its co-analysis serially on the connection
+// thread, one tenant at a time.
 
 #include <csignal>
 #include <cstdio>
@@ -31,8 +34,9 @@ void on_signal(int) { g_stop = 1; }
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--bind HOST] [--port N] [--metrics-port N]\n"
-               "          [--threads N] [--queue-bytes N] [--span-capacity N]\n"
-               "Port 0 (the default) binds an ephemeral port, printed at startup.\n",
+               "          [--queue-bytes N] [--span-capacity N]\n"
+               "Port 0 (the default) binds an ephemeral port, printed at startup.\n"
+               "Finalizes run serially, one tenant at a time.\n",
                argv0);
   std::exit(2);
 }
@@ -58,8 +62,6 @@ int main(int argc, char** argv) {
       cfg.wire_port = static_cast<int>(num_arg(argc, argv, i, argv[0]));
     } else if (std::strcmp(arg, "--metrics-port") == 0) {
       cfg.metrics_port = static_cast<int>(num_arg(argc, argv, i, argv[0]));
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      cfg.pool_threads = static_cast<std::size_t>(num_arg(argc, argv, i, argv[0]));
     } else if (std::strcmp(arg, "--queue-bytes") == 0) {
       cfg.queue_bytes = static_cast<std::size_t>(num_arg(argc, argv, i, argv[0]));
     } else if (std::strcmp(arg, "--span-capacity") == 0) {
