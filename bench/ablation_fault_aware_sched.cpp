@@ -4,7 +4,9 @@
 // against the default scheduler. Unlike examples/fault_aware_scheduling
 // (a replay-based what-if), this actually changes the placements.
 #include <cstdio>
+#include <optional>
 
+#include "coral/sched/policy.hpp"
 #include "coral/synth/intrepid.hpp"
 
 int main() {
@@ -20,7 +22,12 @@ int main() {
     const ras::Catalog& cat = ras::Catalog::instance();
     for (const std::uint64_t seed : kSeeds) {
       synth::ScenarioConfig config = synth::intrepid_scenario(seed);
-      config.sched.avoid_failed_window = static_cast<Usec>(hours * kUsecPerHour);
+      // A fresh advisor per run; the 0 h row runs the default scheduler.
+      std::optional<sched::RecentFailureAdvisor> advisor;
+      if (hours > 0) {
+        advisor.emplace(*config.machine, static_cast<Usec>(hours * kUsecPerHour));
+        config.advisor = &*advisor;
+      }
       const synth::SynthResult data = synth::generate(config);
       jobs += static_cast<double>(data.jobs.size());
       total += static_cast<double>(data.truth.interruptions.size());

@@ -3,11 +3,11 @@
 // the failure-rate profile follows (c), not (b) — wide jobs, not aggregate
 // load, drive failures (Observation 5). Midplanes 32–63 are the wide-job
 // region (the paper's midplanes 33–64, 1-indexed).
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "coral/core/pipeline.hpp"
-#include "coral/stats/histogram.hpp"
 #include "coral/synth/intrepid.hpp"
 
 namespace {

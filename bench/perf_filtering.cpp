@@ -37,7 +37,7 @@ void BM_RasBinaryWrite(benchmark::State& state) {
   (void)data();
   for (auto _ : state) {
     std::ostringstream out;
-    ras::write_binary(out, data().ras);
+    ras::write_binary(out, data().ras, {.version = 2});
     benchmark::DoNotOptimize(out.str().size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -47,7 +47,7 @@ BENCHMARK(BM_RasBinaryWrite);
 
 void BM_RasBinaryRead(benchmark::State& state) {
   std::ostringstream out;
-  ras::write_binary(out, data().ras);
+  ras::write_binary(out, data().ras, {.version = 2});
   const std::string bytes = out.str();
   for (auto _ : state) {
     std::istringstream in(bytes);

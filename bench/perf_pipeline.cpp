@@ -102,10 +102,10 @@ void BM_CharColumns(benchmark::State& state) {
   for (auto _ : state) {
     const core::CharColumns cols =
         core::build_char_columns(filtered(), matches(), data().jobs);
-    benchmark::DoNotOptimize(cols.job_group.data());
+    benchmark::DoNotOptimize(cols.group_time.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data().jobs.size()));
+                          static_cast<std::int64_t>(filtered().groups.size()));
 }
 BENCHMARK(BM_CharColumns)->Unit(benchmark::kMillisecond);
 

@@ -7,6 +7,7 @@
 //     application errors — most app errors fire early (Obs. 9/11).
 #include <cmath>
 #include <cstdio>
+#include <span>
 
 #include "coral/core/pipeline.hpp"
 #include "coral/synth/intrepid.hpp"
@@ -39,9 +40,9 @@ int main() {
   const auto& grid = r.vulnerability.grid;
   std::printf("%-14s %14s %18s %22s\n", "job size", "interruptions",
               "per-1000-jobs rate", "Young interval (C=5min)");
-  static const int kSizes[9] = {1, 2, 4, 8, 16, 32, 48, 64, 80};
-  for (int row = 0; row < 9; ++row) {
-    const auto& cell = grid.row_sums[static_cast<std::size_t>(row)];
+  const std::span<const int> sizes = core::grid_row_sizes(r.machine());
+  for (std::size_t row = 0; row < sizes.size(); ++row) {
+    const auto& cell = grid.row_sums[row];
     if (cell.total == 0) continue;
     const double rate = cell.proportion();
     // Size-conditional MTTI: systemwide MTTI scaled by the relative risk of
@@ -49,7 +50,7 @@ int main() {
     const double overall = grid.total.proportion();
     const double mtti_size = rate > 0 ? mtti * overall / rate : mtti * 10;
     const double interval = young_interval_sec(300.0, mtti_size);
-    std::printf("%3d midplanes  %8zu/%-6zu %16.2f%% %18.0f s (%.1f h)\n", kSizes[row],
+    std::printf("%3d midplanes  %8zu/%-6zu %16.2f%% %18.0f s (%.1f h)\n", sizes[row],
                 cell.interrupted, cell.total, 100.0 * rate, interval, interval / 3600);
   }
 

@@ -46,7 +46,7 @@ int main() {
     // Cost side: how many *successful* jobs would the blacklist have delayed?
     std::size_t blocked = 0;
     for (std::size_t j = 0; j < data.jobs.size(); ++j) {
-      if (r.matches.group_by_job[j]) continue;  // only count healthy jobs
+      if (r.matches.group_by_job[j] >= 0) continue;  // only count healthy jobs
       const joblog::JobRecord& job = data.jobs[j];
       for (const auto& g : r.filtered.groups) {
         const ras::RasEvent& ev = r.filtered.fatal_events[g.rep];

@@ -47,8 +47,8 @@ int main(int argc, char** argv) {
     ctx.with_machine(*f.machine);
     const synth::SynthResult data = synth::generate(scenario, ctx);
     std::ostringstream ras_out, job_out;
-    ras::write_binary(ras_out, data.ras);
-    joblog::write_binary(job_out, data.jobs);
+    ras::write_binary(ras_out, data.ras, {.version = 2});
+    joblog::write_binary(job_out, data.jobs, {.version = 2});
     f.ras_bytes = ras_out.str();
     f.job_bytes = job_out.str();
     std::printf("%-9s %s: %zu RAS records (%zu KiB), %zu jobs (%zu KiB)\n",
@@ -97,10 +97,8 @@ int main(int argc, char** argv) {
   for (Feed& f : feeds) {
     std::istringstream ras_in(f.ras_bytes), job_in(f.job_bytes);
     const ras::RasLog ras_log =
-        ras::read_binary(ras_in, ras::default_catalog(), ParseMode::Strict, nullptr,
-                         nullptr, nullptr, *f.machine);
-    const joblog::JobLog job_log = joblog::read_binary(
-        job_in, ParseMode::Strict, nullptr, nullptr, *f.machine);
+        ras::read_binary(ras_in, ras::default_catalog(), {.machine = f.machine});
+    const joblog::JobLog job_log = joblog::read_binary(job_in, {.machine = f.machine});
     Context ctx;
     ctx.with_machine(*f.machine);
     const core::CoAnalysisResult offline =

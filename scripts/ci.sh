@@ -105,8 +105,8 @@ esac
 # block decode across workers (ParallelBinaryRead.* in test_columnar), of
 # ThreadPool and parallel_for_chunks themselves (test_parallel), of the
 # daemon's accept, connection and metrics threads starting and stopping
-# (test_fleet), and of spans and counters recording into one collector
-# from several threads and pool workers (test_obs).
+# (test_fleet), and of counters and spans recording into one collector
+# from plain std::threads (test_obs; the thread pool has no telemetry).
 case " ${PRESETS[*]} " in
   *" tsan "*) ;;  # full tsan suite already ran above
   *)

@@ -27,7 +27,9 @@ The perf_streaming per-mode wall numbers are recorded but never gated:
 they are fork-based wall measurements of a few-ms run, observed swinging
 2x best-of-7 on shared CI VMs. The streaming front end's gated regression
 coverage is the CPU-time BM_FullCoAnalysis / BM_EndToEndCoAnalysis
-series (run_coanalysis runs it).
+series (run_coanalysis runs it). A --streaming run is the whole mode
+list: a committed perf_streaming/<mode> entry the run does not report is
+a retired mode, printed as such and dropped from "current".
 """
 
 import argparse
@@ -164,6 +166,16 @@ def main():
             print(f"  GONE  {name}: committed {committed[name]:.3f} ms has no "
                   "fresh result")
         failures.extend(stale)
+    # perf_streaming reports every mode it has in one run, so with
+    # --streaming a committed mode it did not report is retired: trajectory
+    # only, never a gate failure, and not carried forward.
+    retired = []
+    if args.streaming:
+        retired = [name for name in sorted(committed)
+                   if name.startswith("perf_streaming/") and name not in fresh]
+        for name in retired:
+            print(f"  retired {name}: committed {committed[name]:.3f} ms, no fresh "
+                  "mode (dropped)")
     for name in sorted(fresh):
         now = fresh[name]
         ref = committed.get(name)
@@ -184,7 +196,7 @@ def main():
                  f"{args.max_regression:.0%}, or committed entry without a "
                  "fresh result) in: " + ", ".join(failures))
 
-    merged = dict(committed)
+    merged = {k: v for k, v in committed.items() if k not in retired}
     merged.update(fresh)
     out_doc = {
         "schema": 1,

@@ -23,29 +23,10 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::set_obs(obs::Collector* collector) {
-  std::lock_guard lock(mu_);
-  obs_ = collector;
-  if (collector != nullptr) {
-    queue_depth_ = &collector->histogram("pool.queue_depth");
-    task_wait_ms_ = &collector->histogram("pool.task_wait_ms");
-    task_run_ms_ = &collector->histogram("pool.task_run_ms");
-    tasks_run_ = &collector->counter("pool.tasks");
-  } else {
-    queue_depth_ = task_wait_ms_ = task_run_ms_ = nullptr;
-    tasks_run_ = nullptr;
-  }
-}
-
 void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lock(mu_);
-    Task t{std::move(task), {}};
-    if (obs_ != nullptr) {
-      t.enqueued = obs::Clock::now();
-      queue_depth_->record(static_cast<double>(tasks_.size() + 1));
-    }
-    tasks_.push(std::move(t));
+    tasks_.push(std::move(task));
     ++in_flight_;
   }
   cv_task_.notify_one();
@@ -66,38 +47,19 @@ void ThreadPool::wait_idle() {
 
 void ThreadPool::worker_loop() {
   while (true) {
-    Task task;
-    obs::Histogram* wait_hist = nullptr;
-    obs::Histogram* run_hist = nullptr;
-    obs::Counter* run_count = nullptr;
+    std::function<void()> task;
     {
       std::unique_lock lock(mu_);
       cv_task_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      if (obs_ != nullptr) {
-        wait_hist = task_wait_ms_;
-        run_hist = task_run_ms_;
-        run_count = tasks_run_;
-      }
-    }
-    obs::Clock::time_point start{};
-    if (run_hist != nullptr) {
-      start = obs::Clock::now();
-      wait_hist->record(
-          std::chrono::duration<double, std::milli>(start - task.enqueued).count());
     }
     try {
-      task.fn();
+      task();
     } catch (...) {
       std::lock_guard lock(mu_);
       if (!first_error_) first_error_ = std::current_exception();
-    }
-    if (run_hist != nullptr) {
-      run_hist->record(
-          std::chrono::duration<double, std::milli>(obs::Clock::now() - start).count());
-      run_count->add(1);
     }
     {
       std::lock_guard lock(mu_);

@@ -11,8 +11,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "coral/obs/obs.hpp"
-
 namespace coral::par {
 
 /// A fixed-size worker pool. Tasks are arbitrary callables; `wait_idle`
@@ -41,40 +39,17 @@ class ThreadPool {
 
   std::size_t thread_count() const { return workers_.size(); }
 
-  /// Attach an observability collector: every subsequent submit/execution
-  /// reports pool.queue_depth (tasks waiting at enqueue), pool.task_wait_ms
-  /// (enqueue -> dequeue) and pool.task_run_ms histograms plus a
-  /// pool.tasks counter. Attach while the pool is idle (it is not
-  /// synchronized against concurrent submits); nullptr detaches, and a
-  /// detached pool never reads a clock on the task path.
-  void set_obs(obs::Collector* collector);
-
  private:
-  /// A queued callable plus its enqueue time (stamped only when a collector
-  /// is attached — the clock read is part of the observability budget).
-  struct Task {
-    std::function<void()> fn;
-    obs::Clock::time_point enqueued{};
-  };
-
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::queue<Task> tasks_;
+  std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
   std::size_t in_flight_ = 0;
   bool stop_ = false;
   std::exception_ptr first_error_;
-
-  // Observability handles, resolved once at attach time so the task path
-  // never takes the registry lock.
-  obs::Collector* obs_ = nullptr;
-  obs::Histogram* queue_depth_ = nullptr;
-  obs::Histogram* task_wait_ms_ = nullptr;
-  obs::Histogram* task_run_ms_ = nullptr;
-  obs::Counter* tasks_run_ = nullptr;
 };
 
 /// Split [0, n) into roughly even chunks and run `body(begin, end)` on each,

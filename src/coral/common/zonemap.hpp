@@ -103,7 +103,6 @@ class ZoneFilter {
   bool match_location(std::uint32_t key) const;
   /// Exact test for a contiguous midplane range [first, first + count).
   bool match_midplane_range(machine::MidplaneId first, int count) const;
-  bool any_midplane() const { return !constrain_midplanes_; }
 
  private:
   std::int64_t begin_usec_;

@@ -37,10 +37,6 @@ class Context {
   obs::Collector* obs() const { return obs_; }
   std::uint64_t seed() const { return seed_; }
 
-  Context& with_catalog(const ras::Catalog& catalog) {
-    catalog_ = &catalog;
-    return *this;
-  }
   /// Target machine: topology, location grammar, partition algebra and
   /// placement policy all resolve through this model (default: the
   /// reference 40-rack BG/P). Models are process-lifetime singletons.

@@ -3,11 +3,10 @@
 namespace coral::core {
 
 CharColumns build_char_columns(const filter::FilterPipelineResult& filtered,
-                               const MatchResult& matches, const joblog::JobLog& jobs,
-                               par::ThreadPool* /*pool*/) {
+                               const MatchResult& /*matches*/,
+                               const joblog::JobLog& /*jobs*/, par::ThreadPool* /*pool*/) {
   CharColumns c;
   const std::size_t n_groups = filtered.groups.size();
-  const std::size_t n_jobs = jobs.size();
 
   c.group_time.resize(n_groups);
   c.group_code.resize(n_groups);
@@ -17,12 +16,6 @@ CharColumns build_char_columns(const filter::FilterPipelineResult& filtered,
     c.group_time[g] = rep.event_time;
     c.group_code[g] = rep.errcode;
     c.group_loc[g] = rep.location.packed();
-  }
-
-  c.job_group.resize(n_jobs);
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    const auto& g = matches.group_by_job[j];
-    c.job_group[j] = g ? static_cast<std::int32_t>(*g) : -1;
   }
   return c;
 }

@@ -13,12 +13,13 @@ namespace coral::core {
 ///
 /// The four stages downstream of matching — classification, job-related
 /// filtering, propagation and vulnerability — all need each group's
-/// representative (time, errcode, location) and which group interrupted
-/// each job. This gathers both once, as flat vectors, so the stage hot
-/// loops scan contiguous columns. Everything that depends only on the job
+/// representative (time, errcode, location). This gathers it once, as flat
+/// vectors, so the stage hot loops scan contiguous columns. Which group
+/// interrupted each job is already a flat column,
+/// MatchResult::group_by_job, and everything that depends only on the job
 /// log (partition ranges, times, users, projects, resubmission chains) is
-/// not copied here: the stages read it from JobLog::columns(), built once
-/// per finalized log.
+/// not copied here either: the stages read it from JobLog::columns(), built
+/// once per finalized log.
 ///
 /// Invariants, all inherited from the producing layers:
 ///  - groups are ordered by representative event time (the front end emits
@@ -32,18 +33,12 @@ struct CharColumns {
   std::vector<ras::ErrcodeId> group_code;   ///< rep errcode
   std::vector<std::uint32_t> group_loc;     ///< rep Location::packed() key
 
-  // --- per job -----------------------------------------------------------
-  /// Interrupting group index, or -1 when the job completed cleanly
-  /// (matches.group_by_job without the std::optional indirection).
-  std::vector<std::int32_t> job_group;
-
   std::size_t group_count() const { return group_time.size(); }
-  std::size_t job_count() const { return job_group.size(); }
 };
 
-/// Gather the per-analysis columns once per co-analysis, in two serial
-/// fills. `pool` is ignored; it stays because the e2e benchmark package
-/// compiles against it.
+/// Gather the per-group columns once per co-analysis, in one serial fill.
+/// `matches`, `jobs` and `pool` are not read; they stay because the e2e
+/// benchmark package compiles against this signature.
 CharColumns build_char_columns(const filter::FilterPipelineResult& filtered,
                                const MatchResult& matches, const joblog::JobLog& jobs,
                                par::ThreadPool* pool = nullptr);

@@ -50,7 +50,7 @@ CheckpointOutcome simulate_checkpointing(const CoAnalysisResult& analysis,
     const joblog::JobRecord& job = jobs[j];
     const double width = job.size_midplanes();
     const auto runtime = job.runtime();
-    const bool interrupted = analysis.matches.group_by_job[j].has_value();
+    const bool interrupted = analysis.matches.group_by_job[j] >= 0;
 
     // Per-job interval: a W-midplane job on an N-midplane machine intercepts
     // roughly W/N of the machine's interruptions, so its MTTI is the machine

@@ -114,7 +114,7 @@ struct GroupTimeBuckets {
   }
 };
 
-GroupTimeBuckets bucket_group_times(const CharColumns& cols) {
+GroupTimeBuckets bucket_times_by_code(const CharColumns& cols) {
   GroupTimeBuckets b;
   const std::size_t n = cols.group_count();
   if (n == 0) {
@@ -211,7 +211,7 @@ ClassificationResult classify_causes(const filter::FilterPipelineResult& filtere
             jc.start.begin());
         for (std::size_t s = sb; s < jc.size() && jc.start[s] < obs.time[k]; ++s) {
           if (jc.part_first[s] < obs.part_end[i] && obs.part_first[i] < jc.part_end[s] &&
-              cols.job_group[s] < 0) {
+              matches.group_by_job[s] < 0) {
             found_for_i = true;
             break;
           }
@@ -248,7 +248,7 @@ ClassificationResult classify_causes(const filter::FilterPipelineResult& filtere
       (cit->second.cause == Cause::SystemFailure ? sys_times : app_times)
           .push_back(cols.group_time[g]);
     }
-    const GroupTimeBuckets series = bucket_group_times(cols);
+    const GroupTimeBuckets series = bucket_times_by_code(cols);
 
     for (const auto& [code, verdict] : identification.verdicts) {
       if (result.by_code.find(code) != result.by_code.end()) continue;

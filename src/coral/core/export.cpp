@@ -60,13 +60,12 @@ void export_resubmission_csv(std::ostream& out, const CoAnalysisResult& r) {
 void export_grid_csv(std::ostream& out, const CoAnalysisResult& r) {
   CsvWriter w(out);
   w.write_row({"size_midplanes", "runtime_bucket", "interrupted", "total", "proportion"});
-  static const int kSizes[9] = {1, 2, 4, 8, 16, 32, 48, 64, 80};
   static const char* kBuckets[4] = {"10-400s", "400-1600s", "1600-6400s", ">=6400s"};
-  for (int row = 0; row < 9; ++row) {
+  const std::span<const int> sizes = grid_row_sizes(r.machine());
+  for (std::size_t row = 0; row < sizes.size(); ++row) {
     for (int col = 0; col < 4; ++col) {
-      const auto& c =
-          r.vulnerability.grid.cells[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)];
-      w.write_row({std::to_string(kSizes[row]), kBuckets[col],
+      const auto& c = r.vulnerability.grid.cells[row][static_cast<std::size_t>(col)];
+      w.write_row({std::to_string(sizes[row]), kBuckets[col],
                    std::to_string(c.interrupted), std::to_string(c.total),
                    strformat("%.5f", c.proportion())});
     }

@@ -35,21 +35,4 @@ InterarrivalFit fit_interarrivals(std::vector<double> samples_sec) {
   return fit;
 }
 
-std::vector<TimePoint> group_times(const filter::FilterPipelineResult& filtered,
-                                   std::span<const std::size_t> group_indices) {
-  std::vector<TimePoint> out;
-  out.reserve(group_indices.size());
-  for (std::size_t g : group_indices) {
-    out.push_back(filtered.fatal_events[filtered.groups[g].rep].event_time);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::size_t> all_groups(const filter::FilterPipelineResult& filtered) {
-  std::vector<std::size_t> out(filtered.groups.size());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = i;
-  return out;
-}
-
 }  // namespace coral::core

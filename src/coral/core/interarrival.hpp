@@ -1,6 +1,9 @@
 #pragma once
 
-#include "coral/core/jobfilter.hpp"
+#include <span>
+#include <vector>
+
+#include "coral/common/time.hpp"
 #include "coral/stats/distributions.hpp"
 #include "coral/stats/ecdf.hpp"
 
@@ -16,8 +19,6 @@ struct InterarrivalFit {
   stats::LrtResult lrt;
   double ks_weibull = 0;
   double ks_exponential = 0;
-
-  double mtbf_sec() const { return weibull.mean(); }
 };
 
 /// Interarrival samples (seconds) from a time-ordered series of event
@@ -27,12 +28,5 @@ std::vector<double> interarrival_seconds(std::span<const TimePoint> times);
 /// Fit both models to interarrival samples, each once; the likelihood-ratio
 /// test scores those fits.
 InterarrivalFit fit_interarrivals(std::vector<double> samples_sec);
-
-/// Representative event times of the given groups, time-ordered.
-std::vector<TimePoint> group_times(const filter::FilterPipelineResult& filtered,
-                                   std::span<const std::size_t> group_indices);
-
-/// All group indices [0, n) — the "before job-related filtering" series.
-std::vector<std::size_t> all_groups(const filter::FilterPipelineResult& filtered);
 
 }  // namespace coral::core

@@ -86,7 +86,7 @@ JobFilterResult job_related_filter(const filter::FilterPipelineResult& filtered,
           std::upper_bound(s.start_time.begin(), s.start_time.end(), a) -
           s.start_time.begin());
       for (; i < s.start_time.size() && s.start_time[i] < b; ++i) {
-        if (s.end_time[i] < b && cols.job_group[s.job[i]] < 0) return true;
+        if (s.end_time[i] < b && matches.group_by_job[s.job[i]] < 0) return true;
       }
     }
     return false;

@@ -69,14 +69,13 @@ std::string render_markdown_report(const CoAnalysisResult& r,
   md += "## Vulnerability grid (system interruptions / jobs)\n\n";
   md += "| size | 10-400s | 400-1600s | 1600-6400s | >=6400s | total |\n";
   md += "|---|---|---|---|---|---|\n";
-  static const int kSizes[9] = {1, 2, 4, 8, 16, 32, 48, 64, 80};
-  for (int row = 0; row < 9; ++row) {
-    const auto& sums = r.vulnerability.grid.row_sums[static_cast<std::size_t>(row)];
+  const std::span<const int> sizes = grid_row_sizes(r.machine());
+  for (std::size_t row = 0; row < sizes.size(); ++row) {
+    const auto& sums = r.vulnerability.grid.row_sums[row];
     if (sums.total == 0) continue;
-    md += strformat("| %d |", kSizes[row]);
+    md += strformat("| %d |", sizes[row]);
     for (int col = 0; col < 4; ++col) {
-      const auto& c =
-          r.vulnerability.grid.cells[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)];
+      const auto& c = r.vulnerability.grid.cells[row][static_cast<std::size_t>(col)];
       md += strformat(" %zu/%zu |", c.interrupted, c.total);
     }
     md += strformat(" %.2f%% |\n", 100.0 * sums.proportion());

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <vector>
 
 #include "coral/common/time.hpp"
@@ -27,10 +27,9 @@ struct MatchResult {
   std::vector<Interruption> interruptions;  ///< sorted by job end time
   /// Per group: indices of interrupted jobs (empty when none).
   std::vector<std::vector<std::size_t>> jobs_by_group;
-  /// Per job: the matching group, if any.
-  std::vector<std::optional<std::size_t>> group_by_job;
-
-  std::size_t interrupted_job_count() const { return interruptions.size(); }
+  /// Per job: the index of the group that interrupted it, or -1 when the
+  /// job completed cleanly.
+  std::vector<std::int32_t> group_by_job;
 };
 
 }  // namespace coral::core

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "coral/core/interarrival.hpp"
+#include "coral/filter/pipeline.hpp"
 #include "coral/machine/model.hpp"
 
 namespace coral::core {

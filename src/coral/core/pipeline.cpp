@@ -60,7 +60,7 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
   {
     obs::Span span(obs, "char.columns");
     cols = build_char_columns(r.filtered, r.matches, jobs);
-    span.counts(cols.group_count() + cols.job_count(), r.matches.interruptions.size());
+    span.counts(cols.group_count() + jobs.size(), r.matches.interruptions.size());
   }
 
   // Step 2: separate system failures from application errors (§IV-B).
@@ -94,31 +94,37 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
     span.counts(r.matches.interruptions.size(), jobs.size());
   }
 
-  // Interarrival fits (§V-A, Table IV; Fig. 3), via the incremental
-  // accumulators, fed in group order.
-  stream::InterarrivalAccumulator before_filter, after_filter;
-  for (const filter::EventGroup& g : r.filtered.groups) {
-    before_filter.add(r.filtered.fatal_events[g.rep].event_time);
-  }
-  for (const std::size_t idx : r.job_filter.kept) {
-    after_filter.add(r.filtered.fatal_events[r.filtered.groups[idx].rep].event_time);
-  }
-  if (auto fit = before_filter.fit()) r.fatal_before_jobfilter = std::move(*fit);
-  if (auto fit = after_filter.fit()) r.fatal_after_jobfilter = std::move(*fit);
+  // Interarrival fits: a series of fewer than 3 times leaves its fit at
+  // the default (no interarrival pair to fit).
+  const auto fit = [](const std::vector<TimePoint>& times, InterarrivalFit& out) {
+    if (times.size() >= 3) out = fit_interarrivals(interarrival_seconds(times));
+  };
+  const auto rep_time = [&](std::size_t g) {
+    return r.filtered.fatal_events[r.filtered.groups[g].rep].event_time;
+  };
+
+  // Fatal-event interarrivals before and after job-related filtering
+  // (§V-A, Table IV; Fig. 3), in group order.
+  std::vector<TimePoint> times;
+  for (std::size_t g = 0; g < r.filtered.groups.size(); ++g) times.push_back(rep_time(g));
+  fit(times, r.fatal_before_jobfilter);
+  times.clear();
+  for (const std::size_t g : r.job_filter.kept) times.push_back(rep_time(g));
+  fit(times, r.fatal_after_jobfilter);
 
   // Interruption interarrivals by cause (§VI-B, Table V; Fig. 6).
-  stream::InterarrivalAccumulator sys_acc, app_acc;
+  std::vector<TimePoint> sys, app;
   for (const Interruption& in : r.matches.interruptions) {
     const ras::ErrcodeId code =
         r.filtered.fatal_events[r.filtered.groups[in.group].rep].errcode;
-    const bool app = r.classification.by_code.count(code) != 0 &&
-                     r.classification.by_code.at(code).cause == Cause::ApplicationError;
-    (app ? app_acc : sys_acc).add(in.time);
+    const bool is_app = r.classification.by_code.count(code) != 0 &&
+                        r.classification.by_code.at(code).cause == Cause::ApplicationError;
+    (is_app ? app : sys).push_back(in.time);
   }
-  r.system_interruptions = sys_acc.count();
-  r.application_interruptions = app_acc.count();
-  if (auto fit = sys_acc.fit()) r.interruptions_system = std::move(*fit);
-  if (auto fit = app_acc.fit()) r.interruptions_application = std::move(*fit);
+  r.system_interruptions = sys.size();
+  r.application_interruptions = app.size();
+  fit(sys, r.interruptions_system);
+  fit(app, r.interruptions_application);
 
   // Distinct interrupted executables (paper: 308 jobs, 167 distinct).
   std::set<joblog::ExecId> distinct;

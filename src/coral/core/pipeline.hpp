@@ -5,6 +5,7 @@
 #include "coral/common/ingest.hpp"
 #include "coral/context.hpp"
 #include "coral/core/interarrival.hpp"
+#include "coral/core/jobfilter.hpp"
 #include "coral/core/propagation.hpp"
 #include "coral/core/vulnerability.hpp"
 #include "coral/ras/log.hpp"

@@ -60,7 +60,7 @@ PredictionOutcome evaluate_predictor(const CoAnalysisResult& analysis,
         config.use_location ? jobs.running_at(alarm.time, alarm.location)
                             : jobs.running_at(alarm.time, whole_machine);
     for (std::size_t j : running) {
-      if (analysis.matches.group_by_job[j]) continue;  // it was doomed anyway
+      if (analysis.matches.group_by_job[j] >= 0) continue;  // it was doomed anyway
       out.disturbed_node_hours +=
           kProactiveHoursPerMidplane * jobs[j].size_midplanes();
     }

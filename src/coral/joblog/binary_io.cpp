@@ -123,8 +123,6 @@ void write_v3(std::ostream& out, const JobLog& log, const WriteOptions& opts) {
 
 }  // namespace
 
-void write_binary(std::ostream& out, const JobLog& log) { write_v2(out, log); }
-
 void write_binary(std::ostream& out, const JobLog& log, const WriteOptions& opts) {
   if (opts.version == kJobVersion) {
     write_v2(out, log);
@@ -187,16 +185,6 @@ JobLog read_binary(std::istream& in, const ReadOptions& opts) {
   span.counts(rep.records_seen(), rep.records_ok());
   rep.report_malformed(opts.obs, "ingest.job_binary");
   return log;
-}
-
-JobLog read_binary(std::istream& in, ParseMode mode, IngestReport* report,
-                   obs::Collector* obs, const machine::MachineModel& machine) {
-  ReadOptions opts;
-  opts.mode = mode;
-  opts.report = report;
-  opts.obs = obs;
-  opts.machine = &machine;
-  return read_binary(in, opts);
 }
 
 }  // namespace coral::joblog

@@ -57,9 +57,8 @@ struct WriteOptions {
   std::size_t blocks_per_segment = 256;
 };
 
-/// Write `log` in v2 format — the layout every fleet peer understands.
-/// Equivalent to write_binary(out, log, {.version = 2}).
-void write_binary(std::ostream& out, const JobLog& log);
+/// Write `log` in the format `opts.version` names; {.version = 2} writes
+/// the v2 layout every fleet peer understands.
 void write_binary(std::ostream& out, const JobLog& log, const WriteOptions& opts);
 
 /// Read-side options; the zero-initialized default is a strict, unfiltered
@@ -89,9 +88,6 @@ struct ReadOptions {
 /// malformed counters, and blocks_total/blocks_decoded/blocks_skipped
 /// pushdown counters are recorded. Partition extents are validated against
 /// the machine model; the returned log is stamped with it.
-JobLog read_binary(std::istream& in, const ReadOptions& opts);
-JobLog read_binary(std::istream& in, ParseMode mode = ParseMode::Strict,
-                   IngestReport* report = nullptr, obs::Collector* obs = nullptr,
-                   const machine::MachineModel& machine = machine::bgp_model());
+JobLog read_binary(std::istream& in, const ReadOptions& opts = {});
 
 }  // namespace coral::joblog

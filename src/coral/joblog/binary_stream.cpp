@@ -91,11 +91,12 @@ void encode_job_column_block(std::string& payload, const JobLog& log, std::size_
   bin::append_column_body(payload, raw, compress);
 }
 
-void JobStreamDecoder::intern_tables() {
-  // First record block: freeze whatever metadata survived. In an intact
-  // file every table precedes the records, so strict mode can insist on
-  // all three.
-  if (mode_ == ParseMode::Strict && (!execs_ || !users_ || !projects_)) {
+void JobStreamDecoder::intern_tables(bool before_records) {
+  // Freeze whatever metadata survived: at the first record block, or in
+  // finish() for a log with none (so a round trip keeps interned names).
+  // In an intact file every table precedes the records, so strict mode can
+  // insist on all three before the first record.
+  if (before_records && mode_ == ParseMode::Strict && (!execs_ || !users_ || !projects_)) {
     throw ParseError("records before string tables in binary job log");
   }
   if (execs_) {
@@ -173,7 +174,7 @@ void JobStreamDecoder::emit_job(std::int64_t job_id, std::int64_t exec,
 }
 
 void JobStreamDecoder::decode_records(bin::PayloadCursor& cur) {
-  if (!interned_) intern_tables();
+  if (!interned_) intern_tables(true);
   const auto n = cur.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint64_t rec_offset = cur.offset();
@@ -243,7 +244,7 @@ void JobStreamDecoder::decode_columns(bin::PayloadCursor& cur) {
   if (pos != body.size()) throw bad_block();
   ++blocks_.decoded;
 
-  if (!interned_) intern_tables();
+  if (!interned_) intern_tables(true);
   attempted_ += n;
   for (std::uint32_t i = 0; i < n; ++i) {
     emit_job(ids[i], static_cast<std::int64_t>(execs[i]),
@@ -310,19 +311,7 @@ void JobStreamDecoder::on_payload(std::string_view payload,
 JobLog JobStreamDecoder::finish(IngestReport& rep, const IngestReport& frame_damage) {
   rep.merge(record_rep_);
   record_rep_ = IngestReport{};
-  if (!interned_) {
-    // No record blocks (empty log): still preserve the string tables so a
-    // round trip keeps interned names.
-    if (execs_) {
-      for (const auto& s : *execs_) log_.intern_exec(s);
-    }
-    if (users_) {
-      for (const auto& s : *users_) log_.intern_user(s);
-    }
-    if (projects_) {
-      for (const auto& s : *projects_) log_.intern_project(s);
-    }
-  }
+  if (!interned_) intern_tables(false);
 
   bin::check_declared_total(total_, attempted_, mode_, "binary job log", "header block",
                             rep, footers_.undelivered_records());

@@ -111,7 +111,9 @@ class JobStreamDecoder {
  private:
   void decode_records(bin::PayloadCursor& cur);
   void decode_columns(bin::PayloadCursor& cur);
-  void intern_tables();
+  /// Intern the surviving string tables; `before_records` adds the strict
+  /// check that all three precede the first record block.
+  void intern_tables(bool before_records);
   /// Validate and append one decoded job; shared by the v2 and v3 record
   /// paths so rejection reasons and filter semantics match across versions.
   void emit_job(std::int64_t job_id, std::int64_t exec, std::int64_t user,

@@ -16,7 +16,9 @@ namespace coral::joblog {
 /// testing Partition::covers_key() against every job in a time window. Buckets
 /// share one CSR layout in ascending job-index (= start time, the JobLog
 /// sort order) order, with parallel start/end time columns and a running
-/// max-end prefix — running_at()'s bounded backward scan, per bucket.
+/// max-end prefix — the bounded backward scan, per bucket, behind both
+/// JobLog::running_at() overloads (a location's footprint, a partition's
+/// midplanes). It is the log's only "who ran where, when" index.
 class IntervalIndex {
  public:
   /// Default: a valid index over zero jobs and zero midplanes.

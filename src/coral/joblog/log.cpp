@@ -54,12 +54,6 @@ void JobLog::finalize() {
   if (!std::is_sorted(jobs_.begin(), jobs_.end(), by_start)) {
     std::stable_sort(jobs_.begin(), jobs_.end(), by_start);
   }
-  max_end_prefix_.resize(jobs_.size());
-  TimePoint running_max;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    if (i == 0 || jobs_[i].end_time > running_max) running_max = jobs_[i].end_time;
-    max_end_prefix_[i] = running_max;
-  }
   // Sort contiguous (end, index) keys: comparing them reads 16 bytes, where
   // an index sort would chase two whole JobRecords per comparison.
   std::vector<std::pair<std::int64_t, std::size_t>> keys(jobs_.size());
@@ -133,31 +127,11 @@ const JobColumns& JobLog::columns() const {
   return columns_;
 }
 
-template <typename Pred>
-std::vector<std::size_t> JobLog::running_matching(TimePoint t, Pred pred) const {
-  CORAL_EXPECTS(finalized_);
-  std::vector<std::size_t> out;
-  // First job with start_time > t.
-  const auto it = std::upper_bound(jobs_.begin(), jobs_.end(), t,
-                                   [](TimePoint tp, const JobRecord& j) {
-                                     return tp < j.start_time;
-                                   });
-  for (auto i = static_cast<std::ptrdiff_t>(it - jobs_.begin()) - 1; i >= 0; --i) {
-    const auto idx = static_cast<std::size_t>(i);
-    if (max_end_prefix_[idx] <= t) break;  // nothing earlier can still be running
-    const JobRecord& j = jobs_[idx];
-    if (j.end_time > t && pred(j)) out.push_back(idx);
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
 namespace {
 
 // Jobs in one interval-index bucket that are running at `t`, descending job
-// index (the caller reverses or merges). Same bounded backward scan as the
-// whole-log running_matching, but confined to the jobs that can cover the
-// queried midplane.
+// index (the caller reverses or merges): a backward scan from the last job
+// started by `t`, bounded by the bucket's running max of end times.
 void bucket_running_at(const IntervalIndex::StartSlice& s, TimePoint t,
                        std::vector<std::size_t>& out) {
   const auto it = std::upper_bound(s.start_time.begin(), s.start_time.end(), t);
@@ -170,28 +144,32 @@ void bucket_running_at(const IntervalIndex::StartSlice& s, TimePoint t,
 
 }  // namespace
 
-std::vector<std::size_t> JobLog::running_at(TimePoint t, const bgp::Location& loc) const {
+std::vector<std::size_t> JobLog::running_on(TimePoint t,
+                                            machine::MidplaneRange midplanes) const {
   CORAL_EXPECTS(finalized_);
+  CORAL_EXPECTS(midplanes.first >= 0 && midplanes.end <= machine_->midplane_count());
   if (jobs_.empty()) return {};
   std::vector<std::size_t> out;
-  const machine::MidplaneRange r = machine_->codec().midplanes(loc.packed());
-  for (bgp::MidplaneId m = r.first; m < r.end; ++m) {
+  for (bgp::MidplaneId m = midplanes.first; m < midplanes.end; ++m) {
     bucket_running_at(interval_.starts(m), t, out);
   }
-  if (r.size() == 1) {
+  if (midplanes.size() == 1) {
     std::reverse(out.begin(), out.end());
     return out;
   }
-  // A location over several midplanes (a rack): a multi-midplane partition
-  // can sit in several buckets, so merge and dedupe.
+  // Several midplanes (a rack, a partition): a multi-midplane partition can
+  // sit in several buckets, so merge and dedupe.
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
+std::vector<std::size_t> JobLog::running_at(TimePoint t, const bgp::Location& loc) const {
+  return running_on(t, machine_->codec().midplanes(loc.packed()));
+}
+
 std::vector<std::size_t> JobLog::running_at(TimePoint t, const bgp::Partition& part) const {
-  return running_matching(t,
-                          [&part](const JobRecord& j) { return j.partition.overlaps(part); });
+  return running_on(t, {part.first_midplane(), part.end_midplane()});
 }
 
 JobLogSummary JobLog::summary() const {

@@ -88,11 +88,13 @@ class JobLog {
   const std::vector<std::string>& users() const { return users_; }
   const std::vector<std::string>& projects() const { return projects_; }
 
-  /// Indices of jobs running at time `t` whose partition covers `loc`.
-  /// O(log n + k) using the start-time ordering and a max-end prefix.
+  /// Indices of jobs running at time `t` whose partition covers `loc`,
+  /// ascending. Answered from the interval index: a bounded backward scan
+  /// of each midplane bucket in the location's footprint.
   std::vector<std::size_t> running_at(TimePoint t, const bgp::Location& loc) const;
 
-  /// Indices of jobs running at `t` on any midplane of `part`.
+  /// Indices of jobs running at `t` on any midplane of `part`, ascending;
+  /// the same bucket scan over the partition's midplanes.
   std::vector<std::size_t> running_at(TimePoint t, const bgp::Partition& part) const;
 
   /// Job indices ordered by (end_time, index). Maintained by finalize() so
@@ -128,8 +130,8 @@ class JobLog {
                          const machine::MachineModel& machine = machine::bgp_model());
 
  private:
-  template <typename Pred>
-  std::vector<std::size_t> running_matching(TimePoint t, Pred pred) const;
+  /// Jobs running at `t` on any midplane of [first, end), ascending.
+  std::vector<std::size_t> running_on(TimePoint t, machine::MidplaneRange midplanes) const;
   /// Fill columns_ and summary_ from the sorted jobs_ (part of finalize()).
   void build_columns();
 
@@ -141,11 +143,10 @@ class JobLog {
   std::unordered_map<std::string, std::int32_t> exec_index_;
   std::unordered_map<std::string, std::int32_t> user_index_;
   std::unordered_map<std::string, std::int32_t> project_index_;
-  std::vector<TimePoint> max_end_prefix_;  ///< running max of end_time by start order
-  std::vector<std::size_t> by_end_;        ///< indices sorted by (end_time, index)
-  IntervalIndex interval_;                 ///< per-midplane buckets over jobs_
-  JobColumns columns_;                     ///< SoA view of jobs_
-  JobLogSummary summary_;                  ///< job-derived summary fields
+  std::vector<std::size_t> by_end_;  ///< indices sorted by (end_time, index)
+  IntervalIndex interval_;           ///< per-midplane buckets over jobs_
+  JobColumns columns_;               ///< SoA view of jobs_
+  JobLogSummary summary_;            ///< job-derived summary fields
   bool finalized_ = false;
 };
 

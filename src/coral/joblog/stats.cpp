@@ -17,14 +17,14 @@ std::size_t size_class(const std::vector<int>& sizes, int midplanes) {
 
 }  // namespace
 
-WorkloadStats workload_stats(const JobLog& jobs, int wide_threshold) {
+WorkloadStats workload_stats(const JobLog& jobs) {
   const machine::MachineModel& machine = jobs.machine();
   const std::vector<int>& sizes = machine.legal_partition_sizes();
+  const int wide_threshold = machine.placement_zones().wide_threshold;
   WorkloadStats s;
   s.midplane_busy_sec.assign(static_cast<std::size_t>(machine.midplane_count()), 0.0);
   s.midplane_wide_sec.assign(static_cast<std::size_t>(machine.midplane_count()), 0.0);
   s.jobs_per_size.assign(sizes.size(), 0);
-  s.wide_threshold = wide_threshold;
   if (jobs.empty()) return s;
 
   TimePoint first = jobs[0].start_time;

@@ -14,7 +14,8 @@ struct WorkloadStats {
   /// Busy midplane-seconds per midplane (Fig. 4b), indexed by MidplaneId,
   /// sized to the log's machine.
   std::vector<double> midplane_busy_sec;
-  /// Busy midplane-seconds from jobs >= `wide_threshold` midplanes (Fig. 4c).
+  /// Busy midplane-seconds from wide jobs (Fig. 4c): at or above the
+  /// machine's PlacementZones::wide_threshold, 32 midplanes on BG/P.
   std::vector<double> midplane_wide_sec;
   /// Jobs per size class, aligned with the machine's
   /// legal_partition_sizes() (Table VI's {1,2,4,8,16,32,48,64,80} on BG/P).
@@ -24,8 +25,6 @@ struct WorkloadStats {
   double utilization = 0;
   /// Average queue wait in seconds.
   double mean_wait_sec = 0;
-
-  int wide_threshold = 32;
 };
 
 /// Aggregates for one user or project.
@@ -34,8 +33,8 @@ struct PartyStats {
   double node_seconds = 0;  ///< midplane-seconds submitted
 };
 
-/// Compute workload statistics. `wide_threshold` is in midplanes.
-WorkloadStats workload_stats(const JobLog& jobs, int wide_threshold = 32);
+/// Compute workload statistics on the log's machine.
+WorkloadStats workload_stats(const JobLog& jobs);
 
 /// Per-user aggregates, keyed by UserId.
 std::map<UserId, PartyStats> stats_by_user(const JobLog& jobs);

@@ -640,10 +640,6 @@ RasLog read_view(std::string_view buffer, const Catalog& catalog,
 
 }  // namespace
 
-void write_binary(std::ostream& out, const RasLog& log) {
-  write_v2(out, log, nullptr);
-}
-
 void write_binary(std::ostream& out, const RasLog& log, const WriteOptions& opts) {
   if (opts.version == kRasVersion) {
     write_v2(out, log, opts.pool);
@@ -690,18 +686,6 @@ RasLog read_binary(std::istream& in, const Catalog& catalog, const ReadOptions& 
   }
   const std::string buffer = slurp(in);
   return read_view(buffer, catalog, opts);
-}
-
-RasLog read_binary(std::istream& in, const Catalog& catalog, ParseMode mode,
-                   IngestReport* report, obs::Collector* obs, par::ThreadPool* pool,
-                   const machine::MachineModel& machine) {
-  ReadOptions opts;
-  opts.mode = mode;
-  opts.report = report;
-  opts.obs = obs;
-  opts.pool = pool;
-  opts.machine = &machine;
-  return read_binary(in, catalog, opts);
 }
 
 RasLog read_binary_file(const std::string& path, const Catalog& catalog,

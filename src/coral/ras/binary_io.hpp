@@ -71,9 +71,8 @@ struct WriteOptions {
   par::ThreadPool* pool = nullptr;
 };
 
-/// Write `log` in v2 format, serially — the layout every fleet peer
-/// understands. Equivalent to write_binary(out, log, {.version = 2}).
-void write_binary(std::ostream& out, const RasLog& log);
+/// Write `log` in the format `opts.version` names; {.version = 2} writes
+/// the v2 layout every fleet peer understands.
 void write_binary(std::ostream& out, const RasLog& log, const WriteOptions& opts);
 
 /// Read-side options; the zero-initialized default is a strict,
@@ -117,11 +116,8 @@ struct ReadOptions {
 /// read, and a file with any frame damage falls back to it.
 /// Packed locations are validated against the machine model; the returned
 /// log is stamped with it.
-RasLog read_binary(std::istream& in, const Catalog& catalog, const ReadOptions& opts);
 RasLog read_binary(std::istream& in, const Catalog& catalog = default_catalog(),
-                   ParseMode mode = ParseMode::Strict, IngestReport* report = nullptr,
-                   obs::Collector* obs = nullptr, par::ThreadPool* pool = nullptr,
-                   const machine::MachineModel& machine = machine::bgp_model());
+                   const ReadOptions& opts = {});
 
 /// read_binary over a memory-mapped file: with a pool, a v3 region is
 /// decoded in place with zero copies (raw-codec bodies are read straight

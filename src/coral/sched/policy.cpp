@@ -1,6 +1,7 @@
 #include "coral/sched/policy.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "coral/common/error.hpp"
@@ -126,6 +127,26 @@ const bgp::Partition& PlacementTable::preferred(int midplane_count, Usec runtime
   const Order* ord = order(midplane_count, runtime_hint);
   CORAL_EXPECTS(ord != nullptr);
   return ord->parts.front();
+}
+
+RecentFailureAdvisor::RecentFailureAdvisor(const machine::MachineModel& machine, Usec window)
+    : codec_(machine.codec()),
+      window_(window),
+      avoid_until_(static_cast<std::size_t>(machine.midplane_count()),
+                   TimePoint(std::numeric_limits<Usec>::min())) {
+  CORAL_EXPECTS(window > 0);
+}
+
+void RecentFailureAdvisor::on_record(const ras::RasEvent& event) {
+  if (!event.is_fatal()) return;
+  const machine::MidplaneRange r = codec_.midplanes(event.location.packed());
+  for (machine::MidplaneId m = r.first; m < r.end; ++m) {
+    avoid_until_[static_cast<std::size_t>(m)] = event.event_time + window_;
+  }
+}
+
+bool RecentFailureAdvisor::avoid(machine::MidplaneId midplane, TimePoint now) const {
+  return now <= avoid_until_[static_cast<std::size_t>(midplane)];
 }
 
 }  // namespace coral::sched

@@ -24,16 +24,9 @@ struct SchedulerConfig {
   double resubmit_same_partition_prob = 0.80;
   /// Runtime below which 1-midplane jobs are steered to midplanes 0–1.
   Usec short_job_threshold = 400 * kUsecPerSec;
-  /// Reboot-before-execution: number of boot INFO records emitted per
-  /// midplane at each job start (0 disables).
-  int boot_records_per_midplane = 5;
   /// How long a resubmitted job waits for its previous partition (held for
   /// post-failure cleanup) before accepting any other placement.
   Usec resubmit_affinity_window = 70 * kUsecPerMin;
-  /// Fault-aware placement (§VII what-if): avoid partitions containing a
-  /// midplane that reported a FATAL event within this window, unless no
-  /// other partition of the requested size is free. 0 disables.
-  Usec avoid_failed_window = 0;
 };
 
 /// The placement preference score: lower is more preferred. Exposed for
@@ -95,17 +88,39 @@ class PlacementTable {
   std::vector<std::array<Order, 2>> by_size_;
 };
 
-/// Live placement advice from an external failure model (the prediction
-/// layer). The scheduler feeds it every RAS record as it is emitted and
-/// consults it before each placement: a midplane with avoid(m, now) == true
-/// is treated as busy unless no other partition of the requested size is
-/// free — the same soft-avoidance contract as `avoid_failed_window`, driven
-/// by predictions instead of past failures.
+/// Live placement advice: the one fault-aware placement hook
+/// (synth::ScenarioConfig::advisor). The simulation feeds it the primary
+/// record of every fault manifestation as it is emitted and consults it
+/// before each placement: a midplane with avoid(m, now) == true is treated
+/// as busy unless no other partition of the requested size is free (soft
+/// avoidance). RecentFailureAdvisor avoids past failures;
+/// predict::PredictionAdvisor avoids predicted ones.
 class PlacementAdvisor {
  public:
   virtual ~PlacementAdvisor() = default;
   virtual void on_record(const ras::RasEvent& event) = 0;
   virtual bool avoid(machine::MidplaneId midplane, TimePoint now) const = 0;
+};
+
+/// Reactive fault-aware placement (§VII what-if): a FATAL record marks every
+/// midplane its location touches (the machine codec's rule, so both
+/// midplanes of a rack-level location) as avoided through its time plus
+/// `window`, inclusive. The latest FATAL record fed on a midplane sets its
+/// mark. The state belongs to one simulated run: attach a fresh advisor to
+/// each synth::generate() call.
+class RecentFailureAdvisor : public PlacementAdvisor {
+ public:
+  /// Throws InvalidArgument for a window <= 0 (no advisor is the way to
+  /// turn avoidance off).
+  RecentFailureAdvisor(const machine::MachineModel& machine, Usec window);
+
+  void on_record(const ras::RasEvent& event) override;
+  bool avoid(machine::MidplaneId midplane, TimePoint now) const override;
+
+ private:
+  machine::LocCodec codec_;
+  Usec window_;
+  std::vector<TimePoint> avoid_until_;  ///< per midplane; never = the minimum
 };
 
 }  // namespace coral::sched

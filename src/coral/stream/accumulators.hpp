@@ -1,33 +1,13 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "coral/bgp/location.hpp"
-#include "coral/core/interarrival.hpp"
 #include "coral/joblog/job.hpp"
 #include "coral/machine/model.hpp"
 
 namespace coral::stream {
-
-/// Incremental collector for interarrival fitting: feed event times as they
-/// stream by, fit at the end.
-class InterarrivalAccumulator {
- public:
-  void add(TimePoint t) { times_.push_back(t); }
-  std::size_t count() const { return times_.size(); }
-
-  /// The fitted distributions, or nullopt below the 3-sample minimum —
-  /// exactly the batch pipeline's `times.size() >= 3` guard.
-  std::optional<core::InterarrivalFit> fit() const {
-    if (times_.size() < 3) return std::nullopt;
-    return core::fit_interarrivals(core::interarrival_seconds(times_));
-  }
-
- private:
-  std::vector<TimePoint> times_;
-};
 
 /// Per-day event counter (Fig. 5): bucket = floor days since `origin`.
 class DailyCounter {
@@ -52,13 +32,12 @@ class DailyCounter {
 /// Per-midplane tallies for the Fig. 4 series: fatal-event counts (an event
 /// split evenly over the midplanes its location touches) and workload in
 /// midplane-seconds (all jobs, and wide jobs at or above the machine's
-/// wide threshold — 32 midplanes on the reference BG/P).
+/// PlacementZones::wide_threshold — 32 midplanes on the reference BG/P).
 ///
 /// Additions replicate the batch loops operation-for-operation, so feeding
 /// groups/jobs in log order reproduces the batch sums bit-for-bit.
 class MidplaneTallies {
  public:
-  MidplaneTallies() : MidplaneTallies(machine::bgp_model()) {}
   explicit MidplaneTallies(const machine::MachineModel& machine)
       : fatal_events(static_cast<std::size_t>(machine.midplane_count()), 0.0),
         workload_sec(static_cast<std::size_t>(machine.midplane_count()), 0.0),
@@ -78,7 +57,7 @@ class MidplaneTallies {
 
  private:
   machine::LocCodec codec_;
-  int wide_threshold_ = 32;
+  int wide_threshold_;
 };
 
 }  // namespace coral::stream

@@ -148,11 +148,11 @@ FrontEndResult run_streaming_frontend(const ras::RasLog& ras, const joblog::JobL
   // Global job assignment: a job belongs to its *first* matching group in
   // group order, decided here because the matcher hands a job to every
   // group whose window holds its termination.
-  r.matches.group_by_job.assign(all_jobs.size(), std::nullopt);
+  r.matches.group_by_job.assign(all_jobs.size(), -1);
   for (std::size_t g = 0; g < r.matches.jobs_by_group.size(); ++g) {
     for (std::size_t job_idx : r.matches.jobs_by_group[g]) {
-      if (!r.matches.group_by_job[job_idx]) {
-        r.matches.group_by_job[job_idx] = g;
+      if (r.matches.group_by_job[job_idx] < 0) {
+        r.matches.group_by_job[job_idx] = static_cast<std::int32_t>(g);
         r.matches.interruptions.push_back({g, job_idx, all_jobs[job_idx].end_time});
       }
     }

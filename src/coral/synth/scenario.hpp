@@ -67,11 +67,14 @@ struct ScenarioConfig {
   NoiseConfig noise;
   ResubmitConfig resubmit;
   MaintenanceConfig maintenance;
-  /// Optional live placement advisor (non-owning; must outlive generate()).
-  /// The simulation feeds it every RAS record as emitted and steers
-  /// placements away from midplanes it advises against — the predictive
-  /// counterpart of `sched.avoid_failed_window`. Null leaves the simulation
-  /// (including every RNG stream) bit-identical to pre-advisor behaviour.
+  /// Optional live placement advisor (non-owning; must outlive generate()):
+  /// the one fault-aware placement hook. The simulation feeds it the
+  /// primary record of each fault manifestation as emitted and steers
+  /// placements away from midplanes it advises against —
+  /// sched::RecentFailureAdvisor for past failures,
+  /// predict::PredictionAdvisor for predicted ones. An advisor keeps state
+  /// from the run it watched, so each generate() call gets a fresh one.
+  /// Null (no avoidance) leaves every placement and RNG stream untouched.
   sched::PlacementAdvisor* advisor = nullptr;
 
   TimePoint end() const { return start + static_cast<Usec>(days) * kUsecPerDay; }

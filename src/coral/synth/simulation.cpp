@@ -121,7 +121,6 @@ class Simulation {
         job_at_(static_cast<std::size_t>(n_midplanes_), kNoJob),
         wear_hours_(static_cast<std::size_t>(n_midplanes_), 0.0),
         wear_updated_(static_cast<std::size_t>(n_midplanes_)),
-        last_fatal_at_(static_cast<std::size_t>(n_midplanes_)),
         job_log_(*machine_) {
     // A job size with no legal partition would block the queue head forever
     // with nothing to reserve.
@@ -228,8 +227,7 @@ class Simulation {
     if (in_maintenance(now)) return;  // drain: nothing new starts
     ++passes_;
     view_ = pool_;  // overlay with head-of-queue reservation
-    const bool avoiding =
-        config_.sched.avoid_failed_window > 0 || config_.advisor != nullptr;
+    const bool avoiding = config_.advisor != nullptr;
     bool reserved = false;
     // Cobalt-like bounded backfill: look at most this deep into the queue.
     int depth = 0;
@@ -643,14 +641,6 @@ class Simulation {
     if (config_.advisor != nullptr && records_.size() > before) {
       config_.advisor->on_record(records_[before].event);
     }
-
-    // The fault-aware scheduler (if enabled) observes this FATAL location.
-    if (config_.sched.avoid_failed_window > 0) {
-      const MidplaneRange r = codec_.midplanes(loc.packed());
-      for (MidplaneId mid = r.first; mid < r.end; ++mid) {
-        last_fatal_at_[static_cast<std::size_t>(mid)] = t;
-      }
-    }
   }
 
   MidplaneId pick_midplane(const Partition& part) {
@@ -765,22 +755,15 @@ class Simulation {
   Workload workload_;
   std::vector<bool> bug_alive_;
 
-  /// `view_` with every idle recently-failed or advised-against midplane
-  /// marked busy (fault-aware placement, §VII; predictive avoidance via the
-  /// advisor), built into `avoid_view_`. Only called when one of the two
-  /// policies is on.
+  /// `view_` with every idle midplane the advisor advises against marked
+  /// busy (fault-aware placement, §VII), built into `avoid_view_`. Only
+  /// called when an advisor is attached.
   const sched::PartitionPool& fault_aware_view(TimePoint now) {
-    const bool reactive = config_.sched.avoid_failed_window > 0;
     avoid_view_ = view_;
     for (MidplaneId m = 0; m < n_midplanes_; ++m) {
-      if (avoid_view_.midplane_busy(m)) continue;
-      bool bad = false;
-      if (reactive) {
-        const TimePoint last = last_fatal_at_[static_cast<std::size_t>(m)];
-        bad = last.usec() != 0 && now - last <= config_.sched.avoid_failed_window;
+      if (!avoid_view_.midplane_busy(m) && config_.advisor->avoid(m, now)) {
+        avoid_view_.force_acquire(Partition::unchecked(m, 1));
       }
-      if (!bad && config_.advisor != nullptr) bad = config_.advisor->avoid(m, now);
-      if (bad) avoid_view_.force_acquire(Partition::unchecked(m, 1));
     }
     return avoid_view_;
   }
@@ -809,7 +792,6 @@ class Simulation {
   std::vector<std::int32_t> job_at_;
   std::vector<double> wear_hours_;
   std::vector<TimePoint> wear_updated_;
-  std::vector<TimePoint> last_fatal_at_;
   std::vector<ActiveJob> slots_;
   std::deque<QueuedJob> queue_;
   std::vector<ActivePersistentFault> persistent_;

@@ -190,7 +190,7 @@ inline core::MatchResult match_interruptions(const filter::FilterPipelineResult&
   const machine::LocCodec codec = jobs.machine().codec();
   core::MatchResult result;
   result.jobs_by_group.resize(filtered.groups.size());
-  result.group_by_job.assign(jobs.size(), std::nullopt);
+  result.group_by_job.assign(jobs.size(), -1);
   for (std::size_t g = 0; g < filtered.groups.size(); ++g) {
     const EventGroup& group = filtered.groups[g];
     const TimePoint rep_time = filtered.fatal_events[group.rep].event_time;
@@ -212,8 +212,8 @@ inline core::MatchResult match_interruptions(const filter::FilterPipelineResult&
   }
   for (std::size_t g = 0; g < filtered.groups.size(); ++g) {
     for (const std::size_t job : result.jobs_by_group[g]) {
-      if (!result.group_by_job[job]) {
-        result.group_by_job[job] = g;
+      if (result.group_by_job[job] < 0) {
+        result.group_by_job[job] = static_cast<std::int32_t>(g);
         result.interruptions.push_back({g, job, jobs[job].end_time});
       }
     }

@@ -23,7 +23,7 @@ const synth::SynthResult& data() {
 
 TEST(RasBinary, RoundTripsExactly) {
   std::stringstream buf;
-  ras::write_binary(buf, data().ras);
+  ras::write_binary(buf, data().ras, {.version = 2});
   const ras::RasLog parsed = ras::read_binary(buf);
   ASSERT_EQ(parsed.size(), data().ras.size());
   for (std::size_t i = 0; i < parsed.size(); ++i) {
@@ -37,7 +37,7 @@ TEST(RasBinary, RoundTripsExactly) {
 
 TEST(RasBinary, MuchSmallerThanCsv) {
   std::stringstream bin, csv;
-  ras::write_binary(bin, data().ras);
+  ras::write_binary(bin, data().ras, {.version = 2});
   data().ras.write_csv(csv);
   EXPECT_LT(bin.str().size() * 3, csv.str().size());
 }
@@ -49,7 +49,7 @@ TEST(RasBinary, RejectsGarbage) {
   EXPECT_THROW(ras::read_binary(junk), ParseError);
   // Truncated: valid prefix, cut in the middle of the records.
   std::stringstream buf;
-  ras::write_binary(buf, data().ras);
+  ras::write_binary(buf, data().ras, {.version = 2});
   std::string bytes = buf.str();
   bytes.resize(bytes.size() / 2);
   std::stringstream cut(bytes);
@@ -58,7 +58,7 @@ TEST(RasBinary, RejectsGarbage) {
 
 TEST(JobBinary, RoundTripsExactly) {
   std::stringstream buf;
-  joblog::write_binary(buf, data().jobs);
+  joblog::write_binary(buf, data().jobs, {.version = 2});
   const joblog::JobLog parsed = joblog::read_binary(buf);
   ASSERT_EQ(parsed.size(), data().jobs.size());
   EXPECT_EQ(parsed.exec_files(), data().jobs.exec_files());
@@ -79,7 +79,7 @@ TEST(JobBinary, RejectsGarbage) {
   std::stringstream empty;
   EXPECT_THROW(joblog::read_binary(empty), ParseError);
   std::stringstream wrong;
-  ras::write_binary(wrong, data().ras);  // a RAS file is not a job file
+  ras::write_binary(wrong, data().ras, {.version = 2});  // a RAS file is not a job file
   EXPECT_THROW(joblog::read_binary(wrong), ParseError);
 }
 
@@ -125,8 +125,8 @@ TEST(RasBinary, GoldenByteLayout) {
   const ras::RasLog log(std::move(events), tiny);
 
   std::stringstream buf1, buf2;
-  ras::write_binary(buf1, log);
-  ras::write_binary(buf2, log);
+  ras::write_binary(buf1, log, {.version = 2});
+  ras::write_binary(buf2, log, {.version = 2});
   // Deterministic output, including the struct padding bytes.
   EXPECT_EQ(buf1.str(), buf2.str());
 
@@ -162,8 +162,8 @@ TEST(RasBinary, GoldenByteLayout) {
 
 TEST(Binary, AnalysisIdenticalAfterBinaryRoundTrip) {
   std::stringstream rbuf, jbuf;
-  ras::write_binary(rbuf, data().ras);
-  joblog::write_binary(jbuf, data().jobs);
+  ras::write_binary(rbuf, data().ras, {.version = 2});
+  joblog::write_binary(jbuf, data().jobs, {.version = 2});
   const ras::RasLog ras2 = ras::read_binary(rbuf);
   const joblog::JobLog jobs2 = joblog::read_binary(jbuf);
   const auto a = core::run_coanalysis(data().ras, data().jobs);

@@ -116,7 +116,7 @@ ClassificationResult ref_classify(const filter::FilterPipelineResult& filtered,
 
   std::vector<std::size_t> survivors;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (!matches.group_by_job[j]) survivors.push_back(j);
+    if (matches.group_by_job[j] < 0) survivors.push_back(j);
   }
 
   for (const auto& [code, verdict] : identification.verdicts) {
@@ -240,7 +240,7 @@ JobFilterResult ref_jobfilter(const filter::FilterPipelineResult& filtered,
 
   std::vector<std::size_t> survivors;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (!matches.group_by_job[j]) survivors.push_back(j);
+    if (matches.group_by_job[j] < 0) survivors.push_back(j);
   }
 
   const auto survivor_between = [&](const bgp::Location& where, TimePoint a, TimePoint b) {
@@ -333,7 +333,7 @@ PropagationResult ref_propagation(const filter::FilterPipelineResult& filtered,
       return jobs[a].start_time < jobs[b].start_time;
     });
     for (std::size_t i = 0; i + 1 < v.size(); ++i) {
-      if (!matches.group_by_job[v[i]]) continue;
+      if (matches.group_by_job[v[i]] < 0) continue;
       const joblog::JobRecord& prev = jobs[v[i]];
       const joblog::JobRecord& next = jobs[v[i + 1]];
       if (next.queue_time - prev.end_time > config.resubmit_gap) continue;
@@ -348,9 +348,10 @@ std::optional<Category> ref_job_category(std::size_t job_idx,
                                          const filter::FilterPipelineResult& filtered,
                                          const MatchResult& matches,
                                          const ClassificationResult& classification) {
-  const auto g = matches.group_by_job[job_idx];
-  if (!g) return std::nullopt;
-  const ras::ErrcodeId code = filtered.fatal_events[filtered.groups[*g].rep].errcode;
+  const std::int32_t g = matches.group_by_job[job_idx];
+  if (g < 0) return std::nullopt;
+  const ras::ErrcodeId code =
+      filtered.fatal_events[filtered.groups[static_cast<std::size_t>(g)].rep].errcode;
   const auto it = classification.by_code.find(code);
   if (it == classification.by_code.end()) return Category::SystemFailure;
   return it->second.cause == Cause::ApplicationError ? Category::ApplicationError

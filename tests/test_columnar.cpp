@@ -88,7 +88,7 @@ TEST(FatalColumns, OutOfOrderAppendsAreSortedConsistently) {
 
 TEST(FatalColumns, ConsistentAfterLenientIngestDrops) {
   std::stringstream buf;
-  ras::write_binary(buf, scenario().ras);
+  ras::write_binary(buf, scenario().ras, {.version = 2});
   std::string bytes = buf.str();
   // Corrupt a payload byte in the third record block: its frame drops in
   // lenient mode, and the surviving log's columns must still mirror it.
@@ -100,7 +100,7 @@ TEST(FatalColumns, ConsistentAfterLenientIngestDrops) {
   std::istringstream in(bytes);
   IngestReport rep;
   const ras::RasLog parsed =
-      ras::read_binary(in, ras::default_catalog(), ParseMode::Lenient, &rep);
+      ras::read_binary(in, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &rep});
   ASSERT_LT(parsed.size(), scenario().ras.size());
   EXPECT_GT(rep.malformed(IngestReason::BinaryFrame), 0u);
   expect_columns_match_events(parsed);
@@ -133,6 +133,41 @@ TEST(IntervalIndex, RunningAtMatchesReferenceOnScenario) {
     EXPECT_EQ(jobs.running_at(cols.event_time[i], loc),
               running_at_reference(jobs, cols.event_time[i], loc))
         << "event row " << i << " at " << loc.to_string();
+  }
+}
+
+// The Partition overload walks the partition's midplane buckets; pinned to a
+// scan over every job with Partition::overlaps, at job start and end instants.
+std::vector<std::size_t> running_on_reference(const joblog::JobLog& jobs, TimePoint t,
+                                              const bgp::Partition& part) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (jobs[i].start_time <= t && jobs[i].end_time > t && jobs[i].partition.overlaps(part)) {
+      out.push_back(i);
+    }
+  }
+  return out;
+}
+
+TEST(IntervalIndex, RunningAtPartitionMatchesReferenceOnScenario) {
+  const joblog::JobLog& jobs = scenario().jobs;
+  const int n = jobs.machine().midplane_count();
+  const bgp::Partition parts[] = {
+      testing::bgp_part(0, 1),  testing::bgp_part(37, 1), testing::bgp_part(n - 1, 1),
+      testing::bgp_part(6, 2),  // one rack
+      testing::bgp_part(0, 32), testing::bgp_part(32, 32), testing::bgp_part(0, 64),
+      testing::bgp_part(16, 64), testing::bgp_part(0, n),  // the whole machine
+  };
+  Rng rng(29);
+  for (int i = 0; i < 150; ++i) {
+    const joblog::JobRecord& job = jobs[rng.uniform_index(jobs.size())];
+    for (const TimePoint t : {job.start_time, job.end_time}) {
+      for (const bgp::Partition& part : parts) {
+        EXPECT_EQ(jobs.running_at(t, part), running_on_reference(jobs, t, part))
+            << "partition [" << part.first_midplane() << ", " << part.end_midplane()
+            << ") at " << t.usec();
+      }
+    }
   }
 }
 
@@ -305,7 +340,7 @@ struct Encoded {
 /// The scenario log as v2 bytes and as v3 bytes (default write options).
 std::vector<Encoded> scenario_ras_bytes() {
   std::stringstream v2, v3;
-  ras::write_binary(v2, scenario().ras);
+  ras::write_binary(v2, scenario().ras, {.version = 2});
   ras::write_binary(v3, scenario().ras, {});
   return {{"v2", v2.str()}, {"v3", v3.str()}};
 }
@@ -321,12 +356,11 @@ TEST(ParallelBinaryRead, CleanFileMatchesSequential) {
     SCOPED_TRACE(e.name);
     std::istringstream seq_in(e.bytes);
     IngestReport seq_rep;
-    const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
-                                             ParseMode::Strict, &seq_rep);
+    const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(), {.report = &seq_rep});
     std::istringstream par_in(e.bytes);
     IngestReport par_rep;
     const ras::RasLog par = ras::read_binary(par_in, ras::default_catalog(),
-                                             ParseMode::Strict, &par_rep, nullptr, &pool);
+                                             {.report = &par_rep, .pool = &pool});
     expect_logs_equal(seq, par);
     expect_reports_equal(seq_rep, par_rep);
     EXPECT_EQ(par.size(), scenario().ras.size());
@@ -348,11 +382,12 @@ TEST(ParallelBinaryRead, DamagedFileMatchesSequentialInLenientMode) {
       std::istringstream seq_in(bytes);
       IngestReport seq_rep;
       const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
-                                               ParseMode::Lenient, &seq_rep);
+                                               {.mode = ParseMode::Lenient, .report = &seq_rep});
       std::istringstream par_in(bytes);
       IngestReport par_rep;
-      const ras::RasLog par = ras::read_binary(par_in, ras::default_catalog(),
-                                               ParseMode::Lenient, &par_rep, nullptr, &pool);
+      const ras::RasLog par = ras::read_binary(
+          par_in, ras::default_catalog(),
+          {.mode = ParseMode::Lenient, .report = &par_rep, .pool = &pool});
       expect_logs_equal(seq, par);
       expect_reports_equal(seq_rep, par_rep);
     }
@@ -383,8 +418,7 @@ TEST(ParallelBinaryRead, StrictErrorsMatchSequentialByteForByte) {
     }
     try {
       std::istringstream in(bytes);
-      ras::read_binary(in, ras::default_catalog(), ParseMode::Strict, nullptr, nullptr,
-                       &pool);
+      ras::read_binary(in, ras::default_catalog(), {.pool = &pool});
       FAIL() << "expected ParseError";
     } catch (const ParseError& ex) {
       par_what = ex.what();
@@ -404,11 +438,12 @@ TEST(ParallelBinaryRead, TruncatedFileMatchesSequential) {
     std::istringstream seq_in(bytes);
     IngestReport seq_rep;
     const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
-                                             ParseMode::Lenient, &seq_rep);
+                                             {.mode = ParseMode::Lenient, .report = &seq_rep});
     std::istringstream par_in(bytes);
     IngestReport par_rep;
-    const ras::RasLog par = ras::read_binary(par_in, ras::default_catalog(),
-                                             ParseMode::Lenient, &par_rep, nullptr, &pool);
+    const ras::RasLog par = ras::read_binary(
+        par_in, ras::default_catalog(),
+        {.mode = ParseMode::Lenient, .report = &par_rep, .pool = &pool});
     expect_logs_equal(seq, par);
     expect_reports_equal(seq_rep, par_rep);
     EXPECT_GT(seq_rep.malformed(IngestReason::BinaryFrame), 0u);

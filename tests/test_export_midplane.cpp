@@ -8,8 +8,10 @@
 #include "coral/common/csv.hpp"
 #include "coral/common/error.hpp"
 #include "coral/core/export.hpp"
+#include "coral/core/markdown.hpp"
 #include "coral/core/midplane.hpp"
 #include "coral/synth/intrepid.hpp"
+#include "coral/synth/packs.hpp"
 
 namespace coral::core {
 namespace {
@@ -88,6 +90,37 @@ TEST(Export, GridCsvMatchesGrid) {
   long total = 0;
   for (std::size_t i = 1; i < rows.size(); ++i) total += std::stol(rows[i][3]);
   EXPECT_EQ(static_cast<std::size_t>(total), fx().r.vulnerability.grid.total.total);
+}
+
+TEST(Export, GridRowsCarryTheMachineLadderOnBgq) {
+  // BG/Q's ladder is {1, 2, 4, 8, 16, 32, 64, 96}: eight rows, labelled with
+  // its own sizes in the CSV and the markdown report.
+  const synth::SynthResult data =
+      synth::generate(synth::base_scenario(machine::bgq_model(), 11, 7));
+  const CoAnalysisResult r = run_coanalysis(data.ras, data.jobs);
+  std::ostringstream out;
+  export_grid_csv(out, r);
+  const auto rows = parse_csv(out.str());
+  ASSERT_EQ(rows.size(), 1u + 8u * 4u);
+  std::vector<std::string> sizes;
+  long total = 0;
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    if (i % 4 == 1) sizes.push_back(rows[i][0]);
+    total += std::stol(rows[i][3]);
+  }
+  EXPECT_EQ(sizes, (std::vector<std::string>{"1", "2", "4", "8", "16", "32", "64", "96"}));
+  EXPECT_EQ(static_cast<std::size_t>(total), r.vulnerability.grid.total.total);
+
+  const std::string md = render_markdown_report(r, data.ras.summary(), data.jobs.summary());
+  const std::span<const int> ladder = grid_row_sizes(r.machine());
+  for (std::size_t row = 0; row < ladder.size(); ++row) {
+    const std::string label = "| " + std::to_string(ladder[row]) + " |";
+    EXPECT_EQ(md.find(label) != std::string::npos,
+              r.vulnerability.grid.row_sums[row].total != 0)
+        << label;
+  }
+  EXPECT_EQ(md.find("| 48 |"), std::string::npos);
+  EXPECT_EQ(md.find("| 80 |"), std::string::npos);
 }
 
 TEST(Export, ResubmissionCsvHasSixRows) {

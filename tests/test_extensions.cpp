@@ -99,7 +99,7 @@ TEST(Checkpoint, NoCheckpointingLosesWholeRuns) {
   // Every interrupted job loses its entire runtime.
   double expect = 0;
   for (std::size_t j = 0; j < data.jobs.size(); ++j) {
-    if (!r.matches.group_by_job[j]) continue;
+    if (r.matches.group_by_job[j] < 0) continue;
     expect += data.jobs[j].size_midplanes() *
               static_cast<double>(data.jobs[j].runtime()) / kUsecPerHour;
   }

@@ -68,13 +68,13 @@ joblog::JobLog make_job_log(std::size_t n) {
 
 std::string ras_bytes(const ras::RasLog& log) {
   std::stringstream buf;
-  ras::write_binary(buf, log);
+  ras::write_binary(buf, log, {.version = 2});
   return buf.str();
 }
 
 std::string job_bytes(const joblog::JobLog& log) {
   std::stringstream buf;
-  joblog::write_binary(buf, log);
+  joblog::write_binary(buf, log, {.version = 2});
   return buf.str();
 }
 
@@ -83,9 +83,9 @@ std::string offline_result_fp(const std::string& ras_image,
                               const machine::MachineModel& machine) {
   std::istringstream ras_in(ras_image), job_in(job_image);
   const ras::RasLog ras_log = ras::read_binary(
-      ras_in, ras::default_catalog(), mode, nullptr, nullptr, nullptr, machine);
+      ras_in, ras::default_catalog(), {.mode = mode, .machine = &machine});
   const joblog::JobLog job_log =
-      joblog::read_binary(job_in, mode, nullptr, nullptr, machine);
+      joblog::read_binary(job_in, {.mode = mode, .machine = &machine});
   Context ctx;
   ctx.with_machine(machine);
   char buf[17];
@@ -414,9 +414,9 @@ void expect_wire_parity_on_damaged_logs(const std::string& ras_bad,
   std::istringstream ras_in(ras_bad), job_in(job_bad);
   IngestReport want_ras, want_jobs;
   const ras::RasLog off_ras = ras::read_binary(ras_in, ras::default_catalog(),
-                                               ParseMode::Lenient, &want_ras);
+                                               {.mode = ParseMode::Lenient, .report = &want_ras});
   const joblog::JobLog off_jobs =
-      joblog::read_binary(job_in, ParseMode::Lenient, &want_jobs);
+      joblog::read_binary(job_in, {.mode = ParseMode::Lenient, .report = &want_jobs});
 
   DaemonFixture fx;
   fleet::WireClient client("127.0.0.1", fx.port());

@@ -305,7 +305,7 @@ TEST(RasBinaryLenient, DroppedRecordBlockIsCountedExactly) {
   const std::size_t n = 1000;
   const ras::RasLog log = make_ras_log(n);
   std::stringstream buf;
-  ras::write_binary(buf, log);
+  ras::write_binary(buf, log, {.version = 2});
   std::string bytes = buf.str();
 
   const std::vector<std::size_t> offs = block_offsets(bytes);
@@ -317,7 +317,7 @@ TEST(RasBinaryLenient, DroppedRecordBlockIsCountedExactly) {
   std::istringstream in(bytes);
   IngestReport rep;
   const ras::RasLog parsed = ras::read_binary(in, ras::default_catalog(),
-                                              ParseMode::Lenient, &rep);
+                                              {.mode = ParseMode::Lenient, .report = &rep});
   EXPECT_EQ(parsed.size(), n - 64);
   EXPECT_EQ(rep.records_ok(), n - 64);
   EXPECT_EQ(rep.malformed(IngestReason::BinaryFrame), 64u);
@@ -329,7 +329,7 @@ TEST(RasBinaryLenient, DictionaryRedundancySurvivesOneCopy) {
   const std::size_t n = 300;
   const ras::RasLog log = make_ras_log(n);
   std::stringstream buf;
-  ras::write_binary(buf, log);
+  ras::write_binary(buf, log, {.version = 2});
   std::string bytes = buf.str();
 
   const std::vector<std::size_t> offs = block_offsets(bytes);
@@ -339,7 +339,7 @@ TEST(RasBinaryLenient, DictionaryRedundancySurvivesOneCopy) {
   std::istringstream in(bytes);
   IngestReport rep;
   const ras::RasLog parsed = ras::read_binary(in, ras::default_catalog(),
-                                              ParseMode::Lenient, &rep);
+                                              {.mode = ParseMode::Lenient, .report = &rep});
   // The second dictionary copy carries the load: nothing is lost.
   EXPECT_EQ(parsed.size(), n);
   EXPECT_EQ(rep.records_ok(), n);
@@ -351,13 +351,14 @@ TEST(JobBinaryLenient, TruncationRecoversPrefixAndCountsTheRest) {
   const std::size_t n = 500;
   const joblog::JobLog log = make_job_log(n);
   std::stringstream buf;
-  joblog::write_binary(buf, log);
+  joblog::write_binary(buf, log, {.version = 2});
   std::string bytes = buf.str();
   bytes.resize(bytes.size() * 3 / 5);
 
   std::istringstream in(bytes);
   IngestReport rep;
-  const joblog::JobLog parsed = joblog::read_binary(in, ParseMode::Lenient, &rep);
+  const joblog::JobLog parsed = joblog::read_binary(in,
+                                                    {.mode = ParseMode::Lenient, .report = &rep});
   EXPECT_GT(parsed.size(), 0u);
   EXPECT_LT(parsed.size(), n);
   EXPECT_EQ(rep.records_ok(), parsed.size());
@@ -368,7 +369,7 @@ TEST(JobBinaryLenient, TruncationRecoversPrefixAndCountsTheRest) {
 TEST(BinaryStrict, ErrorsCarryByteOffsets) {
   const ras::RasLog log = make_ras_log(200);
   std::stringstream buf;
-  ras::write_binary(buf, log);
+  ras::write_binary(buf, log, {.version = 2});
   std::string bytes = buf.str();
   bytes.resize(bytes.size() - 10);  // cut inside the final block
   std::istringstream in(bytes);
@@ -386,7 +387,7 @@ TEST(BinaryStrict, CountMismatchDetected) {
   const std::size_t n = 1000;
   const ras::RasLog log = make_ras_log(n);
   std::stringstream buf;
-  ras::write_binary(buf, log);
+  ras::write_binary(buf, log, {.version = 2});
   std::string bytes = buf.str();
   const std::vector<std::size_t> offs = block_offsets(bytes);
   ASSERT_GE(offs.size(), 4u);
@@ -399,7 +400,7 @@ TEST(BinaryStrict, CountMismatchDetected) {
   std::istringstream in2(bytes);
   IngestReport rep;
   const ras::RasLog parsed =
-      ras::read_binary(in2, ras::default_catalog(), ParseMode::Lenient, &rep);
+      ras::read_binary(in2, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &rep});
   EXPECT_EQ(parsed.size(), n - 64);
   EXPECT_EQ(rep.malformed(IngestReason::BinaryFrame), 64u);
 }
@@ -481,7 +482,7 @@ TEST(FuzzSmokeBinary, RasCorpus) {
   const std::size_t n = 600;
   const ras::RasLog log = make_ras_log(n);
   std::stringstream buf;
-  ras::write_binary(buf, log);
+  ras::write_binary(buf, log, {.version = 2});
   const std::string bytes = buf.str();
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
@@ -492,7 +493,7 @@ TEST(FuzzSmokeBinary, RasCorpus) {
       IngestReport rep;
       ras::RasLog parsed;
       ASSERT_NO_THROW(parsed = ras::read_binary(in, ras::default_catalog(),
-                                                ParseMode::Lenient, &rep))
+                                                {.mode = ParseMode::Lenient, .report = &rep}))
           << "seed " << seed;
       EXPECT_EQ(rep.records_ok(), parsed.size()) << "seed " << seed;
       EXPECT_LE(parsed.size(), n) << "seed " << seed;
@@ -504,7 +505,7 @@ TEST(FuzzSmokeBinary, JobCorpus) {
   const std::size_t n = 400;
   const joblog::JobLog log = make_job_log(n);
   std::stringstream buf;
-  joblog::write_binary(buf, log);
+  joblog::write_binary(buf, log, {.version = 2});
   const std::string bytes = buf.str();
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
@@ -514,7 +515,8 @@ TEST(FuzzSmokeBinary, JobCorpus) {
       std::istringstream in(bad);
       IngestReport rep;
       joblog::JobLog parsed;
-      ASSERT_NO_THROW(parsed = joblog::read_binary(in, ParseMode::Lenient, &rep))
+      ASSERT_NO_THROW(parsed = joblog::read_binary(in,
+                                                   {.mode = ParseMode::Lenient, .report = &rep}))
           << "seed " << seed;
       EXPECT_EQ(rep.records_ok(), parsed.size()) << "seed " << seed;
       EXPECT_LE(parsed.size(), n) << "seed " << seed;
@@ -528,7 +530,7 @@ TEST(FuzzSmokeBinary, RecoversAtLeast99PercentAfterBitFlips) {
   const std::size_t n = 13000;
   const ras::RasLog log = make_ras_log(n);
   std::stringstream buf;
-  ras::write_binary(buf, log);
+  ras::write_binary(buf, log, {.version = 2});
   const std::string bytes = buf.str();
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
@@ -536,7 +538,7 @@ TEST(FuzzSmokeBinary, RecoversAtLeast99PercentAfterBitFlips) {
     std::istringstream in(bad);
     IngestReport rep;
     const ras::RasLog parsed =
-        ras::read_binary(in, ras::default_catalog(), ParseMode::Lenient, &rep);
+        ras::read_binary(in, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &rep});
     EXPECT_GE(parsed.size(), n * 99 / 100) << "seed " << seed << ": " << rep.summary();
     EXPECT_EQ(rep.records_seen(), n) << "seed " << seed;
   }
@@ -550,7 +552,7 @@ TEST(FuzzSmokeBinary, ResealedBadLocationKeyIsBadLocation) {
   const std::size_t n = 600;
   const ras::RasLog log = make_ras_log(n);
   std::stringstream job_buf;
-  joblog::write_binary(job_buf, make_job_log(200));
+  joblog::write_binary(job_buf, make_job_log(200), {.version = 2});
   for (const std::uint32_t version : {2u, 3u}) {
     std::stringstream buf;
     ras::write_binary(buf, log, {.version = version});
@@ -568,7 +570,7 @@ TEST(FuzzSmokeBinary, ResealedBadLocationKeyIsBadLocation) {
       IngestReport rep;
       ras::RasLog parsed;
       ASSERT_NO_THROW(parsed = ras::read_binary(in, ras::default_catalog(),
-                                                ParseMode::Lenient, &rep));
+                                                {.mode = ParseMode::Lenient, .report = &rep}));
       EXPECT_EQ(rep.malformed(IngestReason::BadLocation), expected_bad);
       EXPECT_EQ(rep.total_malformed(), expected_bad);
       EXPECT_EQ(rep.records_ok(), parsed.size());
@@ -597,7 +599,7 @@ TEST(FuzzSmokeBinary, ResealedBadLocationKeyIsBadLocation) {
       testing::expect_reports_equal(rep, live.ras_report);
 
       std::istringstream strict_in(bad);
-      EXPECT_THROW(ras::read_binary(strict_in, ras::default_catalog(), ParseMode::Strict),
+      EXPECT_THROW(ras::read_binary(strict_in, ras::default_catalog(), {}),
                    ParseError);
     }
   }
@@ -714,7 +716,7 @@ TEST(FuzzSmokeV3, DamagedColumnBlockIsCountedExactly) {
     std::istringstream in(bad);
     IngestReport rep;
     const ras::RasLog parsed =
-        ras::read_binary(in, ras::default_catalog(), ParseMode::Lenient, &rep);
+        ras::read_binary(in, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &rep});
     EXPECT_EQ(parsed.size(), n - 64) << "seed " << seed;
     EXPECT_EQ(rep.malformed(IngestReason::BinaryFrame), 64u) << "seed " << seed;
     EXPECT_EQ(rep.records_seen(), n) << "seed " << seed;

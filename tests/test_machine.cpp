@@ -14,6 +14,7 @@
 #include "coral/fleet/fingerprint.hpp"
 #include "coral/joblog/log.hpp"
 #include "coral/machine/model.hpp"
+#include "coral/sched/policy.hpp"
 #include "coral/stream/accumulators.hpp"
 #include "coral/synth/intrepid.hpp"
 #include "coral/synth/packs.hpp"
@@ -82,7 +83,8 @@ TEST(MachineDifferential, BgpSynthFingerprint) {
 // even where the end-to-end goldens only carry tolerances.
 TEST(MachineDifferential, BgpFaultAwareSynthFingerprint) {
   synth::ScenarioConfig config = synth::small_scenario(7, 21);
-  config.sched.avoid_failed_window = 6 * kUsecPerHour;
+  sched::RecentFailureAdvisor advisor(*config.machine, 6 * kUsecPerHour);
+  config.advisor = &advisor;
   const auto data = synth::generate(config);
   EXPECT_EQ(data.ras.size(), 30051u);
   EXPECT_EQ(data.jobs.size(), 3823u);

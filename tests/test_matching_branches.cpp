@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "coral/common/error.hpp"
@@ -146,8 +147,21 @@ TEST(MatchBranches, FirstGroupClaimsAJobMatchedByTwoGroups) {
   EXPECT_EQ(result.jobs_by_group[1], std::vector<std::size_t>{0});
   ASSERT_EQ(result.interruptions.size(), 1u);
   EXPECT_EQ(result.interruptions[0].group, 0u);
-  ASSERT_TRUE(result.group_by_job[0].has_value());
-  EXPECT_EQ(*result.group_by_job[0], 0u);
+  EXPECT_EQ(result.group_by_job[0], 0);
+}
+
+TEST(MatchBranches, AJobNoGroupMatchedReadsMinusOne) {
+  // group_by_job holds -1 for a clean run: a job on another midplane and a
+  // job ending outside the window stay unclaimed next to a matched one.
+  const auto jobs = make_jobs({
+      job_on(1, 0, 1010, bgp::MidplaneId(0)),
+      job_on(2, 0, 1010, bgp::MidplaneId(9)),  // outside the footprint
+      job_on(3, 0, 5000, bgp::MidplaneId(0)),  // ends after the window
+  });
+  const auto front = front_end({fatal_at(1000, testing::bgp_midplane(0))}, jobs);
+  ASSERT_EQ(front.filtered.groups.size(), 1u);
+  EXPECT_EQ(front.matches.group_by_job, (std::vector<std::int32_t>{0, -1, -1}));
+  EXPECT_EQ(matched_ids(front.matches, jobs), std::vector<std::int64_t>{1});
 }
 
 TEST(FilterPipelineBranches, CausalityDisabledSkipsTheStage) {

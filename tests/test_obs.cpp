@@ -5,7 +5,6 @@
 // that is being well-formed JSON with the trace_event structure.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <iterator>
@@ -13,7 +12,6 @@
 #include <string_view>
 #include <thread>
 
-#include "coral/common/parallel.hpp"
 #include "coral/context.hpp"
 #include "coral/core/pipeline.hpp"
 #include "coral/obs/obs.hpp"
@@ -329,32 +327,6 @@ TEST(ObsSpan, DistinctThreadsGetDistinctTids) {
   const obs::Snapshot snap = c.snapshot();
   ASSERT_EQ(snap.spans.size(), 2u);
   EXPECT_NE(snap.spans[0].tid, snap.spans[1].tid);
-}
-
-// ---- thread-pool telemetry -------------------------------------------------
-
-TEST(ObsPool, CountsTasksAndLatencies) {
-  obs::Collector c;
-  par::ThreadPool pool(2);
-  pool.set_obs(&c);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
-  }
-  pool.wait_idle();
-  pool.set_obs(nullptr);  // detach before the snapshot: no races, no new samples
-  EXPECT_EQ(ran.load(), 16);
-  const obs::Snapshot snap = c.snapshot();
-  EXPECT_EQ(snap.counter_value("pool.tasks"), 16u);
-  bool saw_depth = false, saw_wait = false, saw_run = false;
-  for (const obs::HistogramRecord& h : snap.histograms) {
-    if (h.name == "pool.queue_depth") saw_depth = h.count == 16;
-    if (h.name == "pool.task_wait_ms") saw_wait = h.count == 16;
-    if (h.name == "pool.task_run_ms") saw_run = h.count == 16;
-  }
-  EXPECT_TRUE(saw_depth);
-  EXPECT_TRUE(saw_wait);
-  EXPECT_TRUE(saw_run);
 }
 
 // ---- exporters -------------------------------------------------------------

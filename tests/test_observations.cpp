@@ -173,7 +173,7 @@ TEST(Observations, Obs12_SuspiciousUsersCoverMuchButFailLittle) {
   std::map<int, std::size_t> jobs_per_user, fails_per_user;
   for (std::size_t j = 0; j < data.jobs.size(); ++j) {
     jobs_per_user[data.jobs[j].user_id] += 1;
-    if (r.matches.group_by_job[j]) fails_per_user[data.jobs[j].user_id] += 1;
+    if (r.matches.group_by_job[j] >= 0) fails_per_user[data.jobs[j].user_id] += 1;
   }
   for (int u : f.suspicious_users) {
     if (jobs_per_user[u] < 50) continue;

@@ -307,13 +307,13 @@ TEST(PredictPredictor, RackPrecursorFansOutToItsMidplanes) {
 
 std::string ras_bytes(const ras::RasLog& log) {
   std::stringstream buf;
-  ras::write_binary(buf, log);
+  ras::write_binary(buf, log, {.version = 2});
   return buf.str();
 }
 
 std::string job_bytes(const joblog::JobLog& log) {
   std::stringstream buf;
-  joblog::write_binary(buf, log);
+  joblog::write_binary(buf, log, {.version = 2});
   return buf.str();
 }
 

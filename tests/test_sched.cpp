@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "coral/common/error.hpp"
+#include "coral/ras/event.hpp"
 #include "coral/sched/policy.hpp"
 #include "coral/sched/pool.hpp"
 
@@ -324,6 +325,37 @@ TEST(PlacementTable, RejectsIllegalSizeAndForeignPool) {
   const PartitionPool bgq_pool(machine::bgq_model());
   EXPECT_THROW(bgp_table().choose(bgq_pool, 1, kUsecPerHour, std::nullopt, rng),
                InvalidArgument);
+}
+
+// ---- reactive fault-aware placement ------------------------------------------
+
+TEST(RecentFailureAdvisor, MarksEveryMidplaneOfARackLevelFatalThroughTheWindow) {
+  const machine::MachineModel& bgp = machine::bgp_model();
+  const Usec window = 6 * kUsecPerHour;
+  RecentFailureAdvisor advisor(bgp, window);
+  ras::RasEvent fatal;
+  fatal.severity = ras::Severity::Fatal;
+  fatal.event_time = TimePoint::from_calendar(2009, 3, 1);
+  fatal.location = testing::bgp_rack(3);  // midplanes 6 and 7
+  advisor.on_record(fatal);
+  const TimePoint t = fatal.event_time;
+  for (machine::MidplaneId m = 0; m < bgp.midplane_count(); ++m) {
+    const bool in_rack = m == 6 || m == 7;
+    EXPECT_EQ(advisor.avoid(m, t), in_rack) << "midplane " << m;
+    EXPECT_EQ(advisor.avoid(m, t + window), in_rack) << "midplane " << m;
+    EXPECT_FALSE(advisor.avoid(m, t + window + 1)) << "midplane " << m;
+  }
+  // Only FATAL records mark a midplane.
+  ras::RasEvent warning = fatal;
+  warning.severity = ras::Severity::Warning;
+  warning.location = testing::bgp_midplane(20);
+  advisor.on_record(warning);
+  EXPECT_FALSE(advisor.avoid(20, t));
+}
+
+TEST(RecentFailureAdvisor, RefusesANonPositiveWindow) {
+  EXPECT_THROW(RecentFailureAdvisor(machine::bgp_model(), 0), InvalidArgument);
+  EXPECT_THROW(RecentFailureAdvisor(machine::bgp_model(), -kUsecPerHour), InvalidArgument);
 }
 
 }  // namespace

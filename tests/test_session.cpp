@@ -90,8 +90,9 @@ Offline offline_run(const std::string& ras_image, const std::string& job_image,
                     ParseMode mode) {
   Offline off;
   std::istringstream ras_in(ras_image), job_in(job_image);
-  off.ras = ras::read_binary(ras_in, ras::default_catalog(), mode, &off.ras_rep);
-  off.jobs = joblog::read_binary(job_in, mode, &off.job_rep);
+  off.ras = ras::read_binary(ras_in, ras::default_catalog(),
+                             {.mode = mode, .report = &off.ras_rep});
+  off.jobs = joblog::read_binary(job_in, {.mode = mode, .report = &off.job_rep});
   off.log_fp = fleet::log_fingerprint(off.ras, off.jobs);
   try {
     off.result_fp = fleet::result_fingerprint(core::run_coanalysis(off.ras, off.jobs));

@@ -13,7 +13,6 @@
 #include "coral/stats/descriptive.hpp"
 #include "coral/stats/distributions.hpp"
 #include "coral/stats/ecdf.hpp"
-#include "coral/stats/histogram.hpp"
 #include "coral/stats/infogain.hpp"
 #include "coral/stats/special.hpp"
 #include "frozen_infogain.hpp"
@@ -405,33 +404,6 @@ TEST(Entropy, KnownValues) {
   EXPECT_NEAR(entropy(pure), 0.0, 1e-12);
   const std::size_t empty[] = {0, 0};
   EXPECT_NEAR(entropy(empty), 0.0, 1e-12);
-}
-
-TEST(Histogram, BinningAndOverflow) {
-  Histogram h({0.0, 10.0, 20.0, 30.0});
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(9.999);
-  h.add(10.0);
-  h.add(29.0);
-  h.add(30.0);
-  h.add(100.0);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 7u);
-}
-
-TEST(Histogram, AsciiRendersEveryBin) {
-  Histogram h({0.0, 1.0, 2.0});
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 2);
 }
 
 }  // namespace

@@ -454,7 +454,7 @@ TEST(StreamingMatcher, CausalityFollowerMatchesThroughItsLeader) {
   ASSERT_EQ(result.filtered.groups.size(), 5u);
   EXPECT_EQ(result.filtered.groups[4].members, (std::vector<std::size_t>{8, 9}));
   EXPECT_EQ(result.matches.jobs_by_group[4], std::vector<std::size_t>{0});
-  EXPECT_EQ(result.matches.group_by_job[0], 4u);
+  EXPECT_EQ(result.matches.group_by_job[0], 4);
 }
 
 TEST(StreamingMatcher, StandaloneKeepsJobEndsUntilAWatermarkArrives) {
