@@ -1,9 +1,9 @@
 // Microbenchmarks for the RAS-log side of the front end on the full-scale
 // log: the FATAL-record gather and the binary v2/v3 readers and writers.
 // The filter stages themselves are timed inside the streaming front end
-// (perf_streaming, BM_FullCoAnalysis). The benches that run on a pool
-// measure process CPU time: gbench's default counts only the calling
-// thread, which would leave the pool workers' decode and encode out.
+// (perf_streaming, BM_FullCoAnalysis). The pooled writer bench measures
+// process CPU time: gbench's default counts only the calling thread, which
+// would leave the pool workers' encode out.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -86,8 +86,8 @@ void BM_RasBinaryWriteV3Parallel(benchmark::State& state) {
 BENCHMARK(BM_RasBinaryWriteV3Parallel)->MeasureProcessCPUTime();
 
 // Writes the v3 store to a temp file once; the read benches then measure
-// the real full-file path (mmap zero-copy + parallel block decode), the
-// same way a consumer opens an archive.
+// the real full-file path (read_binary_file's stream walk), the same way a
+// consumer opens an archive.
 const std::string& v3_file() {
   static const std::string path = [] {
     std::string p =
@@ -101,26 +101,20 @@ const std::string& v3_file() {
 
 void BM_RasBinaryReadV3(benchmark::State& state) {
   const std::string& path = v3_file();  // synth + write outside the timed region
-  par::ThreadPool pool;
-  ras::ReadOptions opts;
-  opts.pool = &pool;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ras::read_binary_file(path, ras::default_catalog(), opts));
+    benchmark::DoNotOptimize(ras::read_binary_file(path));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data().ras.size()));
 }
-BENCHMARK(BM_RasBinaryReadV3)->MeasureProcessCPUTime();
+BENCHMARK(BM_RasBinaryReadV3);
 
 void BM_RasBinaryReadV3Pushdown(benchmark::State& state) {
   // The paper's canonical slice: a 60-day window of the 237-day log. Zone
   // maps let the reader skip whole blocks of it without decoding.
   const std::string& path = v3_file();
   const synth::ScenarioConfig cfg = synth::intrepid_scenario(42);
-  par::ThreadPool pool;
   ras::ReadOptions opts;
-  opts.pool = &pool;
   opts.predicate.time_begin = cfg.start + 90 * kUsecPerDay;
   opts.predicate.time_end = cfg.start + 150 * kUsecPerDay;
   for (auto _ : state) {
@@ -130,6 +124,6 @@ void BM_RasBinaryReadV3Pushdown(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data().ras.size()));
 }
-BENCHMARK(BM_RasBinaryReadV3Pushdown)->MeasureProcessCPUTime();
+BENCHMARK(BM_RasBinaryReadV3Pushdown);
 
 }  // namespace

@@ -1,15 +1,14 @@
 // End-to-end co-analysis benchmark on the full-scale Intrepid scenario:
 // binary ingest -> filter -> match -> full methodology report, timed as one
 // unit — the headline figure for the columnar hot path. Ingest reads the v3
-// store from files the way an analyst opens an archive (the RAS log mmap'd
-// and decoded over the pool), after a first read has put the files in the
-// page cache, so the numbers measure decode and analysis, not disk.
+// store from files the way an analyst opens an archive, after a first read
+// has put the files in the page cache, so the numbers measure decode and
+// analysis, not disk.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <fstream>
 
-#include "coral/common/parallel.hpp"
 #include "coral/core/pipeline.hpp"
 #include "coral/joblog/binary_io.hpp"
 #include "coral/ras/binary_io.hpp"
@@ -66,8 +65,8 @@ BENCHMARK(BM_JobLogFinalize)->Unit(benchmark::kMillisecond);
 // --- Characterization-stage microbenchmarks -----------------------------
 // The four stages downstream of matching, timed on the shared columnar
 // inputs the pipeline passes them (CharColumns built once, like
-// complete_coanalysis does), plus the column build itself. All run
-// single-threaded so the numbers track the kernels, not the pool.
+// complete_coanalysis does), plus the column build itself, each on the
+// calling thread as the pipeline runs it.
 
 const stream::FrontEndResult& front_end() {
   static const stream::FrontEndResult result =
@@ -160,13 +159,9 @@ BENCHMARK(BM_Vulnerability)->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndCoAnalysis(benchmark::State& state) {
   const StorePaths& store = v3_store();
-  par::ThreadPool pool;
-  ras::ReadOptions ras_opts;
-  ras_opts.pool = &pool;
   std::size_t interruptions = 0;
   for (auto _ : state) {
-    const ras::RasLog ras =
-        ras::read_binary_file(store.ras, ras::default_catalog(), ras_opts);
+    const ras::RasLog ras = ras::read_binary_file(store.ras);
     std::ifstream job_in(store.jobs, std::ios::binary);
     const joblog::JobLog jobs = joblog::read_binary(job_in, joblog::ReadOptions{});
     const core::CoAnalysisResult result = core::run_coanalysis(ras, jobs);
@@ -177,8 +172,6 @@ void BM_EndToEndCoAnalysis(benchmark::State& state) {
                           static_cast<std::int64_t>(data().ras.size()));
   state.counters["interruptions"] = static_cast<double>(interruptions);
 }
-// The RAS read runs on a pool, the analysis serially: measured as process
-// CPU, workers included.
-BENCHMARK(BM_EndToEndCoAnalysis)->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime();
+BENCHMARK(BM_EndToEndCoAnalysis)->Unit(benchmark::kMillisecond);
 
 }  // namespace

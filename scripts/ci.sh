@@ -99,22 +99,23 @@ case " ${PRESETS[*]} " in
 esac
 
 # The threads that remain must always run under ThreadSanitizer, even when
-# the caller asked for a subset of presets. The analysis itself is serial;
-# these tests are the only coverage of two Contexts racing through the full
-# pipeline on separate threads (test_context), of the pooled v3 reader's
-# block decode across workers (ParallelBinaryRead.* in test_columnar), of
-# ThreadPool and parallel_for_chunks themselves (test_parallel), of the
-# daemon's accept, connection and metrics threads starting and stopping
+# the caller asked for a subset of presets. The analysis and every read are
+# serial; these tests are the only coverage of two Contexts racing through
+# the full pipeline on separate threads (test_context), of the v3 writer's
+# block encode across pool workers, the only code left on them
+# (StoreV3.PooledWriteMatchesSerialBytes in test_store_v3), of ThreadPool
+# and parallel_for_chunks themselves (test_parallel), of the daemon's
+# accept, connection and metrics threads starting and stopping
 # (test_fleet), and of counters and spans recording into one collector
 # from plain std::threads (test_obs; the thread pool has no telemetry).
 case " ${PRESETS[*]} " in
   *" tsan "*) ;;  # full tsan suite already ran above
   *)
-    echo "==== [tsan] focused Context + pooled reader + pool + fleet + obs race check ===="
+    echo "==== [tsan] focused Context + pooled writer + pool + fleet + obs race check ===="
     cmake --preset tsan
     cmake --build --preset tsan -j "$JOBS" \
-      --target test_context test_columnar test_parallel test_fleet test_obs
-    ctest --preset tsan -R 'Context|ParallelBinaryRead|ParallelFor|ThreadPool|Fleet|Obs' \
+      --target test_context test_store_v3 test_parallel test_fleet test_obs
+    ctest --preset tsan -R 'Context|PooledWriteMatchesSerialBytes|ParallelFor|ThreadPool|Fleet|Obs' \
       -j "$JOBS"
     ;;
 esac

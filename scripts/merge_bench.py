@@ -58,11 +58,11 @@ def load_gbench(path):
     measures the noisy neighbors (observed 2x swings on identical binaries
     run minutes apart, while CPU time held a ~5% cv). Most gbench series
     here are CPU-bound single-threaded, so gbench's default cpu_time (the
-    calling thread only) covers all their work. The series that run on a
-    thread pool (the parallel and v3 RAS readers, the parallel v3 writer,
-    BM_EndToEndCoAnalysis) are registered with MeasureProcessCPUTime(), so
-    their cpu_time is the whole process's — pool workers included — and
-    the gate tracks all of their work, not only the serial share.
+    calling thread only) covers all their work. The one series that runs
+    on a thread pool (BM_RasBinaryWriteV3Parallel, the pooled v3 writer)
+    is registered with MeasureProcessCPUTime(), so its cpu_time is the
+    whole process's — pool workers included — and the gate tracks all of
+    its work, not only the serial share.
     perf_streaming keeps wall time — its fork-based modes are measured as
     wall by design.
     """

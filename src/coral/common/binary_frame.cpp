@@ -180,23 +180,6 @@ const char* crc32_kernel() {
   return "table";
 }
 
-bool index_frames(std::string_view region, std::vector<FrameRef>& out) {
-  std::size_t pos = 0;
-  while (pos < region.size()) {
-    if (region.size() - pos < kHeaderBytes) return false;  // truncated header
-    if (std::memcmp(region.data() + pos, kBlockMagic, sizeof kBlockMagic) != 0) return false;
-    std::uint32_t size = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&size, region.data() + pos + sizeof kBlockMagic, sizeof size);
-    std::memcpy(&crc, region.data() + pos + sizeof kBlockMagic + sizeof size, sizeof crc);
-    if (size == 0 || size > kMaxBlockPayload) return false;
-    if (region.size() - pos - kHeaderBytes < size) return false;  // truncated payload
-    out.push_back({pos, size, crc});
-    pos += kHeaderBytes + size;
-  }
-  return true;
-}
-
 void append_frame(std::string& out, std::string_view payload) {
   if (payload.empty()) return;
   out.append(kBlockMagic, sizeof kBlockMagic);
@@ -313,27 +296,32 @@ constexpr std::size_t kWalkChunkBytes = std::size_t{64} << 10;
 
 /// Push every chunk `next_chunk` yields (an empty view ends the input),
 /// draining the assembler after each, then finish and drain the tail.
+/// Returns the bytes pushed.
 template <typename NextChunk>
-void walk(FrameAssembler& frames, const NextChunk& next_chunk, const PayloadSink& on_payload) {
+std::uint64_t walk(FrameAssembler& frames, const NextChunk& next_chunk,
+                   const PayloadSink& on_payload) {
   std::string payload;
   const auto drain = [&] {
     while (frames.next(payload)) {
       on_payload(payload, frames.block_offset() + kHeaderBytes);
     }
   };
+  std::uint64_t pushed = 0;
   for (std::string_view chunk = next_chunk(); !chunk.empty(); chunk = next_chunk()) {
     frames.push(chunk);
+    pushed += chunk.size();
     drain();
   }
   frames.finish();
   drain();
+  return pushed;
 }
 
 }  // namespace
 
-void walk_frames(FrameAssembler& frames, std::string_view input,
-                 const PayloadSink& on_payload) {
-  walk(
+std::uint64_t walk_frames(FrameAssembler& frames, std::string_view input,
+                          const PayloadSink& on_payload) {
+  return walk(
       frames,
       [&input] {
         const std::string_view chunk = input.substr(0, kWalkChunkBytes);
@@ -343,15 +331,26 @@ void walk_frames(FrameAssembler& frames, std::string_view input,
       on_payload);
 }
 
-void walk_frames(FrameAssembler& frames, std::istream& input, const PayloadSink& on_payload) {
+std::uint64_t walk_frames(FrameAssembler& frames, std::istream& input,
+                          const PayloadSink& on_payload) {
   std::string buf(kWalkChunkBytes, '\0');
-  walk(
+  return walk(
       frames,
       [&] {
         input.read(buf.data(), static_cast<std::streamsize>(buf.size()));
         return std::string_view(buf.data(), static_cast<std::size_t>(input.gcount()));
       },
       on_payload);
+}
+
+std::optional<std::uint64_t> bytes_left(std::istream& in) {
+  const auto pos = in.tellg();
+  if (pos == std::istream::pos_type(-1)) return std::nullopt;
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(pos);
+  if (end == std::istream::pos_type(-1) || end < pos) return std::nullopt;
+  return static_cast<std::uint64_t>(end - pos);
 }
 
 void check_declared_total(std::optional<std::uint64_t> declared, std::uint64_t attempted,

@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "coral/common/ingest.hpp"
 
@@ -61,25 +60,6 @@ std::uint32_t check_file_header(std::string_view header, const char (&magic)[4],
 /// framing is deterministic, so writers can frame blocks on worker threads
 /// and concatenate the results into the exact bytes a serial writer makes.
 void append_frame(std::string& out, std::string_view payload);
-
-/// One block located by index_frames(): header at `offset` into the scanned
-/// region, payload of `size` bytes at `offset + kBlockHeaderBytes`. The
-/// stored checksum is carried so CRC verification can run later (and in
-/// parallel) over the payload in place.
-struct FrameRef {
-  std::uint64_t offset = 0;
-  std::uint32_t size = 0;
-  std::uint32_t crc = 0;
-};
-
-/// Walk `region` as a sequence of framed blocks without touching payload
-/// bytes (headers only — no CRC pass, no copies). Returns true when the
-/// region is tiled exactly by well-formed frames, appending one FrameRef per
-/// block; returns false at the first framing anomaly (bad magic, implausible
-/// size, truncation), leaving `out` holding the frames located so far.
-/// Callers that need damage recovery or exact damage messages fall back to
-/// a FrameAssembler walk (walk_frames), which is the authority on both.
-bool index_frames(std::string_view region, std::vector<FrameRef>& out);
 
 /// The one frame-recovery state machine, for byte streams that arrive in
 /// pieces (a socket, a tailed file, an offline input pushed in chunks):
@@ -155,10 +135,18 @@ using PayloadSink = std::function<void(std::string_view payload, std::uint64_t o
 /// chunks, handing each intact payload to `on_payload` as soon as its chunk
 /// is in, then declare end-of-stream and drain the tail. The input is a
 /// buffer in memory, or a stream read to its end. Damage handling is the
-/// assembler's: strict mode throws from here.
-void walk_frames(FrameAssembler& frames, std::string_view input,
-                 const PayloadSink& on_payload);
-void walk_frames(FrameAssembler& frames, std::istream& input, const PayloadSink& on_payload);
+/// assembler's: strict mode throws from here. Returns the bytes pushed.
+std::uint64_t walk_frames(FrameAssembler& frames, std::string_view input,
+                          const PayloadSink& on_payload);
+std::uint64_t walk_frames(FrameAssembler& frames, std::istream& input,
+                          const PayloadSink& on_payload);
+
+/// Bytes from `in`'s read position to its end, for a seekable stream (a
+/// file, a string stream; the position is restored), else nullopt. The
+/// offline readers cap their declared-total reservation by what the rest of
+/// their input could hold, so a corrupt count cannot force a huge
+/// allocation.
+std::optional<std::uint64_t> bytes_left(std::istream& in);
 
 /// The declared-total check that closes every read of a framed log. Strict
 /// mode throws ParseError unless a declaration survived ("missing <missing>
@@ -172,10 +160,9 @@ void check_declared_total(std::optional<std::uint64_t> declared, std::uint64_t a
                           ParseMode mode, const char* what, const char* missing,
                           IngestReport& rep, std::uint64_t undeclared_lost = 0);
 
-/// A bounds-checked little-endian cursor over one block payload — a view,
-/// so it reads equally from an assembler's copied payload or from a mapped
-/// file region in place. get<T> failures surface the absolute byte offset of
-/// the failing field.
+/// A bounds-checked little-endian cursor over one block payload (a view of
+/// the payload an assembler yielded). get<T> failures surface the absolute
+/// byte offset of the failing field.
 class PayloadCursor {
  public:
   PayloadCursor(std::string_view payload, std::uint64_t base_offset,

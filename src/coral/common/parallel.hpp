@@ -17,10 +17,10 @@ namespace coral::par {
 /// blocks until every submitted task has completed. Exceptions thrown by
 /// tasks are captured and rethrown (first one) from wait_idle().
 ///
-/// The pool pays where the data volume is: the v3 RAS reader's block decode
-/// and the writer's block encode (ras::ReadOptions::pool,
-/// ras::WriteOptions::pool). The co-analysis itself runs serially. Since
-/// wait_idle() is a whole-pool barrier, one caller uses a pool at a time.
+/// The pool pays in one place: the v3 RAS writer's block encode
+/// (ras::WriteOptions::pool). Every read and the co-analysis itself run
+/// serially. Since wait_idle() is a whole-pool barrier, one caller uses a
+/// pool at a time.
 class ThreadPool {
  public:
   /// `threads == 0` selects hardware_concurrency() (at least 1).

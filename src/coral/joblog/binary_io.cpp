@@ -163,14 +163,8 @@ JobLog read_binary(std::istream& in, const ReadOptions& opts) {
   // stream could physically hold, so a corrupt count cannot force a huge
   // allocation: v2 records are a fixed 56 bytes, v3 column blocks spend at
   // least one byte on each of a record's ten fields before compression.
-  if (const auto pos = in.tellg(); pos != std::istream::pos_type(-1)) {
-    in.seekg(0, std::ios::end);
-    const auto end = in.tellg();
-    in.seekg(pos);
-    if (end != std::istream::pos_type(-1) && end > pos) {
-      const std::size_t floor = version == kJobVersion ? sizeof(PackedJob) : 10;
-      decoder.set_reserve_cap(static_cast<std::uint64_t>(end - pos) / floor);
-    }
+  if (const auto rest = bin::bytes_left(in)) {
+    decoder.set_reserve_cap(*rest / (version == kJobVersion ? sizeof(PackedJob) : 10));
   }
   bin::walk_frames(assembler, in, [&](std::string_view payload, std::uint64_t offset) {
     decoder.on_payload(payload, offset);

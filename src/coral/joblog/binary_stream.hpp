@@ -92,10 +92,6 @@ class JobStreamDecoder {
 
   /// Records successfully decoded so far (live gauge for mid-run snapshots).
   std::uint64_t records_decoded() const { return log_.size(); }
-  /// Records attempted (decoded or individually rejected) so far.
-  std::uint64_t records_attempted() const { return attempted_; }
-  /// The declared total from the header block, once one has been seen.
-  std::optional<std::uint64_t> declared_total() const { return total_; }
   /// Record-block accounting (total / decoded / zone-skipped), the source
   /// of the ingest.job_binary.blocks_* obs counters.
   const bin::BlockCounters& block_counters() const { return blocks_; }

@@ -49,10 +49,8 @@ LostWork lost_work(const synth::GroundTruth& truth, const joblog::JobLog& jobs,
 
 }  // namespace
 
-Evaluation evaluate(const std::vector<Prediction>& predictions, const RuleTable& table,
-                    const synth::GroundTruth& truth,
-                    const machine::MachineModel& machine) {
-  (void)table;  // reserved: per-rule breakdowns would resolve through it
+Evaluation evaluate(const std::vector<Prediction>& predictions,
+                    const synth::GroundTruth& truth, const machine::MachineModel& machine) {
   const machine::LocCodec& codec = machine.codec();
 
   std::vector<Manifestation> manifest;
@@ -121,7 +119,7 @@ PolicyComparison compare_policies(const synth::ScenarioConfig& config,
       core::run_coanalysis(baseline.ras, baseline.jobs, {}, ctx);
   out.rules = mine_rules(analysis, baseline.jobs, miner, ctx);
   const std::vector<Prediction> predictions = replay(out.rules, baseline.ras, ctx.obs());
-  out.eval = evaluate(predictions, out.rules, baseline.truth, *config.machine);
+  out.eval = evaluate(predictions, baseline.truth, *config.machine);
   const LostWork base =
       lost_work(baseline.truth, baseline.jobs, *config.machine, config.resubmit.failure_hold);
   out.baseline_lost_node_hours = base.node_hours;

@@ -38,9 +38,8 @@ struct Evaluation {
 /// the predictor's: machine-wide alarms cover everything; midplane alarms
 /// cover faults whose location touches the midplane (rack-level locations
 /// touch the whole rack). Deterministic: a pure function of its inputs.
-Evaluation evaluate(const std::vector<Prediction>& predictions, const RuleTable& table,
-                    const synth::GroundTruth& truth,
-                    const machine::MachineModel& machine);
+Evaluation evaluate(const std::vector<Prediction>& predictions,
+                    const synth::GroundTruth& truth, const machine::MachineModel& machine);
 
 /// Outcome of the fault-aware-placement experiment: the same scenario run
 /// twice, without and with a PredictionAdvisor steering placements away

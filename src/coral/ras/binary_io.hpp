@@ -76,20 +76,21 @@ struct WriteOptions {
 void write_binary(std::ostream& out, const RasLog& log, const WriteOptions& opts);
 
 /// Read-side options; the zero-initialized default is a strict,
-/// sequential, unfiltered read against the reference BG/P model.
+/// unfiltered read against the reference BG/P model.
 struct ReadOptions {
   ParseMode mode = ParseMode::Strict;
   IngestReport* report = nullptr;
   obs::Collector* obs = nullptr;
+  /// Ignored: every read walks its stream on the calling thread. Kept
+  /// because the e2e benchmark package sets it.
   par::ThreadPool* pool = nullptr;
   const machine::MachineModel* machine = nullptr;  ///< null = bgp_model()
-  /// Predicate pushdown: v3 blocks whose zone map cannot match are skipped
-  /// without decompression (zero-touch when a segment footer covers them),
-  /// and decoded records are exact-filtered, so the result equals a full
-  /// read followed by the same record filter. v2 files decode fully and
-  /// exact-filter. Skipped blocks still feed the record accounting, so
-  /// strict totals and lenient damage counts are query-independent; what a
-  /// predicate read does NOT do is CRC-verify blocks it never touches.
+  /// Predicate pushdown: v3 blocks whose in-block zone map cannot match are
+  /// CRC-checked but not decompressed or decoded, and decoded records are
+  /// exact-filtered, so the result equals a full read followed by the same
+  /// record filter. v2 files decode fully and exact-filter. Skipped blocks
+  /// still feed the record accounting, so strict totals and lenient damage
+  /// counts are query-independent.
   bin::ReadPredicate predicate;
 };
 
@@ -107,23 +108,18 @@ struct ReadOptions {
 /// counters, and bytes/blocks_total/blocks_decoded/blocks_skipped counters
 /// are recorded.
 ///
-/// The input is buffered whole. Without a `pool`, or for a v2 file, the
-/// sequential recovering reader walks its frames through a FrameAssembler;
-/// it is the authority on damage for both versions. With a `pool`, a v3
-/// file's frames are decoded in place, CRC verification and record
-/// decoding fanned out across contiguous block ranges — results (events,
-/// error messages, lenient accounting) are identical to the sequential
-/// read, and a file with any frame damage falls back to it.
+/// The stream is read once, front to back, from its current position: its
+/// bytes are pushed through a bin::FrameAssembler in 64 KiB chunks and each
+/// intact payload goes to a RasStreamDecoder, for both versions. That is
+/// joblog::read_binary's walk, and the fleet session drives the same
+/// assembler and decoder from its feeds.
 /// Packed locations are validated against the machine model; the returned
 /// log is stamped with it.
 RasLog read_binary(std::istream& in, const Catalog& catalog = default_catalog(),
                    const ReadOptions& opts = {});
 
-/// read_binary over a memory-mapped file: with a pool, a v3 region is
-/// decoded in place with zero copies (raw-codec bodies are read straight
-/// from the mapped pages, and predicate reads never fault in the pages of
-/// footer-covered skipped blocks). Falls back to a buffered stream read
-/// when the platform cannot map the file.
+/// read_binary over the file at `path`, opened as a binary std::ifstream;
+/// throws Error when it cannot be opened.
 RasLog read_binary_file(const std::string& path, const Catalog& catalog = default_catalog(),
                         const ReadOptions& opts = {});
 

@@ -11,6 +11,10 @@
 
 namespace coral::ras {
 
+namespace {
+
+/// Parse a 'D' payload (cursor past the tag byte). Strict mode throws on a
+/// dictionary name missing from `catalog`.
 RasDictionary parse_ras_dictionary(bin::PayloadCursor& cur, const Catalog& catalog,
                                    ParseMode mode) {
   RasDictionary dict;
@@ -33,36 +37,26 @@ RasDictionary parse_ras_dictionary(bin::PayloadCursor& cur, const Catalog& catal
   return dict;
 }
 
-namespace {
-
-/// One block's claim on its RasBlockOut: room for `n` records at `at`, the
-/// first of which is log record `first`. In append mode the destructor
-/// trims the vector to the `count` records written, so a decode that throws
-/// mid-block leaves exactly the records it emitted before the throw.
+/// One block's claim on the log's vector: room for `n` records at `at`, the
+/// first of which is log record `first`. The destructor trims the vector to
+/// the `count` records written, so a decode that throws mid-block leaves
+/// exactly the records it emitted before the throw.
 class BlockSpace {
  public:
-  BlockSpace(const RasBlockOut& out, std::size_t n) : tail_(out.tail) {
-    if (tail_ != nullptr) {
-      first = tail_->size();
-      tail_->resize(first + n);
-      at = tail_->data() + first;
-    } else {
-      first = out.first;
-      at = out.slot;
-    }
+  BlockSpace(std::vector<RasEvent>& out, std::size_t n) : first(out.size()), out_(out) {
+    out_.resize(first + n);
+    at = out_.data() + first;
   }
-  ~BlockSpace() {
-    if (tail_ != nullptr) tail_->resize(first + count);
-  }
+  ~BlockSpace() { out_.resize(first + count); }
   BlockSpace(const BlockSpace&) = delete;
   BlockSpace& operator=(const BlockSpace&) = delete;
 
   RasEvent* at = nullptr;
-  std::size_t first = 0;
+  std::size_t first;
   std::size_t count = 0;
 
  private:
-  std::vector<RasEvent>* tail_;
+  std::vector<RasEvent>& out_;
 };
 
 // Validate one fixed-size record into `ev`; false when it is rejected or
@@ -109,11 +103,23 @@ bool decode_one(const PackedRecord& rec, std::uint64_t rec_offset,
                                filter->match_location(rec.packed_location));
 }
 
-}  // namespace
-
+/// Decode one 'R' payload's records (cursor past the tag byte), appending
+/// them to `out`, and return how many were appended, gathering them into
+/// `scratch`'s fatal columns and time-order check as the 'C' decode does.
+/// The k-th appended record is log record `out.size() + k` (before the
+/// call), the position the fatal gather records as its log_index; a decode
+/// that throws leaves the records it appended before the throw. `dict` may
+/// be null only when every dictionary copy was lost earlier in the input.
+/// `attempted` counts records decoded or individually rejected — the unit
+/// the lost-record top-up is computed in. A non-null `filter` drops records
+/// that fail the exact predicate *after* full validation (they still count
+/// as attempted and ok, so accounting is layout-independent). `blocks`
+/// counts the block as total, and as decoded unless its payload ends before
+/// its declared count; that truncation throws in strict mode and keeps the
+/// records before it in lenient mode.
 std::size_t decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dict,
                                ParseMode mode, const machine::MachineModel& machine,
-                               IngestReport& rep, const RasBlockOut& out,
+                               IngestReport& rep, std::vector<RasEvent>& out,
                                std::uint64_t& attempted, bin::BlockCounters& blocks,
                                RasDecodeScratch& scratch, const bin::ZoneFilter* filter) {
   ++blocks.total;
@@ -169,6 +175,8 @@ std::size_t decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dic
   return space.count;
 }
 
+/// Parse an 'L' payload (cursor past the tag byte). Strict mode throws on a
+/// key the machine model rejects.
 RasLocDict parse_ras_loc_dict(bin::PayloadCursor& cur,
                               const machine::MachineModel& machine, ParseMode mode) {
   RasLocDict dict;
@@ -192,8 +200,6 @@ RasLocDict parse_ras_loc_dict(bin::PayloadCursor& cur,
   }
   return dict;
 }
-
-namespace {
 
 void append_u32(std::string& out, std::uint32_t v) {
   char buf[sizeof v];
@@ -278,6 +284,12 @@ void encode_ras_column_block(std::string& payload, const RasEvent* events,
   bin::append_column_body(payload, raw, compress);
 }
 
+namespace {
+
+/// All-or-nothing decode of a raw column body holding `n` records; false on
+/// any malformed shape (truncated varint, wrong tail size). All-or-nothing
+/// keeps lenient accounting block-granular: a damaged body loses the whole
+/// block to the top-up, never a prefix of it.
 bool decode_ras_columns(std::string_view body, std::uint32_t n, RasColumns& cols) {
   // Lower bound: three varint columns (>= 1 byte each) plus the 5-byte fixed
   // tail (u32 serial + severity byte) per record. Rejecting early also
@@ -331,10 +343,18 @@ bool decode_ras_columns(std::string_view body, std::uint32_t n, RasColumns& cols
   return true;
 }
 
+/// Decode one 'C' payload (cursor past the tag byte), appending its records
+/// to `out` as decode_ras_records does, and return how many were appended —
+/// the single v3 record decode implementation. Zone-rejected blocks
+/// (non-null `filter`) contribute their declared count to `attempted`
+/// without touching the body. Throws ParseError on any malformed shape in
+/// either mode, and in lenient mode only before the first record is
+/// written; lenient callers catch and let the lost-record top-up cover the
+/// block.
 std::size_t decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dict,
                                       const RasLocDict* locs, ParseMode mode,
                                       const bin::ZoneFilter* filter, IngestReport& rep,
-                                      const RasBlockOut& out, std::uint64_t& attempted,
+                                      std::vector<RasEvent>& out, std::uint64_t& attempted,
                                       bin::BlockCounters& blocks, RasDecodeScratch& scratch) {
   bin::ColumnBlock block;
   if (!bin::read_column_block(cur, filter, scratch.raw, attempted, blocks, block)) return 0;
@@ -381,8 +401,8 @@ std::size_t decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictiona
   std::int64_t last_time = scratch.last_time;
   bool sorted = scratch.sorted;
   BlockSpace space(out, n);
-  // Store one record straight into its slot, and gather it into the fatal
-  // columns when it is FATAL.
+  // Store one record straight into the log's array, and gather it into the
+  // fatal columns when it is FATAL.
   const auto emit = [&](std::size_t k, std::int64_t t, const machine::Location& loc,
                         std::uint8_t sev, ErrcodeId err, std::uint32_t serial) {
     RasEvent& ev = space.at[k];
@@ -497,6 +517,8 @@ std::size_t decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictiona
   return space.count;
 }
 
+}  // namespace
+
 void RasStreamDecoder::on_payload(std::string_view payload,
                                   std::uint64_t payload_offset) {
   bin::PayloadCursor cur(payload, payload_offset, "binary RAS log");
@@ -522,9 +544,9 @@ void RasStreamDecoder::on_payload(std::string_view payload,
       return;
     }
     if (tag == kRasSegmentTag) {
-      // Footers index blocks the stream has already delivered; the one-shot
-      // file readers use them for zero-touch skips. A streaming decoder
-      // keeps their counts only while no dictionary total has survived.
+      // Footers index blocks the stream has already delivered, each of
+      // which was CRC-checked and zone-tested on its own way in. Their
+      // counts matter only while no dictionary total has survived.
       std::vector<bin::SegmentEntry> entries;
       bin::parse_segment_footer(cur, entries);
       if (!dict_) footers_.list(entries);
@@ -533,8 +555,7 @@ void RasStreamDecoder::on_payload(std::string_view payload,
     if (tag == kRasColumnTag) {
       decode_ras_column_payload(cur, dict_ ? &*dict_ : nullptr,
                                 loc_dict_ ? &*loc_dict_ : nullptr, mode_, filter_,
-                                record_rep_, RasBlockOut{.tail = &events_}, attempted_,
-                                blocks_, scratch_);
+                                record_rep_, events_, attempted_, blocks_, scratch_);
       if (!dict_) footers_.deliver(payload_offset - bin::kBlockHeaderBytes);
       return;
     }
@@ -546,7 +567,7 @@ void RasStreamDecoder::on_payload(std::string_view payload,
       return;  // records inside are covered by the lost-record top-up
     }
     decode_ras_records(cur, dict_ ? &*dict_ : nullptr, mode_, *machine_, record_rep_,
-                       RasBlockOut{.tail = &events_}, attempted_, blocks_, scratch_, filter_);
+                       events_, attempted_, blocks_, scratch_, filter_);
   } catch (const Error&) {
     if (mode_ == ParseMode::Strict) throw;
     // A CRC-valid block whose payload still does not parse (writer bug or an

@@ -16,12 +16,13 @@
 namespace coral::ras {
 
 /// Format internals of the binary v2/v3 RAS log (see binary_io.hpp for the
-/// layout contract). Exposed so the one-shot file readers and the
-/// incremental wire/session ingest path decode through the *same* routines —
-/// the fleet parity guarantee (network feed == offline read, byte for byte)
-/// rests on there being exactly one decode implementation. The v3 tags
-/// extend the v2 tag set rather than replacing it, so one decoder reads
-/// both versions (and the session/daemon wire path inherits v3 for free).
+/// layout contract). Exposed so the one-shot file reader and the
+/// incremental wire/session ingest path decode through the *same*
+/// RasStreamDecoder — the fleet parity guarantee (network feed == offline
+/// read, byte for byte) rests on there being exactly one decode
+/// implementation. The v3 tags extend the v2 tag set rather than replacing
+/// it, so one decoder reads both versions (and the session/daemon wire path
+/// inherits v3 for free).
 
 inline constexpr char kRasMagic[4] = {'C', 'R', 'A', 'S'};
 inline constexpr std::uint32_t kRasVersion = 2;
@@ -65,11 +66,6 @@ struct RasDictionary {
   bool all_mapped = true;
 };
 
-/// Parse a 'D' payload (cursor past the tag byte). Strict mode throws on a
-/// dictionary name missing from `catalog`.
-RasDictionary parse_ras_dictionary(bin::PayloadCursor& cur, const Catalog& catalog,
-                                   ParseMode mode);
-
 /// Decoded 'L' payload: the file's distinct packed location keys, each
 /// validated against the machine model ONCE here instead of once per record
 /// (v2's per-record `location_from_packed` is the single hottest
@@ -83,44 +79,6 @@ struct RasLocDict {
   /// decode then skips the per-entry validity gather.
   bool all_valid = true;
 };
-
-/// Parse an 'L' payload (cursor past the tag byte). Strict mode throws on a
-/// key the machine model rejects.
-RasLocDict parse_ras_loc_dict(bin::PayloadCursor& cur,
-                              const machine::MachineModel& machine, ParseMode mode);
-
-/// Where a block decoder writes the records it emits. Slot mode (the pooled
-/// file reader): `slot` has room for the block's declared record count and
-/// holds log records `first`, `first + 1`, ... Append mode (`tail` set; the
-/// stream decoder): the vector grows by the block's validated count and is
-/// trimmed back to the records written, also when the decode throws. Either
-/// way the k-th emitted record is log record `first + k`, the position the
-/// emit-side fatal gather records as its log_index.
-struct RasBlockOut {
-  RasEvent* slot = nullptr;
-  std::size_t first = 0;
-  std::vector<RasEvent>* tail = nullptr;
-};
-
-struct RasDecodeScratch;
-
-/// Decode one 'R' payload's records (cursor past the tag byte) into `out`
-/// and return how many were written, gathering them into `scratch`'s fatal
-/// columns and time-order check as the 'C' decode does. `dict` may be null
-/// only when every dictionary copy was lost earlier in the input.
-/// `attempted` counts records decoded or individually rejected — the unit
-/// the lost-record top-up is computed in. A non-null `filter` drops records that fail the exact
-/// predicate *after* full validation (they still count as attempted and ok,
-/// so accounting is layout-independent). `blocks` counts the block as total,
-/// and as decoded unless its payload ends before its declared count; that
-/// truncation throws in strict mode and keeps the records before it in
-/// lenient mode.
-std::size_t decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dict,
-                               ParseMode mode, const machine::MachineModel& machine,
-                               IngestReport& rep, const RasBlockOut& out,
-                               std::uint64_t& attempted, bin::BlockCounters& blocks,
-                               RasDecodeScratch& scratch,
-                               const bin::ZoneFilter* filter = nullptr);
 
 /// Decoded column arrays of one v3 'C' block body. Severities alias the
 /// body buffer (they are stored as raw bytes); serials memcpy from the
@@ -140,12 +98,6 @@ struct RasColumns {
   std::uint8_t max_sev = 0;
 };
 
-/// All-or-nothing decode of a raw column body holding `n` records; false on
-/// any malformed shape (truncated varint, wrong tail size). All-or-nothing
-/// keeps lenient accounting block-granular: a damaged body loses the whole
-/// block to the top-up, never a prefix of it.
-bool decode_ras_columns(std::string_view body, std::uint32_t n, RasColumns& cols);
-
 /// Build one complete 'C' payload (tag through body) for records
 /// [events, events + n), whose per-event location-dictionary indices are
 /// `loc_idx`. `raw` is caller-owned scratch (reused across blocks).
@@ -154,14 +106,12 @@ void encode_ras_column_block(std::string& payload, const RasEvent* events,
                              bool compress, const machine::LocCodec& codec,
                              std::string& raw);
 
-/// Reusable scratch for decoding 'C' payloads (one per thread), plus the
-/// emit-side bookkeeping the adopting RasLog constructor wants, kept by the
-/// 'R' and 'C' decodes alike: fatal columns gathered as records are emitted
-/// (log_index is the record's log position, as RasBlockOut assigns it) and
-/// a running time-order check. Both cost a couple of register ops per
-/// record here versus a second full pass over the event array in
-/// finalize(). Callers that interleave chunks through one scratch move
-/// `fatal`/`sorted` out and reset between chunks.
+/// Reusable scratch for decoding 'C' payloads, plus the emit-side
+/// bookkeeping the adopting RasLog constructor wants, kept by the 'R' and
+/// 'C' decodes alike: fatal columns gathered as records are emitted
+/// (log_index is the record's log position) and a running time-order
+/// check. Both cost a couple of register ops per record here versus a
+/// second full pass over the event array in finalize().
 struct RasDecodeScratch {
   std::string raw;
   RasColumns cols;
@@ -170,28 +120,14 @@ struct RasDecodeScratch {
   bool sorted = true;
 };
 
-/// Decode one 'C' payload (cursor past the tag byte) into `out` and return
-/// how many records were written — the single v3 record decode
-/// implementation, shared by the stream decoder and the pooled file reader.
-/// Zone-rejected blocks (non-null `filter`) contribute their declared count
-/// to `attempted` without touching the body. Throws ParseError on any
-/// malformed shape in either mode, and in lenient mode only before the
-/// first record is written; lenient callers catch and let the lost-record
-/// top-up cover the block.
-std::size_t decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dict,
-                                      const RasLocDict* locs, ParseMode mode,
-                                      const bin::ZoneFilter* filter, IngestReport& rep,
-                                      const RasBlockOut& out, std::uint64_t& attempted,
-                                      bin::BlockCounters& blocks, RasDecodeScratch& scratch);
-
 /// Incremental binary v2/v3 RAS decoder: feed block payloads as they become
 /// available (from a FrameAssembler over a socket, a tailed file or a whole
 /// file walked with bin::walk_frames); finish() runs the lost-record top-up
-/// and builds the log. Feeding
-/// the payload sequence of an intact or damaged file reproduces the one-shot
-/// reader's events and accounting exactly — read_binary's sequential path is
-/// itself implemented on this class. The v2 and v3 tag sets are disjoint,
-/// so no version switch is needed: a stream is whatever its blocks say.
+/// and builds the log. Feeding the payload sequence of an intact or damaged
+/// file reproduces the one-shot reader's events and accounting exactly —
+/// read_binary is itself implemented on this class. The v2 and v3 tag sets
+/// are disjoint, so no version switch is needed: a stream is whatever its
+/// blocks say.
 class RasStreamDecoder {
  public:
   RasStreamDecoder(const Catalog& catalog, ParseMode mode,
@@ -211,7 +147,8 @@ class RasStreamDecoder {
 
   /// Bound the event pre-reservation taken from the dictionary's declared
   /// total, so a corrupt count cannot force a huge allocation. File readers
-  /// set this to what the region could physically hold; streaming callers
+  /// set this to what the rest of a seekable input could physically hold
+  /// (bin::bytes_left); streaming callers
   /// keep the conservative default and let the vector grow.
   void set_reserve_cap(std::uint64_t cap) { reserve_cap_ = cap; }
 
@@ -221,8 +158,6 @@ class RasStreamDecoder {
   /// (the session's prediction stage) read new records from between pumps.
   /// Invalidated by finish(), which moves the events into the built log.
   const std::vector<RasEvent>& events_so_far() const { return events_; }
-  /// Records attempted (decoded or individually rejected) so far.
-  std::uint64_t records_attempted() const { return attempted_; }
   /// The declared total from the dictionary, once one has been seen.
   std::optional<std::uint64_t> declared_total() const {
     return dict_ ? std::optional<std::uint64_t>(dict_->total_records) : std::nullopt;

@@ -1,8 +1,8 @@
 // Equality pins for the columnar hot path: the SoA fatal view against the
 // AoS records, the per-midplane interval index against brute-force job
 // scans, the streaming matcher against the historical std::set collection,
-// and the sliced CRC32 / parallel binary reader against their sequential
-// references.
+// the sliced CRC32 against a bytewise reference, and the binary RAS reader
+// on shapes and damage the writer never makes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -326,8 +326,9 @@ TEST(Crc32, MatchesBytewiseReferenceAcrossLengthsAndAlignments) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel binary read: identical events, accounting and errors, for both
-// formats — v2 and the v3 store each have their own pooled reader.
+// Binary RAS read: one reader walks both versions, whatever the options say
+// about a pool, and the pins below hold it to the written records on input
+// the writer never makes.
 
 using testing::expect_logs_equal;
 using testing::expect_reports_equal;
@@ -345,25 +346,30 @@ std::vector<Encoded> scenario_ras_bytes() {
   return {{"v2", v2.str()}, {"v3", v3.str()}};
 }
 
-ras::RasLog read_with(const std::string& bytes, const ras::ReadOptions& opts) {
+ras::RasLog read_with(const std::string& bytes, const ras::ReadOptions& opts,
+                      const ras::Catalog& catalog = ras::default_catalog()) {
   std::istringstream in(bytes);
-  return ras::read_binary(in, ras::default_catalog(), opts);
+  return ras::read_binary(in, catalog, opts);
 }
+
+// ReadOptions::pool stays for source compatibility only, and the
+// ParallelBinaryRead pins hold a read given a pool to the read without one,
+// clean, damaged and truncated.
 
 TEST(ParallelBinaryRead, CleanFileMatchesSequential) {
   par::ThreadPool pool(4);
   for (const Encoded& e : scenario_ras_bytes()) {
-    SCOPED_TRACE(e.name);
-    std::istringstream seq_in(e.bytes);
-    IngestReport seq_rep;
-    const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(), {.report = &seq_rep});
-    std::istringstream par_in(e.bytes);
-    IngestReport par_rep;
-    const ras::RasLog par = ras::read_binary(par_in, ras::default_catalog(),
-                                             {.report = &par_rep, .pool = &pool});
-    expect_logs_equal(seq, par);
-    expect_reports_equal(seq_rep, par_rep);
-    EXPECT_EQ(par.size(), scenario().ras.size());
+    for (const ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
+      SCOPED_TRACE(std::string(e.name) + (mode == ParseMode::Strict ? ", strict" : ", lenient"));
+      IngestReport seq_rep, par_rep;
+      const ras::RasLog seq = read_with(e.bytes, {.mode = mode, .report = &seq_rep});
+      const ras::RasLog par =
+          read_with(e.bytes, {.mode = mode, .report = &par_rep, .pool = &pool});
+      expect_logs_equal(seq, par);
+      expect_reports_equal(seq_rep, par_rep);
+      EXPECT_EQ(par.size(), scenario().ras.size());
+      EXPECT_EQ(par_rep.total_malformed(), 0u);
+    }
   }
 }
 
@@ -379,52 +385,16 @@ TEST(ParallelBinaryRead, DamagedFileMatchesSequentialInLenientMode) {
         const std::size_t at = rng.uniform_index(bytes.size());
         bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform_index(8)));
       }
-      std::istringstream seq_in(bytes);
-      IngestReport seq_rep;
-      const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
-                                               {.mode = ParseMode::Lenient, .report = &seq_rep});
-      std::istringstream par_in(bytes);
-      IngestReport par_rep;
-      const ras::RasLog par = ras::read_binary(
-          par_in, ras::default_catalog(),
-          {.mode = ParseMode::Lenient, .report = &par_rep, .pool = &pool});
+      SCOPED_TRACE("round " + std::to_string(round));
+      IngestReport seq_rep, par_rep;
+      const ras::RasLog seq =
+          read_with(bytes, {.mode = ParseMode::Lenient, .report = &seq_rep});
+      const ras::RasLog par =
+          read_with(bytes, {.mode = ParseMode::Lenient, .report = &par_rep, .pool = &pool});
       expect_logs_equal(seq, par);
       expect_reports_equal(seq_rep, par_rep);
+      EXPECT_GT(seq_rep.total_malformed(), 0u);
     }
-  }
-}
-
-TEST(ParallelBinaryRead, StrictErrorsMatchSequentialByteForByte) {
-  par::ThreadPool pool(4);
-  for (const Encoded& e : scenario_ras_bytes()) {
-    SCOPED_TRACE(e.name);
-    std::string bytes = e.bytes;
-    // Corrupt one payload byte deep in the record stream (in v3, the count
-    // field the pooled reader sizes the block's slot from): the strict
-    // error must be the same CRC message, same offset, from both readers.
-    std::size_t p = bytes.find("CBLK");
-    for (int skip = 0; skip < 10; ++skip) p = bytes.find("CBLK", p + 1);
-    ASSERT_NE(p, std::string::npos);
-    bytes[p + 16] = static_cast<char>(bytes[p + 16] ^ 0x55);
-
-    std::string seq_what;
-    std::string par_what;
-    try {
-      std::istringstream in(bytes);
-      ras::read_binary(in);
-      FAIL() << "expected ParseError";
-    } catch (const ParseError& ex) {
-      seq_what = ex.what();
-    }
-    try {
-      std::istringstream in(bytes);
-      ras::read_binary(in, ras::default_catalog(), {.pool = &pool});
-      FAIL() << "expected ParseError";
-    } catch (const ParseError& ex) {
-      par_what = ex.what();
-    }
-    EXPECT_EQ(seq_what, par_what);
-    EXPECT_NE(seq_what.find("CRC mismatch"), std::string::npos) << seq_what;
   }
 }
 
@@ -435,27 +405,22 @@ TEST(ParallelBinaryRead, TruncatedFileMatchesSequential) {
     std::string bytes = e.bytes;
     bytes.resize(bytes.size() * 2 / 3);  // cut mid-block
 
-    std::istringstream seq_in(bytes);
-    IngestReport seq_rep;
-    const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
-                                             {.mode = ParseMode::Lenient, .report = &seq_rep});
-    std::istringstream par_in(bytes);
-    IngestReport par_rep;
-    const ras::RasLog par = ras::read_binary(
-        par_in, ras::default_catalog(),
-        {.mode = ParseMode::Lenient, .report = &par_rep, .pool = &pool});
+    IngestReport seq_rep, par_rep;
+    const ras::RasLog seq = read_with(bytes, {.mode = ParseMode::Lenient, .report = &seq_rep});
+    const ras::RasLog par =
+        read_with(bytes, {.mode = ParseMode::Lenient, .report = &par_rep, .pool = &pool});
     expect_logs_equal(seq, par);
     expect_reports_equal(seq_rep, par_rep);
     EXPECT_GT(seq_rep.malformed(IngestReason::BinaryFrame), 0u);
+    EXPECT_LT(seq.size(), scenario().ras.size());
   }
 }
 
-TEST(ParallelBinaryRead, RejectedRecordsLeaveHolesThatCloseLikeSequential) {
+TEST(RasBinaryRead, CatalogRejectsKeepFatalLogIndexConsistent) {
   // A catalog without every third errcode: a lenient read drops those
   // records inside their blocks, and (under a predicate) the exact filter
-  // drops more, so the pooled readers' slots fill only in part. Closing
-  // the holes must move the records down and renumber the fatal log indices
-  // exactly as the sequential reader's push-as-you-go numbering does.
+  // drops more. The survivors are the written records in order, and each
+  // fatal log_index still points at its FATAL survivor.
   std::vector<ras::ErrcodeInfo> kept;
   const auto all = ras::default_catalog().all();
   for (std::size_t i = 0; i < all.size(); ++i) {
@@ -466,34 +431,45 @@ TEST(ParallelBinaryRead, RejectedRecordsLeaveHolesThatCloseLikeSequential) {
   bin::ReadPredicate window;
   window.time_begin = cfg.start + 2 * kUsecPerDay;
   window.time_end = cfg.start + 6 * kUsecPerDay;
-  par::ThreadPool pool(4);
+  const ras::RasLog& written = scenario().ras;
   for (const Encoded& e : scenario_ras_bytes()) {
     for (const bool filtered : {false, true}) {
       SCOPED_TRACE(std::string(e.name) + (filtered ? " filtered" : " unfiltered"));
       ras::ReadOptions opts;
       opts.mode = ParseMode::Lenient;
       if (filtered) opts.predicate = window;
-      IngestReport seq_rep, par_rep;
-      opts.report = &seq_rep;
-      std::istringstream seq_in(e.bytes);
-      const ras::RasLog seq = ras::read_binary(seq_in, partial, opts);
-      opts.report = &par_rep;
-      opts.pool = &pool;
-      std::istringstream par_in(e.bytes);
-      const ras::RasLog par = ras::read_binary(par_in, partial, opts);
-      expect_logs_equal(seq, par);
-      expect_reports_equal(seq_rep, par_rep);
-      EXPECT_GT(seq_rep.malformed(IngestReason::UnknownErrcode), 0u);
-      EXPECT_LT(seq.size(), scenario().ras.size());
-      EXPECT_FALSE(seq.fatal_columns().empty());
+      IngestReport rep;
+      opts.report = &rep;
+      const ras::RasLog got = read_with(e.bytes, opts, partial);
+
+      std::vector<ras::RasEvent> want;
+      for (const ras::RasEvent& ev : written) {
+        const bool in_window = !filtered || (ev.event_time >= *window.time_begin &&
+                                             ev.event_time < *window.time_end);
+        if (in_window && partial.find(ras::default_catalog().info(ev.errcode).name)) {
+          want.push_back(ev);
+        }
+      }
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].event_time, want[i].event_time) << "record " << i;
+        EXPECT_EQ(got[i].serial, want[i].serial) << "record " << i;
+        EXPECT_EQ(partial.info(got[i].errcode).name,
+                  ras::default_catalog().info(want[i].errcode).name)
+            << "record " << i;
+      }
+      expect_columns_match_events(got);
+      EXPECT_GT(rep.malformed(IngestReason::UnknownErrcode), 0u);
+      EXPECT_LT(got.size(), written.size());
+      EXPECT_FALSE(got.fatal_columns().empty());
     }
   }
 }
 
-TEST(ParallelBinaryRead, OversizedBlocksFallBackToSequential) {
+TEST(RasBinaryRead, HundredRecordColumnBlocksDecode) {
   // v3 'C' blocks of 100 records, framed by hand after a writer-made
-  // prefix: each declares more records than the pooled reader's 64-record
-  // slot, a non-canonical shape the sequential reader decodes as is.
+  // prefix: a non-canonical shape (the writer's blocks hold 64) that
+  // decodes as is in either mode.
   const ras::RasLog& log = scenario().ras;
   std::stringstream v3;
   ras::write_binary(v3, log, {});
@@ -520,27 +496,19 @@ TEST(ParallelBinaryRead, OversizedBlocksFallBackToSequential) {
     bin::append_frame(bytes, payload);
   }
 
-  par::ThreadPool pool(4);
   for (const ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
-    ras::ReadOptions opts;
-    opts.mode = mode;
-    IngestReport seq_rep, par_rep;
-    opts.report = &seq_rep;
-    const ras::RasLog seq = read_with(bytes, opts);
-    opts.report = &par_rep;
-    opts.pool = &pool;
-    const ras::RasLog par = read_with(bytes, opts);
-    expect_logs_equal(seq, par);
-    expect_reports_equal(seq_rep, par_rep);
-    EXPECT_EQ(seq.size(), log.size());
+    IngestReport rep;
+    const ras::RasLog got = read_with(bytes, {.mode = mode, .report = &rep});
+    expect_logs_equal(log, got);
+    EXPECT_EQ(rep.records_ok(), log.size());
+    EXPECT_EQ(rep.total_malformed(), 0u);
   }
 }
 
-TEST(ParallelBinaryRead, PushdownNeverReadsZoneRejectedBlocks) {
-  // The documented contract: under a predicate the pooled v3 reader takes
-  // a footer-covered block that the footer zone map rejects on the
-  // footer's word — the block's bytes are never read, so its CRC is never
-  // checked. Damage there changes the sequential read only.
+TEST(RasBinaryRead, FooterRejectedBlockIsCrcCheckedAndZoneTested) {
+  // Under a predicate every block is read: one the segment footer's zone
+  // map rejects still has its CRC checked and its own zone map tested, so
+  // damage there counts as it would anywhere else, with a pool or without.
   const synth::ScenarioConfig cfg = synth::small_scenario(42);
   std::stringstream v3;
   ras::write_binary(v3, scenario().ras, {});
@@ -550,62 +518,58 @@ TEST(ParallelBinaryRead, PushdownNeverReadsZoneRejectedBlocks) {
   std::memcpy(&size, intact.data() + first + 4, sizeof size);
   ASSERT_LT(scenario().ras[63].event_time, cfg.start + 3 * kUsecPerDay);
 
-  ras::ReadOptions opts;
-  opts.predicate.time_begin = cfg.start + 3 * kUsecPerDay;
-  par::ThreadPool pool(4);
-  const auto read_both = [&](const std::string& bytes, ParseMode mode, IngestReport& seq_rep,
-                             IngestReport& par_rep) {
-    ras::ReadOptions o = opts;
-    o.mode = mode;
-    o.report = &seq_rep;
-    ras::RasLog seq = read_with(bytes, o);
-    o.report = &par_rep;
-    o.pool = &pool;
-    ras::RasLog par = read_with(bytes, o);
-    return std::pair{std::move(seq), std::move(par)};
-  };
+  ras::ReadOptions window;
+  window.predicate.time_begin = cfg.start + 3 * kUsecPerDay;
+  window.mode = ParseMode::Lenient;
+  IngestReport intact_rep;
+  window.report = &intact_rep;
+  const ras::RasLog want = read_with(intact, window);
 
   // A stale CRC in the first 'C' block, which lies wholly before the window.
   std::string stale = intact;
   stale[first + bin::kBlockHeaderBytes + 40] ^= 0x10;
-  {
-    IngestReport seq_rep, par_rep;
-    const auto [seq, par] = read_both(stale, ParseMode::Lenient, seq_rep, par_rep);
-    expect_logs_equal(seq, par);
-    EXPECT_EQ(seq_rep.records_ok(), par_rep.records_ok());
-    EXPECT_EQ(seq_rep.malformed(IngestReason::BinaryFrame), 64u);
-    EXPECT_EQ(par_rep.malformed(IngestReason::BinaryFrame), 0u);
-    ASSERT_FALSE(seq_rep.samples().empty());
-    EXPECT_EQ(seq_rep.samples().back().reason, IngestReason::BinaryFrame);
-    EXPECT_TRUE(par_rep.samples().empty());
-    testing::expect_reports_equal_but_unread_blocks(seq_rep, par_rep, 64);
-
-    // Strict: only the sequential reader sees the CRC; the pooled read
-    // returns the window's records.
-    ras::ReadOptions o = opts;
-    std::istringstream in(stale);
-    EXPECT_THROW(ras::read_binary(in, ras::default_catalog(), o), ParseError);
-    o.pool = &pool;
-    expect_logs_equal(read_with(stale, o), par);
-  }
-
-  // An in-block zone map that lies and admits the block (CRC repaired): the
-  // sequential reader decodes it and exact-filters every record, charging
-  // 64 records to ok; the pooled reader follows the footer.
+  // An in-block zone map that lies and admits the block (CRC repaired).
   std::string lie = intact;
   const std::size_t zone = first + bin::kBlockHeaderBytes + 1 + sizeof(std::uint32_t);
   const std::int64_t forever = INT64_MAX;
   std::memcpy(lie.data() + zone + 8, &forever, sizeof forever);
   const std::uint32_t crc = bin::crc32(lie.data() + first + bin::kBlockHeaderBytes, size);
   std::memcpy(lie.data() + first + 8, &crc, sizeof crc);
-  {
-    IngestReport seq_rep, par_rep;
-    const auto [seq, par] = read_both(lie, ParseMode::Lenient, seq_rep, par_rep);
-    expect_logs_equal(seq, par);
-    EXPECT_EQ(seq_rep.records_ok(), par_rep.records_ok() + 64);
-    EXPECT_EQ(seq_rep.total_malformed(), 0u);
-    EXPECT_EQ(par_rep.total_malformed(), 0u);
-    testing::expect_reports_equal_but_unread_blocks(seq_rep, par_rep, 64);
+
+  par::ThreadPool pool(4);
+  for (par::ThreadPool* p : {static_cast<par::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p != nullptr ? "pool" : "no pool");
+    ras::ReadOptions o = window;
+    o.pool = p;
+    o.mode = ParseMode::Strict;
+    o.report = nullptr;
+    try {
+      read_with(stale, o);
+      ADD_FAILURE() << "expected ParseError";
+    } catch (const ParseError& ex) {
+      EXPECT_NE(std::string(ex.what()).find("block CRC mismatch"), std::string::npos)
+          << ex.what();
+    }
+
+    // Lenient: the stale block's 64 records are charged to BinaryFrame,
+    // with a damage sample.
+    o.mode = ParseMode::Lenient;
+    IngestReport stale_rep;
+    o.report = &stale_rep;
+    expect_logs_equal(read_with(stale, o), want);
+    EXPECT_EQ(stale_rep.malformed(IngestReason::BinaryFrame), 64u);
+    EXPECT_EQ(stale_rep.total_malformed(), 64u);
+    EXPECT_EQ(stale_rep.records_ok(), intact_rep.records_ok());
+    ASSERT_FALSE(stale_rep.samples().empty());
+    EXPECT_EQ(stale_rep.samples().back().reason, IngestReason::BinaryFrame);
+
+    // The lying block is decoded and exact-filtered: its 64 records count
+    // as ok and none is returned.
+    IngestReport lie_rep;
+    o.report = &lie_rep;
+    expect_logs_equal(read_with(lie, o), want);
+    EXPECT_EQ(lie_rep.records_ok(), intact_rep.records_ok() + 64);
+    EXPECT_EQ(lie_rep.total_malformed(), 0u);
   }
 }
 

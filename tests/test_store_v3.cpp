@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "coral/common/error.hpp"
+#include "coral/common/parallel.hpp"
 #include "coral/joblog/binary_io.hpp"
 #include "coral/joblog/binary_stream.hpp"
 #include "coral/machine/model.hpp"
@@ -341,6 +342,34 @@ TEST(StoreV3, SegmentFootersPresent) {
   EXPECT_GT(footers, 1u);
   std::istringstream rd(bytes);
   expect_ras_equal(ras::read_binary(rd, f.data.ras.catalog(), {}), f.data.ras);
+}
+
+TEST(StoreV3, PooledWriteMatchesSerialBytes) {
+  // WriteOptions::pool fans the block encode over the workers; the bytes
+  // must be the serial writer's whatever the pool size. The log ends in a
+  // part block, and small segments put footers inside the workers' chunks.
+  const ras::RasLog& log = small_fixture().data.ras;
+  ASSERT_NE(log.size() % ras::kRasRecordsPerBlock, 0u);
+  const struct {
+    const char* name;
+    ras::WriteOptions opts;
+  } layouts[] = {{"v2", {.version = 2}},
+                 {"v3 compressed", {.blocks_per_segment = 3}},
+                 {"v3 raw", {.compress = false, .blocks_per_segment = 3}}};
+  for (const auto& layout : layouts) {
+    std::ostringstream serial;
+    ras::write_binary(serial, log, layout.opts);
+    for (const std::size_t threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(layout.name) + ", " + std::to_string(threads) + " threads");
+      par::ThreadPool pool(threads);
+      ras::WriteOptions opts = layout.opts;
+      opts.pool = &pool;
+      std::ostringstream pooled;
+      ras::write_binary(pooled, log, opts);
+      EXPECT_EQ(pooled.str().size(), serial.str().size());
+      EXPECT_TRUE(pooled.str() == serial.str());
+    }
+  }
 }
 
 }  // namespace
