@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     feeders[i] = std::thread([&, i] {
       Feed& f = feeds[i];
       fleet::WireClient client("127.0.0.1", port);
-      client.handshake({f.tenant, f.machine_name, ParseMode::Strict, false});
+      client.handshake({f.tenant, f.machine_name, ParseMode::Strict});
       client.send_data(stream::Source::Ras, f.ras_bytes, 64 << 10);
       client.send_data(stream::Source::Jobs, f.job_bytes, 64 << 10);
       const fleet::ReplyFields live = client.flush();  // mid-run: not finalized

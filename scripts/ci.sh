@@ -106,16 +106,20 @@ esac
 # (StoreV3.PooledWriteMatchesSerialBytes in test_store_v3), of ThreadPool
 # and parallel_for_chunks themselves (test_parallel), of the daemon's
 # accept, connection and metrics threads starting and stopping
-# (test_fleet), and of counters and spans recording into one collector
-# from plain std::threads (test_obs; the thread pool has no telemetry).
+# (test_fleet), of feeder threads decoding into one stream::Session under
+# its lock while snapshot() reads its atomics (SessionParity and
+# SessionLifecycle in test_session), and of counters and spans recording
+# into one collector from plain std::threads (test_obs; the thread pool has
+# no telemetry).
 case " ${PRESETS[*]} " in
   *" tsan "*) ;;  # full tsan suite already ran above
   *)
-    echo "==== [tsan] focused Context + pooled writer + pool + fleet + obs race check ===="
+    echo "==== [tsan] focused Context + pooled writer + pool + fleet + session + obs race check ===="
     cmake --preset tsan
     cmake --build --preset tsan -j "$JOBS" \
-      --target test_context test_store_v3 test_parallel test_fleet test_obs
-    ctest --preset tsan -R 'Context|PooledWriteMatchesSerialBytes|ParallelFor|ThreadPool|Fleet|Obs' \
+      --target test_context test_store_v3 test_parallel test_fleet test_session test_obs
+    ctest --preset tsan \
+      -R 'Context|PooledWriteMatchesSerialBytes|ParallelFor|ThreadPool|Fleet|SessionParity|SessionLifecycle|Obs' \
       -j "$JOBS"
     ;;
 esac

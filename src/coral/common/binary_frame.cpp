@@ -245,20 +245,20 @@ bool FrameAssembler::resync() {
   return false;
 }
 
-bool FrameAssembler::next(std::string& payload) {
+std::optional<std::string_view> FrameAssembler::next() {
   for (;;) {
     const std::string_view rest = unconsumed();
-    if (rest.empty()) return false;  // clean: everything consumed
+    if (rest.empty()) return std::nullopt;  // clean: everything consumed
     const std::uint64_t start = pending_base_;
     if (rest.size() < kHeaderBytes) {
-      if (!eos_) return false;  // header may complete on the next push
+      if (!eos_) return std::nullopt;  // header may complete on the next push
       note_damage(start, "truncated block header");
       drop(rest.size());
-      return false;
+      return std::nullopt;
     }
     if (std::memcmp(rest.data(), kBlockMagic, sizeof kBlockMagic) != 0) {
       note_damage(start, "bad block magic");
-      if (!resync()) return false;
+      if (!resync()) return std::nullopt;
       continue;
     }
     std::uint32_t size = 0;
@@ -267,80 +267,78 @@ bool FrameAssembler::next(std::string& payload) {
     std::memcpy(&crc, rest.data() + sizeof kBlockMagic + sizeof size, sizeof crc);
     if (size == 0 || size > kMaxBlockPayload) {
       note_damage(start, "implausible block size");
-      if (!resync()) return false;
+      if (!resync()) return std::nullopt;
       continue;
     }
     if (rest.size() < kHeaderBytes + size) {
-      if (!eos_) return false;  // payload still in flight
+      if (!eos_) return std::nullopt;  // payload still in flight
       note_damage(start, "truncated block payload");
-      if (!resync()) return false;
+      if (!resync()) return std::nullopt;
       continue;
     }
     if (crc32(rest.data() + kHeaderBytes, size) != crc) {
       note_damage(start, "block CRC mismatch");
-      if (!resync()) return false;
+      if (!resync()) return std::nullopt;
       continue;
     }
-    payload.assign(rest.data() + kHeaderBytes, size);
     block_offset_ = start;
     drop(kHeaderBytes + size);
     in_damage_ = false;
-    return true;
+    return rest.substr(kHeaderBytes, size);
   }
 }
 
-namespace {
-
-/// Bytes an offline frame walk pushes at a time.
-constexpr std::size_t kWalkChunkBytes = std::size_t{64} << 10;
-
-/// Push every chunk `next_chunk` yields (an empty view ends the input),
-/// draining the assembler after each, then finish and drain the tail.
-/// Returns the bytes pushed.
-template <typename NextChunk>
-std::uint64_t walk(FrameAssembler& frames, const NextChunk& next_chunk,
-                   const PayloadSink& on_payload) {
-  std::string payload;
-  const auto drain = [&] {
-    while (frames.next(payload)) {
-      on_payload(payload, frames.block_offset() + kHeaderBytes);
-    }
-  };
-  std::uint64_t pushed = 0;
-  for (std::string_view chunk = next_chunk(); !chunk.empty(); chunk = next_chunk()) {
-    frames.push(chunk);
-    pushed += chunk.size();
-    drain();
+void FramedInput::take_header(std::string_view& bytes) {
+  if (header_.size() == kFileHeaderBytes) return;
+  const std::size_t got = std::min(kFileHeaderBytes - header_.size(), bytes.size());
+  header_.append(bytes.data(), got);
+  bytes.remove_prefix(got);
+  if (header_.size() == kFileHeaderBytes) {
+    version_ = check_file_header(header_, magic_, what_, mode_);
   }
-  frames.finish();
-  drain();
-  return pushed;
 }
 
-}  // namespace
-
-std::uint64_t walk_frames(FrameAssembler& frames, std::string_view input,
-                          const PayloadSink& on_payload) {
-  return walk(
-      frames,
-      [&input] {
-        const std::string_view chunk = input.substr(0, kWalkChunkBytes);
-        input.remove_prefix(chunk.size());
-        return chunk;
-      },
-      on_payload);
+void FramedInput::drain(const PayloadSink& on_payload) {
+  while (const std::optional<std::string_view> payload = frames_.next()) {
+    on_payload(*payload, frames_.block_offset() + kHeaderBytes);
+  }
 }
 
-std::uint64_t walk_frames(FrameAssembler& frames, std::istream& input,
-                          const PayloadSink& on_payload) {
-  std::string buf(kWalkChunkBytes, '\0');
-  return walk(
-      frames,
-      [&] {
-        input.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-        return std::string_view(buf.data(), static_cast<std::size_t>(input.gcount()));
-      },
-      on_payload);
+void FramedInput::push(std::string_view bytes, const PayloadSink& on_payload) {
+  take_header(bytes);
+  if (bytes.empty()) return;
+  frames_.push(bytes);
+  drain(on_payload);
+}
+
+void FramedInput::finish(const PayloadSink& on_payload) {
+  // Fewer than kFileHeaderBytes ever arrived: strict mode's "bad magic".
+  if (header_.size() < kFileHeaderBytes) check_file_header(header_, magic_, what_, mode_);
+  frames_.finish();
+  drain(on_payload);
+}
+
+std::size_t FramedInput::read_header(std::istream& in) {
+  char header[kFileHeaderBytes];
+  in.read(header, sizeof header);
+  std::string_view bytes(header, static_cast<std::size_t>(in.gcount()));
+  take_header(bytes);
+  return header_.size();
+}
+
+std::uint64_t FramedInput::read_frames(std::istream& in, const PayloadSink& on_payload) {
+  // Bytes an offline read pushes at a time.
+  std::string chunk(std::size_t{64} << 10, '\0');
+  std::uint64_t read = 0;
+  for (;;) {
+    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (got == 0) break;
+    push(std::string_view(chunk.data(), got), on_payload);
+    read += got;
+  }
+  finish(on_payload);
+  return read;
 }
 
 std::optional<std::uint64_t> bytes_left(std::istream& in) {

@@ -45,14 +45,14 @@ inline constexpr std::size_t kBlockHeaderBytes =
 /// Offsets in reports and errors count from its end.
 inline constexpr std::size_t kFileHeaderBytes = 8;
 
-/// The file-header gate of every reader of a framed log, offline or live:
-/// `header` is the first kFileHeaderBytes of the input (fewer when the input
-/// is shorter). Strict mode throws ParseError "not a <what> (bad magic)" for
-/// a short header or a magic other than `magic`, and "unsupported <what>
-/// version N" for a version other than 2 and 3 (both logs share the two
-/// format versions). Lenient mode tolerates either: the frames behind the
-/// header are self-locating. Returns the version, or 0 for a short header
-/// or a wrong magic.
+/// The file-header gate in front of a framed log's frames (FramedInput runs
+/// it for every reader, offline or live): `header` is the first
+/// kFileHeaderBytes of the input (fewer when the input is shorter). Strict
+/// mode throws ParseError "not a <what> (bad magic)" for a short header or a
+/// magic other than `magic`, and "unsupported <what> version N" for a version
+/// other than 2 and 3 (both logs share the two format versions). Lenient mode
+/// tolerates either: the frames behind the header are self-locating. Returns
+/// the version, or 0 for a short header or a wrong magic.
 std::uint32_t check_file_header(std::string_view header, const char (&magic)[4],
                                 const char* what, ParseMode mode);
 
@@ -73,9 +73,9 @@ void append_frame(std::string& out, std::string_view payload);
 /// many resync steps it takes to find the next marker — is one sample in
 /// `report`, and byte offsets count from the first byte ever pushed. The
 /// payloads, offsets and damage a stream yields do not depend on how its
-/// bytes are chunked into push()es; the session/wire ingest path leans on
-/// that for its accounting parity with the offline readers, which walk
-/// their inputs through walk_frames().
+/// bytes are chunked into push()es; the session ingest path leans on that
+/// for its accounting parity with the offline readers (both run it behind
+/// a FramedInput).
 class FrameAssembler {
  public:
   FrameAssembler(ParseMode mode, IngestReport* report, const char* what)
@@ -84,10 +84,11 @@ class FrameAssembler {
   /// Append raw stream bytes (any chunking; frame boundaries need not align).
   void push(std::string_view bytes);
 
-  /// Fetch the next complete intact payload. Returns false when the buffered
-  /// bytes do not (yet) contain one — call again after more push()es, or
-  /// after finish() to drain the tail.
-  bool next(std::string& payload);
+  /// The next complete intact payload, as a view of the assembler's buffer
+  /// that stays valid until the next push() (next() and finish() leave it
+  /// alone). nullopt when the buffered bytes do not (yet) hold one — call
+  /// again after more push()es, or after finish() to drain the tail.
+  std::optional<std::string_view> next();
 
   /// Byte offset of the start of the block most recently returned.
   std::uint64_t block_offset() const { return block_offset_; }
@@ -127,19 +128,68 @@ class FrameAssembler {
   bool in_damage_ = false;
 };
 
-/// Receives each intact payload of a frame walk and the absolute offset of
-/// its first byte.
+/// Receives each intact payload of a framed input and the absolute offset of
+/// its first byte. The view lives until the input's next push.
 using PayloadSink = std::function<void(std::string_view payload, std::uint64_t offset)>;
 
-/// Every offline frame walk: push a whole input through `frames` in 64 KiB
-/// chunks, handing each intact payload to `on_payload` as soon as its chunk
-/// is in, then declare end-of-stream and drain the tail. The input is a
-/// buffer in memory, or a stream read to its end. Damage handling is the
-/// assembler's: strict mode throws from here. Returns the bytes pushed.
-std::uint64_t walk_frames(FrameAssembler& frames, std::string_view input,
-                          const PayloadSink& on_payload);
-std::uint64_t walk_frames(FrameAssembler& frames, std::istream& input,
-                          const PayloadSink& on_payload);
+/// The front door of every framed log read, offline or live: the
+/// file-header gate, one FrameAssembler and the frame-damage report it
+/// fills. The first kFileHeaderBytes pushed are the header, judged by
+/// check_file_header once all of them are in (or at finish(), for a shorter
+/// input); every later byte goes to the assembler. ras::read_binary,
+/// joblog::read_binary and both sources of a stream::Session construct one,
+/// so a live feed and an offline read of the same bytes take one path.
+class FramedInput {
+ public:
+  FramedInput(ParseMode mode, const char (&magic)[4], const char* what)
+      : mode_(mode), magic_(magic), what_(what), frames_(mode, &damage_, what) {}
+  FramedInput(const FramedInput&) = delete;
+  FramedInput& operator=(const FramedInput&) = delete;
+
+  /// Append input bytes (any chunking) and hand each payload they complete
+  /// to `on_payload`, in input order, before returning. Afterwards the
+  /// assembler holds at most one incomplete frame (kMaxBlockPayload bounds
+  /// it). Strict mode throws ParseError on a bad header or the first damaged
+  /// frame.
+  void push(std::string_view bytes, const PayloadSink& on_payload);
+
+  /// End of input: a header cut short gets the gate's verdict, bytes that
+  /// can no longer complete a frame count as damage, and the payloads still
+  /// buffered go to `on_payload`.
+  void finish(const PayloadSink& on_payload);
+
+  /// The offline read of a stream, in two steps so a reader can size its
+  /// reservation by version() before a block decodes: read_header() takes
+  /// the file header from `in` and returns how many bytes it got;
+  /// read_frames() pushes the rest of `in` in 64 KiB chunks, then finish()es,
+  /// and returns the bytes it read.
+  std::size_t read_header(std::istream& in);
+  std::uint64_t read_frames(std::istream& in, const PayloadSink& on_payload);
+
+  /// The header's version once all of it is in; 0 before that, or for a
+  /// wrong magic (which lenient mode reads past).
+  std::uint32_t version() const { return version_; }
+  /// Bytes pushed but not yet handed out or judged damaged: at most one
+  /// incomplete frame between pushes (the session's backlog gauge).
+  std::size_t buffered() const { return frames_.buffered(); }
+  /// Framing-layer damage samples, one per damaged stretch (the decoders'
+  /// finish() adopts them).
+  const IngestReport& damage() const { return damage_; }
+
+ private:
+  /// Move the header's bytes from the front of `bytes` into header_, and
+  /// run the gate once it is complete.
+  void take_header(std::string_view& bytes);
+  void drain(const PayloadSink& on_payload);
+
+  ParseMode mode_;
+  const char (&magic_)[4];
+  const char* what_;
+  std::string header_;
+  std::uint32_t version_ = 0;
+  IngestReport damage_;
+  FrameAssembler frames_;
+};
 
 /// Bytes from `in`'s read position to its end, for a seekable stream (a
 /// file, a string stream; the position is restored), else nullopt. The

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include "coral/common/error.hpp"
 
@@ -62,37 +63,35 @@ void WireClient::send_raw(std::string_view bytes) {
   }
 }
 
-std::string WireClient::read_message() {
-  std::string msg;
+std::string_view WireClient::read_message() {
   char buf[64 << 10];
-  while (!reader_.next(msg)) {
+  for (;;) {
+    if (const std::optional<std::string_view> msg = reader_.next()) return *msg;
     const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
     if (n <= 0) throw Error("daemon closed the connection");
     reader_.push(std::string_view(buf, static_cast<std::size_t>(n)));
   }
-  return msg;
 }
 
-std::string WireClient::request(char type, std::string_view body, char expect) {
+std::string_view WireClient::request(char type, std::string_view body, char expect) {
   send_raw(encode_message(type, body));
-  const std::string reply = read_message();
+  const std::string_view reply = read_message();
   if (reply.empty()) throw Error("empty reply from daemon");
-  const std::string_view reply_body(reply.data() + 1, reply.size() - 1);
+  const std::string_view reply_body = reply.substr(1);
   if (reply[0] == kMsgError) {
     throw Error("daemon error: " + std::string(reply_body));
   }
   if (reply[0] != expect) {
     throw Error(std::string("unexpected reply type '") + reply[0] + "'");
   }
-  return std::string(reply_body);
+  return reply_body;
 }
 
 void WireClient::handshake(const Handshake& hs) {
   send_raw(encode_handshake(hs));
-  const std::string reply = read_message();
+  const std::string_view reply = read_message();
   if (reply.empty() || reply[0] != kMsgOk) {
-    const std::string_view why =
-        reply.size() > 1 ? std::string_view(reply).substr(1) : "no reason given";
+    const std::string_view why = reply.size() > 1 ? reply.substr(1) : "no reason given";
     throw Error("handshake rejected: " + std::string(why));
   }
 }

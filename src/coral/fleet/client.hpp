@@ -31,13 +31,14 @@ class WireClient {
   /// rejection (unknown machine, name clash, bad name).
   void handshake(const Handshake& hs);
 
-  /// Stream raw v2 log-file bytes, re-framed into wire messages of at most
-  /// `chunk_bytes` each. Data messages are unacknowledged (errors surface
-  /// at the next flush()/finalize(), or as a hangup).
+  /// Stream raw v2 or v3 log-file bytes, re-framed into wire messages of at
+  /// most `chunk_bytes` each. Data messages are unacknowledged (errors
+  /// surface at the next flush()/finalize(), or as a hangup).
   void send_data(stream::Source src, std::string_view bytes,
                  std::size_t chunk_bytes = std::size_t{256} << 10);
 
-  /// Drain the tenant's backlog and fetch live SessionStats.
+  /// Fetch the tenant's live SessionStats. The daemon decodes each data
+  /// message as it arrives, so the reply counts every byte sent before it.
   ReplyFields flush();
 
   /// End both streams, run the co-analysis, fetch the summary +
@@ -48,10 +49,12 @@ class WireClient {
 
  private:
   void send_raw(std::string_view bytes);
-  /// Block until one complete message arrives; returns type byte + body.
-  std::string read_message();
-  /// Send `type`+body, await a reply of `expect` type; 'E' replies throw.
-  std::string request(char type, std::string_view body, char expect);
+  /// Block until one complete message arrives; returns type byte + body, a
+  /// view valid until the next read.
+  std::string_view read_message();
+  /// Send `type`+body, await a reply of `expect` type and return its body
+  /// (valid until the next read); 'E' replies throw.
+  std::string_view request(char type, std::string_view body, char expect);
 
   int fd_ = -1;
   MessageReader reader_;

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -226,9 +227,6 @@ class Daemon::Impl {
     tenant->collector.set_span_capacity(config_.span_capacity);
     stream::SessionConfig sc;
     sc.mode = hs.mode;
-    sc.queue_bytes = config_.queue_bytes;
-    sc.overflow = hs.shed_overflow ? stream::SessionConfig::Overflow::Shed
-                                   : stream::SessionConfig::Overflow::Reject;
     sc.analysis = config_.analysis;
     sc.rules = config_.rules;
     Context ctx(catalog_);
@@ -246,8 +244,6 @@ class Daemon::Impl {
     out += "tenant=" + t.name + "\n";
     append_kv(out, "bytes_accepted", s.bytes_accepted);
     append_kv(out, "bytes_decoded", s.bytes_decoded);
-    append_kv(out, "bytes_shed", s.bytes_shed);
-    append_kv(out, "chunks_shed", s.chunks_shed);
     append_kv(out, "backlog_bytes", s.backlog_bytes);
     append_kv(out, "ras_records", s.ras_records);
     append_kv(out, "job_records", s.job_records);
@@ -294,13 +290,13 @@ class Daemon::Impl {
   }
 
   /// Dispatch one wire message. Returns false to close the connection.
-  bool handle_message(int fd, Tenant*& tenant, const std::string& msg) {
+  bool handle_message(int fd, Tenant*& tenant, std::string_view msg) {
     if (msg.empty()) {
       send_message(fd, kMsgError, "empty message");
       return false;
     }
     const char type = msg[0];
-    const std::string_view body(msg.data() + 1, msg.size() - 1);
+    const std::string_view body = msg.substr(1);
     if (type == kMsgHello) {
       if (tenant != nullptr) {
         send_message(fd, kMsgError, "duplicate handshake");
@@ -318,24 +314,15 @@ class Daemon::Impl {
       case kMsgJobData: {
         const auto src = type == kMsgRasData ? stream::Source::Ras
                                              : stream::Source::Jobs;
-        // Admission backpressure: a Rejected feed means the backlog is at
-        // quota — pump it down on this thread (the tenant's own decode
-        // work) and retry. Lossless by construction; Shed tenants account
-        // their drops inside the session.
-        while (tenant->session->feed(src, body) == stream::Admission::Rejected) {
-          if (tenant->session->snapshot().finalized) {
-            send_message(fd, kMsgError,
-                         "tenant '" + tenant->name + "' already finalized");
-            return false;
-          }
-          tenant->session->pump();
+        // The feed decodes on this thread (the tenant's own work), so
+        // /metrics shows decoded progress and Flush has nothing to wait for.
+        if (tenant->session->feed(src, body) == stream::Admission::Rejected) {
+          send_message(fd, kMsgError, "tenant '" + tenant->name + "' already finalized");
+          return false;
         }
-        // Decode eagerly so /metrics shows live progress, not queue depth.
-        tenant->session->pump();
         return true;
       }
       case kMsgFlush:
-        tenant->session->flush();
         return send_message(fd, kMsgStats, stats_body(*tenant));
       case kMsgFinalize:
         return send_message(fd, kMsgComplete, finalize_tenant(*tenant));
@@ -349,7 +336,6 @@ class Daemon::Impl {
   void handle_connection(int fd) {
     MessageReader reader;
     Tenant* tenant = nullptr;
-    std::string msg;
     char buf[64 << 10];
     bool alive = true;
     while (alive && running_.load(std::memory_order_relaxed)) {
@@ -357,8 +343,8 @@ class Daemon::Impl {
       if (n <= 0) break;
       try {
         reader.push(std::string_view(buf, static_cast<std::size_t>(n)));
-        while (reader.next(msg)) {
-          if (!handle_message(fd, tenant, msg)) {
+        while (const std::optional<std::string_view> msg = reader.next()) {
+          if (!handle_message(fd, tenant, *msg)) {
             alive = false;
             break;
           }

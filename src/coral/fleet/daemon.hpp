@@ -17,7 +17,8 @@ struct DaemonConfig {
   std::string bind = "127.0.0.1";
   int wire_port = 0;
   int metrics_port = 0;
-  /// Per-source ingest quota handed to each tenant's Session.
+  /// Ignored: sessions decode on feed and keep no queue. Kept because the
+  /// e2e benchmark package reads it.
   std::size_t queue_bytes = std::size_t{4} << 20;
   /// Span ring capacity per tenant's obs::Collector (0 = unbounded; the
   /// default keeps a resident daemon's trace memory flat).
@@ -40,8 +41,9 @@ struct TenantStatus {
 /// The resident fleet daemon: N tenants (one per machine/log-source), each
 /// a named stream::Session wrapping the co-analysis engine. Connections
 /// speak the CBLK-framed wire protocol; a handshake names the tenant and
-/// its registered MachineModel, data chunks carry raw v2 log-file bytes,
-/// and Finalize runs the full co-analysis and replies with result/log
+/// its registered MachineModel, data chunks carry raw v2 or v3 log-file
+/// bytes, which the connection thread decodes as each message arrives, and
+/// Finalize runs the full co-analysis and replies with result/log
 /// fingerprints for parity checking. Live counters per tenant are
 /// scrapeable mid-run at GET /metrics (Prometheus text exposition,
 /// tenant="..." label dimension).

@@ -47,7 +47,6 @@ std::string encode_handshake(const Handshake& hs) {
   put_u16(body, static_cast<std::uint16_t>(hs.machine.size()));
   body.append(hs.machine);
   body.push_back(hs.mode == ParseMode::Strict ? 1 : 0);
-  body.push_back(hs.shed_overflow ? 1 : 0);
   return encode_message(kMsgHello, body);
 }
 
@@ -61,9 +60,6 @@ Handshake decode_handshake(std::string_view body) {
   const auto mode = cur.get<std::uint8_t>();
   if (mode > 1) throw ParseError("bad parse mode in fleet handshake");
   hs.mode = mode == 1 ? ParseMode::Strict : ParseMode::Lenient;
-  const auto shed = cur.get<std::uint8_t>();
-  if (shed > 1) throw ParseError("bad overflow policy in fleet handshake");
-  hs.shed_overflow = shed == 1;
   if (!cur.at_end()) throw ParseError("trailing bytes in fleet handshake");
   if (!valid_tenant_name(hs.tenant)) {
     throw ParseError("bad tenant name in fleet handshake (want [A-Za-z0-9_.-]{1,64})");

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -21,7 +22,7 @@ namespace coral::fleet {
 ///   -> Hello      name the tenant, its MachineModel and parse mode
 ///   <- Ok | Error
 ///   -> RasData / JobData   raw v2/v3 *file* bytes, any chunking
-///   -> Flush      drain the backlog now
+///   -> Flush      ask for progress (earlier data is already decoded)
 ///   <- Stats      live SessionStats as key=value lines
 ///   -> Finalize   end of both streams; run the co-analysis
 ///   <- Complete   summary + result/log fingerprints as key=value lines
@@ -47,8 +48,8 @@ struct Handshake {
   std::string tenant;
   std::string machine;  ///< machine::find_model() name, e.g. "bgp"
   ParseMode mode = ParseMode::Lenient;
-  /// Over-quota policy: false = Reject (server pumps inline, lossless),
-  /// true = Shed (drop with accounting).
+  /// Ignored and not on the wire: a session decodes on feed and has no
+  /// over-quota policy. Kept because the e2e benchmark package sets it.
   bool shed_overflow = false;
 };
 
@@ -62,16 +63,16 @@ Handshake decode_handshake(std::string_view body);
 
 /// Incremental strict-mode message parser for one connection: push() raw
 /// socket bytes, next() yields complete messages (type byte + body) in
-/// order. Any framing damage — bad magic, CRC mismatch, implausible size —
-/// throws ParseError: transport corruption is a protocol error, not
-/// something to resync past (the caller replies Error and closes).
+/// order, each a view that stays valid until the next push(). Any framing
+/// damage — bad magic, CRC mismatch, implausible size — throws ParseError:
+/// transport corruption is a protocol error, not something to resync past
+/// (the caller replies Error and closes).
 class MessageReader {
  public:
   MessageReader() : frames_(ParseMode::Strict, nullptr, "fleet wire") {}
 
   void push(std::string_view bytes) { frames_.push(bytes); }
-  bool next(std::string& message) { return frames_.next(message); }
-  std::size_t buffered() const { return frames_.buffered(); }
+  std::optional<std::string_view> next() { return frames_.next(); }
 
  private:
   bin::FrameAssembler frames_;

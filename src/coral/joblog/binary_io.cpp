@@ -141,22 +141,16 @@ JobLog read_binary(std::istream& in, const ReadOptions& opts) {
       opts.machine != nullptr ? *opts.machine : machine::bgp_model();
   obs::Span span(opts.obs, "ingest.job_binary");
 
-  char header[bin::kFileHeaderBytes] = {};
-  in.read(header, sizeof header);
-  const std::uint32_t version =
-      bin::check_file_header(std::string_view(header, static_cast<std::size_t>(in.gcount())),
-                             kJobMagic, "binary job log", opts.mode);
+  // The framed input feeds the shared incremental decoder — the same front
+  // door and decoder the fleet session runs, so network ingest is
+  // byte-identical to this offline read by construction.
+  bin::FramedInput input(opts.mode, kJobMagic, "binary job log");
+  input.read_header(in);
 
   std::optional<bin::ZoneFilter> filter_store;
   if (!opts.predicate.unconstrained()) {
     filter_store.emplace(opts.predicate, machine.codec(), machine.midplane_count());
   }
-
-  // The frame walk feeds the shared incremental decoder — the same
-  // assembler and decoder the fleet session/wire path runs, so network
-  // ingest is byte-identical to this offline read by construction.
-  IngestReport frames;
-  bin::FrameAssembler assembler(opts.mode, &frames, "binary job log");
   JobStreamDecoder decoder(opts.mode, machine);
   if (filter_store) decoder.set_filter(&*filter_store);
   // Pre-size from the declared total, capped by what the rest of a seekable
@@ -164,13 +158,13 @@ JobLog read_binary(std::istream& in, const ReadOptions& opts) {
   // allocation: v2 records are a fixed 56 bytes, v3 column blocks spend at
   // least one byte on each of a record's ten fields before compression.
   if (const auto rest = bin::bytes_left(in)) {
-    decoder.set_reserve_cap(*rest / (version == kJobVersion ? sizeof(PackedJob) : 10));
+    decoder.set_reserve_cap(*rest / (input.version() == kJobVersion ? sizeof(PackedJob) : 10));
   }
-  bin::walk_frames(assembler, in, [&](std::string_view payload, std::uint64_t offset) {
+  input.read_frames(in, [&](std::string_view payload, std::uint64_t offset) {
     decoder.on_payload(payload, offset);
   });
   const bin::BlockCounters counters = decoder.block_counters();
-  JobLog log = decoder.finish(rep, frames);
+  JobLog log = decoder.finish(rep, input.damage());
 
   CORAL_OBS_COUNT(opts.obs, "ingest.job_binary.blocks_total", counters.total);
   CORAL_OBS_COUNT(opts.obs, "ingest.job_binary.blocks_decoded", counters.decoded);

@@ -76,13 +76,11 @@ RuleTable RuleTable::deserialize(std::string_view bytes, const ras::Catalog& cat
   bin::FrameAssembler frames(ParseMode::Strict, nullptr, "rule table");
   frames.push(bytes.substr(kHeaderBytes));
   frames.finish();
-  std::string payload;
-  if (!frames.next(payload)) reject("missing rule block");
-  std::string extra;
-  if (frames.next(extra) || frames.buffered() != 0)
-    reject("trailing bytes after rule block");
+  const std::optional<std::string_view> payload = frames.next();
+  if (!payload) reject("missing rule block");
+  if (frames.next() || frames.buffered() != 0) reject("trailing bytes after rule block");
 
-  bin::PayloadCursor cur(payload, kHeaderBytes + bin::kBlockHeaderBytes, "rule table");
+  bin::PayloadCursor cur(*payload, kHeaderBytes + bin::kBlockHeaderBytes, "rule table");
   if (cur.get<std::uint8_t>() != kRulesTag) reject("unknown block tag");
   const std::uint32_t count = cur.get<std::uint32_t>();
   const std::size_t per_rule = 4 + 4 + 1 + 8 + 4 + 4;

@@ -209,28 +209,21 @@ RasLog read_binary(std::istream& in, const Catalog& catalog, const ReadOptions& 
   const std::optional<std::uint64_t> size = bin::bytes_left(in);
   if (size) CORAL_OBS_COUNT(opts.obs, "ingest.ras_binary.bytes", *size);
 
-  // Lenient mode tolerates a damaged file header: the framed blocks are
-  // self-locating, so recovery proceeds from whatever survives. Offsets in
-  // reports and errors are relative to the end of the 8-byte header.
-  char header[bin::kFileHeaderBytes] = {};
-  in.read(header, sizeof header);
-  const auto header_bytes = static_cast<std::size_t>(in.gcount());
-  const std::uint32_t version = bin::check_file_header(
-      std::string_view(header, header_bytes), kRasMagic, "binary RAS log", opts.mode);
+  // The framed input feeds the shared incremental decoder — the same front
+  // door and decoder the fleet session runs, so network ingest is
+  // byte-identical to this offline read by construction. Lenient mode
+  // tolerates a damaged file header: the framed blocks are self-locating.
+  // Offsets in reports and errors are relative to the end of the 8-byte
+  // header. Frame damage is tracked in the input's side report: one sample
+  // per damaged stretch, while the caller-visible BinaryFrame count is the
+  // exact number of records lost (the dictionary carries the total).
+  bin::FramedInput input(opts.mode, kRasMagic, "binary RAS log");
+  const std::size_t header_bytes = input.read_header(in);
 
   std::optional<bin::ZoneFilter> filter_store;
   if (!opts.predicate.unconstrained()) {
     filter_store.emplace(opts.predicate, machine.codec(), machine.midplane_count());
   }
-
-  // The frame walk feeds the shared incremental decoder — the same
-  // assembler and decoder the fleet session/wire path runs, so network
-  // ingest is byte-identical to this offline read by construction. Frame
-  // damage is tracked in a side report: one sample per damaged stretch,
-  // while the caller-visible BinaryFrame count is the exact number of
-  // records lost (the dictionary carries the total).
-  IngestReport frames;
-  bin::FrameAssembler assembler(opts.mode, &frames, "binary RAS log");
   RasStreamDecoder decoder(catalog, opts.mode, machine);
   if (filter_store) decoder.set_filter(&*filter_store);
   // Pre-size from the declared total, capped by what the rest of a seekable
@@ -239,15 +232,15 @@ RasLog read_binary(std::istream& in, const Catalog& catalog, const ReadOptions& 
   // bytes per record before compression.
   if (size) {
     decoder.set_reserve_cap((*size - header_bytes) /
-                            (version == kRasVersion3 ? 8 : sizeof(PackedRecord)));
+                            (input.version() == kRasVersion3 ? 8 : sizeof(PackedRecord)));
   }
   const std::uint64_t walked =
-      bin::walk_frames(assembler, in, [&](std::string_view payload, std::uint64_t offset) {
+      input.read_frames(in, [&](std::string_view payload, std::uint64_t offset) {
         decoder.on_payload(payload, offset);
       });
   if (!size) CORAL_OBS_COUNT(opts.obs, "ingest.ras_binary.bytes", header_bytes + walked);
   const bin::BlockCounters blocks = decoder.block_counters();
-  RasLog log = decoder.finish(rep, frames);
+  RasLog log = decoder.finish(rep, input.damage());
 
   CORAL_OBS_COUNT(opts.obs, "ingest.ras_binary.blocks_total", blocks.total);
   CORAL_OBS_COUNT(opts.obs, "ingest.ras_binary.blocks_decoded", blocks.decoded);

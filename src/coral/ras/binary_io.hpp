@@ -109,10 +109,10 @@ struct ReadOptions {
 /// are recorded.
 ///
 /// The stream is read once, front to back, from its current position: its
-/// bytes are pushed through a bin::FrameAssembler in 64 KiB chunks and each
+/// bytes are pushed through a bin::FramedInput in 64 KiB chunks and each
 /// intact payload goes to a RasStreamDecoder, for both versions. That is
-/// joblog::read_binary's walk, and the fleet session drives the same
-/// assembler and decoder from its feeds.
+/// joblog::read_binary's walk, and the fleet session drives the same input
+/// and decoder from its feeds.
 /// Packed locations are validated against the machine model; the returned
 /// log is stamped with it.
 RasLog read_binary(std::istream& in, const Catalog& catalog = default_catalog(),

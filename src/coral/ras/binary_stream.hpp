@@ -121,13 +121,12 @@ struct RasDecodeScratch {
 };
 
 /// Incremental binary v2/v3 RAS decoder: feed block payloads as they become
-/// available (from a FrameAssembler over a socket, a tailed file or a whole
-/// file walked with bin::walk_frames); finish() runs the lost-record top-up
-/// and builds the log. Feeding the payload sequence of an intact or damaged
-/// file reproduces the one-shot reader's events and accounting exactly —
-/// read_binary is itself implemented on this class. The v2 and v3 tag sets
-/// are disjoint, so no version switch is needed: a stream is whatever its
-/// blocks say.
+/// available (from a bin::FramedInput over a socket, a tailed file or a
+/// whole file); finish() runs the lost-record top-up and builds the log.
+/// Feeding the payload sequence of an intact or damaged file reproduces the
+/// one-shot reader's events and accounting exactly — read_binary is itself
+/// implemented on this class. The v2 and v3 tag sets are disjoint, so no
+/// version switch is needed: a stream is whatever its blocks say.
 class RasStreamDecoder {
  public:
   RasStreamDecoder(const Catalog& catalog, ParseMode mode,

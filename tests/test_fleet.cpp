@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -109,20 +110,18 @@ struct DaemonFixture {
 // Wire protocol plumbing.
 
 TEST(FleetWire, HandshakeRoundTrips) {
-  const fleet::Handshake hs{"tenant-1", "bgq", ParseMode::Strict, true};
+  const fleet::Handshake hs{"tenant-1", "bgq", ParseMode::Strict};
   const std::string msg = fleet::encode_handshake(hs);
   fleet::MessageReader reader;
   reader.push(msg);
-  std::string got;
-  ASSERT_TRUE(reader.next(got));
-  ASSERT_FALSE(got.empty());
-  EXPECT_EQ(got[0], fleet::kMsgHello);
-  const fleet::Handshake back =
-      fleet::decode_handshake(std::string_view(got).substr(1));
+  const std::optional<std::string_view> got = reader.next();
+  ASSERT_TRUE(got.has_value());
+  ASSERT_FALSE(got->empty());
+  EXPECT_EQ((*got)[0], fleet::kMsgHello);
+  const fleet::Handshake back = fleet::decode_handshake(got->substr(1));
   EXPECT_EQ(back.tenant, hs.tenant);
   EXPECT_EQ(back.machine, hs.machine);
   EXPECT_EQ(back.mode, hs.mode);
-  EXPECT_EQ(back.shed_overflow, hs.shed_overflow);
 }
 
 TEST(FleetWire, MessageReaderReassemblesByteAtATime) {
@@ -130,10 +129,9 @@ TEST(FleetWire, MessageReaderReassemblesByteAtATime) {
                            fleet::encode_message(fleet::kMsgFlush, "");
   fleet::MessageReader reader;
   std::vector<std::string> got;
-  std::string msg;
   for (const char c : wire) {
     reader.push(std::string_view(&c, 1));
-    while (reader.next(msg)) got.push_back(msg);
+    while (const std::optional<std::string_view> msg = reader.next()) got.emplace_back(*msg);
   }
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], std::string(1, fleet::kMsgRasData) + "payload!");
@@ -144,9 +142,8 @@ TEST(FleetWire, DamagedFrameIsProtocolError) {
   std::string wire = fleet::encode_message(fleet::kMsgRasData, "payload!");
   wire[bin::kBlockHeaderBytes + 3] ^= 0x40;  // corrupt the payload -> CRC fails
   fleet::MessageReader reader;
-  std::string msg;
   reader.push(wire);
-  EXPECT_THROW((void)reader.next(msg), ParseError);
+  EXPECT_THROW((void)reader.next(), ParseError);
 }
 
 TEST(FleetWire, RejectsBadTenantNames) {
@@ -156,7 +153,7 @@ TEST(FleetWire, RejectsBadTenantNames) {
   EXPECT_FALSE(fleet::valid_tenant_name("quote\"label"));
   EXPECT_FALSE(fleet::valid_tenant_name(std::string(65, 'a')));
   EXPECT_THROW(
-      (void)fleet::decode_handshake("\x05\x00no\"no\x03\x00""bgp\x00\x00"),
+      (void)fleet::decode_handshake("\x05\x00no\"no\x03\x00""bgp\x00"),
       ParseError);
 }
 
@@ -239,7 +236,7 @@ TEST(FleetDaemon, TwoConcurrentTenantsOnDifferentMachinesReachParity) {
     feeders[i] = std::thread([&fx, &feeds, i] {
       Feed& f = feeds[i];
       fleet::WireClient client("127.0.0.1", fx.port());
-      client.handshake({f.tenant, f.machine_name, ParseMode::Strict, false});
+      client.handshake({f.tenant, f.machine_name, ParseMode::Strict});
       // Small chunks force many interleaved wire messages across tenants.
       client.send_data(stream::Source::Ras, f.ras_image, 3000);
       client.send_data(stream::Source::Jobs, f.job_image, 3000);
@@ -267,7 +264,7 @@ TEST(FleetDaemon, MidRunMetricsAreLiveAndLabeled) {
   const std::string ras_image = ras_bytes(make_ras_log(600));
   const std::string job_image = job_bytes(make_job_log(200));
   fleet::WireClient client("127.0.0.1", fx.port());
-  client.handshake({"livetenant", "bgp", ParseMode::Lenient, false});
+  client.handshake({"livetenant", "bgp", ParseMode::Lenient});
   client.send_data(stream::Source::Ras, ras_image, 8192);
   const fleet::ReplyFields live = client.flush();
   // Mid-run: decoded but not finalized — the liveness acceptance gate.
@@ -301,7 +298,7 @@ TEST(FleetDaemon, MetricsEndpointServesHttp) {
   DaemonFixture fx;
   {
     fleet::WireClient client("127.0.0.1", fx.port());
-    client.handshake({"scraped", "bgp", ParseMode::Lenient, false});
+    client.handshake({"scraped", "bgp", ParseMode::Lenient});
     client.send_data(stream::Source::Ras, ras_bytes(make_ras_log(64)));
     (void)client.flush();
   }
@@ -332,7 +329,7 @@ TEST(FleetDaemon, HandshakeRejectsUnknownMachine) {
   DaemonFixture fx;
   fleet::WireClient client("127.0.0.1", fx.port());
   try {
-    client.handshake({"ghost", "craycle-9000", ParseMode::Lenient, false});
+    client.handshake({"ghost", "craycle-9000", ParseMode::Lenient});
     FAIL() << "handshake should have been rejected";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("unknown machine model"),
@@ -344,13 +341,13 @@ TEST(FleetDaemon, HandshakeRejectsUnknownMachine) {
 TEST(FleetDaemon, HandshakeRejectsMachineConflictForExistingTenant) {
   DaemonFixture fx;
   fleet::WireClient first("127.0.0.1", fx.port());
-  first.handshake({"claimed", "bgp", ParseMode::Lenient, false});
+  first.handshake({"claimed", "bgp", ParseMode::Lenient});
   fleet::WireClient second("127.0.0.1", fx.port());
-  EXPECT_THROW(second.handshake({"claimed", "bgq", ParseMode::Lenient, false}),
+  EXPECT_THROW(second.handshake({"claimed", "bgq", ParseMode::Lenient}),
                Error);
   // Agreeing on machine + mode re-attaches instead.
   fleet::WireClient third("127.0.0.1", fx.port());
-  EXPECT_NO_THROW(third.handshake({"claimed", "bgp", ParseMode::Lenient, false}));
+  EXPECT_NO_THROW(third.handshake({"claimed", "bgp", ParseMode::Lenient}));
 }
 
 TEST(FleetDaemon, RuntimeRegisteredModelIsUsableAtConnectTime) {
@@ -365,7 +362,7 @@ TEST(FleetDaemon, RuntimeRegisteredModelIsUsableAtConnectTime) {
     fleet::WireClient client("127.0.0.1", fx.port());
     // The model arrived at runtime, after the daemon was built: exactly the
     // connect-time registration path the fleet design calls for.
-    EXPECT_NO_THROW(client.handshake({"mini", "minibg", ParseMode::Lenient, false}));
+    EXPECT_NO_THROW(client.handshake({"mini", "minibg", ParseMode::Lenient}));
     const auto tenants = fx.daemon.tenants();
     ASSERT_EQ(tenants.size(), 1u);
     EXPECT_EQ(tenants[0].machine, "minibg");
@@ -387,18 +384,41 @@ TEST(FleetDaemon, GarbageBytesOnSocketGetErrorReply) {
             static_cast<ssize_t>(junk.size()));
   // The daemon replies with one Error frame, then hangs up.
   fleet::MessageReader reader;
-  std::string msg;
   char buf[4096];
   ssize_t n;
   bool got_error = false;
   while (!got_error && (n = ::recv(fd, buf, sizeof buf, 0)) > 0) {
     reader.push(std::string_view(buf, static_cast<std::size_t>(n)));
-    while (reader.next(msg)) {
-      if (!msg.empty() && msg[0] == fleet::kMsgError) got_error = true;
+    while (const std::optional<std::string_view> msg = reader.next()) {
+      if (!msg->empty() && (*msg)[0] == fleet::kMsgError) got_error = true;
     }
   }
   ::close(fd);
   EXPECT_TRUE(got_error);
+}
+
+TEST(FleetDaemon, OversizedPartialFrameStillGetsItsFlushReply) {
+  // One RAS frame declaring an 8 MiB payload (legal: kMaxBlockPayload is
+  // 16 MiB), 5 MiB of it sent in 64 KiB messages under the default
+  // DaemonConfig. Each message decodes as it arrives, so the Flush reply
+  // comes back at once, with the incomplete frame as the backlog.
+  DaemonFixture fx;
+  fleet::WireClient client("127.0.0.1", fx.port());
+  client.handshake({"bigframe", "bgp", ParseMode::Lenient});
+  std::string head(ras::kRasMagic, sizeof ras::kRasMagic);
+  head.append(reinterpret_cast<const char*>(&ras::kRasVersion), sizeof ras::kRasVersion);
+  const std::uint32_t declared = std::uint32_t{8} << 20;
+  const std::uint32_t crc = 0;
+  head.append(bin::kBlockMagic, sizeof bin::kBlockMagic);
+  head.append(reinterpret_cast<const char*>(&declared), sizeof declared);
+  head.append(reinterpret_cast<const char*>(&crc), sizeof crc);
+  client.send_data(stream::Source::Ras, head);
+  const std::string body(std::size_t{5} << 20, 'p');
+  client.send_data(stream::Source::Ras, body, std::size_t{64} << 10);
+  const fleet::ReplyFields stats = client.flush();
+  EXPECT_EQ(stats.at("bytes_accepted"), std::to_string(head.size() + body.size()));
+  EXPECT_EQ(stats.at("backlog_bytes"), std::to_string(bin::kBlockHeaderBytes + body.size()));
+  EXPECT_EQ(stats.at("finalized"), "0");
 }
 
 // ---------------------------------------------------------------------------
@@ -420,7 +440,7 @@ void expect_wire_parity_on_damaged_logs(const std::string& ras_bad,
 
   DaemonFixture fx;
   fleet::WireClient client("127.0.0.1", fx.port());
-  client.handshake({"fuzz", "bgp", ParseMode::Lenient, false});
+  client.handshake({"fuzz", "bgp", ParseMode::Lenient});
   Rng rng(seed);
   // Ship the damaged images in small random chunks so wire-message
   // boundaries land inside damaged stretches too.
@@ -478,7 +498,7 @@ TEST(FuzzSmokeWire, ShedsAtMostOneBlockPerDamagedFrame) {
     }
     DaemonFixture fx;
     fleet::WireClient client("127.0.0.1", fx.port());
-    client.handshake({"surgical", "bgp", ParseMode::Lenient, false});
+    client.handshake({"surgical", "bgp", ParseMode::Lenient});
     client.send_data(stream::Source::Ras, bad, 4096);
     client.send_data(stream::Source::Jobs, job_bytes(make_job_log(64)), 4096);
     const fleet::ReplyFields reply = client.finalize();

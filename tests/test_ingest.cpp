@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -750,30 +751,43 @@ FrameWalk oracle_walk(const std::string& region, ParseMode mode) {
   return w;
 }
 
-/// `push_bytes` 0 walks through bin::walk_frames, the offline readers' path;
-/// anything else pushes chunks of that size by hand.
-FrameWalk assembler_walk(const std::string& region, ParseMode mode, std::size_t push_bytes) {
+/// `push_bytes` 0 reads `header` + `region` from an istream through
+/// bin::FramedInput, the offline readers' path; anything else pushes chunks
+/// of that size into a bare bin::FrameAssembler by hand.
+FrameWalk assembler_walk(const std::string& header, const std::string& region, ParseMode mode,
+                         std::size_t push_bytes) {
   FrameWalk w;
-  bin::FrameAssembler frames(mode, &w.damage, "binary log");
   const auto take = [&](std::string_view payload, std::uint64_t payload_offset) {
     w.payloads.emplace_back(payload);
     w.offsets.push_back(payload_offset - bin::kBlockHeaderBytes);
   };
+  if (push_bytes == 0) {
+    const bool is_ras = header.compare(0, sizeof ras::kRasMagic, ras::kRasMagic,
+                                       sizeof ras::kRasMagic) == 0;
+    bin::FramedInput input(mode, is_ras ? ras::kRasMagic : joblog::kJobMagic, "binary log");
+    std::istringstream in(header + region);
+    try {
+      input.read_header(in);
+      input.read_frames(in, take);
+    } catch (const ParseError& e) {
+      w.error = e.what();
+    }
+    w.damage = input.damage();
+    return w;
+  }
+  bin::FrameAssembler frames(mode, &w.damage, "binary log");
+  const auto drain = [&] {
+    while (const std::optional<std::string_view> payload = frames.next()) {
+      take(*payload, frames.block_offset() + bin::kBlockHeaderBytes);
+    }
+  };
   try {
-    if (push_bytes == 0) {
-      bin::walk_frames(frames, region, take);
-    } else {
-      std::string payload;
-      const auto drain = [&] {
-        while (frames.next(payload)) take(payload, frames.block_offset() + bin::kBlockHeaderBytes);
-      };
-      for (std::size_t at = 0; at < region.size(); at += push_bytes) {
-        frames.push(std::string_view(region).substr(at, push_bytes));
-        drain();
-      }
-      frames.finish();
+    for (std::size_t at = 0; at < region.size(); at += push_bytes) {
+      frames.push(std::string_view(region).substr(at, push_bytes));
       drain();
     }
+    frames.finish();
+    drain();
   } catch (const ParseError& e) {
     w.error = e.what();
   }
@@ -826,7 +840,7 @@ TEST(FuzzSmokeFrames, AssemblerMatchesFrozenBlockReader) {
             SCOPED_TRACE(image.name + ", seed " + std::to_string(seed) + ", push " +
                          std::to_string(push) +
                          (mode == ParseMode::Strict ? ", strict" : ", lenient"));
-            expect_walks_equal(assembler_walk(region, mode, push), want);
+            expect_walks_equal(assembler_walk(intact.substr(0, 8), region, mode, push), want);
             ++cases;
           }
         }

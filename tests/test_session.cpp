@@ -14,7 +14,6 @@
 #include "coral/fleet/fingerprint.hpp"
 #include "coral/joblog/binary_io.hpp"
 #include "coral/joblog/binary_stream.hpp"
-#include "coral/obs/obs.hpp"
 #include "coral/ras/binary_io.hpp"
 #include "coral/ras/binary_stream.hpp"
 #include "coral/stream/session.hpp"
@@ -287,59 +286,33 @@ TEST(SessionParity, ConcurrentFeedersWithBackgroundPumping) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission control: quotas, rejection, shedding — with exact accounting.
+// Admission: feed() decodes before it returns, so no frame size refuses a
+// feed.
 
-TEST(SessionAdmission, RejectsOverQuotaUntilPumped) {
-  stream::SessionConfig cfg;
-  cfg.queue_bytes = 1024;
-  stream::Session session("quota", cfg, Context{});
-  const std::string chunk(800, 'x');
-  EXPECT_EQ(session.feed(stream::Source::Ras, chunk), stream::Admission::Accepted);
-  EXPECT_EQ(session.feed(stream::Source::Ras, chunk), stream::Admission::Rejected);
-  stream::SessionStats s = session.snapshot();
-  EXPECT_EQ(s.bytes_accepted, 800u);
-  EXPECT_EQ(s.backlog_bytes, 800u);
-  session.pump();
-  // Lenient garbage is held as a potential partial frame, not consumed —
-  // but it left the queue, so the quota admits the next chunk.
-  EXPECT_EQ(session.feed(stream::Source::Ras, chunk), stream::Admission::Accepted);
-  EXPECT_EQ(session.snapshot().bytes_accepted, 1600u);
-}
-
-TEST(SessionAdmission, OversizedChunkAdmittedOnEmptyBacklog) {
-  stream::SessionConfig cfg;
-  cfg.queue_bytes = 64;
-  stream::Session session("oversized", cfg, Context{});
-  // Larger than the whole quota, but the backlog is empty: admitting it is
-  // the only way a lossless feeder of big chunks can ever make progress.
-  EXPECT_EQ(session.feed(stream::Source::Jobs, std::string(1000, 'y')),
-            stream::Admission::Accepted);
-  EXPECT_EQ(session.feed(stream::Source::Jobs, "more"),
-            stream::Admission::Rejected);
-}
-
-TEST(SessionAdmission, ShedPolicyCountsExactly) {
-  obs::Collector obs;
-  stream::SessionConfig cfg;
-  cfg.queue_bytes = 1024;
-  cfg.overflow = stream::SessionConfig::Overflow::Shed;
-  Context ctx;
-  ctx.with_obs(&obs);
-  stream::Session session("shed", cfg, ctx);
-  ASSERT_EQ(session.feed(stream::Source::Ras, std::string(1000, 'a')),
-            stream::Admission::Accepted);
-  EXPECT_EQ(session.feed(stream::Source::Ras, std::string(300, 'b')),
-            stream::Admission::Shed);
-  EXPECT_EQ(session.feed(stream::Source::Ras, std::string(50, 'c')),
-            stream::Admission::Shed);
+TEST(SessionAdmission, FrameLargerThanTheOldQuotaNeverRefusesAFeed) {
+  // One frame declaring an 8 MiB payload (legal: kMaxBlockPayload is
+  // 16 MiB), fed 5 MiB in 64 KiB pieces under the default config: the
+  // incomplete frame outgrows what used to be the 4 MiB queue quota, and
+  // every feed is still taken.
+  stream::Session session("bigframe", {}, Context{});
+  std::string head(ras::kRasMagic, sizeof ras::kRasMagic);
+  head.append(reinterpret_cast<const char*>(&ras::kRasVersion), sizeof ras::kRasVersion);
+  const std::uint32_t declared = std::uint32_t{8} << 20;
+  const std::uint32_t crc = 0;
+  head.append(bin::kBlockMagic, sizeof bin::kBlockMagic);
+  head.append(reinterpret_cast<const char*>(&declared), sizeof declared);
+  head.append(reinterpret_cast<const char*>(&crc), sizeof crc);
+  ASSERT_EQ(session.feed(stream::Source::Ras, head), stream::Admission::Accepted);
+  const std::string piece(std::size_t{64} << 10, 'p');
+  const std::size_t pieces = (std::size_t{5} << 20) / piece.size();
+  for (std::size_t i = 0; i < pieces; ++i) {
+    ASSERT_EQ(session.feed(stream::Source::Ras, piece), stream::Admission::Accepted)
+        << "piece " << i;
+  }
   const stream::SessionStats s = session.snapshot();
-  EXPECT_EQ(s.bytes_accepted, 1000u);
-  EXPECT_EQ(s.bytes_shed, 350u);
-  EXPECT_EQ(s.chunks_shed, 2u);
-  // The obs counters tell the same story.
-  const obs::Snapshot snap = obs.snapshot();
-  EXPECT_EQ(snap.counter_value("session.bytes.accepted"), 1000u);
-  EXPECT_EQ(snap.counter_value("session.bytes.shed"), 350u);
+  EXPECT_EQ(s.bytes_accepted, head.size() + pieces * piece.size());
+  EXPECT_EQ(s.backlog_bytes, bin::kBlockHeaderBytes + pieces * piece.size());
+  EXPECT_EQ(s.bytes_decoded, bin::kFileHeaderBytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -366,13 +339,16 @@ TEST(SessionLifecycle, DoubleFinalizeThrows) {
   EXPECT_THROW((void)session.finalize(), InvalidArgument);
 }
 
-TEST(SessionLifecycle, StrictModeBadMagicThrowsOnPump) {
+TEST(SessionLifecycle, StrictModeBadMagicThrowsOnFeed) {
   stream::SessionConfig cfg;
   cfg.mode = ParseMode::Strict;
   stream::Session session("strict", cfg, Context{});
-  ASSERT_EQ(session.feed(stream::Source::Ras, "NOTALOGX and then some"),
-            stream::Admission::Accepted);
-  EXPECT_THROW(session.pump(), ParseError);
+  try {
+    (void)session.feed(stream::Source::Ras, "NOTALOGX and then some");
+    ADD_FAILURE() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "parse error: not a binary RAS log (bad magic)");
+  }
 }
 
 TEST(SessionLifecycle, StrictModeTruncatedHeaderThrowsAtFinalize) {
@@ -389,15 +365,12 @@ TEST(SessionLifecycle, SnapshotTracksLiveProgress) {
   const std::string image = ras_bytes(make_ras_log(256));
   const std::string jobs_image = job_bytes(make_job_log(64));
   ASSERT_EQ(session.feed(stream::Source::Ras, image), stream::Admission::Accepted);
-  stream::SessionStats before = session.snapshot();
-  EXPECT_EQ(before.backlog_bytes, image.size());
-  EXPECT_EQ(before.ras_records, 0u);
-  EXPECT_FALSE(before.finalized);
-  session.flush();
-  stream::SessionStats after = session.snapshot();
+  // feed() decoded the whole image before it returned.
+  const stream::SessionStats after = session.snapshot();
   EXPECT_EQ(after.backlog_bytes, 0u);
   EXPECT_EQ(after.ras_records, 256u);
   EXPECT_EQ(after.bytes_decoded, image.size());
+  EXPECT_FALSE(after.finalized);
   ASSERT_EQ(session.feed(stream::Source::Jobs, jobs_image), stream::Admission::Accepted);
   const stream::SessionResult r = session.finalize();
   EXPECT_EQ(r.ras.size(), 256u);

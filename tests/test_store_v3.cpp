@@ -280,16 +280,16 @@ TEST(StoreV3, StreamDecoderMatchesFileReader) {
   std::istringstream file(f.ras_v3);
   const ras::RasLog want = ras::read_binary(file, f.data.ras.catalog(), {});
 
-  IngestReport frames;
-  bin::FrameAssembler assembler(ParseMode::Strict, &frames, "binary RAS log");
+  bin::FramedInput input(ParseMode::Strict, ras::kRasMagic, "binary RAS log");
   ras::RasStreamDecoder dec(f.data.ras.catalog(), ParseMode::Strict,
                             machine::bgp_model());
-  bin::walk_frames(assembler, std::string_view(f.ras_v3).substr(8),
-                   [&](std::string_view payload, std::uint64_t offset) {
-                     dec.on_payload(payload, offset);
-                   });
+  const bin::PayloadSink sink = [&](std::string_view payload, std::uint64_t offset) {
+    dec.on_payload(payload, offset);
+  };
+  input.push(f.ras_v3, sink);
+  input.finish(sink);
   IngestReport rep;
-  const ras::RasLog got = dec.finish(rep, frames);
+  const ras::RasLog got = dec.finish(rep, input.damage());
   expect_ras_equal(got, want);
   EXPECT_TRUE(dec.meta().has_value());
   EXPECT_EQ(dec.meta()->schema, ras::kRasSchemaV3);
@@ -300,15 +300,15 @@ TEST(StoreV3, JobStreamDecoderMatchesFileReader) {
   std::istringstream file(f.job_v3);
   const joblog::JobLog want = joblog::read_binary(file, {});
 
-  IngestReport frames;
-  bin::FrameAssembler assembler(ParseMode::Strict, &frames, "binary job log");
+  bin::FramedInput input(ParseMode::Strict, joblog::kJobMagic, "binary job log");
   joblog::JobStreamDecoder dec(ParseMode::Strict, machine::bgp_model());
-  bin::walk_frames(assembler, std::string_view(f.job_v3).substr(8),
-                   [&](std::string_view payload, std::uint64_t offset) {
-                     dec.on_payload(payload, offset);
-                   });
+  const bin::PayloadSink sink = [&](std::string_view payload, std::uint64_t offset) {
+    dec.on_payload(payload, offset);
+  };
+  input.push(f.job_v3, sink);
+  input.finish(sink);
   IngestReport rep;
-  const joblog::JobLog got = dec.finish(rep, frames);
+  const joblog::JobLog got = dec.finish(rep, input.damage());
   expect_jobs_equal(got, want);
   EXPECT_TRUE(dec.meta().has_value());
   EXPECT_EQ(dec.meta()->schema, joblog::kJobSchemaV3);
@@ -334,11 +334,12 @@ TEST(StoreV3, SegmentFootersPresent) {
   ras::write_binary(out, f.data.ras, {.blocks_per_segment = 4});
   const std::string bytes = out.str();
   std::size_t footers = 0;
-  bin::FrameAssembler assembler(ParseMode::Strict, nullptr, "binary RAS log");
-  bin::walk_frames(assembler, std::string_view(bytes).substr(8),
-                   [&](std::string_view payload, std::uint64_t) {
-                     if (payload[0] == ras::kRasSegmentTag) ++footers;
-                   });
+  bin::FramedInput input(ParseMode::Strict, ras::kRasMagic, "binary RAS log");
+  const bin::PayloadSink sink = [&](std::string_view payload, std::uint64_t) {
+    if (payload[0] == ras::kRasSegmentTag) ++footers;
+  };
+  input.push(bytes, sink);
+  input.finish(sink);
   EXPECT_GT(footers, 1u);
   std::istringstream rd(bytes);
   expect_ras_equal(ras::read_binary(rd, f.data.ras.catalog(), {}), f.data.ras);

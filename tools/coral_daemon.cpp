@@ -10,8 +10,9 @@
 //
 // Usage:
 //   coral_daemon [--bind HOST] [--port N] [--metrics-port N]
-//                [--queue-bytes N] [--span-capacity N]
+//                [--span-capacity N]
 //
+// Each connection thread decodes its tenant's data messages as they arrive.
 // Each tenant's finalize runs its co-analysis serially on the connection
 // thread, one tenant at a time.
 
@@ -34,9 +35,10 @@ void on_signal(int) { g_stop = 1; }
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--bind HOST] [--port N] [--metrics-port N]\n"
-               "          [--queue-bytes N] [--span-capacity N]\n"
+               "          [--span-capacity N]\n"
                "Port 0 (the default) binds an ephemeral port, printed at startup.\n"
-               "Finalizes run serially, one tenant at a time.\n",
+               "Data messages are decoded as they arrive; finalizes run serially,\n"
+               "one tenant at a time.\n",
                argv0);
   std::exit(2);
 }
@@ -62,8 +64,6 @@ int main(int argc, char** argv) {
       cfg.wire_port = static_cast<int>(num_arg(argc, argv, i, argv[0]));
     } else if (std::strcmp(arg, "--metrics-port") == 0) {
       cfg.metrics_port = static_cast<int>(num_arg(argc, argv, i, argv[0]));
-    } else if (std::strcmp(arg, "--queue-bytes") == 0) {
-      cfg.queue_bytes = static_cast<std::size_t>(num_arg(argc, argv, i, argv[0]));
     } else if (std::strcmp(arg, "--span-capacity") == 0) {
       cfg.span_capacity = static_cast<std::size_t>(num_arg(argc, argv, i, argv[0]));
     } else {

@@ -85,12 +85,16 @@ FileInfo load(const std::string& path) {
   return f;
 }
 
-/// Walk the framed region (lenient: damage is skipped, not reported),
+/// Walk the file's frames (lenient: damage is skipped, not reported),
 /// handing each intact payload to `on_payload`.
 void walk_payloads(const FileInfo& f, const std::function<void(std::string_view)>& on_payload) {
-  bin::FrameAssembler frames(ParseMode::Lenient, nullptr, "binary log");
-  bin::walk_frames(frames, std::string_view(f.data).substr(8),
-                   [&](std::string_view payload, std::uint64_t) { on_payload(payload); });
+  bin::FramedInput input(ParseMode::Lenient,
+                         f.kind == Kind::Ras ? ras::kRasMagic : joblog::kJobMagic, "binary log");
+  const bin::PayloadSink sink = [&](std::string_view payload, std::uint64_t) {
+    on_payload(payload);
+  };
+  input.push(f.data, sink);
+  input.finish(sink);
 }
 
 /// Keep the first v3 'M' meta of a walk (frame payloads are never empty).
