@@ -34,10 +34,10 @@ int main(int argc, char** argv) {
     const char* machine_name;
     const machine::MachineModel* machine;
     std::string ras_bytes, job_bytes;
-    fleet::ReplyFields reply;
+    fleet::ReplyFields live, reply;
   };
-  Feed feeds[2] = {{"intrepid", "bgp", &machine::bgp_model(), {}, {}, {}},
-                   {"mira", "bgq", &machine::bgq_model(), {}, {}, {}}};
+  Feed feeds[2] = {{"intrepid", "bgp", &machine::bgp_model(), {}, {}, {}, {}},
+                   {"mira", "bgq", &machine::bgq_model(), {}, {}, {}, {}}};
 
   // One calibrated scenario per machine, serialized to the binary-v2 bytes
   // a collector would ship (10 days keeps the example snappy).
@@ -69,6 +69,9 @@ int main(int argc, char** argv) {
 
   // Feed both tenants concurrently in 64 KiB chunks — the daemon keeps the
   // two sessions independent, so interleaving cannot change either result.
+  // Each thread keeps its mid-run reply; they print in tenant order once
+  // both threads have joined, so the output does not depend on which reply
+  // came first.
   std::thread feeders[2];
   for (int i = 0; i < 2; ++i) {
     feeders[i] = std::thread([&, i] {
@@ -77,11 +80,7 @@ int main(int argc, char** argv) {
       client.handshake({f.tenant, f.machine_name, ParseMode::Strict});
       client.send_data(stream::Source::Ras, f.ras_bytes, 64 << 10);
       client.send_data(stream::Source::Jobs, f.job_bytes, 64 << 10);
-      const fleet::ReplyFields live = client.flush();  // mid-run: not finalized
-      std::printf("%-9s live: decoded=%s bytes, ras=%s jobs=%s finalized=%s\n",
-                  f.tenant, live.at("bytes_decoded").c_str(),
-                  live.at("ras_records").c_str(), live.at("job_records").c_str(),
-                  live.at("finalized").c_str());
+      f.live = client.flush();  // mid-run: not finalized
       // Hold the live (decoded, not finalized) state open on request, so a
       // harness can scrape /metrics mid-run deterministically (CI does).
       if (const char* hold = std::getenv("FLEET_FEEDER_HOLD_MS")) {
@@ -91,6 +90,11 @@ int main(int argc, char** argv) {
     });
   }
   for (std::thread& t : feeders) t.join();
+  for (const Feed& f : feeds) {
+    std::printf("%-9s live: decoded=%s bytes, ras=%s jobs=%s finalized=%s\n", f.tenant,
+                f.live.at("bytes_decoded").c_str(), f.live.at("ras_records").c_str(),
+                f.live.at("job_records").c_str(), f.live.at("finalized").c_str());
+  }
 
   // Parity: offline read + analysis over the same bytes, same machine.
   int failures = 0;

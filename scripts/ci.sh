@@ -99,27 +99,25 @@ case " ${PRESETS[*]} " in
 esac
 
 # The threads that remain must always run under ThreadSanitizer, even when
-# the caller asked for a subset of presets. The analysis and every read are
-# serial; these tests are the only coverage of two Contexts racing through
-# the full pipeline on separate threads (test_context), of the v3 writer's
-# block encode across pool workers, the only code left on them
-# (StoreV3.PooledWriteMatchesSerialBytes in test_store_v3), of ThreadPool
-# and parallel_for_chunks themselves (test_parallel), of the daemon's
-# accept, connection and metrics threads starting and stopping
-# (test_fleet), of feeder threads decoding into one stream::Session under
-# its lock while snapshot() reads its atomics (SessionParity and
-# SessionLifecycle in test_session), and of counters and spans recording
-# into one collector from plain std::threads (test_obs; the thread pool has
-# no telemetry).
+# the caller asked for a subset of presets. Every read, write and analysis
+# in the library runs on its caller's thread; the threads are the callers'
+# and the daemon's. These tests are the only coverage of two Contexts
+# racing through the full pipeline on separate threads (test_context), of
+# ThreadPool itself (test_parallel), of the daemon's accept, connection and
+# metrics threads starting and stopping (test_fleet), of feeder threads
+# decoding into one stream::Session under its lock while snapshot() reads
+# its atomics (SessionParity and SessionLifecycle in test_session), and of
+# counters and spans recording into one collector from plain std::threads
+# (test_obs; the thread pool has no telemetry).
 case " ${PRESETS[*]} " in
   *" tsan "*) ;;  # full tsan suite already ran above
   *)
-    echo "==== [tsan] focused Context + pooled writer + pool + fleet + session + obs race check ===="
+    echo "==== [tsan] focused Context + pool + fleet + session + obs race check ===="
     cmake --preset tsan
     cmake --build --preset tsan -j "$JOBS" \
-      --target test_context test_store_v3 test_parallel test_fleet test_session test_obs
+      --target test_context test_parallel test_fleet test_session test_obs
     ctest --preset tsan \
-      -R 'Context|PooledWriteMatchesSerialBytes|ParallelFor|ThreadPool|Fleet|SessionParity|SessionLifecycle|Obs' \
+      -R 'Context|ThreadPool|Fleet|SessionParity|SessionLifecycle|Obs' \
       -j "$JOBS"
     ;;
 esac

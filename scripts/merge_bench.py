@@ -7,7 +7,7 @@ real time, and merges the result into the committed trajectory file:
 
     {
       "schema": 1,
-      "units": "ms (gbench: cpu_time, process-wide for the pooled series; perf_streaming: wall)",
+      "units": "ms (gbench: cpu_time; perf_streaming: wall)",
       "baseline": { "<bench>": ms, ... },   # pre-columnar-hot-path numbers
       "current":  { "<bench>": ms, ... }    # latest run, updated here
     }
@@ -56,13 +56,11 @@ def load_gbench(path):
 
     CPU time, not real time: CI runs on small shared VMs where wall clock
     measures the noisy neighbors (observed 2x swings on identical binaries
-    run minutes apart, while CPU time held a ~5% cv). Most gbench series
-    here are CPU-bound single-threaded, so gbench's default cpu_time (the
-    calling thread only) covers all their work. The one series that runs
-    on a thread pool (BM_RasBinaryWriteV3Parallel, the pooled v3 writer)
-    is registered with MeasureProcessCPUTime(), so its cpu_time is the
-    whole process's — pool workers included — and the gate tracks all of
-    its work, not only the serial share.
+    run minutes apart, while CPU time held a ~5% cv). Every gbench series
+    here runs on the calling thread, so gbench's default cpu_time (the
+    calling thread only) covers all of its work. A series that ran on a
+    thread pool would have to register MeasureProcessCPUTime() for the
+    gate to see its workers.
     perf_streaming keeps wall time — its fork-based modes are measured as
     wall by design.
     """
@@ -200,7 +198,7 @@ def main():
     merged.update(fresh)
     out_doc = {
         "schema": 1,
-        "units": "ms (gbench: cpu_time, process-wide for the pooled series; perf_streaming: wall)",
+        "units": "ms (gbench: cpu_time; perf_streaming: wall)",
         "baseline": doc.get("baseline", {}),
         "current": {k: round(v, 4) for k, v in sorted(merged.items())},
     }

@@ -7,78 +7,8 @@ namespace coral::bin::lz {
 namespace {
 
 constexpr std::size_t kMinMatch = 4;
-constexpr std::size_t kMaxOffset = 65535;
-constexpr int kHashBits = 13;
-
-std::uint32_t hash4(const char* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return (v * 2654435761u) >> (32 - kHashBits);
-}
-
-void put_length(std::string& out, std::size_t extra) {
-  while (extra >= 255) {
-    out.push_back(static_cast<char>(0xFF));
-    extra -= 255;
-  }
-  out.push_back(static_cast<char>(extra));
-}
-
-void put_group(std::string& out, std::string_view src, std::size_t lit_begin,
-               std::size_t lit_end, std::size_t offset, std::size_t match_len) {
-  const std::size_t lit_len = lit_end - lit_begin;
-  const std::uint8_t lit_nib = lit_len < 15 ? static_cast<std::uint8_t>(lit_len) : 15;
-  std::uint8_t match_nib = 0;
-  if (match_len != 0) {
-    const std::size_t m = match_len - kMinMatch;
-    match_nib = m < 15 ? static_cast<std::uint8_t>(m) : 15;
-  }
-  out.push_back(static_cast<char>((lit_nib << 4) | match_nib));
-  if (lit_nib == 15) put_length(out, lit_len - 15);
-  out.append(src.data() + lit_begin, lit_len);
-  if (match_len == 0) return;  // final literal-only group
-  const auto off = static_cast<std::uint16_t>(offset);
-  out.push_back(static_cast<char>(off & 0xFF));
-  out.push_back(static_cast<char>(off >> 8));
-  if (match_nib == 15) put_length(out, match_len - kMinMatch - 15);
-}
 
 }  // namespace
-
-std::size_t compress(std::string_view src, std::string& out) {
-  const std::size_t start = out.size();
-  // Hash slots hold position + 1; 0 = empty. Stack storage keeps the
-  // per-block compressor allocation-free (the v3 writer calls it once per
-  // 64-record block).
-  std::uint32_t table[1u << kHashBits] = {};
-
-  std::size_t pos = 0;
-  std::size_t lit_begin = 0;
-  // Stop probing 4 bytes short so hash4/match reads stay in bounds.
-  while (src.size() - pos >= kMinMatch) {
-    const std::uint32_t h = hash4(src.data() + pos);
-    const std::uint32_t prev = table[h];
-    table[h] = static_cast<std::uint32_t>(pos + 1);
-    if (prev != 0) {
-      const std::size_t at = prev - 1;
-      if (pos - at <= kMaxOffset &&
-          std::memcmp(src.data() + at, src.data() + pos, kMinMatch) == 0) {
-        std::size_t len = kMinMatch;
-        while (pos + len < src.size() && src[at + len] == src[pos + len]) ++len;
-        put_group(out, src, lit_begin, pos, pos - at, len);
-        pos += len;
-        lit_begin = pos;
-        continue;
-      }
-    }
-    ++pos;
-  }
-  // A stream may legitimately end on a match; emit a final literal-only
-  // group only when there is a tail to carry (the decoder stops at the
-  // declared output size, not at a terminator).
-  if (lit_begin < src.size()) put_group(out, src, lit_begin, src.size(), 0, 0);
-  return out.size() - start;
-}
 
 bool decompress(std::string_view src, char* dst, std::size_t dst_size) {
   std::size_t ip = 0;

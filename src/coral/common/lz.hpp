@@ -2,14 +2,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace coral::bin::lz {
 
-/// In-repo LZ77 byte compressor for the v3 block payloads — the container
-/// must stay dependency-free, so this is a small LZ4-style scheme rather
-/// than a binding to an external codec.
+/// Decoder for the in-repo LZ77 codec (codec byte 1) of v3 column blocks.
+/// The writers write every block raw; this stays so that stores written
+/// with compression on still load. The container must stay
+/// dependency-free, so the codec is a small LZ4-style scheme rather than a
+/// binding to an external one.
 ///
 /// Stream layout: a sequence of {token | extended literal length | literals
 /// | u16 LE match offset | extended match length} groups, LZ4 token
@@ -17,17 +18,8 @@ namespace coral::bin::lz {
 /// "read 255-terminated extension bytes"). The final group carries only
 /// literals — the decoder stops when the output reaches its declared size,
 /// so no end marker is needed. Match offsets are <= 65535 and matches are
-/// at least 4 bytes.
-///
-/// Compression is greedy over a 4-byte hash table: fast, deterministic, and
-/// good enough on the varint column blocks (they are byte-repetitive by
-/// construction). The exact compressed bytes are part of no contract —
-/// only decompress(compress(x)) == x is.
-
-/// Append the compressed form of `src` to `out`. Returns the number of
-/// bytes appended. Never fails; incompressible input degrades to literal
-/// runs (~0.4% expansion worst case).
-std::size_t compress(std::string_view src, std::string& out);
+/// at least 4 bytes. tests/lz_fixture.hpp keeps the compressor that wrote
+/// such stores.
 
 /// Decompress exactly `dst_size` bytes into `dst`. Returns false on any
 /// malformed input (truncated stream, offset pointing before the output

@@ -1,14 +1,12 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace coral::par {
@@ -17,9 +15,10 @@ namespace coral::par {
 /// blocks until every submitted task has completed. Exceptions thrown by
 /// tasks are captured and rethrown (first one) from wait_idle().
 ///
-/// The pool pays in one place: the v3 RAS writer's block encode
-/// (ras::WriteOptions::pool). Every read and the co-analysis itself run
-/// serially. Since wait_idle() is a whole-pool barrier, one caller uses a
+/// No library path submits work to a pool: every read, write and the
+/// co-analysis itself run on the calling thread. The class stays because
+/// the e2e benchmark package still builds one and hands it to options that
+/// ignore it. Since wait_idle() is a whole-pool barrier, one caller uses a
 /// pool at a time.
 class ThreadPool {
  public:
@@ -51,44 +50,5 @@ class ThreadPool {
   bool stop_ = false;
   std::exception_ptr first_error_;
 };
-
-/// Split [0, n) into roughly even chunks and run `body(begin, end)` on each,
-/// using `pool` if provided and worthwhile, else serially. `body` must be
-/// safe to call concurrently on disjoint ranges.
-///
-/// Header-only: chunks are pulled off a shared atomic cursor by at most
-/// `thread_count()` submitted tasks, each capturing a single pointer — no
-/// heap-allocated closure per chunk (the lambda fits std::function's
-/// small-buffer storage).
-template <typename Body>
-void parallel_for_chunks(std::size_t n, std::size_t min_chunk, Body&& body,
-                         ThreadPool* pool = nullptr) {
-  if (n == 0) return;
-  const std::size_t threads = pool ? pool->thread_count() : 1;
-  if (threads <= 1 || n <= min_chunk) {
-    body(std::size_t{0}, n);
-    return;
-  }
-  const std::size_t chunks = std::min(threads * 4, std::max<std::size_t>(1, n / min_chunk));
-  const std::size_t step = (n + chunks - 1) / chunks;
-  struct Cursor {
-    std::remove_reference_t<Body>* body;
-    std::size_t n;
-    std::size_t step;
-    std::atomic<std::size_t> next{0};
-  };
-  Cursor cursor{std::addressof(body), n, step, {}};
-  const std::size_t tasks = std::min(threads, chunks);
-  for (std::size_t t = 0; t < tasks; ++t) {
-    pool->submit([c = &cursor] {
-      for (;;) {
-        const std::size_t begin = c->next.fetch_add(c->step, std::memory_order_relaxed);
-        if (begin >= c->n) return;
-        (*c->body)(begin, std::min(c->n, begin + c->step));
-      }
-    });
-  }
-  pool->wait_idle();
-}
 
 }  // namespace coral::par

@@ -23,6 +23,8 @@ void append_string16(std::string& out, const std::string& s) {
   out.append(s);
 }
 
+constexpr std::size_t kWriteChunkBytes = std::size_t{1} << 18;
+
 }  // namespace
 
 void append_store_meta(std::string& out, const StoreMeta& meta) {
@@ -52,10 +54,12 @@ StoreMeta parse_store_meta(PayloadCursor& cur, std::string_view machine, ParseMo
 
 void append_segment_footer(std::string& out, const std::vector<SegmentEntry>& entries) {
   append_raw(out, static_cast<std::uint32_t>(entries.size()));
+  char zone[kZoneMapBytes];
   for (const SegmentEntry& e : entries) {
     append_raw(out, e.offset);
     append_raw(out, e.count);
-    append_zone_map(out, e.zone);
+    store_zone_map(zone, e.zone);
+    out.append(zone, sizeof zone);
   }
 }
 
@@ -107,48 +111,45 @@ SegmentWriter::SegmentWriter(std::ostream& out, char footer_tag, std::uint64_t o
   segment_.reserve(blocks_per_segment_);
 }
 
-void SegmentWriter::write_block(std::string_view framed) {
-  out_.write(framed.data(), static_cast<std::streamsize>(framed.size()));
+void SegmentWriter::write_block(std::string_view payload) {
   SegmentEntry entry;
   entry.offset = offset_;
-  std::memcpy(&entry.count, framed.data() + kBlockHeaderBytes + 1, sizeof entry.count);
+  std::memcpy(&entry.count, payload.data() + 1, sizeof entry.count);
   std::size_t pos = 0;
-  read_zone_map(framed.substr(kBlockHeaderBytes + 1 + sizeof entry.count), pos, entry.zone);
+  read_zone_map(payload.substr(1 + sizeof entry.count), pos, entry.zone);
   segment_.push_back(entry);
-  offset_ += framed.size();
-  if (segment_.size() >= blocks_per_segment_) finish();
+  append_frame(pending_, payload);
+  offset_ += kBlockHeaderBytes + payload.size();
+  if (segment_.size() >= blocks_per_segment_) close_segment();
+  if (pending_.size() >= kWriteChunkBytes) {
+    out_.write(pending_.data(), static_cast<std::streamsize>(pending_.size()));
+    pending_.clear();
+  }
 }
 
-void SegmentWriter::finish() {
+void SegmentWriter::close_segment() {
   if (segment_.empty()) return;
   std::string footer;
   footer.push_back(footer_tag_);
   append_segment_footer(footer, segment_);
-  std::string framed;
-  append_frame(framed, footer);
-  out_.write(framed.data(), static_cast<std::streamsize>(framed.size()));
-  offset_ += framed.size();
+  append_frame(pending_, footer);
+  offset_ += kBlockHeaderBytes + footer.size();
   segment_.clear();
 }
 
-void append_column_body(std::string& out, const std::string& raw, bool compress) {
-  const auto raw_size = static_cast<std::uint32_t>(raw.size());
-  if (compress) {
-    // Compress into place after the header, then back out unless it pays:
-    // a block must shrink by at least 1/8 to earn its decompression cost
-    // on the read path. Column bodies are already delta/dictionary-packed,
-    // so marginal LZ wins (a few percent) buy almost no bytes but slow
-    // every future read of the block; those blocks stay raw.
-    const std::size_t header_at = out.size();
-    out.push_back(static_cast<char>(kCodecLz));
-    append_raw(out, raw_size);
-    const std::size_t lz_size = lz::compress(raw, out);
-    if (lz_size + raw.size() / 8 <= raw.size()) return;
-    out.resize(header_at);
-  }
-  out.push_back(static_cast<char>(kCodecRaw));
-  append_raw(out, raw_size);
-  out.append(raw);
+void SegmentWriter::finish() {
+  close_segment();
+  out_.write(pending_.data(), static_cast<std::streamsize>(pending_.size()));
+  pending_.clear();
+}
+
+void put_column_header(char* payload, char tag, std::uint32_t count, const ZoneMap& zone,
+                       std::uint32_t body_size) {
+  payload[0] = tag;
+  std::memcpy(payload + 1, &count, sizeof count);
+  store_zone_map(payload + 1 + sizeof count, zone);
+  payload[1 + sizeof count + kZoneMapBytes] = static_cast<char>(kCodecRaw);
+  std::memcpy(payload + 2 + sizeof count + kZoneMapBytes, &body_size, sizeof body_size);
 }
 
 bool read_column_block(PayloadCursor& cur, const ZoneFilter* filter, std::string& scratch,

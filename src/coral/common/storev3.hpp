@@ -21,8 +21,10 @@ namespace coral::bin {
 ///       self-describing (which machine's codec, which column schema).
 ///   per-block column header: u32 record count | 32-byte ZoneMap |
 ///       u8 codec (0 = raw, 1 = in-repo LZ) | u32 raw (uncompressed) size |
-///       body. The count and zone map stay uncompressed so predicate
-///       pushdown can accept or skip a block without touching the body.
+///       body. The writers write every body raw; the readers still decode
+///       the LZ bodies of stores written with compression on. The count and
+///       zone map stay uncompressed so predicate pushdown can accept or
+///       skip a block without touching the body.
 ///   'S' segment footer: u32 n | n x { u64 block offset, u32 record count,
 ///       32-byte ZoneMap }, one entry per column block of the preceding
 ///       segment. Offsets count from the end of the 8-byte file header,
@@ -33,8 +35,8 @@ namespace coral::bin {
 
 inline constexpr std::uint8_t kCodecRaw = 0;
 inline constexpr std::uint8_t kCodecLz = 1;
-/// Meta flag: the writer had compression enabled (informational — each
-/// block carries its own codec byte, incompressible blocks stay raw).
+/// Meta flag: the store was written with LZ compression on (informational —
+/// each block carries its own codec byte). The writers write flags 0.
 inline constexpr std::uint8_t kStoreFlagCompressed = 1;
 
 struct StoreMeta {
@@ -94,29 +96,42 @@ class FooterLedger {
 /// run of `blocks_per_segment` of them (and the rest, at finish()) closed
 /// by one `footer_tag` segment footer. `offset` is where the first block
 /// lands, counted from the end of the file header like every other offset
-/// the readers report.
+/// the readers report. Frames reach the stream in chunks of about 256 KiB,
+/// so a file stream's small buffer costs one write call per chunk instead
+/// of one every few blocks.
 class SegmentWriter {
  public:
   SegmentWriter(std::ostream& out, char footer_tag, std::uint64_t offset,
                 std::size_t blocks_per_segment);
 
-  /// Write one framed column block and record its footer entry; the count
-  /// and zone map sit at fixed offsets in the frame.
-  void write_block(std::string_view framed);
-  /// Close the open segment, if it holds any block.
+  /// Frame one column-block payload (tag through body) and record its
+  /// footer entry; the count and zone map sit at fixed offsets in the
+  /// payload.
+  void write_block(std::string_view payload);
+  /// Close the open segment, if it holds any block, and write every frame
+  /// still held to the stream.
   void finish();
 
  private:
+  void close_segment();
+
   std::ostream& out_;
   char footer_tag_;
   std::uint64_t offset_;
   std::size_t blocks_per_segment_;
   std::vector<SegmentEntry> segment_;
+  std::string pending_;  ///< framed bytes not yet written to out_
 };
 
-/// Append `codec | raw_size | body` for an already-built raw column body,
-/// compressing when asked and the result actually shrinks.
-void append_column_body(std::string& out, const std::string& raw, bool compress);
+/// Bytes of a column-block payload ahead of its body: tag | u32 count |
+/// zone map | u8 codec | u32 raw size.
+inline constexpr std::size_t kColumnHeaderBytes = 1 + 4 + kZoneMapBytes + 1 + 4;
+
+/// Fill in the header of a column-block payload whose raw body of
+/// `body_size` bytes is already written at `payload + kColumnHeaderBytes`.
+/// The codec byte is always raw (0).
+void put_column_header(char* payload, char tag, std::uint32_t count, const ZoneMap& zone,
+                       std::uint32_t body_size);
 
 /// Record-block bookkeeping for the pushdown obs counters: every record
 /// block seen is `total`; each is then `decoded` or (zone map rejected
@@ -133,8 +148,8 @@ struct BlockCounters {
   }
 };
 
-/// The read side of one column block: what append_column_body and the
-/// count and zone map ahead of it wrote.
+/// The read side of one column block: what put_column_header and the
+/// encoder's body wrote.
 struct ColumnBlock {
   std::uint64_t offset = 0;  ///< absolute offset of the count field, for errors
   std::uint32_t count = 0;   ///< declared records

@@ -2,23 +2,29 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace coral::bin {
 
 /// LEB128 varints + zigzag, the integer codec of the v3 column blocks
-/// (see ras/binary_io.hpp for the format contract). Encoders append to a
-/// std::string; decoders read from a string_view with an explicit cursor and
-/// report malformed input by returning false — the block decoders translate
-/// that into their usual strict-throw / lenient-skip behaviour.
+/// (see ras/binary_io.hpp for the format contract). Encoders write through
+/// a pointer into block scratch the caller sized for the worst case
+/// (kMaxVarintBytes a value); decoders read from a string_view with an
+/// explicit cursor and report malformed input by returning false — the
+/// block decoders translate that into their usual strict-throw /
+/// lenient-skip behaviour.
 
-inline void put_varint(std::string& out, std::uint64_t v) {
+/// The longest encoding of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Write `v` at `p`; returns the byte after it.
+inline char* put_varint(char* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
+    *p++ = static_cast<char>((v & 0x7F) | 0x80);
     v >>= 7;
   }
-  out.push_back(static_cast<char>(v));
+  *p++ = static_cast<char>(v);
+  return p;
 }
 
 /// Map signed to unsigned so small negative deltas stay short: 0,-1,1,-2 ->
@@ -32,9 +38,7 @@ inline std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-inline void put_varint_signed(std::string& out, std::int64_t v) {
-  put_varint(out, zigzag(v));
-}
+inline char* put_varint_signed(char* p, std::int64_t v) { return put_varint(p, zigzag(v)); }
 
 /// Decode one varint at `pos`, advancing it. Returns false on truncation or
 /// an over-long encoding (more than 10 bytes — a flipped continuation bit

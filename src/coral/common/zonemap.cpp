@@ -7,18 +7,6 @@ namespace coral::bin {
 
 namespace {
 
-void append_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof buf);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof buf);
-}
-
 std::uint32_t load_u32(const char* p) {
   std::uint32_t v;
   std::memcpy(&v, p, sizeof v);
@@ -39,12 +27,12 @@ void ZoneMap::add_location(std::uint32_t key, const machine::LocCodec& codec) {
   for (machine::MidplaneId m = r.first; m < r.end; ++m) add_midplane(m);
 }
 
-void append_zone_map(std::string& out, const ZoneMap& zm) {
-  append_u64(out, static_cast<std::uint64_t>(zm.min_usec));
-  append_u64(out, static_cast<std::uint64_t>(zm.max_usec));
-  append_u64(out, zm.midplane_bits);
-  append_u32(out, zm.min_key);
-  append_u32(out, zm.max_key);
+void store_zone_map(char* out, const ZoneMap& zm) {
+  std::memcpy(out, &zm.min_usec, 8);
+  std::memcpy(out + 8, &zm.max_usec, 8);
+  std::memcpy(out + 16, &zm.midplane_bits, 8);
+  std::memcpy(out + 24, &zm.min_key, 4);
+  std::memcpy(out + 28, &zm.max_key, 4);
 }
 
 bool read_zone_map(std::string_view data, std::size_t& pos, ZoneMap& zm) {

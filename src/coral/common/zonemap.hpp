@@ -54,7 +54,8 @@ struct ZoneMap {
 /// v3 golden-layout test).
 inline constexpr std::size_t kZoneMapBytes = 8 + 8 + 8 + 4 + 4;
 
-void append_zone_map(std::string& out, const ZoneMap& zm);
+/// Write the kZoneMapBytes of `zm` at `out`.
+void store_zone_map(char* out, const ZoneMap& zm);
 /// Parse a zone map at `pos`, advancing it; false on truncation.
 bool read_zone_map(std::string_view data, std::size_t& pos, ZoneMap& zm);
 

@@ -45,8 +45,7 @@ class Context {
     return *this;
   }
   /// Ignored: the analysis runs serially, and no layer reads pool(). Kept
-  /// because the e2e benchmark package compiles against it. A pool pays
-  /// only in the v3 RAS writer; pass it there (ras::WriteOptions::pool).
+  /// because the e2e benchmark package compiles against it.
   Context& with_pool(par::ThreadPool* pool) {
     pool_ = pool;
     return *this;

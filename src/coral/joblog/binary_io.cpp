@@ -90,11 +90,9 @@ void write_v3(std::ostream& out, const JobLog& log, const WriteOptions& opts) {
 
   std::string meta_payload;
   meta_payload.push_back(kJobMetaTag);
-  bin::append_store_meta(
-      meta_payload,
-      bin::StoreMeta{std::string(machine.name()), std::string(kJobSchemaV3),
-                     static_cast<std::uint32_t>(kJobRecordsPerBlock),
-                     opts.compress ? bin::kStoreFlagCompressed : std::uint8_t{0}});
+  bin::append_store_meta(meta_payload,
+                         bin::StoreMeta{std::string(machine.name()), std::string(kJobSchemaV3),
+                                        static_cast<std::uint32_t>(kJobRecordsPerBlock), 0});
 
   // Metadata blocks are all written twice, exactly as in v2: losing any
   // single frame must not orphan the record blocks that follow.
@@ -109,14 +107,10 @@ void write_v3(std::ostream& out, const JobLog& log, const WriteOptions& opts) {
   out.write(head.data(), static_cast<std::streamsize>(head.size()));
 
   bin::SegmentWriter segments(out, kJobSegmentTag, head.size(), opts.blocks_per_segment);
-  std::string payload, raw, framed;
+  std::string scratch;
   for (std::size_t base = 0; base < log.size(); base += kJobRecordsPerBlock) {
-    const std::size_t n = std::min(kJobRecordsPerBlock, log.size() - base);
-    payload.clear();
-    encode_job_column_block(payload, log, base, n, opts.compress, raw);
-    framed.clear();
-    bin::append_frame(framed, payload);
-    segments.write_block(framed);
+    segments.write_block(encode_job_column_block(
+        scratch, log, base, std::min(kJobRecordsPerBlock, log.size() - base)));
   }
   segments.finish();
 }

@@ -38,21 +38,18 @@ namespace coral::joblog {
 ///       varint), exec / user / project (varint), start (delta + zigzag
 ///       varint), wait = start - queue (zigzag varint), duration =
 ///       end - start (zigzag varint), first_midplane (varint),
-///       midplane_count (varint), exit_code (zigzag varint). The body is
-///       LZ-compressed when that is smaller (codec byte 1), else raw (0).
+///       midplane_count (varint), exit_code (zigzag varint). The writer
+///       writes every body raw (codec byte 0); readers still decode the LZ
+///       bodies (codec 1) of stores written with compression on.
 ///   'S' segment footer: offsets, counts, and zone maps of the preceding
 ///       'C' blocks, so an appender can rebuild the block directory and a
 ///       seeking reader can skip segments without touching them.
 ///
 /// The v2 and v3 tag sets are disjoint, so the one decoder reads both.
 
-/// v3 write options. The zero-initialized default writes the current
-/// format with per-block compression.
+/// Write options. The zero-initialized default writes the current format.
 struct WriteOptions {
   std::uint32_t version = 3;  ///< 2 or 3
-  /// v3: try the in-repo LZ codec per block, keeping whichever of
-  /// raw/compressed is smaller.
-  bool compress = true;
   /// v3: 'C' blocks per 'S' footer (the append/flush granularity).
   std::size_t blocks_per_segment = 256;
 };

@@ -8,16 +8,6 @@
 
 namespace coral::joblog {
 
-namespace {
-
-void append_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof buf);
-}
-
-}  // namespace
-
 std::vector<std::string> parse_job_table(bin::PayloadCursor& cur) {
   const auto count = cur.get<std::uint32_t>();
   if (count > 10'000'000) throw ParseError("implausible table size in binary job log");
@@ -30,47 +20,51 @@ std::vector<std::string> parse_job_table(bin::PayloadCursor& cur) {
   return table;
 }
 
-void encode_job_column_block(std::string& payload, const JobLog& log, std::size_t base,
-                             std::size_t n, bool compress, std::string& raw) {
+std::string_view encode_job_column_block(std::string& scratch, const JobLog& log,
+                                         std::size_t base, std::size_t n) {
+  // Worst case: ten varint columns of up to 10 bytes each per record.
+  const std::size_t bound = bin::kColumnHeaderBytes + n * 10 * bin::kMaxVarintBytes;
+  if (scratch.size() < bound) scratch.resize(bound);
+  char* const payload = scratch.data();
+  char* p = payload + bin::kColumnHeaderBytes;
   bin::ZoneMap zm;
-  raw.clear();
   // Column order is the decode order below. Job ids and start times are
   // near-monotone, so both delta-code; queue and end are stored relative to
   // the record's own start (wait and duration — small, dense varints).
   std::int64_t prev = 0;
   for (std::size_t i = base; i < base + n; ++i) {
-    bin::put_varint_signed(raw, log[i].job_id - prev);
+    p = bin::put_varint_signed(p, log[i].job_id - prev);
     prev = log[i].job_id;
   }
   for (std::size_t i = base; i < base + n; ++i) {
-    bin::put_varint(raw, static_cast<std::uint64_t>(log[i].exec_id));
+    p = bin::put_varint(p, static_cast<std::uint64_t>(log[i].exec_id));
   }
   for (std::size_t i = base; i < base + n; ++i) {
-    bin::put_varint(raw, static_cast<std::uint64_t>(log[i].user_id));
+    p = bin::put_varint(p, static_cast<std::uint64_t>(log[i].user_id));
   }
   for (std::size_t i = base; i < base + n; ++i) {
-    bin::put_varint(raw, static_cast<std::uint64_t>(log[i].project_id));
+    p = bin::put_varint(p, static_cast<std::uint64_t>(log[i].project_id));
   }
   prev = 0;
   for (std::size_t i = base; i < base + n; ++i) {
     const std::int64_t start = log[i].start_time.usec();
-    bin::put_varint_signed(raw, start - prev);
+    p = bin::put_varint_signed(p, start - prev);
     prev = start;
   }
   for (std::size_t i = base; i < base + n; ++i) {
-    bin::put_varint_signed(raw, log[i].start_time.usec() - log[i].queue_time.usec());
+    p = bin::put_varint_signed(p, log[i].start_time.usec() - log[i].queue_time.usec());
   }
   for (std::size_t i = base; i < base + n; ++i) {
-    bin::put_varint_signed(raw, log[i].end_time.usec() - log[i].start_time.usec());
+    p = bin::put_varint_signed(p, log[i].end_time.usec() - log[i].start_time.usec());
   }
   for (std::size_t i = base; i < base + n; ++i) {
-    bin::put_varint(raw, static_cast<std::uint64_t>(log[i].partition.first_midplane()));
+    p = bin::put_varint(p, static_cast<std::uint64_t>(log[i].partition.first_midplane()));
   }
   for (std::size_t i = base; i < base + n; ++i) {
-    bin::put_varint(raw, static_cast<std::uint64_t>(log[i].partition.midplane_count()));
+    p = bin::put_varint(p, static_cast<std::uint64_t>(log[i].partition.midplane_count()));
   }
   for (std::size_t i = base; i < base + n; ++i) {
-    bin::put_varint_signed(raw, log[i].exit_code);
+    p = bin::put_varint_signed(p, log[i].exit_code);
   }
   // Zone map: time covers the whole job lifetime, the bitmap folds every
   // midplane of the partition, and the key range carries the plain
@@ -85,10 +79,10 @@ void encode_job_column_block(std::string& payload, const JobLog& log, std::size_
     zm.add_key(static_cast<std::uint32_t>(first + count - 1));
     for (int k = 0; k < count; ++k) zm.add_midplane(first + k);
   }
-  payload.push_back(kJobColumnTag);
-  append_u32(payload, static_cast<std::uint32_t>(n));
-  bin::append_zone_map(payload, zm);
-  bin::append_column_body(payload, raw, compress);
+  const auto size = static_cast<std::size_t>(p - payload);
+  bin::put_column_header(payload, kJobColumnTag, static_cast<std::uint32_t>(n), zm,
+                         static_cast<std::uint32_t>(size - bin::kColumnHeaderBytes));
+  return {payload, size};
 }
 
 void JobStreamDecoder::intern_tables(bool before_records) {

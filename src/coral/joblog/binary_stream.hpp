@@ -55,13 +55,15 @@ static_assert(sizeof(PackedJob) == 56);
 /// Parse one string-table payload body ('X'/'U'/'P', cursor past the tag).
 std::vector<std::string> parse_job_table(bin::PayloadCursor& cur);
 
-/// Build one complete v3 'C' payload (tag through body) for jobs
-/// [base, base + n) of `log`. The body is the block transposed into varint
-/// columns (see binary_io.hpp for the exact layout); the zone map covers
-/// [min start, max end] with every partition midplane folded in and the
-/// key range carrying [min first-midplane, max last-midplane].
-void encode_job_column_block(std::string& payload, const JobLog& log, std::size_t base,
-                             std::size_t n, bool compress, std::string& raw);
+/// Build one complete v3 'C' payload (tag through raw body) for jobs
+/// [base, base + n) of `log` in `scratch` (caller-owned, reused across
+/// blocks; grown to the worst case, never shrunk) and return a view of it.
+/// The body is the block transposed into varint columns (see binary_io.hpp
+/// for the exact layout); the zone map covers [min start, max end] with
+/// every partition midplane folded in and the key range carrying
+/// [min first-midplane, max last-midplane].
+std::string_view encode_job_column_block(std::string& scratch, const JobLog& log,
+                                         std::size_t base, std::size_t n);
 
 /// Incremental binary v2/v3 job decoder: feed block payloads as they arrive,
 /// finish() runs the lost-record top-up and finalizes the log. Feeding a

@@ -7,11 +7,9 @@
 #include <optional>
 #include <ostream>
 #include <string_view>
-#include <unordered_map>
 
 #include "coral/common/binary_frame.hpp"
 #include "coral/common/error.hpp"
-#include "coral/common/parallel.hpp"
 #include "coral/common/storev3.hpp"
 #include "coral/obs/obs.hpp"
 #include "coral/ras/binary_stream.hpp"
@@ -59,67 +57,70 @@ void encode_v2_block(std::string& payload, const RasLog& log, std::size_t base,
   }
 }
 
-/// Frame blocks [block_begin, block_end) into per-block byte strings, fanned
-/// over the pool when one is given. `encode` appends one block's complete
-/// payload (tag through body); framing (size + CRC) is deterministic, so
-/// parallel output is byte-identical to serial.
-template <typename Encode>
-void frame_blocks(std::vector<std::string>& framed, std::size_t block_begin,
-                  std::size_t block_end, par::ThreadPool* pool, const Encode& encode) {
-  const std::size_t nb = block_end - block_begin;
-  framed.resize(nb);
-  const std::size_t chunks =
-      pool == nullptr || pool->thread_count() <= 1
-          ? 1
-          : std::max<std::size_t>(1, std::min(nb, pool->thread_count() * 4));
-  par::parallel_for_chunks(
-      chunks, 1,
-      [&](std::size_t cb, std::size_t ce) {
-        std::string payload;
-        for (std::size_t c = cb; c < ce; ++c) {
-          const std::size_t bb = block_begin + c * nb / chunks;
-          const std::size_t be = block_begin + (c + 1) * nb / chunks;
-          for (std::size_t b = bb; b < be; ++b) {
-            payload.clear();
-            encode(payload, b);
-            std::string& out = framed[b - block_begin];
-            out.clear();
-            bin::append_frame(out, payload);
-          }
-        }
-      },
-      pool);
-}
-
-void write_v2(std::ostream& out, const RasLog& log, par::ThreadPool* pool) {
+void write_v2(std::ostream& out, const RasLog& log) {
   out.write(kRasMagic, sizeof kRasMagic);
   out.write(reinterpret_cast<const char*>(&kRasVersion), sizeof kRasVersion);
 
   // Dictionary: every catalog errcode name, indexed by ErrcodeId. Written
   // twice so one damaged frame cannot make every record undecodable.
   const std::string dict = build_dict_payload(log);
-  std::string head;
-  bin::append_frame(head, dict);
-  bin::append_frame(head, dict);
-  out.write(head.data(), static_cast<std::streamsize>(head.size()));
+  std::string framed;
+  bin::append_frame(framed, dict);
+  bin::append_frame(framed, dict);
+  out.write(framed.data(), static_cast<std::streamsize>(framed.size()));
 
-  const std::size_t nblocks = (log.size() + kRasRecordsPerBlock - 1) / kRasRecordsPerBlock;
-  // Encode in bounded batches so peak memory stays a slice of the file, not
-  // a full copy of it.
-  constexpr std::size_t kBatchBlocks = 4096;
-  std::vector<std::string> framed;
-  for (std::size_t batch = 0; batch < nblocks; batch += kBatchBlocks) {
-    const std::size_t batch_end = std::min(nblocks, batch + kBatchBlocks);
-    frame_blocks(framed, batch, batch_end, pool,
-                 [&](std::string& payload, std::size_t b) {
-                   const std::size_t base = b * kRasRecordsPerBlock;
-                   encode_v2_block(payload, log, base,
-                                   std::min(kRasRecordsPerBlock, log.size() - base));
-                 });
-    for (const std::string& f : framed) {
-      out.write(f.data(), static_cast<std::streamsize>(f.size()));
+  std::string payload;
+  for (std::size_t base = 0; base < log.size(); base += kRasRecordsPerBlock) {
+    payload.clear();
+    encode_v2_block(payload, log, base, std::min(kRasRecordsPerBlock, log.size() - base));
+    framed.clear();
+    bin::append_frame(framed, payload);
+    out.write(framed.data(), static_cast<std::streamsize>(framed.size()));
+  }
+}
+
+/// The v3 location dictionary: the log's distinct packed location keys in
+/// first-appearance order, and each event's index into them.
+struct LocationIndex {
+  std::vector<std::uint32_t> keys;
+  std::vector<std::uint32_t> of_event;
+};
+
+/// Build the LocationIndex with one probe per event into a flat
+/// open-addressing table: linear probing over power-of-two slots kept at
+/// most half full, each slot the key and its index + 1 packed in a u64
+/// (0 = empty). Growing the table rehashes the keys in order. The seed-42
+/// Intrepid log names 44,546 distinct locations, 1 MiB of slots.
+LocationIndex index_locations(const RasLog& log) {
+  LocationIndex ix;
+  ix.of_event.resize(log.size());
+  std::vector<std::uint64_t> slots(std::size_t{1} << 10);
+  unsigned shift = 64 - 10;  // keeps the hash's top log2(slots) bits
+  const auto slot_of = [&](std::uint32_t key) -> std::uint64_t& {
+    const std::size_t mask = slots.size() - 1;
+    auto s = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+    while (slots[s] != 0 && static_cast<std::uint32_t>(slots[s] >> 32) != key) {
+      s = (s + 1) & mask;
+    }
+    return slots[s];
+  };
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const std::uint32_t key = log[i].location.packed();
+    std::uint64_t& slot = slot_of(key);
+    if (slot == 0) {
+      ix.keys.push_back(key);
+      slot = std::uint64_t{key} << 32 | ix.keys.size();
+    }
+    ix.of_event[i] = static_cast<std::uint32_t>(slot) - 1;
+    if (ix.keys.size() * 2 > slots.size()) {
+      slots.assign(slots.size() * 2, 0);
+      --shift;
+      for (std::size_t k = 0; k < ix.keys.size(); ++k) {
+        slot_of(ix.keys[k]) = std::uint64_t{ix.keys[k]} << 32 | (k + 1);
+      }
     }
   }
+  return ix;
 }
 
 void write_v3(std::ostream& out, const RasLog& log, const WriteOptions& opts) {
@@ -127,33 +128,18 @@ void write_v3(std::ostream& out, const RasLog& log, const WriteOptions& opts) {
   out.write(kRasMagic, sizeof kRasMagic);
   out.write(reinterpret_cast<const char*>(&kRasVersion3), sizeof kRasVersion3);
 
-  // Location dictionary: distinct packed keys in first-appearance order,
-  // plus each event's index into it.
-  std::vector<std::uint32_t> keys;
-  std::vector<std::uint32_t> loc_idx(log.size());
-  {
-    std::unordered_map<std::uint32_t, std::uint32_t> index;
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      const std::uint32_t key = log[i].location.packed();
-      const auto [it, inserted] =
-          index.try_emplace(key, static_cast<std::uint32_t>(keys.size()));
-      if (inserted) keys.push_back(key);
-      loc_idx[i] = it->second;
-    }
-  }
+  const LocationIndex locations = index_locations(log);
 
   std::string meta_payload;
   meta_payload.push_back(kRasMetaTag);
-  bin::append_store_meta(
-      meta_payload,
-      bin::StoreMeta{std::string(machine.name()), std::string(kRasSchemaV3),
-                     static_cast<std::uint32_t>(kRasRecordsPerBlock),
-                     opts.compress ? bin::kStoreFlagCompressed : std::uint8_t{0}});
+  bin::append_store_meta(meta_payload,
+                         bin::StoreMeta{std::string(machine.name()), std::string(kRasSchemaV3),
+                                        static_cast<std::uint32_t>(kRasRecordsPerBlock), 0});
   const std::string dict_payload = build_dict_payload(log);
   std::string loc_payload;
   loc_payload.push_back(kRasLocTag);
-  append_raw(loc_payload, static_cast<std::uint32_t>(keys.size()));
-  for (const std::uint32_t key : keys) append_raw(loc_payload, key);
+  append_raw(loc_payload, static_cast<std::uint32_t>(locations.keys.size()));
+  for (const std::uint32_t key : locations.keys) append_raw(loc_payload, key);
 
   std::string head;
   for (const std::string& payload : {meta_payload, dict_payload, loc_payload}) {
@@ -163,24 +149,11 @@ void write_v3(std::ostream& out, const RasLog& log, const WriteOptions& opts) {
   out.write(head.data(), static_cast<std::streamsize>(head.size()));
 
   bin::SegmentWriter segments(out, kRasSegmentTag, head.size(), opts.blocks_per_segment);
-  const std::size_t nblocks = (log.size() + kRasRecordsPerBlock - 1) / kRasRecordsPerBlock;
-  constexpr std::size_t kBatchBlocks = 4096;
-  std::vector<std::string> framed;
-  for (std::size_t batch = 0; batch < nblocks; batch += kBatchBlocks) {
-    const std::size_t batch_end = std::min(nblocks, batch + kBatchBlocks);
-    frame_blocks(framed, batch, batch_end, opts.pool,
-                 [&](std::string& payload, std::size_t b) {
-                   const std::size_t base = b * kRasRecordsPerBlock;
-                   const std::size_t n =
-                       std::min(kRasRecordsPerBlock, log.size() - base);
-                   // Per-thread scratch would save allocations, but encode is
-                   // dominated by varint/LZ work; a local string is simpler.
-                   std::string raw;
-                   encode_ras_column_block(payload, &log[base], n,
-                                           loc_idx.data() + base, opts.compress,
-                                           machine.codec(), raw);
-                 });
-    for (const std::string& f : framed) segments.write_block(f);
+  std::string scratch;
+  for (std::size_t base = 0; base < log.size(); base += kRasRecordsPerBlock) {
+    segments.write_block(encode_ras_column_block(
+        scratch, &log[base], std::min(kRasRecordsPerBlock, log.size() - base),
+        locations.of_event.data() + base, machine.codec()));
   }
   segments.finish();
 }
@@ -189,7 +162,7 @@ void write_v3(std::ostream& out, const RasLog& log, const WriteOptions& opts) {
 
 void write_binary(std::ostream& out, const RasLog& log, const WriteOptions& opts) {
   if (opts.version == kRasVersion) {
-    write_v2(out, log, opts.pool);
+    write_v2(out, log);
   } else if (opts.version == kRasVersion3) {
     write_v3(out, log, opts);
   } else {

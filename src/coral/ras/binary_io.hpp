@@ -31,7 +31,7 @@ namespace coral::ras {
 ///       at most 64 records per block to bound the blast radius of a
 ///       damaged frame.
 ///
-/// v3 layout (version = 3 in the same 8-byte header): a compressed,
+/// v3 layout (version = 3 in the same 8-byte header): a columnar,
 /// seekable, self-describing store. Tags, in writer-canonical order
 /// 'M' 'M' 'D' 'D' 'L' 'L' then segments of 'C' blocks each closed by one
 /// 'S' footer:
@@ -49,9 +49,12 @@ namespace coral::ras {
 ///       u32 raw size | body. The body is the 64-record block transposed
 ///       into columns: delta+zigzag-varint times, varint location indices,
 ///       varint dictionary indices, raw little-endian u32 serials (random
-///       surrogates gain nothing from varints), raw severity bytes — then
-///       byte-compressed. Count and zone map stay uncompressed so predicate
-///       pushdown never touches rejected bodies.
+///       surrogates gain nothing from varints), raw severity bytes. The
+///       writer writes every body raw: LZ saved about 2% of a store for
+///       about as much CPU as the rest of the encode. Readers still decode
+///       the LZ bodies (codec 1) of stores written with it. Count and zone
+///       map sit ahead of the body so predicate pushdown never touches
+///       rejected bodies.
 ///   'S' segment footer: u64 offset | u32 count | zone map per 'C' block of
 ///       the preceding segment. An appender just adds more 'C'+'S'
 ///       segments; readers rebuild the whole-file directory from footers.
@@ -61,13 +64,10 @@ namespace coral::ras {
 /// meta block names the machine model the keys belong to.
 struct WriteOptions {
   std::uint32_t version = 3;  ///< 2 or 3
-  /// v3: try the in-repo LZ codec per block, keeping whichever of
-  /// raw/compressed is smaller.
-  bool compress = true;
   /// v3: 'C' blocks per 'S' footer (the append/flush granularity).
   std::size_t blocks_per_segment = 256;
-  /// Fan per-block encode + CRC over this pool; bytes are identical to the
-  /// serial writer's. Null = serial.
+  /// Ignored: every write encodes on the calling thread. Kept because the
+  /// e2e benchmark package sets it.
   par::ThreadPool* pool = nullptr;
 };
 

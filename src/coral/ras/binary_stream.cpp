@@ -201,12 +201,6 @@ RasLocDict parse_ras_loc_dict(bin::PayloadCursor& cur,
   return dict;
 }
 
-void append_u32(std::string& out, std::uint32_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof buf);
-}
-
 /// Pointer-based LEB128 decode; returns the advanced pointer, or null on
 /// truncation / overlong encoding. The column loops below run millions of
 /// varints per file, which is too hot for the string_view-plus-index
@@ -249,39 +243,44 @@ inline const std::uint8_t* take_varint(const std::uint8_t* p, const std::uint8_t
 
 }  // namespace
 
-void encode_ras_column_block(std::string& payload, const RasEvent* events,
-                             std::size_t n, const std::uint32_t* loc_idx,
-                             bool compress, const machine::LocCodec& codec,
-                             std::string& raw) {
+std::string_view encode_ras_column_block(std::string& scratch, const RasEvent* events,
+                                         std::size_t n, const std::uint32_t* loc_idx,
+                                         const machine::LocCodec& codec) {
+  // Worst case per record: a 10-byte time delta, two 5-byte u32 varints,
+  // the u32 serial and the severity byte.
+  const std::size_t bound = bin::kColumnHeaderBytes + n * (bin::kMaxVarintBytes + 5 + 5 + 4 + 1);
+  if (scratch.size() < bound) scratch.resize(bound);
+  char* const payload = scratch.data();
+  char* p = payload + bin::kColumnHeaderBytes;
   bin::ZoneMap zm;
-  raw.clear();
   std::int64_t prev_t = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t t = events[i].event_time.usec();
-    bin::put_varint_signed(raw, t - prev_t);
+    p = bin::put_varint_signed(p, t - prev_t);
     prev_t = t;
     zm.add_time(t);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    bin::put_varint(raw, loc_idx[i]);
+    p = bin::put_varint(p, loc_idx[i]);
     zm.add_location(events[i].location.packed(), codec);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    bin::put_varint(raw, static_cast<std::uint32_t>(events[i].errcode));
+    p = bin::put_varint(p, static_cast<std::uint32_t>(events[i].errcode));
   }
   // Serials are random surrogates — delta varints average ~5 bytes of
   // byte-at-a-time decode for 4 bytes of entropy, so the column is stored as
   // fixed-width little-endian u32 and decoded with one memcpy.
   for (std::size_t i = 0; i < n; ++i) {
-    append_u32(raw, events[i].serial);
+    std::memcpy(p, &events[i].serial, sizeof(std::uint32_t));
+    p += sizeof(std::uint32_t);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    raw.push_back(static_cast<char>(static_cast<std::uint8_t>(events[i].severity)));
+    *p++ = static_cast<char>(static_cast<std::uint8_t>(events[i].severity));
   }
-  payload.push_back(kRasColumnTag);
-  append_u32(payload, static_cast<std::uint32_t>(n));
-  bin::append_zone_map(payload, zm);
-  bin::append_column_body(payload, raw, compress);
+  const auto size = static_cast<std::size_t>(p - payload);
+  bin::put_column_header(payload, kRasColumnTag, static_cast<std::uint32_t>(n), zm,
+                         static_cast<std::uint32_t>(size - bin::kColumnHeaderBytes));
+  return {payload, size};
 }
 
 namespace {

@@ -98,13 +98,13 @@ struct RasColumns {
   std::uint8_t max_sev = 0;
 };
 
-/// Build one complete 'C' payload (tag through body) for records
+/// Build one complete 'C' payload (tag through raw body) for records
 /// [events, events + n), whose per-event location-dictionary indices are
-/// `loc_idx`. `raw` is caller-owned scratch (reused across blocks).
-void encode_ras_column_block(std::string& payload, const RasEvent* events,
-                             std::size_t n, const std::uint32_t* loc_idx,
-                             bool compress, const machine::LocCodec& codec,
-                             std::string& raw);
+/// `loc_idx`, in `scratch` (caller-owned, reused across blocks; grown to
+/// the worst case, never shrunk) and return a view of it.
+std::string_view encode_ras_column_block(std::string& scratch, const RasEvent* events,
+                                         std::size_t n, const std::uint32_t* loc_idx,
+                                         const machine::LocCodec& codec);
 
 /// Reusable scratch for decoding 'C' payloads, plus the emit-side
 /// bookkeeping the adopting RasLog constructor wants, kept by the 'R' and

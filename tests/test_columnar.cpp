@@ -487,13 +487,11 @@ TEST(RasBinaryRead, HundredRecordColumnBlocksDecode) {
     if (it == keys.end()) keys.push_back(key);
   }
   constexpr std::size_t kBlock = 100;
-  std::string payload, raw;
+  std::string scratch;
   for (std::size_t base = 0; base < log.size(); base += kBlock) {
-    payload.clear();
-    ras::encode_ras_column_block(payload, &log[base], std::min(kBlock, log.size() - base),
-                                 loc_idx.data() + base, true, machine::bgp_model().codec(),
-                                 raw);
-    bin::append_frame(bytes, payload);
+    bin::append_frame(bytes, ras::encode_ras_column_block(
+                                 scratch, &log[base], std::min(kBlock, log.size() - base),
+                                 loc_idx.data() + base, machine::bgp_model().codec()));
   }
 
   for (const ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -9,6 +10,7 @@
 #include "bgp_fixture.hpp"
 #include "corrupt.hpp"
 #include "frame_oracle.hpp"
+#include "lz_fixture.hpp"
 #include "read_equal.hpp"
 
 #include "coral/common/error.hpp"
@@ -609,14 +611,16 @@ TEST(FuzzSmokeBinary, ResealedBadLocationKeyIsBadLocation) {
 // -- (compressed column bodies, zone maps) with and without a predicate.
 // -- Lenient ingest must never throw; without a predicate ok == appended
 // -- exactly, and with one ok may exceed appended because valid records the
-// -- exact filter rejects still count as ok.
+// -- exact filter rejects still count as ok. The corpora damage the images
+// -- a writer with LZ compression on produced (tests/lz_fixture.hpp), so the
+// -- LZ decode path meets the damage too.
 
 TEST(FuzzSmokeV3, RasCorpus) {
   const std::size_t n = 600;
   const ras::RasLog log = make_ras_log(n);
   std::stringstream buf;
   ras::write_binary(buf, log, {});
-  const std::string bytes = buf.str();
+  const std::string bytes = testing::lz_image(buf.str());
   bin::ReadPredicate pred;
   pred.time_begin = TimePoint::from_calendar(2009, 1, 5) + 2 * kUsecPerHour;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -652,7 +656,7 @@ TEST(FuzzSmokeV3, JobCorpus) {
   const joblog::JobLog log = make_job_log(n);
   std::stringstream buf;
   joblog::write_binary(buf, log, {});
-  const std::string bytes = buf.str();
+  const std::string bytes = testing::lz_image(buf.str());
   bin::ReadPredicate pred;
   pred.time_begin = TimePoint::from_calendar(2009, 1, 5) + 2 * kUsecPerHour;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -684,9 +688,10 @@ TEST(FuzzSmokeV3, DamagedColumnBlockIsCountedExactly) {
   const ras::RasLog log = make_ras_log(n);
   std::stringstream buf;
   ras::write_binary(buf, log, {});
+  const std::string bytes = testing::lz_image(buf.str());
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed);
-    const std::string bad = testing::flip_block_payload(buf.str(), rng, 'C', 1);
+    const std::string bad = testing::flip_block_payload(bytes, rng, 'C', 1);
     std::istringstream in(bad);
     IngestReport rep;
     const ras::RasLog parsed =
@@ -694,6 +699,60 @@ TEST(FuzzSmokeV3, DamagedColumnBlockIsCountedExactly) {
     EXPECT_EQ(parsed.size(), n - 64) << "seed " << seed;
     EXPECT_EQ(rep.malformed(IngestReason::BinaryFrame), 64u) << "seed " << seed;
     EXPECT_EQ(rep.records_seen(), n) << "seed " << seed;
+  }
+}
+
+TEST(FuzzSmokeV3, CorruptCompressedBlockIsCountedExactly) {
+  // An LZ body damaged so that it no longer decompresses, with its frame
+  // CRC repaired: the framing layer passes it, and the column-block reader
+  // must refuse it. Strict mode names the block's offset; lenient mode
+  // loses exactly that block's records to the lost-record top-up.
+  const std::size_t n = 640;
+  const ras::RasLog log = make_ras_log(n);
+  std::stringstream buf;
+  ras::write_binary(buf, log, {});
+  const std::string lz = testing::lz_image(buf.str());
+  std::vector<std::size_t> compressed;
+  for (const std::size_t p : testing::frames_with_tag(lz, 'C')) {
+    if (lz[p + bin::kBlockHeaderBytes + bin::kColumnHeaderBytes - 5] == bin::kCodecLz) {
+      compressed.push_back(p);
+    }
+  }
+  ASSERT_FALSE(compressed.empty());
+  for (const std::size_t p : {compressed.front(), compressed.back()}) {
+    // A first group of no literals and a 4-byte match at offset 1 points
+    // before the start of the output.
+    std::string bad = lz;
+    const std::size_t body = p + bin::kBlockHeaderBytes + bin::kColumnHeaderBytes;
+    bad[body] = 0x00;
+    bad[body + 1] = 0x01;
+    bad[body + 2] = 0x00;
+    testing::reseal_frame(bad, p);
+    std::uint32_t count = 0;
+    std::memcpy(&count, bad.data() + p + bin::kBlockHeaderBytes + 1, sizeof count);
+    // Offsets count from the end of the file header, at the count field.
+    const std::size_t offset = p + bin::kBlockHeaderBytes + 1 - bin::kFileHeaderBytes;
+
+    std::istringstream strict_in(bad);
+    try {
+      (void)ras::read_binary(strict_in, ras::default_catalog(), {});
+      ADD_FAILURE() << "strict read of a corrupt LZ body did not throw";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("corrupt compressed block"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("at byte offset " + std::to_string(offset)),
+                std::string::npos)
+          << e.what();
+    }
+
+    std::istringstream in(bad);
+    IngestReport rep;
+    const ras::RasLog parsed = ras::read_binary(
+        in, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &rep});
+    EXPECT_EQ(parsed.size(), n - count);
+    EXPECT_EQ(rep.malformed(IngestReason::BinaryFrame), count);
+    EXPECT_EQ(rep.total_malformed(), count);
+    EXPECT_EQ(rep.records_seen(), n);
   }
 }
 

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <unordered_set>
+
+#include "corrupt.hpp"
+#include "lz_fixture.hpp"
 
 #include "coral/common/error.hpp"
-#include "coral/common/parallel.hpp"
+#include "coral/common/rng.hpp"
 #include "coral/joblog/binary_io.hpp"
 #include "coral/joblog/binary_stream.hpp"
 #include "coral/machine/model.hpp"
@@ -82,14 +87,19 @@ const Fixture& small_fixture() {
   return f;
 }
 
-void check_differential(const Fixture& f, ParseMode mode) {
+/// Read the fixture's v2 and v3 images and require equal logs. With `lz`,
+/// the v3 images are the ones a writer with LZ compression on produced
+/// (tests/lz_fixture.hpp).
+void check_differential(const Fixture& f, ParseMode mode, bool lz = false) {
   const machine::MachineModel& machine = f.data.ras.machine();
+  const std::string ras_v3 = lz ? testing::lz_image(f.ras_v3) : f.ras_v3;
+  const std::string job_v3 = lz ? testing::lz_image(f.job_v3) : f.job_v3;
   ras::ReadOptions ro;
   ro.mode = mode;
   ro.machine = &machine;
-  std::istringstream r2(f.ras_v2), r3(f.ras_v3);
+  std::istringstream r2(f.ras_v2), r3(ras_v3);
   const ras::RasLog a = ras::read_binary(r2, f.data.ras.catalog(), ro);
-  std::istringstream r3b(f.ras_v3);
+  std::istringstream r3b(ras_v3);
   const ras::RasLog b = ras::read_binary(r3b, f.data.ras.catalog(), ro);
   expect_ras_equal(ras::read_binary(r3, f.data.ras.catalog(), ro), a);
   expect_ras_equal(b, a);
@@ -97,7 +107,7 @@ void check_differential(const Fixture& f, ParseMode mode) {
   joblog::ReadOptions jo;
   jo.mode = mode;
   jo.machine = &machine;
-  std::istringstream j2(f.job_v2), j3(f.job_v3);
+  std::istringstream j2(f.job_v2), j3(job_v3);
   expect_jobs_equal(joblog::read_binary(j3, jo), joblog::read_binary(j2, jo));
 }
 
@@ -133,13 +143,78 @@ TEST(StoreV3, DifferentialOnBgq) {
   check_differential(make_fixture(cfg), ParseMode::Strict);
 }
 
-TEST(StoreV3, UncompressedRoundTrips) {
+TEST(StoreV3, DifferentialOnCompressedStores) {
+  // Stores written with LZ compression on still decode to the v2 logs.
+  check_differential(small_fixture(), ParseMode::Strict, true);
+  check_differential(small_fixture(), ParseMode::Lenient, true);
+}
+
+TEST(StoreV3, WriterBytesArePinned) {
+  // The writers' v3 images of the small fixture: raw column blocks, with
+  // the location dictionary in first-appearance order.
   const Fixture& f = small_fixture();
-  std::ostringstream raw;
-  ras::write_binary(raw, f.data.ras, {.compress = false});
-  std::istringstream in(raw.str());
-  expect_ras_equal(ras::read_binary(in, f.data.ras.catalog(), {}), f.data.ras);
-  EXPECT_GE(raw.str().size(), f.ras_v3.size());
+  EXPECT_EQ(f.ras_v3.size(), 160153u);
+  EXPECT_EQ(bin::crc32(f.ras_v3.data(), f.ras_v3.size()), 0xe96644ffu);
+  EXPECT_EQ(f.job_v3.size(), 51141u);
+  EXPECT_EQ(bin::crc32(f.job_v3.data(), f.job_v3.size()), 0x6e4fed67u);
+}
+
+TEST(StoreV3, LzFixtureReproducesCompressedWriterBytes) {
+  // The images a writer with LZ compression on produced for the small
+  // fixture, which the LZ decode tests take as their inputs.
+  const Fixture& f = small_fixture();
+  const std::string ras = testing::lz_image(f.ras_v3);
+  const std::string jobs = testing::lz_image(f.job_v3);
+  EXPECT_EQ(ras.size(), 158026u);
+  EXPECT_EQ(bin::crc32(ras.data(), ras.size()), 0x6e29ada3u);
+  EXPECT_EQ(jobs.size(), 48301u);
+  EXPECT_EQ(bin::crc32(jobs.data(), jobs.size()), 0x37ea4469u);
+}
+
+TEST(StoreV3, LocationDictionaryKeepsFirstAppearanceOrder) {
+  // Over 8,192 distinct locations: the writer's location index starts with
+  // 1,024 slots kept at most half full, so it grows at least five times.
+  const ras::Catalog& cat = ras::default_catalog();
+  for (const machine::MachineModel* m : {&machine::bgp_model(), &machine::bgq_model()}) {
+    SCOPED_TRACE(std::string(m->name()));
+    Rng rng(5);
+    std::vector<ras::RasEvent> events(24000);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      ras::RasEvent& ev = events[i];
+      ev.event_time = TimePoint::from_calendar(2009, 1, 5) + static_cast<Usec>(i) * kUsecPerSec;
+      const auto mid = static_cast<machine::MidplaneId>(
+          rng.uniform_index(static_cast<std::size_t>(m->midplane_count())));
+      ev.location = m->location_on_midplane(machine::LocationKind::ComputeCard, mid, rng);
+      ev.errcode = cat.nonfatal_ids()[i % cat.nonfatal_ids().size()];
+      ev.severity = ras::Severity::Info;
+      ev.serial = static_cast<std::uint32_t>(i);
+    }
+    const ras::RasLog log(std::move(events), cat, *m);
+    std::vector<std::uint32_t> first_seen;
+    std::unordered_set<std::uint32_t> seen;
+    for (const ras::RasEvent& ev : log) {
+      if (seen.insert(ev.location.packed()).second) first_seen.push_back(ev.location.packed());
+    }
+    ASSERT_GT(first_seen.size(), 8192u);
+
+    std::ostringstream out;
+    ras::write_binary(out, log, {});
+    const std::string bytes = out.str();
+    const std::vector<std::size_t> dicts = testing::frames_with_tag(bytes, ras::kRasLocTag);
+    ASSERT_EQ(dicts.size(), 2u);
+    for (const std::size_t at : dicts) {
+      const char* payload = bytes.data() + at + bin::kBlockHeaderBytes;
+      std::uint32_t count = 0;
+      std::memcpy(&count, payload + 1, sizeof count);
+      std::vector<std::uint32_t> keys(count);
+      std::memcpy(keys.data(), payload + 1 + sizeof count, count * sizeof(std::uint32_t));
+      EXPECT_EQ(keys, first_seen);
+    }
+    ras::ReadOptions ro;
+    ro.machine = m;
+    std::istringstream in(bytes);
+    expect_ras_equal(ras::read_binary(in, cat, ro), log);
+  }
 }
 
 TEST(StoreV3, V3ReadAssignsSequentialRecids) {
@@ -343,34 +418,6 @@ TEST(StoreV3, SegmentFootersPresent) {
   EXPECT_GT(footers, 1u);
   std::istringstream rd(bytes);
   expect_ras_equal(ras::read_binary(rd, f.data.ras.catalog(), {}), f.data.ras);
-}
-
-TEST(StoreV3, PooledWriteMatchesSerialBytes) {
-  // WriteOptions::pool fans the block encode over the workers; the bytes
-  // must be the serial writer's whatever the pool size. The log ends in a
-  // part block, and small segments put footers inside the workers' chunks.
-  const ras::RasLog& log = small_fixture().data.ras;
-  ASSERT_NE(log.size() % ras::kRasRecordsPerBlock, 0u);
-  const struct {
-    const char* name;
-    ras::WriteOptions opts;
-  } layouts[] = {{"v2", {.version = 2}},
-                 {"v3 compressed", {.blocks_per_segment = 3}},
-                 {"v3 raw", {.compress = false, .blocks_per_segment = 3}}};
-  for (const auto& layout : layouts) {
-    std::ostringstream serial;
-    ras::write_binary(serial, log, layout.opts);
-    for (const std::size_t threads : {1, 2, 4}) {
-      SCOPED_TRACE(std::string(layout.name) + ", " + std::to_string(threads) + " threads");
-      par::ThreadPool pool(threads);
-      ras::WriteOptions opts = layout.opts;
-      opts.pool = &pool;
-      std::ostringstream pooled;
-      ras::write_binary(pooled, log, opts);
-      EXPECT_EQ(pooled.str().size(), serial.str().size());
-      EXPECT_TRUE(pooled.str() == serial.str());
-    }
-  }
 }
 
 }  // namespace

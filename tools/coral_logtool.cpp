@@ -1,7 +1,7 @@
 // coral_logtool: inspect, convert and verify binary RAS / job log stores.
 //
 //   coral_logtool info <file>                header, block census, sizes
-//   coral_logtool convert <in> <out> [--v2|--v3] [--no-compress] [--lenient]
+//   coral_logtool convert <in> <out> [--v2|--v3] [--lenient]
 //   coral_logtool verify <a> <b> [--lenient] record-for-record equality
 //   coral_logtool gen <ras-out> <jobs-out> [--v2|--v3]  small synthetic pair
 //   coral_logtool mine <ras> <jobs> <rules-out>         mine correlation rules
@@ -55,11 +55,9 @@ struct FileInfo {
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: coral_logtool info <file>\n"
-               "       coral_logtool convert <in> <out> [--v2|--v3] [--no-compress] "
-               "[--lenient]\n"
+               "       coral_logtool convert <in> <out> [--v2|--v3] [--lenient]\n"
                "       coral_logtool verify <a> <b> [--lenient]\n"
-               "       coral_logtool gen <ras-out> <jobs-out> [--v2|--v3] "
-               "[--no-compress]\n"
+               "       coral_logtool gen <ras-out> <jobs-out> [--v2|--v3]\n"
                "       coral_logtool mine <ras> <jobs> <rules-out> [--lenient]\n"
                "           [--window-hours=H] [--min-support=N] [--min-confidence=C]\n"
                "       coral_logtool predict <rules> <ras> [--lenient]\n");
@@ -210,21 +208,15 @@ int cmd_info(const std::string& path) {
 }
 
 int cmd_convert(const std::string& in_path, const std::string& out_path,
-                std::uint32_t version, bool compress, ParseMode mode) {
+                std::uint32_t version, ParseMode mode) {
   const FileInfo f = load(in_path);
   const Loaded log = read_log(f, mode);
   std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
   if (!out) throw Error("cannot open " + out_path + " for writing");
   if (log.kind == Kind::Ras) {
-    ras::WriteOptions w;
-    w.version = version;
-    w.compress = compress;
-    ras::write_binary(out, *log.ras, w);
+    ras::write_binary(out, *log.ras, {.version = version});
   } else {
-    joblog::WriteOptions w;
-    w.version = version;
-    w.compress = compress;
-    joblog::write_binary(out, *log.jobs, w);
+    joblog::write_binary(out, *log.jobs, {.version = version});
   }
   out.flush();
   if (!out) throw Error("short write to " + out_path);
@@ -237,21 +229,15 @@ int cmd_convert(const std::string& in_path, const std::string& out_path,
 }
 
 int cmd_gen(const std::string& ras_path, const std::string& jobs_path,
-            std::uint32_t version, bool compress) {
+            std::uint32_t version) {
   // A small calibrated scenario — enough records to exercise every block
   // kind without slowing a CI smoke stage down.
   const synth::SynthResult data = synth::generate(synth::small_scenario(7, 5));
   std::ofstream ras_out(ras_path, std::ios::binary | std::ios::trunc);
   std::ofstream job_out(jobs_path, std::ios::binary | std::ios::trunc);
   if (!ras_out || !job_out) throw Error("cannot open output files");
-  ras::WriteOptions rw;
-  rw.version = version;
-  rw.compress = compress;
-  ras::write_binary(ras_out, data.ras, rw);
-  joblog::WriteOptions jw;
-  jw.version = version;
-  jw.compress = compress;
-  joblog::write_binary(job_out, data.jobs, jw);
+  ras::write_binary(ras_out, data.ras, {.version = version});
+  joblog::write_binary(job_out, data.jobs, {.version = version});
   ras_out.flush();
   job_out.flush();
   if (!ras_out || !job_out) throw Error("short write generating logs");
@@ -353,7 +339,6 @@ int main(int argc, char** argv) {
     const std::string cmd = args[0];
     ParseMode mode = ParseMode::Strict;
     std::uint32_t version = 3;
-    bool compress = true;
     coral::predict::MinerConfig miner;
     std::vector<std::string> pos;
     for (std::size_t i = 1; i < args.size(); ++i) {
@@ -363,8 +348,6 @@ int main(int argc, char** argv) {
         version = 2;
       } else if (args[i] == "--v3") {
         version = 3;
-      } else if (args[i] == "--no-compress") {
-        compress = false;
       } else if (args[i].rfind("--window-hours=", 0) == 0) {
         miner.window = static_cast<coral::Usec>(
             std::stod(args[i].substr(15)) * coral::kUsecPerHour);
@@ -380,10 +363,10 @@ int main(int argc, char** argv) {
     }
     if (cmd == "info" && pos.size() == 1) return cmd_info(pos[0]);
     if (cmd == "convert" && pos.size() == 2) {
-      return cmd_convert(pos[0], pos[1], version, compress, mode);
+      return cmd_convert(pos[0], pos[1], version, mode);
     }
     if (cmd == "verify" && pos.size() == 2) return cmd_verify(pos[0], pos[1], mode);
-    if (cmd == "gen" && pos.size() == 2) return cmd_gen(pos[0], pos[1], version, compress);
+    if (cmd == "gen" && pos.size() == 2) return cmd_gen(pos[0], pos[1], version);
     if (cmd == "mine" && pos.size() == 3) {
       return cmd_mine(pos[0], pos[1], pos[2], mode, miner);
     }
